@@ -75,7 +75,6 @@ from repro.service import (
     QueryRegistry,
     ServiceEngine,
     ServiceMetrics,
-    SnapshotCache,
     StandingQuery,
     StandingResult,
 )
@@ -147,7 +146,6 @@ __all__ = [
     "ShardPlanner",
     "ShardWorker",
     "SieveStreaming",
-    "SnapshotCache",
     "StandingQuery",
     "StandingResult",
     "SocialElement",

@@ -464,8 +464,8 @@ class ClusterCoordinator:
         for worker in workers:
             processor = worker.processor
             window = processor.window
-            # One bulk follower slice per shard (CSR export on the
-            # columnar store) instead of one adjacency call per element.
+            # The shard's sparse follower view (absent id = no follower)
+            # instead of one adjacency call per element.
             shard_followers = window.followers_snapshot()
             for element_id in window.active_ids():
                 if not processor.is_home(element_id):

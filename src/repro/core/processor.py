@@ -214,6 +214,7 @@ class KSIRProcessor:
         # at build time, context).  Repeated queries against an unchanged
         # window share one frozen context instead of rebuilding it per call.
         self._snapshot_cache: Optional[Tuple[int, ScoringContext]] = None
+        self._snapshot_builds = 0
 
     # -- metadata -----------------------------------------------------------------
 
@@ -261,6 +262,11 @@ class KSIRProcessor:
     def buckets_processed(self) -> int:
         """Number of buckets ingested so far."""
         return self._buckets_processed
+
+    @property
+    def snapshot_builds(self) -> int:
+        """How many times :meth:`snapshot` had to build a fresh context."""
+        return self._snapshot_builds
 
     @property
     def home_count(self) -> int:
@@ -605,32 +611,24 @@ class KSIRProcessor:
         further bucket is ingested, every query shares the same frozen
         context (a :class:`ScoringContext` is immutable by contract, so
         sharing is safe).  Ingesting a bucket invalidates the cache.
+
+        Both inputs are state Algorithm 1 already maintains per bucket —
+        the profile map (a profile is dropped when its element leaves
+        ``A_t``) and the window's sparse follower view — so a fresh context
+        only copies them; nothing is re-derived from the window.
         """
         cached = self._snapshot_cache
         if cached is not None and cached[0] == self._buckets_processed:
             return cached[1]
-        context = self._build_snapshot()
-        self._snapshot_cache = (self._buckets_processed, context)
-        return context
-
-    def _build_snapshot(self) -> ScoringContext:
-        """Materialise a fresh scoring snapshot (bypasses the cache).
-
-        The follower view comes from the window's bulk snapshot (one CSR
-        slice on the columnar store) instead of one call per element.
-        """
-        followers = self._window.followers_snapshot()
-        profiles = {
-            element_id: self._profiles[element_id]
-            for element_id in self._window.active_ids()
-            if element_id in self._profiles
-        }
-        return ScoringContext(
-            profiles=profiles,
-            followers=followers,
+        context = ScoringContext(
+            profiles=self._profiles,
+            followers=self._window.followers_snapshot(),
             config=self._config.scoring,
             time=self._window.current_time,
         )
+        self._snapshot_builds += 1
+        self._snapshot_cache = (self._buckets_processed, context)
+        return context
 
     def objective(self, query_vector: np.ndarray) -> KSIRObjective:
         """A k-SIR objective bound to the current window and ``query_vector``."""

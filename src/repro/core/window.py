@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.element import SocialElement
 from repro.core.window_policy import WindowPolicy
+from repro.store.archive import ElementArchive
 from repro.store.codec import decode_followers, decode_id_list, decode_pairs
 
 
@@ -60,7 +61,7 @@ class ActiveWindow:
         # regardless of when the referenced element was posted).  The archive
         # plays the role of the platform's backing store and is bounded to
         # the last ``archive_windows`` windows of stream time.
-        self._archive: Dict[int, SocialElement] = {}
+        self._archive = ElementArchive()
         # Still-active elements whose in-window follower set shrank during the
         # latest advance; their influence scores are stale until re-scored.
         self._touched_by_expiry: Set[int] = set()
@@ -118,7 +119,7 @@ class ActiveWindow:
                     self._touched_by_expiry.add(parent_id)
         self._elements[element_id] = element
         self._window_members[element_id] = element
-        self._archive[element_id] = element
+        self._archive.put(element)
         self._last_activity[element_id] = max(
             element.timestamp, self._last_activity.get(element_id, element.timestamp)
         )
@@ -195,13 +196,7 @@ class ActiveWindow:
         # 3. Trim the archive so memory stays bounded by the archive horizon.
         archive_cutoff = self._current_time - self._archive_horizon
         if archive_cutoff > 0:
-            stale = [
-                element_id
-                for element_id, element in self._archive.items()
-                if element.timestamp < archive_cutoff and element_id not in self._elements
-            ]
-            for element_id in stale:
-                del self._archive[element_id]
+            self._archive.trim(archive_cutoff, self._elements, removed)
         return tuple(removed)
 
     # -- queries ---------------------------------------------------------------------
@@ -253,11 +248,11 @@ class ActiveWindow:
         return tuple(self._followers.get(element_id, ()))
 
     def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        """``I_t(e)`` for every active element, in one bulk pass."""
-        followers = self._followers
+        """Every element with ≥ 1 in-window follower → ascending follower ids."""
         return {
-            element_id: tuple(followers.get(element_id, ()))
-            for element_id in self._elements
+            element_id: tuple(sorted(follower_ids))
+            for element_id, follower_ids in self._followers.items()
+            if follower_ids
         }
 
     def follower_count(self, element_id: int) -> int:
@@ -361,7 +356,7 @@ class ActiveWindow:
                     for element_id, element in archive.items()
                     if element.timestamp >= cutoff or element_id in self._elements
                 }
-        self._archive = archive
+        self._archive = ElementArchive(archive)
 
     def validate(self) -> bool:
         """Check internal invariants (used by property-based tests)."""

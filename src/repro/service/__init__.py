@@ -8,7 +8,6 @@ actually changed.
 
 * :class:`QueryRegistry` / :class:`StandingQuery` — the registered queries
   with per-query algorithm/ε/TTL options and a topic-inverted index;
-* :class:`SnapshotCache` — one shared scoring snapshot per ingested bucket;
 * :class:`IncrementalScheduler` / :class:`SchedulePlan` — maps the ranked
   lists' per-topic dirty sets to the affected queries, falling back to full
   re-evaluation on window-expiry churn;
@@ -21,7 +20,6 @@ from repro.service.engine import ServiceEngine, ServiceUpdate, StandingResult
 from repro.service.metrics import ServiceMetrics, percentile, timer_summary
 from repro.service.registry import QueryRegistry, StandingQuery
 from repro.service.scheduler import IncrementalScheduler, SchedulePlan
-from repro.service.snapshot_cache import SnapshotCache
 
 __all__ = [
     "IncrementalScheduler",
@@ -30,7 +28,6 @@ __all__ = [
     "ServiceEngine",
     "ServiceMetrics",
     "ServiceUpdate",
-    "SnapshotCache",
     "StandingQuery",
     "StandingResult",
     "percentile",

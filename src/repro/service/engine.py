@@ -5,13 +5,12 @@ an execution backend — a single-node
 :class:`~repro.core.processor.KSIRProcessor` or a sharded
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — a
 :class:`~repro.service.registry.QueryRegistry` of standing queries, the
-shared per-bucket :class:`~repro.service.snapshot_cache.SnapshotCache`
-(single-node only), the
 :class:`~repro.service.scheduler.IncrementalScheduler` and a thread-pool
-evaluator.  Standing queries are backend-transparent: the same registry and
-scheduling loop runs over one window or over ``N`` shards, with cluster
-evaluations delegated to the coordinator's scatter-gather path.  Driving it
-is a two-step loop:
+evaluator (on a single node, every evaluation of a bucket shares the
+processor's memoised scoring snapshot).  Standing queries are
+backend-transparent: the same registry and scheduling loop runs over one
+window or over ``N`` shards, with cluster evaluations delegated to the
+coordinator's scatter-gather path.  Driving it is a two-step loop:
 
 1. :meth:`ingest_bucket` feeds one stream bucket to the processor, drains
    the ranked lists' per-topic dirty sets, prunes TTL-expired queries, asks
@@ -42,7 +41,6 @@ from repro.core.stream import SocialStream, replay_stream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
 from repro.service.scheduler import IncrementalScheduler, SchedulePlan
-from repro.service.snapshot_cache import SnapshotCache
 from repro.utils.deprecation import warn_deprecated_construction
 from repro.utils.timing import StopWatch
 
@@ -174,9 +172,6 @@ class ServiceEngine:
         )
         if self._scheduler.registry is not self._registry:
             raise ValueError("scheduler must be bound to the engine's registry")
-        # The shared per-bucket snapshot only exists on a single node; the
-        # cluster path evaluates through the coordinator's scatter-gather.
-        self._snapshots = None if self._is_cluster else SnapshotCache(backend)
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="ksir-eval"
         )
@@ -217,11 +212,6 @@ class ServiceEngine:
     def registry(self) -> QueryRegistry:
         """The standing-query registry."""
         return self._registry
-
-    @property
-    def snapshot_cache(self) -> Optional[SnapshotCache]:
-        """The shared per-bucket snapshot cache (None on a cluster)."""
-        return self._snapshots
 
     @property
     def metrics(self) -> ServiceMetrics:
@@ -443,9 +433,9 @@ class ServiceEngine:
         else:
             # Materialise the shared snapshot once in the caller's thread so
             # the workers never race to build it.
-            misses_before = self._snapshots.misses
-            context = self._snapshots.context()
-            built_fresh = self._snapshots.misses > misses_before
+            builds_before = self._backend.snapshot_builds
+            context = self._backend.snapshot()
+            built_fresh = self._backend.snapshot_builds > builds_before
             # Per-evaluation snapshot accounting: at most one evaluation per
             # bucket pays for a fresh snapshot, every other one shares it.
             self._metrics.snapshot_misses += 1 if built_fresh else 0
@@ -538,7 +528,6 @@ class ServiceEngine:
         self._require_open()
         self._backend.restore_state(state["backend"])
         self._registry.restore_state(state["registry"])
-        self._snapshot_cache_reset()
         self._metrics = ServiceMetrics()
         self._results = {}
         self._solvers = {}
@@ -549,11 +538,6 @@ class ServiceEngine:
             stored = StandingResult.from_dict(payload)
             if stored.query_id in self._registry:
                 self._results[stored.query_id] = stored
-
-    def _snapshot_cache_reset(self) -> None:
-        """Re-create the snapshot cache after the backend state changed."""
-        if not self._is_cluster:
-            self._snapshots = SnapshotCache(self._backend)
 
     # -- lifecycle ---------------------------------------------------------------------------
 

@@ -18,8 +18,11 @@ vectorised view of the active set:
   topic probability ``p_i(e)``, so batched influence re-scoring reduces to
   one gather + ``reduceat`` over follower rows;
 * **CSR export** — the follower adjacency of any row subset serialises to
-  ``(indptr, indices)`` array slices for shard candidate export, merged
-  snapshots and the v2 checkpoint format;
+  ``(indptr, indices)`` array slices for shard candidate export and the v2
+  checkpoint format;
+* **the follower view** — a sparse ``parent id → ascending follower ids``
+  map kept current at the adjacency mutation points, so a scoring snapshot
+  costs time proportional to the rows a bucket changed, not to the window;
 * **topic epochs** — a monotonically increasing epoch is stamped on every
   topic whose ranked list changes, which is what the serving layer's
   incremental scheduler reads instead of draining per-topic dirty sets.
@@ -128,6 +131,11 @@ class ElementStore:
         # Dynamic in-window follower adjacency: row -> set of follower rows.
         # Mutation-friendly sets here; CSR array slices on export.
         self._followers: List[Set[int]] = [set() for _ in range(capacity)]
+        # The same adjacency by element id, for scoring snapshots: entries
+        # only for parents with ≥ 1 follower, refreshed lazily from the rows
+        # whose follower set changed since the last followers_snapshot().
+        self._follower_view: Dict[int, Tuple[int, ...]] = {}
+        self._dirty_parent_rows: Set[int] = set()
         self._row_of: Dict[int, int] = {}
         self._free_rows: List[int] = []
         self._high_water = 0
@@ -264,6 +272,9 @@ class ElementStore:
         self._profiles[row, :] = 0.0
         self._profile_set[row] = False
         self._followers[row].clear()
+        # The row may stay in the dirty set: a refresh skips free rows and
+        # reads a recycled row's adjacency under its new element id.
+        self._follower_view.pop(element_id, None)
         self._free_rows.append(row)
         return row
 
@@ -276,6 +287,8 @@ class ElementStore:
         self._profile_set[:] = False
         for followers in self._followers:
             followers.clear()
+        self._follower_view.clear()
+        self._dirty_parent_rows.clear()
         self._row_of.clear()
         self._free_rows.clear()
         self._high_water = 0
@@ -463,6 +476,7 @@ class ElementStore:
         if follower_row in followers:
             return False
         followers.add(follower_row)
+        self._dirty_parent_rows.add(parent_row)
         return True
 
     def discard_follower(self, parent_row: int, follower_row: int) -> bool:
@@ -471,6 +485,7 @@ class ElementStore:
         if follower_row not in followers:
             return False
         followers.discard(follower_row)
+        self._dirty_parent_rows.add(parent_row)
         return True
 
     def follower_count(self, row: int) -> int:
@@ -527,6 +542,28 @@ class ElementStore:
             indptr[position + 1] = indptr[position] + len(segment)
         flat = [element_id for segment in segments for element_id in segment]
         return indptr, np.asarray(flat, dtype=np.int64)
+
+    def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+        """``I_t(e)`` by element id, for every element with ≥ 1 follower.
+
+        Follower ids ascend; an absent id has no in-window follower.  Only
+        the rows whose adjacency changed since the previous call are
+        re-read; the returned dict is a copy (of immutable tuples), so it
+        stays frozen while the store keeps mutating.
+        """
+        view = self._follower_view
+        ids = self._element_ids
+        for row in self._dirty_parent_rows:
+            parent = int(ids[row])
+            if parent < 0:
+                continue
+            members = self._followers[row]
+            if members:
+                view[parent] = tuple(sorted(ids[list(members)].tolist()))
+            else:
+                view.pop(parent, None)
+        self._dirty_parent_rows.clear()
+        return view.copy()
 
     # -- vectorised scans ---------------------------------------------------------
 

@@ -112,7 +112,11 @@ class StateView(Protocol):
         ...
 
     def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        """``I_t(e)`` for every active element, in one bulk pass."""
+        """Every element with ≥ 1 in-window follower → ascending follower ids.
+
+        An absent id has no follower.  The dict is the caller's own: later
+        window mutations do not show through it.
+        """
         ...
 
     def follower_count(self, element_id: int) -> int:

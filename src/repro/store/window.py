@@ -10,7 +10,8 @@ columnar store instead of per-element dicts and sets:
   the window start; elements whose last activity predates it) are boolean
   masks over contiguous arrays instead of dict iterations;
 * follower bookkeeping is row-index adjacency in the store, which the
-  processor's batched re-scorer and the shard export read as array slices.
+  processor's batched re-scorer and the shard export read per parent row,
+  and which the store mirrors into a sparse by-id view for snapshots.
 
 The :class:`~repro.core.element.SocialElement` payloads themselves (tokens,
 references, text) stay in plain dicts: they are cold data touched once per
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.core.element import SocialElement
 from repro.core.window_policy import WindowPolicy
+from repro.store.archive import ElementArchive
 from repro.store.codec import (
     decode_followers,
     decode_id_list,
@@ -64,7 +66,7 @@ class ColumnarWindow:
         # Cold per-element payloads: the active objects and the bounded
         # archive that re-activates expired precedents.
         self._elements: Dict[int, SocialElement] = {}
-        self._archive: Dict[int, SocialElement] = {}
+        self._archive = ElementArchive()
         self._touched_by_expiry: Set[int] = set()
 
     # -- configuration ----------------------------------------------------------
@@ -114,7 +116,7 @@ class ColumnarWindow:
         store.raise_last_activity(row, element.timestamp)
         store.set_in_window(row, True)
         self._elements[element_id] = element
-        self._archive[element_id] = element
+        self._archive.put(element)
 
         touched: List[int] = []
         for parent_id in element.references:
@@ -211,7 +213,7 @@ class ColumnarWindow:
                         self._touched_by_expiry.add(parent_id)
             reposted.add(element_id)
             elements_map[element_id] = element
-            archive[element_id] = element
+            archive.put(element)
             # Fresh rows already carry last_activity = timestamp; a bucket
             # that re-acquired a live id fell back to element-wise acquire,
             # which also leaves last_activity ≥ the new timestamp only if
@@ -289,14 +291,7 @@ class ColumnarWindow:
         # 3. Trim the archive so memory stays bounded by the horizon.
         archive_cutoff = self._current_time - self._archive_horizon
         if archive_cutoff > 0:
-            stale = [
-                element_id
-                for element_id, element in self._archive.items()
-                if element.timestamp < archive_cutoff
-                and element_id not in self._elements
-            ]
-            for element_id in stale:
-                del self._archive[element_id]
+            self._archive.trim(archive_cutoff, self._elements, removed)
         return tuple(removed)
 
     # -- queries ---------------------------------------------------------------------
@@ -350,17 +345,13 @@ class ColumnarWindow:
         return self._store.follower_ids(row)
 
     def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        """``I_t(e)`` of every active element via one CSR slice."""
-        store = self._store
-        rows = store.live_rows()
-        parent_ids = store.ids_at(rows)
-        indptr, follower_ids = store.followers_csr(rows)
-        flat = follower_ids.tolist()
-        snapshot: Dict[int, Tuple[int, ...]] = {}
-        for position, parent in enumerate(parent_ids.tolist()):
-            start, stop = int(indptr[position]), int(indptr[position + 1])
-            snapshot[int(parent)] = tuple(flat[start:stop])
-        return snapshot
+        """``I_t(e)`` of every element with ≥ 1 in-window follower.
+
+        The store keeps this view current at its adjacency mutation points,
+        so the call costs a refresh of the rows the last buckets touched
+        plus one dict copy — not a pass over the window.
+        """
+        return self._store.followers_snapshot()
 
     def follower_count(self, element_id: int) -> int:
         """``|I_t(e)|`` without materialising the tuple."""
@@ -482,7 +473,7 @@ class ColumnarWindow:
                     for element_id, element in archive.items()
                     if element.timestamp >= cutoff or element_id in self._elements
                 }
-        self._archive = archive
+        self._archive = ElementArchive(archive)
 
     def validate(self) -> bool:
         """Check internal invariants (used by property-based tests)."""

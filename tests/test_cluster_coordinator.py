@@ -217,7 +217,9 @@ class TestServiceEngineClusterBackend:
             }
             assert engine.is_cluster
             assert engine.processor is None
-            assert engine.snapshot_cache is None
+            # No shared single-node snapshot on the scatter-gather path.
+            assert engine.metrics.snapshot_hits == 0
+            assert engine.metrics.snapshot_misses == 0
             report = engine.report()
             assert "3-shard cluster" in report
 

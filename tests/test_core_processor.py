@@ -8,7 +8,13 @@ import pytest
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.stream import SocialStream
-from tests.conftest import PAPER_SCORING, PAPER_WINDOW_LENGTH, build_processor
+from tests.conftest import (
+    PAPER_SCORING,
+    PAPER_WINDOW_LENGTH,
+    build_processor,
+    build_reference_stream,
+)
+from tests.test_store_columnar import bucketise
 
 
 class TestProcessorConfig:
@@ -194,6 +200,77 @@ class TestSnapshotCaching:
         first = processor.query([0.5, 0.5], k=2, algorithm="mttd")
         second = processor.query([0.5, 0.5], k=2, algorithm="celf")
         assert set(first.element_ids) == set(second.element_ids) == {1, 3}
+
+
+class TestSnapshotInputsStayCurrent:
+    """A context is built from the maintained profile map and follower view
+    alone; these invariants are what makes that equal to re-deriving both
+    from the window after every bucket."""
+
+    @staticmethod
+    def _assert_current(processor):
+        window = processor.window
+        active = window.active_ids()
+        assert set(processor._profiles) <= set(active)
+        context = processor.snapshot()
+        assert set(context.active_ids) == set(processor._profiles)
+        for element_id in active:
+            assert context.followers_of(element_id) == tuple(
+                sorted(window.followers_of(element_id))
+            )
+
+    @pytest.mark.parametrize(
+        "store, batched", [("columnar", True), ("columnar", False), ("objects", True)]
+    )
+    def test_local_processor(self, store, batched):
+        model, elements = build_reference_stream(11, 60, 2, 8)
+        config = ProcessorConfig(
+            window_length=6, bucket_length=3, scoring=PAPER_SCORING,
+            store=store, batched_ingest=batched,
+        )
+        processor = build_processor(model, config)
+        for members, end_time in bucketise(elements, 3):
+            processor.process_bucket(members, end_time=end_time)
+            self._assert_current(processor)
+
+    def test_home_filtered_shard_processors(self):
+        from repro.cluster import ClusterConfig, ClusterCoordinator
+
+        model, elements = build_reference_stream(12, 60, 2, 8)
+        config = ProcessorConfig(window_length=6, bucket_length=3, scoring=PAPER_SCORING)
+        with ClusterCoordinator(
+            model, config, cluster=ClusterConfig(num_shards=3, backend="serial")
+        ) as coordinator:
+            for members, end_time in bucketise(elements, 3):
+                coordinator.process_bucket(members, end_time=end_time)
+                for worker in coordinator.workers:
+                    self._assert_current(worker.processor)
+
+    def test_context_taken_before_a_bucket_stays_frozen(self):
+        model, elements = build_reference_stream(13, 40, 2, 8)
+        config = ProcessorConfig(window_length=8, bucket_length=4, scoring=PAPER_SCORING)
+        processor = build_processor(model, config)
+        held = []
+        for members, end_time in bucketise(elements, 4):
+            processor.process_bucket(members, end_time=end_time)
+            context = processor.snapshot()
+            assert processor.snapshot() is context
+            for earlier, ids, followers, profiles in held:
+                assert earlier.active_ids == ids
+                assert {i: earlier.followers_of(i) for i in ids} == followers
+                assert all(earlier.profile(i) is profiles[i] for i in ids)
+            ids = context.active_ids
+            held.append(
+                (
+                    context,
+                    ids,
+                    {i: context.followers_of(i) for i in ids},
+                    {i: context.profile(i) for i in ids},
+                )
+            )
+        # The stream really moved underneath the held contexts.
+        assert all(followers != held[-1][2] for _, _, followers, _ in held[:-1])
+        assert all(ids != held[-1][1] for _, ids, _, _ in held[:-1])
 
 
 class TestParentReactivation:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.processor import KSIRProcessor, ProcessorConfig
+from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
 from repro.core.stream import SocialStream
@@ -17,7 +17,6 @@ from repro.service import (
     IncrementalScheduler,
     QueryRegistry,
     ServiceEngine,
-    SnapshotCache,
 )
 from tests.conftest import (
     PAPER_SCORING,
@@ -49,35 +48,44 @@ def replay_paper(engine: ServiceEngine, until: int = 8) -> None:
 
 
 class TestSnapshotCache:
-    def _processor(self) -> KSIRProcessor:
-        config = ProcessorConfig(
-            window_length=PAPER_WINDOW_LENGTH, bucket_length=1, scoring=PAPER_SCORING
-        )
-        processor = build_processor(build_paper_topic_model(), config)
-        processor.process_stream(SocialStream(build_paper_elements()))
-        return processor
+    """Snapshot hit/miss accounting, derived from the processor's build count."""
+
+    def _engine(self) -> ServiceEngine:
+        engine = paper_engine()
+        engine.register(make_query(1.0, 0.0), query_id="on-0")
+        engine.register(make_query(0.5, 0.5), query_id="both")
+        return engine
 
     def test_same_context_within_a_bucket(self):
-        cache = SnapshotCache(self._processor())
-        first = cache.context()
-        assert cache.context() is first
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        with self._engine() as engine:
+            replay_paper(engine, until=1)
+            assert engine.processor.snapshot_builds == 1
+            assert engine.metrics.snapshot_misses == 1
+            assert engine.metrics.snapshot_hits == 1
+            assert engine.metrics.snapshot_hit_rate == pytest.approx(0.5)
 
     def test_invalidated_by_ingestion(self):
-        processor = self._processor()
-        cache = SnapshotCache(processor)
-        first = cache.context()
-        processor.process_bucket([], end_time=9)
-        second = cache.context()
-        assert second is not first
-        assert cache.misses == 2
-        assert cache.version == processor.buckets_processed
+        with self._engine() as engine:
+            replay_paper(engine, until=2)
+            first = engine.processor.snapshot()
+            assert engine.processor.snapshot_builds == 2
+            third = build_paper_elements()[2]
+            engine.ingest_bucket([third], end_time=third.timestamp)
+            assert engine.processor.snapshot() is not first
+            assert engine.metrics.snapshot_misses == engine.metrics.buckets == 3
+            assert engine.processor.snapshot_builds == 3
 
     def test_cold_cache_has_no_version(self):
-        cache = SnapshotCache(self._processor())
-        assert cache.version is None
-        assert cache.hit_rate == 0.0
+        with self._engine() as engine:
+            assert engine.metrics.snapshot_hit_rate == 0.0
+            replay_paper(engine, until=2)
+            # A restore drops the processor's memo and zeroes the metrics:
+            # the next evaluation pays for exactly one fresh context.
+            engine.restore_state(engine.state_dict())
+            assert engine.metrics.snapshot_misses == 0
+            third = build_paper_elements()[2]
+            engine.ingest_bucket([third], end_time=third.timestamp)
+            assert engine.metrics.snapshot_misses == 1
 
 
 class TestIncrementalScheduler:

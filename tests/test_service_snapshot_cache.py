@@ -1,9 +1,10 @@
-"""Focused coverage for SnapshotCache accounting and dirty-topic draining.
+"""Focused coverage for per-bucket snapshot sharing and dirty-topic draining.
 
 The serving and cluster layers both lean on these two pieces of bookkeeping:
-the per-bucket snapshot cache must version correctly on ``buckets_processed``
-and the ranked lists must report dirty topics across every mutation path —
-including :meth:`RankedListIndex.clear`.
+the processor's snapshot memo must version correctly on ``buckets_processed``
+(the service derives its snapshot hit/miss metrics from the processor's
+``snapshot_builds`` counter) and the ranked lists must report dirty topics
+across every mutation path — including :meth:`RankedListIndex.clear`.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.processor import KSIRProcessor, ProcessorConfig
+from repro.core.processor import ProcessorConfig
+from repro.core.query import KSIRQuery
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ProfileBuilder, ScoringConfig
-from repro.service import SnapshotCache
-from tests.conftest import build_processor
+from tests.conftest import build_processor, build_service_engine
 
 
 @pytest.fixture()
@@ -28,45 +29,49 @@ def fresh_processor(paper_topic_model):
 
 class TestSnapshotCache:
     def test_cold_cache_reports_nothing(self, fresh_processor):
-        cache = SnapshotCache(fresh_processor)
-        assert cache.version is None
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.hit_rate == 0.0
+        assert fresh_processor.snapshot_builds == 0
+        with build_service_engine(fresh_processor) as engine:
+            metrics = engine.metrics
+            assert metrics.snapshot_hits == 0 and metrics.snapshot_misses == 0
+            assert metrics.snapshot_hit_rate == 0.0
 
     def test_miss_then_hits_share_one_context(self, fresh_processor, paper_elements):
         fresh_processor.process_bucket(paper_elements[:3], end_time=3)
-        cache = SnapshotCache(fresh_processor)
-        first = cache.context()
-        assert cache.misses == 1 and cache.hits == 0
-        assert cache.version == fresh_processor.buckets_processed
-        second = cache.context()
-        third = cache.context()
+        first = fresh_processor.snapshot()
+        assert fresh_processor.snapshot_builds == 1
+        second = fresh_processor.snapshot()
+        third = fresh_processor.snapshot()
         assert second is first and third is first
-        assert cache.hits == 2 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(2 / 3)
+        assert fresh_processor.snapshot_builds == 1
 
     def test_new_bucket_invalidates_and_reversions(self, fresh_processor, paper_elements):
-        cache = SnapshotCache(fresh_processor)
         fresh_processor.process_bucket(paper_elements[:3], end_time=3)
-        before = cache.context()
-        version_before = cache.version
+        before = fresh_processor.snapshot()
         fresh_processor.process_bucket(paper_elements[3:5], end_time=5)
-        after = cache.context()
+        after = fresh_processor.snapshot()
         assert after is not before
-        assert cache.version == fresh_processor.buckets_processed
-        assert cache.version == version_before + 1
-        assert cache.misses == 2 and cache.hits == 0
-        # The refreshed context reflects the new window contents.
+        assert fresh_processor.snapshot_builds == 2
+        # The refreshed context reflects the new window contents; the old
+        # one stays frozen.
         assert set(after.active_ids) >= {4, 5}
+        assert not {4, 5} & set(before.active_ids)
 
     def test_snapshot_cache_agrees_with_processor_snapshot(
         self, fresh_processor, paper_elements
     ):
-        fresh_processor.process_bucket(paper_elements[:4], end_time=4)
-        cache = SnapshotCache(fresh_processor)
-        # The processor memoises its own snapshot per bucket, so the cache
-        # must hand back that exact object rather than a rebuilt copy.
-        assert cache.context() is fresh_processor.snapshot()
+        # Every evaluation of a bucket shares the processor's memoised
+        # context: one build (one miss), the other evaluation is a hit, and
+        # an ad-hoc query afterwards reuses the same object.
+        with build_service_engine(fresh_processor) as engine:
+            engine.register(KSIRQuery(k=2, vector=np.array([1.0, 0.0])))
+            engine.register(KSIRQuery(k=2, vector=np.array([0.0, 1.0])))
+            engine.ingest_bucket(paper_elements[:4], end_time=4)
+            assert fresh_processor.snapshot_builds == 1
+            assert engine.metrics.snapshot_misses == 1
+            assert engine.metrics.snapshot_hits == 1
+            context = fresh_processor.snapshot()
+            assert fresh_processor.snapshot() is context
+            assert fresh_processor.snapshot_builds == 1
 
 
 class TestTakeDirtyTopicsAfterClear:

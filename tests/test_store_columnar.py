@@ -161,11 +161,16 @@ def assert_windows_equal(columnar: ColumnarWindow, objects: ActiveWindow):
         )
         assert columnar.follower_count(element_id) == objects.follower_count(element_id)
         assert columnar.in_window(element_id) == objects.in_window(element_id)
+    # One contract for both classes: every element with ≥ 1 in-window
+    # follower → ascending follower ids; absent means none.
     snap_a = columnar.followers_snapshot()
     snap_b = objects.followers_snapshot()
-    assert snap_a.keys() == snap_b.keys()
-    for element_id, follower_ids in snap_b.items():
-        assert sorted(snap_a[element_id]) == sorted(follower_ids)
+    assert snap_a == snap_b
+    assert snap_a == {
+        element_id: tuple(sorted(objects.followers_of(element_id)))
+        for element_id in objects.active_ids()
+        if objects.follower_count(element_id)
+    }
     assert columnar.validate()
     assert objects.validate()
 

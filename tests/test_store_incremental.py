@@ -1,0 +1,212 @@
+"""State the windows keep current per mutation instead of rebuilding per bucket.
+
+Two pieces of window state are maintained incrementally and must equal
+their from-scratch definitions after *every* operation:
+
+* the store's sparse follower view behind ``followers_snapshot()`` — equal
+  to a rebuild over ``live_rows()``, and every dict it handed out earlier
+  stays frozen;
+* the horizon-trimmed archive (a ``(timestamp, id)`` heap popped up to the
+  cutoff) — equal, entry for entry and in order, to a full scan of the
+  archive after every ``advance_to``.
+
+Hypothesis drives random interleavings of element-wise inserts, bulk buckets
+with intra-bucket forward references, re-posts that drop references, late
+timestamps, archive re-activation, expiry with row recycling, checkpoint
+restore (``store.clear()``) and shared-memory style ``adopt_columns`` growth.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.window import ActiveWindow
+from repro.store import ColumnarWindow, ElementStore
+from tests.test_store_columnar import make_element
+
+IDS = st.integers(min_value=0, max_value=9)
+#: (element id, referenced ids, lateness of the timestamp)
+ELEMENT = st.tuples(
+    IDS, st.lists(IDS, max_size=3, unique=True), st.integers(min_value=0, max_value=3)
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), ELEMENT),
+        st.tuples(st.just("bucket"), st.lists(ELEMENT, min_size=1, max_size=5)),
+        # Mostly short steps, so referenced elements outlive the horizon.
+        st.tuples(st.just("advance"), st.sampled_from([1, 1, 1, 2, 3, 6])),
+        st.tuples(st.just("restore"), st.none()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def make_columns(capacity, previous=None):
+    """Externally owned store columns, optionally grown from ``previous``."""
+    columns = {
+        "ids": np.full(capacity, -1, dtype=np.int64),
+        "ts": np.zeros(capacity, dtype=np.int64),
+        "act": np.full(capacity, np.iinfo(np.int64).min, dtype=np.int64),
+        "inw": np.zeros(capacity, dtype=np.bool_),
+        "prof": np.zeros((capacity, 1), dtype=np.float64),
+        "pset": np.zeros(capacity, dtype=np.bool_),
+    }
+    if previous is not None:
+        for key, old in previous.items():
+            columns[key][: old.shape[0]] = old
+    return columns
+
+
+def drive(window, ops, after_step, before_insert=lambda elements: None):
+    """Apply ``ops`` to ``window``, calling ``after_step(kind, payload)``."""
+    clock = 1
+    for kind, payload in ops:
+        if kind in ("insert", "bucket"):
+            specs = [payload] if kind == "insert" else payload
+            elements = [
+                make_element(
+                    element_id,
+                    max(1, clock + 1 - lateness),
+                    (r for r in references if r != element_id),
+                )
+                for element_id, references, lateness in specs
+            ]
+            before_insert(elements)
+            if kind == "bucket" and isinstance(window, ColumnarWindow):
+                window.insert_many(elements)
+            else:
+                for element in elements:
+                    window.insert(element)
+            after_step(kind, elements)
+        elif kind == "advance":
+            clock += payload
+            window.advance_to(clock)
+            window.take_touched_by_expiry()
+            after_step(kind, clock)
+        else:
+            window.restore_state(window.state_dict())
+            after_step(kind, None)
+
+
+def rebuilt_view(store: ElementStore):
+    """The follower view derived from scratch over every live row."""
+    rows = store.live_rows()
+    indptr, follower_ids = store.followers_csr(rows)
+    flat = follower_ids.tolist()
+    view = {}
+    for position, parent in enumerate(store.ids_at(rows).tolist()):
+        start, stop = int(indptr[position]), int(indptr[position + 1])
+        if stop > start:
+            view[parent] = tuple(flat[start:stop])
+    return view
+
+
+class TestFollowerView:
+    @given(ops=OPS, shared_columns=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_view_equals_rebuild_after_every_step(self, ops, shared_columns):
+        columns = make_columns(2) if shared_columns else None
+        store = ElementStore(1, initial_capacity=2, columns=columns)
+        window = ColumnarWindow(4, archive_windows=2, store=store)
+        handed_out = []
+
+        def grow_if_needed(elements):
+            # What an shm shard worker does: size the columns *before* the
+            # bucket, at one row per element plus one per reference.
+            nonlocal columns
+            if columns is None:
+                return
+            extra = len(elements) + sum(len(e.references) for e in elements)
+            required = store.required_capacity(extra)
+            if required > store.capacity:
+                columns = make_columns(2 * required, previous=columns)
+                store.adopt_columns(columns)
+
+        def check(_kind, _payload):
+            snapshot = window.followers_snapshot()
+            assert snapshot == rebuilt_view(store)
+            assert all(
+                followers and list(followers) == sorted(followers)
+                for followers in snapshot.values()
+            )
+            assert set(snapshot) <= set(window.active_ids())
+            for earlier, frozen_copy in handed_out:
+                assert earlier == frozen_copy
+            handed_out.append((snapshot, dict(snapshot)))
+            assert window.validate()
+
+        drive(window, ops, check, before_insert=grow_if_needed)
+
+    def test_snapshots_taken_rarely_still_catch_up(self):
+        """Dirty rows accumulate across buckets, releases and recycling."""
+        store = ElementStore(1, initial_capacity=2)
+        window = ColumnarWindow(3, store=store)
+        ops = [
+            ("bucket", [(1, [], 0), (2, [1], 0), (3, [1, 2], 0)]),
+            ("advance", 1),
+            ("bucket", [(2, [], 0), (4, [3], 0)]),  # re-post drops 2 → 1
+            ("advance", 5),  # everything expires, rows are recycled
+            ("bucket", [(7, [], 0), (8, [7], 0)]),
+            ("advance", 1),
+        ]
+        drive(window, ops, lambda kind, payload: None)
+        assert window.followers_snapshot() == rebuilt_view(store) == {7: (8,)}
+        store.clear()
+        assert store.followers_snapshot() == {}
+
+
+WINDOW_LENGTH = 3
+
+
+def archive_window(columnar, archive_windows):
+    if columnar:
+        return ColumnarWindow(WINDOW_LENGTH, archive_windows=archive_windows, num_topics=1)
+    return ActiveWindow(WINDOW_LENGTH, archive_windows=archive_windows)
+
+
+def full_scan_check(window, archive_windows):
+    """An ``after_step`` asserting the archive equals a full-scan mirror."""
+    expected = {}
+
+    def check(kind, payload):
+        if kind in ("insert", "bucket"):
+            for element in payload:
+                expected[element.element_id] = element
+        elif kind == "advance":
+            cutoff = payload - archive_windows * WINDOW_LENGTH
+            if cutoff > 0:
+                for element_id, element in list(expected.items()):
+                    if element.timestamp < cutoff and element_id not in window:
+                        del expected[element_id]
+        assert list(window._archive.items()) == list(expected.items())
+
+    return check
+
+
+class TestArchiveTrim:
+    @given(ops=OPS, columnar=st.booleans(), archive_windows=st.integers(1, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_archive_equals_full_scan_after_every_advance(
+        self, ops, columnar, archive_windows
+    ):
+        window = archive_window(columnar, archive_windows)
+        drive(window, ops, full_scan_check(window, archive_windows))
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_entry_kept_active_past_the_horizon_goes_when_released(self, columnar):
+        """References keep element 1 active after the cutoff passed its
+        timestamp (its heap record is spent by then); it must leave the
+        archive in the advance that releases it."""
+        window = archive_window(columnar, 1)
+        ops = [("insert", (1, [], 0)), ("advance", 1)]
+        for follower_id in (2, 3, 4, 5):
+            ops += [("insert", (follower_id, [1], 0)), ("advance", 1)]
+        drive(window, ops, full_scan_check(window, 1))
+        assert 1 in window and 1 in window._archive
+        assert window.current_time - WINDOW_LENGTH > window.get(1).timestamp
+        drive(window, [("advance", 8)], lambda kind, payload: None)
+        assert 1 not in window and 1 not in window._archive
