@@ -552,17 +552,21 @@ class ElementStore:
         stays frozen while the store keeps mutating.
         """
         view = self._follower_view
-        ids = self._element_ids
-        for row in self._dirty_parent_rows:
-            parent = int(ids[row])
-            if parent < 0:
-                continue
-            members = self._followers[row]
-            if members:
-                view[parent] = tuple(sorted(ids[list(members)].tolist()))
-            else:
-                view.pop(parent, None)
-        self._dirty_parent_rows.clear()
+        if self._dirty_parent_rows:
+            rows = list(self._dirty_parent_rows)
+            self._dirty_parent_rows.clear()
+            ids = self._element_ids
+            members = [self._followers[row] for row in rows]
+            # One gather for every dirty row's follower ids, sliced per row.
+            flat = ids[[follower for chunk in members for follower in chunk]].tolist()
+            start = 0
+            for parent, chunk in zip(ids[rows].tolist(), members):
+                stop = start + len(chunk)
+                if chunk:
+                    view[parent] = tuple(sorted(flat[start:stop]))
+                else:  # also a freed row (id -1), which never has an entry
+                    view.pop(parent, None)
+                start = stop
         return view.copy()
 
     # -- vectorised scans ---------------------------------------------------------
