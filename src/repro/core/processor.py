@@ -323,11 +323,7 @@ class KSIRProcessor:
         """The element-by-element reference implementation of Algorithm 1."""
         with self._ingest_timer.measure():
             for element in elements:
-                prepared = element
-                if prepared.topic_distribution is None:
-                    prepared = prepared.with_topic_distribution(
-                        self._inferencer.infer(prepared.tokens)
-                    )
+                prepared = self._with_topics(element)
                 profile = self._builder.build(prepared)
                 touched_parents = self._window.insert(prepared)
                 self._register_profile(prepared.element_id, profile)
@@ -355,12 +351,9 @@ class KSIRProcessor:
                         # The parent expired earlier and was re-activated by
                         # this reference: rebuild its profile from the window
                         # archive and re-insert its ranked-list tuples.
-                        parent_element = self._window.get(parent_id)
-                        if parent_element.topic_distribution is None:
-                            parent_element = parent_element.with_topic_distribution(
-                                self._inferencer.infer(parent_element.tokens)
-                            )
-                        parent_profile = self._builder.build(parent_element)
+                        parent_profile = self._builder.build(
+                            self._with_topics(self._window.get(parent_id))
+                        )
                         self._register_profile(parent_id, parent_profile)
                         self._index.insert(
                             parent_profile, activity_time=prepared.timestamp
@@ -414,13 +407,7 @@ class KSIRProcessor:
         bucket added, and activity times combine via ``max``.
         """
         with self._ingest_timer.measure():
-            prepared: list = []
-            for element in elements:
-                if element.topic_distribution is None:
-                    element = element.with_topic_distribution(
-                        self._inferencer.infer(element.tokens)
-                    )
-                prepared.append(element)
+            prepared = [self._with_topics(element) for element in elements]
             profiles = self._builder.build_many(prepared)
 
             home_filter = self._home_filter
@@ -458,27 +445,24 @@ class KSIRProcessor:
                 for parent_id in touched_parents:
                     if home_filter is not None and not home_filter(parent_id):
                         continue
+                    if parent_id not in profile_map:
+                        # Re-activated from the archive by this reference:
+                        # hold its place in the map now, where the window
+                        # put it in A_t (snapshot() iterates the map).
+                        profile_map[parent_id] = None
                     previous = touched.get(parent_id)
                     if previous is None or previous < timestamp:
                         touched[parent_id] = timestamp
             self._elements_processed += len(prepared)
 
-            # Parents re-activated from the archive by a reference need their
-            # profiles rebuilt before they can be re-scored.
-            missing = [pid for pid in touched if pid not in self._profiles]
-            if missing:
-                missing_elements = []
-                for parent_id in missing:
-                    parent_element = self._window.get(parent_id)
-                    if parent_element.topic_distribution is None:
-                        parent_element = parent_element.with_topic_distribution(
-                            self._inferencer.infer(parent_element.tokens)
-                        )
-                    missing_elements.append(parent_element)
-                for parent_id, parent_profile in zip(
-                    missing, self._builder.build_many(missing_elements)
-                ):
-                    self._register_profile(parent_id, parent_profile)
+            # Places still held (no re-post later in the bucket filled them)
+            # need their profiles rebuilt before the parents are re-scored.
+            missing = [pid for pid in touched if profile_map[pid] is None]
+            rebuilt = self._builder.build_many(
+                [self._with_topics(self._window.get(pid)) for pid in missing]
+            )
+            for parent_id, parent_profile in zip(missing, rebuilt):
+                self._register_profile(parent_id, parent_profile)
 
             if self._store is not None:
                 # Columnar fast path: influence sums of every touched
@@ -490,16 +474,10 @@ class KSIRProcessor:
                     scored_refreshes=self._columnar_refresh_entries(touched),
                 )
             else:
-                followers_of = self._window.followers_of
-                profile_get = profile_map.get
-                refreshes = []
-                for parent_id, time in touched.items():
-                    followers = {}
-                    for follower_id in followers_of(parent_id):
-                        follower_profile = profile_get(follower_id)
-                        if follower_profile is not None:
-                            followers[follower_id] = follower_profile
-                    refreshes.append((profile_map[parent_id], followers, time))
+                refreshes = [
+                    (profile_map[parent_id], self._follower_profiles(parent_id), time)
+                    for parent_id, time in touched.items()
+                ]
                 self._index.bulk_update(inserts=inserts, refreshes=refreshes)
 
             removed = self._window.advance_to(end_time)
@@ -521,16 +499,10 @@ class KSIRProcessor:
                         removes=removes,
                     )
             else:
-                profile_get = profile_map.get
-                expiry_refreshes = []
-                for element_id, activity in expiry_touched.items():
-                    expiry_refreshes.append(
-                        (
-                            profile_map[element_id],
-                            self._follower_profiles(element_id),
-                            activity,
-                        )
-                    )
+                expiry_refreshes = [
+                    (profile_map[element_id], self._follower_profiles(element_id), activity)
+                    for element_id, activity in expiry_touched.items()
+                ]
                 if removes or expiry_refreshes:
                     self._index.bulk_update(
                         refreshes=expiry_refreshes, removes=removes
@@ -544,6 +516,12 @@ class KSIRProcessor:
     ) -> None:
         """Replay a whole stream (or until time ``until``) through the processor."""
         replay_stream(stream, self._config.bucket_length, self.process_bucket, until)
+
+    def _with_topics(self, element: SocialElement) -> SocialElement:
+        """``element``, its topic distribution inferred when it carries none."""
+        if element.topic_distribution is not None:
+            return element
+        return element.with_topic_distribution(self._inferencer.infer(element.tokens))
 
     def _follower_profiles(self, element_id: int) -> Dict[int, ElementProfile]:
         """Profiles of the in-window followers of an active element."""
@@ -607,24 +585,28 @@ class KSIRProcessor:
     def snapshot(self) -> ScoringContext:
         """A frozen scoring snapshot of the current active window.
 
-        The snapshot is memoised on :attr:`buckets_processed`: as long as no
-        further bucket is ingested, every query shares the same frozen
-        context (a :class:`ScoringContext` is immutable by contract, so
-        sharing is safe).  Ingesting a bucket invalidates the cache.
+        Memoised on :attr:`buckets_processed`: until the next bucket is
+        ingested, every query shares one context (immutable by contract).
 
-        Both inputs are state Algorithm 1 already maintains per bucket —
-        the profile map (a profile is dropped when its element leaves
-        ``A_t``) and the window's sparse follower view — so a fresh context
-        only copies them; nothing is re-derived from the window.
+        Both inputs are state Algorithm 1 already maintains per bucket — the
+        profile map and the window's sparse follower view — so a fresh
+        context is one copy of each; nothing is re-derived from the window.
+        Profiles are registered where the window activates their elements,
+        so the map, and with it ``context.active_ids`` (which the batch
+        algorithms enumerate), iterates in ``window.active_ids()`` order.
+        Only a shard's home-filtered processor can depart from it (a re-post
+        of a foreign id it held as a profile-less re-activated precedent);
+        cluster queries never read a shard's own snapshot.
         """
         cached = self._snapshot_cache
         if cached is not None and cached[0] == self._buckets_processed:
             return cached[1]
         context = ScoringContext(
-            profiles=self._profiles,
+            profiles=self._profiles.copy(),
             followers=self._window.followers_snapshot(),
             config=self._config.scoring,
             time=self._window.current_time,
+            frozen=True,
         )
         self._snapshot_builds += 1
         self._snapshot_cache = (self._buckets_processed, context)
@@ -707,7 +689,8 @@ class KSIRProcessor:
         self._window.restore_state(state["window"])
         self._index.restore_state(state["ranked_lists"])
         self._snapshot_cache = None
-        active = [self._window.get(eid) for eid in sorted(self._window.active_ids())]
+        # Registered in A_t order: snapshot() iterates the map as it stands.
+        active = list(self._window.active_elements())
         self._profiles = {}
         for element, profile in zip(active, self._builder.build_many(active)):
             self._register_profile(element.element_id, profile)

@@ -380,9 +380,15 @@ class ScoringContext:
         followers: Mapping[int, Sequence[int]],
         config: ScoringConfig,
         time: Optional[int] = None,
+        *,
+        frozen: bool = False,
     ) -> None:
-        self._profiles = dict(profiles)
-        self._followers = {key: tuple(value) for key, value in followers.items()}
+        # ``frozen``: the caller hands over dicts nothing else will mutate
+        # (followers already ``id → tuple``), so they are kept, not copied.
+        self._profiles = profiles if frozen else dict(profiles)
+        self._followers = followers if frozen else {
+            key: tuple(value) for key, value in followers.items()
+        }
         self._config = config
         self._time = time
 

@@ -61,7 +61,7 @@ class ActiveWindow:
         # regardless of when the referenced element was posted).  The archive
         # plays the role of the platform's backing store and is bounded to
         # the last ``archive_windows`` windows of stream time.
-        self._archive = ElementArchive()
+        self._archive = ElementArchive(self._archive_horizon)
         # Still-active elements whose in-window follower set shrank during the
         # latest advance; their influence scores are stale until re-scored.
         self._touched_by_expiry: Set[int] = set()
@@ -194,9 +194,7 @@ class ActiveWindow:
             self._touched_by_expiry.discard(element_id)
 
         # 3. Trim the archive so memory stays bounded by the archive horizon.
-        archive_cutoff = self._current_time - self._archive_horizon
-        if archive_cutoff > 0:
-            self._archive.trim(archive_cutoff, self._elements, removed)
+        self._archive.trim(self._current_time, self._elements, removed)
         return tuple(removed)
 
     # -- queries ---------------------------------------------------------------------
@@ -348,15 +346,10 @@ class ActiveWindow:
         self._last_activity = dict(decode_pairs(state["last_activity"]))
         self._followers = decode_followers(state["followers"])
         self._touched_by_expiry = set(decode_id_list(state["touched_by_expiry"]))
+        # A restored window must not carry more history than a live one would.
+        self._archive = ElementArchive(self._archive_horizon, archive)
         if self._current_time is not None:
-            cutoff = self._current_time - self._archive_horizon
-            if cutoff > 0:
-                archive = {
-                    element_id: element
-                    for element_id, element in archive.items()
-                    if element.timestamp >= cutoff or element_id in self._elements
-                }
-        self._archive = ElementArchive(archive)
+            self._archive.trim(self._current_time, self._elements, archive)
 
     def validate(self) -> bool:
         """Check internal invariants (used by property-based tests)."""

@@ -66,7 +66,7 @@ class ColumnarWindow:
         # Cold per-element payloads: the active objects and the bounded
         # archive that re-activates expired precedents.
         self._elements: Dict[int, SocialElement] = {}
-        self._archive = ElementArchive()
+        self._archive = ElementArchive(self._archive_horizon)
         self._touched_by_expiry: Set[int] = set()
 
     # -- configuration ----------------------------------------------------------
@@ -289,9 +289,7 @@ class ColumnarWindow:
             removed.append(element_id)
 
         # 3. Trim the archive so memory stays bounded by the horizon.
-        archive_cutoff = self._current_time - self._archive_horizon
-        if archive_cutoff > 0:
-            self._archive.trim(archive_cutoff, self._elements, removed)
+        self._archive.trim(self._current_time, self._elements, removed)
         return tuple(removed)
 
     # -- queries ---------------------------------------------------------------------
@@ -345,12 +343,9 @@ class ColumnarWindow:
         return self._store.follower_ids(row)
 
     def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        """``I_t(e)`` of every element with ≥ 1 in-window follower.
-
-        The store keeps this view current at its adjacency mutation points,
-        so the call costs a refresh of the rows the last buckets touched
-        plus one dict copy — not a pass over the window.
-        """
+        """``I_t(e)`` of every element with ≥ 1 in-window follower: the
+        store's maintained view, at the cost of refreshing the rows the last
+        buckets touched plus one dict copy — not a pass over the window."""
         return self._store.followers_snapshot()
 
     def follower_count(self, element_id: int) -> int:
@@ -463,17 +458,10 @@ class ColumnarWindow:
         self._touched_by_expiry = {
             int(eid) for eid in decode_id_list(state["touched_by_expiry"])
         }
-        # Prune archived elements beyond the configured horizon: a restored
-        # window must not carry more history than a live one would.
+        # A restored window must not carry more history than a live one would.
+        self._archive = ElementArchive(self._archive_horizon, archive)
         if self._current_time is not None:
-            cutoff = self._current_time - self._archive_horizon
-            if cutoff > 0:
-                archive = {
-                    element_id: element
-                    for element_id, element in archive.items()
-                    if element.timestamp >= cutoff or element_id in self._elements
-                }
-        self._archive = ElementArchive(archive)
+            self._archive.trim(self._current_time, self._elements, archive)
 
     def validate(self) -> bool:
         """Check internal invariants (used by property-based tests)."""

@@ -21,6 +21,7 @@ from repro.core.scoring import (
     KSIRObjective,
     ProfileBuilder,
     ScoringConfig,
+    ScoringContext,
     word_weight,
 )
 from tests.conftest import PAPER_SCORING, build_paper_context, build_paper_elements, build_paper_topic_model
@@ -208,6 +209,21 @@ class TestSingletonScores:
             assert objective.singleton_score(element_id) == pytest.approx(
                 paper_context.singleton_score(element_id, vector)
             )
+
+
+class TestContextCopies:
+    def test_copies_its_inputs_unless_told_they_are_frozen(self, paper_context):
+        profiles = {i: paper_context.profile(i) for i in paper_context.active_ids}
+        followers = {i: [j for j in paper_context.followers_of(i)] for i in profiles}
+        copied = ScoringContext(profiles, followers, PAPER_SCORING)
+        followers[3].append(99)
+        del profiles[3]
+        assert 3 in copied and 99 not in copied.followers_of(3)
+
+        frozen_followers = {i: tuple(ids) for i, ids in followers.items()}
+        kept = ScoringContext(profiles, frozen_followers, PAPER_SCORING, frozen=True)
+        assert kept._profiles is profiles and kept._followers is frozen_followers
+        assert kept.active_ids == tuple(profiles)
 
 
 class TestObjectiveIncremental:

@@ -210,3 +210,14 @@ class TestArchiveTrim:
         assert window.current_time - WINDOW_LENGTH > window.get(1).timestamp
         drive(window, [("advance", 8)], lambda kind, payload: None)
         assert 1 not in window and 1 not in window._archive
+
+    def test_entries_change_only_through_put_and_trim(self):
+        """No dict-style write can add an entry that skips the expiry heap."""
+        window = archive_window(True, 1)
+        drive(window, [("insert", (1, [], 0))], lambda kind, payload: None)
+        archive = window._archive
+        element = archive.get(1)
+        with pytest.raises(TypeError):
+            archive[2] = element
+        assert not hasattr(archive, "update") and not hasattr(archive, "setdefault")
+        assert len(archive) == len(archive._expiry) == 1
