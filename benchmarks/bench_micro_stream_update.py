@@ -1,4 +1,4 @@
-"""Micro-benchmark — bucket-ingest throughput: batched fast path vs element-by-element.
+"""Micro-benchmark — bucket-ingest throughput of the batched ingest path.
 
 Thin wrapper over the ``micro_stream_update`` spec in the :mod:`repro.bench` registry.
 Run as a script (``python benchmarks/bench_micro_stream_update.py [--tier tiny|full] [--seed N]

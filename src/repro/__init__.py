@@ -66,8 +66,7 @@ from repro.core.query import KSIRQuery, QueryResult
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import KSIRObjective, ScoringConfig, ScoringContext
 from repro.core.stream import SocialStream
-from repro.core.window import ActiveWindow
-from repro.store import ColumnarWindow, ElementStore, StateView
+from repro.store import ColumnarWindow, ElementStore
 from repro.datasets.profiles import DATASET_PROFILES, DatasetProfile
 from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.service import (
@@ -100,7 +99,6 @@ from repro.topics.vocabulary import Vocabulary
 __version__ = "1.0.0"
 
 __all__ = [
-    "ActiveWindow",
     "BitermTopicModel",
     "CELF",
     "CheckpointError",
@@ -108,7 +106,6 @@ __all__ = [
     "ClusterCoordinator",
     "ColumnarWindow",
     "ElementStore",
-    "StateView",
     "EngineConfig",
     "ExecutionBackend",
     "InferenceConfig",

@@ -34,7 +34,6 @@ from repro.core.scoring import ScoringContext
 from repro.service.engine import ServiceEngine
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
-from repro.utils.deprecation import library_managed_construction
 
 
 class LocalBackend:
@@ -46,10 +45,9 @@ class LocalBackend:
         config: EngineConfig,
         inferencer: Optional[TopicInferencer] = None,
     ) -> None:
-        with library_managed_construction():
-            self._processor = KSIRProcessor(
-                topic_model, config.processor, inferencer=inferencer
-            )
+        self._processor = KSIRProcessor(
+            topic_model, config.processor, inferencer=inferencer
+        )
 
     @property
     def name(self) -> str:
@@ -254,23 +252,22 @@ class ServiceBackend:
         inferencer: Optional[TopicInferencer] = None,
     ) -> None:
         self._substrate: Union[KSIRProcessor, ClusterCoordinator]
-        with library_managed_construction():
-            if config.cluster is not None:
-                self._substrate = ClusterCoordinator(
-                    topic_model,
-                    config.processor,
-                    cluster=config.cluster,
-                    inferencer=inferencer,
-                )
-            else:
-                self._substrate = KSIRProcessor(
-                    topic_model, config.processor, inferencer=inferencer
-                )
-            self._engine = ServiceEngine(
-                self._substrate,
-                max_workers=config.service.max_workers,
-                incremental=config.service.incremental,
+        if config.cluster is not None:
+            self._substrate = ClusterCoordinator(
+                topic_model,
+                config.processor,
+                cluster=config.cluster,
+                inferencer=inferencer,
             )
+        else:
+            self._substrate = KSIRProcessor(
+                topic_model, config.processor, inferencer=inferencer
+            )
+        self._engine = ServiceEngine(
+            self._substrate,
+            max_workers=config.service.max_workers,
+            incremental=config.service.incremental,
+        )
 
     @property
     def name(self) -> str:

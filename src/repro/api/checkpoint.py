@@ -10,23 +10,21 @@ A checkpoint is a directory:
 * ``state.json`` — the execution backend's ``state_dict``: active window
   (elements included), ranked lists verbatim, stream counters, and — for
   service engines — the standing-query registry and cached results;
-* ``state_arrays.npz`` (format v2, columnar state store) — the store's
-  numeric state columns (id vectors, activity pairs, follower CSR slices,
-  ranked-list score arrays) as raw NumPy arrays.
+* ``state_arrays.npz`` — the store's numeric state columns (id vectors,
+  activity pairs, follower CSR slices, ranked-list score arrays) as raw
+  NumPy arrays.
 
-**Format v2.**  A v1 checkpoint serialises every tuple through JSON.  The
-columnar state store instead emits its numeric state as arrays inside the
-``state_dict``; the writer extracts every array leaf into
+**Format v2.**  The state store emits its numeric state as arrays inside
+the ``state_dict``; the writer extracts every array leaf into
 ``state_arrays.npz`` (uncompressed, so each member is the raw ``.npy``
 buffer) and leaves a ``{"__ndarray__": key}`` reference in ``state.json``.
 The reader maps the references back onto the npz members, materialising
 each array straight from its buffer — no JSON number parsing on the hot
-restore path.  v1 checkpoints (pure JSON) remain fully loadable: the
-layer-wise ``restore_state`` implementations accept both shapes through
-:mod:`repro.store.codec`.
+restore path.  Version 2 is the only version read: the pure-JSON v1
+format had no writer left once the objects store was retired.
 
 The manifest is validated before any state is touched: an unknown format
-marker or a newer format version fails with a clear error instead of a
+marker or any other format version fails with a clear error instead of a
 half-restored engine.  This module only knows about files; constructing
 the restored engine lives in :meth:`KSIREngine.load`, which keeps the two
 modules import-cycle-free.
@@ -50,8 +48,7 @@ from repro.topics.model import MatrixTopicModel, TopicModel
 #: Format marker stored in every manifest.
 CHECKPOINT_FORMAT = "ksir-engine-checkpoint"
 
-#: Current checkpoint format version.  Readers accept any version up to
-#: this one; writers always emit the current version.
+#: The checkpoint format version: the one writers emit and readers accept.
 CHECKPOINT_VERSION = 2
 
 MANIFEST_FILE = "MANIFEST.json"
@@ -168,13 +165,7 @@ def write_checkpoint(
     topic_model.save(directory / MODEL_FILE)
     arrays: Dict[str, "np.ndarray"] = {}
     state = _extract_arrays(state, arrays, "")
-    arrays_path = directory / ARRAYS_FILE
-    if arrays:
-        np.savez(arrays_path, **arrays)
-    else:
-        # A previous columnar checkpoint at this path must not leave a
-        # stale arrays member behind an object-store rewrite.
-        arrays_path.unlink(missing_ok=True)
+    np.savez(directory / ARRAYS_FILE, **arrays)
     with open(directory / STATE_FILE, "w", encoding="utf-8") as handle:
         json.dump(state, handle, default=_json_default)
     manifest = {
@@ -210,10 +201,10 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointPayload:
             f"expected {CHECKPOINT_FORMAT!r}"
         )
     version = int(manifest.get("version", 0))
-    if not 1 <= version <= CHECKPOINT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {version} is not supported "
-            f"(this library reads versions 1..{CHECKPOINT_VERSION})"
+            f"(this library reads version {CHECKPOINT_VERSION} only)"
         )
     for required in (MODEL_FILE, STATE_FILE):
         if not (directory / required).exists():

@@ -27,7 +27,6 @@ from repro.core.scoring import ScoringConfig
 from repro.core.window_policy import WINDOW_POLICY_CHOICES
 from repro.ha.config import HAConfig
 from repro.kernels import KERNEL_CHOICES
-from repro.store import STORE_CHOICES
 from repro.streams.config import StreamConfig
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
@@ -212,15 +211,26 @@ def _processor_to_dict(config: ProcessorConfig) -> Dict[str, Any]:
         "scoring": _scoring_to_dict(config.scoring),
         "default_algorithm": config.default_algorithm,
         "default_epsilon": config.default_epsilon,
-        "batched_ingest": config.batched_ingest,
-        "store": config.store,
         "archive_windows": config.archive_windows,
         "window_policy": config.window_policy,
         "session_gap": config.session_gap,
     }
 
 
+#: ``ProcessorConfig`` keys retired with the objects store and the
+#: sequential ingest path, mapped to the only value each may still carry.
+#: Payloads written by earlier releases (checkpoint manifests) hold them.
+_RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
+
+
 def _processor_from_dict(payload: Mapping[str, Any]) -> ProcessorConfig:
+    for key, surviving in _RETIRED_PROCESSOR_KEYS.items():
+        if key in payload and payload[key] != surviving:
+            raise ValueError(
+                f"processor.{key}={payload[key]!r} is no longer supported: "
+                f"the {key!r} option was retired and {surviving!r} is the "
+                "only behaviour left"
+            )
     _check_known_keys(
         payload,
         (
@@ -229,11 +239,10 @@ def _processor_from_dict(payload: Mapping[str, Any]) -> ProcessorConfig:
             "scoring",
             "default_algorithm",
             "default_epsilon",
-            "batched_ingest",
-            "store",
             "archive_windows",
             "window_policy",
             "session_gap",
+            *_RETIRED_PROCESSOR_KEYS,
         ),
         "processor",
     )
@@ -247,8 +256,6 @@ def _processor_from_dict(payload: Mapping[str, Any]) -> ProcessorConfig:
             payload.get("default_algorithm", defaults.default_algorithm)
         ),
         default_epsilon=float(payload.get("default_epsilon", defaults.default_epsilon)),
-        batched_ingest=bool(payload.get("batched_ingest", defaults.batched_ingest)),
-        store=str(payload.get("store", defaults.store)),
         archive_windows=int(payload.get("archive_windows", defaults.archive_windows)),
         window_policy=str(payload.get("window_policy", defaults.window_policy)),
         session_gap=None if session_gap is None else int(session_gap),
@@ -499,13 +506,6 @@ class EngineConfig:
         parser.add_argument("--lambda-weight", type=float, default=0.5)
         parser.add_argument("--eta", type=float, default=1.5)
         parser.add_argument(
-            "--store",
-            default="columnar",
-            choices=list(STORE_CHOICES),
-            help="window state representation: contiguous NumPy arrays "
-            "(default) or the legacy per-element objects",
-        )
-        parser.add_argument(
             "--archive-windows",
             type=int,
             default=8,
@@ -578,7 +578,6 @@ class EngineConfig:
                 lambda_weight=float(getattr(args, "lambda_weight", 0.5)),
                 eta=float(getattr(args, "eta", 1.5)),
             ),
-            store=str(getattr(args, "store", "columnar")),
             archive_windows=int(getattr(args, "archive_windows", 8)),
         )
         cluster: Optional[ClusterConfig] = None

@@ -18,7 +18,6 @@ Numba, that it is not slower than the reference beyond noise.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping
 
@@ -53,7 +52,7 @@ def kernel_hotpath_setup(
         params["dataset"], seed, params.get("max_buckets", 0)
     )
     engine_config = EngineConfig(
-        processor=replace(config, batched_ingest=True),
+        processor=config,
         kernels=KernelConfig(mode=params["kernels"]),
     )
     elements = sum(len(bucket) for bucket in buckets)

@@ -64,7 +64,6 @@ def _stream_update_setup(params: Mapping[str, Any], seed: int) -> Callable[[], O
     dataset, config, buckets = _ingest_buckets(
         params["dataset"], seed, params.get("max_buckets", 0)
     )
-    config = replace(config, batched_ingest=params["batched"])
     engine_config = EngineConfig(processor=config)
     elements = sum(len(bucket) for bucket in buckets)
 
@@ -77,67 +76,32 @@ def _stream_update_setup(params: Mapping[str, Any], seed: int) -> Callable[[], O
     return measured
 
 
-def _engine_ranked_lists(engine: KSIREngine):
-    """The single-node ranked-list index behind a facade engine."""
-    backend = engine.backend
-    assert isinstance(backend, LocalBackend)
-    return backend.processor.ranked_lists
-
-
-def _stream_update_check(values: Mapping[str, Any], report: Any) -> None:
-    sequential = values["sequential"]
-    batched = values["batched"]
-    # The two paths must leave identical ranked lists (scores within 1e-9).
-    index_a = _engine_ranked_lists(sequential)
-    index_b = _engine_ranked_lists(batched)
-    assert index_a.num_topics == index_b.num_topics
-    for topic in range(index_a.num_topics):
-        items_a = dict(index_a.items(topic))
-        items_b = dict(index_b.items(topic))
-        assert items_a.keys() == items_b.keys(), f"topic {topic} members differ"
-        for element_id, score in items_a.items():
-            assert abs(score - items_b[element_id]) <= 1e-9, (
-                f"topic {topic} element {element_id} score drift"
-            )
-    speedup = report.scenario("batched").speedup_vs_baseline or 0.0
-    floor = 1.5 if report.tier == "full" else 1.2
-    assert speedup >= floor, (
-        f"batched ingest speedup {speedup:.2f}x below {floor}x"
-    )
-
-
 register(
     BenchSpec(
         name="micro_stream_update",
         description=(
-            "bucket-ingest throughput: batched fast path vs element-by-element "
+            "bucket-ingest throughput of the batched ingest path "
             "(profiles, window, ranked lists)"
         ),
         setup=_stream_update_setup,
         tiers={
             "tiny": TierPolicy(
                 scenarios=(
-                    Scenario("sequential", {"dataset": "aminer-small",
-                                            "max_buckets": 48, "batched": False}),
                     Scenario("batched", {"dataset": "aminer-small",
-                                         "max_buckets": 48, "batched": True}),
+                                         "max_buckets": 48}),
                 ),
                 warmup=1,
                 repeat=3,
             ),
             "full": TierPolicy(
                 scenarios=(
-                    Scenario("sequential", {"dataset": "aminer-small",
-                                            "max_buckets": 0, "batched": False}),
                     Scenario("batched", {"dataset": "aminer-small",
-                                         "max_buckets": 0, "batched": True}),
+                                         "max_buckets": 0}),
                 ),
                 warmup=1,
                 repeat=5,
             ),
         },
-        baseline="sequential",
-        check=_stream_update_check,
         tags=(MICRO, "core"),
     )
 )

@@ -370,7 +370,7 @@ class ClusterCoordinator:
         # Ownership entries of elements inactive everywhere (even out of
         # every shard's archive) are routing dead weight; trim with the
         # archive's own horizon so memory stays bounded on endless
-        # streams.  8 windows matches ActiveWindow's default
+        # streams.  8 windows matches the window's default
         # ``archive_windows``.
         cutoff = end_time - 8 * self._config.window_length
         if cutoff > 0:

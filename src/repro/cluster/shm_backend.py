@@ -99,8 +99,6 @@ def _encode_export(
     processor = worker.processor
     index = processor.ranked_lists
     store = processor.store
-    if store is None:
-        raise RuntimeError("the shm transport requires the columnar store")
     candidate_ids = tuple(index.top_candidates(vector, budget))
     count = len(candidate_ids)
 
@@ -218,7 +216,6 @@ def _shm_shard_main(
         store_factory=lambda: ElementStore(topic_model.num_topics, columns=columns()),
     )
     store = worker.processor.store
-    assert store is not None  # the factory above always builds one
 
     def refresh(new_manifest: Manifest) -> None:
         changed = view.refresh(new_manifest)
@@ -335,12 +332,6 @@ class ShmProcessFanout(ProcessFanout):
         initial_rows: int = INITIAL_ROWS,
         initial_buffer_bytes: int = INITIAL_BUFFER_BYTES,
     ) -> None:
-        if config.store != "columnar":
-            raise ValueError(
-                "the shm transport shares store columns between processes and "
-                'therefore requires ProcessorConfig(store="columnar"); got '
-                f"store={config.store!r}"
-            )
         self.session = new_session_token()
         self._arenas: List[SharedColumnArena] = []
         num_topics = topic_model.num_topics

@@ -20,12 +20,11 @@ Built-in transports (registered by :mod:`repro.cluster.coordinator`):
     Thread-pool fan-out over in-process workers (shares the GIL).
 ``pipe``
     One OS process per shard; buckets and candidate pools are pickled over
-    pipes (accepted aliases: ``process``, ``process-pipe``).
+    pipes (accepted alias: ``process``).
 ``shm``
     One OS process per shard; workers attach shared-memory store columns
     and exchange buckets/candidate pools through fixed-layout array slices
-    in shared segments — pipes carry only small control tuples (accepted
-    alias: ``process-shm``).
+    in shared segments — pipes carry only small control tuples.
 """
 
 from __future__ import annotations
@@ -102,8 +101,6 @@ TransportFactory = Callable[["ClusterCoordinator"], TransportBackend]
 #: configurations (and their checkpoints) keep working unchanged.
 TRANSPORT_ALIASES: Dict[str, str] = {
     "process": "pipe",
-    "process-pipe": "pipe",
-    "process-shm": "shm",
 }
 
 _REGISTRY: Dict[str, TransportFactory] = {}

@@ -30,7 +30,6 @@ from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.core.element import SocialElement
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
-from repro.utils.deprecation import library_managed_construction
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,7 @@ def verify_equivalence(
     config = config or ProcessorConfig()
     cluster = cluster or ClusterConfig(backend="serial")
 
-    with library_managed_construction():
-        single = KSIRProcessor(topic_model, config, inferencer=inferencer)
+    single = KSIRProcessor(topic_model, config, inferencer=inferencer)
     single.process_stream(stream)
 
     report = EquivalenceReport(num_shards=cluster.num_shards)

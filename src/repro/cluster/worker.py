@@ -28,7 +28,6 @@ from repro.core.scoring import ElementProfile
 from repro.store import ElementStore
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
-from repro.utils.deprecation import library_managed_construction
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,13 @@ class ShardWorker:
         store_factory: Optional[Callable[[], ElementStore]] = None,
     ) -> None:
         self._shard_id = int(shard_id)
-        with library_managed_construction():
-            self._processor = KSIRProcessor(
-                topic_model,
-                config,
-                inferencer=inferencer,
-                home_filter=home_filter,
-                store_factory=store_factory,
-            )
+        self._processor = KSIRProcessor(
+            topic_model,
+            config,
+            inferencer=inferencer,
+            home_filter=home_filter,
+            store_factory=store_factory,
+        )
         self._home_ingested = 0
         self._foreign_ingested = 0
         self._exports = 0
@@ -212,14 +210,12 @@ class ShardWorker:
     ) -> CandidatePool:
         """Export the shard's top candidates for one query vector.
 
-        On the columnar state store the candidates' follower views come
-        out of one CSR array slice over the store's adjacency
+        The candidates' follower views come out of one CSR array slice
+        over the store's adjacency
         (:meth:`repro.store.ElementStore.followers_csr`) instead of one
-        window call per candidate; the object store keeps the historical
-        per-element walk.  Both export identical pools.
+        window call per candidate.
         """
         index = self._processor.ranked_lists
-        window = self._processor.window
         candidate_ids = tuple(index.top_candidates(query_vector, budget))
 
         scores: Dict[int, Dict[int, float]] = {}
@@ -227,16 +223,13 @@ class ShardWorker:
         followers: Dict[int, Tuple[int, ...]] = {}
         profiles: Dict[int, ElementProfile] = {}
         store = self._processor.store
-        if store is not None and candidate_ids:
+        if candidate_ids:
             rows = store.rows_of(candidate_ids)
             indptr, follower_flat = store.followers_csr(rows)
             flat = follower_flat.tolist()
             for position, element_id in enumerate(candidate_ids):
                 start, stop = int(indptr[position]), int(indptr[position + 1])
                 followers[element_id] = tuple(flat[start:stop])
-        else:
-            for element_id in candidate_ids:
-                followers[element_id] = window.followers_of(element_id)
         for element_id in candidate_ids:
             scores[element_id] = index.scores_of(element_id)
             activity[element_id] = index.last_activity(element_id)

@@ -4,8 +4,9 @@ This package contains the paper's primary contribution:
 
 * :mod:`repro.core.element` / :mod:`repro.core.stream` — the social element
   and social stream data model (Section 3.1).
-* :mod:`repro.core.window` — the time-based sliding window, the active set
-  ``A_t`` and the per-window follower (reference) view.
+* :mod:`repro.core.window_policy` — the expiry-cutoff rules of the
+  time-based window (the window itself, the active set ``A_t`` and the
+  follower view live in :mod:`repro.store`).
 * :mod:`repro.core.scoring` — semantic, influence and combined
   representativeness scoring with incremental marginal-gain state
   (Section 3.2).
@@ -23,10 +24,8 @@ from repro.core.query import KSIRQuery, QueryResult
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ElementProfile, KSIRObjective, ScoringConfig, ScoringContext
 from repro.core.stream import SocialStream
-from repro.core.window import ActiveWindow
 
 __all__ = [
-    "ActiveWindow",
     "ElementProfile",
     "KSIRObjective",
     "KSIRProcessor",

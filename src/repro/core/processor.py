@@ -31,13 +31,11 @@ from repro.core.scoring import (
     ScoringContext,
 )
 from repro.core.stream import SocialStream, replay_stream
-from repro.core.window import ActiveWindow
 from repro.core.window_policy import WINDOW_POLICY_CHOICES, WindowPolicy
 from repro.kernels import get_kernel
-from repro.store import STORE_CHOICES, ColumnarWindow, ElementStore, StateView
+from repro.store import ColumnarWindow, ElementStore
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
-from repro.utils.deprecation import warn_deprecated_construction
 from repro.utils.timing import StopWatch, TimingStats
 from repro.utils.validation import require_positive
 
@@ -64,21 +62,6 @@ class ProcessorConfig:
         Algorithm used by :meth:`KSIRProcessor.query` when none is named.
     default_epsilon:
         ``ε`` used when instantiating ε-parameterised algorithms by name.
-    batched_ingest:
-        When true (the default), :meth:`KSIRProcessor.process_bucket` uses
-        the batched fast path: bulk profile construction, one follower
-        resolution and ranked-list refresh per touched parent per bucket,
-        and per-topic grouped ranked-list maintenance.  The element-by-
-        element path is kept for comparison benchmarks and equivalence
-        tests; both produce the same ranked-list contents.
-    store:
-        The state-store representation: ``"columnar"`` (the default) keeps
-        the hot window state — timestamps, last activity, membership,
-        follower adjacency and the topic-profile matrix — on contiguous
-        NumPy arrays (:class:`repro.store.ElementStore`), enabling
-        vectorised expiry scans and one-matrix-op score recomputation;
-        ``"objects"`` keeps the historical dict/set representation for one
-        release.  Both produce query results equal within 1e-9.
     archive_windows:
         How many window lengths of recently seen elements the archive
         retains for reference re-activation (the active-window archive
@@ -100,8 +83,6 @@ class ProcessorConfig:
     scoring: ScoringConfig = ScoringConfig()
     default_algorithm: str = "mttd"
     default_epsilon: float = 0.1
-    batched_ingest: bool = True
-    store: str = "columnar"
     archive_windows: int = 8
     window_policy: str = "sliding"
     session_gap: Optional[int] = None
@@ -111,11 +92,6 @@ class ProcessorConfig:
         require_positive(self.bucket_length, "bucket_length")
         if self.bucket_length > self.window_length:
             raise ValueError("bucket_length must not exceed window_length")
-        if self.store not in STORE_CHOICES:
-            raise ValueError(
-                f"unknown store {self.store!r}; available: "
-                + ", ".join(STORE_CHOICES)
-            )
         require_positive(self.archive_windows, "archive_windows")
         if self.window_policy not in WINDOW_POLICY_CHOICES:
             raise ValueError(
@@ -158,10 +134,6 @@ class KSIRProcessor:
         home_filter: Optional[Callable[[int], bool]] = None,
         store_factory: Optional[Callable[[], ElementStore]] = None,
     ) -> None:
-        warn_deprecated_construction(
-            "Constructing KSIRProcessor directly",
-            'repro.api.KSIREngine(topic_model, EngineConfig(backend="local"))',
-        )
         self._model = topic_model
         self._config = config or ProcessorConfig()
         self._inferencer = inferencer or TopicInferencer(topic_model)
@@ -174,35 +146,23 @@ class KSIRProcessor:
         # is home (the single-node behaviour).
         self._home_filter = home_filter
         self._builder = ProfileBuilder(topic_model, self._config.scoring)
-        # The window state lives behind the StateView protocol: the
-        # columnar store keeps it on contiguous arrays, the objects store
-        # keeps the historical dict/set representation.  Everything below
-        # (ranked lists, snapshots, export) only sees the protocol.
-        self._window: StateView
-        window_policy = self._config.build_window_policy()
-        if self._config.store == "columnar":
-            # ``store_factory`` lets the execution layer supply the store —
-            # the shared-memory cluster transport backs its columns with
-            # coordinator-owned segments so shard state is readable
-            # zero-copy from the coordinator process.
-            self._store: Optional[ElementStore] = (
-                store_factory()
-                if store_factory is not None
-                else ElementStore(topic_model.num_topics)
-            )
-            self._window = ColumnarWindow(
-                self._config.window_length,
-                archive_windows=self._config.archive_windows,
-                store=self._store,
-                policy=window_policy,
-            )
-        else:
-            self._store = None
-            self._window = ActiveWindow(
-                self._config.window_length,
-                archive_windows=self._config.archive_windows,
-                policy=window_policy,
-            )
+        # The hot window state — timestamps, last activity, membership,
+        # follower adjacency and the topic-profile matrix — lives on the
+        # store's contiguous arrays.  ``store_factory`` lets the execution
+        # layer supply the store — the shared-memory cluster transport
+        # backs its columns with coordinator-owned segments so shard state
+        # is readable zero-copy from the coordinator process.
+        self._store = (
+            store_factory()
+            if store_factory is not None
+            else ElementStore(topic_model.num_topics)
+        )
+        self._window = ColumnarWindow(
+            self._config.window_length,
+            archive_windows=self._config.archive_windows,
+            store=self._store,
+            policy=self._config.build_window_policy(),
+        )
         self._index = RankedListIndex(
             topic_model.num_topics, self._config.scoring, epoch_sink=self._store
         )
@@ -229,13 +189,13 @@ class KSIRProcessor:
         return self._model
 
     @property
-    def window(self) -> StateView:
+    def window(self) -> ColumnarWindow:
         """The live active window (read-mostly; mutate via the processor)."""
         return self._window
 
     @property
-    def store(self) -> Optional[ElementStore]:
-        """The columnar state store (None on the ``objects`` store)."""
+    def store(self) -> ElementStore:
+        """The columnar state store backing the window."""
         return self._store
 
     @property
@@ -286,10 +246,6 @@ class KSIRProcessor:
         """The cached profile of an active element (KeyError when absent)."""
         return self._profiles[element_id]
 
-    def follower_profiles(self, element_id: int) -> Dict[int, ElementProfile]:
-        """Profiles of the in-window followers of an active element."""
-        return self._follower_profiles(element_id)
-
     @property
     def ingest_timer(self) -> TimingStats:
         """Per-bucket ingestion times."""
@@ -307,104 +263,21 @@ class KSIRProcessor:
 
         Elements without a topic distribution are run through topic
         inference first; then the active window, per-element profiles and
-        ranked lists are updated and expired elements are evicted.
-        Dispatches to the batched fast path unless the configuration opts
-        into the element-by-element reference path; both paths leave the
-        window and ranked lists in the same state.
-        """
-        if self._config.batched_ingest:
-            self._process_bucket_batched(elements, end_time)
-        else:
-            self._process_bucket_sequential(elements, end_time)
-
-    def _process_bucket_sequential(
-        self, elements: Sequence[SocialElement], end_time: int
-    ) -> None:
-        """The element-by-element reference implementation of Algorithm 1."""
-        with self._ingest_timer.measure():
-            for element in elements:
-                prepared = self._with_topics(element)
-                profile = self._builder.build(prepared)
-                touched_parents = self._window.insert(prepared)
-                self._register_profile(prepared.element_id, profile)
-                if self.is_home(prepared.element_id):
-                    self._index.insert(profile, activity_time=prepared.timestamp)
-                    if self._window.follower_count(prepared.element_id):
-                        # A re-post of an element that already has in-window
-                        # followers: the fresh tuples must keep the influence
-                        # component, not reset to the semantic-only score.
-                        self._index.refresh(
-                            profile,
-                            self._follower_profiles(prepared.element_id),
-                            activity_time=self._window.last_activity(
-                                prepared.element_id
-                            ),
-                        )
-                for parent_id in touched_parents:
-                    if not self.is_home(parent_id):
-                        # A foreign parent's ranked-list tuples live on its
-                        # owning partition (where this follower is also
-                        # routed), so there is nothing to maintain here.
-                        continue
-                    parent_profile = self._profiles.get(parent_id)
-                    if parent_profile is None:
-                        # The parent expired earlier and was re-activated by
-                        # this reference: rebuild its profile from the window
-                        # archive and re-insert its ranked-list tuples.
-                        parent_profile = self._builder.build(
-                            self._with_topics(self._window.get(parent_id))
-                        )
-                        self._register_profile(parent_id, parent_profile)
-                        self._index.insert(
-                            parent_profile, activity_time=prepared.timestamp
-                        )
-                    followers = self._follower_profiles(parent_id)
-                    self._index.refresh(
-                        parent_profile, followers, activity_time=prepared.timestamp
-                    )
-                self._elements_processed += 1
-
-            removed = self._window.advance_to(end_time)
-            for element_id in removed:
-                self._profiles.pop(element_id, None)
-                if self.is_home(element_id):
-                    self._index.remove(element_id)
-            # Elements that lost followers to expiry keep ranked-list tuples,
-            # but their influence components are stale: re-score them so the
-            # stored δ_i(e) always equals f_i({e}) at query time.
-            for element_id in self._window.take_touched_by_expiry():
-                if not self.is_home(element_id):
-                    continue
-                profile = self._profiles.get(element_id)
-                if profile is None:
-                    continue
-                self._index.refresh(
-                    profile,
-                    self._follower_profiles(element_id),
-                    activity_time=self._window.last_activity(element_id),
-                )
-            self._buckets_processed += 1
-
-    def _process_bucket_batched(
-        self, elements: Sequence[SocialElement], end_time: int
-    ) -> None:
-        """The batched ingest fast path.
-
-        Equivalent to :meth:`_process_bucket_sequential` but restructured
-        around bucket-level batching:
+        ranked lists are updated and expired elements are evicted, with
+        the work restructured around bucket-level batching:
 
         * profiles of all new elements are built in one
           :meth:`ProfileBuilder.build_many` call (vectorised weights);
-        * each parent touched by the bucket has its follower profiles
-          resolved and its tuples re-scored **once**, against the bucket's
-          final follower sets, instead of once per touching follower;
+        * each parent touched by the bucket has its tuples re-scored
+          **once**, against the bucket's final follower sets, instead of
+          once per touching follower;
         * ranked-list maintenance is applied through
           :meth:`RankedListIndex.bulk_update`, which groups score
           insertions per topic before list maintenance.
 
-        The sequential path converges to the same final state because a
-        parent's last refresh in a bucket already sees every follower the
-        bucket added, and activity times combine via ``max``.
+        Element-by-element Algorithm 1 converges to the same final state
+        because a parent's last refresh in a bucket already sees every
+        follower the bucket added, and activity times combine via ``max``.
         """
         with self._ingest_timer.measure():
             prepared = [self._with_topics(element) for element in elements]
@@ -412,21 +285,14 @@ class KSIRProcessor:
 
             home_filter = self._home_filter
             profile_map = self._profiles
-            store = self._store
             inserts = []
             touched: Dict[int, int] = {}
-            if store is not None:
-                # Columnar: one bulk row allocation for the bucket, one
-                # fancy-indexed write for the bucket's profile rows.
-                window = self._window
-                assert isinstance(window, ColumnarWindow)
-                touched_lists, rows = window.insert_many(prepared)
-                store.set_profiles_bulk(
-                    rows, [profile.topic_probabilities for profile in profiles]
-                )
-            else:
-                window_insert = self._window.insert
-                touched_lists = [window_insert(element) for element in prepared]
+            # One bulk row allocation for the bucket, one fancy-indexed
+            # write for the bucket's profile rows.
+            touched_lists, rows = self._window.insert_many(prepared)
+            self._store.set_profiles_bulk(
+                rows, [profile.topic_probabilities for profile in profiles]
+            )
             for element, profile, touched_parents in zip(
                 prepared, profiles, touched_lists
             ):
@@ -438,7 +304,7 @@ class KSIRProcessor:
                     if self._window.follower_count(element_id):
                         # Re-posted element with live followers: schedule a
                         # refresh so its tuples keep the influence component
-                        # (mirrors the sequential path's insert-then-refresh).
+                        # (element-by-element: insert, then refresh).
                         previous = touched.get(element_id)
                         if previous is None or previous < timestamp:
                             touched[element_id] = timestamp
@@ -464,21 +330,13 @@ class KSIRProcessor:
             for parent_id, parent_profile in zip(missing, rebuilt):
                 self._register_profile(parent_id, parent_profile)
 
-            if self._store is not None:
-                # Columnar fast path: influence sums of every touched
-                # parent come out of one gather + reduceat over the
-                # store's profile matrix instead of per-follower dict
-                # accumulation.
-                self._index.bulk_update(
-                    inserts=inserts,
-                    scored_refreshes=self._columnar_refresh_entries(touched),
-                )
-            else:
-                refreshes = [
-                    (profile_map[parent_id], self._follower_profiles(parent_id), time)
-                    for parent_id, time in touched.items()
-                ]
-                self._index.bulk_update(inserts=inserts, refreshes=refreshes)
+            # Influence sums of every touched parent come out of one
+            # gather + reduceat over the store's profile matrix instead of
+            # per-follower dict accumulation.
+            self._index.bulk_update(
+                inserts=inserts,
+                scored_refreshes=self._columnar_refresh_entries(touched),
+            )
 
             removed = self._window.advance_to(end_time)
             removes = []
@@ -492,21 +350,11 @@ class KSIRProcessor:
                 if (home_filter is None or home_filter(element_id))
                 and element_id in profile_map
             }
-            if self._store is not None:
-                if removes or expiry_touched:
-                    self._index.bulk_update(
-                        scored_refreshes=self._columnar_refresh_entries(expiry_touched),
-                        removes=removes,
-                    )
-            else:
-                expiry_refreshes = [
-                    (profile_map[element_id], self._follower_profiles(element_id), activity)
-                    for element_id, activity in expiry_touched.items()
-                ]
-                if removes or expiry_refreshes:
-                    self._index.bulk_update(
-                        refreshes=expiry_refreshes, removes=removes
-                    )
+            if removes or expiry_touched:
+                self._index.bulk_update(
+                    scored_refreshes=self._columnar_refresh_entries(expiry_touched),
+                    removes=removes,
+                )
             self._buckets_processed += 1
 
     def process_stream(
@@ -523,23 +371,12 @@ class KSIRProcessor:
             return element
         return element.with_topic_distribution(self._inferencer.infer(element.tokens))
 
-    def _follower_profiles(self, element_id: int) -> Dict[int, ElementProfile]:
-        """Profiles of the in-window followers of an active element."""
-        followers: Dict[int, ElementProfile] = {}
-        for follower_id in self._window.followers_of(element_id):
-            profile = self._profiles.get(follower_id)
-            if profile is not None:
-                followers[follower_id] = profile
-        return followers
-
     def _register_profile(self, element_id: int, profile: ElementProfile) -> None:
         """Cache a profile and mirror its probabilities into the store."""
         self._profiles[element_id] = profile
-        store = self._store
-        if store is not None:
-            row = store.get_row(element_id)
-            if row is not None:
-                store.set_profile(row, profile.topic_probabilities)
+        row = self._store.get_row(element_id)
+        if row is not None:
+            self._store.set_profile(row, profile.topic_probabilities)
 
     def _columnar_refresh_entries(
         self, touched: Mapping[int, int]
@@ -550,16 +387,15 @@ class KSIRProcessor:
         ``Σ_{e ∈ I_t(parent)} p_i(e)`` come out of the ``delta_topic_sums``
         kernel — one gather + segmented reduce over the store's
         ``P[rows, z]`` matrix, compiled when Numba is active; the sparse
-        per-topic score maps are then assembled in the same topic order
-        the object path uses, so scores agree within float re-association
-        noise (≤ 1e-9 on realistic windows).  Returns
+        per-topic score maps are then assembled in the profile's topic
+        order, so scores agree with per-follower accumulation within float
+        re-association noise (≤ 1e-9 on realistic windows).  Returns
         ``(element_id, topic → δ_i(e), activity_time)`` triples for
         :meth:`RankedListIndex.bulk_update`'s ``scored_refreshes``.
         """
         if not touched:
             return []
         store = self._store
-        assert store is not None
         parent_ids = list(touched)
         rows = store.rows_of(parent_ids)
         indices, counts = store.followers_concat(rows)
@@ -673,7 +509,7 @@ class KSIRProcessor:
             "elements_processed": self._elements_processed,
             "buckets_processed": self._buckets_processed,
             "window": self._window.state_dict(),
-            "ranked_lists": self._index.state_dict(arrays=self._store is not None),
+            "ranked_lists": self._index.state_dict(),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:

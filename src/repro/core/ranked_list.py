@@ -32,7 +32,11 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.core.scoring import ElementProfile, ScoringConfig
-from repro.store.codec import decode_id_list
+from repro.store.codec import (
+    decode_id_list,
+    decode_ranked_entries,
+    encode_ranked_entries,
+)
 from repro.store.view import TopicEpochSink
 from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
@@ -225,7 +229,6 @@ class RankedListIndex:
     def bulk_update(
         self,
         inserts: Sequence[Tuple[ElementProfile, int]] = (),
-        refreshes: Sequence[Tuple[ElementProfile, Mapping[int, ElementProfile], int]] = (),
         removes: Sequence[int] = (),
         scored_refreshes: Sequence[Tuple[int, Mapping[int, float], int]] = (),
     ) -> None:
@@ -233,27 +236,23 @@ class RankedListIndex:
 
         ``inserts`` are ``(profile, activity_time)`` pairs of newly arrived
         elements (scored with no followers, like :meth:`insert`);
-        ``refreshes`` are ``(profile, follower_profiles, activity_time)``
-        triples re-scored like :meth:`refresh`; ``removes`` are expired
-        element ids.  Removals are applied first, then the insert/refresh
-        scores are grouped **per topic** and loaded into each ranked list
-        with one :meth:`DescendingSortedList.bulk_insert` merge instead of
-        one bisect-insertion per tuple.  When the same element appears as
-        both an insert and a refresh, the refresh score wins (matching the
-        sequential insert-then-refresh outcome).  Activity times combine via
-        ``max`` with any stored value, which is what the sequential
-        discipline converges to over a bucket.
-
         ``scored_refreshes`` are ``(element_id, topic → δ_i(e),
-        activity_time)`` triples whose scores were already computed by the
-        caller — the columnar fast path derives them in one matrix
-        operation over the store's profile rows — and are staged exactly
-        like ``refreshes`` (they supersede earlier stores per element).
+        activity_time)`` triples standing for a :meth:`refresh` whose
+        scores the caller already computed (the processor derives them in
+        one matrix operation over the store's profile rows); ``removes``
+        are expired element ids.  Removals are applied first, then the
+        insert/refresh scores are grouped **per topic** and loaded into
+        each ranked list with one :meth:`DescendingSortedList.bulk_insert`
+        merge instead of one bisect-insertion per tuple.  When the same
+        element appears as both an insert and a refresh, the refresh score
+        wins (matching the per-element insert-then-refresh outcome).
+        Activity times combine via ``max`` with any stored value, which is
+        what the per-element discipline converges to over a bucket.
 
         The update timer keeps its per-element meaning (Figure 14): the
         bucket-level span is split evenly across the applied operations, so
         one sample is recorded per insert/refresh/remove, exactly as many
-        as the sequential path would record.
+        as the per-element methods would record.
         """
         watch = StopWatch()
         watch.start()
@@ -268,10 +267,9 @@ class RankedListIndex:
             self._mark_dirty(removal_topics)
 
         lambda_weight = self._config.lambda_weight
-        influence_weight = self._config.influence_weight
         last_activity = self._last_activity
         # topic -> {element_id: score}; later stores supersede earlier
-        # ones per element, matching the sequential apply order.
+        # ones per element, matching the per-element apply order.
         per_topic: Dict[int, Dict[int, float]] = defaultdict(dict)
         for profile, activity_time in inserts:
             element_id = profile.element_id
@@ -280,26 +278,6 @@ class RankedListIndex:
             last_activity[element_id] = time if previous is None else max(previous, time)
             for topic, semantic in profile.semantic_scores.items():
                 per_topic[topic][element_id] = lambda_weight * semantic
-        for profile, followers, activity_time in refreshes:
-            element_id = profile.element_id
-            time = profile.timestamp if activity_time is None else activity_time
-            previous = last_activity.get(element_id)
-            last_activity[element_id] = time if previous is None else max(previous, time)
-            probabilities = profile.topic_probabilities
-            # Follower-major accumulation of Σ p_i(follower): followers
-            # are sparse over topics, so walking each follower's topic
-            # map once beats one pass over all followers per topic.
-            # Adding an exact 0.0 is the identity, so skipping absent
-            # topics reproduces _rescore's sums bit-for-bit.
-            sums = dict.fromkeys(probabilities, 0.0)
-            for follower in followers.values():
-                for topic, probability in follower.topic_probabilities.items():
-                    if topic in sums:
-                        sums[topic] += probability
-            for topic, semantic in profile.semantic_scores.items():
-                per_topic[topic][element_id] = lambda_weight * semantic + (
-                    influence_weight * (probabilities[topic] * sums[topic])
-                )
         for element_id, scores, activity_time in scored_refreshes:
             time = activity_time
             previous = last_activity.get(element_id)
@@ -312,7 +290,7 @@ class RankedListIndex:
         self._mark_dirty(per_topic)
 
         elapsed = watch.stop()
-        operations = len(inserts) + len(refreshes) + len(removes) + len(scored_refreshes)
+        operations = len(inserts) + len(removes) + len(scored_refreshes)
         if operations:
             per_operation_ms = (elapsed * 1000.0) / operations
             self._update_timer.samples_ms.extend([per_operation_ms] * operations)
@@ -349,7 +327,7 @@ class RankedListIndex:
 
     # -- checkpoint state -------------------------------------------------------------
 
-    def state_dict(self, arrays: bool = False) -> Dict[str, object]:
+    def state_dict(self) -> Dict[str, object]:
         """A serialisable snapshot of every stored tuple.
 
         Scores are persisted verbatim (one entry per element: its activity
@@ -358,87 +336,29 @@ class RankedListIndex:
         the saved one.  The dirty-topic set is saved too, because it is the
         serving layer's incremental-scheduling state.
 
-        With ``arrays=True`` (the columnar store path) the entries are
-        emitted as one CSR slice — id/activity vectors plus flat
-        topic/score arrays — which the v2 checkpoint stores in its
-        ``.npz`` member instead of JSON.  :meth:`restore_state` accepts
-        both shapes.
+        The entries are emitted as one CSR slice — id/activity vectors
+        plus flat topic/score arrays — which the checkpoint stores in its
+        ``.npz`` member instead of JSON.
         """
-        ordered = sorted(self._last_activity)
-        if arrays:
-            indptr = np.zeros(len(ordered) + 1, dtype=np.int64)
-            flat_topics: List[int] = []
-            flat_scores: List[float] = []
-            for position, element_id in enumerate(ordered):
-                scores = sorted(self.scores_of(element_id).items())
-                flat_topics.extend(topic for topic, _ in scores)
-                flat_scores.extend(score for _, score in scores)
-                indptr[position + 1] = indptr[position] + len(scores)
-            return {
-                "num_topics": self._num_topics,
-                "entries": {
-                    "ids": np.asarray(ordered, dtype=np.int64),
-                    "activity": np.asarray(
-                        [self._last_activity[eid] for eid in ordered], dtype=np.int64
-                    ),
-                    "indptr": indptr,
-                    "topics": np.asarray(flat_topics, dtype=np.int64),
-                    "scores": np.asarray(flat_scores, dtype=np.float64),
-                },
-                "dirty_topics": sorted(self._dirty_topics),
-            }
-        entries = []
-        for element_id in ordered:
-            scores = self.scores_of(element_id)
-            entries.append(
-                [
-                    element_id,
-                    self._last_activity[element_id],
-                    sorted(scores.items()),
-                ]
-            )
         return {
             "num_topics": self._num_topics,
-            "entries": entries,
+            "entries": encode_ranked_entries(
+                (element_id, activity_time, sorted(self.scores_of(element_id).items()))
+                for element_id, activity_time in sorted(self._last_activity.items())
+            ),
             "dirty_topics": sorted(self._dirty_topics),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Replace the index contents with a :meth:`state_dict` snapshot.
-
-        Accepts both the JSON-list entry form and the CSR array form, so
-        either index configuration loads either checkpoint vintage.
-        """
+        """Replace the index contents with a :meth:`state_dict` snapshot."""
         if int(state["num_topics"]) != self._num_topics:
             raise ValueError(
                 f"checkpoint has {state['num_topics']} topics, the index is "
                 f"configured for {self._num_topics}"
             )
         self.clear()
-        entries = state["entries"]
-        if isinstance(entries, Mapping):
-            ids = np.asarray(entries["ids"], dtype=np.int64).tolist()
-            activity = np.asarray(entries["activity"], dtype=np.int64).tolist()
-            indptr = np.asarray(entries["indptr"], dtype=np.int64)
-            topics = np.asarray(entries["topics"], dtype=np.int64).tolist()
-            scores = np.asarray(entries["scores"], dtype=np.float64).tolist()
-            for position, element_id in enumerate(ids):
-                start, stop = int(indptr[position]), int(indptr[position + 1])
-                self.insert_scores(
-                    int(element_id),
-                    {
-                        int(topics[offset]): float(scores[offset])
-                        for offset in range(start, stop)
-                    },
-                    activity_time=int(activity[position]),
-                )
-        else:
-            for element_id, activity_time, score_pairs in entries:
-                self.insert_scores(
-                    int(element_id),
-                    {int(topic): float(score) for topic, score in score_pairs},
-                    activity_time=int(activity_time),
-                )
+        for element_id, activity_time, scores in decode_ranked_entries(state["entries"]):
+            self.insert_scores(element_id, scores, activity_time=activity_time)
         # insert_scores marked everything dirty; restore the saved set so
         # the serving layer's scheduler resumes exactly where it left off.
         # (The epoch sink keeps its over-approximate stamps: epochs only

@@ -1,8 +1,8 @@
-"""Window policies: the expiry-cutoff seam behind the StateView protocol.
+"""Window policies: the expiry-cutoff seam of the active window.
 
-Both window implementations (:class:`repro.core.window.ActiveWindow` and
-:class:`repro.store.window.ColumnarWindow`) drive *all* expiry decisions
-off one number — the ``window_start`` cutoff: window members posted before
+The window (:class:`repro.store.window.ColumnarWindow`) drives *all*
+expiry decisions off one number — the ``window_start`` cutoff: window
+members posted before
 it leave ``W_t`` and elements whose last activity predates it leave
 ``A_t`` (Algorithm 1).  That makes the cutoff computation the natural seam
 for alternative window shapes:

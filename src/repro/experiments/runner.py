@@ -34,7 +34,6 @@ from repro.evaluation.metrics import coverage_score, influence_score
 from repro.evaluation.user_study import JudgedQuery, SimulatedUserStudy, UserStudyOutcome
 from repro.evaluation.workload import WorkloadGenerator
 from repro.search import SEARCH_REGISTRY, SearchMethod, SearchRequest
-from repro.utils.deprecation import library_managed_construction
 
 
 @lru_cache(maxsize=32)
@@ -73,8 +72,7 @@ def prepare_processor(
         bucket_length=bucket_length,
         scoring=scoring,
     )
-    with library_managed_construction():
-        processor = KSIRProcessor(dataset.topic_model, config)
+    processor = KSIRProcessor(dataset.topic_model, config)
     start = dataset.stream.start_time
     end = dataset.stream.end_time
     until = start + int((end - start) * replay_fraction)

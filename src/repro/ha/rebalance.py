@@ -1,7 +1,7 @@
 """Live shard re-partitioning: N-shard cluster state onto M shards.
 
 :func:`repartition_state` transforms one coordinator ``state_dict`` (any
-shard count, any fan-out backend, either window representation) into an
+shard count, any fan-out backend) into an
 equivalent coordinator state for a different shard count.  The supervisor
 applies it by building a fresh engine around the transformed state and
 swapping it in under the ingest lock — ingest pauses for the duration of
@@ -38,37 +38,16 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, cast
 
 from repro.cluster.partition import HashPartitioner
-from repro.store.codec import decode_followers, decode_id_list, decode_pairs
-
-
-def _decode_ranked_entries(
-    ranked_state: Mapping[str, Any]
-) -> Dict[int, Tuple[int, List[List[float]]]]:
-    """Both ranked-list entry shapes → ``{eid: (activity, [[topic, score]…])}``."""
-    import numpy as np
-
-    entries = ranked_state["entries"]
-    decoded: Dict[int, Tuple[int, List[List[float]]]] = {}
-    if isinstance(entries, Mapping):
-        ids = np.asarray(entries["ids"], dtype=np.int64).tolist()
-        activity = np.asarray(entries["activity"], dtype=np.int64).tolist()
-        indptr = np.asarray(entries["indptr"], dtype=np.int64)
-        topics = np.asarray(entries["topics"], dtype=np.int64).tolist()
-        scores = np.asarray(entries["scores"], dtype=np.float64).tolist()
-        for position, element_id in enumerate(ids):
-            start, stop = int(indptr[position]), int(indptr[position + 1])
-            pairs = [
-                [int(topics[offset]), float(scores[offset])]
-                for offset in range(start, stop)
-            ]
-            decoded[int(element_id)] = (int(activity[position]), pairs)
-    else:
-        for element_id, activity_time, score_pairs in entries:
-            decoded[int(element_id)] = (
-                int(activity_time),
-                [[int(topic), float(score)] for topic, score in score_pairs],
-            )
-    return decoded
+from repro.store.codec import (
+    decode_followers,
+    decode_id_list,
+    decode_pairs,
+    decode_ranked_entries,
+    encode_followers_csr,
+    encode_id_array,
+    encode_pairs,
+    encode_ranked_entries,
+)
 
 
 def repartition_state(
@@ -120,7 +99,7 @@ def repartition_state(
     archive_horizon: Optional[int] = None
     buckets_processed = 0
     num_topics: Optional[int] = None
-    ranked: Dict[int, Tuple[int, List[List[float]]]] = {}
+    ranked: Dict[int, Tuple[int, Dict[int, float]]] = {}
     dirty_union: Set[int] = set()
 
     for shard_id, worker_state in enumerate(worker_states):
@@ -175,11 +154,13 @@ def repartition_state(
         if num_topics is None:
             num_topics = int(cast(int, ranked_state["num_topics"]))
         dirty_union.update(decode_id_list(ranked_state["dirty_topics"]))
-        for element_id, entry in _decode_ranked_entries(ranked_state).items():
+        for element_id, activity_time, scores in decode_ranked_entries(
+            ranked_state["entries"]
+        ):
             # Ranked tuples live only on home shards, so collisions would
             # mean duplicated ownership; prefer the home copy regardless.
             if old_owners.get(element_id) == shard_id or element_id not in ranked:
-                ranked[element_id] = entry
+                ranked[element_id] = (activity_time, scores)
 
     # Windows only reference elements they archived; after the union that
     # still holds, but guard the invariant explicitly.
@@ -190,35 +171,39 @@ def repartition_state(
         "archive_horizon": archive_horizon,
         "current_time": current_time,
         "archive": [archive[eid] for eid in sorted(archive)],
-        "active_ids": sorted(active_ids),
-        "window_member_ids": sorted(window_member_ids),
-        "last_activity": sorted(
-            (eid, time) for eid, time in last_activity.items() if eid in active_ids
+        "active_ids": encode_id_array(active_ids),
+        "window_member_ids": encode_id_array(window_member_ids),
+        "last_activity": encode_pairs(
+            {eid: time for eid, time in last_activity.items() if eid in active_ids}
         ),
-        "followers": [
-            [eid, sorted(follower_set & window_member_ids)]
-            for eid, follower_set in sorted(followers.items())
-            if eid in active_ids
-        ],
+        "followers": encode_followers_csr(
+            {
+                eid: follower_set & window_member_ids
+                for eid, follower_set in followers.items()
+                if eid in active_ids
+            }
+        ),
         "touched_by_expiry": sorted(touched_by_expiry & active_ids),
     }
 
     # -- slice ranked lists by the new ownership ---------------------------------------
-    shard_entries: List[List[List[Any]]] = [[] for _ in range(new_num_shards)]
+    shard_entries: List[List[Tuple[int, int, Dict[int, float]]]] = [
+        [] for _ in range(new_num_shards)
+    ]
     for element_id in sorted(ranked):
-        activity_time, pairs = ranked[element_id]
+        activity_time, scores = ranked[element_id]
         home = new_owners.get(element_id)
         if home is None:
             # Owned once, since trimmed by the planner but still indexed
             # (activity horizons differ slightly); re-home it the same way.
             home = HashPartitioner.shard_of(element_id, new_num_shards)
-        shard_entries[home].append([element_id, activity_time, pairs])
+        shard_entries[home].append((element_id, activity_time, scores))
 
     new_workers: List[Dict[str, Any]] = []
     for shard_id in range(new_num_shards):
         shard_topics: Set[int] = set(dirty_union)
-        for _, _, pairs in shard_entries[shard_id]:
-            shard_topics.update(int(topic) for topic, _ in pairs)
+        for _, _, scores in shard_entries[shard_id]:
+            shard_topics.update(scores)
         new_workers.append(
             {
                 "shard_id": shard_id,
@@ -234,7 +219,12 @@ def repartition_state(
                     "window": merged_window,
                     "ranked_lists": {
                         "num_topics": num_topics,
-                        "entries": shard_entries[shard_id],
+                        "entries": encode_ranked_entries(
+                            (element_id, activity_time, sorted(scores.items()))
+                            for element_id, activity_time, scores in shard_entries[
+                                shard_id
+                            ]
+                        ),
                         # Conservative: a superset of dirty topics only ever
                         # causes extra standing-query re-evaluation.
                         "dirty_topics": sorted(shard_topics),

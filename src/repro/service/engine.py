@@ -41,7 +41,6 @@ from repro.core.stream import SocialStream, replay_stream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
 from repro.service.scheduler import IncrementalScheduler, SchedulePlan
-from repro.utils.deprecation import warn_deprecated_construction
 from repro.utils.timing import StopWatch
 
 
@@ -152,19 +151,15 @@ class ServiceEngine:
         max_workers: int = 4,
         incremental: bool = True,
     ) -> None:
-        warn_deprecated_construction(
-            "Constructing ServiceEngine directly",
-            'repro.api.KSIREngine(topic_model, EngineConfig(backend="service"))',
-        )
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self._backend = backend
         self._is_cluster = isinstance(backend, ClusterCoordinator)
-        # On a single-node columnar backend the incremental scheduler reads
-        # dirty topics from the store's per-topic change epochs; the cursor
+        # On a single-node backend the incremental scheduler reads dirty
+        # topics from the store's per-topic change epochs; the cursor
         # starts at 0 so changes ingested before the engine adopted the
         # processor are still observed (matching the undrained dirty set).
-        self._store = None if self._is_cluster else getattr(backend, "store", None)
+        self._store = None if self._is_cluster else backend.store
         self._store_epoch_cursor = 0
         self._registry = registry or QueryRegistry()
         self._scheduler = scheduler or IncrementalScheduler(
@@ -299,16 +294,13 @@ class ServiceEngine:
         self._backend.process_bucket(elements, end_time)
         if self._is_cluster:
             dirty = self._backend.take_dirty_topics()
-        elif self._store is not None:
-            # Columnar store: read the per-topic change epochs stamped by
-            # the ranked-list maintenance since the last bucket (the dirty
-            # set is still drained so ad-hoc consumers see one bounded
-            # contract regardless of the store representation).
+        else:
+            # Read the per-topic change epochs stamped by the ranked-list
+            # maintenance since the last bucket (the dirty set is still
+            # drained so it stays bounded for ad-hoc consumers).
             self._backend.ranked_lists.take_dirty_topics()
             dirty = self._store.dirty_topics_since(self._store_epoch_cursor)
             self._store_epoch_cursor = self._store.epoch
-        else:
-            dirty = self._backend.ranked_lists.take_dirty_topics()
 
         bucket = self._backend.buckets_processed
         expired_ids: List[str] = []

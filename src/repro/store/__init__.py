@@ -5,38 +5,35 @@ A :class:`ElementStore` re-encodes the hot sliding-window state
 topic-profile matrix ``P[rows, z]``, follower adjacency) as contiguous
 NumPy arrays over interned rows with free-row recycling;
 :class:`ColumnarWindow` implements Algorithm 1's window semantics on top
-of it, and the :class:`StateView` protocol is the surface every consumer
-(processor, ranked lists, shard export, snapshot builders) is typed
-against — so the object-backed and array-backed representations are
-drop-in interchangeable via ``ProcessorConfig(store=...)``.
+of it — the one window every consumer (processor, shard export,
+snapshot builders) reads.
 """
 
 from repro.store.codec import (
     decode_followers,
     decode_id_list,
     decode_pairs,
+    decode_ranked_entries,
     encode_followers_csr,
     encode_id_array,
     encode_pairs,
+    encode_ranked_entries,
 )
 from repro.store.store import ElementStore, StoreCapacityError
-from repro.store.view import StateView, TopicEpochSink
+from repro.store.view import TopicEpochSink
 from repro.store.window import ColumnarWindow
 
-#: Accepted ``ProcessorConfig.store`` values.
-STORE_CHOICES = ("columnar", "objects")
-
 __all__ = [
-    "STORE_CHOICES",
     "ColumnarWindow",
     "ElementStore",
-    "StateView",
     "StoreCapacityError",
     "TopicEpochSink",
     "decode_followers",
     "decode_id_list",
     "decode_pairs",
+    "decode_ranked_entries",
     "encode_followers_csr",
     "encode_id_array",
     "encode_pairs",
+    "encode_ranked_entries",
 ]

@@ -1,30 +1,19 @@
-"""Dual-format (de)serialisation helpers for checkpointed state.
+"""Array (de)serialisation helpers for checkpointed state.
 
-The v1 checkpoint format stores numeric state as plain JSON lists (id
-lists, ``[id, time]`` pairs, per-parent follower lists).  The v2 format
-stores the same state as NumPy arrays — id vectors, ``(N, 2)`` pair
-matrices and CSR ``(parents, indptr, followers)`` triples — which the
-checkpoint layer extracts into an ``.npz`` member instead of JSON.
-
-Every decoder here accepts *both* shapes, so any window / ranked-list
-implementation can restore any checkpoint vintage: an array-backed
-(columnar) engine loads a v1 JSON checkpoint and an object-backed engine
-loads a v2 array checkpoint, without either knowing which writer produced
-it.
+Window and ranked-list state is checkpointed as NumPy arrays — id
+vectors, ``(N, 2)`` pair matrices and CSR ``(parents, indptr,
+followers)`` triples — which the checkpoint layer extracts into an
+``.npz`` member instead of JSON.  Small id sets that stay in JSON
+(``touched_by_expiry``, ``dirty_topics``) are plain lists, so
+:func:`decode_id_list` alone accepts both shapes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
-
-#: JSON form of a follower table: ``[[parent_id, [follower_ids...]], ...]``.
-FollowerPairs = List[List[object]]
-#: Array form of a follower table: CSR ``{"parents", "indptr", "followers"}``.
-FollowerCSR = Mapping[str, "npt.NDArray[np.int64]"]
-FollowersState = Union[FollowerPairs, FollowerCSR]
 
 
 def encode_id_array(ids: Iterable[int]) -> npt.NDArray[np.int64]:
@@ -49,11 +38,9 @@ def encode_pairs(pairs: Mapping[int, int]) -> npt.NDArray[np.int64]:
 
 
 def decode_pairs(value: object) -> List[Tuple[int, int]]:
-    """``(id, value)`` pairs from either a JSON pair list or a matrix."""
-    if isinstance(value, np.ndarray):
-        return [(int(row[0]), int(row[1])) for row in value.tolist()]
-    assert isinstance(value, (list, tuple))
-    return [(int(key), int(item)) for key, item in value]
+    """``(id, value)`` pairs from an ``(N, 2)`` matrix."""
+    assert isinstance(value, np.ndarray)
+    return [(int(row[0]), int(row[1])) for row in value.tolist()]
 
 
 def encode_followers_csr(
@@ -75,18 +62,59 @@ def encode_followers_csr(
 
 
 def decode_followers(value: object) -> Dict[int, Set[int]]:
-    """Follower table from either JSON pair lists or a CSR triple."""
-    if isinstance(value, Mapping):
-        parents = np.asarray(value["parents"], dtype=np.int64)
-        indptr = np.asarray(value["indptr"], dtype=np.int64)
-        flat = np.asarray(value["followers"], dtype=np.int64)
-        table: Dict[int, Set[int]] = {}
-        for position, parent in enumerate(parents.tolist()):
-            start, stop = int(indptr[position]), int(indptr[position + 1])
-            table[int(parent)] = {int(f) for f in flat[start:stop].tolist()}
-        return table
-    assert isinstance(value, (list, tuple))
+    """Follower table from a CSR triple."""
+    assert isinstance(value, Mapping)
+    parents = np.asarray(value["parents"], dtype=np.int64)
+    indptr = np.asarray(value["indptr"], dtype=np.int64)
+    flat = np.asarray(value["followers"], dtype=np.int64)
+    table: Dict[int, Set[int]] = {}
+    for position, parent in enumerate(parents.tolist()):
+        start, stop = int(indptr[position]), int(indptr[position + 1])
+        table[int(parent)] = {int(f) for f in flat[start:stop].tolist()}
+    return table
+
+
+def encode_ranked_entries(
+    entries: Iterable[Tuple[int, int, Iterable[Tuple[int, float]]]]
+) -> Dict[str, npt.NDArray[Any]]:
+    """CSR-encode ``(element_id, activity_time, [(topic, score)…])`` records.
+
+    One slice per element over flat topic/score arrays, in the order given
+    (callers pass ascending ids with ascending topics).
+    """
+    ids: List[int] = []
+    activity: List[int] = []
+    indptr: List[int] = [0]
+    topics: List[int] = []
+    scores: List[float] = []
+    for element_id, activity_time, pairs in entries:
+        ids.append(element_id)
+        activity.append(activity_time)
+        for topic, score in pairs:
+            topics.append(topic)
+            scores.append(score)
+        indptr.append(len(topics))
     return {
-        int(parent): {int(f) for f in follower_ids}
-        for parent, follower_ids in value
+        "ids": np.asarray(ids, dtype=np.int64),
+        "activity": np.asarray(activity, dtype=np.int64),
+        "indptr": np.asarray(indptr, dtype=np.int64),
+        "topics": np.asarray(topics, dtype=np.int64),
+        "scores": np.asarray(scores, dtype=np.float64),
     }
+
+
+def decode_ranked_entries(value: object) -> Iterator[Tuple[int, int, Dict[int, float]]]:
+    """Inverse of :func:`encode_ranked_entries`: ``(id, activity, topic → score)``."""
+    assert isinstance(value, Mapping)
+    ids = np.asarray(value["ids"], dtype=np.int64).tolist()
+    activity = np.asarray(value["activity"], dtype=np.int64).tolist()
+    indptr = np.asarray(value["indptr"], dtype=np.int64).tolist()
+    topics = np.asarray(value["topics"], dtype=np.int64).tolist()
+    scores = np.asarray(value["scores"], dtype=np.float64).tolist()
+    for position, element_id in enumerate(ids):
+        start, stop = indptr[position], indptr[position + 1]
+        yield (
+            int(element_id),
+            int(activity[position]),
+            {int(t): float(s) for t, s in zip(topics[start:stop], scores[start:stop])},
+        )

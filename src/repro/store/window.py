@@ -1,14 +1,21 @@
-"""The array-backed sliding window: Algorithm 1 over an :class:`ElementStore`.
+"""The time-based window and the active set ``A_t``, over an :class:`ElementStore`.
 
-:class:`ColumnarWindow` implements exactly the semantics of
-:class:`~repro.core.window.ActiveWindow` — same active-set rules, same
-expiry order, same archive-backed re-activation — but keeps the hot state
-(timestamps, last-activity, window membership, follower adjacency) in the
-columnar store instead of per-element dicts and sets:
+Section 3.1: given window length ``T``, the window ``W_t`` holds elements
+with ``ts ∈ [t − T + 1, t]`` and the *active set* ``A_t`` additionally
+keeps every element referred to by some window element.  The influence
+score only counts references observed inside the window, so the window
+also maintains, for each active element, its *followers in the window*
+(``I_t(e') = {e ∈ W_t : e' ∈ e.ref}``).  Eviction follows Algorithm 1: an
+element stays active as long as its last activity (its own post time, or
+the latest time it was referenced) is within the window; a referenced
+element that already expired is re-activated from a bounded archive.
+
+:class:`ColumnarWindow` keeps the hot state (timestamps, last-activity,
+window membership, follower adjacency) in the columnar store:
 
 * the two expiry scans of :meth:`advance_to` (window members posted before
   the window start; elements whose last activity predates it) are boolean
-  masks over contiguous arrays instead of dict iterations;
+  masks over contiguous arrays;
 * follower bookkeeping is row-index adjacency in the store, which the
   processor's batched re-scorer and the shard export read per parent row,
   and which the store mirrors into a sparse by-id view for snapshots.
@@ -18,10 +25,8 @@ references, text) stay in plain dicts: they are cold data touched once per
 element, and the archive needs the full objects to re-activate expired
 precedents and to rebuild profiles after a checkpoint restore.
 
-Both window classes serialise to the same logical ``state_dict`` schema;
-this one emits the numeric parts as arrays (the v2 checkpoint extracts
-them into the ``.npz`` member) and both restore either shape through
-:mod:`repro.store.codec`.
+``state_dict`` emits the numeric parts as arrays (the checkpoint extracts
+them into its ``.npz`` member); :mod:`repro.store.codec` holds the shapes.
 """
 
 from __future__ import annotations
@@ -106,7 +111,15 @@ class ColumnarWindow:
     # -- updates -----------------------------------------------------------------
 
     def insert(self, element: SocialElement) -> Tuple[int, ...]:
-        """Insert a newly arrived element (same contract as ActiveWindow)."""
+        """Insert a newly arrived element into the window.
+
+        Returns the ids of the referenced elements that are active after the
+        insertion (their influence scores changed, so the caller refreshes
+        their ranked-list tuples).  A referenced element that had already
+        expired is re-activated from the archive, because ``A_t`` contains
+        every element referred to by a window member regardless of its own
+        age; a reference to a never-observed element is ignored.
+        """
         store = self._store
         element_id = element.element_id
         if self._policy.stateful:
@@ -140,8 +153,9 @@ class ColumnarWindow:
 
         A replacement's old edges must not outlive the old version: the
         columnar store recycles rows, so a dangling edge would later point
-        at an unrelated element.  Parents losing an edge are re-scored
-        through the touched-by-expiry channel, mirroring ActiveWindow.
+        at an unrelated element (and ``I_t(e')`` is defined over current
+        references).  Parents losing an edge are re-scored through the
+        touched-by-expiry channel.
         """
         store = self._store
         row = store.get_row(element_id)
@@ -179,7 +193,7 @@ class ColumnarWindow:
         # ids that were not live before the bucket and have not been
         # reached yet are *pending* — a reference to one resolves through
         # the archive (re-activating the archived precedent) or stays
-        # dropped as dangling, exactly as the element-wise paths behave.
+        # dropped as dangling, exactly as :meth:`insert` behaves.
         pending = set()
         member_before = set()
         for element in elements:
@@ -328,7 +342,14 @@ class ColumnarWindow:
         return row is not None and self._store.in_window(row)
 
     def take_touched_by_expiry(self) -> Tuple[int, ...]:
-        """Drain the stale-score set (same contract as ActiveWindow)."""
+        """Active elements whose follower set shrank since the last call.
+
+        Their stored topic-wise scores are stale (they still include expired
+        followers); the stream processor re-scores them after every window
+        advance so the ranked lists always equal ``f_i({e})`` at query time
+        (this is what makes Figure 5's tuple values exact).  The set is
+        cleared by the call.
+        """
         touched = tuple(
             eid for eid in self._touched_by_expiry if eid in self._elements
         )
@@ -370,11 +391,13 @@ class ColumnarWindow:
     # -- checkpoint state --------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """The shared window snapshot schema, numeric parts as arrays.
+        """A snapshot of the full window state, numeric parts as arrays.
 
-        Same logical content as :meth:`ActiveWindow.state_dict` — the
-        checkpoint layer extracts the arrays into the ``.npz`` member of
-        the v2 format, and either window class restores either shape.
+        The archive is the superset of every live element (actives are
+        always archived first), so elements are serialised once, from the
+        archive, and the active/window/follower structure is stored as id
+        arrays, which the checkpoint layer extracts into its ``.npz``
+        member.  :meth:`restore_state` is the inverse.
         """
         store = self._store
         ordered = encode_id_array(self._elements)
@@ -408,7 +431,15 @@ class ColumnarWindow:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore either window snapshot shape (JSON lists or arrays)."""
+        """Replace the window contents with a :meth:`state_dict` snapshot.
+
+        The receiving window must have been constructed with the same
+        ``window_length`` and policy (the expiry semantics depend on
+        them); a mismatch raises ``ValueError`` instead of silently
+        changing behaviour.  The loaded archive is pruned to *this*
+        window's configured horizon, so a checkpoint written with a longer
+        horizon does not carry stale history into a tighter configuration.
+        """
         if int(cast(int, state["window_length"])) != self._window_length:
             raise ValueError(
                 f"checkpoint window_length {state['window_length']} does not match "

@@ -5,7 +5,7 @@ buckets every execution backend consumes: pluggable stream sources
 (:mod:`repro.streams.source`), the watermark tracker and bounded
 reordering buffer (:mod:`repro.streams.watermark`), the window-policy
 seam (re-exported from :mod:`repro.core.window_policy` — sliding,
-tumbling and session windows behind the StateView protocol) and the
+tumbling and session windows) and the
 ``streams`` section of the engine configuration
 (:mod:`repro.streams.config`).
 """

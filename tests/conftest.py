@@ -24,24 +24,17 @@ from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.service import ServiceEngine
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
-from repro.utils.deprecation import library_managed_construction
 
 
 def build_processor(*args, **kwargs) -> KSIRProcessor:
-    """Construct a raw KSIRProcessor through the sanctioned internal path.
-
-    Direct construction is a hard error since the PR 4 deprecation cycle
-    completed; tests that exercise processor internals go through the same
-    guard the library's own call sites use.
-    """
-    with library_managed_construction():
-        return KSIRProcessor(*args, **kwargs)
+    """A raw KSIRProcessor, for tests that exercise processor internals."""
+    return KSIRProcessor(*args, **kwargs)
 
 
 def build_service_engine(substrate, **kwargs) -> ServiceEngine:
-    """Construct a raw ServiceEngine through the sanctioned internal path."""
-    with library_managed_construction():
-        return ServiceEngine(substrate, **kwargs)
+    """A raw ServiceEngine over an already-built substrate."""
+    return ServiceEngine(substrate, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # The paper's worked example (Table 1)

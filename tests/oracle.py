@@ -1,0 +1,243 @@
+"""The reference model of Algorithm 1 every implementation is checked against.
+
+One dict/set, element-by-element rendering of the paper's maintenance
+procedure: the window ``W_t``, the active set ``A_t`` with its in-window
+follower sets ``I_t(e)``, and the per-topic ranked lists of ``δ_i(e)``.
+It is deliberately slow and plain — no arrays, no bulk paths, no
+checkpoints, no timers, a full-scan archive — and shares with production
+only the value types (``SocialElement``, ``WindowPolicy``, ``KSIRQuery``),
+the per-element primitives (``ProfileBuilder.build``,
+``RankedListIndex.insert / refresh / remove``), ``ScoringContext`` /
+``KSIRObjective`` and the solvers.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+
+from repro.core.algorithms import resolve_algorithm
+from repro.core.element import SocialElement
+from repro.core.query import KSIRQuery
+from repro.core.ranked_list import RankedListIndex
+from repro.core.scoring import (
+    ElementProfile,
+    KSIRObjective,
+    ProfileBuilder,
+    ScoringConfig,
+    ScoringContext,
+)
+from repro.core.window_policy import WindowPolicy
+
+
+class OracleWindow:
+    """``W_t``, ``A_t`` and ``I_t(e)`` on plain dicts and sets (Section 3.1)."""
+
+    def __init__(
+        self,
+        window_length: int,
+        archive_windows: int = 8,
+        policy: Optional[WindowPolicy] = None,
+    ) -> None:
+        self.policy = policy if policy is not None else WindowPolicy()
+        self._tracker = self.policy.tracker(window_length)
+        self._horizon = archive_windows * window_length
+        self.current_time: Optional[int] = None
+        self._elements: Dict[int, SocialElement] = {}  # A_t, activation order
+        self._members: Dict[int, SocialElement] = {}  # W_t
+        self._last_activity: Dict[int, int] = {}  # t_e
+        self._followers: Dict[int, Set[int]] = {}  # I_t(e)
+        self._archive: Dict[int, SocialElement] = {}  # everything seen lately
+        self._touched_by_expiry: Set[int] = set()
+
+    def insert(self, element: SocialElement) -> Tuple[int, ...]:
+        """Insert an arrival; returns the referenced parents now active."""
+        element_id = element.element_id
+        if self.policy.stateful:
+            self._tracker.observe(element.timestamp)
+        # A re-posted window member replaces its previous version, and the
+        # edges only the old version claimed retire with it.
+        previous = self._members.get(element_id)
+        if previous is not None:
+            self._drop_edges(previous)
+        self._elements[element_id] = element
+        self._members[element_id] = element
+        self._archive[element_id] = element
+        self._last_activity[element_id] = max(
+            element.timestamp, self._last_activity.get(element_id, element.timestamp)
+        )
+        touched = []
+        for parent_id in element.references:
+            parent = self._elements.get(parent_id)
+            if parent is None:
+                parent = self._archive.get(parent_id)
+                if parent is None:
+                    continue  # never observed: a dangling reference
+                self._elements[parent_id] = parent  # re-activated precedent
+            self._followers.setdefault(parent_id, set()).add(element_id)
+            self._last_activity[parent_id] = max(
+                self._last_activity.get(parent_id, parent.timestamp),
+                element.timestamp,
+            )
+            touched.append(parent_id)
+        return tuple(touched)
+
+    def _drop_edges(self, follower: SocialElement) -> None:
+        for parent_id in follower.references:
+            followers = self._followers.get(parent_id, ())
+            if follower.element_id in followers:
+                followers.discard(follower.element_id)
+                self._touched_by_expiry.add(parent_id)
+
+    def advance_to(self, time: int) -> Tuple[int, ...]:
+        """Move to ``time``; returns the ids that left the active set."""
+        if self.current_time is not None and time < self.current_time:
+            raise ValueError("cannot move the window backwards")
+        self.current_time = time
+        window_start = self.window_start
+        for element_id, element in list(self._members.items()):
+            if element.timestamp < window_start:
+                del self._members[element_id]
+                self._drop_edges(element)
+        removed = [
+            element_id
+            for element_id, last_activity in self._last_activity.items()
+            if last_activity < window_start
+        ]
+        for element_id in removed:
+            del self._elements[element_id]
+            del self._last_activity[element_id]
+            self._followers.pop(element_id, None)
+            self._members.pop(element_id, None)
+            self._touched_by_expiry.discard(element_id)
+        cutoff = time - self._horizon
+        if cutoff > 0:
+            for element_id, element in list(self._archive.items()):
+                if element.timestamp < cutoff and element_id not in self._elements:
+                    del self._archive[element_id]
+        return tuple(removed)
+
+    def take_touched_by_expiry(self) -> Tuple[int, ...]:
+        """Drain the active elements whose follower set shrank."""
+        touched = tuple(e for e in self._touched_by_expiry if e in self._elements)
+        self._touched_by_expiry.clear()
+        return touched
+
+    @property
+    def window_start(self) -> Optional[int]:
+        if self.current_time is None:
+            return None
+        return self._tracker.cutoff(self.current_time)
+
+    def __contains__(self, element_id: int) -> bool:
+        return element_id in self._elements
+
+    def get(self, element_id: int) -> SocialElement:
+        return self._elements[element_id]
+
+    def active_ids(self) -> Tuple[int, ...]:
+        return tuple(self._elements)
+
+    def window_ids(self) -> Tuple[int, ...]:
+        return tuple(self._members)
+
+    def in_window(self, element_id: int) -> bool:
+        return element_id in self._members
+
+    def followers_of(self, element_id: int) -> Tuple[int, ...]:
+        return tuple(sorted(self._followers.get(element_id, ())))
+
+    def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+        return {e: self.followers_of(e) for e, f in self._followers.items() if f}
+
+    def last_activity(self, element_id: int) -> int:
+        return self._last_activity[element_id]
+
+
+class Oracle:
+    """Algorithm 1, one element at a time, over an :class:`OracleWindow`."""
+
+    def __init__(
+        self,
+        topic_model,
+        window_length: int,
+        scoring: ScoringConfig,
+        archive_windows: int = 8,
+        policy: Optional[WindowPolicy] = None,
+        home_filter: Optional[Callable[[int], bool]] = None,
+    ) -> None:
+        self.scoring = scoring
+        self.window = OracleWindow(window_length, archive_windows, policy)
+        self.ranked_lists = RankedListIndex(topic_model.num_topics, scoring)
+        self.profiles: Dict[int, ElementProfile] = {}
+        self._builder = ProfileBuilder(topic_model, scoring)
+        self._is_home = home_filter or (lambda element_id: True)
+
+    @classmethod
+    def for_config(cls, topic_model, config, home_filter=None) -> "Oracle":
+        """The oracle a ``ProcessorConfig`` describes (read by attribute)."""
+        return cls(
+            topic_model,
+            config.window_length,
+            config.scoring,
+            archive_windows=config.archive_windows,
+            policy=WindowPolicy(config.window_policy, config.session_gap),
+            home_filter=home_filter,
+        )
+
+    def _follower_profiles(self, element_id: int) -> Dict[int, ElementProfile]:
+        followers = self.window.followers_of(element_id)
+        return {f: self.profiles[f] for f in followers if f in self.profiles}
+
+    def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
+        """Ingest one bucket (elements must carry their topic vectors)."""
+        window, index = self.window, self.ranked_lists
+        for element in elements:
+            element_id, time = element.element_id, element.timestamp
+            profile = self._builder.build(element)
+            touched_parents = window.insert(element)
+            self.profiles[element_id] = profile
+            if self._is_home(element_id):
+                index.insert(profile, activity_time=time)
+                if window.followers_of(element_id):
+                    # A re-post keeps its influence component.
+                    index.refresh(
+                        profile,
+                        self._follower_profiles(element_id),
+                        window.last_activity(element_id),
+                    )
+            for parent_id in touched_parents:
+                if not self._is_home(parent_id):
+                    continue  # maintained on the shard that owns the parent
+                parent = self.profiles.get(parent_id)
+                if parent is None:  # re-activated from the archive
+                    parent = self._builder.build(window.get(parent_id))
+                    self.profiles[parent_id] = parent
+                    index.insert(parent, activity_time=time)
+                index.refresh(parent, self._follower_profiles(parent_id), time)
+        for element_id in window.advance_to(end_time):
+            self.profiles.pop(element_id, None)
+            if self._is_home(element_id):
+                index.remove(element_id)
+        # Elements that lost followers keep their tuples at a stale score.
+        for element_id in window.take_touched_by_expiry():
+            if self._is_home(element_id) and element_id in self.profiles:
+                index.refresh(
+                    self.profiles[element_id],
+                    self._follower_profiles(element_id),
+                    window.last_activity(element_id),
+                )
+
+    def snapshot(self) -> ScoringContext:
+        """The scoring context of the current window, built from scratch."""
+        return ScoringContext(
+            self.profiles, self.window.followers_snapshot(), self.scoring,
+            time=self.window.current_time,
+        )
+
+    def query(self, query: KSIRQuery, algorithm: str, epsilon: float = 0.1):
+        """Answer a k-SIR query; returns ``(element_ids, score)``."""
+        solver = resolve_algorithm(algorithm, default_name=algorithm, epsilon=epsilon)
+        objective = KSIRObjective(self.snapshot(), query.vector)
+        index = self.ranked_lists if solver.requires_index else None
+        outcome = solver.select(objective, query.k, index=index)
+        return outcome.element_ids, outcome.value

@@ -73,7 +73,7 @@ class TestEngineConfig:
                 scoring=ScoringConfig(lambda_weight=0.3, eta=4.0, topic_threshold=1e-3),
                 default_algorithm="celf",
                 default_epsilon=0.2,
-                batched_ingest=False,
+                archive_windows=3,
             ),
             cluster=ClusterConfig(
                 num_shards=3,
@@ -97,6 +97,19 @@ class TestEngineConfig:
 
         payload = json.loads(json.dumps(EngineConfig(backend="sharded").to_dict()))
         assert EngineConfig.from_dict(payload) == EngineConfig(backend="sharded")
+
+    def test_retired_processor_keys(self):
+        """``store`` / ``batched_ingest`` are gone from the config; payloads
+        written before still load at the only values that survive."""
+        payload = EngineConfig().to_dict()
+        assert "store" not in payload["processor"]
+        assert "batched_ingest" not in payload["processor"]
+        payload["processor"].update(store="columnar", batched_ingest=True)
+        assert EngineConfig.from_dict(payload) == EngineConfig()
+        for retired in ({"store": "objects"}, {"batched_ingest": False}):
+            (key,) = retired
+            with pytest.raises(ValueError, match=f"{key}.*retired"):
+                EngineConfig.from_dict({"processor": retired})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown engine keys"):

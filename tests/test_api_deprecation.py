@@ -1,25 +1,18 @@
-"""The completed deprecation cycle: direct construction is now a hard error.
+"""The facade adds nothing to the engines it wraps.
 
-PR 4 deprecated constructing :class:`KSIRProcessor` / :class:`ServiceEngine`
-directly in favour of the :class:`repro.api.KSIREngine` facade; this PR
-completes the cycle.  Direct construction raises :class:`TypeError` carrying
-the migration target, the facade and the library-internal construction path
-stay error-free, and internally-built engines remain exactly equivalent to
-facade-built ones.
+:class:`repro.api.KSIREngine` is the entry point; the
+:class:`KSIRProcessor` / :class:`ServiceEngine` it builds internally behave
+exactly like directly constructed ones.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import EngineConfig, KSIREngine, LocalBackend, ServiceConfig
-from repro.core.processor import KSIRProcessor, ProcessorConfig
+from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.datasets.synthetic import SyntheticStreamGenerator
-from repro.service import ServiceEngine
-from repro.utils.deprecation import library_managed_construction
 from tests.conftest import build_processor, build_service_engine
 
 #: 20-bucket replay of the tiny profile (bucket = 15 simulated minutes).
@@ -41,48 +34,6 @@ def twenty_buckets(dataset):
     buckets = list(dataset.stream.buckets(CONFIG.bucket_length))[:NUM_BUCKETS]
     assert len(buckets) == NUM_BUCKETS
     return buckets
-
-
-class TestHardError:
-    def test_direct_processor_construction_raises(self, dataset):
-        with pytest.raises(TypeError, match="KSIRProcessor"):
-            KSIRProcessor(dataset.topic_model, CONFIG)
-
-    def test_error_message_names_the_facade_replacement(self, dataset):
-        with pytest.raises(TypeError, match=r"repro\.api\.KSIREngine"):
-            KSIRProcessor(dataset.topic_model, CONFIG)
-
-    def test_direct_service_engine_construction_raises(self, dataset):
-        processor = build_processor(dataset.topic_model, CONFIG)
-        with pytest.raises(TypeError, match="ServiceEngine"):
-            ServiceEngine(processor, max_workers=1)
-
-    def test_facade_construction_does_not_raise_or_warn(self, dataset):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for backend in ("local", "sharded", "service"):
-                engine = KSIREngine(
-                    dataset.topic_model,
-                    EngineConfig(backend=backend, processor=CONFIG),
-                )
-                engine.close()
-
-    def test_library_managed_construction_disarms_the_guard(self, dataset):
-        with library_managed_construction():
-            KSIRProcessor(dataset.topic_model, CONFIG)
-
-    def test_guard_rearms_after_the_block(self, dataset):
-        with library_managed_construction():
-            KSIRProcessor(dataset.topic_model, CONFIG)
-        with pytest.raises(TypeError, match="KSIRProcessor"):
-            KSIRProcessor(dataset.topic_model, CONFIG)
-
-    def test_guard_is_reentrant(self, dataset):
-        with library_managed_construction():
-            with library_managed_construction():
-                KSIRProcessor(dataset.topic_model, CONFIG)
-            # Inner exit must not disarm the outer block.
-            KSIRProcessor(dataset.topic_model, CONFIG)
 
 
 class TestEquivalence:

@@ -193,8 +193,6 @@ class TestTransportRegistry:
 
     def test_legacy_backend_aliases_resolve(self):
         assert canonical_transport_name("process") == "pipe"
-        assert canonical_transport_name("process-pipe") == "pipe"
-        assert canonical_transport_name("process-shm") == "shm"
 
     def test_unknown_transport_is_an_error(self, paper_topic_model):
         with pytest.raises(ValueError, match="unknown cluster transport"):
@@ -234,14 +232,6 @@ class TestTransportRegistry:
             from repro.cluster import transport as transport_module
 
             transport_module._REGISTRY.pop("test-custom", None)
-
-    def test_shm_requires_the_columnar_store(self, paper_topic_model):
-        config = ProcessorConfig(window_length=4, bucket_length=1, store="objects")
-        with pytest.raises(ValueError, match="columnar"):
-            ClusterCoordinator(
-                paper_topic_model, config, cluster=shm_cluster(num_shards=2)
-            )
-        assert scan_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +300,22 @@ class TestSegmentLifecycle:
         assert scan_segments() == []
         engine.close()  # idempotent
 
-    def test_failed_construction_leaves_no_segments(self, paper_topic_model):
-        bad = ProcessorConfig(window_length=4, bucket_length=1, store="objects")
-        with pytest.raises(ValueError):
-            ShmProcessFanout(2, paper_topic_model, bad)
+    def test_failed_construction_leaves_no_segments(
+        self, paper_topic_model, monkeypatch
+    ):
+        """The arenas exist before the shard processes do; a spawn that
+        fails must not orphan their ``ksir-*`` segments."""
+        created = []
+
+        def failing_spawn(self, shard_id):
+            created.extend(scan_segments())
+            raise OSError("cannot start the shard process")
+
+        monkeypatch.setattr(ShmProcessFanout, "_spawn", failing_spawn)
+        config = ProcessorConfig(window_length=4, bucket_length=1)
+        with pytest.raises(OSError, match="cannot start"):
+            ShmProcessFanout(2, paper_topic_model, config)
+        assert created != []  # the failure really came after the arenas
         assert scan_segments() == []
 
     def test_sigkill_recovery_leaves_no_segments(self):

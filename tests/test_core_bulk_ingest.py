@@ -1,16 +1,16 @@
-"""Equivalence of the batched-ingest fast path with the reference path.
+"""Equivalence of the batched ingest path with the per-element reference.
 
 The batched pipeline (``ProfileBuilder.build_many`` →
-``RankedListIndex.bulk_update`` → ``KSIRProcessor`` batched
-``process_bucket``) must leave exactly the state the element-by-element
-discipline produces: same ranked-list membership, scores within 1e-9, same
-activity times and dirty-topic sets.
+``RankedListIndex.bulk_update`` → ``KSIRProcessor.process_bucket``) must
+leave exactly the state the element-by-element discipline
+(:class:`tests.oracle.Oracle`) produces: same ranked-list membership,
+scores within 1e-9, same activity times and dirty-topic sets.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,6 +20,8 @@ from repro.core.scoring import ProfileBuilder, ScoringConfig
 from repro.datasets.synthetic import SyntheticStreamGenerator
 from repro.utils.sorted_list import DescendingSortedList
 from tests.conftest import build_processor
+from tests.oracle import Oracle
+from tests.test_store_columnar import assert_ranked_lists_equal
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,13 @@ class TestBulkUpdate:
             refreshes.append((profile, followers, time))
         for profile, followers, time in refreshes:
             reference.refresh(profile, followers, activity_time=time)
-        bulk.bulk_update(refreshes=refreshes)
+        # The caller of bulk_update hands in the refreshed δ_i(e) itself.
+        bulk.bulk_update(
+            scored_refreshes=[
+                (profile.element_id, reference.scores_of(profile.element_id), time)
+                for profile, _, time in refreshes
+            ]
+        )
         for topic in range(topics):
             reference_items = reference.items(topic)
             bulk_items = bulk.items(topic)
@@ -222,7 +230,13 @@ class TestBulkUpdate:
         bulk = RankedListIndex(topics, config)
         bulk.bulk_update(
             inserts=[(target, target.timestamp)],
-            refreshes=[(target, followers, target.timestamp + 5)],
+            scored_refreshes=[
+                (
+                    target.element_id,
+                    reference.scores_of(target.element_id),
+                    target.timestamp + 5,
+                )
+            ],
         )
         for topic in range(topics):
             reference_items = reference.items(topic)
@@ -238,31 +252,26 @@ class TestBulkUpdate:
 # ---------------------------------------------------------------------------
 
 
-def _replay(dataset, batched: bool, window_length=3 * 3600, bucket_length=900):
+def _replay(dataset, window_length=3 * 3600, bucket_length=900):
+    """The dataset through the batched processor and through the oracle."""
     config = ProcessorConfig(
         window_length=window_length,
         bucket_length=bucket_length,
         scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
-        batched_ingest=batched,
     )
     processor = build_processor(dataset.topic_model, config)
     processor.process_stream(dataset.stream)
-    return processor
+    oracle = Oracle.for_config(dataset.topic_model, config)
+    for bucket in dataset.stream.buckets(bucket_length):
+        oracle.process_bucket(bucket.elements, bucket.end_time)
+    return oracle, processor
 
 
-def _assert_equivalent(sequential: KSIRProcessor, batched: KSIRProcessor):
-    assert batched.elements_processed == sequential.elements_processed
-    assert batched.buckets_processed == sequential.buckets_processed
-    assert batched.active_count == sequential.active_count
+def _assert_equivalent(sequential: Oracle, batched: KSIRProcessor):
+    assert batched.active_count == len(sequential.window.active_ids())
     index_a, index_b = sequential.ranked_lists, batched.ranked_lists
-    assert index_b.element_count == index_a.element_count
     assert index_b.total_tuples() == index_a.total_tuples()
-    for topic in range(index_a.num_topics):
-        items_a = index_a.items(topic)
-        items_b = index_b.items(topic)
-        assert [eid for eid, _ in items_b] == [eid for eid, _ in items_a], topic
-        for (eid, expected), (_, actual) in zip(items_a, items_b):
-            assert abs(actual - expected) <= 1e-9, (topic, eid)
+    assert_ranked_lists_equal(index_b, index_a)
     for element_id, _ in index_a.items(0):
         assert index_b.last_activity(element_id) == index_a.last_activity(element_id)
     assert index_b.validate()
@@ -270,8 +279,7 @@ def _assert_equivalent(sequential: KSIRProcessor, batched: KSIRProcessor):
 
 class TestBatchedProcessorEquivalence:
     def test_tiny_dataset_equivalence(self, tiny_dataset):
-        sequential = _replay(tiny_dataset, batched=False)
-        batched = _replay(tiny_dataset, batched=True)
+        sequential, batched = _replay(tiny_dataset)
         _assert_equivalent(sequential, batched)
         # dirty-topic accounting agrees as well.
         assert (
@@ -280,24 +288,24 @@ class TestBatchedProcessorEquivalence:
         )
 
     def test_reactivation_and_expiry_equivalence(self):
-        """A short window forces expiry + archive re-activation on both paths."""
+        """A short window forces expiry + archive re-activation."""
         profile = SyntheticStreamGenerator.from_profile("tiny", seed=23)
         dataset = profile.generate()
-        sequential = _replay(dataset, batched=False, window_length=1800,
-                             bucket_length=600)
-        batched = _replay(dataset, batched=True, window_length=1800,
-                          bucket_length=600)
+        sequential, batched = _replay(dataset, window_length=1800, bucket_length=600)
         _assert_equivalent(sequential, batched)
 
     def test_query_results_identical(self, tiny_dataset):
-        sequential = _replay(tiny_dataset, batched=False)
-        batched = _replay(tiny_dataset, batched=True)
+        sequential, batched = _replay(tiny_dataset)
         query = tiny_dataset.make_query(k=5, topic=1)
         for algorithm in ("topk", "mttd", "celf"):
-            result_a = sequential.query(query, algorithm=algorithm, epsilon=0.1)
+            ids, score = sequential.query(query, algorithm, 0.1)
             result_b = batched.query(query, algorithm=algorithm, epsilon=0.1)
-            assert result_b.element_ids == result_a.element_ids, algorithm
-            assert result_b.score == pytest.approx(result_a.score, abs=1e-9)
+            assert result_b.element_ids == ids, algorithm
+            assert result_b.score == pytest.approx(score, abs=1e-9)
 
     def test_batched_is_default(self):
-        assert ProcessorConfig().batched_ingest is True
+        """Batched ingest is the only path: no config field selects another."""
+        assert [field.name for field in fields(ProcessorConfig)] == [
+            "window_length", "bucket_length", "scoring", "default_algorithm",
+            "default_epsilon", "archive_windows", "window_policy", "session_gap",
+        ]

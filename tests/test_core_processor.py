@@ -15,6 +15,7 @@ from tests.conftest import (
     build_processor,
     build_reference_stream,
 )
+from tests.oracle import Oracle
 from tests.test_store_columnar import bucketise
 
 
@@ -245,39 +246,33 @@ class TestSnapshotInputsStayCurrent:
                 sorted(window.followers_of(element_id))
             )
 
-    @pytest.mark.parametrize(
-        "store, batched", [("columnar", True), ("columnar", False), ("objects", True)]
-    )
-    def test_local_processor(self, store, batched):
-        model, elements = build_reference_stream(11, 60, 2, 8)
-        config = ProcessorConfig(
-            window_length=6, bucket_length=3, scoring=PAPER_SCORING,
-            store=store, batched_ingest=batched,
-        )
+    # The id dates from the store × ingest-path matrix this test spanned;
+    # it is kept so the surviving cell stays traceable across the removal.
+    @pytest.mark.parametrize("seed", [11], ids=["columnar-True"])
+    def test_local_processor(self, seed):
+        model, elements = build_reference_stream(seed, 60, 2, 8)
+        config = ProcessorConfig(window_length=6, bucket_length=3, scoring=PAPER_SCORING)
         processor = build_processor(model, config)
         for members, end_time in bucketise(elements, 3):
             processor.process_bucket(members, end_time=end_time)
             self._assert_current(processor)
 
-    @pytest.mark.parametrize("store", ["columnar", "objects"])
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_reposts_and_restore_keep_window_order(self, store, batched):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reposts_and_restore_keep_window_order(self, seed):
         config = ProcessorConfig(
-            window_length=6, bucket_length=3, scoring=PAPER_SCORING,
-            store=store, batched_ingest=batched, archive_windows=3,
+            window_length=6, bucket_length=3, scoring=PAPER_SCORING, archive_windows=3,
         )
-        for seed in range(6):
-            model, elements = reposting_stream(seed, 80)
-            processor = build_processor(model, config)
-            for position, (members, end_time) in enumerate(bucketise(elements, 3)):
-                processor.process_bucket(members, end_time=end_time)
+        model, elements = reposting_stream(seed, 80)
+        processor = build_processor(model, config)
+        for position, (members, end_time) in enumerate(bucketise(elements, 3)):
+            processor.process_bucket(members, end_time=end_time)
+            self._assert_current(processor)
+            if position % 7 == 6:
+                # Save → load → continue (a checkpoint lists A_t ascending).
+                state = processor.state_dict()
+                processor = build_processor(model, config)
+                processor.restore_state(state)
                 self._assert_current(processor)
-                if position % 7 == 6:
-                    # Save → load → continue (a checkpoint lists A_t ascending).
-                    state = processor.state_dict()
-                    processor = build_processor(model, config)
-                    processor.restore_state(state)
-                    self._assert_current(processor)
 
     def test_home_filtered_shard_processors(self):
         from repro.cluster import ClusterConfig, ClusterCoordinator
@@ -320,31 +315,29 @@ class TestSnapshotInputsStayCurrent:
 
 
 class TestBatchedEqualsSequentialAnswers:
-    """Both ingest paths answer every algorithm identically — including the
-    batch algorithms that enumerate ``context.active_ids`` in order, on
-    streams whose references keep re-activating archived parents."""
+    """The batched ingest path answers every algorithm exactly as the
+    element-by-element oracle does — including the batch algorithms that
+    enumerate ``context.active_ids`` in order, on streams whose references
+    keep re-activating archived parents."""
 
     ALGORITHMS = ("sieve", "celf", "greedy", "mttd", "mtts", "topk")
 
-    @pytest.mark.parametrize("store", ["columnar", "objects"])
-    @pytest.mark.parametrize("reposts", [False, True])
-    def test_same_elements_and_score(self, store, reposts):
+    # Ids kept from when the test also ran on the objects store.
+    @pytest.mark.parametrize(
+        "reposts", [False, True], ids=["False-columnar", "True-columnar"]
+    )
+    def test_same_elements_and_score(self, reposts):
         reactivated = 0
+        config = ProcessorConfig(
+            window_length=6, bucket_length=3, scoring=PAPER_SCORING, archive_windows=3,
+        )
         for seed in range(8):
             if reposts:
                 model, elements = reposting_stream(seed, 60)
             else:
                 model, elements = build_reference_stream(seed, 60, 2, 8)
-            batched, sequential = (
-                build_processor(
-                    model,
-                    ProcessorConfig(
-                        window_length=6, bucket_length=3, scoring=PAPER_SCORING,
-                        store=store, batched_ingest=flag, archive_windows=3,
-                    ),
-                )
-                for flag in (True, False)
-            )
+            batched = build_processor(model, config)
+            sequential = Oracle.for_config(model, config)
             rng = np.random.default_rng(seed)
             for members, end_time in bucketise(elements, 3):
                 posted = {element.element_id for element in members}
@@ -357,12 +350,12 @@ class TestBatchedEqualsSequentialAnswers:
                 assert (
                     batched.snapshot().active_ids == sequential.snapshot().active_ids
                 )
-                vector = rng.dirichlet(np.ones(2))
+                query = KSIRQuery(k=3, vector=rng.dirichlet(np.ones(2)))
                 for algorithm in self.ALGORITHMS:
-                    ours = batched.query(vector, k=3, algorithm=algorithm)
-                    theirs = sequential.query(vector, k=3, algorithm=algorithm)
-                    assert ours.element_ids == theirs.element_ids, (seed, algorithm)
-                    assert ours.score == pytest.approx(theirs.score, abs=1e-9)
+                    ours = batched.query(query, algorithm=algorithm)
+                    ids, score = sequential.query(query, algorithm)
+                    assert ours.element_ids == ids, (seed, algorithm)
+                    assert ours.score == pytest.approx(score, abs=1e-9)
         # The streams really exercised the archive re-activation branch.
         assert reactivated > 20
 

@@ -1,4 +1,4 @@
-"""Tests for the sliding window / active set maintenance."""
+"""Tests for the sliding window / active set maintenance (Algorithm 1 semantics)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.element import SocialElement
-from repro.core.window import ActiveWindow
+from repro.store import ColumnarWindow
 
 
 def make_element(element_id, timestamp, references=()):
@@ -24,10 +24,10 @@ def make_element(element_id, timestamp, references=()):
 class TestActiveWindowBasics:
     def test_invalid_window_length(self):
         with pytest.raises(ValueError):
-            ActiveWindow(0)
+            ColumnarWindow(0)
 
     def test_insert_and_advance(self):
-        window = ActiveWindow(window_length=5)
+        window = ColumnarWindow(window_length=5)
         window.insert(make_element(1, 10))
         removed = window.advance_to(10)
         assert removed == ()
@@ -37,7 +37,7 @@ class TestActiveWindowBasics:
         assert window.window_start == 6
 
     def test_expiry_of_old_elements(self):
-        window = ActiveWindow(window_length=3)
+        window = ColumnarWindow(window_length=3)
         window.insert(make_element(1, 1))
         window.advance_to(1)
         window.insert(make_element(2, 5))
@@ -47,7 +47,7 @@ class TestActiveWindowBasics:
         assert 2 in window
 
     def test_referenced_elements_stay_active(self):
-        window = ActiveWindow(window_length=3)
+        window = ColumnarWindow(window_length=3)
         window.insert(make_element(1, 1))
         window.advance_to(1)
         window.insert(make_element(2, 4, references=(1,)))
@@ -60,7 +60,7 @@ class TestActiveWindowBasics:
         assert window.followers_of(1) == (2,)
 
     def test_reference_expires_with_referencing_element(self):
-        window = ActiveWindow(window_length=3)
+        window = ColumnarWindow(window_length=3)
         window.insert(make_element(1, 1))
         window.advance_to(1)
         window.insert(make_element(2, 3, references=(1,)))
@@ -71,20 +71,20 @@ class TestActiveWindowBasics:
         assert window.active_count == 0
 
     def test_insert_returns_touched_parents(self):
-        window = ActiveWindow(window_length=10)
+        window = ColumnarWindow(window_length=10)
         window.insert(make_element(1, 1))
         touched = window.insert(make_element(2, 2, references=(1, 99)))
         assert touched == (1,)
 
     def test_unknown_references_ignored(self):
-        window = ActiveWindow(window_length=10)
+        window = ColumnarWindow(window_length=10)
         touched = window.insert(make_element(5, 3, references=(404,)))
         assert touched == ()
         window.advance_to(3)
         assert 404 not in window
 
     def test_follower_bookkeeping(self):
-        window = ActiveWindow(window_length=10)
+        window = ColumnarWindow(window_length=10)
         window.insert(make_element(1, 1))
         window.insert(make_element(2, 2, references=(1,)))
         window.insert(make_element(3, 3, references=(1,)))
@@ -94,7 +94,7 @@ class TestActiveWindowBasics:
         assert window.followers_of(2) == ()
 
     def test_followers_drop_when_follower_leaves_window(self):
-        window = ActiveWindow(window_length=3)
+        window = ColumnarWindow(window_length=3)
         window.insert(make_element(1, 1))
         window.insert(make_element(2, 2, references=(1,)))
         window.advance_to(2)
@@ -105,20 +105,20 @@ class TestActiveWindowBasics:
         assert window.followers_of(1) == (3,)
 
     def test_cannot_move_backwards(self):
-        window = ActiveWindow(window_length=5)
+        window = ColumnarWindow(window_length=5)
         window.advance_to(10)
         with pytest.raises(ValueError):
             window.advance_to(9)
 
     def test_insert_bucket(self):
-        window = ActiveWindow(window_length=10)
+        window = ColumnarWindow(window_length=10)
         touched = window.insert_bucket(
             [make_element(1, 1), make_element(2, 2, references=(1,))]
         )
         assert touched == {1: (), 2: (1,)}
 
     def test_last_activity_tracks_references(self):
-        window = ActiveWindow(window_length=10)
+        window = ColumnarWindow(window_length=10)
         window.insert(make_element(1, 1))
         window.insert(make_element(2, 7, references=(1,)))
         window.advance_to(7)
@@ -126,7 +126,7 @@ class TestActiveWindowBasics:
         assert window.last_activity(2) == 7
 
     def test_accessors(self):
-        window = ActiveWindow(window_length=5)
+        window = ColumnarWindow(window_length=5)
         window.insert(make_element(1, 1))
         window.advance_to(1)
         assert window.active_ids() == (1,)
@@ -141,7 +141,7 @@ class TestActiveWindowBasics:
 class TestPaperExampleWindow:
     def test_active_set_at_time_8(self, paper_elements):
         """At t=8 with T=4 the paper's active set is everything except e4."""
-        window = ActiveWindow(window_length=4)
+        window = ColumnarWindow(window_length=4)
         for element in paper_elements:
             window.insert(element)
             window.advance_to(element.timestamp)
@@ -169,7 +169,7 @@ class TestWindowProperties:
     @settings(max_examples=50, deadline=None)
     def test_invariants_hold_under_any_arrival_pattern(self, arrivals, window_length):
         """The window invariants hold for arbitrary streams and window lengths."""
-        window = ActiveWindow(window_length=window_length)
+        window = ColumnarWindow(window_length=window_length)
         elements = []
         for index, (offset, references) in enumerate(
             sorted(arrivals, key=lambda item: item[0])

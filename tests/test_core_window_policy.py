@@ -1,11 +1,11 @@
-"""Window policies: cutoff trackers and both window implementations.
+"""Window policies: cutoff trackers, the window and the reference oracle.
 
 The policy seam is one number — the ``window_start`` cutoff — so these
 tests pin the cutoff arithmetic of each policy directly, then drive
-:class:`~repro.core.window.ActiveWindow` and
-:class:`~repro.store.window.ColumnarWindow` side by side to show the two
-implementations agree under every policy, and that checkpoints carry the
-policy (and the session tracker's state) across a restore.
+:class:`~repro.store.window.ColumnarWindow` and the test oracle's
+:class:`~tests.oracle.OracleWindow` side by side to show the two agree
+under every policy, and that checkpoints carry the policy (and the session
+tracker's state) across a restore.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.element import SocialElement
-from repro.core.window import ActiveWindow
 from repro.core.window_policy import (
     CutoffTracker,
     SessionCutoff,
@@ -21,6 +20,7 @@ from repro.core.window_policy import (
     WindowPolicy,
 )
 from repro.store.window import ColumnarWindow
+from tests.oracle import OracleWindow
 
 
 def make_element(element_id: int, timestamp: int, references=()) -> SocialElement:
@@ -115,7 +115,7 @@ class TestCutoffArithmetic:
         assert restored.cutoff(40) == tracker.cutoff(40)
 
 
-@pytest.mark.parametrize("window_cls", [ActiveWindow, ColumnarWindow])
+@pytest.mark.parametrize("window_cls", [ColumnarWindow])
 class TestWindowsUnderPolicies:
     def test_sliding_default_unchanged(self, window_cls):
         window = window_cls(4)
@@ -165,10 +165,10 @@ class TestWindowsUnderPolicies:
             WindowPolicy("tumbling"),
             WindowPolicy("session", session_gap=4),
         ):
-            core = ActiveWindow(6, policy=policy)
+            core = OracleWindow(6, policy=policy)
             columnar = ColumnarWindow(6, policy=policy)
             for element in elements:
-                core.insert_bucket([element])
+                core.insert(element)
                 columnar.insert_bucket([element])
                 core.advance_to(element.timestamp)
                 columnar.advance_to(element.timestamp)

@@ -1,17 +1,18 @@
-"""The columnar state store: unit tests plus columnar == objects equivalence.
+"""The columnar state store: unit tests plus columnar == oracle equivalence.
 
 Three layers of proof:
 
 * :class:`repro.store.ElementStore` unit behaviour — row interning with
   free-row recycling, array growth, follower adjacency and CSR export,
   topic change epochs;
-* :class:`repro.store.ColumnarWindow` tracks :class:`ActiveWindow`
-  operation-for-operation on random streams (hypothesis);
-* end-to-end: engines configured with ``store="columnar"`` and
-  ``store="objects"`` produce equal ranked lists, dirty-topic accounting
-  and query results (within 1e-9) on all three execution backends, and
-  the v2 checkpoint format round-trips with v1 read compatibility in both
-  directions.
+* :class:`repro.store.ColumnarWindow` tracks the reference
+  :class:`tests.oracle.OracleWindow` operation-for-operation on random
+  streams (hypothesis);
+* end-to-end: engines produce the ranked lists, dirty-topic accounting and
+  query results (within 1e-9) of the element-by-element
+  :class:`tests.oracle.Oracle` on all three execution backends, and the
+  checkpoint format round-trips (retired config keys tolerated at their
+  surviving values, v1 manifests and the objects store rejected by name).
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, KSIREngine, ServiceConfig
+from repro.api import CheckpointError, EngineConfig, KSIREngine, ServiceConfig
 from repro.cluster import ClusterConfig
 from repro.core.element import SocialElement
-from repro.core.processor import KSIRProcessor, ProcessorConfig
+from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
-from repro.core.window import ActiveWindow
 from repro.store import ColumnarWindow, ElementStore
 
 from tests.conftest import build_processor, build_reference_stream
+from tests.oracle import Oracle, OracleWindow
 
 SCORING = ScoringConfig(lambda_weight=0.5, eta=2.0)
 
@@ -144,35 +145,29 @@ class TestElementStore:
 
 
 # ---------------------------------------------------------------------------
-# ColumnarWindow ≡ ActiveWindow
+# ColumnarWindow ≡ OracleWindow
 # ---------------------------------------------------------------------------
 
 
-def assert_windows_equal(columnar: ColumnarWindow, objects: ActiveWindow):
-    assert sorted(columnar.active_ids()) == sorted(objects.active_ids())
-    assert sorted(columnar.window_ids()) == sorted(objects.window_ids())
-    assert columnar.active_count == objects.active_count
-    assert columnar.window_count == objects.window_count
-    assert columnar.current_time == objects.current_time
-    for element_id in objects.active_ids():
-        assert columnar.last_activity(element_id) == objects.last_activity(element_id)
+def assert_windows_equal(columnar: ColumnarWindow, oracle: OracleWindow):
+    assert sorted(columnar.active_ids()) == sorted(oracle.active_ids())
+    assert sorted(columnar.window_ids()) == sorted(oracle.window_ids())
+    assert columnar.active_count == len(oracle.active_ids())
+    assert columnar.window_count == len(oracle.window_ids())
+    assert columnar.current_time == oracle.current_time
+    for element_id in oracle.active_ids():
+        assert columnar.last_activity(element_id) == oracle.last_activity(element_id)
         assert sorted(columnar.followers_of(element_id)) == sorted(
-            objects.followers_of(element_id)
+            oracle.followers_of(element_id)
         )
-        assert columnar.follower_count(element_id) == objects.follower_count(element_id)
-        assert columnar.in_window(element_id) == objects.in_window(element_id)
-    # One contract for both classes: every element with ≥ 1 in-window
-    # follower → ascending follower ids; absent means none.
-    snap_a = columnar.followers_snapshot()
-    snap_b = objects.followers_snapshot()
-    assert snap_a == snap_b
-    assert snap_a == {
-        element_id: tuple(sorted(objects.followers_of(element_id)))
-        for element_id in objects.active_ids()
-        if objects.follower_count(element_id)
-    }
+        assert columnar.follower_count(element_id) == len(
+            oracle.followers_of(element_id)
+        )
+        assert columnar.in_window(element_id) == oracle.in_window(element_id)
+    # Every element with ≥ 1 in-window follower → ascending follower ids;
+    # absent means none.
+    assert columnar.followers_snapshot() == oracle.followers_snapshot()
     assert columnar.validate()
-    assert objects.validate()
 
 
 class TestColumnarWindowEquivalence:
@@ -186,21 +181,21 @@ class TestColumnarWindowEquivalence:
     def test_tracks_active_window(self, seed, num_elements, window_length, bucket):
         _, elements = build_reference_stream(seed, num_elements, 2, 8)
         columnar = ColumnarWindow(window_length, archive_windows=2, num_topics=2)
-        objects = ActiveWindow(window_length, archive_windows=2)
+        oracle = OracleWindow(window_length, archive_windows=2)
         for start in range(0, num_elements, bucket):
             members = elements[start : start + bucket]
             for element in members:
                 touched_a = columnar.insert(element)
-                touched_b = objects.insert(element)
+                touched_b = oracle.insert(element)
                 assert touched_a == touched_b
             end_time = members[-1].timestamp
             removed_a = columnar.advance_to(end_time)
-            removed_b = objects.advance_to(end_time)
+            removed_b = oracle.advance_to(end_time)
             assert sorted(removed_a) == sorted(removed_b)
             assert sorted(columnar.take_touched_by_expiry()) == sorted(
-                objects.take_touched_by_expiry()
+                oracle.take_touched_by_expiry()
             )
-            assert_windows_equal(columnar, objects)
+            assert_windows_equal(columnar, oracle)
 
     def test_intra_bucket_forward_reference_stays_dangling(self):
         """A reference to an element arriving later in the same bucket is
@@ -209,13 +204,13 @@ class TestColumnarWindowEquivalence:
         first = make_element(1, 5, references=(2,))
         second = make_element(2, 6)
         columnar = ColumnarWindow(10, num_topics=1)
-        objects = ActiveWindow(10)
+        oracle = OracleWindow(10)
         touched_lists, _ = columnar.insert_many([first, second])
-        touched_objects = [objects.insert(first), objects.insert(second)]
-        assert touched_lists == touched_objects == [(), ()]
+        touched_oracle = [oracle.insert(first), oracle.insert(second)]
+        assert touched_lists == touched_oracle == [(), ()]
         columnar.advance_to(6)
-        objects.advance_to(6)
-        assert_windows_equal(columnar, objects)
+        oracle.advance_to(6)
+        assert_windows_equal(columnar, oracle)
         assert columnar.followers_of(2) == ()
 
     def test_forward_reference_to_archived_element_reactivates(self):
@@ -223,9 +218,9 @@ class TestColumnarWindowEquivalence:
         re-activates the archived precedent, like the element-wise path."""
         for window_length in (3,):
             columnar = ColumnarWindow(window_length, archive_windows=8, num_topics=1)
-            objects = ActiveWindow(window_length, archive_windows=8)
+            oracle = OracleWindow(window_length, archive_windows=8)
             original = make_element(2, 1)
-            for window in (columnar, objects):
+            for window in (columnar, oracle):
                 window.insert(original)
                 window.advance_to(1)
                 removed = window.advance_to(10)  # id 2 expires, stays archived
@@ -233,16 +228,16 @@ class TestColumnarWindowEquivalence:
             referencer = make_element(5, 11, references=(2,))
             repost = make_element(2, 12)
             touched_lists, _ = columnar.insert_many([referencer, repost])
-            touched_objects = [objects.insert(referencer), objects.insert(repost)]
-            assert touched_lists == touched_objects == [(2,), ()]
+            touched_oracle = [oracle.insert(referencer), oracle.insert(repost)]
+            assert touched_lists == touched_oracle == [(2,), ()]
             columnar.advance_to(12)
-            objects.advance_to(12)
-            assert_windows_equal(columnar, objects)
+            oracle.advance_to(12)
+            assert_windows_equal(columnar, oracle)
             assert sorted(columnar.followers_of(2)) == [5]
 
     def test_forward_reference_processor_equivalence(self):
-        """End-to-end: forward references in one bucket leave identical
-        ranked lists on columnar-batched, columnar-sequential and objects."""
+        """End-to-end: forward references in one bucket leave the ranked
+        lists the element-by-element oracle derives."""
         model, elements = build_reference_stream(41, 12, 2, 8)
         # Rewrite element 3 to reference element 7 (arrives later, same
         # bucket of 6) and element 9 to reference element 1 (backward).
@@ -251,33 +246,19 @@ class TestColumnarWindowEquivalence:
         elements[9] = replace(elements[9], references=(1,))
         buckets = bucketise(elements, 6)
 
-        states = {}
-        for store, batched in (
-            ("columnar", True), ("columnar", False), ("objects", True)
-        ):
-            config = ProcessorConfig(
-                window_length=8, bucket_length=6, scoring=SCORING,
-                store=store, batched_ingest=batched,
-            )
-            engine = KSIREngine(model, EngineConfig(processor=config))
-            for members, end_time in buckets:
-                engine.ingest_bucket(members, end_time)
-            index = engine.backend.processor.ranked_lists
-            states[(store, batched)] = {
-                topic: index.items(topic) for topic in range(index.num_topics)
-            }
-        reference = states[("objects", True)]
-        for key, state in states.items():
-            assert state.keys() == reference.keys()
-            for topic, items in reference.items():
-                got = state[topic]
-                assert [e for e, _ in got] == [e for e, _ in items], (key, topic)
-                for (eid, expected), (_, actual) in zip(items, got):
-                    assert abs(actual - expected) <= 1e-9, (key, topic, eid)
+        config = ProcessorConfig(window_length=8, bucket_length=6, scoring=SCORING)
+        engine = KSIREngine(model, EngineConfig(processor=config))
+        oracle = Oracle.for_config(model, config)
+        for members, end_time in buckets:
+            engine.ingest_bucket(members, end_time)
+            oracle.process_bucket(members, end_time)
+        assert_ranked_lists_equal(
+            engine.backend.processor.ranked_lists, oracle.ranked_lists
+        )
 
     def test_repost_with_dropped_reference_retires_the_edge(self):
         """Re-posting a window member with changed references must retire
-        the old edges on both paths (regression: a leaked edge survived the
+        the old edges (regression: a leaked edge survived the
         member's expiry and, on the columnar store, was misattributed to
         whatever element later recycled the freed row)."""
         def scenario(window):
@@ -292,50 +273,50 @@ class TestColumnarWindowEquivalence:
             return removed_touched
 
         columnar = ColumnarWindow(10, num_topics=1)
-        objects = ActiveWindow(10)
+        oracle = OracleWindow(10)
         # Parent 1 lost its edge; parent 3's edge was retired-and-re-added
-        # (marked for a no-op re-score).  Both paths agree.
-        assert scenario(columnar) == scenario(objects) == [1, 3]
-        assert columnar.followers_of(1) == objects.followers_of(1) == ()
-        assert sorted(columnar.followers_of(3)) == sorted(objects.followers_of(3)) == [2]
-        assert_windows_equal(columnar, objects)
+        # (marked for a no-op re-score).  Window and oracle agree.
+        assert scenario(columnar) == scenario(oracle) == [1, 3]
+        assert columnar.followers_of(1) == oracle.followers_of(1) == ()
+        assert sorted(columnar.followers_of(3)) == sorted(oracle.followers_of(3)) == [2]
+        assert_windows_equal(columnar, oracle)
         # Expire 2 and recycle its row with a fresh element: the dead edge
         # must not resurface pointing at the recycled row.
-        for window in (columnar, objects):
+        for window in (columnar, oracle):
             window.advance_to(20)
             window.insert(make_element(99, 21))
             window.advance_to(21)
-        assert columnar.followers_of(1) == objects.followers_of(1) == ()
-        assert columnar.followers_of(3) == objects.followers_of(3) == ()
-        assert_windows_equal(columnar, objects)
+        assert columnar.followers_of(1) == oracle.followers_of(1) == ()
+        assert columnar.followers_of(3) == oracle.followers_of(3) == ()
+        assert_windows_equal(columnar, oracle)
 
     def test_repost_inside_one_batched_bucket_matches_elementwise(self):
         """Intra-bucket re-posts with changed references behave identically
-        on insert_many and on the element-wise paths."""
+        on insert_many and on the element-wise oracle."""
         bucket = [
             make_element(1, 1),
             make_element(2, 2, references=(1,)),
             make_element(2, 3, references=()),
         ]
         columnar = ColumnarWindow(10, num_topics=1)
-        objects = ActiveWindow(10)
+        oracle = OracleWindow(10)
         touched_lists, _ = columnar.insert_many(list(bucket))
-        touched_objects = [objects.insert(element) for element in bucket]
-        assert touched_lists == touched_objects == [(), (1,), ()]
+        touched_oracle = [oracle.insert(element) for element in bucket]
+        assert touched_lists == touched_oracle == [(), (1,), ()]
         assert sorted(columnar.take_touched_by_expiry()) == sorted(
-            objects.take_touched_by_expiry()
+            oracle.take_touched_by_expiry()
         ) == [1]
         columnar.advance_to(3)
-        objects.advance_to(3)
-        assert columnar.followers_of(1) == objects.followers_of(1) == ()
-        assert_windows_equal(columnar, objects)
+        oracle.advance_to(3)
+        assert columnar.followers_of(1) == oracle.followers_of(1) == ()
+        assert_windows_equal(columnar, oracle)
 
     def test_repost_keeps_influence_in_ranked_lists(self):
         """A re-posted element that still has in-window followers must keep
         the influence component in its ranked-list tuples (regression: the
-        insert reset it to the semantic-only score), identically on all
-        four store × ingest-path variants — including when the referencing
-        follower and the re-post land in the same bucket."""
+        insert reset it to the semantic-only score), exactly as the oracle
+        scores it — including when the referencing follower and the re-post
+        land in the same bucket."""
         model, _ = build_reference_stream(5, 4, 2, 8)
 
         def element(element_id, timestamp, references=()):
@@ -355,54 +336,38 @@ class TestColumnarWindowEquivalence:
                 ([element(2, 2, (1,)), element(1, 3)], 3),
             ],
         }
+        config = ProcessorConfig(window_length=20, bucket_length=2, scoring=SCORING)
         for name, buckets in scenarios.items():
-            states = {}
-            for store in ("columnar", "objects"):
-                for batched in (True, False):
-                    config = ProcessorConfig(
-                        window_length=20, bucket_length=2, scoring=SCORING,
-                        store=store, batched_ingest=batched,
-                    )
-                    processor = build_processor(model, config)
-                    for members, end_time in buckets:
-                        processor.process_bucket(members, end_time)
-                    assert processor.window.followers_of(1) == (2,), (name, store)
-                    states[(store, batched)] = processor.ranked_lists.scores_of(1)
-            reference = states[("objects", False)]
+            processor = build_processor(model, config)
+            oracle = Oracle.for_config(model, config)
+            for members, end_time in buckets:
+                processor.process_bucket(members, end_time)
+                oracle.process_bucket(members, end_time)
+            assert processor.window.followers_of(1) == (2,), name
+            scores = processor.ranked_lists.scores_of(1)
+            reference = oracle.ranked_lists.scores_of(1)
             # The stored score must exceed the semantic-only component ...
-            lambda_only = {
-                topic: SCORING.lambda_weight
-                * build_processor(
-                    model, ProcessorConfig(window_length=20, bucket_length=2,
-                                           scoring=SCORING)
-                )._builder.build(element(1, 3)).semantic_score(topic)
-                for topic in reference
-            }
+            profile = oracle.profiles[1]
             for topic, score in reference.items():
-                assert score > lambda_only[topic] + 1e-12, (name, topic)
-            # ... and all four variants agree within 1e-9.
-            for key, scores in states.items():
-                assert scores.keys() == reference.keys(), (name, key)
-                for topic, score in reference.items():
-                    assert abs(scores[topic] - score) <= 1e-9, (name, key, topic)
+                lambda_only = SCORING.lambda_weight * profile.semantic_score(topic)
+                assert score > lambda_only + 1e-12, (name, topic)
+            # ... and production agrees with the oracle within 1e-9.
+            assert scores.keys() == reference.keys(), name
+            for topic, score in reference.items():
+                assert abs(scores[topic] - score) <= 1e-9, (name, topic)
 
-    def test_state_dict_round_trips_across_representations(self):
+    def test_state_dict_round_trips(self):
         _, elements = build_reference_stream(3, 20, 2, 8)
         columnar = ColumnarWindow(4, archive_windows=2, num_topics=2)
-        objects = ActiveWindow(4, archive_windows=2)
+        oracle = OracleWindow(4, archive_windows=2)
         for element in elements:
             columnar.insert(element)
-            objects.insert(element)
+            oracle.insert(element)
             columnar.advance_to(element.timestamp)
-            objects.advance_to(element.timestamp)
-        # columnar (array/CSR) state restores into an objects window...
-        restored_objects = ActiveWindow(4, archive_windows=2)
-        restored_objects.restore_state(columnar.state_dict())
-        assert_windows_equal(columnar, restored_objects)
-        # ...and objects (JSON-list) state restores into a columnar window.
-        restored_columnar = ColumnarWindow(4, archive_windows=2, num_topics=2)
-        restored_columnar.restore_state(objects.state_dict())
-        assert_windows_equal(restored_columnar, objects)
+            oracle.advance_to(element.timestamp)
+        restored = ColumnarWindow(4, archive_windows=2, num_topics=2)
+        restored.restore_state(columnar.state_dict())
+        assert_windows_equal(restored, oracle)
 
     def test_rejects_backward_advance_and_bad_config(self):
         window = ColumnarWindow(5, num_topics=1)
@@ -421,6 +386,16 @@ class TestColumnarWindowEquivalence:
 # ---------------------------------------------------------------------------
 
 
+def assert_ranked_lists_equal(index, reference):
+    """Same elements in the same order on every list, scores within 1e-9."""
+    assert index.element_count == reference.element_count
+    for topic in range(reference.num_topics):
+        got, expected = index.items(topic), reference.items(topic)
+        assert [e for e, _ in got] == [e for e, _ in expected], topic
+        for (eid, score), (_, wanted) in zip(got, expected):
+            assert abs(score - wanted) <= 1e-9, (topic, eid)
+
+
 def bucketise(elements, bucket_length):
     buckets = []
     for start in range(0, len(elements), bucket_length):
@@ -429,12 +404,11 @@ def bucketise(elements, bucket_length):
     return buckets
 
 
-def engine_config(backend: str, store: str, window_length: int, shards: int = 2):
+def engine_config(backend: str, window_length: int, shards: int = 2):
     processor = ProcessorConfig(
         window_length=window_length,
         bucket_length=2,
         scoring=SCORING,
-        store=store,
     )
     cluster = (
         ClusterConfig(num_shards=shards, backend="serial")
@@ -461,6 +435,8 @@ class TestColumnarBackendEquivalence:
     @given(params=backend_params)
     @settings(max_examples=25, deadline=None)
     def test_query_results_match_objects_store(self, params):
+        """Every backend answers as the single-node oracle does (the name
+        predates the oracle: the reference used to be the objects store)."""
         seed, num_elements, num_topics, backend = params
         model, elements = build_reference_stream(seed, num_elements, num_topics, 10)
         window_length = max(3, num_elements // 2)  # forces expiry
@@ -469,80 +445,63 @@ class TestColumnarBackendEquivalence:
             k=3, vector=np.arange(1, num_topics + 1, dtype=float) / num_topics
         )
 
-        results = {}
-        for store in ("columnar", "objects"):
-            with KSIREngine(
-                model, engine_config(backend, store, window_length)
-            ) as engine:
-                if backend == "service":
-                    engine.register(query, query_id="standing", algorithm="mttd",
-                                    epsilon=0.2)
-                for members, end_time in buckets:
-                    engine.ingest_bucket(members, end_time)
-                answers = {
-                    algorithm: engine.query(query, algorithm=algorithm, epsilon=0.2)
-                    for algorithm in ("mttd", "greedy")
-                }
-                standing = (
-                    engine.result("standing").result if backend == "service" else None
-                )
-                results[store] = (engine.active_count, answers, standing)
-
-        active_a, answers_a, standing_a = results["columnar"]
-        active_b, answers_b, standing_b = results["objects"]
-        assert active_a == active_b
-        for algorithm, result_a in answers_a.items():
-            result_b = answers_b[algorithm]
-            assert result_a.element_ids == result_b.element_ids, algorithm
-            assert abs(result_a.score - result_b.score) <= 1e-9
-        if standing_a is not None:
-            assert standing_a.element_ids == standing_b.element_ids
-            assert abs(standing_a.score - standing_b.score) <= 1e-9
+        config = engine_config(backend, window_length)
+        oracle = Oracle.for_config(model, config.processor)
+        with KSIREngine(model, config) as engine:
+            if backend == "service":
+                engine.register(query, query_id="standing", algorithm="mttd",
+                                epsilon=0.2)
+            for members, end_time in buckets:
+                engine.ingest_bucket(members, end_time)
+                oracle.process_bucket(members, end_time)
+            assert engine.active_count == len(oracle.window.active_ids())
+            for algorithm in ("mttd", "greedy"):
+                result = engine.query(query, algorithm=algorithm, epsilon=0.2)
+                ids, score = oracle.query(query, algorithm, 0.2)
+                assert result.element_ids == ids, algorithm
+                assert abs(result.score - score) <= 1e-9
+            if backend == "service":
+                standing = engine.result("standing").result
+                ids, score = oracle.query(query, "mttd", 0.2)
+                assert standing.element_ids == ids
+                assert abs(standing.score - score) <= 1e-9
 
     def test_ranked_lists_and_dirty_topics_match(self, tiny_dataset):
-        def replay(store):
-            config = ProcessorConfig(
-                window_length=1800,
-                bucket_length=600,
-                scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
-                store=store,
-            )
-            processor = build_processor(tiny_dataset.topic_model, config)
-            processor.process_stream(tiny_dataset.stream)
-            return processor
+        config = ProcessorConfig(
+            window_length=1800,
+            bucket_length=600,
+            scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
+        )
+        columnar = build_processor(tiny_dataset.topic_model, config)
+        columnar.process_stream(tiny_dataset.stream)
+        oracle = Oracle.for_config(tiny_dataset.topic_model, config)
+        for bucket in tiny_dataset.stream.buckets(config.bucket_length):
+            oracle.process_bucket(bucket.elements, bucket.end_time)
 
-        columnar, objects = replay("columnar"), replay("objects")
-        index_a, index_b = columnar.ranked_lists, objects.ranked_lists
-        assert index_a.element_count == index_b.element_count
-        for topic in range(index_a.num_topics):
-            items_a, items_b = index_a.items(topic), index_b.items(topic)
-            assert [e for e, _ in items_a] == [e for e, _ in items_b], topic
-            for (eid, score_a), (_, score_b) in zip(items_a, items_b):
-                assert abs(score_a - score_b) <= 1e-9, (topic, eid)
-        assert index_a.take_dirty_topics() == index_b.take_dirty_topics()
+        assert_ranked_lists_equal(columnar.ranked_lists, oracle.ranked_lists)
+        assert (
+            columnar.ranked_lists.take_dirty_topics()
+            == oracle.ranked_lists.take_dirty_topics()
+        )
         # The store's epoch stamps cover the same topics the dirty sets saw.
-        store = columnar.store
-        assert store is not None and store.epoch > 0
+        assert columnar.store.epoch > 0
         assert columnar.window.validate()
 
     def test_store_epochs_drive_the_scheduler(self):
+        """The scheduler's dirty topics come from the store's epoch stamps;
+        they equal what draining the oracle's dirty set yields per bucket."""
         model, elements = build_reference_stream(11, 24, 3, 10)
         buckets = bucketise(elements, 2)
         query = KSIRQuery(k=3, vector=np.array([1.0, 0.0, 0.0]))
-        plans = {}
-        for store in ("columnar", "objects"):
-            with KSIREngine(
-                model, engine_config("service", store, window_length=12)
-            ) as engine:
-                engine.register(query, query_id="standing")
-                service = engine.service_engine
-                plans[store] = [
-                    service.ingest_bucket(members, end_time)
-                    for members, end_time in buckets
-                ]
-        for plan_a, plan_b in zip(plans["columnar"], plans["objects"]):
-            assert plan_a.dirty_topics == plan_b.dirty_topics
-            assert plan_a.query_ids == plan_b.query_ids
+        config = engine_config("service", window_length=12)
+        oracle = Oracle.for_config(model, config.processor)
+        with KSIREngine(model, config) as engine:
+            engine.register(query, query_id="standing")
+            service = engine.service_engine
+            for members, end_time in buckets:
+                plan = service.ingest_bucket(members, end_time)
+                oracle.process_bucket(members, end_time)
+                assert plan.dirty_topics == oracle.ranked_lists.take_dirty_topics()
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +510,20 @@ class TestColumnarBackendEquivalence:
 
 
 class TestArchiveHorizon:
-    @pytest.mark.parametrize("store", ["columnar", "objects"])
-    def test_archive_windows_threads_through_config(self, store):
+    # Ids kept from when both tests also ran on the objects store.
+    @pytest.mark.parametrize("archive_windows", [2], ids=["columnar"])
+    def test_archive_windows_threads_through_config(self, archive_windows):
         model, elements = build_reference_stream(7, 30, 2, 8)
         config = ProcessorConfig(
             window_length=4, bucket_length=2, scoring=SCORING,
-            store=store, archive_windows=2,
+            archive_windows=archive_windows,
         )
         engine = KSIREngine(model, EngineConfig(processor=config))
         for members, end_time in bucketise(elements, 2):
             engine.ingest_bucket(members, end_time)
         window = engine.backend.processor.window
         horizon = window._archive_horizon  # noqa: SLF001 - white-box check
-        assert horizon == 2 * 4
+        assert horizon == archive_windows * 4
         cutoff = engine.current_time - horizon
         for element in window._archive.values():
             assert (
@@ -574,25 +534,24 @@ class TestArchiveHorizon:
     def test_invalid_archive_windows_rejected(self):
         with pytest.raises(ValueError):
             ProcessorConfig(archive_windows=0)
-        with pytest.raises(ValueError):
-            ProcessorConfig(store="mystery")
 
-    @pytest.mark.parametrize("store", ["columnar", "objects"])
-    def test_restore_prunes_archive_beyond_horizon(self, store, tmp_path):
+    @pytest.mark.parametrize("tight_windows", [1], ids=["columnar"])
+    def test_restore_prunes_archive_beyond_horizon(self, tight_windows, tmp_path):
         model, elements = build_reference_stream(13, 40, 2, 8)
         generous = ProcessorConfig(
-            window_length=4, bucket_length=2, scoring=SCORING,
-            store=store, archive_windows=8,
+            window_length=4, bucket_length=2, scoring=SCORING, archive_windows=8,
         )
         engine = KSIREngine(model, EngineConfig(processor=generous))
         for members, end_time in bucketise(elements, 2):
             engine.ingest_bucket(members, end_time)
         path = engine.save(tmp_path / "ckpt")
 
-        tight = EngineConfig(processor=replace(generous, archive_windows=1))
+        tight = EngineConfig(
+            processor=replace(generous, archive_windows=tight_windows)
+        )
         restored = KSIREngine.load(path, config=tight)
         window = restored.backend.processor.window
-        cutoff = restored.current_time - 1 * 4
+        cutoff = restored.current_time - tight_windows * 4
         stale = [
             element_id
             for element_id, element in window._archive.items()
@@ -605,7 +564,7 @@ class TestArchiveHorizon:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint v2 + v1 compatibility across store representations
+# Checkpoint v2: what the reader accepts and what it rejects by name
 # ---------------------------------------------------------------------------
 
 
@@ -631,59 +590,62 @@ class TestCheckpointCompatibility:
             assert result_a.element_ids == result_b.element_ids
             assert abs(result_a.score - result_b.score) <= 1e-9
 
-    def test_columnar_checkpoint_restores_into_objects_engine(self, tmp_path):
-        model, buckets, query = self.make_setup()
-        columnar_config = engine_config("local", "columnar", window_length=12)
-        engine = _replay_engine(model, columnar_config, buckets[:8])
-        path = engine.save(tmp_path / "ckpt")
-        assert (path / "state_arrays.npz").exists()
-
-        objects_config = engine_config("local", "objects", window_length=12)
-        restored = KSIREngine.load(path, config=objects_config)
-        for members, end_time in buckets[8:]:
-            engine.ingest_bucket(members, end_time)
-            restored.ingest_bucket(members, end_time)
-        self.assert_same_answers(engine, restored, query)
-
-    def test_objects_checkpoint_restores_into_columnar_engine(self, tmp_path):
-        model, buckets, query = self.make_setup()
-        objects_config = engine_config("local", "objects", window_length=12)
-        engine = _replay_engine(model, objects_config, buckets[:8])
-        path = engine.save(tmp_path / "ckpt")
-        assert not (path / "state_arrays.npz").exists()
-
-        columnar_config = engine_config("local", "columnar", window_length=12)
-        restored = KSIREngine.load(path, config=columnar_config)
-        for members, end_time in buckets[8:]:
-            engine.ingest_bucket(members, end_time)
-            restored.ingest_bucket(members, end_time)
-        self.assert_same_answers(engine, restored, query)
-
-    def test_v1_checkpoint_still_loads(self, tmp_path):
-        """A checkpoint downgraded to the v1 on-disk shape loads cleanly."""
-        model, buckets, query = self.make_setup()
-        objects_config = engine_config("local", "objects", window_length=12)
-        engine = _replay_engine(model, objects_config, buckets[:8])
-        path = engine.save(tmp_path / "ckpt")
-
-        # Rewrite the manifest exactly as a v1 writer produced it: version 1
-        # and no store/archive keys in the processor configuration.
+    @staticmethod
+    def edit_manifest(path, edit):
         manifest = json.loads((path / "MANIFEST.json").read_text())
-        manifest["version"] = 1
-        manifest["config"]["processor"].pop("store")
-        manifest["config"]["processor"].pop("archive_windows")
+        edit(manifest)
         (path / "MANIFEST.json").write_text(json.dumps(manifest))
 
-        restored = KSIREngine.load(path)  # defaults select the columnar store
-        assert restored.backend.processor.store is not None
+    def test_retired_config_keys_load_at_their_surviving_values(self, tmp_path):
+        """Manifests written before the objects store and the sequential
+        path were retired carry both keys; they still load and continue."""
+        model, buckets, query = self.make_setup()
+        config = engine_config("local", window_length=12)
+        engine = _replay_engine(model, config, buckets[:8])
+        path = engine.save(tmp_path / "ckpt")
+        assert (path / "state_arrays.npz").exists()
+        assert "store" not in json.loads((path / "MANIFEST.json").read_text())[
+            "config"]["processor"]
+
+        self.edit_manifest(path, lambda manifest: manifest["config"]["processor"].update(
+            store="columnar", batched_ingest=True))
+        restored = KSIREngine.load(path)
         for members, end_time in buckets[8:]:
             engine.ingest_bucket(members, end_time)
             restored.ingest_bucket(members, end_time)
         self.assert_same_answers(engine, restored, query)
+
+    @pytest.mark.parametrize(
+        "retired", [{"store": "objects"}, {"batched_ingest": False}]
+    )
+    def test_retired_config_values_are_rejected_by_name(self, retired, tmp_path):
+        model, buckets, _ = self.make_setup()
+        engine = _replay_engine(
+            model, engine_config("local", window_length=12), buckets[:4]
+        )
+        path = engine.save(tmp_path / "ckpt")
+        self.edit_manifest(
+            path, lambda manifest: manifest["config"]["processor"].update(retired)
+        )
+        (key,) = retired
+        with pytest.raises(ValueError, match=f"{key}.*retired"):
+            KSIREngine.load(path)
+
+    def test_v1_manifest_is_rejected_before_state_is_touched(self, tmp_path):
+        model, buckets, _ = self.make_setup()
+        engine = _replay_engine(
+            model, engine_config("local", window_length=12), buckets[:4]
+        )
+        path = engine.save(tmp_path / "ckpt")
+        self.edit_manifest(path, lambda manifest: manifest.update(version=1))
+        # Not even the state files are opened: corrupt them to prove it.
+        (path / "state.json").write_text("{not json")
+        with pytest.raises(CheckpointError, match="version 1"):
+            KSIREngine.load(path)
 
     def test_sharded_columnar_checkpoint_round_trip(self, tmp_path):
         model, buckets, query = self.make_setup(seed=23)
-        config = engine_config("sharded", "columnar", window_length=12)
+        config = engine_config("sharded", window_length=12)
         uninterrupted = _replay_engine(model, config, buckets)
         first = _replay_engine(model, config, buckets[:8])
         path = first.save(tmp_path / "ckpt")

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.window import ActiveWindow
 from repro.store import ColumnarWindow, ElementStore
 from tests.test_store_columnar import make_element
 
@@ -76,7 +75,7 @@ def drive(window, ops, after_step, before_insert=lambda elements: None):
                 for element_id, references, lateness in specs
             ]
             before_insert(elements)
-            if kind == "bucket" and isinstance(window, ColumnarWindow):
+            if kind == "bucket":
                 window.insert_many(elements)
             else:
                 for element in elements:
@@ -162,10 +161,8 @@ class TestFollowerView:
 WINDOW_LENGTH = 3
 
 
-def archive_window(columnar, archive_windows):
-    if columnar:
-        return ColumnarWindow(WINDOW_LENGTH, archive_windows=archive_windows, num_topics=1)
-    return ActiveWindow(WINDOW_LENGTH, archive_windows=archive_windows)
+def archive_window(archive_windows):
+    return ColumnarWindow(WINDOW_LENGTH, archive_windows=archive_windows, num_topics=1)
 
 
 def full_scan_check(window, archive_windows):
@@ -188,20 +185,17 @@ def full_scan_check(window, archive_windows):
 
 
 class TestArchiveTrim:
-    @given(ops=OPS, columnar=st.booleans(), archive_windows=st.integers(1, 2))
+    @given(ops=OPS, archive_windows=st.integers(1, 2))
     @settings(max_examples=150, deadline=None)
-    def test_archive_equals_full_scan_after_every_advance(
-        self, ops, columnar, archive_windows
-    ):
-        window = archive_window(columnar, archive_windows)
+    def test_archive_equals_full_scan_after_every_advance(self, ops, archive_windows):
+        window = archive_window(archive_windows)
         drive(window, ops, full_scan_check(window, archive_windows))
 
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_entry_kept_active_past_the_horizon_goes_when_released(self, columnar):
+    def test_entry_kept_active_past_the_horizon_goes_when_released(self):
         """References keep element 1 active after the cutoff passed its
         timestamp (its heap record is spent by then); it must leave the
         archive in the advance that releases it."""
-        window = archive_window(columnar, 1)
+        window = archive_window(1)
         ops = [("insert", (1, [], 0)), ("advance", 1)]
         for follower_id in (2, 3, 4, 5):
             ops += [("insert", (follower_id, [1], 0)), ("advance", 1)]
@@ -213,7 +207,7 @@ class TestArchiveTrim:
 
     def test_entries_change_only_through_put_and_trim(self):
         """No dict-style write can add an entry that skips the expiry heap."""
-        window = archive_window(True, 1)
+        window = archive_window(1)
         drive(window, [("insert", (1, [], 0))], lambda kind, payload: None)
         archive = window._archive
         element = archive.get(1)
