@@ -122,13 +122,12 @@ def _encode_export(
     refs: List[int] = []
 
     for position, element_id in enumerate(candidate_ids):
-        scores = index.scores_of(element_id)
-        sc_topics.extend(scores.keys())
-        sc_vals.extend(scores.values())
+        profile = processor.profile(element_id)
+        sc_topics.extend(profile.topics)
+        sc_vals.extend(index.score(topic, element_id) for topic in profile.topics)
         sc_indptr[position + 1] = len(sc_topics)
         cand_act[position] = index.last_activity(element_id)
 
-        profile = processor.profile(element_id)
         p_ts[position] = profile.timestamp
         tp_topics.extend(profile.topic_probabilities.keys())
         tp_probs.extend(profile.topic_probabilities.values())

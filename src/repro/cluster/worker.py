@@ -231,9 +231,12 @@ class ShardWorker:
                 start, stop = int(indptr[position]), int(indptr[position + 1])
                 followers[element_id] = tuple(flat[start:stop])
         for element_id in candidate_ids:
-            scores[element_id] = index.scores_of(element_id)
+            profile = profiles[element_id] = self._processor.profile(element_id)
+            # A home element's tuples sit on exactly its profile's topics.
+            scores[element_id] = {
+                topic: index.score(topic, element_id) for topic in profile.topics
+            }
             activity[element_id] = index.last_activity(element_id)
-            profiles[element_id] = self._processor.profile(element_id)
             for follower_id in followers[element_id]:
                 if follower_id not in profiles:
                     profiles[follower_id] = self._processor.profile(follower_id)

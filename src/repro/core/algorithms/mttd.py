@@ -62,11 +62,7 @@ class MTTD(KSIRAlgorithm):
         cached gain upper bounds ``Δ_e`` (initially the singleton score).
         """
         count = 0
-        while traversal.upper_bound() >= tau:
-            item = traversal.pop()
-            if item is None:
-                break
-            element_id, _stored_score = item
+        while (element_id := traversal.next_id(tau)) is not None:
             score = objective.singleton_score(element_id)
             count += 1
             if score > 0.0:

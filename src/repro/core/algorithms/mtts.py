@@ -19,7 +19,8 @@ answer, and every active element is evaluated at most once.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from bisect import bisect_right
+from typing import Dict, List, Optional
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
 from repro.core.ranked_list import RankedListIndex
@@ -67,20 +68,29 @@ class MTTS(KSIRAlgorithm):
         k: int,
         index: Optional[RankedListIndex],
     ) -> SelectionOutcome:
+        """Algorithm 2 over the merged traversal.
+
+        ``candidates`` maps grid exponent ``j`` to ``S_ϕ`` and is rebuilt
+        only when ``δ_max`` grows.  The sweep runs over the *open* (unfilled)
+        candidates, kept ascending in ``ϕ`` beside their admission
+        thresholds ``ϕ / 2k``: the candidates an element may enter are the
+        prefix whose threshold is at most ``δ(e, x)``, found by bisection
+        and evaluated in one :meth:`KSIRObjective.gains` call; a candidate
+        that fills leaves the open list, whose first threshold is ``TH``.
+        Equal-valued candidates tie to the first in ``candidates``' order.
+        """
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
         base = 1.0 + self.epsilon
 
         candidates: Dict[int, ObjectiveState] = {}
+        open_states: List[ObjectiveState] = []
+        open_thresholds: List[float] = []
         delta_max = 0.0
         threshold = 0.0  # TH: minimum admission threshold of an unfilled candidate
         retrieved = 0
 
-        while traversal.upper_bound() >= threshold:
-            item = traversal.pop()
-            if item is None:
-                break
-            element_id, _stored_score = item
+        while (element_id := traversal.next_id(threshold)) is not None:
             retrieved += 1
             score = objective.singleton_score(element_id)
 
@@ -90,26 +100,23 @@ class MTTS(KSIRAlgorithm):
                 candidates = {j: s for j, s in candidates.items() if j in valid}
                 for j in valid:
                     candidates.setdefault(j, objective.new_state())
+                open_js = sorted(j for j, s in candidates.items() if len(s.selected) < k)
+                open_states = [candidates[j] for j in open_js]
+                open_thresholds = [base**j / (2.0 * k) for j in open_js]
 
-            if candidates:
-                for j, state in candidates.items():
-                    phi = base**j
-                    admission = phi / (2.0 * k)
-                    if score < admission or len(state.selected) >= k:
-                        continue
-                    if objective.marginal_gain(element_id, state) >= admission:
-                        objective.add(element_id, state)
+            reach = bisect_right(open_thresholds, score)
+            gains = objective.gains(element_id, open_states[:reach])
+            for position in reversed(range(reach)):  # so deletions keep positions
+                if gains[position] >= open_thresholds[position]:
+                    state = open_states[position]
+                    objective.add(element_id, state)
+                    if len(state.selected) >= k:
+                        del open_states[position], open_thresholds[position]
 
-            # TH is the smallest admission threshold among unfilled candidates;
-            # when every candidate is full no further element can be admitted.
-            unfilled = [
-                base**j / (2.0 * k)
-                for j, state in candidates.items()
-                if len(state.selected) < k
-            ]
-            if candidates and not unfilled:
+            # When every candidate is full no further element can be admitted.
+            if candidates and not open_states:
                 break
-            threshold = min(unfilled) if unfilled else 0.0
+            threshold = open_thresholds[0] if open_states else 0.0
 
         best_state: Optional[ObjectiveState] = None
         for state in candidates.values():

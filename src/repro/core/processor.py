@@ -15,7 +15,7 @@ The :class:`KSIRProcessor` ties everything together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -287,6 +287,8 @@ class KSIRProcessor:
             profile_map = self._profiles
             inserts = []
             touched: Dict[int, int] = {}
+            # re-posted home id -> topics of the versions this bucket replaces
+            superseded: Dict[int, Set[int]] = {}
             # One bulk row allocation for the bucket, one fancy-indexed
             # write for the bucket's profile rows.
             touched_lists, rows = self._window.insert_many(prepared)
@@ -298,9 +300,12 @@ class KSIRProcessor:
             ):
                 element_id = element.element_id
                 timestamp = element.timestamp
+                previous = profile_map.get(element_id)
                 profile_map[element_id] = profile
                 if home_filter is None or home_filter(element_id):
                     inserts.append((profile, timestamp))
+                    if previous is not None:
+                        superseded.setdefault(element_id, set()).update(previous.topics)
                     if self._window.follower_count(element_id):
                         # Re-posted element with live followers: schedule a
                         # refresh so its tuples keep the influence component
@@ -336,6 +341,13 @@ class KSIRProcessor:
             self._index.bulk_update(
                 inserts=inserts,
                 scored_refreshes=self._columnar_refresh_entries(touched),
+                # A re-post's tuples leave the lists of the topics it dropped.
+                retired=[
+                    (topic, element_id)
+                    for element_id, topics in superseded.items()
+                    for topic in topics
+                    if topic not in profile_map[element_id].topic_probabilities
+                ],
             )
 
             removed = self._window.advance_to(end_time)

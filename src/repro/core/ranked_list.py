@@ -6,7 +6,8 @@ topic-wise representativeness score ``δ_i(e) = f_i({e})``.  The stream
 processor drives three kinds of updates:
 
 * **insert** — a new element arrives; its tuples are inserted into the lists
-  of its topics with ``δ_i(e) = λ·R_i(e)`` (no followers observed yet).
+  of its topics with ``δ_i(e) = λ·R_i(e)`` (no followers observed yet); a
+  re-post replaces the tuples of its previous version.
 * **refresh** — an active element gains a follower; its influence component
   changed, so its tuples are re-scored and repositioned.
 * **expire** — an element left the active set; its tuples are removed.
@@ -115,7 +116,8 @@ class RankedListIndex:
         return self._lists[topic].score(element_id)
 
     def scores_of(self, element_id: int) -> Dict[int, float]:
-        """All stored topic-wise scores of an element."""
+        """All stored topic-wise scores of an element (probes every list;
+        callers that hold the element's profile read its topics instead)."""
         scores: Dict[int, float] = {}
         for topic, ranked in enumerate(self._lists):
             value = ranked.get(element_id)
@@ -189,14 +191,25 @@ class RankedListIndex:
     # -- maintenance ---------------------------------------------------------------------
 
     def insert(self, profile: ElementProfile, activity_time: Optional[int] = None) -> None:
-        """Insert a new element's tuples (no followers observed yet)."""
+        """Insert a new element's tuples (no followers observed yet).
+
+        A re-post replaces its previous version: tuples on topics the new
+        profile no longer has are retired.
+        """
         with self._update_timer.measure():
+            element_id = profile.element_id
             time = profile.timestamp if activity_time is None else activity_time
-            self._last_activity[profile.element_id] = time
+            retired = [
+                topic for topic, ranked in enumerate(self._lists)
+                if element_id in ranked and topic not in profile.topic_probabilities
+            ]
+            for topic in retired:
+                self._lists[topic].remove(element_id)
+            self._last_activity[element_id] = time
             for topic in profile.topics:
                 score = self._config.lambda_weight * profile.semantic_score(topic)
-                self._lists[topic].insert(profile.element_id, score)
-            self._mark_dirty(profile.topics)
+                self._lists[topic].insert(element_id, score)
+            self._mark_dirty(retired + list(profile.topics))
 
     def refresh(
         self,
@@ -231,6 +244,7 @@ class RankedListIndex:
         inserts: Sequence[Tuple[ElementProfile, int]] = (),
         removes: Sequence[int] = (),
         scored_refreshes: Sequence[Tuple[int, Mapping[int, float], int]] = (),
+        retired: Iterable[Tuple[int, int]] = (),
     ) -> None:
         """Apply a bucket's worth of maintenance in one grouped pass.
 
@@ -246,6 +260,9 @@ class RankedListIndex:
         merge instead of one bisect-insertion per tuple.  When the same
         element appears as both an insert and a refresh, the refresh score
         wins (matching the per-element insert-then-refresh outcome).
+        ``retired`` are ``(topic, element_id)`` pairs a re-post dropped: the
+        element's tuple leaves that topic's list (and the bucket's grouped
+        scores), as :meth:`insert` does for one re-post.
         Activity times combine via ``max`` with any stored value, which is
         what the per-element discipline converges to over a bucket.
 
@@ -285,6 +302,9 @@ class RankedListIndex:
             for topic, score in scores.items():
                 per_topic[topic][element_id] = score
 
+        for topic, element_id in retired:
+            per_topic[topic].pop(element_id, None)
+            self._lists[topic].discard(element_id)
         for topic, entries in per_topic.items():
             self._lists[topic].bulk_insert(entries.items())
         self._mark_dirty(per_topic)
@@ -391,10 +411,10 @@ class RankedListIndex:
         traversal = self.traversal(query_vector)
         candidates: List[int] = []
         while budget is None or len(candidates) < budget:
-            item = traversal.pop()
-            if item is None:
+            element_id = traversal.next_id()
+            if element_id is None:
                 break
-            candidates.append(item[0])
+            candidates.append(element_id)
         return candidates
 
     def validate(self) -> bool:
@@ -411,10 +431,17 @@ class RankedListTraversal:
     * :meth:`upper_bound` — ``UB(x) = Σ_i x_i · δ_i(e^(i))`` where ``e^(i)``
       is the current unvisited front of list ``i`` (0 contribution for
       exhausted lists);
-    * :meth:`pop` — retrieve the element maximising ``x_i · δ_i(e^(i))``,
-      mark it visited in every list, advance that list's cursor and return
-      ``(element_id, δ(e, x))`` where ``δ(e, x)`` is assembled from the
-      stored topic-wise scores.
+    * :meth:`next_id` — retrieve the element maximising ``x_i · δ_i(e^(i))``
+      and mark it visited in every list, optionally only while ``UB(x)``
+      reaches a bound (one pass over the fronts for both);
+    * :meth:`pop` — the same retrieval, returned as ``(element_id, δ(e, x))``
+      with ``δ(e, x)`` assembled from the stored topic-wise scores.
+
+    Cursor invariant: between calls every unexhausted list's cursor rests on
+    a tuple whose element has not been retrieved, and its ``x_i · δ_i`` is
+    cached; a retrieval moves only the lists whose front is the retrieved
+    element.  Exhausted lists leave the merge.  The index must not change
+    while a traversal is in use.
     """
 
     def __init__(self, index: RankedListIndex, query_vector: np.ndarray) -> None:
@@ -428,74 +455,81 @@ class RankedListTraversal:
         self._topics: List[int] = [
             topic for topic, weight in enumerate(vector) if weight > 0.0
         ]
-        self._cursors: Dict[int, int] = {topic: 0 for topic in self._topics}
         self._visited: Set[int] = set()
-        self._retrieved = 0
+        # Parallel columns over the lists still in the merge, in topic order:
+        # an iterator just past the front, the query weight, and the front's
+        # element id and ``x_i · δ_i``.
+        self._iterators = [iter(index._lists[topic].entries()) for topic in self._topics]
+        self._weights = [float(vector[topic]) for topic in self._topics]
+        self._front_ids = [0] * len(self._topics)
+        self._front_values = [0.0] * len(self._topics)
+        for position in reversed(range(len(self._topics))):
+            self._advance(position)
+
+    def _advance(self, position: int) -> None:
+        """Rest one list on its next unretrieved tuple, or drop it when spent."""
+        visited = self._visited
+        for negated_score, element_id in self._iterators[position]:
+            if element_id not in visited:
+                self._front_ids[position] = element_id
+                self._front_values[position] = self._weights[position] * -negated_score
+                return
+        for column in (self._iterators, self._weights, self._front_ids, self._front_values):
+            del column[position]
 
     @property
     def retrieved_count(self) -> int:
-        """Number of elements retrieved (popped) so far."""
-        return self._retrieved
+        """Number of elements retrieved so far."""
+        return len(self._visited)
 
     @property
     def visited(self) -> Set[int]:
         """The ids retrieved so far (shared-visited rule of Section 4.1)."""
         return set(self._visited)
 
-    # -- cursor helpers ---------------------------------------------------------------
-
-    def _front(self, topic: int) -> Optional[Tuple[int, float]]:
-        """The current unvisited ``(element_id, δ_i)`` of one list."""
-        ranked = self._index._lists[topic]
-        cursor = self._cursors[topic]
-        size = len(ranked)
-        while cursor < size:
-            element_id, score = ranked.at(cursor)
-            if element_id not in self._visited:
-                self._cursors[topic] = cursor
-                return element_id, score
-            cursor += 1
-        self._cursors[topic] = cursor
-        return None
-
     def upper_bound(self) -> float:
         """``UB(x)``: an upper bound on ``δ(e, x)`` of any unretrieved element."""
         total = 0.0
-        for topic in self._topics:
-            front = self._front(topic)
-            if front is not None:
-                total += float(self._vector[topic]) * front[1]
+        for value in self._front_values:
+            total += value
         return total
 
     def exhausted(self) -> bool:
         """Whether every list has been fully traversed."""
-        return all(self._front(topic) is None for topic in self._topics)
+        return not self._front_values
 
-    def pop(self) -> Optional[Tuple[int, float]]:
-        """Retrieve the next element in descending ``x_i · δ_i`` order.
+    def next_id(self, bound: Optional[float] = None) -> Optional[int]:
+        """Retrieve the next element id in descending ``x_i · δ_i`` order.
 
-        Returns ``(element_id, δ(e, x))`` or ``None`` when every list is
-        exhausted.
+        ``None`` when every list is exhausted or — with ``bound`` — when
+        ``UB(x) < bound``, in which case nothing is retrieved.
         """
-        best_topic: Optional[int] = None
-        best_value = -1.0
-        best_element: Optional[int] = None
-        for topic in self._topics:
-            front = self._front(topic)
-            if front is None:
-                continue
-            value = float(self._vector[topic]) * front[1]
+        total, best, best_value = 0.0, -1, -1.0
+        for position, value in enumerate(self._front_values):
+            total += value
             if value > best_value:
                 best_value = value
-                best_topic = topic
-                best_element = front[0]
-        if best_topic is None or best_element is None:
+                best = position
+        if best < 0 or (bound is not None and total < bound):
             return None
+        front_ids = self._front_ids
+        element_id = front_ids[best]
+        self._visited.add(element_id)
+        # Last list first, so a spent list's removal keeps the positions ahead.
+        for position in reversed(range(len(front_ids))):
+            if front_ids[position] == element_id:
+                self._advance(position)
+        return element_id
 
-        self._visited.add(best_element)
-        self._cursors[best_topic] += 1
-        self._retrieved += 1
-        return best_element, self.stored_score(best_element)
+    def pop(self) -> Optional[Tuple[int, float]]:
+        """Retrieve the next element as ``(element_id, δ(e, x))``.
+
+        ``None`` when every list is exhausted.
+        """
+        element_id = self.next_id()
+        if element_id is None:
+            return None
+        return element_id, self.stored_score(element_id)
 
     def stored_score(self, element_id: int) -> float:
         """``δ(e, x)`` assembled from the stored topic-wise scores."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,14 @@ from repro.utils.validation import require_in_range, require_positive, require_p
 #: The per-(element, topic) positive-weight counting kernel (thresholded
 #: segmented reduce); see :mod:`repro.kernels`.
 _POSITIVE_COUNTS = get_kernel("positive_counts")
+
+
+#: Positive follower edges of one (element, topic), in follower order:
+#: ``((follower id, p_i(e ⇝ follower)), …)``.
+_Edges = Tuple[Tuple[int, float], ...]
+#: A compiled element: ``(topic, x_i, R_i(e), σ_i(·, e), edges)`` per query topic.
+_Terms = Tuple[Tuple[int, float, float, Mapping[int, float], _Edges], ...]
+_EMPTY: Dict[int, Any] = {}
 
 
 @dataclass(frozen=True)
@@ -367,11 +375,19 @@ class ProfileBuilder:
 
 
 class ScoringContext:
-    """A frozen snapshot of the active window used to answer one query.
+    """A frozen snapshot of the active window, shared by every query on it.
 
     Holds the element profiles and the in-window follower view at query time
     ``t``; the objective (and the naive evaluators used in tests) read
     everything from here so queries never mutate the live window.
+
+    What depends only on the window is computed here once per snapshot:
+    :meth:`follower_edges` memoises, for elements that have in-window
+    followers, the per-topic edges ``p_i(e ⇝ follower)``.  The memo fills
+    lazily, holds nothing for follower-less elements, never touches the
+    profile and follower maps, and dies with the snapshot (the processor
+    builds a new context after every bucket).  Filling it is idempotent —
+    threads that compile one element concurrently store equal entries.
     """
 
     def __init__(
@@ -391,6 +407,8 @@ class ScoringContext:
         }
         self._config = config
         self._time = time
+        # element id -> {topic: ((follower id, edge), ...)}; see follower_edges.
+        self._edges: Dict[int, Dict[int, _Edges]] = {}
 
     # -- accessors ---------------------------------------------------------------
 
@@ -424,6 +442,35 @@ class ScoringContext:
     def followers_of(self, element_id: int) -> Tuple[int, ...]:
         """``I_t(e)``: in-window followers of the element."""
         return self._followers.get(element_id, ())
+
+    def follower_edges(self, element_id: int) -> Mapping[int, _Edges]:
+        """``topic → ((follower, p_i(e ⇝ follower)), …)`` of an active element.
+
+        One entry per topic of the element's profile, followers in
+        :meth:`followers_of` order; followers without a profile and edges
+        that are not positive contribute to no score and are left out.
+        Empty (and not memoised) for an element without in-window followers.
+        """
+        followers = self._followers.get(element_id)
+        if not followers:
+            return _EMPTY
+        edges = self._edges.get(element_id)
+        if edges is None:
+            profiles = self._profiles
+            present = [
+                (follower_id, profiles[follower_id].topic_probabilities)
+                for follower_id in followers
+                if follower_id in profiles
+            ]
+            edges = self._edges[element_id] = {
+                topic: tuple(
+                    (follower_id, edge)
+                    for follower_id, theirs in present
+                    if (edge := probability * theirs.get(topic, 0.0)) > 0.0
+                )
+                for topic, probability in profiles[element_id].topic_probabilities.items()
+            }
+        return edges
 
     def influence_probability(self, topic: int, source_id: int, follower_id: int) -> float:
         """``p_i(e' ⇝ e) = p_i(e') · p_i(e)`` for an observed reference."""
@@ -558,6 +605,13 @@ class KSIRObjective:
     vector; it exposes singleton scores, incremental marginal gains and the
     exact set value.  Evaluations of distinct elements are counted so the
     experiment harness can reproduce Figure 10 (ratio of evaluated elements).
+
+    An element is *compiled* on its first evaluation into one term
+    ``(topic, x_i, R_i(e), σ_i(·, e), follower edges)`` per query topic it
+    has (profile lookups happen here, once per query; the edges come from
+    the context's per-window memo), and every evaluation afterwards —
+    :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`gains`,
+    :meth:`add` — is a loop over those terms and the selection state only.
     """
 
     def __init__(self, context: ScoringContext, query_vector: np.ndarray) -> None:
@@ -571,7 +625,10 @@ class KSIRObjective:
         self._query_topics: Tuple[Tuple[int, float], ...] = tuple(
             (topic, float(weight)) for topic, weight in enumerate(vector) if weight > 0.0
         )
-        self._evaluated: set = set()
+        self._lambda_weight = context.config.lambda_weight
+        self._influence_weight = context.config.influence_weight
+        # element id -> compiled terms; its keys are the evaluated elements.
+        self._compiled: Dict[int, _Terms] = {}
         self._evaluation_calls = 0
 
     # -- metadata --------------------------------------------------------------------
@@ -594,7 +651,7 @@ class KSIRObjective:
     @property
     def evaluated_elements(self) -> int:
         """Number of *distinct* elements whose score has been evaluated."""
-        return len(self._evaluated)
+        return len(self._compiled)
 
     @property
     def evaluation_calls(self) -> int:
@@ -605,25 +662,14 @@ class KSIRObjective:
 
     def singleton_score(self, element_id: int) -> float:
         """``δ(e, x) = f({e}, x)``."""
-        self._note_evaluation(element_id)
-        profile = self._context.profile(element_id)
-        config = self._context.config
+        self._evaluation_calls += 1
+        lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
         total = 0.0
-        for topic, weight in self._query_topics:
-            probability = profile.topic_probability(topic)
-            if probability <= 0.0:
-                continue
-            semantic = profile.semantic_score(topic)
+        for _topic, weight, semantic, _words, edges in self._terms(element_id):
             influence = 0.0
-            for follower_id in self._context.followers_of(element_id):
-                try:
-                    follower = self._context.profile(follower_id)
-                except KeyError:
-                    continue
-                influence += probability * follower.topic_probability(topic)
-            total += weight * (
-                config.lambda_weight * semantic + config.influence_weight * influence
-            )
+            for _follower_id, edge in edges:
+                influence += edge
+            total += weight * (lambda_weight * semantic + influence_weight * influence)
         return total
 
     def new_state(self) -> ObjectiveState:
@@ -632,11 +678,21 @@ class KSIRObjective:
 
     def marginal_gain(self, element_id: int, state: ObjectiveState) -> float:
         """``Δ(e | S) = f(S ∪ {e}, x) − f(S, x)`` without mutating ``state``."""
-        return self._gain(element_id, state, commit=False)
+        self._evaluation_calls += 1
+        return self._gain(self._terms(element_id), state, commit=False)
+
+    def gains(self, element_id: int, states: Sequence[ObjectiveState]) -> List[float]:
+        """:meth:`marginal_gain` of one element against each of ``states``."""
+        if not states:
+            return []
+        self._evaluation_calls += len(states)
+        terms = self._terms(element_id)
+        return [self._gain(terms, state, commit=False) for state in states]
 
     def add(self, element_id: int, state: ObjectiveState) -> float:
         """Add the element to the state and return its marginal gain."""
-        gain = self._gain(element_id, state, commit=True)
+        self._evaluation_calls += 1
+        gain = self._gain(self._terms(element_id), state, commit=True)
         state.selected.append(element_id)
         state.value += gain
         return gain
@@ -652,26 +708,35 @@ class KSIRObjective:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _gain(self, element_id: int, state: ObjectiveState, commit: bool) -> float:
-        self._note_evaluation(element_id)
-        profile = self._context.profile(element_id)
-        config = self._context.config
-        followers = self._context.followers_of(element_id)
-        total = 0.0
-        for topic, weight in self._query_topics:
-            probability = profile.topic_probability(topic)
-            if probability <= 0.0:
-                continue
+    def _terms(self, element_id: int) -> _Terms:
+        """The element's terms, compiled on first use (KeyError when inactive)."""
+        terms = self._compiled.get(element_id)
+        if terms is None:
+            profile = self._context.profile(element_id)
+            edges = self._context.follower_edges(element_id)
+            probabilities = profile.topic_probabilities
+            semantic, words = profile.semantic_scores, profile.word_weights
+            terms = self._compiled[element_id] = tuple([
+                (topic, weight, semantic.get(topic, 0.0), words.get(topic, _EMPTY),
+                 edges.get(topic, ()))
+                for topic, weight in self._query_topics
+                if probabilities.get(topic, 0.0) > 0.0
+            ])
+        return terms
 
-            covered = state.covered_words.get(topic)
-            semantic_gain = 0.0
-            topic_weights = profile.word_weights.get(topic, {})
+    def _gain(self, terms: _Terms, state: ObjectiveState, commit: bool) -> float:
+        lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
+        covered_words = state.covered_words
+        total = 0.0
+        for topic, weight, semantic, words, edges in terms:
+            covered = covered_words.get(topic)
             if covered is None:
-                semantic_gain = profile.semantic_score(topic)
-                if commit and topic_weights:
-                    state.covered_words[topic] = dict(topic_weights)
+                semantic_gain = semantic
+                if commit and words:
+                    covered_words[topic] = dict(words)
             else:
-                for word_id, sigma in topic_weights.items():
+                semantic_gain = 0.0
+                for word_id, sigma in words.items():
                     previous = covered.get(word_id, 0.0)
                     if sigma > previous:
                         semantic_gain += sigma - previous
@@ -679,32 +744,23 @@ class KSIRObjective:
                             covered[word_id] = sigma
 
             influence_gain = 0.0
-            if followers:
+            if edges:
                 remaining_map = state.remaining_influence.get(topic)
-                for follower_id in followers:
-                    try:
-                        follower = self._context.profile(follower_id)
-                    except KeyError:
-                        continue
-                    edge = probability * follower.topic_probability(topic)
-                    if edge <= 0.0:
-                        continue
-                    remaining = 1.0
-                    if remaining_map is not None:
+                if commit:
+                    if remaining_map is None:
+                        remaining_map = state.remaining_influence[topic] = {}
+                    for follower_id, edge in edges:
                         remaining = remaining_map.get(follower_id, 1.0)
-                    influence_gain += edge * remaining
-                    if commit:
-                        if remaining_map is None:
-                            remaining_map = {}
-                            state.remaining_influence[topic] = remaining_map
+                        influence_gain += edge * remaining
                         remaining_map[follower_id] = remaining * (1.0 - edge)
+                elif remaining_map is None:
+                    for _follower_id, edge in edges:
+                        influence_gain += edge
+                else:
+                    for follower_id, edge in edges:
+                        influence_gain += edge * remaining_map.get(follower_id, 1.0)
 
             total += weight * (
-                config.lambda_weight * semantic_gain
-                + config.influence_weight * influence_gain
+                lambda_weight * semantic_gain + influence_weight * influence_gain
             )
         return total
-
-    def _note_evaluation(self, element_id: int) -> None:
-        self._evaluated.add(element_id)
-        self._evaluation_calls += 1

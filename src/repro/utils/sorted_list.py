@@ -166,6 +166,11 @@ class DescendingSortedList:
         neg_score, key = self._entries[rank]
         return key, -neg_score
 
+    def entries(self) -> List[Tuple[float, Hashable]]:
+        """The internal ``(-score, key)`` list, ascending, for read-only
+        cursors; valid until the list is next mutated."""
+        return self._entries
+
     def keys(self) -> List[Hashable]:
         """All keys in descending score order."""
         return [key for _neg, key in self._entries]

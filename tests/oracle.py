@@ -8,12 +8,21 @@ checkpoints, no timers, a full-scan archive — and shares with production
 only the value types (``SocialElement``, ``WindowPolicy``, ``KSIRQuery``),
 the per-element primitives (``ProfileBuilder.build``,
 ``RankedListIndex.insert / refresh / remove``), ``ScoringContext`` /
-``KSIRObjective`` and the solvers.
+``KSIRObjective`` and the solvers.  A re-post is a new version of its
+element by definition: ``insert`` replaces every tuple of the previous one,
+so nothing stays on the list of a topic the new version dropped.
+
+The second half is the reference of the *query* path: the objective, the
+ranked-list traversal and MTTS written out call by call, importing nothing
+of production's compiled forms (``tests/test_query_path.py``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.algorithms import resolve_algorithm
 from repro.core.element import SocialElement
@@ -22,6 +31,7 @@ from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import (
     ElementProfile,
     KSIRObjective,
+    ObjectiveState,
     ProfileBuilder,
     ScoringConfig,
     ScoringContext,
@@ -241,3 +251,207 @@ class Oracle:
         index = self.ranked_lists if solver.requires_index else None
         outcome = solver.select(objective, query.k, index=index)
         return outcome.element_ids, outcome.value
+
+
+# ---------------------------------------------------------------------------
+# The query path, written out call by call
+# ---------------------------------------------------------------------------
+#
+# Production compiles an element once per query, memoises follower edges per
+# window, caches the traversal's fronts and sweeps MTTS's candidates by
+# bisection.  These are the straightforward renderings it must equal bit for
+# bit: every gain re-derives its inputs from the context, every front is
+# re-read from the list, every candidate is visited for every element.
+
+
+class ReferenceObjective:
+    """``f(·, x)`` with each evaluation derived from the context's maps."""
+
+    def __init__(self, context: ScoringContext, query_vector) -> None:
+        self.context = context
+        self.query_vector = np.asarray(query_vector, dtype=float)
+        self.query_topics = tuple(
+            (topic, float(weight))
+            for topic, weight in enumerate(self.query_vector)
+            if weight > 0.0
+        )
+        self.evaluated: Set[int] = set()
+        self.evaluation_calls = 0
+
+    @property
+    def evaluated_elements(self) -> int:
+        return len(self.evaluated)
+
+    def new_state(self) -> ObjectiveState:
+        return ObjectiveState()
+
+    def _note(self, element_id: int) -> None:
+        self.evaluated.add(element_id)
+        self.evaluation_calls += 1
+
+    def singleton_score(self, element_id: int) -> float:
+        self._note(element_id)
+        profile = self.context.profile(element_id)
+        config = self.context.config
+        total = 0.0
+        for topic, weight in self.query_topics:
+            probability = profile.topic_probability(topic)
+            if probability <= 0.0:
+                continue
+            influence = 0.0
+            for follower_id in self.context.followers_of(element_id):
+                if follower_id in self.context:
+                    follower = self.context.profile(follower_id)
+                    influence += probability * follower.topic_probability(topic)
+            total += weight * (
+                config.lambda_weight * profile.semantic_score(topic)
+                + config.influence_weight * influence
+            )
+        return total
+
+    def marginal_gain(self, element_id: int, state: ObjectiveState) -> float:
+        return self._gain(element_id, state, commit=False)
+
+    def add(self, element_id: int, state: ObjectiveState) -> float:
+        gain = self._gain(element_id, state, commit=True)
+        state.selected.append(element_id)
+        state.value += gain
+        return gain
+
+    def _gain(self, element_id: int, state: ObjectiveState, commit: bool) -> float:
+        self._note(element_id)
+        profile = self.context.profile(element_id)
+        config = self.context.config
+        total = 0.0
+        for topic, weight in self.query_topics:
+            probability = profile.topic_probability(topic)
+            if probability <= 0.0:
+                continue
+            covered = state.covered_words.get(topic)
+            topic_weights = profile.word_weights.get(topic, {})
+            semantic_gain = 0.0
+            if covered is None:
+                semantic_gain = profile.semantic_score(topic)
+                if commit and topic_weights:
+                    state.covered_words[topic] = dict(topic_weights)
+            else:
+                for word_id, sigma in topic_weights.items():
+                    previous = covered.get(word_id, 0.0)
+                    if sigma > previous:
+                        semantic_gain += sigma - previous
+                        if commit:
+                            covered[word_id] = sigma
+            influence_gain = 0.0
+            remaining_map = state.remaining_influence.get(topic)
+            for follower_id in self.context.followers_of(element_id):
+                if follower_id not in self.context:
+                    continue
+                follower = self.context.profile(follower_id)
+                edge = probability * follower.topic_probability(topic)
+                if edge <= 0.0:
+                    continue
+                remaining = 1.0
+                if remaining_map is not None:
+                    remaining = remaining_map.get(follower_id, 1.0)
+                influence_gain += edge * remaining
+                if commit:
+                    if remaining_map is None:
+                        remaining_map = state.remaining_influence[topic] = {}
+                    remaining_map[follower_id] = remaining * (1.0 - edge)
+            total += weight * (
+                config.lambda_weight * semantic_gain
+                + config.influence_weight * influence_gain
+            )
+        return total
+
+
+class ReferenceTraversal:
+    """The d-way merge of Section 4.1 with every front re-read per call."""
+
+    def __init__(self, index: RankedListIndex, query_vector) -> None:
+        self.vector = np.asarray(query_vector, dtype=float)
+        self.topics = [t for t, weight in enumerate(self.vector) if weight > 0.0]
+        self.lists = {topic: index.items(topic) for topic in self.topics}
+        self.cursors = {topic: 0 for topic in self.topics}
+        self.visited: Set[int] = set()
+
+    def _front(self, topic: int) -> Optional[Tuple[int, float]]:
+        ranked = self.lists[topic]
+        while self.cursors[topic] < len(ranked):
+            element_id, score = ranked[self.cursors[topic]]
+            if element_id not in self.visited:
+                return element_id, score
+            self.cursors[topic] += 1
+        return None
+
+    def upper_bound(self) -> float:
+        total = 0.0
+        for topic in self.topics:
+            front = self._front(topic)
+            if front is not None:
+                total += float(self.vector[topic]) * front[1]
+        return total
+
+    def exhausted(self) -> bool:
+        return all(self._front(topic) is None for topic in self.topics)
+
+    def pop(self) -> Optional[int]:
+        best_topic, best_value, best_element = None, -1.0, None
+        for topic in self.topics:
+            front = self._front(topic)
+            if front is None:
+                continue
+            value = float(self.vector[topic]) * front[1]
+            if value > best_value:
+                best_topic, best_value, best_element = topic, value, front[0]
+        if best_topic is None:
+            return None
+        self.visited.add(best_element)
+        self.cursors[best_topic] += 1
+        return best_element
+
+
+def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
+    """Algorithm 2, every candidate visited for every retrieved element.
+
+    Returns ``(selected ids, value, evaluated elements, extras)``.
+    """
+    traversal = ReferenceTraversal(index, objective.query_vector)
+    base = 1.0 + epsilon
+    candidates: Dict[int, ObjectiveState] = {}
+    delta_max = threshold = 0.0
+    retrieved = 0
+    while traversal.upper_bound() >= threshold:
+        element_id = traversal.pop()
+        if element_id is None:
+            break
+        retrieved += 1
+        score = objective.singleton_score(element_id)
+        if score > delta_max:
+            delta_max = score
+            low = math.ceil(math.log(delta_max, base) - 1e-12)
+            high = math.floor(math.log(2.0 * k * delta_max, base) + 1e-12)
+            valid = set(range(low, high + 1))
+            candidates = {j: s for j, s in candidates.items() if j in valid}
+            for j in valid:
+                candidates.setdefault(j, objective.new_state())
+        for j, state in candidates.items():
+            admission = base**j / (2.0 * k)
+            if score < admission or len(state.selected) >= k:
+                continue
+            if objective.marginal_gain(element_id, state) >= admission:
+                objective.add(element_id, state)
+        unfilled = [
+            base**j / (2.0 * k) for j, s in candidates.items() if len(s.selected) < k
+        ]
+        if candidates and not unfilled:
+            break
+        threshold = min(unfilled) if unfilled else 0.0
+    best = None
+    for state in candidates.values():
+        if best is None or state.value > best.value:
+            best = state
+    if best is None:
+        best = objective.new_state()
+    extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
+    return tuple(best.selected), best.value, objective.evaluated_elements, extras

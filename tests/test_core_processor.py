@@ -360,6 +360,38 @@ class TestBatchedEqualsSequentialAnswers:
         assert reactivated > 20
 
 
+class TestRepostDropsATopic:
+    def test_stale_tuples_leave_with_the_old_version(self, paper_topic_model):
+        """Versions of element 1: topics {0,1}, then — in one later bucket —
+        {0} and {1}.  Only the last version's tuples stay; its follower keeps
+        scoring it; topic 0 is marked dirty for the tuple that left."""
+        config = ProcessorConfig(window_length=10, bucket_length=1, scoring=PAPER_SCORING)
+        processor = build_processor(paper_topic_model, config)
+        oracle = Oracle.for_config(paper_topic_model, config)
+
+        def post(element_id, time, distribution, references=()):
+            return SocialElement(
+                element_id=element_id, timestamp=time, tokens=("final", "champion"),
+                references=references, topic_distribution=distribution,
+            )
+
+        buckets = [
+            ([post(1, 1, [0.5, 0.5])], 1),
+            ([post(2, 2, [0.5, 0.5], references=(1,))], 2),
+            ([post(1, 3, [1.0, 0.0]), post(1, 3, [0.0, 1.0])], 3),
+        ]
+        for members, end_time in buckets:
+            processor.ranked_lists.take_dirty_topics()
+            processor.process_bucket(members, end_time)
+            oracle.process_bucket(members, end_time)
+        index = processor.ranked_lists
+        assert index.scores_of(1).keys() == {1}
+        assert index.take_dirty_topics() == (0, 1)
+        assert index.score(1, 1) == pytest.approx(oracle.ranked_lists.score(1, 1), abs=1e-12)
+        assert index.score(1, 1) > PAPER_SCORING.lambda_weight * processor.profile(1).semantic_score(1)
+        assert [e for e, _ in index.items(0)] == [e for e, _ in oracle.ranked_lists.items(0)] == [2]
+
+
 class TestParentReactivation:
     """The re-activation branch of process_bucket (Algorithm 1).
 

@@ -106,6 +106,43 @@ class TestRankedListMaintenance:
         assert build_paper_index(until_time=8).validate()
 
 
+class TestRepostDropsATopic:
+    """A re-post replaces its previous version: tuples on the topics the new
+    version no longer has leave those lists, per element and per bucket."""
+
+    @staticmethod
+    def version(topics):
+        from repro.core.scoring import ElementProfile
+
+        return ElementProfile(
+            7, 1, {t: 0.5 for t in topics}, {t: {t: 0.2} for t in topics},
+            {t: 0.2 for t in topics}, (),
+        )
+
+    def test_insert_retires_the_dropped_topics(self):
+        index = RankedListIndex(3, PAPER_SCORING)
+        index.insert(self.version([0, 1]))
+        index.take_dirty_topics()
+        index.insert(self.version([1, 2]))
+        assert index.scores_of(7).keys() == {1, 2}
+        assert index.take_dirty_topics() == (0, 1, 2)
+        assert index.validate()
+
+    def test_bulk_update_retires_after_grouping_the_bucket(self):
+        """Two re-posts in one bucket: the first one's tuple on a topic the
+        second drops never reaches the list."""
+        index = RankedListIndex(3, PAPER_SCORING)
+        index.bulk_update(inserts=[(self.version([0, 1]), 1)])
+        index.take_dirty_topics()
+        index.bulk_update(
+            inserts=[(self.version([0]), 2), (self.version([2]), 3)],
+            retired=[(0, 7), (1, 7)],
+        )
+        assert index.scores_of(7).keys() == {2}
+        assert index.take_dirty_topics() == (0, 1, 2)
+        assert index.last_activity(7) == 3 and index.validate()
+
+
 class TestTraversal:
     def test_rejects_wrong_vector_shape(self):
         index = build_paper_index()

@@ -1,0 +1,522 @@
+"""The compiled query path equals its written-out references, bit for bit.
+
+Production compiles an element once per query (:class:`KSIRObjective`),
+memoises follower edges once per window (:meth:`ScoringContext.follower_edges`),
+keeps the traversal's fronts cached (:class:`RankedListTraversal`) and sweeps
+MTTS's open candidates by bisection.  None of that may change a single bit of
+an answer, so every comparison below is ``==`` on floats:
+
+* against the call-by-call references in :mod:`tests.oracle`, on random
+  contexts and indexes drawn to hit the awkward cases;
+* against a recorded run of the parent commit (``recorded_answers.json``) —
+  six algorithms after every bucket, three execution backends;
+* plus the contract of the per-window memo.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import EngineConfig, KSIREngine, ServiceConfig
+from repro.cluster import ClusterConfig
+from repro.core.algorithms import MTTS
+from repro.core.element import SocialElement
+from repro.core.processor import ProcessorConfig
+from repro.core.query import KSIRQuery
+from repro.core.ranked_list import RankedListIndex
+from repro.core.scoring import (
+    ElementProfile,
+    KSIRObjective,
+    ScoringConfig,
+    ScoringContext,
+)
+from tests.check_e2e_counts import differences, float_environment
+from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
+from tests.oracle import ReferenceObjective, ReferenceTraversal, reference_mtts
+from tests.test_store_columnar import bucketise
+
+SCORING = ScoringConfig(lambda_weight=0.4, eta=3.0)
+NUM_TOPICS = 4
+
+
+# ---------------------------------------------------------------------------
+# Random contexts and indexes
+# ---------------------------------------------------------------------------
+
+#: Few distinct values, so edges, gains and list scores tie often; 0.0 is a
+#: probability a hand-built (or merged) profile may carry.
+PROBABILITY = st.sampled_from([0.0, 0.125, 0.25, 0.3, 0.5, 0.7])
+SIGMA = st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.35])
+
+
+@st.composite
+def profiles(draw, element_id):
+    """A full profile, or one stripped to its probabilities (what the shm
+    transport ships for a follower that is not itself a candidate)."""
+    probabilities = draw(
+        st.dictionaries(st.integers(0, NUM_TOPICS - 1), PROBABILITY, max_size=NUM_TOPICS)
+    )
+    probabilities = dict(sorted(probabilities.items()))
+    words, semantic = {}, {}
+    if not draw(st.booleans()):  # not stripped
+        for topic in probabilities:
+            if draw(st.integers(0, 4)) == 0:
+                continue  # a topic without word and semantic entries
+            words[topic] = draw(st.dictionaries(st.integers(0, 5), SIGMA, max_size=4))
+            semantic[topic] = sum(words[topic].values())
+    return ElementProfile(element_id, 1, probabilities, words, semantic, ())
+
+
+@st.composite
+def contexts(draw):
+    count = draw(st.integers(1, 7))
+    profile_map = {eid: draw(profiles(eid)) for eid in range(count)}
+    # Ids 7..9 have no profile: followers missing from the profile map.
+    followers = {
+        eid: tuple(draw(st.lists(st.integers(0, 9), max_size=4, unique=True)))
+        for eid in range(count)
+        if draw(st.booleans())
+    }
+    return ScoringContext(profile_map, followers, SCORING, time=1)
+
+
+QUERY_VECTORS = st.lists(
+    st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0]), min_size=NUM_TOPICS, max_size=NUM_TOPICS
+).map(np.array)
+
+
+@st.composite
+def indexes(draw):
+    """Ranked lists with tied scores and ids present on several lists."""
+    index = RankedListIndex(NUM_TOPICS, SCORING)
+    for element_id in range(draw(st.integers(0, 10))):
+        scores = draw(
+            st.dictionaries(
+                st.integers(0, NUM_TOPICS - 1),
+                st.sampled_from([0.0, 0.1, 0.1, 0.25, 0.5, 0.75]),
+                min_size=1,
+            )
+        )
+        index.insert_scores(element_id, scores, activity_time=1)
+    return index
+
+
+class TestCompiledObjectiveEqualsReference:
+    @given(
+        context=contexts(),
+        vector=QUERY_VECTORS,
+        steps=st.lists(
+            st.tuples(st.sampled_from(["singleton", "gain", "add"]), st.integers(0, 6)),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_sequence_of_evaluations(self, context, vector, steps):
+        ours, theirs = KSIRObjective(context, vector), ReferenceObjective(context, vector)
+        our_state, their_state = ours.new_state(), theirs.new_state()
+        for operation, element_id in steps:
+            if element_id not in context:
+                continue
+            if operation == "singleton":
+                assert ours.singleton_score(element_id) == theirs.singleton_score(element_id)
+            elif operation == "gain":
+                gain = theirs.marginal_gain(element_id, their_state)
+                assert ours.marginal_gain(element_id, our_state) == gain
+                assert ours.gains(element_id, [our_state, ours.new_state()]) == [
+                    theirs.marginal_gain(element_id, their_state),
+                    theirs.marginal_gain(element_id, theirs.new_state()),
+                ]
+            else:
+                assert ours.add(element_id, our_state) == theirs.add(element_id, their_state)
+            assert our_state == their_state
+            assert ours.evaluation_calls == theirs.evaluation_calls
+            assert ours.evaluated_elements == theirs.evaluated_elements
+
+    def test_gains_of_no_states_evaluates_nothing(self, paper_context):
+        objective = KSIRObjective(paper_context, np.array([0.5, 0.5]))
+        assert objective.gains(3, []) == []
+        assert (objective.evaluation_calls, objective.evaluated_elements) == (0, 0)
+
+    def test_inactive_element_is_a_key_error(self, paper_context):
+        objective = KSIRObjective(paper_context, np.array([0.5, 0.5]))
+        with pytest.raises(KeyError):
+            objective.singleton_score(99)
+
+
+class TestTraversalEqualsReference:
+    @given(index=indexes(), vector=QUERY_VECTORS, bounds=st.lists(
+        st.sampled_from([None, 0.0, 0.05, 0.2, 0.6]), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_same_ids_and_upper_bounds(self, index, vector, bounds):
+        ours, theirs = index.traversal(vector), ReferenceTraversal(index, vector)
+        for bound in bounds:
+            upper = theirs.upper_bound()
+            assert ours.upper_bound() == upper
+            assert ours.exhausted() == theirs.exhausted()
+            if bound is not None and upper < bound:
+                assert ours.next_id(bound) is None  # and nothing is retrieved
+                continue
+            expected = theirs.pop()
+            if bound is None:
+                item = ours.pop()
+                retrieved = None if item is None else item[0]
+                if item is not None:
+                    assert item[1] == ours.stored_score(retrieved)
+            else:
+                retrieved = ours.next_id(bound)
+            assert retrieved == expected
+            assert ours.visited == theirs.visited
+            assert ours.retrieved_count == len(theirs.visited)
+
+    @given(index=indexes(), vector=QUERY_VECTORS, budget=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_top_candidates_is_the_pop_order(self, index, vector, budget):
+        reference = ReferenceTraversal(index, vector)
+        expected = []
+        while len(expected) < budget and (element_id := reference.pop()) is not None:
+            expected.append(element_id)
+        assert index.top_candidates(vector, budget) == expected
+        assert index.top_candidates(vector)[:budget] == expected
+
+
+def small_window(seed, reposts=False):
+    """A processor mid-stream: short window, live followers, re-activation."""
+    model, elements = build_reference_stream(seed, 40, 3, 8)
+    config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+    processor = build_processor(model, config)
+    for members, end_time in bucketise(elements, 4):
+        processor.process_bucket(members, end_time)
+    return processor
+
+
+class RecordingStates:
+    """Wraps an objective's ``new_state`` to keep every state it hands out."""
+
+    def __init__(self, objective):
+        self.states = []
+        create = objective.new_state
+
+        def new_state():
+            self.states.append(create())
+            return self.states[-1]
+
+        objective.new_state = new_state
+
+
+class TestMTTSEqualsReference:
+    @given(
+        seed=st.integers(0, 200),
+        k=st.integers(1, 6),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3, 0.7]),
+        topics=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+        equal_weights=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_candidates_winner_and_extras(
+        self, seed, k, epsilon, topics, equal_weights
+    ):
+        processor = small_window(seed)
+        rng = np.random.default_rng(seed)
+        vector = np.zeros(3)
+        vector[topics] = 1.0 if equal_weights else rng.uniform(0.2, 1.0, len(topics))
+        context, index = processor.snapshot(), processor.ranked_lists
+
+        ours = KSIRObjective(context, vector)
+        theirs = ReferenceObjective(context, vector)
+        our_states, their_states = RecordingStates(ours), RecordingStates(theirs)
+        outcome = MTTS(epsilon).select(ours, k, index=index)
+        ids, value, evaluated, extras = reference_mtts(theirs, index, k, epsilon)
+
+        # S_ϕ of every candidate ever opened, in the order they were opened.
+        assert [s.selected for s in our_states.states] == [
+            s.selected for s in their_states.states
+        ]
+        assert [s.value for s in our_states.states] == [s.value for s in their_states.states]
+        assert (outcome.element_ids, outcome.value) == (ids, value)
+        assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
+        assert ours.evaluation_calls == theirs.evaluation_calls
+
+    def test_equal_valued_candidates_keep_their_winner(self):
+        """Duplicate elements give candidates with equal values and different
+        members; the first such candidate in grid order wins, as it did."""
+        weights = {0: {1: 0.3, 2: 0.2}}
+        profile_map = {
+            eid: ElementProfile(eid, 1, {0: 0.5}, weights, {0: 0.5}, ())
+            for eid in range(6)
+        }
+        profile_map[6] = ElementProfile(6, 1, {0: 0.5}, {0: {3: 0.45}}, {0: 0.45}, ())
+        context = ScoringContext(profile_map, {}, SCORING, time=1)
+        index = RankedListIndex(1, SCORING)
+        for profile in profile_map.values():
+            index.insert(profile)
+        vector = np.array([1.0])
+        for k in (1, 2, 3):
+            ours, theirs = KSIRObjective(context, vector), ReferenceObjective(context, vector)
+            outcome = MTTS(0.3).select(ours, k, index=index)
+            ids, value, evaluated, extras = reference_mtts(theirs, index, k, 0.3)
+            assert (outcome.element_ids, outcome.value) == (ids, value)
+            assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
+
+
+# ---------------------------------------------------------------------------
+# A recorded run of the parent commit
+# ---------------------------------------------------------------------------
+
+RECORDED = Path(__file__).with_name("recorded_answers.json")
+ALGORITHMS = ("mtts", "mttd", "celf", "greedy", "sieve", "topk")
+SEEDS = range(30)
+
+
+def reposting_stream(seed):
+    """``build_reference_stream`` with a quarter of the arrivals re-posting an
+    earlier id under the topic support that id already has (a re-post that
+    drops a topic is answered differently since the stale-tuple fix)."""
+    model, base = build_reference_stream(seed, 48, 3, 8)
+    rng = np.random.default_rng(seed + 1000)
+    threshold = PAPER_SCORING.topic_threshold
+    support = {}
+    elements = []
+    for position, element in enumerate(base):
+        element_id = element.element_id
+        topics = tuple(np.nonzero(element.topic_distribution > threshold)[0])
+        if position > 4 and rng.random() < 0.25:
+            target = int(rng.integers(0, position))
+            if support.get(target) == topics:
+                element_id = target
+        support[element_id] = topics
+        elements.append(
+            SocialElement(
+                element_id=element_id,
+                timestamp=element.timestamp,
+                tokens=element.tokens,
+                references=tuple(r for r in element.references if r != element_id),
+                topic_distribution=element.topic_distribution,
+            )
+        )
+    return model, elements
+
+
+def answers_digest(kind, backend, seed):
+    """SHA-256 over ``(ids, repr(score), evaluated_elements, extras)`` of all
+    six algorithms after every bucket of one stream on one backend."""
+    if kind == "plain":
+        model, elements = build_reference_stream(seed, 48, 3, 8)
+    else:
+        model, elements = reposting_stream(seed)
+    processor = ProcessorConfig(
+        window_length=10, bucket_length=4, scoring=PAPER_SCORING, archive_windows=3
+    )
+    rng = np.random.default_rng(seed)
+    queries = [
+        KSIRQuery(k=int(rng.integers(1, 6)), vector=rng.dirichlet(np.full(3, 0.6)))
+        for _ in range(len(elements))
+    ]
+    digest = hashlib.sha256()
+
+    def note(result):
+        digest.update(
+            json.dumps(
+                [list(result.element_ids), repr(result.score), result.evaluated_elements,
+                 sorted(result.extras.items())]
+            ).encode()
+        )
+
+    if backend == "service":
+        config = EngineConfig(
+            backend="service", processor=processor, service=ServiceConfig(max_workers=2)
+        )
+    elif backend == "sharded":
+        config = EngineConfig(
+            backend="sharded", processor=processor,
+            cluster=ClusterConfig(num_shards=3, backend="serial"),
+        )
+    else:
+        config = EngineConfig(processor=processor)
+    with KSIREngine(model, config) as engine:
+        if backend == "service":
+            for algorithm in ALGORITHMS:
+                engine.register(queries[0], algorithm=algorithm, query_id=algorithm)
+        for position, (members, end_time) in enumerate(bucketise(elements, 4)):
+            engine.ingest_bucket(members, end_time)
+            for algorithm in ALGORITHMS:
+                if backend == "service":
+                    note(engine.results()[algorithm].result)
+                else:
+                    note(engine.query(queries[position], algorithm=algorithm))
+    return digest.hexdigest()[:20]
+
+
+@pytest.mark.parametrize("backend", ["local", "sharded", "service"])
+@pytest.mark.parametrize("kind", ["plain", "reposting"])
+def test_answers_equal_the_recorded_parent_run(kind, backend):
+    recorded = json.loads(RECORDED.read_text())
+    if recorded["float_environment"] != float_environment():
+        pytest.skip(
+            f"recorded under {recorded['float_environment']!r}, "
+            f"running under {float_environment()!r}: profile sums differ in the last bit"
+        )
+    digests = [answers_digest(kind, backend, seed) for seed in SEEDS]
+    assert digests == recorded[f"{kind}/{backend}"].split()
+
+
+def test_smoke_count_check_names_what_moved():
+    """CI's perf-smoke gate (``tests/check_e2e_counts.py``) on a made-up report."""
+    recorded = json.loads(RECORDED.with_name("e2e_counts.json").read_text())
+    recorded["float_environment"] = float_environment()
+    report = {
+        "smoke": True,
+        "seed": 2019,
+        "workloads": {w: {"per_layer": dict(c)} for w, c in recorded["counts"].items()},
+    }
+    assert differences(recorded, report) == []
+    report["workloads"]["query_mixed"]["per_layer"]["core.eval_ratio"] += 0.01
+    report["workloads"]["ingest_vec"]["per_layer"]["core.snapshot_calls"] += 1
+    moved = differences(recorded, report)
+    assert len(moved) == 2 and moved[0].startswith("query_mixed core.eval_ratio")
+    # Elsewhere than where it was recorded, only the float-free counts bind.
+    recorded["float_environment"] = "another"
+    assert differences(recorded, report) == [moved[1]]
+    with pytest.raises(SystemExit):
+        differences(recorded, dict(report, smoke=False))
+
+
+# ---------------------------------------------------------------------------
+# The per-window memo
+# ---------------------------------------------------------------------------
+
+
+class TestFollowerEdgeMemo:
+    def exercise(self, processor, algorithms=("mtts", "mttd", "celf")):
+        rng = np.random.default_rng(5)
+        for algorithm in algorithms:
+            processor.query(KSIRQuery(k=4, vector=rng.dirichlet(np.ones(3))), algorithm=algorithm)
+
+    def test_holds_only_elements_with_in_window_followers(self):
+        processor = small_window(3)
+        context = processor.snapshot()
+        assert context._edges == {}
+        self.exercise(processor)
+        assert context._edges  # the queries did go through it
+        for element_id, edges in context._edges.items():
+            assert context.followers_of(element_id)
+            assert set(edges) == set(context.profile(element_id).topics)
+        lonely = [e for e in context.active_ids if not context.followers_of(e)]
+        assert lonely and all(context.follower_edges(e) == {} for e in lonely)
+        assert not set(lonely) & set(context._edges)
+
+    def test_edges_are_the_positive_profiled_products(self):
+        processor = small_window(4)
+        context = processor.snapshot()
+        for element_id in context.active_ids:
+            for topic, edges in context.follower_edges(element_id).items():
+                assert list(edges) == [
+                    (f, context.influence_probability(topic, element_id, f))
+                    for f in context.followers_of(element_id)
+                    if context.influence_probability(topic, element_id, f) > 0.0
+                ]
+
+    def test_next_bucket_starts_from_an_empty_memo(self):
+        model, elements = build_reference_stream(6, 40, 3, 8)
+        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+        processor = build_processor(model, config)
+        buckets = bucketise(elements, 4)
+        for members, end_time in buckets[:-1]:
+            processor.process_bucket(members, end_time)
+        before = processor.snapshot()
+        self.exercise(processor)
+        assert before._edges and processor.snapshot() is before
+        held = {e: dict(edges) for e, edges in before._edges.items()}
+        processor.process_bucket(*buckets[-1])
+        after = processor.snapshot()
+        assert after is not before and after._edges == {}
+        assert before._edges == held  # the old snapshot keeps answering as it did
+
+    def test_never_changes_the_observable_maps(self):
+        processor = small_window(7)
+        context = processor.snapshot()
+        observed = lambda: (  # noqa: E731
+            context.active_ids,
+            {e: context.followers_of(e) for e in context.active_ids},
+            {e: context.profile(e) for e in context.active_ids},
+            context.active_count,
+        )
+        before = observed()
+        self.exercise(processor, ALGORITHMS)
+        assert observed() == before
+        assert all(context.profile(e) is processor.profile(e) for e in context.active_ids)
+
+    def test_counters_keep_their_meaning(self):
+        """One call per evaluation, one element per distinct id — compiled,
+        memoised or neither (``core.eval_ratio`` is built on these)."""
+        processor = small_window(8)
+        context = processor.snapshot()
+        followed = next(e for e in context.active_ids if context.followers_of(e))
+        objective = KSIRObjective(context, np.ones(3))
+        state = objective.new_state()
+        objective.singleton_score(followed)
+        objective.gains(followed, [state, objective.new_state()])
+        objective.add(followed, state)
+        assert (objective.evaluation_calls, objective.evaluated_elements) == (4, 1)
+        # A second query on the warm memo counts exactly as the first did.
+        results = [processor.query(KSIRQuery(k=3, vector=np.ones(3) / 3), algorithm="mtts")
+                   for _ in range(2)]
+        assert results[0].evaluated_elements == results[1].evaluated_elements
+        assert results[0].extras == results[1].extras
+
+    def test_threads_compiling_the_same_elements_leave_equal_entries(self):
+        processor = small_window(9)
+        context = processor.snapshot()
+        expected = ScoringContext(
+            {e: context.profile(e) for e in context.active_ids},
+            {e: context.followers_of(e) for e in context.active_ids},
+            PAPER_SCORING,
+        )
+        scores = {e: KSIRObjective(expected, np.ones(3)).singleton_score(e)
+                  for e in expected.active_ids}
+        failures = []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    context._edges.clear()  # force every thread to refill
+                    objective = KSIRObjective(context, np.ones(3))
+                    for element_id in context.active_ids:
+                        if objective.singleton_score(element_id) != scores[element_id]:
+                            failures.append(element_id)
+            except Exception as error:  # pragma: no cover - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for element_id in context.active_ids:
+            assert context.follower_edges(element_id) == expected.follower_edges(element_id)
+
+
+if __name__ == "__main__":
+    # Re-record (run with PYTHONPATH pointing at the commit to record from).
+    record = {"float_environment": float_environment()}
+    for kind in ("plain", "reposting"):
+        for backend in ("local", "sharded", "service"):
+            record[f"{kind}/{backend}"] = " ".join(
+                answers_digest(kind, backend, seed) for seed in SEEDS
+            )
+    RECORDED.write_text(json.dumps(record, indent=1) + "\n")
