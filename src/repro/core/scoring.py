@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +45,7 @@ _POSITIVE_COUNTS = get_kernel("positive_counts")
 _Edges = Tuple[Tuple[int, float], ...]
 #: A compiled element: ``(topic, x_i, R_i(e), σ_i(·, e), edges)`` per query topic.
 _Terms = Tuple[Tuple[int, float, float, Mapping[int, float], _Edges], ...]
-_EMPTY: Dict[int, Any] = {}
+_EMPTY: Mapping[int, Any] = MappingProxyType({})  # shared, so read-only
 
 
 @dataclass(frozen=True)

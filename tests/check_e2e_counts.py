@@ -8,8 +8,12 @@ how many MTTS / MTTD queries and snapshot reads the pass makes and which
 share of the active elements those queries evaluate (``core.eval_ratio``).
 They depend on the inputs and on what the query path evaluates, never on
 the clock, so a change that makes MTTS or MTTD look at different elements
-fails here without anything being timed.  Re-record (``--record``) only in
-a change that means to move them, from its parent commit.
+fails here without anything being timed.  ``core.eval_ratio`` follows from
+float comparisons inside the algorithms, so the check runs where the counts
+were recorded — CI's perf-smoke job pins that interpreter and NumPy major —
+and refuses any other environment instead of passing there.  Re-record
+(``--record``) only in a change that means to move them, from its parent
+commit.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ COUNTS = (
     "core.query_mttd_calls",
     "core.snapshot_calls",
 )
-#: Counts that follow from float comparisons inside the algorithms.
-FLOAT_DERIVED = ("core.eval_ratio",)
 
 
 def float_environment() -> str:
@@ -51,14 +53,17 @@ def read_counts(report: dict) -> dict:
 
 def differences(recorded: dict, report: dict) -> list:
     """``workload name: recorded → read`` for every count that moved."""
-    same_floats = recorded["float_environment"] == float_environment()
+    if recorded["float_environment"] != float_environment():
+        raise SystemExit(
+            f"the counts were recorded under {recorded['float_environment']!r}; "
+            f"this is {float_environment()!r}, where nothing can be concluded"
+        )
     counts = read_counts(report)
     return [
         f"{workload} {name}: {expected!r} → {counts[workload][name]!r}"
         for workload, names in recorded["counts"].items()
         for name, expected in names.items()
         if counts[workload][name] != expected
-        and (same_floats or name not in FLOAT_DERIVED)
     ]
 
 

@@ -10,7 +10,10 @@ the per-element primitives (``ProfileBuilder.build``,
 ``RankedListIndex.insert / refresh / remove``), ``ScoringContext`` /
 ``KSIRObjective`` and the solvers.  A re-post is a new version of its
 element by definition: ``insert`` replaces every tuple of the previous one,
-so nothing stays on the list of a topic the new version dropped.
+so nothing stays on the list of a topic the new version dropped.  The one
+place it looks past the current element: a parent re-activated from the
+archive receives its tuples when the bucket closes, so an archived version
+the same bucket re-posts never touches (or marks dirty) a list.
 
 The second half is the reference of the *query* path: the objective, the
 ranked-list traversal and MTTS written out call by call, importing nothing
@@ -201,12 +204,17 @@ class Oracle:
     def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
         """Ingest one bucket (elements must carry their topic vectors)."""
         window, index = self.window, self.ranked_lists
+        # Parent re-activated from the archive -> time of its last reference.
+        # Its tuples wait for the end of the bucket: a re-post later in the
+        # bucket replaces the archived version before it reaches any list.
+        reactivated: Dict[int, int] = {}
         for element in elements:
             element_id, time = element.element_id, element.timestamp
             profile = self._builder.build(element)
             touched_parents = window.insert(element)
             self.profiles[element_id] = profile
             if self._is_home(element_id):
+                reactivated.pop(element_id, None)
                 index.insert(profile, activity_time=time)
                 if window.followers_of(element_id):
                     # A re-post keeps its influence component.
@@ -220,10 +228,16 @@ class Oracle:
                     continue  # maintained on the shard that owns the parent
                 parent = self.profiles.get(parent_id)
                 if parent is None:  # re-activated from the archive
-                    parent = self._builder.build(window.get(parent_id))
-                    self.profiles[parent_id] = parent
-                    index.insert(parent, activity_time=time)
-                index.refresh(parent, self._follower_profiles(parent_id), time)
+                    self.profiles[parent_id] = self._builder.build(window.get(parent_id))
+                    reactivated[parent_id] = time
+                elif parent_id in reactivated:
+                    reactivated[parent_id] = time
+                else:
+                    index.refresh(parent, self._follower_profiles(parent_id), time)
+        for parent_id, time in reactivated.items():
+            parent = self.profiles[parent_id]
+            index.insert(parent, activity_time=time)
+            index.refresh(parent, self._follower_profiles(parent_id), time)
         for element_id in window.advance_to(end_time):
             self.profiles.pop(element_id, None)
             if self._is_home(element_id):

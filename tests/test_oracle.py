@@ -178,16 +178,14 @@ def assert_matches_oracle(processor, oracle, query):
     for element_id in reference.active_ids():
         assert window.last_activity(element_id) == reference.last_activity(element_id)
     assert_ranked_lists_equal(processor.ranked_lists, oracle.ranked_lists)
-    # Dirty topics: every list that changed, and no topic element-by-element
-    # maintenance leaves alone.  (The oracle may mark more: it re-inserts a
-    # re-activated parent's archived version before a re-post later in the
-    # bucket replaces it, which production never materialises.)
+    # Dirty topics: exactly the oracle's, and at least every list that changed.
     lists = [oracle.ranked_lists.items(t) for t in range(oracle.ranked_lists.num_topics)]
     previous = getattr(oracle, "lists_seen", [[] for _ in lists])
     oracle.lists_seen = lists
     changed = {t for t, (old, new) in enumerate(zip(previous, lists)) if old != new}
-    dirty = set(processor.ranked_lists.take_dirty_topics())
-    assert changed <= dirty <= set(oracle.ranked_lists.take_dirty_topics())
+    dirty = processor.ranked_lists.take_dirty_topics()
+    assert dirty == oracle.ranked_lists.take_dirty_topics()
+    assert changed <= set(dirty)
     for algorithm in ALGORITHMS:
         result = processor.query(query, algorithm=algorithm)
         ids, score = oracle.query(query, algorithm)

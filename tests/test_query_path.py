@@ -382,11 +382,20 @@ def test_smoke_count_check_names_what_moved():
     report["workloads"]["ingest_vec"]["per_layer"]["core.snapshot_calls"] += 1
     moved = differences(recorded, report)
     assert len(moved) == 2 and moved[0].startswith("query_mixed core.eval_ratio")
-    # Elsewhere than where it was recorded, only the float-free counts bind.
-    recorded["float_environment"] = "another"
-    assert differences(recorded, report) == [moved[1]]
     with pytest.raises(SystemExit):
         differences(recorded, dict(report, smoke=False))
+    # Elsewhere than where it was recorded the check refuses, it does not pass.
+    recorded["float_environment"] = "another"
+    with pytest.raises(SystemExit, match="recorded under 'another'"):
+        differences(recorded, report)
+
+
+def test_both_recordings_share_one_environment():
+    """CI's perf-smoke job pins it, so where the count check passes the
+    recorded-answers test above ran instead of skipping."""
+    counts = json.loads(RECORDED.with_name("e2e_counts.json").read_text())
+    answers = json.loads(RECORDED.read_text())
+    assert counts["float_environment"] == answers["float_environment"]
 
 
 # ---------------------------------------------------------------------------
