@@ -15,7 +15,7 @@ The :class:`KSIRProcessor` ties everything together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -173,7 +173,7 @@ class KSIRProcessor:
         # Scoring snapshot memoised per ingested bucket: (buckets_processed
         # at build time, context).  Repeated queries against an unchanged
         # window share one frozen context instead of rebuilding it per call.
-        self._snapshot_cache: Optional[ScoringContext] = None
+        self._snapshot_cache: Optional[Tuple[int, ScoringContext]] = None
         self._snapshot_builds = 0
 
     # -- metadata -----------------------------------------------------------------
@@ -368,9 +368,6 @@ class KSIRProcessor:
                     removes=removes,
                 )
             self._buckets_processed += 1
-            # The window moved: its snapshot ends here, follower-edge memo
-            # included, not inside the next query's snapshot().
-            self._snapshot_cache = None
 
     def process_stream(
         self,
@@ -436,8 +433,8 @@ class KSIRProcessor:
     def snapshot(self) -> ScoringContext:
         """A frozen scoring snapshot of the current active window.
 
-        Memoised until the next bucket is ingested (``process_bucket`` drops
-        it): every query in between shares one context (immutable by contract).
+        Memoised on :attr:`buckets_processed`: until the next bucket is
+        ingested, every query shares one context (immutable by contract).
 
         Both inputs are state Algorithm 1 already maintains per bucket — the
         profile map and the window's sparse follower view — so a fresh
@@ -449,16 +446,19 @@ class KSIRProcessor:
         of a foreign id it held as a profile-less re-activated precedent);
         cluster queries never read a shard's own snapshot.
         """
-        if self._snapshot_cache is None:
-            self._snapshot_cache = ScoringContext(
-                profiles=self._profiles.copy(),
-                followers=self._window.followers_snapshot(),
-                config=self._config.scoring,
-                time=self._window.current_time,
-                frozen=True,
-            )
-            self._snapshot_builds += 1
-        return self._snapshot_cache
+        cached = self._snapshot_cache
+        if cached is not None and cached[0] == self._buckets_processed:
+            return cached[1]
+        context = ScoringContext(
+            profiles=self._profiles.copy(),
+            followers=self._window.followers_snapshot(),
+            config=self._config.scoring,
+            time=self._window.current_time,
+            frozen=True,
+        )
+        self._snapshot_builds += 1
+        self._snapshot_cache = (self._buckets_processed, context)
+        return context
 
     def objective(self, query_vector: np.ndarray) -> KSIRObjective:
         """A k-SIR objective bound to the current window and ``query_vector``."""
