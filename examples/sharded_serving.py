@@ -130,7 +130,7 @@ def main() -> None:
         dataset.topic_model,
         queries=[dataset.make_query(k=4, topic=topic) for topic in range(3)],
         config=CONFIG.processor,
-        cluster=ClusterConfig(num_shards=NUM_SHARDS, backend="serial"),
+        cluster=ClusterConfig(num_shards=NUM_SHARDS),
         algorithms=("mttd", "greedy"),
     )
     print(f"\n{report.summary()}")

@@ -17,11 +17,8 @@ import argparse
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.cluster.coordinator import (
-    BACKEND_CHOICES,
-    TRANSPORT_CHOICES,
-    ClusterConfig,
-)
+from repro.cluster.coordinator import ClusterConfig
+from repro.cluster.transport import transport_names
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.core.window_policy import WINDOW_POLICY_CHOICES
@@ -266,40 +263,47 @@ def _cluster_to_dict(config: ClusterConfig) -> Dict[str, Any]:
     return {
         "num_shards": config.num_shards,
         "partitioner": config.partitioner,
-        "backend": config.backend,
         "transport": config.transport,
         "candidate_budget": config.candidate_budget,
         "budget_scale": config.budget_scale,
-        "max_workers": config.max_workers,
     }
 
 
+#: Fan-out spellings of manifests written before PR 16 → the transport that
+#: survived them.  ``thread`` (the old default) was the ``serial`` workers
+#: behind a pool and ``shm`` the ``pipe`` processes with another payload
+#: encoding; answers and checkpoint state are the same on all of them.
+_RETIRED_TRANSPORTS = {"thread": "serial", "shm": "pipe", "process": "pipe"}
+
+
 def _cluster_from_dict(payload: Mapping[str, Any]) -> ClusterConfig:
+    # ``backend`` (the fan-out when ``transport`` was null) and
+    # ``max_workers`` (the thread pool's size) are in every older manifest.
     _check_known_keys(
         payload,
         (
             "num_shards",
             "partitioner",
-            "backend",
             "transport",
             "candidate_budget",
             "budget_scale",
+            "backend",
             "max_workers",
         ),
         "cluster",
     )
     defaults = ClusterConfig()
     candidate_budget = payload.get("candidate_budget")
-    max_workers = payload.get("max_workers")
     transport = payload.get("transport")
+    if transport is None:
+        transport = payload.get("backend", defaults.transport)
+    transport = str(transport)
     return ClusterConfig(
         num_shards=int(payload.get("num_shards", defaults.num_shards)),
         partitioner=str(payload.get("partitioner", defaults.partitioner)),
-        backend=str(payload.get("backend", defaults.backend)),
-        transport=None if transport is None else str(transport),
+        transport=_RETIRED_TRANSPORTS.get(transport.strip().lower(), transport),
         candidate_budget=None if candidate_budget is None else int(candidate_budget),
         budget_scale=float(payload.get("budget_scale", defaults.budget_scale)),
-        max_workers=None if max_workers is None else int(max_workers),
     )
 
 
@@ -460,7 +464,7 @@ class EngineConfig:
         """Install the shared engine options on an ``argparse`` parser.
 
         Adds the execution-layer flags (``--backend``, ``--shards``,
-        ``--partitioner``, ``--fanout``, ``--transport``), the processor flags
+        ``--partitioner``, ``--transport``), the processor flags
         (``--window-hours``, ``--bucket-minutes``, ``--lambda-weight``,
         ``--eta``), the event-time ingest flags (``--source``,
         ``--allowed-lateness``, ``--window-policy``, ``--session-gap``)
@@ -488,18 +492,11 @@ class EngineConfig:
             help="element partitioning strategy (cluster backend only)",
         )
         parser.add_argument(
-            "--fanout",
-            default="thread",
-            choices=list(BACKEND_CHOICES),
-            help="cluster fan-out executor (thread pool, serial, or one "
-            "process per shard)",
-        )
-        parser.add_argument(
             "--transport",
-            default=None,
-            choices=list(TRANSPORT_CHOICES),
-            help="cluster transport backend; overrides --fanout "
-            "(shm = shared-memory columns, zero-copy candidate pools)",
+            default="serial",
+            choices=list(transport_names()),
+            help="cluster transport (serial = in-process shard workers, "
+            "pipe = one process per shard)",
         )
         parser.add_argument("--window-hours", type=int, default=24)
         parser.add_argument("--bucket-minutes", type=int, default=15)
@@ -583,12 +580,10 @@ class EngineConfig:
         cluster: Optional[ClusterConfig] = None
         backend = canonical_backend_name(str(getattr(args, "backend", "single")))
         if backend == SHARDED_BACKEND:
-            transport = getattr(args, "transport", None)
             cluster = ClusterConfig(
                 num_shards=int(getattr(args, "shards", 4)),
                 partitioner=str(getattr(args, "partitioner", "hash")),
-                backend=str(getattr(args, "fanout", "thread")),
-                transport=None if transport is None else str(transport),
+                transport=str(getattr(args, "transport", "serial")),
             )
         if service:
             backend = SERVICE_BACKEND

@@ -56,7 +56,7 @@ def ha_failover_setup(
     sharded_config = EngineConfig(
         backend="sharded",
         processor=processor,
-        cluster=ClusterConfig(num_shards=num_shards, backend="process"),
+        cluster=ClusterConfig(num_shards=num_shards, transport="pipe"),
     )
     local_config = EngineConfig(processor=processor)
     total_elements = sum(1 for _ in dataset.stream)

@@ -11,8 +11,8 @@ the committed report carries the per-kernel timing table the perf
 trajectory tracks.
 
 The check asserts the two paths leave **identical ranked lists** (scores
-within 1e-9 — the same contract the columnar-store and shm-transport
-migrations were held to) and, when the compiled path actually ran on
+within 1e-9 — the same contract the columnar-store migration was held
+to) and, when the compiled path actually ran on
 Numba, that it is not slower than the reference beyond noise.
 """
 

@@ -313,11 +313,7 @@ def _cluster_setup(params: Mapping[str, Any], seed: int) -> Callable[[], Outcome
             cluster_config = EngineConfig(
                 backend="sharded",
                 processor=config,
-                cluster=ClusterConfig(
-                    num_shards=num_shards,
-                    backend="serial",
-                    transport=str(params.get("transport", "serial")),
-                ),
+                cluster=ClusterConfig(num_shards=num_shards, transport="serial"),
             )
             with KSIREngine(dataset.topic_model, cluster_config) as coordinator:
                 coordinator.process_stream(dataset.stream)
@@ -363,22 +359,11 @@ def _cluster_check(values: Mapping[str, Any], report: Any) -> None:
         assert speedup >= 2.0, f"4-shard aggregate ingest {speedup:.2f}x below 2x"
 
 
-def _cluster_scenarios(
-    tiny: bool,
-    shard_counts: Tuple[int, ...],
-    shm_counts: Tuple[int, ...] = (),
-) -> Tuple[Scenario, ...]:
+def _cluster_scenarios(tiny: bool, shard_counts: Tuple[int, ...]) -> Tuple[Scenario, ...]:
     scenarios = [Scenario("single", {"tiny": tiny, "shards": 1})]
     scenarios.extend(
         Scenario(f"shard-{count}", {"tiny": tiny, "shards": count})
         for count in shard_counts
-    )
-    scenarios.extend(
-        Scenario(
-            f"shard-{count}-shm",
-            {"tiny": tiny, "shards": count, "transport": "shm"},
-        )
-        for count in shm_counts
     )
     return tuple(scenarios)
 
@@ -390,12 +375,12 @@ register(
         setup=_cluster_setup,
         tiers={
             "tiny": TierPolicy(
-                scenarios=_cluster_scenarios(True, (2, 4), shm_counts=(2,)),
+                scenarios=_cluster_scenarios(True, (2, 4)),
                 warmup=0,
                 repeat=1,
             ),
             "full": TierPolicy(
-                scenarios=_cluster_scenarios(False, (2, 4, 8), shm_counts=(2, 4)),
+                scenarios=_cluster_scenarios(False, (2, 4, 8)),
                 warmup=0,
                 repeat=1,
             ),

@@ -249,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     ha_drill.add_argument("--profile", default="tiny", choices=sorted(profile_names()))
     ha_drill.add_argument("--shards", type=int, default=2,
                           help="process shard workers to run")
-    ha_drill.add_argument("--transport", default="pipe", choices=["pipe", "shm"],
-                          help="process transport: pickled pipes or shared-memory columns")
     ha_drill.add_argument("--kill-shard", type=int, default=None,
                           help="shard to SIGKILL (default: the last one)")
     ha_drill.add_argument("--kill-after", type=int, default=5,
@@ -698,11 +696,7 @@ def _run_ha_drill(args: argparse.Namespace) -> int:
     dataset = SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
     sharded_config = EngineConfig(
         backend="sharded",
-        cluster=ClusterConfig(
-            num_shards=args.shards,
-            backend="process",
-            transport=str(getattr(args, "transport", "pipe")),
-        ),
+        cluster=ClusterConfig(num_shards=args.shards, transport="pipe"),
         ha=HAConfig(checkpoint_every=args.checkpoint_every),
     )
 

@@ -9,28 +9,25 @@ sharding *transparent*: queries return exactly the single-node answers.
   the routing of followers to their parents' shards (exact influence);
 * :class:`ShardWorker` / :class:`CandidatePool` — per-shard ingestion and
   bounded candidate export for scatter-gather queries;
-* :class:`ClusterCoordinator` / :class:`ClusterConfig` — parallel fan-out
+* :class:`ClusterCoordinator` / :class:`ClusterConfig` — fan-out
   ingestion and the merged final submodular selection;
 * :class:`TransportBackend` / :func:`register_transport` — the formal
-  fan-out protocol and its registry (built-ins: ``serial``, ``thread``,
-  ``pipe``, ``shm``); third-party transports plug in under new names;
+  fan-out protocol and its registry (built-ins: ``serial`` — in-process,
+  the default — and ``pipe`` — one process per shard); third-party
+  transports plug in under new names;
 * :func:`merge_candidate_pools` / :class:`MergedCandidateContext` — exact
   evaluation substrate over the candidate union;
 * :func:`verify_equivalence` — replay-and-compare harness proving sharded
   answers match single-node answers.
 """
 
-from repro.cluster.coordinator import (
-    BACKEND_CHOICES,
-    TRANSPORT_CHOICES,
-    ClusterConfig,
-    ClusterCoordinator,
-)
+from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.cluster.merge import MergedCandidateContext, merge_candidate_pools
 from repro.cluster.partition import (
     PARTITIONER_REGISTRY,
     HashPartitioner,
     LoadBalancedPartitioner,
+    OwnershipTable,
     PartitionStrategy,
     RoundRobinPartitioner,
     RoutedBucket,
@@ -39,7 +36,6 @@ from repro.cluster.partition import (
 )
 from repro.cluster.transport import (
     TransportBackend,
-    canonical_transport_name,
     create_transport,
     register_transport,
     transport_names,
@@ -48,7 +44,6 @@ from repro.cluster.verify import EquivalenceReport, QueryComparison, verify_equi
 from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
 
 __all__ = [
-    "BACKEND_CHOICES",
     "CandidatePool",
     "ClusterConfig",
     "ClusterCoordinator",
@@ -56,6 +51,7 @@ __all__ = [
     "HashPartitioner",
     "LoadBalancedPartitioner",
     "MergedCandidateContext",
+    "OwnershipTable",
     "PARTITIONER_REGISTRY",
     "PartitionStrategy",
     "QueryComparison",
@@ -64,9 +60,7 @@ __all__ = [
     "ShardPlanner",
     "ShardStats",
     "ShardWorker",
-    "TRANSPORT_CHOICES",
     "TransportBackend",
-    "canonical_transport_name",
     "create_transport",
     "make_partitioner",
     "merge_candidate_pools",

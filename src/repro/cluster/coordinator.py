@@ -8,9 +8,10 @@ over ``N`` :class:`~repro.cluster.worker.ShardWorker` partitions planned by a
 
 **Ingestion** routes each element to its home shard plus the home shards of
 its referenced parents (exact influence accounting; see the partition module)
-and fans the routed buckets out — through a thread pool by default, serially
-for deterministic debugging/measurement, or through one OS process per shard
-(``backend="process"``) for GIL-free parallelism.
+and fans the routed buckets out over the configured transport: ``serial``
+(in-process workers, the default and the reference every recorded answer
+runs on) or ``pipe`` (one OS process per shard, for isolation and
+`repro.ha` failover).
 
 **Queries** run scatter-gather: every shard walks its ranked lists to export
 a bounded :class:`~repro.cluster.worker.CandidatePool` (the per-shard budget
@@ -39,7 +40,6 @@ mismatches.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -55,23 +55,15 @@ from repro.cluster.merge import merge_candidate_pools
 from repro.cluster.partition import RoutedBucket, ShardPlanner
 from repro.cluster.transport import (
     TransportBackend,
-    canonical_transport_name,
     create_transport,
     register_transport,
+    transport_factory,
 )
 from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 from repro.utils.timing import StopWatch, TimingStats
 from repro.utils.validation import require_positive
-
-#: Fan-out backends accepted by :class:`ClusterConfig.backend` (the
-#: pre-transport spelling, kept for compatibility; prefer ``transport``).
-BACKEND_CHOICES = ("thread", "serial", "process")
-
-#: Canonical transports accepted by :class:`ClusterConfig.transport`.
-TRANSPORT_CHOICES = ("serial", "thread", "pipe", "shm")
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -85,20 +77,11 @@ class ClusterConfig:
     partitioner:
         Partitioning strategy name (``hash``, ``round-robin``,
         ``load-balanced``).
-    backend:
-        Fan-out executor: ``thread`` (default), ``serial`` (deterministic,
-        used for per-shard measurement), or ``process`` (one OS process per
-        shard; GIL-free, pays per-bucket IPC).  The pre-transport spelling;
-        ignored when ``transport`` is set.
     transport:
         Fan-out transport name resolved through the
-        :func:`repro.cluster.register_transport` registry: ``serial``,
-        ``thread``, ``pipe`` (one process per shard, pickled payloads over
-        pipes) or ``shm`` (one process per shard, shared-memory store
-        columns and array-slice payloads; pipes carry only control tuples).
-        ``None`` (the default) derives the transport from ``backend``
-        (``process`` → ``pipe``), keeping existing configurations and
-        checkpoints working unchanged.
+        :func:`repro.cluster.register_transport` registry: ``serial``
+        (in-process workers, same thread) or ``pipe`` (one OS process per
+        shard, pickled payloads over pipes).
     candidate_budget:
         Fixed per-shard candidate budget for queries; ``None`` derives the
         budget from the query algorithm's ``ε`` as
@@ -106,44 +89,22 @@ class ClusterConfig:
     budget_scale:
         Multiplier applied to the ε-derived budget (>1 trades latency for an
         even larger safety margin).
-    max_workers:
-        Thread-pool size for the ``thread`` backend (default: one per shard).
     """
 
     num_shards: int = 4
     partitioner: str = "hash"
-    backend: str = "thread"
-    transport: Optional[str] = None
+    transport: str = "serial"
     candidate_budget: Optional[int] = None
     budget_scale: float = 1.0
-    max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_positive(self.num_shards, "num_shards")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; available: "
-                + ", ".join(BACKEND_CHOICES)
-            )
-        # ``transport`` is validated against the registry at coordinator
-        # construction (third-party transports register after import time),
-        # but reject obviously malformed values eagerly.
-        if self.transport is not None and not self.transport.strip():
-            raise ValueError("transport must be a non-empty name or None")
+        # An unregistered name (the retired ones included) fails here, not
+        # at the first bucket.
+        transport_factory(self.transport)
         if self.candidate_budget is not None:
             require_positive(self.candidate_budget, "candidate_budget")
         require_positive(self.budget_scale, "budget_scale")
-        if self.max_workers is not None:
-            require_positive(self.max_workers, "max_workers")
-
-    @property
-    def effective_transport(self) -> str:
-        """The canonical transport name this configuration selects.
-
-        ``transport`` when set, otherwise derived from the legacy
-        ``backend`` field (``process`` is an alias of ``pipe``).
-        """
-        return canonical_transport_name(self.transport or self.backend)
 
     def derive_budget(self, k: int, epsilon: float) -> int:
         """The per-shard candidate budget for a ``(k, ε)`` query."""
@@ -153,37 +114,30 @@ class ClusterConfig:
 
 
 class _LocalFanout:
-    """Thread-pool or serial fan-out over in-process shard workers."""
+    """Same-thread fan-out over in-process shard workers (``serial``)."""
 
     #: In-process workers share the planner; routed buckets need no
     #: ownership entries (see ``TransportBackend.ships_owners``).
     ships_owners = False
 
-    def __init__(self, workers: Sequence[ShardWorker], pool: Optional[ThreadPoolExecutor]):
+    def __init__(self, workers: Sequence[ShardWorker]):
         self._workers = list(workers)
-        self._pool = pool
 
     @property
     def workers(self) -> Tuple[ShardWorker, ...]:
         return tuple(self._workers)
 
-    def _map(self, fn, items):
-        if self._pool is None:
-            return [fn(item) for item in items]
-        return list(self._pool.map(fn, items))
-
     def ingest(self, routed: Sequence[RoutedBucket], end_time: int) -> None:
-        def run(bucket: RoutedBucket) -> None:
-            self._workers[bucket.shard_id].ingest(
-                bucket.elements, end_time, home_count=bucket.home_count
-            )
+        for bucket in routed:
+            self.ingest_shard(bucket, end_time)
 
-        self._map(run, routed)
+    def ingest_shard(self, bucket: RoutedBucket, end_time: int) -> None:
+        self._workers[bucket.shard_id].ingest(
+            bucket.elements, end_time, home_count=bucket.home_count
+        )
 
     def export(self, vector: np.ndarray, budget: Optional[int]) -> List[CandidatePool]:
-        return self._map(
-            lambda worker: worker.export_candidates(vector, budget), self._workers
-        )
+        return [worker.export_candidates(vector, budget) for worker in self._workers]
 
     def take_dirty_topics(self) -> Set[int]:
         dirty: Set[int] = set()
@@ -197,9 +151,32 @@ class _LocalFanout:
     def stats(self) -> List[ShardStats]:
         return [worker.stats() for worker in self._workers]
 
+    def states(self) -> List[Dict[str, object]]:
+        return [worker.state_dict() for worker in self._workers]
+
+    # The home filters read the coordinator's planner, which the coordinator
+    # restores itself: the shipped ownership table is not needed here.
+
+    def restore_all(
+        self,
+        states: Sequence[Mapping[str, object]],
+        owners: Mapping[int, int],
+        owner_time: int,
+    ) -> None:
+        for worker, state in zip(self._workers, states):
+            worker.restore_state(state)
+
+    def restore_shard(
+        self,
+        shard_id: int,
+        state: Mapping[str, object],
+        owners: Mapping[int, int],
+        owner_time: int,
+    ) -> None:
+        self._workers[shard_id].restore_state(state)
+
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        """Nothing to release."""
 
 
 class ClusterCoordinator:
@@ -231,7 +208,7 @@ class ClusterCoordinator:
         # (see repro.cluster.transport); built-ins are registered at the
         # bottom of this module, third parties via register_transport().
         self._fanout: TransportBackend = create_transport(
-            self._cluster.effective_transport, self
+            self._cluster.transport, self
         )
 
     def _make_home_filter(self, shard_id: int):
@@ -267,10 +244,8 @@ class ClusterCoordinator:
 
     @property
     def workers(self) -> Tuple[ShardWorker, ...]:
-        """The in-process shard workers (empty for the process backend)."""
-        if isinstance(self._fanout, _LocalFanout):
-            return self._fanout.workers
-        return ()
+        """The in-process shard workers (empty on the ``pipe`` transport)."""
+        return self._fanout.workers
 
     @property
     def fanout(self) -> TransportBackend:
@@ -348,8 +323,7 @@ class ClusterCoordinator:
         with self._ingest_timer.measure():
             prepared = self._prepare(elements)
             routed = self._planner.route_bucket(
-                prepared,
-                with_owners=getattr(self._fanout, "ships_owners", False),
+                prepared, with_owners=self._fanout.ships_owners
             )
             self._fanout.ingest(routed, end_time)
             self.commit_bucket(len(prepared), end_time)
@@ -369,12 +343,8 @@ class ClusterCoordinator:
         self._current_time = int(end_time)
         # Ownership entries of elements inactive everywhere (even out of
         # every shard's archive) are routing dead weight; trim with the
-        # archive's own horizon so memory stays bounded on endless
-        # streams.  8 windows matches the window's default
-        # ``archive_windows``.
-        cutoff = end_time - 8 * self._config.window_length
-        if cutoff > 0:
-            self._planner.trim_inactive(cutoff)
+        # archive's own horizon so memory stays bounded on endless streams.
+        self._planner.expire(end_time, self._config.archive_horizon)
 
     def process_stream(
         self,
@@ -485,22 +455,16 @@ class ClusterCoordinator:
         """A JSON-serialisable snapshot of the whole cluster.
 
         Serialises the coordinator counters, the planner (ownership table
-        plus strategy state) and every shard worker.  On the process
-        backend the worker states are gathered over the pipes (``state``
-        command), so every fan-out backend is checkpointable.
+        plus strategy state) and every shard worker (gathered over the pipes
+        on the ``pipe`` transport), so every transport is checkpointable and
+        a checkpoint taken on one loads on the other.
         """
-        if isinstance(self._fanout, _LocalFanout):
-            worker_states: List[Dict[str, object]] = [
-                worker.state_dict() for worker in self._fanout.workers
-            ]
-        else:
-            worker_states = self._fanout.states()
         return {
             "buckets_processed": self._buckets_processed,
             "elements_processed": self._elements_processed,
             "current_time": self._current_time,
             "planner": self._planner.state_dict(),
-            "workers": worker_states,
+            "workers": self._fanout.states(),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -517,39 +481,36 @@ class ClusterCoordinator:
         self._current_time = None if current_time is None else int(current_time)
         self._active_cache = None
         self._planner.restore_state(state["planner"])
-        if isinstance(self._fanout, _LocalFanout):
-            for worker, shard_state in zip(self._fanout.workers, shard_states):
-                worker.restore_state(shard_state)
-        else:
-            # Remote workers also need the ownership table their home
-            # filters consult; ship the planner's full map (entries for
-            # other shards' elements keep foreign-replica filtering exact).
-            self._fanout.restore_all(
-                shard_states,
-                self._planner.owners_snapshot(),
-                self._current_time or 0,
-            )
+        # Remote workers also need the ownership table their home filters
+        # consult; ship the planner's full map (entries for other shards'
+        # elements keep foreign-replica filtering exact).
+        self._fanout.restore_all(
+            shard_states, self._planner.owners_snapshot(), self._current_time or 0
+        )
 
     # -- failover hooks (repro.ha) ------------------------------------------------------
 
-    def restore_shard(self, shard_id: int, shard_state: Mapping[str, object]) -> None:
-        """Restore a single shard worker from a checkpointed shard state.
+    def restore_shard(self, shard_id: int, state: Mapping[str, object]) -> None:
+        """Restore a single shard worker from a :meth:`state_dict` snapshot.
 
         Used by the supervisor after :meth:`ProcessFanout.restart_shard`:
         the fresh worker process receives the shard's slice of the latest
-        checkpoint plus the planner's *current* ownership table (a superset
-        of the checkpoint-time table, which is safe — the filter only tests
-        equality with the worker's own shard id).
+        checkpoint plus the planner's ownership table.  The planner first
+        recalls the checkpoint's entries it has trimmed since: the gap
+        replay that follows re-lives the buckets after the checkpoint, when
+        those elements were still owned (their tuples must leave the shard's
+        lists as they expire, a late reference must still find their home).
+        Entries of other shards and of later buckets are harmless — the
+        filter only tests equality with the worker's own shard id — and the
+        next committed bucket trims the recalled ones again.
         """
-        if isinstance(self._fanout, _LocalFanout):
-            self._fanout.workers[shard_id].restore_state(shard_state)
-        else:
-            self._fanout.restore_shard(
-                shard_id,
-                shard_state,
-                self._planner.owners_snapshot(),
-                self._current_time or 0,
-            )
+        self._planner.recall(state["planner"])
+        self._fanout.restore_shard(
+            shard_id,
+            state["workers"][shard_id],
+            self._planner.owners_snapshot(),
+            self._current_time or 0,
+        )
         self._active_cache = None
 
     def replay_bucket_to_shard(
@@ -565,16 +526,9 @@ class ClusterCoordinator:
         """
         prepared = self._prepare(elements)
         routed = self._planner.route_bucket(
-            prepared,
-            with_owners=getattr(self._fanout, "ships_owners", False),
+            prepared, with_owners=self._fanout.ships_owners
         )
-        bucket = routed[shard_id]
-        if isinstance(self._fanout, _LocalFanout):
-            self._fanout.workers[shard_id].ingest(
-                bucket.elements, end_time, home_count=bucket.home_count
-            )
-        else:
-            self._fanout.ingest_shard(bucket, end_time)
+        self._fanout.ingest_shard(routed[shard_id], end_time)
 
     def prepare_elements(self, elements: Sequence[SocialElement]) -> List[SocialElement]:
         """Public wrapper over central topic inference (WAL normalisation).
@@ -607,61 +561,32 @@ class ClusterCoordinator:
 # -- built-in transport factories ------------------------------------------------------
 
 
-def _build_local_fanout(
-    coordinator: ClusterCoordinator, pool: Optional[ThreadPoolExecutor]
-) -> _LocalFanout:
-    cluster = coordinator.cluster_config
-    workers = [
-        ShardWorker(
-            shard_id,
-            coordinator.topic_model,
-            coordinator.config,
-            inferencer=coordinator._inferencer,
-            home_filter=coordinator._make_home_filter(shard_id),
-        )
-        for shard_id in range(cluster.num_shards)
-    ]
-    return _LocalFanout(workers, pool)
-
-
 def _serial_transport(coordinator: ClusterCoordinator) -> TransportBackend:
-    """Same-thread fan-out (deterministic; per-shard measurement)."""
-    return _build_local_fanout(coordinator, None)
-
-
-def _thread_transport(coordinator: ClusterCoordinator) -> TransportBackend:
-    """Thread-pool fan-out over in-process workers."""
-    cluster = coordinator.cluster_config
-    pool = ThreadPoolExecutor(
-        max_workers=cluster.max_workers or cluster.num_shards,
-        thread_name_prefix="ksir-shard",
+    """In-process workers, driven from the calling thread."""
+    return _LocalFanout(
+        [
+            ShardWorker(
+                shard_id,
+                coordinator.topic_model,
+                coordinator.config,
+                inferencer=coordinator._inferencer,
+                home_filter=coordinator._make_home_filter(shard_id),
+            )
+            for shard_id in range(coordinator.num_shards)
+        ]
     )
-    return _build_local_fanout(coordinator, pool)
 
 
 def _pipe_transport(coordinator: ClusterCoordinator) -> TransportBackend:
     """One OS process per shard; pickled payloads over pipes."""
-    # Imported lazily: the process backends pull in multiprocessing
-    # machinery that thread/serial users never need.
+    # Imported lazily: the process fan-out pulls in multiprocessing
+    # machinery that in-process users never need.
     from repro.cluster.process_backend import ProcessFanout
 
-    cluster = coordinator.cluster_config
     return ProcessFanout(
-        cluster.num_shards, coordinator.topic_model, coordinator.config
-    )
-
-
-def _shm_transport(coordinator: ClusterCoordinator) -> TransportBackend:
-    """One OS process per shard; shared-memory columns + array payloads."""
-    from repro.cluster.shm_backend import ShmProcessFanout
-
-    cluster = coordinator.cluster_config
-    return ShmProcessFanout(
-        cluster.num_shards, coordinator.topic_model, coordinator.config
+        coordinator.num_shards, coordinator.topic_model, coordinator.config
     )
 
 
 register_transport("serial", _serial_transport)
-register_transport("thread", _thread_transport)
 register_transport("pipe", _pipe_transport)
-register_transport("shm", _shm_transport)

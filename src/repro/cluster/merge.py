@@ -79,20 +79,7 @@ def merge_candidate_pools(
     index = RankedListIndex(num_topics, config) if build_index else None
 
     for pool in pools:
-        for element_id, profile in pool.profiles.items():
-            # The shm transport ships follower profiles *stripped* (topic
-            # probabilities only — all influence evaluation reads of a
-            # follower).  The same element can be a stripped follower in one
-            # pool and a full candidate in another; never let the stripped
-            # copy shadow the full one.
-            existing = profiles.get(element_id)
-            if (
-                existing is not None
-                and existing.word_weights
-                and not profile.word_weights
-            ):
-                continue
-            profiles[element_id] = profile
+        profiles.update(pool.profiles)
         for element_id in pool.candidate_ids:
             candidate_ids.append(element_id)
             followers[element_id] = pool.followers[element_id]

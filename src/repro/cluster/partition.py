@@ -24,7 +24,7 @@ Three :class:`PartitionStrategy` implementations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.element import SocialElement
 from repro.utils.validation import require_positive
@@ -184,6 +184,100 @@ class RoutedBucket:
     owners: Dict[int, int] = field(default_factory=dict)
 
 
+class OwnershipTable:
+    """``element id → home shard``, bounded to the windows' archive horizon.
+
+    The one ownership structure of the cluster layer: the planner keeps the
+    authoritative table, and every out-of-process worker replays the entries
+    shipped with its routed buckets into a table of its own (its home
+    filter).  Both drop an entry once its last activity — post or reference
+    time on the planner, shipping time on a worker, which never trails it —
+    falls behind ``end_time − archive_windows × window_length``: by then the
+    element is inactive on every shard *and* gone from every archive, so a
+    later reference to it is dangling everywhere, exactly as on a single
+    node.
+    """
+
+    #: :meth:`expire` sweeps once the cutoff has moved this fraction of the
+    #: horizon.  The table holds about a horizon's worth of entries, so a
+    #: sweep per 1/8 horizon reads each entry eight times in its life:
+    #: amortised, a bucket pays for eight times what it expires, not for
+    #: the table — and an entry that outlives the horizon by an eighth is
+    #: harmless (a reference routed to a shard whose archive has already
+    #: dropped its target is ignored there).  A ``(last_activity, id)``
+    #: min-heap popped every bucket was measured first and lost to this:
+    #: ``sharded_mixed`` ``bucket_ms_p50`` +8.8 % with the heap, −0.9 % with
+    #: the sweep, ten pairs each (CHANGES.md, PR 16).
+    SWEEPS_PER_HORIZON = 8
+
+    def __init__(self) -> None:
+        self._owners: Dict[int, int] = {}
+        self._last_activity: Dict[int, int] = {}
+        self._swept_to = 0
+        #: Home shard of a known element (``None`` when unseen or trimmed).
+        #: The dict's own ``get``: home filters call it once per element.
+        self.get: Callable[[int], Optional[int]] = self._owners.get
+
+    def __len__(self) -> int:
+        return len(self._owners)
+
+    def record(self, element_id: int, shard: int, time: int) -> None:
+        """Set one entry's owner and raise its last activity to ``time``."""
+        self._owners[element_id] = shard
+        known = self._last_activity.get(element_id)
+        if known is None or time > known:
+            self._last_activity[element_id] = time
+
+    def update(self, entries: Mapping[int, int], time: int) -> None:
+        """:meth:`record` every ``element id → shard`` entry at ``time``."""
+        for element_id, shard in entries.items():
+            self.record(element_id, shard, time)
+
+    def trim(self, cutoff: int) -> int:
+        """Drop entries last active before ``cutoff``; returns how many."""
+        stale = [
+            element_id
+            for element_id, last_activity in self._last_activity.items()
+            if last_activity < cutoff
+        ]
+        for element_id in stale:
+            del self._last_activity[element_id]
+            del self._owners[element_id]
+        return len(stale)
+
+    def expire(self, time: int, horizon: int) -> None:
+        """:meth:`trim` to ``time − horizon``, a fraction of the horizon at a
+        time (see :attr:`SWEEPS_PER_HORIZON`).  Called once per bucket."""
+        cutoff = time - horizon
+        if cutoff - self._swept_to >= horizon // self.SWEEPS_PER_HORIZON:
+            self._swept_to = cutoff
+            self.trim(cutoff)
+
+    def owners(self) -> Dict[int, int]:
+        """A copy of the ``element id → home shard`` map."""
+        return dict(self._owners)
+
+    def clear(self) -> None:
+        """Forget every entry."""
+        self._owners.clear()
+        self._last_activity.clear()
+
+    def state_dict(self) -> Dict[str, object]:
+        """The entries, JSON-serialisable."""
+        return {
+            "owners": sorted(self._owners.items()),
+            "last_activity": sorted(self._last_activity.items()),
+        }
+
+    def restore_state(self, state: Mapping[str, object]) -> None:
+        """Replace the entries with a :meth:`state_dict` snapshot."""
+        self.clear()  # in place: ``get`` is bound to the owners dict
+        self._owners.update((int(eid), int(shard)) for eid, shard in state["owners"])
+        self._last_activity.update(
+            (int(eid), int(time)) for eid, time in state["last_activity"]
+        )
+
+
 class ShardPlanner:
     """Owns the partitioning strategy and the element → shard assignments."""
 
@@ -198,11 +292,10 @@ class ShardPlanner:
             self._strategy = strategy
         else:
             self._strategy = make_partitioner(strategy)
-        self._owners: Dict[int, int] = {}
-        # Last post/reference time per assigned element, mirroring the
-        # windows' ``t_e``; lets :meth:`trim_inactive` bound the ownership
-        # table on endless streams.
-        self._last_activity: Dict[int, int] = {}
+        # Ownership plus the last post/reference time per assigned element
+        # (mirroring the windows' ``t_e``), which lets :meth:`trim_inactive`
+        # bound the table on endless streams.
+        self._table = OwnershipTable()
 
     # -- metadata ----------------------------------------------------------------
 
@@ -219,15 +312,15 @@ class ShardPlanner:
     @property
     def assigned_count(self) -> int:
         """Number of elements assigned so far."""
-        return len(self._owners)
+        return len(self._table)
 
     def owner(self, element_id: int) -> Optional[int]:
         """Home shard of an already-assigned element (None when unseen)."""
-        return self._owners.get(element_id)
+        return self._table.get(element_id)
 
     def is_home(self, shard_id: int, element_id: int) -> bool:
         """Whether the element's home shard is ``shard_id``."""
-        return self._owners.get(element_id) == shard_id
+        return self._table.get(element_id) == shard_id
 
     def owners_snapshot(self) -> Dict[int, int]:
         """A copy of the element → home-shard table.
@@ -235,12 +328,12 @@ class ShardPlanner:
         Used to reseed remote workers' home filters on restore and by the
         rebalancer to re-home per-element state.
         """
-        return dict(self._owners)
+        return self._table.owners()
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Elements assigned to each shard (cumulative, expiry ignored)."""
         sizes = [0] * self._num_shards
-        for shard in self._owners.values():
+        for shard in self._table.owners().values():
             sizes[shard] += 1
         return tuple(sizes)
 
@@ -248,21 +341,22 @@ class ShardPlanner:
 
     def assign(self, element: SocialElement) -> int:
         """Assign (or look up) the home shard of an element."""
-        element_id = element.element_id
-        self._last_activity[element_id] = max(
-            element.timestamp, self._last_activity.get(element_id, element.timestamp)
-        )
-        existing = self._owners.get(element_id)
-        if existing is not None:
-            return existing
-        shard = self._strategy.assign(element, self._num_shards)
-        if not 0 <= shard < self._num_shards:
-            raise ValueError(
-                f"strategy {self._strategy.name!r} returned shard {shard} "
-                f"outside 0..{self._num_shards - 1}"
-            )
-        self._owners[element_id] = shard
+        table = self._table
+        shard = table.get(element.element_id)
+        if shard is None:
+            shard = self._strategy.assign(element, self._num_shards)
+            if not 0 <= shard < self._num_shards:
+                raise ValueError(
+                    f"strategy {self._strategy.name!r} returned shard {shard} "
+                    f"outside 0..{self._num_shards - 1}"
+                )
+        table.record(element.element_id, shard, element.timestamp)
         return shard
+
+    def expire(self, time: int, horizon: int) -> None:
+        """Forget what no archive can hold at ``time`` any more (batched;
+        see :meth:`OwnershipTable.expire`)."""
+        self._table.expire(time, horizon)
 
     def trim_inactive(self, cutoff: int) -> int:
         """Drop ownership of elements whose last activity predates ``cutoff``.
@@ -273,15 +367,7 @@ class ShardPlanner:
         exactly the references routing ignores anyway.  Returns the number
         of entries dropped.
         """
-        stale = [
-            element_id
-            for element_id, last_activity in self._last_activity.items()
-            if last_activity < cutoff
-        ]
-        for element_id in stale:
-            self._owners.pop(element_id, None)
-            del self._last_activity[element_id]
-        return len(stale)
+        return self._table.trim(cutoff)
 
     # -- checkpoint state -------------------------------------------------------------
 
@@ -291,8 +377,7 @@ class ShardPlanner:
             "num_shards": self._num_shards,
             "strategy": self._strategy.name,
             "strategy_state": self._strategy.state_dict(),
-            "owners": sorted(self._owners.items()),
-            "last_activity": sorted(self._last_activity.items()),
+            **self._table.state_dict(),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -308,10 +393,16 @@ class ShardPlanner:
                 f"is configured with {self._strategy.name!r}"
             )
         self._strategy.restore_state(state["strategy_state"])
-        self._owners = {int(eid): int(shard) for eid, shard in state["owners"]}
-        self._last_activity = {
-            int(eid): int(time) for eid, time in state["last_activity"]
-        }
+        self._table.restore_state(state)
+
+    def recall(self, state: Mapping[str, object]) -> None:
+        """Re-learn the entries of an earlier :meth:`state_dict` snapshot
+        that were trimmed since (current entries win; see
+        :meth:`ClusterCoordinator.restore_shard`)."""
+        last_activity = dict(state["last_activity"])
+        for element_id, shard in state["owners"]:
+            if self._table.get(element_id) is None:
+                self._table.record(element_id, shard, last_activity[element_id])
 
     def route_bucket(
         self, elements: Sequence[SocialElement], with_owners: bool = False
@@ -330,28 +421,26 @@ class ShardPlanner:
         routed: List[List[SocialElement]] = [[] for _ in range(self._num_shards)]
         home_counts = [0] * self._num_shards
         owners: List[Dict[int, int]] = [{} for _ in range(self._num_shards)]
+        table = self._table
         for element in elements:
             home = self.assign(element)
             targets = {home}
             for parent_id in element.references:
-                parent_owner = self._owners.get(parent_id)
+                parent_owner = table.get(parent_id)
                 if parent_owner is not None:
                     targets.add(parent_owner)
                     # A reference keeps the parent alive on its home shard;
                     # mirror that in the trim bookkeeping.
-                    self._last_activity[parent_id] = max(
-                        self._last_activity.get(parent_id, element.timestamp),
-                        element.timestamp,
-                    )
+                    table.record(parent_id, parent_owner, element.timestamp)
             for shard in targets:
                 routed[shard].append(element)
                 if with_owners:
-                    table = owners[shard]
-                    table[element.element_id] = home
+                    shipped = owners[shard]
+                    shipped[element.element_id] = home
                     for parent_id in element.references:
-                        parent_owner = self._owners.get(parent_id)
+                        parent_owner = table.get(parent_id)
                         if parent_owner is not None:
-                            table[parent_id] = parent_owner
+                            shipped[parent_id] = parent_owner
             home_counts[home] += 1
         return tuple(
             RoutedBucket(

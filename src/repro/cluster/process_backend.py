@@ -1,10 +1,9 @@
-"""One-OS-process-per-shard fan-out (``ClusterConfig(backend="process")``).
+"""One-OS-process-per-shard fan-out (``ClusterConfig(transport="pipe")``).
 
-The thread backend shares the interpreter, so CPU-bound ingestion serialises
-on the GIL; this backend gives each shard its own process and communicates
-over pipes.  Protocol per command: the coordinator scatters a message to
-every shard pipe, then gathers every reply — so shards genuinely overlap on
-multi-core machines.
+Each shard gets its own process and talks to the coordinator over a pipe.
+Protocol per command: the coordinator scatters a message to every shard
+pipe, then gathers every reply — so shards genuinely overlap on multi-core
+machines, and a crash or a kill takes down one shard, not the engine.
 
 State that must agree between the planner (coordinator side) and the home
 filters (shard side) is the element → home-shard table: each
@@ -12,10 +11,12 @@ filters (shard side) is the element → home-shard table: each
 for its routed elements and their references, and the remote worker replays
 them into a local table before ingesting.
 
-Costs to be aware of: per-bucket pickling of the routed elements and, at
-startup, pickling of the topic model into every shard process.  The backend
-is therefore most useful when per-element processing dominates IPC — exactly
-the heavy-traffic regime the ROADMAP targets.
+Costs to be aware of: per-bucket pickling of the routed elements, per-query
+pickling of the candidate pools and, at startup, pickling of the topic model
+into every shard process.  On the 2-core benchmark box the in-process
+``serial`` transport beats two shard processes on every end-to-end metric
+(``benchmarks/trajectory/BENCH_transports_pr16.json``): this transport is
+kept for isolation and failover, not for speed.
 
 Liveness and recovery
 ---------------------
@@ -40,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.processor import ProcessorConfig
-from repro.cluster.partition import RoutedBucket
+from repro.cluster.partition import OwnershipTable, RoutedBucket
 from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
 from repro.topics.model import TopicModel
 
@@ -74,12 +75,11 @@ class ShardFailure(RuntimeError):
 
 def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorConfig) -> None:
     """The shard process loop: execute commands until ``close`` arrives."""
-    owners: Dict[int, int] = {}
-    # Bucket end time each ownership entry was last (re)shipped; used to
-    # trim the table with the archive horizon, mirroring the planner's
-    # trim_inactive (shipping times trail true activity times, so the
-    # remote table is only ever trimmed later than the planner's — safe).
-    owner_seen: Dict[int, int] = {}
+    # The worker's copy of the planner's ownership table, replayed from the
+    # entries shipped with each routed bucket.  Shipping times never trail
+    # true activity times, so it is only ever trimmed later than the
+    # planner's — safe.
+    owners = OwnershipTable()
     # Fault-injection knobs (repro.ha.chaos): a positive ping delay makes
     # the worker look hung to heartbeat probes without killing it.
     chaos: Dict[str, float] = {"ping_delay": 0.0}
@@ -97,17 +97,9 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
         try:
             if command == "ingest":
                 elements, end_time, owner_updates, home_count = payload
-                owners.update(owner_updates)
-                for element_id in owner_updates:
-                    owner_seen[element_id] = end_time
+                owners.update(owner_updates, end_time)
                 worker.ingest(elements, end_time, home_count=home_count)
-                cutoff = end_time - 8 * config.window_length
-                if cutoff > 0:
-                    for element_id in [
-                        eid for eid, seen in owner_seen.items() if seen < cutoff
-                    ]:
-                        del owner_seen[element_id]
-                        owners.pop(element_id, None)
+                owners.expire(end_time, config.archive_horizon)
                 conn.send(("ok", None))
             elif command == "export":
                 vector, budget = payload
@@ -129,8 +121,7 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
                 worker.restore_state(worker_state)
                 # ``owners`` is captured by the home filter: mutate in place.
                 owners.clear()
-                owners.update({int(eid): int(home) for eid, home in owner_table.items()})
-                owner_seen = {eid: int(owner_time) for eid in owners}
+                owners.update(owner_table, owner_time)
                 conn.send(("ok", None))
             elif command == "chaos":
                 chaos.update({str(key): float(value) for key, value in payload.items()})
@@ -151,6 +142,9 @@ class ProcessFanout:
     #: Remote workers cannot consult the coordinator's planner: routed
     #: buckets must carry the ownership entries their home filters replay.
     ships_owners = True
+
+    #: The workers live in their own processes.
+    workers: Tuple[ShardWorker, ...] = ()
 
     def __init__(
         self,
@@ -336,7 +330,7 @@ class ProcessFanout:
     def _broadcast(self, command: str, payload: object = None) -> List[object]:
         return self._scatter_gather([(command, payload)] * len(self._connections))
 
-    # -- the fan-out interface (mirrors _LocalFanout) ----------------------------------
+    # -- the fan-out interface (TransportBackend) --------------------------------------
 
     def ingest(self, routed: Sequence[RoutedBucket], end_time: int) -> None:
         messages = []

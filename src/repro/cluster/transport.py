@@ -1,30 +1,32 @@
 """The formal transport-backend protocol of the cluster layer.
 
-Every way of fanning work out to shard workers — same-thread, thread pool,
-one OS process per shard over pipes, one OS process per shard over shared
-memory — is a :class:`TransportBackend`: a scatter-gather executor with a
-uniform command surface (``ingest`` → ``export`` / ``stats`` → ``close``).
+A way of reaching the shard workers is a :class:`TransportBackend`: a
+scatter-gather executor with one command surface, small enough to state as
+a transition system::
+
+    ingest* ─┬─ export / take_dirty_topics / home_active_counts / stats
+             ├─ states ──► restore_all          (checkpoint, any transport
+             │                                   to any transport)
+             ├─ restore_shard ─► ingest_shard*  (one shard's failover: its
+             │                                   checkpoint slice, then the
+             │                                   WAL gap)
+             └─ close (idempotent)
+
 The :class:`~repro.cluster.coordinator.ClusterCoordinator` programs against
 this protocol only and resolves the concrete adapter through a registry,
 exactly like :func:`repro.api.register_backend` resolves execution
-backends — so new transports (RDMA, sockets, a remote worker pool, ...)
-plug in by registering a factory under a new name, with no coordinator
-changes.
+backends — so new transports (sockets, a remote worker pool, ...) plug in by
+registering a factory under a new name, with no coordinator changes.
 
 Built-in transports (registered by :mod:`repro.cluster.coordinator`):
 
 ``serial``
-    Same-thread fan-out over in-process workers (deterministic; used for
-    per-shard measurement).
-``thread``
-    Thread-pool fan-out over in-process workers (shares the GIL).
+    In-process workers driven from the calling thread.  The default, the
+    reference the oracle and the recorded answers run on, and the only one
+    whose windows :meth:`ClusterCoordinator.snapshot` can read.
 ``pipe``
     One OS process per shard; buckets and candidate pools are pickled over
-    pipes (accepted alias: ``process``).
-``shm``
-    One OS process per shard; workers attach shared-memory store columns
-    and exchange buckets/candidate pools through fixed-layout array slices
-    in shared segments — pipes carry only small control tuples.
+    pipes.  The one `repro.ha` can supervise, kill and restart.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -46,7 +49,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.cluster.partition import RoutedBucket
-from repro.cluster.worker import CandidatePool, ShardStats
+from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cluster.coordinator import ClusterCoordinator
@@ -58,11 +61,17 @@ class TransportBackend(Protocol):
 
     Structural typing keeps adapters decoupled from the coordinator:
     anything with these members — including third-party classes that never
-    import this module — can serve as a transport.  Adapters that ship
-    routed buckets to *remote* workers (other processes or machines) should
-    additionally expose ``ships_owners = True`` so the planner includes the
-    ownership entries the remote home filters replay.
+    import this module — can serve as a transport.
     """
+
+    #: Whether routed buckets must carry the ownership entries of their
+    #: elements: ``True`` for workers that cannot read the coordinator's
+    #: planner (other processes or machines) and replay the entries into a
+    #: table of their own.
+    ships_owners: bool
+
+    #: The shard workers when they live in this process, else ``()``.
+    workers: Tuple[ShardWorker, ...]
 
     def ingest(self, routed: Sequence[RoutedBucket], end_time: int) -> None:
         """Deliver one routed bucket per shard and advance every window."""
@@ -86,8 +95,40 @@ class TransportBackend(Protocol):
         """Per-shard accounting snapshots."""
         ...
 
+    def states(self) -> List[Dict[str, object]]:
+        """Every worker's ``ShardWorker.state_dict``, in shard order."""
+        ...
+
+    def restore_all(
+        self,
+        states: Sequence[Mapping[str, object]],
+        owners: Mapping[int, int],
+        owner_time: int,
+    ) -> None:
+        """Restore every worker from :meth:`states` output.
+
+        ``owners`` is the planner's ownership table and ``owner_time`` the
+        checkpoint's stream time, for workers that keep a table of their
+        own (see ``ships_owners``).
+        """
+        ...
+
+    def restore_shard(
+        self,
+        shard_id: int,
+        state: Mapping[str, object],
+        owners: Mapping[int, int],
+        owner_time: int,
+    ) -> None:
+        """:meth:`restore_all` for one (freshly restarted) worker."""
+        ...
+
+    def ingest_shard(self, bucket: RoutedBucket, end_time: int) -> None:
+        """:meth:`ingest` for one shard (WAL gap replay after a restore)."""
+        ...
+
     def close(self) -> None:
-        """Release executor/process/segment resources (idempotent)."""
+        """Release process resources (idempotent)."""
         ...
 
 
@@ -96,24 +137,11 @@ class TransportBackend(Protocol):
 #: ready fan-out adapter.
 TransportFactory = Callable[["ClusterCoordinator"], TransportBackend]
 
-#: Accepted spellings → canonical transport names.  ``process`` stays an
-#: alias of ``pipe`` so pre-transport ``ClusterConfig(backend="process")``
-#: configurations (and their checkpoints) keep working unchanged.
-TRANSPORT_ALIASES: Dict[str, str] = {
-    "process": "pipe",
-}
-
 _REGISTRY: Dict[str, TransportFactory] = {}
 
 
-def canonical_transport_name(name: str) -> str:
-    """Resolve a transport spelling to its canonical registry name."""
-    key = name.strip().lower()
-    return TRANSPORT_ALIASES.get(key, key)
-
-
 def register_transport(name: str, factory: TransportFactory) -> None:
-    """Register a cluster fan-out transport under a canonical name.
+    """Register a cluster fan-out transport under a (case-insensitive) name.
 
     The public extension hook of the cluster layer, mirroring
     :func:`repro.api.register_backend`: ``factory`` receives the owning
@@ -122,22 +150,28 @@ def register_transport(name: str, factory: TransportFactory) -> None:
     ``ClusterConfig(transport=name)``.  Re-registering a name replaces the
     factory (useful for tests and instrumented adapters).
     """
-    _REGISTRY[canonical_transport_name(name)] = factory
+    _REGISTRY[name.strip().lower()] = factory
 
 
 def transport_names() -> Tuple[str, ...]:
-    """The registered canonical transport names, sorted."""
+    """The registered transport names, sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def transport_factory(name: str) -> TransportFactory:
+    """The factory registered under ``name``; ``ValueError`` when none is."""
+    try:
+        return _REGISTRY[name.strip().lower()]
+    except KeyError as error:
+        available = ", ".join(transport_names()) or "<none registered>"
+        raise ValueError(
+            f"unknown cluster transport {name!r}; registered: {available} "
+            "(the thread-pool and shared-memory transports were retired in "
+            "PR 16 after losing to 'serial' and 'pipe' on every end-to-end "
+            "metric: use those)"
+        ) from error
 
 
 def create_transport(name: str, coordinator: "ClusterCoordinator") -> TransportBackend:
     """Instantiate the transport registered under ``name``."""
-    key = canonical_transport_name(name)
-    try:
-        factory = _REGISTRY[key]
-    except KeyError as error:
-        available = ", ".join(transport_names()) or "<none registered>"
-        raise ValueError(
-            f"unknown cluster transport {name!r}; registered: {available}"
-        ) from error
-    return factory(coordinator)
+    return transport_factory(name)(coordinator)

@@ -91,14 +91,13 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Replay ``stream`` on both execution paths and compare query answers.
 
-    The cluster defaults to a deterministic ``serial`` backend so the check
-    is reproducible; pass an explicit ``cluster`` config to exercise the
-    thread or process backends instead.
+    The cluster defaults to the in-process ``serial`` transport; pass an
+    explicit ``cluster`` config to exercise ``pipe`` instead.
     """
     if not isinstance(stream, SocialStream):
         stream = SocialStream(stream)
     config = config or ProcessorConfig()
-    cluster = cluster or ClusterConfig(backend="serial")
+    cluster = cluster or ClusterConfig()
 
     single = KSIRProcessor(topic_model, config, inferencer=inferencer)
     single.process_stream(stream)

@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.scoring import ElementProfile
-from repro.store import ElementStore
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 
@@ -91,7 +90,6 @@ class ShardWorker:
         config: Optional[ProcessorConfig] = None,
         inferencer: Optional[TopicInferencer] = None,
         home_filter: Optional[Callable[[int], bool]] = None,
-        store_factory: Optional[Callable[[], ElementStore]] = None,
     ) -> None:
         self._shard_id = int(shard_id)
         self._processor = KSIRProcessor(
@@ -99,7 +97,6 @@ class ShardWorker:
             config,
             inferencer=inferencer,
             home_filter=home_filter,
-            store_factory=store_factory,
         )
         self._home_ingested = 0
         self._foreign_ingested = 0
@@ -194,17 +191,6 @@ class ShardWorker:
 
     # -- gather: candidate export -----------------------------------------------------
 
-    def record_export(self, num_candidates: int) -> None:
-        """Bump the export counters (thread-safe).
-
-        Shared by :meth:`export_candidates` and transports that encode the
-        pool themselves (the shm transport packs array sections instead of
-        building a :class:`CandidatePool` object in the worker process).
-        """
-        with self._counter_lock:
-            self._exports += 1
-            self._exported_candidates += int(num_candidates)
-
     def export_candidates(
         self, query_vector: np.ndarray, budget: Optional[int] = None
     ) -> CandidatePool:
@@ -241,7 +227,9 @@ class ShardWorker:
                 if follower_id not in profiles:
                     profiles[follower_id] = self._processor.profile(follower_id)
 
-        self.record_export(len(candidate_ids))
+        with self._counter_lock:
+            self._exports += 1
+            self._exported_candidates += len(candidate_ids)
         return CandidatePool(
             shard_id=self._shard_id,
             candidate_ids=candidate_ids,

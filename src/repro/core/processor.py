@@ -15,7 +15,7 @@ The :class:`KSIRProcessor` ties everything together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,6 +101,13 @@ class ProcessorConfig:
         # Delegate the gap/policy coupling rules to the policy constructor.
         self.build_window_policy()
 
+    @property
+    def archive_horizon(self) -> int:
+        """``archive_windows × window_length``: how far back a reference
+        can still re-activate its target (the cluster layer forgets an
+        element's home shard at the same age)."""
+        return self.archive_windows * self.window_length
+
     def build_window_policy(self) -> WindowPolicy:
         """The :class:`WindowPolicy` value this configuration describes."""
         return WindowPolicy(kind=self.window_policy, session_gap=self.session_gap)
@@ -132,7 +139,6 @@ class KSIRProcessor:
         config: Optional[ProcessorConfig] = None,
         inferencer: Optional[TopicInferencer] = None,
         home_filter: Optional[Callable[[int], bool]] = None,
-        store_factory: Optional[Callable[[], ElementStore]] = None,
     ) -> None:
         self._model = topic_model
         self._config = config or ProcessorConfig()
@@ -148,15 +154,8 @@ class KSIRProcessor:
         self._builder = ProfileBuilder(topic_model, self._config.scoring)
         # The hot window state — timestamps, last activity, membership,
         # follower adjacency and the topic-profile matrix — lives on the
-        # store's contiguous arrays.  ``store_factory`` lets the execution
-        # layer supply the store — the shared-memory cluster transport
-        # backs its columns with coordinator-owned segments so shard state
-        # is readable zero-copy from the coordinator process.
-        self._store = (
-            store_factory()
-            if store_factory is not None
-            else ElementStore(topic_model.num_topics)
-        )
+        # store's contiguous arrays.
+        self._store = ElementStore(topic_model.num_topics)
         self._window = ColumnarWindow(
             self._config.window_length,
             archive_windows=self._config.archive_windows,
@@ -287,8 +286,6 @@ class KSIRProcessor:
             profile_map = self._profiles
             inserts = []
             touched: Dict[int, int] = {}
-            # re-posted home id -> topics of the versions this bucket replaces
-            superseded: Dict[int, Set[int]] = {}
             # One bulk row allocation for the bucket, one fancy-indexed
             # write for the bucket's profile rows.
             touched_lists, rows = self._window.insert_many(prepared)
@@ -300,12 +297,9 @@ class KSIRProcessor:
             ):
                 element_id = element.element_id
                 timestamp = element.timestamp
-                previous = profile_map.get(element_id)
                 profile_map[element_id] = profile
                 if home_filter is None or home_filter(element_id):
                     inserts.append((profile, timestamp))
-                    if previous is not None:
-                        superseded.setdefault(element_id, set()).update(previous.topics)
                     if self._window.follower_count(element_id):
                         # Re-posted element with live followers: schedule a
                         # refresh so its tuples keep the influence component
@@ -341,13 +335,6 @@ class KSIRProcessor:
             self._index.bulk_update(
                 inserts=inserts,
                 scored_refreshes=self._columnar_refresh_entries(touched),
-                # A re-post's tuples leave the lists of the topics it dropped.
-                retired=[
-                    (topic, element_id)
-                    for element_id, topics in superseded.items()
-                    for topic in topics
-                    if topic not in profile_map[element_id].topic_probabilities
-                ],
             )
 
             removed = self._window.advance_to(end_time)

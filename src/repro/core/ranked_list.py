@@ -43,6 +43,24 @@ from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
 
 
+def _mask(topics: Iterable[int]) -> int:
+    """The topic set as a bitmask (bit ``i`` set for topic ``i``)."""
+    mask = 0
+    for topic in topics:
+        mask |= 1 << topic
+    return mask
+
+
+def _topics(mask: int) -> List[int]:
+    """The topics of a :func:`_mask`, ascending."""
+    topics = []
+    while mask:
+        lowest = mask & -mask
+        topics.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return topics
+
+
 class RankedListIndex:
     """The collection of per-topic ranked lists ``RL_1, ..., RL_z``."""
 
@@ -61,6 +79,12 @@ class RankedListIndex:
         ]
         # element id -> last-activity timestamp t_e (shared across its lists).
         self._last_activity: Dict[int, int] = {}
+        # element id -> the topics whose lists hold a tuple of it: what an
+        # expiry removes and what a re-post may drop, without probing z lists.
+        # One int per element (a bitmask): the merged index of a sharded
+        # query records a thousand of these and throws them away, and an int
+        # is no work for the garbage collector where a tuple is.
+        self._topics_of: Dict[int, int] = {}
         # Topics whose lists changed since the last drain (bounded by z).
         self._dirty_topics: Set[int] = set()
         # Optional columnar-store epoch stamping: every dirty marking is
@@ -116,14 +140,11 @@ class RankedListIndex:
         return self._lists[topic].score(element_id)
 
     def scores_of(self, element_id: int) -> Dict[int, float]:
-        """All stored topic-wise scores of an element (probes every list;
-        callers that hold the element's profile read its topics instead)."""
-        scores: Dict[int, float] = {}
-        for topic, ranked in enumerate(self._lists):
-            value = ranked.get(element_id)
-            if value is not None:
-                scores[topic] = value
-        return scores
+        """All stored topic-wise scores of an element (empty when absent)."""
+        return {
+            topic: self._lists[topic].score(element_id)
+            for topic in _topics(self._topics_of.get(element_id, 0))
+        }
 
     def last_activity(self, element_id: int) -> int:
         """``t_e``: the element's last post/reference time (KeyError when absent)."""
@@ -199,12 +220,11 @@ class RankedListIndex:
         with self._update_timer.measure():
             element_id = profile.element_id
             time = profile.timestamp if activity_time is None else activity_time
-            retired = [
-                topic for topic, ranked in enumerate(self._lists)
-                if element_id in ranked and topic not in profile.topic_probabilities
-            ]
+            held = _mask(profile.topic_probabilities)
+            retired = _topics(self._topics_of.get(element_id, 0) & ~held)
             for topic in retired:
                 self._lists[topic].remove(element_id)
+            self._topics_of[element_id] = held
             self._last_activity[element_id] = time
             for topic in profile.topics:
                 score = self._config.lambda_weight * profile.semantic_score(topic)
@@ -226,17 +246,18 @@ class RankedListIndex:
             scores = self._rescore(profile, followers)
             for topic, score in scores.items():
                 self._lists[topic].update(profile.element_id, score)
+            self._topics_of[profile.element_id] = (
+                self._topics_of.get(profile.element_id, 0) | _mask(scores)
+            )
             self._mark_dirty(scores)
 
     def remove(self, element_id: int) -> None:
         """Remove every tuple of an expired element."""
         with self._update_timer.measure():
             self._last_activity.pop(element_id, None)
-            touched = []
-            for topic, ranked in enumerate(self._lists):
-                if ranked.get(element_id) is not None:
-                    ranked.discard(element_id)
-                    touched.append(topic)
+            touched = _topics(self._topics_of.pop(element_id, 0))
+            for topic in touched:
+                self._lists[topic].remove(element_id)
             self._mark_dirty(touched)
 
     def bulk_update(
@@ -244,7 +265,6 @@ class RankedListIndex:
         inserts: Sequence[Tuple[ElementProfile, int]] = (),
         removes: Sequence[int] = (),
         scored_refreshes: Sequence[Tuple[int, Mapping[int, float], int]] = (),
-        retired: Iterable[Tuple[int, int]] = (),
     ) -> None:
         """Apply a bucket's worth of maintenance in one grouped pass.
 
@@ -260,9 +280,10 @@ class RankedListIndex:
         merge instead of one bisect-insertion per tuple.  When the same
         element appears as both an insert and a refresh, the refresh score
         wins (matching the per-element insert-then-refresh outcome).
-        ``retired`` are ``(topic, element_id)`` pairs a re-post dropped: the
-        element's tuple leaves that topic's list (and the bucket's grouped
-        scores), as :meth:`insert` does for one re-post.
+        A re-post replaces its previous versions — the stored one and any
+        earlier in ``inserts``: its tuples on the topics the last version no
+        longer has leave those lists (and the bucket's grouped scores), as
+        :meth:`insert` does for one re-post.
         Activity times combine via ``max`` with any stored value, which is
         what the per-element discipline converges to over a bucket.
 
@@ -274,17 +295,21 @@ class RankedListIndex:
         watch = StopWatch()
         watch.start()
 
+        topics_of = self._topics_of
         if removes:
-            removal_topics = []
+            removals: Dict[int, List[int]] = defaultdict(list)
             for element_id in removes:
                 self._last_activity.pop(element_id, None)
-            for topic, ranked in enumerate(self._lists):
-                if ranked.bulk_discard(removes):
-                    removal_topics.append(topic)
-            self._mark_dirty(removal_topics)
+                for topic in _topics(topics_of.pop(element_id, 0)):
+                    removals[topic].append(element_id)
+            for topic, element_ids in removals.items():
+                self._lists[topic].bulk_discard(element_ids)
+            self._mark_dirty(removals)
 
         lambda_weight = self._config.lambda_weight
         last_activity = self._last_activity
+        # re-posted element id -> its last version in ``inserts``
+        reposted: Dict[int, ElementProfile] = {}
         # topic -> {element_id: score}; later stores supersede earlier
         # ones per element, matching the per-element apply order.
         per_topic: Dict[int, Dict[int, float]] = defaultdict(dict)
@@ -295,16 +320,26 @@ class RankedListIndex:
             last_activity[element_id] = time if previous is None else max(previous, time)
             for topic, semantic in profile.semantic_scores.items():
                 per_topic[topic][element_id] = lambda_weight * semantic
+            held = topics_of.get(element_id)
+            if held is None:
+                topics_of[element_id] = _mask(profile.semantic_scores)
+            else:
+                topics_of[element_id] = held | _mask(profile.semantic_scores)
+                reposted[element_id] = profile
         for element_id, scores, activity_time in scored_refreshes:
             time = activity_time
             previous = last_activity.get(element_id)
             last_activity[element_id] = time if previous is None else max(previous, time)
             for topic, score in scores.items():
                 per_topic[topic][element_id] = score
+            topics_of[element_id] = topics_of.get(element_id, 0) | _mask(scores)
 
-        for topic, element_id in retired:
-            per_topic[topic].pop(element_id, None)
-            self._lists[topic].discard(element_id)
+        for element_id, profile in reposted.items():
+            dropped = topics_of[element_id] & ~_mask(profile.topic_probabilities)
+            for topic in _topics(dropped):
+                per_topic[topic].pop(element_id, None)
+                self._lists[topic].discard(element_id)
+            topics_of[element_id] &= ~dropped
         for topic, entries in per_topic.items():
             self._lists[topic].bulk_insert(entries.items())
         self._mark_dirty(per_topic)
@@ -333,6 +368,7 @@ class RankedListIndex:
             self._last_activity[element_id] = int(activity_time)
             for topic, score in scores.items():
                 self._lists[topic].insert(element_id, float(score))
+            self._topics_of[element_id] = self._topics_of.get(element_id, 0) | _mask(scores)
             self._mark_dirty(scores)
 
     def clear(self) -> None:
@@ -344,6 +380,7 @@ class RankedListIndex:
             ranked.clear()
         self._mark_dirty(touched)
         self._last_activity.clear()
+        self._topics_of.clear()
 
     # -- checkpoint state -------------------------------------------------------------
 
@@ -418,8 +455,19 @@ class RankedListIndex:
         return candidates
 
     def validate(self) -> bool:
-        """Check the sorted-list invariants of every list (used by tests)."""
-        return all(ranked.validate() for ranked in self._lists)
+        """Check the sorted-list invariants of every list and that the
+        element → topics record names exactly the stored tuples (used by tests)."""
+        held = {
+            (topic, element_id)
+            for element_id, mask in self._topics_of.items()
+            for topic in _topics(mask)
+        }
+        stored = {
+            (topic, element_id)
+            for topic, ranked in enumerate(self._lists)
+            for element_id in ranked.keys()
+        }
+        return held == stored and all(ranked.validate() for ranked in self._lists)
 
 
 class RankedListTraversal:

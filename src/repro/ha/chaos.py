@@ -34,7 +34,7 @@ def _fanout_of(target: Union[ClusterCoordinator, ProcessFanout]) -> ProcessFanou
     if not isinstance(fanout, ProcessFanout):
         raise TypeError(
             "fault injection needs the process fan-out backend "
-            '(ClusterConfig(backend="process")); in-process workers cannot '
+            '(ClusterConfig(transport="pipe")); in-process workers cannot '
             "be killed independently"
         )
     return fanout

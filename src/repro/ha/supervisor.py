@@ -221,16 +221,13 @@ class ClusterSupervisor:
 
     # -- recovery ----------------------------------------------------------------------
 
-    def _checkpoint_worker_states(self) -> Optional[List[Dict[str, Any]]]:
+    def _checkpoint_coordinator_state(self) -> Optional[Dict[str, Any]]:
         if self._chain is None or not self._chain.segments:
             return None
         state = self._chain.load_state()
         coordinator_state = state.get("coordinator")
-        if coordinator_state is None:
-            return None
-        workers = coordinator_state["workers"]
-        assert isinstance(workers, list)
-        return workers
+        assert coordinator_state is None or isinstance(coordinator_state, dict)
+        return coordinator_state
 
     def _recover(
         self, shard_ids: Sequence[int], upto_seq: Optional[int] = None
@@ -248,14 +245,14 @@ class ClusterSupervisor:
             raise ShardFailure(
                 shard_ids, "in-process shard workers cannot be restarted"
             )
-        checkpoint_workers = self._checkpoint_worker_states()
+        checkpoint = self._checkpoint_coordinator_state()
         entries = self._wal.entries_since(self._checkpoint_seq)
         if upto_seq is not None:
             entries = [entry for entry in entries if entry.seq <= upto_seq]
         for shard_id in shard_ids:
             fanout.restart_shard(shard_id)
-            if checkpoint_workers is not None:
-                coordinator.restore_shard(shard_id, checkpoint_workers[shard_id])
+            if checkpoint is not None:
+                coordinator.restore_shard(shard_id, checkpoint)
             # Without a checkpoint the fresh worker starts empty and the
             # WAL — never truncated in that configuration — replays the
             # shard's entire history.
@@ -318,7 +315,7 @@ class ClusterSupervisor:
         chain_stats = self._chain.stats() if self._chain is not None else None
         return {
             "supervised": True,
-            "backend": self.coordinator.cluster_config.backend,
+            "transport": self.coordinator.cluster_config.transport,
             "num_shards": num_shards,
             "shards": shards,
             "healthy": not dead,

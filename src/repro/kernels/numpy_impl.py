@@ -2,8 +2,8 @@
 
 These are the always-available, always-correct versions: the compiled
 Numba variants in :mod:`repro.kernels.numba_impl` must match them within
-1e-9 (equivalence-tested with hypothesis, like the columnar-store and
-shm-transport migrations before them).  Each function is a pure array
+1e-9 (equivalence-tested with hypothesis, like the columnar-store
+migration before them).  Each function is a pure array
 transformation — no store or processor objects cross the seam, so the
 same signatures compile unchanged under ``@njit``.
 """

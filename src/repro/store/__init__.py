@@ -19,14 +19,13 @@ from repro.store.codec import (
     encode_pairs,
     encode_ranked_entries,
 )
-from repro.store.store import ElementStore, StoreCapacityError
+from repro.store.store import ElementStore
 from repro.store.view import TopicEpochSink
 from repro.store.window import ColumnarWindow
 
 __all__ = [
     "ColumnarWindow",
     "ElementStore",
-    "StoreCapacityError",
     "TopicEpochSink",
     "decode_followers",
     "decode_id_list",

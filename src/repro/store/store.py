@@ -34,7 +34,7 @@ drives the store; scoring lives in :mod:`repro.core.scoring`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -47,87 +47,33 @@ _NO_ACTIVITY = np.iinfo(np.int64).min
 _WINDOW_SCAN = get_kernel("window_scan")
 
 
-class StoreCapacityError(RuntimeError):
-    """A fixed-capacity store ran out of rows.
-
-    Raised instead of growing when the store's columns are externally
-    provided (shared-memory segments owned by the cluster coordinator):
-    the store cannot reallocate arrays it does not own.  Carries the row
-    capacity the operation needs so the owner can grow the segments and
-    retry.
-    """
-
-    def __init__(self, required_capacity: int) -> None:
-        self.required_capacity = int(required_capacity)
-        super().__init__(
-            f"store needs capacity for {required_capacity} rows"
-        )
-
-
 class ElementStore:
     """Contiguous columnar storage for the active-element state.
 
-    Columns are normally private heap arrays that double on demand.  The
-    shared-memory cluster transport instead passes ``columns`` — views of
-    coordinator-owned segments — in which case the store adopts them at a
-    *fixed* capacity: exhausting it raises :class:`StoreCapacityError` and
-    the owner swaps in larger segments via :meth:`adopt_columns`.
+    Columns are private heap arrays that double on demand.
     """
 
-    def __init__(
-        self,
-        num_topics: int,
-        initial_capacity: int = 1024,
-        columns: Optional[Mapping[str, npt.NDArray]] = None,
-    ) -> None:
+    def __init__(self, num_topics: int, initial_capacity: int = 1024) -> None:
         if num_topics <= 0:
             raise ValueError("num_topics must be positive")
         if initial_capacity <= 0:
             raise ValueError("initial_capacity must be positive")
         self._num_topics = int(num_topics)
-        self._external_columns = columns is not None
-        self._element_ids: npt.NDArray[np.int64]
-        self._timestamps: npt.NDArray[np.int64]
-        self._last_activity: npt.NDArray[np.int64]
-        self._in_window: npt.NDArray[np.bool_]
-        self._profiles: npt.NDArray[np.float64]
-        self._profile_set: npt.NDArray[np.bool_]
-        if columns is not None:
-            capacity = int(columns["ids"].shape[0])
-            self._capacity = capacity
-            self._element_ids = columns["ids"]
-            self._timestamps = columns["ts"]
-            self._last_activity = columns["act"]
-            self._in_window = columns["inw"]
-            self._profiles = columns["prof"]
-            self._profile_set = columns["pset"]
-            if self._profiles.shape != (capacity, self._num_topics):
-                raise ValueError(
-                    f"profile column shape {self._profiles.shape} does not "
-                    f"match ({capacity}, {self._num_topics})"
-                )
-            # A fresh store is empty; the segments may hold stale data from
-            # a previous worker incarnation (restart after a crash).
-            self._element_ids[:] = -1
-            self._timestamps[:] = 0
-            self._last_activity[:] = _NO_ACTIVITY
-            self._in_window[:] = False
-            self._profiles[:, :] = 0.0
-            self._profile_set[:] = False
-        else:
-            capacity = int(initial_capacity)
-            self._capacity = capacity
-            # row -> element id (-1 marks a free row).
-            self._element_ids = np.full(capacity, -1, dtype=np.int64)
-            self._timestamps = np.zeros(capacity, dtype=np.int64)
-            self._last_activity = np.full(capacity, _NO_ACTIVITY, dtype=np.int64)
-            self._in_window = np.zeros(capacity, dtype=np.bool_)
-            # Thresholded topic probabilities p_i(e) (zeros below the scoring
-            # threshold and for rows whose profile has not been set yet).
-            self._profiles = np.zeros(
-                (capacity, self._num_topics), dtype=np.float64
-            )
-            self._profile_set = np.zeros(capacity, dtype=np.bool_)
+        capacity = int(initial_capacity)
+        self._capacity = capacity
+        # row -> element id (-1 marks a free row).
+        self._element_ids: npt.NDArray[np.int64] = np.full(capacity, -1, dtype=np.int64)
+        self._timestamps: npt.NDArray[np.int64] = np.zeros(capacity, dtype=np.int64)
+        self._last_activity: npt.NDArray[np.int64] = np.full(
+            capacity, _NO_ACTIVITY, dtype=np.int64
+        )
+        self._in_window: npt.NDArray[np.bool_] = np.zeros(capacity, dtype=np.bool_)
+        # Thresholded topic probabilities p_i(e) (zeros below the scoring
+        # threshold and for rows whose profile has not been set yet).
+        self._profiles: npt.NDArray[np.float64] = np.zeros(
+            (capacity, self._num_topics), dtype=np.float64
+        )
+        self._profile_set: npt.NDArray[np.bool_] = np.zeros(capacity, dtype=np.bool_)
         # Dynamic in-window follower adjacency: row -> set of follower rows.
         # Mutation-friendly sets here; CSR array slices on export.
         self._followers: List[Set[int]] = [set() for _ in range(capacity)]
@@ -293,44 +239,8 @@ class ElementStore:
         self._free_rows.clear()
         self._high_water = 0
 
-    def required_capacity(self, extra_rows: int) -> int:
-        """Row capacity sufficient for ``extra_rows`` further acquires.
-
-        Acquires consume the free list before extending the high-water
-        mark, so this is an exact upper bound; duplicates and already-live
-        ids only make it looser.  The shm transport's workers call this
-        *before* ingesting a bucket so a capacity miss is reported without
-        having mutated any state.
-        """
-        return self._high_water + max(0, int(extra_rows) - len(self._free_rows))
-
-    def adopt_columns(self, columns: Mapping[str, npt.NDArray]) -> None:
-        """Swap in externally grown columns (shared-memory remap).
-
-        The caller (the coordinator, via the grow handshake) guarantees the
-        new arrays are at least as large as the current ones and that their
-        prefix already holds the current column contents.  Interning state
-        (row map, free list, high water) is untouched.
-        """
-        capacity = int(columns["ids"].shape[0])
-        if capacity < self._capacity:
-            raise ValueError(
-                f"adopted capacity {capacity} below current {self._capacity}"
-            )
-        self._element_ids = columns["ids"]
-        self._timestamps = columns["ts"]
-        self._last_activity = columns["act"]
-        self._in_window = columns["inw"]
-        self._profiles = columns["prof"]
-        self._profile_set = columns["pset"]
-        self._followers.extend(set() for _ in range(capacity - self._capacity))
-        self._capacity = capacity
-        self._external_columns = True
-
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
-        if self._external_columns:
-            raise StoreCapacityError(new_capacity)
         self._element_ids = self._extend_1d(self._element_ids, new_capacity, -1)
         self._timestamps = self._extend_1d(self._timestamps, new_capacity, 0)
         self._last_activity = self._extend_1d(

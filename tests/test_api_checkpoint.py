@@ -56,7 +56,7 @@ CONFIGS = {
     "sharded": EngineConfig(
         backend="sharded",
         processor=PROCESSOR,
-        cluster=ClusterConfig(num_shards=3, backend="serial", partitioner="load-balanced"),
+        cluster=ClusterConfig(num_shards=3, partitioner="load-balanced"),
     ),
     "service": EngineConfig(
         backend="service", processor=PROCESSOR, service=ServiceConfig(max_workers=1)
@@ -64,7 +64,7 @@ CONFIGS = {
     "service-sharded": EngineConfig(
         backend="service",
         processor=PROCESSOR,
-        cluster=ClusterConfig(num_shards=2, backend="serial"),
+        cluster=ClusterConfig(num_shards=2),
         service=ServiceConfig(max_workers=1),
     ),
 }
@@ -298,7 +298,7 @@ def test_process_fanout_checkpoint_round_trip(tmp_path):
     config = EngineConfig(
         backend="sharded",
         processor=PROCESSOR,
-        cluster=ClusterConfig(num_shards=2, backend="process"),
+        cluster=ClusterConfig(num_shards=2, transport="pipe"),
     )
     query = KSIRQuery(k=4, vector=np.array([0.5, 0.5, 0.0, 0.0]))
 

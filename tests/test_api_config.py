@@ -78,11 +78,9 @@ class TestEngineConfig:
             cluster=ClusterConfig(
                 num_shards=3,
                 partitioner="load-balanced",
-                backend="serial",
-                transport="shm",
+                transport="pipe",
                 candidate_budget=64,
                 budget_scale=2.0,
-                max_workers=2,
             ),
             service=ServiceConfig(max_workers=7, incremental=False),
             inference=InferenceConfig(alpha=0.05, sparsity_threshold=0.05),
@@ -110,6 +108,48 @@ class TestEngineConfig:
             (key,) = retired
             with pytest.raises(ValueError, match=f"{key}.*retired"):
                 EngineConfig.from_dict({"processor": retired})
+
+    def test_retired_cluster_spellings(self):
+        """``backend`` / ``max_workers`` and the ``thread`` / ``shm`` /
+        ``process`` names are gone from the config; the manifests written
+        before still load, at the transport that survived each."""
+        payload = EngineConfig(backend="sharded").to_dict()
+        assert sorted(payload["cluster"]) == [
+            "budget_scale", "candidate_budget", "num_shards", "partitioner", "transport",
+        ]
+        assert payload["cluster"]["transport"] == "serial"
+        written_before = {
+            # (backend, transport) as ClusterConfig.to_dict emitted them
+            ("thread", None): "serial",  # the old default
+            ("serial", None): "serial",
+            ("process", None): "pipe",
+            ("thread", "thread"): "serial",
+            ("serial", "pipe"): "pipe",
+            ("process", "shm"): "pipe",
+            ("thread", "shm"): "pipe",
+            ("thread", "process"): "pipe",
+        }
+        for (backend, transport), surviving in written_before.items():
+            manifest = {
+                "num_shards": 3, "partitioner": "hash", "backend": backend,
+                "transport": transport, "candidate_budget": None,
+                "budget_scale": 1.0, "max_workers": 2,
+            }
+            loaded = EngineConfig.from_dict({"backend": "sharded", "cluster": manifest})
+            assert loaded.cluster == ClusterConfig(num_shards=3, transport=surviving)
+        # A hand-written payload that names no fan-out gets the default.
+        assert EngineConfig.from_dict({"cluster": {"num_shards": 2}}).cluster == (
+            ClusterConfig(num_shards=2)
+        )
+
+    def test_retired_transports_cannot_be_constructed(self):
+        for retired in ("shm", "thread"):
+            with pytest.raises(ValueError, match="retired in PR 16"):
+                ClusterConfig(transport=retired)
+        with pytest.raises(TypeError):
+            ClusterConfig(backend="serial")  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            ClusterConfig(max_workers=2)  # type: ignore[call-arg]
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown engine keys"):
@@ -173,7 +213,7 @@ class TestFromArgs:
             parse(
                 [
                     "--backend", "cluster", "--shards", "6",
-                    "--partitioner", "round-robin", "--fanout", "serial",
+                    "--partitioner", "round-robin", "--transport", "serial",
                     "--window-hours", "3", "--bucket-minutes", "30",
                     "--lambda-weight", "0.7", "--eta", "2.0",
                 ]
@@ -181,25 +221,26 @@ class TestFromArgs:
         )
         assert config.backend == "sharded"
         assert config.cluster == ClusterConfig(
-            num_shards=6, partitioner="round-robin", backend="serial"
+            num_shards=6, partitioner="round-robin"
         )
         assert config.processor.window_length == 3 * 3600
         assert config.processor.bucket_length == 30 * 60
         assert config.processor.scoring.lambda_weight == 0.7
         assert config.processor.scoring.eta == 2.0
 
-    def test_transport_flag_overrides_the_fanout(self):
+    def test_transport_flag_selects_the_transport(self):
         config = EngineConfig.from_args(
-            parse(["--backend", "cluster", "--transport", "shm"])
+            parse(["--backend", "cluster", "--transport", "pipe"])
         )
         assert config.cluster is not None
-        assert config.cluster.transport == "shm"
-        assert config.cluster.effective_transport == "shm"
-        # Without the flag the fanout alone decides.
+        assert config.cluster.transport == "pipe"
+        # Without the flag the cluster runs its in-process workers.
         bare = EngineConfig.from_args(parse(["--backend", "cluster"]))
         assert bare.cluster is not None
-        assert bare.cluster.transport is None
-        assert bare.cluster.effective_transport == "thread"
+        assert bare.cluster.transport == "serial"
+        for retired in (["--fanout", "serial"], ["--transport", "shm"]):
+            with pytest.raises(SystemExit):
+                parse(["--backend", "cluster", *retired])
 
     def test_service_mode_wraps_any_backend(self):
         config = EngineConfig.from_args(

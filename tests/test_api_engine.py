@@ -154,7 +154,7 @@ class TestFacadeEquivalence:
         seed, num_elements, num_topics, vocab_size, k = params
         model, elements = build_stream(seed, num_elements, num_topics, vocab_size)
         config = small_processor_config(num_elements)
-        cluster = ClusterConfig(num_shards=shards, backend="serial")
+        cluster = ClusterConfig(num_shards=shards)
         query = random_query(seed, num_topics, k)
 
         engine = KSIREngine(
@@ -277,7 +277,7 @@ class TestFacadeSurface:
             EngineConfig(
                 backend="sharded",
                 processor=config,
-                cluster=ClusterConfig(num_shards=2, backend="serial"),
+                cluster=ClusterConfig(num_shards=2),
             ),
         )
         ingest(local, elements, config.bucket_length)

@@ -5,12 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterCoordinator
-from repro.core.processor import KSIRProcessor, ProcessorConfig
+from repro.cluster import (
+    ClusterConfig,
+    ClusterCoordinator,
+    TransportBackend,
+    create_transport,
+    register_transport,
+    transport_names,
+)
+from repro.cluster import transport as transport_module
+from repro.core.element import SocialElement
+from repro.core.processor import ProcessorConfig
+from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
 from repro.core.stream import SocialStream
-from repro.service import ServiceEngine
-from tests.conftest import build_processor, build_service_engine
+from repro.ha.delta import _equal, normalise_state
+from tests.conftest import PAPER_SCORING, build_processor, build_service_engine
+from tests.oracle import Oracle
+from tests.test_oracle import ALGORITHMS, materialise
 
 TINY_CONFIG = ProcessorConfig(
     window_length=3 * 3600,
@@ -27,7 +39,7 @@ def replayed(tiny_dataset):
     coordinator = ClusterCoordinator(
         tiny_dataset.topic_model,
         TINY_CONFIG,
-        cluster=ClusterConfig(num_shards=3, backend="serial"),
+        cluster=ClusterConfig(num_shards=3),
     )
     coordinator.process_stream(tiny_dataset.stream)
     yield single, coordinator
@@ -35,9 +47,17 @@ def replayed(tiny_dataset):
 
 
 class TestClusterConfig:
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="backend"):
-            ClusterConfig(backend="carrier-pigeon")
+    def test_transport_validated(self):
+        with pytest.raises(ValueError, match="unknown cluster transport"):
+            ClusterConfig(transport="carrier-pigeon")
+        with pytest.raises(ValueError, match="unknown cluster transport"):
+            ClusterConfig(transport=" ")
+
+    def test_five_fields(self):
+        assert list(ClusterConfig.__dataclass_fields__) == [
+            "num_shards", "partitioner", "transport", "candidate_budget", "budget_scale",
+        ]
+        assert ClusterConfig().transport == "serial"
 
     def test_budget_derivation(self):
         config = ClusterConfig()
@@ -96,7 +116,7 @@ class TestCoordinatorIngestion:
         with ClusterCoordinator(
             tiny_dataset.topic_model,
             TINY_CONFIG,
-            cluster=ClusterConfig(num_shards=2, backend="serial"),
+            cluster=ClusterConfig(num_shards=2),
         ) as coordinator:
             stream = SocialStream(tiny_dataset.stream.elements[:40])
             coordinator.process_stream(stream)
@@ -109,7 +129,7 @@ class TestCoordinatorIngestion:
         coordinator = ClusterCoordinator(
             tiny_dataset.topic_model,
             TINY_CONFIG,
-            cluster=ClusterConfig(num_shards=2, backend="serial"),
+            cluster=ClusterConfig(num_shards=2),
         )
         coordinator.close()
         with pytest.raises(RuntimeError):
@@ -143,7 +163,7 @@ class TestCoordinatorQueries:
             tiny_dataset.topic_model,
             TINY_CONFIG,
             cluster=ClusterConfig(
-                num_shards=2, backend="serial", candidate_budget=2
+                num_shards=2, candidate_budget=2
             ),
         ) as coordinator:
             coordinator.process_stream(tiny_dataset.stream)
@@ -151,20 +171,6 @@ class TestCoordinatorQueries:
             assert len(result) <= 4
             # At most budget × shards candidates are merged.
             assert result.extras["merged_candidates"] <= 4
-
-    def test_thread_backend_equals_serial(self, tiny_dataset):
-        results = {}
-        for backend in ("serial", "thread"):
-            with ClusterCoordinator(
-                tiny_dataset.topic_model,
-                TINY_CONFIG,
-                cluster=ClusterConfig(num_shards=4, backend=backend),
-            ) as coordinator:
-                coordinator.process_stream(tiny_dataset.stream)
-                result = coordinator.query(tiny_dataset.make_query(k=5, topic=1))
-                results[backend] = (set(result.element_ids), result.score)
-        assert results["serial"][0] == results["thread"][0]
-        assert results["serial"][1] == pytest.approx(results["thread"][1], abs=1e-12)
 
 
 class TestProcessBackend:
@@ -175,7 +181,7 @@ class TestProcessBackend:
         with ClusterCoordinator(
             tiny_dataset.topic_model,
             TINY_CONFIG,
-            cluster=ClusterConfig(num_shards=2, backend="process"),
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
         ) as coordinator:
             coordinator.process_stream(stream)
             assert coordinator.active_count == single.active_count
@@ -205,7 +211,7 @@ class TestServiceEngineClusterBackend:
         coordinator = ClusterCoordinator(
             tiny_dataset.topic_model,
             TINY_CONFIG,
-            cluster=ClusterConfig(num_shards=3, backend="serial"),
+            cluster=ClusterConfig(num_shards=3),
         )
         with coordinator, build_service_engine(coordinator, max_workers=2) as engine:
             for query in queries:
@@ -227,3 +233,220 @@ class TestServiceEngineClusterBackend:
         for qid, (ids, score) in single_results.items():
             assert cluster_results[qid][0] == ids
             assert cluster_results[qid][1] == pytest.approx(score, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The transport contract
+# ---------------------------------------------------------------------------
+
+BUILT_INS = ("serial", "pipe")
+
+
+class TestTransportRegistry:
+    def test_builtin_transports_are_registered(self):
+        assert transport_names() == tuple(sorted(BUILT_INS))
+
+    def test_unknown_transport_is_an_error(self, paper_topic_model):
+        with pytest.raises(ValueError, match="unknown cluster transport"):
+            create_transport("carrier-pigeon", None)
+
+    @pytest.mark.parametrize("retired", ["shm", "thread", "SHM "])
+    def test_retired_transports_are_named_as_such(self, retired):
+        with pytest.raises(ValueError, match="retired in PR 16.*'serial' and 'pipe'"):
+            ClusterConfig(transport=retired)
+
+    def test_third_party_registration(self, paper_topic_model):
+        calls = []
+
+        def factory(coordinator):
+            calls.append(coordinator)
+            return create_transport("serial", coordinator)
+
+        register_transport("test-custom", factory)
+        try:
+            config = ProcessorConfig(window_length=4, bucket_length=1)
+            coordinator = ClusterCoordinator(
+                paper_topic_model,
+                config,
+                cluster=ClusterConfig(num_shards=2, transport="Test-Custom"),
+            )
+            coordinator.close()
+            assert calls == [coordinator]
+        finally:
+            transport_module._REGISTRY.pop("test-custom", None)
+        with pytest.raises(ValueError, match="unknown cluster transport"):
+            ClusterConfig(transport="test-custom")
+
+
+def contract_stream():
+    """Fourteen buckets of re-posts (which drop and regain topics), forward,
+    dangling and archived references, late timestamps and expiry.
+
+    Every version of an id keeps the references of its first one: a re-post
+    that *drops* a reference is routed only to its remaining parents' shards,
+    so the dropped parent's home shard keeps the stale follower edge and
+    over-scores it — a cluster-layer defect older than this test (it
+    reproduces on every transport of every earlier commit), recorded in
+    ROADMAP.md rather than hidden behind a tolerance here.
+    """
+    rng = np.random.default_rng(16)
+    references = {}
+    buckets = []
+    for _ in range(14):
+        arrivals = []
+        for _ in range(int(rng.integers(1, 6))):
+            element_id = int(rng.integers(0, 12))
+            drawn = [int(r) for r in rng.choice(15, size=int(rng.integers(0, 4)), replace=False)]
+            arrivals.append(
+                (element_id, references.setdefault(element_id, drawn), int(rng.integers(0, 3)))
+            )
+        buckets.append((arrivals, int(rng.choice([1, 1, 2, 3]))))
+    return materialise(buckets, seed=16)
+
+
+def answers(engine, query, algorithms=ALGORITHMS):
+    """``algorithm → (ids, repr(score))`` from a coordinator or an oracle."""
+    out = {}
+    for algorithm in algorithms:
+        if isinstance(engine, Oracle):
+            ids, score = engine.query(query, algorithm)
+        else:
+            result = engine.query(query, algorithm=algorithm)
+            ids, score = result.element_ids, result.score
+        out[algorithm] = (tuple(ids), repr(float(score)))
+    return out
+
+
+def same_state(left, right):
+    """Deep equality over ``state_dict`` trees (arrays included)."""
+    return _equal(normalise_state(left), normalise_state(right))
+
+
+@pytest.mark.parametrize("transport", BUILT_INS)
+class TestTransportContract:
+    """ingest → export / dirty / state → restore → close, on every built-in,
+    against the element-by-element oracle of ``tests/oracle.py``."""
+
+    CONFIG = ProcessorConfig(
+        window_length=4, bucket_length=1, scoring=PAPER_SCORING, archive_windows=2
+    )
+    QUERY = KSIRQuery(k=3, vector=np.array([0.5, 0.3, 0.2]))
+    #: Sieve reads the ground set in enumeration order — activation order on
+    #: a single node, shard by shard on a cluster — so it is held to the
+    #: other transport; the rest are held to the oracle.
+    ORDER_FREE = tuple(name for name in ALGORITHMS if name != "sieve")
+
+    def assert_equals_oracle(self, engine, oracle):
+        assert answers(engine, self.QUERY, self.ORDER_FREE) == answers(
+            oracle, self.QUERY, self.ORDER_FREE
+        )
+
+    def coordinator(self, model, transport):
+        # A budget above the window never truncates: the one configuration
+        # whose answers the cluster layer promises to be the single node's.
+        cluster = ClusterConfig(num_shards=3, transport=transport, candidate_budget=1000)
+        return ClusterCoordinator(model, self.CONFIG, cluster=cluster)
+
+    def test_whole_protocol(self, transport):
+        model, stream = contract_stream()
+        other = next(name for name in BUILT_INS if name != transport)
+        oracle = Oracle.for_config(model, self.CONFIG)
+        coordinator = self.coordinator(model, transport)
+        assert isinstance(coordinator.fanout, TransportBackend)
+        assert (coordinator.workers == ()) == coordinator.fanout.ships_owners
+
+        # ingest, export, dirty topics — after every bucket
+        for elements, end_time in stream[:8]:
+            coordinator.process_bucket(elements, end_time)
+            oracle.process_bucket(elements, end_time)
+            self.assert_equals_oracle(coordinator, oracle)
+            assert coordinator.take_dirty_topics() == oracle.ranked_lists.take_dirty_topics()
+            assert coordinator.active_count == len(oracle.window.active_ids())
+        assert sum(s.home_elements for s in coordinator.shard_stats()) == sum(
+            len(elements) for elements, _ in stream[:8]
+        )
+
+        # states → restore_all, into a fresh coordinator of the other transport
+        checkpoint = coordinator.state_dict()
+        restored = self.coordinator(model, other)
+        restored.restore_state(checkpoint)
+        assert same_state(restored.state_dict(), checkpoint)
+        assert answers(restored, self.QUERY) == answers(coordinator, self.QUERY)
+        for elements, end_time in stream[8:11]:
+            oracle.process_bucket(elements, end_time)
+            for engine in (coordinator, restored):
+                engine.process_bucket(elements, end_time)
+                self.assert_equals_oracle(engine, oracle)
+            assert answers(restored, self.QUERY) == answers(coordinator, self.QUERY)
+        assert restored.take_dirty_topics() == coordinator.take_dirty_topics()
+
+        # restore_shard + ingest_shard: shard 1 falls back to the checkpoint
+        # and catches up from the logged buckets; the others are not touched.
+        coordinator.restore_shard(1, checkpoint)
+        for elements, end_time in stream[8:11]:
+            coordinator.replay_bucket_to_shard(1, elements, end_time)
+        self.assert_equals_oracle(coordinator, oracle)
+        assert answers(restored, self.QUERY) == answers(coordinator, self.QUERY)
+        # (The recovered shard's dirty topics are a superset: nothing drained
+        # them since the checkpoint.)
+        assert same_state(
+            coordinator.state_dict()["workers"][1]["processor"]["ranked_lists"]["entries"],
+            restored.state_dict()["workers"][1]["processor"]["ranked_lists"]["entries"],
+        )
+        for elements, end_time in stream[11:]:
+            oracle.process_bucket(elements, end_time)
+            for engine in (coordinator, restored):
+                engine.process_bucket(elements, end_time)
+                self.assert_equals_oracle(engine, oracle)
+            assert answers(restored, self.QUERY) == answers(coordinator, self.QUERY)
+
+        for engine in (coordinator, restored):
+            engine.close()
+            engine.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                engine.query(self.QUERY)
+
+    @pytest.mark.parametrize("archive_windows", [1, 12])
+    def test_ownership_is_forgotten_at_the_archive_horizon(self, transport, archive_windows):
+        """A parent last active ``w`` windows ago is re-activated by a late
+        reference iff ``w ≤ archive_windows`` — on a single node and, with the
+        planner forgetting its owner at the same age, on the cluster.  (Before
+        PR 16 the planner forgot at 8 windows whatever ``archive_windows``.)"""
+        model, _ = contract_stream()
+        config = ProcessorConfig(
+            window_length=2, bucket_length=1, scoring=PAPER_SCORING,
+            archive_windows=archive_windows,
+        )
+        rng = np.random.default_rng(12)
+
+        def element(element_id, time, references=()):
+            # Distinct words and topic mixes: no two scores tie.
+            tokens = tuple(f"w{int(i)}" for i in rng.integers(0, 8, size=3))
+            return SocialElement(
+                element_id, time, tokens, tuple(references),
+                topic_distribution=rng.dirichlet(np.ones(3)),
+            )
+
+        parents = [element(eid, 1) for eid in range(6)]
+        # One child per parent: 10 windows later, inside a 12-window archive
+        # only; and a second generation referencing parents 1.5 windows old.
+        late = [element(10 + eid, 21, [eid]) for eid in range(6)]
+        soon = [element(20 + eid, 24, [10 + eid]) for eid in range(6)]
+        stream = [(parents, 1)]
+        stream += [([], time) for time in range(2, 21)]
+        stream += [(late, 21), ([], 22), ([], 23), (soon, 24), ([], 25)]
+
+        oracle = Oracle.for_config(model, config)
+        cluster = ClusterConfig(num_shards=3, transport=transport, candidate_budget=1000)
+        with ClusterCoordinator(model, config, cluster=cluster) as coordinator:
+            for elements, end_time in stream:
+                coordinator.process_bucket(elements, end_time)
+                oracle.process_bucket(elements, end_time)
+                self.assert_equals_oracle(coordinator, oracle)
+                assert coordinator.active_count == len(oracle.window.active_ids())
+                if end_time == 21:
+                    reactivated = set(range(6)) & set(oracle.window.active_ids())
+                    assert len(reactivated) == (6 if archive_windows == 12 else 0)
+            # The table is bounded by the horizon, not by the stream: the
+            # parents are gone once no archive can hold them.
+            assert coordinator.planner.assigned_count == (18 if archive_windows == 12 else 12)

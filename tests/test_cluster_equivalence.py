@@ -104,9 +104,37 @@ class TestShardedEquivalence:
             queries=[random_query(seed, z, k)],
             config=config,
             cluster=ClusterConfig(
-                num_shards=shards, partitioner=partitioner, backend="serial"
+                num_shards=shards, partitioner=partitioner
             ),
             algorithms=ALGORITHMS,
+            epsilon=0.1,
+        )
+        assert report.active_single == report.active_cluster
+        assert report.matched, "; ".join(
+            f"[{c.algorithm}] {c.detail}" for c in report.mismatches
+        )
+
+    @given(params=instance_params)
+    @settings(max_examples=5, deadline=None)
+    def test_random_instances_match_single_node_over_pipes(self, params):
+        """The same proof with one process per shard (every partitioner: the
+        remote home filters replay the ownership entries the planner ships)."""
+        seed, n, z, v, k, shards, partitioner = params
+        model, elements = build_stream(seed, n, z, v)
+        config = ProcessorConfig(
+            window_length=max(3, n // 2),
+            bucket_length=2,
+            scoring=ScoringConfig(lambda_weight=0.5, eta=2.0),
+        )
+        report = verify_equivalence(
+            elements,
+            model,
+            queries=[random_query(seed, z, k)],
+            config=config,
+            cluster=ClusterConfig(
+                num_shards=min(shards, 3), partitioner=partitioner, transport="pipe"
+            ),
+            algorithms=("mttd", "mtts", "greedy", "celf"),
             epsilon=0.1,
         )
         assert report.active_single == report.active_cluster
@@ -131,7 +159,7 @@ class TestShardedEquivalence:
             queries=[random_query(seed, z, k), random_query(seed + 1, z, k)],
             config=config,
             cluster=ClusterConfig(
-                num_shards=shards, partitioner=partitioner, backend="serial"
+                num_shards=shards, partitioner=partitioner
             ),
             algorithms=("mttd", "greedy"),
             epsilon=0.1,

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     HashPartitioner,
     LoadBalancedPartitioner,
+    OwnershipTable,
     RoundRobinPartitioner,
     ShardPlanner,
     make_partitioner,
@@ -153,3 +158,74 @@ class TestShardPlanner:
         planner = ShardPlanner(2, strategy=Broken())
         with pytest.raises(ValueError, match="outside"):
             planner.assign(make_element(0))
+
+
+class TestOwnershipTable:
+    """The planner's table and every remote worker's copy of it, against a
+    plain-dict model after every step."""
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("record"), st.integers(0, 9), st.integers(0, 30)),
+                st.tuples(st.just("trim"), st.integers(-5, 35)),
+                st.tuples(st.just("restore")),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_its_model(self, ops):
+        table = OwnershipTable()
+        owners, activity = {}, {}
+        for op in ops:
+            if op[0] == "record":
+                _, element_id, time = op
+                table.record(element_id, element_id % 3, time)
+                owners[element_id] = element_id % 3
+                activity[element_id] = max(time, activity.get(element_id, time))
+            elif op[0] == "trim":
+                stale = [eid for eid, time in activity.items() if time < op[1]]
+                assert table.trim(op[1]) == len(stale)
+                for element_id in stale:
+                    del owners[element_id], activity[element_id]
+            else:  # a checkpoint round trip
+                state = json.loads(json.dumps(table.state_dict()))
+                table = OwnershipTable()
+                table.restore_state(state)
+            assert table.owners() == owners and len(table) == len(owners)
+            assert table.state_dict() == {
+                "owners": sorted(owners.items()),
+                "last_activity": sorted(activity.items()),
+            }
+            assert all(table.get(eid) == shard for eid, shard in owners.items())
+
+    def test_update_records_every_entry_at_one_time(self):
+        table = OwnershipTable()
+        table.update({1: 0, 2: 1}, 10)
+        table.update({2: 1}, 20)
+        assert table.trim(15) == 1
+        assert table.get(1) is None and table.get(2) == 1
+        table.clear()
+        assert len(table) == 0 and table.trim(100) == 0
+
+    def test_expire_sweeps_an_eighth_of_the_horizon_at_a_time(self):
+        table = OwnershipTable()
+        sizes = []
+        for time in range(1, 201):
+            table.record(time, 0, time)
+            table.expire(time, horizon=80)
+            sizes.append(len(table))
+            # Never a live entry gone, never more than horizon/8 of dead ones kept.
+            assert min(time, 81) <= len(table) <= min(time, 81 + 10)
+        assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) == 12
+        table.expire(200, horizon=4)  # a short horizon sweeps on every call
+        assert len(table) == 5
+
+    def test_planner_state_is_what_it_was_before_the_table(self):
+        planner = ShardPlanner(2, strategy="hash")
+        planner.route_bucket([make_element(0), make_element(5, references=(0,))])
+        assert list(planner.state_dict()) == [
+            "num_shards", "strategy", "strategy_state", "owners", "last_activity",
+        ]
+        assert planner.state_dict()["last_activity"] == [(0, 6), (5, 6)]

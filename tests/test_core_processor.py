@@ -280,7 +280,7 @@ class TestSnapshotInputsStayCurrent:
         model, elements = build_reference_stream(12, 60, 2, 8)
         config = ProcessorConfig(window_length=6, bucket_length=3, scoring=PAPER_SCORING)
         with ClusterCoordinator(
-            model, config, cluster=ClusterConfig(num_shards=3, backend="serial")
+            model, config, cluster=ClusterConfig(num_shards=3)
         ) as coordinator:
             for members, end_time in bucketise(elements, 3):
                 coordinator.process_bucket(members, end_time=end_time)

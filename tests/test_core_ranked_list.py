@@ -134,13 +134,38 @@ class TestRepostDropsATopic:
         index = RankedListIndex(3, PAPER_SCORING)
         index.bulk_update(inserts=[(self.version([0, 1]), 1)])
         index.take_dirty_topics()
-        index.bulk_update(
-            inserts=[(self.version([0]), 2), (self.version([2]), 3)],
-            retired=[(0, 7), (1, 7)],
-        )
+        index.bulk_update(inserts=[(self.version([0]), 2), (self.version([2]), 3)])
         assert index.scores_of(7).keys() == {2}
         assert index.take_dirty_topics() == (0, 1, 2)
         assert index.last_activity(7) == 3 and index.validate()
+
+    def test_a_refresh_in_the_same_bucket_never_resurrects_a_dropped_topic(self):
+        index = RankedListIndex(3, PAPER_SCORING)
+        index.bulk_update(inserts=[(self.version([0, 1]), 1)])
+        index.bulk_update(
+            inserts=[(self.version([1, 2]), 2)],
+            scored_refreshes=[(7, {1: 0.4, 2: 0.3}, 2)],
+        )
+        assert index.scores_of(7) == {1: 0.4, 2: 0.3}
+        assert index.list_size(0) == 0 and index.validate()
+        index.bulk_update(removes=[7])
+        assert index.scores_of(7) == {} and index.total_tuples() == 0
+        assert index.validate()
+
+    def test_the_topic_record_follows_every_maintenance_path(self):
+        """``validate`` compares the element → topics record with the lists."""
+        index = RankedListIndex(3, PAPER_SCORING)
+        index.insert(self.version([0, 1]))
+        index.refresh(self.version([0, 1]), {}, 2)
+        index.insert_scores(8, {2: 0.5}, activity_time=2)
+        assert index.validate()
+        state = index.state_dict()
+        index.remove(7)
+        assert index.validate() and index.scores_of(7) == {}
+        index.restore_state(state)
+        assert index.validate() and index.scores_of(7).keys() == {0, 1}
+        index.clear()
+        assert index.validate() and index.scores_of(8) == {}
 
 
 class TestTraversal:

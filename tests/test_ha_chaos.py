@@ -54,7 +54,7 @@ def sharded_engine(model) -> KSIREngine:
         EngineConfig(
             backend="sharded",
             processor=PROCESSOR,
-            cluster=ClusterConfig(num_shards=2, backend="process"),
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
         ),
     )
 
@@ -120,7 +120,7 @@ class TestKillWorker:
             EngineConfig(
                 backend="sharded",
                 processor=PROCESSOR,
-                cluster=ClusterConfig(num_shards=2, backend="serial"),
+                cluster=ClusterConfig(num_shards=2),
             ),
         )
         backend = engine.backend

@@ -62,7 +62,7 @@ def sharded_config(shards: int = 2) -> EngineConfig:
     return EngineConfig(
         backend="sharded",
         processor=PROCESSOR,
-        cluster=ClusterConfig(num_shards=shards, backend="process"),
+        cluster=ClusterConfig(num_shards=shards, transport="pipe"),
     )
 
 
@@ -275,7 +275,7 @@ class TestSupervisorSurface:
             supervisor.ingest_bucket(*buckets_of(elements)[0])
             status = supervisor.status()
             assert status["supervised"] is True
-            assert status["backend"] == "process"
+            assert status["transport"] == "pipe"
             assert status["num_shards"] == 2
             assert [shard["alive"] for shard in status["shards"]] == [True, True]
             assert status["healthy"] is True
@@ -290,7 +290,7 @@ class TestSupervisorSurface:
         config = EngineConfig(
             backend="sharded",
             processor=PROCESSOR,
-            cluster=ClusterConfig(num_shards=2, backend="process"),
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
             ha=tuned,
         )
         supervisor = ClusterSupervisor(KSIREngine(model, config))

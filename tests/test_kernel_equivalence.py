@@ -77,7 +77,7 @@ def run_sharded(model, elements, config, query, mode, shards):
         EngineConfig(
             backend="sharded",
             processor=config,
-            cluster=ClusterConfig(num_shards=shards, backend="serial"),
+            cluster=ClusterConfig(num_shards=shards),
             kernels=KernelConfig(mode=mode),
         ),
     )

@@ -238,7 +238,7 @@ class TestProductionEqualsOracle:
     def check_cluster(model, config, stream, query):
         """Each shard's home-filtered processor against an oracle fed the
         same routed buckets under the same home filter."""
-        cluster = ClusterConfig(num_shards=3, backend="serial")
+        cluster = ClusterConfig(num_shards=3)
         with ClusterCoordinator(model, config, cluster=cluster) as coordinator:
             pairs = []
             for worker in coordinator.workers:

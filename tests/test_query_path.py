@@ -60,8 +60,8 @@ SIGMA = st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.35])
 
 @st.composite
 def profiles(draw, element_id):
-    """A full profile, or one stripped to its probabilities (what the shm
-    transport ships for a follower that is not itself a candidate)."""
+    """A full profile, or one stripped to its probabilities (all that
+    influence evaluation reads of a follower)."""
     probabilities = draw(
         st.dictionaries(st.integers(0, NUM_TOPICS - 1), PROBABILITY, max_size=NUM_TOPICS)
     )
@@ -337,7 +337,7 @@ def answers_digest(kind, backend, seed):
     elif backend == "sharded":
         config = EngineConfig(
             backend="sharded", processor=processor,
-            cluster=ClusterConfig(num_shards=3, backend="serial"),
+            cluster=ClusterConfig(num_shards=3),
         )
     else:
         config = EngineConfig(processor=processor)

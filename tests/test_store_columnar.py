@@ -411,7 +411,7 @@ def engine_config(backend: str, window_length: int, shards: int = 2):
         scoring=SCORING,
     )
     cluster = (
-        ClusterConfig(num_shards=shards, backend="serial")
+        ClusterConfig(num_shards=shards)
         if backend == "sharded"
         else None
     )

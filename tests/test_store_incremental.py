@@ -12,13 +12,13 @@ their from-scratch definitions after *every* operation:
 
 Hypothesis drives random interleavings of element-wise inserts, bulk buckets
 with intra-bucket forward references, re-posts that drop references, late
-timestamps, archive re-activation, expiry with row recycling, checkpoint
-restore (``store.clear()``) and shared-memory style ``adopt_columns`` growth.
+timestamps, archive re-activation, expiry with row recycling (the store
+starts at two rows, so its columns double repeatedly) and checkpoint restore
+(``store.clear()``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,23 +44,7 @@ OPS = st.lists(
 )
 
 
-def make_columns(capacity, previous=None):
-    """Externally owned store columns, optionally grown from ``previous``."""
-    columns = {
-        "ids": np.full(capacity, -1, dtype=np.int64),
-        "ts": np.zeros(capacity, dtype=np.int64),
-        "act": np.full(capacity, np.iinfo(np.int64).min, dtype=np.int64),
-        "inw": np.zeros(capacity, dtype=np.bool_),
-        "prof": np.zeros((capacity, 1), dtype=np.float64),
-        "pset": np.zeros(capacity, dtype=np.bool_),
-    }
-    if previous is not None:
-        for key, old in previous.items():
-            columns[key][: old.shape[0]] = old
-    return columns
-
-
-def drive(window, ops, after_step, before_insert=lambda elements: None):
+def drive(window, ops, after_step):
     """Apply ``ops`` to ``window``, calling ``after_step(kind, payload)``."""
     clock = 1
     for kind, payload in ops:
@@ -74,7 +58,6 @@ def drive(window, ops, after_step, before_insert=lambda elements: None):
                 )
                 for element_id, references, lateness in specs
             ]
-            before_insert(elements)
             if kind == "bucket":
                 window.insert_many(elements)
             else:
@@ -105,25 +88,12 @@ def rebuilt_view(store: ElementStore):
 
 
 class TestFollowerView:
-    @given(ops=OPS, shared_columns=st.booleans())
+    @given(ops=OPS)
     @settings(max_examples=150, deadline=None)
-    def test_view_equals_rebuild_after_every_step(self, ops, shared_columns):
-        columns = make_columns(2) if shared_columns else None
-        store = ElementStore(1, initial_capacity=2, columns=columns)
+    def test_view_equals_rebuild_after_every_step(self, ops):
+        store = ElementStore(1, initial_capacity=2)
         window = ColumnarWindow(4, archive_windows=2, store=store)
         handed_out = []
-
-        def grow_if_needed(elements):
-            # What an shm shard worker does: size the columns *before* the
-            # bucket, at one row per element plus one per reference.
-            nonlocal columns
-            if columns is None:
-                return
-            extra = len(elements) + sum(len(e.references) for e in elements)
-            required = store.required_capacity(extra)
-            if required > store.capacity:
-                columns = make_columns(2 * required, previous=columns)
-                store.adopt_columns(columns)
 
         def check(_kind, _payload):
             snapshot = window.followers_snapshot()
@@ -138,7 +108,7 @@ class TestFollowerView:
             handed_out.append((snapshot, dict(snapshot)))
             assert window.validate()
 
-        drive(window, ops, check, before_insert=grow_if_needed)
+        drive(window, ops, check)
 
     def test_snapshots_taken_rarely_still_catch_up(self):
         """Dirty rows accumulate across buckets, releases and recycling."""

@@ -49,7 +49,7 @@ def engine_configs(n: int, allowed_lateness: int):
     yield EngineConfig(
         backend="cluster",
         processor=processor,
-        cluster=ClusterConfig(num_shards=2, backend="serial"),
+        cluster=ClusterConfig(num_shards=2),
         streams=streams,
     )
     yield EngineConfig(backend="service", processor=processor, streams=streams)
