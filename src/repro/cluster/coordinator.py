@@ -502,7 +502,7 @@ class ClusterCoordinator:
         lists as they expire, a late reference must still find their home).
         Entries of other shards and of later buckets are harmless — the
         filter only tests equality with the worker's own shard id — and the
-        next committed bucket trims the recalled ones again.
+        recalled ones age out again one horizon after the next bucket.
         """
         self._planner.recall(state["planner"])
         self._fanout.restore_shard(

@@ -23,8 +23,9 @@ Three :class:`PartitionStrategy` implementations are provided:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.element import SocialElement
 from repro.utils.validation import require_positive
@@ -198,22 +199,21 @@ class OwnershipTable:
     node.
     """
 
-    #: :meth:`expire` sweeps once the cutoff has moved this fraction of the
-    #: horizon.  The table holds about a horizon's worth of entries, so a
-    #: sweep per 1/8 horizon reads each entry eight times in its life:
-    #: amortised, a bucket pays for eight times what it expires, not for
-    #: the table — and an entry that outlives the horizon by an eighth is
-    #: harmless (a reference routed to a shard whose archive has already
-    #: dropped its target is ignored there).  A ``(last_activity, id)``
-    #: min-heap popped every bucket was measured first and lost to this:
-    #: ``sharded_mixed`` ``bucket_ms_p50`` +8.8 % with the heap, −0.9 % with
-    #: the sweep, ten pairs each (CHANGES.md, PR 16).
-    SWEEPS_PER_HORIZON = 8
-
     def __init__(self) -> None:
         self._owners: Dict[int, int] = {}
         self._last_activity: Dict[int, int] = {}
-        self._swept_to = 0
+        # The expiry calendar: one page ``(time, ids)`` per :meth:`expire`
+        # call, holding the ids whose activity was raised since the call
+        # before it, none of them to later than ``time``; oldest page first,
+        # so a call reads only the pages the cutoff has passed.  Every bucket
+        # pays for what it expires and no bucket for the table: a scan of
+        # the table on every n-th bucket makes that bucket the slow one
+        # (``bucket_ms_p95``), and a ``(last_activity, id)`` heap costs every
+        # raise a push (``bucket_ms_p50`` +8.8 %) — both measured,
+        # ``benchmarks/trajectory/BENCH_pairs_pr16.json``.
+        self._calendar: Deque[Tuple[int, List[int]]] = deque()
+        self._raised: List[int] = []
+        self._raised_to = 0
         #: Home shard of a known element (``None`` when unseen or trimmed).
         #: The dict's own ``get``: home filters call it once per element.
         self.get: Callable[[int], Optional[int]] = self._owners.get
@@ -227,6 +227,9 @@ class OwnershipTable:
         known = self._last_activity.get(element_id)
         if known is None or time > known:
             self._last_activity[element_id] = time
+            self._raised.append(element_id)
+            if time > self._raised_to:
+                self._raised_to = time
 
     def update(self, entries: Mapping[int, int], time: int) -> None:
         """:meth:`record` every ``element id → shard`` entry at ``time``."""
@@ -246,12 +249,26 @@ class OwnershipTable:
         return len(stale)
 
     def expire(self, time: int, horizon: int) -> None:
-        """:meth:`trim` to ``time − horizon``, a fraction of the horizon at a
-        time (see :attr:`SWEEPS_PER_HORIZON`).  Called once per bucket."""
+        """Drop what fell behind ``time − horizon``.  Called once per bucket,
+        with its end time; costs O(entries dropped).
+
+        An entry is dropped when the cutoff passes the page it was last
+        raised on, so it may outlive its own activity time by the length of
+        one bucket.  Keeping an entry longer is always safe: a reference
+        routed to a shard whose archive has already dropped its target is
+        ignored there.  :meth:`trim` is the exact, O(table) form.
+        """
+        if self._raised:
+            self._calendar.append((max(time, self._raised_to), self._raised))
+            self._raised, self._raised_to = [], 0
         cutoff = time - horizon
-        if cutoff - self._swept_to >= horizon // self.SWEEPS_PER_HORIZON:
-            self._swept_to = cutoff
-            self.trim(cutoff)
+        calendar, last_activity, owners = self._calendar, self._last_activity, self._owners
+        while calendar and calendar[0][0] < cutoff:
+            for element_id in calendar.popleft()[1]:
+                # Raised again since (a later page holds it) or already gone.
+                if last_activity.get(element_id, cutoff) < cutoff:
+                    del last_activity[element_id]
+                    del owners[element_id]
 
     def owners(self) -> Dict[int, int]:
         """A copy of the ``element id → home shard`` map."""
@@ -261,6 +278,8 @@ class OwnershipTable:
         """Forget every entry."""
         self._owners.clear()
         self._last_activity.clear()
+        self._calendar.clear()
+        self._raised, self._raised_to = [], 0
 
     def state_dict(self) -> Dict[str, object]:
         """The entries, JSON-serialisable."""
@@ -276,6 +295,10 @@ class OwnershipTable:
         self._last_activity.update(
             (int(eid), int(time)) for eid, time in state["last_activity"]
         )
+        pages: Dict[int, List[int]] = {}
+        for element_id, time in self._last_activity.items():
+            pages.setdefault(time, []).append(element_id)
+        self._calendar.extend(sorted(pages.items()))
 
 
 class ShardPlanner:
@@ -354,8 +377,8 @@ class ShardPlanner:
         return shard
 
     def expire(self, time: int, horizon: int) -> None:
-        """Forget what no archive can hold at ``time`` any more (batched;
-        see :meth:`OwnershipTable.expire`)."""
+        """Forget what no archive can hold at ``time`` any more (see
+        :meth:`OwnershipTable.expire`)."""
         self._table.expire(time, horizon)
 
     def trim_inactive(self, cutoff: int) -> int:

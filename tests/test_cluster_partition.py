@@ -209,18 +209,64 @@ class TestOwnershipTable:
         table.clear()
         assert len(table) == 0 and table.trim(100) == 0
 
-    def test_expire_sweeps_an_eighth_of_the_horizon_at_a_time(self):
+    def test_expire_costs_every_bucket_the_same(self):
         table = OwnershipTable()
-        sizes = []
         for time in range(1, 201):
             table.record(time, 0, time)
             table.expire(time, horizon=80)
-            sizes.append(len(table))
-            # Never a live entry gone, never more than horizon/8 of dead ones kept.
-            assert min(time, 81) <= len(table) <= min(time, 81 + 10)
-        assert sum(later < earlier for earlier, later in zip(sizes, sizes[1:])) == 12
-        table.expire(200, horizon=4)  # a short horizon sweeps on every call
+            # Every call drops exactly what fell behind the horizon: no call
+            # is left a backlog, which would make one bucket in n the slow one.
+            assert len(table) == min(time, 81)
+        table.expire(200, horizon=4)
         assert len(table) == 5
+
+    @given(
+        buckets=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 9), st.integers(-12, 12)), max_size=6),
+                st.sampled_from(["expire", "expire", "expire", "trim", "restore"]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_expire_never_drops_the_live_and_leaves_nothing_behind(self, buckets):
+        """Records may run ahead of or far behind the bucket's end time (a
+        restored worker replays a gap at earlier times; a recalled entry is
+        older than the cutoff), checkpoints and exact trims may interleave."""
+        horizon, length = 20, 5
+        table, activity = OwnershipTable(), {}
+        for index, (records, then) in enumerate(buckets):
+            end_time = (index + 1) * length
+            for element_id, offset in records:
+                time = end_time + offset
+                table.record(element_id, 0, time)
+                activity[element_id] = max(time, activity.get(element_id, time))
+            cutoff = end_time - horizon
+            if then == "trim":
+                table.trim(cutoff)
+            else:
+                if then == "restore":
+                    state = json.loads(json.dumps(table.state_dict()))
+                    table = OwnershipTable()
+                    table.restore_state(state)
+                table.expire(end_time, horizon)
+            kept = set(table.owners())
+            assert dict(table.state_dict()["last_activity"]) == {
+                element_id: activity[element_id] for element_id in kept
+            }
+            live = {eid for eid, time in activity.items() if time >= cutoff}
+            assert live <= kept
+            if then == "trim":
+                assert kept == live
+            for element_id in set(activity) - kept:
+                del activity[element_id]
+        # A horizon after the bucket that follows the last record (and the
+        # furthest a record ran ahead), nothing is left behind.
+        end_time = (len(buckets) + 1) * length
+        table.expire(end_time, horizon)
+        table.expire(end_time + horizon + 13, horizon)
+        assert len(table) == 0
 
     def test_planner_state_is_what_it_was_before_the_table(self):
         planner = ShardPlanner(2, strategy="hash")
