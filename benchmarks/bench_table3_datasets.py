@@ -2,9 +2,9 @@
 
 Thin wrapper over the ``table3_datasets`` spec in the :mod:`repro.bench` registry.
 Run as a script (``python benchmarks/bench_table3_datasets.py [--tier tiny|full] [--seed N]
-[--output-dir DIR]``; ``--tiny`` is an alias for ``--tier tiny``) or through
-``repro-ksir bench run table3_datasets``.  Under pytest the tiny tier is executed as
-a smoke test.
+[--output-dir DIR]``, tiny by default) — the same command as
+``repro-ksir bench run table3_datasets``.  Under pytest the tiny tier is executed as a
+smoke test.
 """
 
 from __future__ import annotations

@@ -1,42 +1,25 @@
-"""Unified benchmark subsystem: registry, runner, JSON reports, comparison.
+"""Paper-artefact regeneration: registry, runner, reports.
 
 Quick tour:
 
 * :mod:`repro.bench.spec` — declarative :class:`BenchSpec` definitions and
   the process-wide registry (``register`` / ``get_spec`` / ``iter_specs``).
-* :mod:`repro.bench.runner` — ``run_spec`` executes one tier with monotonic
-  timing, warmup/repeat policy and environment capture (including the
-  cross-machine calibration figure).
-* :mod:`repro.bench.report` — the canonical ``BENCH_<name>.json`` schema
-  (p50/p95 latency, throughput, speedup vs. baseline) with validation and
-  round-tripping.
-* :mod:`repro.bench.compare` — ``compare(old, new, tolerance)`` classifies
-  per-scenario regressions/improvements; CI gates on it.
-* :mod:`repro.bench.suites` — the built-in suite covering every benchmark
-  formerly scripted under ``benchmarks/``.
+* :mod:`repro.bench.runner` — ``run_spec`` regenerates one tier of a spec,
+  runs its shape check and returns the :class:`BenchReport` whose ``save``
+  writes ``BENCH_<name>.json`` plus the rendered ``<name>.txt``.
+* :mod:`repro.bench.suites` — the built-in suite: the paper's Figures 7–14,
+  Tables 3/5/6 and the two ablations.
 * :mod:`repro.bench.scripts` — the uniform ``main()``/pytest wrapper used
   by the thin ``benchmarks/bench_*.py`` shims.
+
+Speed is measured and gated in one place only, the frozen end-to-end
+benchmark under ``benchmarks/e2e/`` (``BENCHMARK.json``).
 """
 
-from repro.bench.compare import (
-    ComparisonReport,
-    ScenarioComparison,
-    compare,
-    compare_many,
-    environment_warnings,
-)
-from repro.bench.report import (
-    BenchReport,
-    ScenarioResult,
-    load_reports,
-    validate_report_dict,
-)
-from repro.bench.runner import capture_environment, run_spec
+from repro.bench.runner import BenchReport, run_spec
 from repro.bench.spec import (
     BenchSpec,
     Outcome,
-    Scenario,
-    TierPolicy,
     get_spec,
     iter_specs,
     register,
@@ -46,21 +29,10 @@ from repro.bench.spec import (
 __all__ = [
     "BenchReport",
     "BenchSpec",
-    "ComparisonReport",
     "Outcome",
-    "Scenario",
-    "ScenarioComparison",
-    "ScenarioResult",
-    "TierPolicy",
-    "capture_environment",
-    "compare",
-    "compare_many",
-    "environment_warnings",
     "get_spec",
     "iter_specs",
-    "load_reports",
     "register",
     "run_spec",
     "spec_names",
-    "validate_report_dict",
 ]

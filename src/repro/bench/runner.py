@@ -1,66 +1,87 @@
-"""Benchmark execution: monotonic timing, environment capture, reports.
+"""Artefact regeneration: run one tier of a spec, check it, report it.
 
-:func:`run_spec` executes every scenario of one tier of a
-:class:`~repro.bench.spec.BenchSpec`: the scenario's measured callable is
-built once (untimed), warmed up, then timed ``repeat`` times with
-``time.perf_counter``.  The samples, work units and derived statistics go
-into a :class:`~repro.bench.report.BenchReport`; the spec's check runs
-afterwards and flips ``checks_passed`` on assertion failure rather than
-aborting the run (CI still fails through the exit code, but the JSON
-trajectory is always written).
+:func:`run_spec` regenerates one tier of a
+:class:`~repro.bench.spec.BenchSpec` and runs the spec's shape check, which
+flips ``checks_passed`` on assertion failure rather than aborting the run
+(CI still fails through the exit code, but the report and the rendered
+artefact are always written).
 
-The captured environment includes a **calibration** figure: the runtime of
-a fixed pure-Python + numpy reference workload.  Two reports' calibrations
-let :func:`repro.bench.compare.compare` normalise away most of the raw
-speed difference between the machine that committed a baseline and the CI
-runner evaluating against it.
+Nothing here measures speed: the wall-clock figures carry the times the
+experiments took inside their panels, ``elapsed_s`` is how long the
+regeneration took, and a speed claim is made on the end-to-end benchmark
+(``benchmarks/e2e/README.md``), never on these reports.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.bench.report import BenchReport, ScenarioResult
-from repro.bench.spec import BenchSpec, Outcome
+from repro.bench.spec import BenchSpec
 from repro.kernels import active_kernel_backend, numba_available
 
 
-def calibration_workload() -> float:
-    """A fixed reference workload; returns a value so it cannot be elided.
+@dataclass
+class BenchReport:
+    """One artefact's regeneration record for one tier.
 
-    Mixes dict-heavy pure Python with small-array numpy, mirroring the mix
-    the real benchmarks exercise.
+    :meth:`save` writes every field but ``artefact`` to
+    ``BENCH_<benchmark>.json`` and the rendered artefact itself to
+    ``<benchmark>.txt`` next to it.
     """
-    accumulator = 0.0
-    table: Dict[int, float] = {}
-    for index in range(20_000):
-        key = (index * 2654435761) % 4096
-        table[key] = table.get(key, 0.0) + index * 1e-6
-    accumulator += sum(table.values())
-    values = np.arange(1.0, 2049.0)
-    for _ in range(50):
-        accumulator += float(np.log(values).sum())
-    return accumulator
+
+    benchmark: str
+    tier: str
+    seed: int
+    params: Dict[str, Any]
+    environment: Dict[str, Any]
+    created_unix: float
+    elapsed_s: float
+    checks_passed: bool = True
+    check_error: Optional[str] = None
+    artefact: str = field(default="", compare=False, repr=False)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON-serialisable form (everything but the artefact text)."""
+        data = asdict(self)
+        del data["artefact"]
+        return data
+
+    def save(self, directory: Path) -> Path:
+        """Write the report and its artefact under ``directory``; returns the JSON path."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"BENCH_{self.benchmark}.json"
+        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        if self.artefact:
+            (directory / f"{self.benchmark}.txt").write_text(
+                self.artefact + "\n", encoding="utf-8"
+            )
+        return path
+
+    @classmethod
+    def load(cls, path: Path) -> "BenchReport":
+        """Read a report file written by :meth:`save`."""
+        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
+
+    def summary(self) -> str:
+        """One line: what ran and whether its shape checks held."""
+        return (
+            f"{self.benchmark} [{self.tier}] seed={self.seed} "
+            f"{self.elapsed_s:.1f}s checks={'ok' if self.checks_passed else 'FAILED'}"
+        )
 
 
-def measure_calibration(rounds: int = 3) -> float:
-    """Best-of-``rounds`` runtime of the calibration workload, in ms."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        calibration_workload()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
-
-
-def capture_environment(calibrate: bool = True) -> Dict[str, Any]:
+def capture_environment() -> Dict[str, Any]:
     """Machine/interpreter metadata recorded in every report."""
-    environment: Dict[str, Any] = {
+    return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -70,86 +91,27 @@ def capture_environment(calibrate: bool = True) -> Dict[str, Any]:
         "kernels": active_kernel_backend(),
         "numba_available": numba_available(),
     }
-    if calibrate:
-        environment["calibration_ms"] = measure_calibration()
-    return environment
 
 
-def _coerce_outcome(result: Any) -> Outcome:
-    """Normalise a measured callable's return value into an Outcome."""
-    if isinstance(result, Outcome):
-        return result
-    if isinstance(result, int):
-        return Outcome(units=result)
-    return Outcome()
-
-
-def run_spec(
-    spec: BenchSpec,
-    tier: str = "tiny",
-    seed: int = 2019,
-    environment: Optional[Mapping[str, Any]] = None,
-) -> Tuple[BenchReport, Dict[str, Any]]:
-    """Execute one tier of a spec.
-
-    Returns ``(report, values)`` where ``values`` maps scenario names to
-    the last :attr:`Outcome.value` of each scenario (for the spec check and
-    for artefact rendering; never serialised).
-    """
-    policy = spec.tier(tier)
-    env = dict(environment) if environment is not None else capture_environment()
-
-    results = []
-    values: Dict[str, Any] = {}
-    artefacts: Dict[str, str] = {}
-    for scenario in policy.scenarios:
-        measured = spec.setup(dict(scenario.params), seed)
-        for _ in range(policy.warmup):
-            measured()
-        samples_ms = []
-        outcome = Outcome()
-        for _ in range(policy.repeat):
-            start = time.perf_counter()
-            raw = measured()
-            elapsed = time.perf_counter() - start
-            samples_ms.append(elapsed * 1000.0)
-            outcome = _coerce_outcome(raw)
-        values[scenario.name] = outcome.value
-        if outcome.artefact is not None:
-            artefacts[scenario.name] = outcome.artefact
-        results.append(
-            ScenarioResult(
-                name=scenario.name,
-                params=dict(scenario.params),
-                warmup=policy.warmup,
-                repeat=policy.repeat,
-                samples_ms=samples_ms,
-                units=outcome.units,
-                metrics=dict(outcome.metrics),
-            )
-        )
-
-    if spec.baseline is not None:
-        baseline = next(result for result in results if result.name == spec.baseline)
-        for result in results:
-            if result.name != spec.baseline and result.p50_ms > 0.0:
-                result.speedup_vs_baseline = baseline.p50_ms / result.p50_ms
-
+def run_spec(spec: BenchSpec, tier: str = "tiny", seed: int = 2019) -> BenchReport:
+    """Regenerate one tier of a spec and run its shape check."""
+    params = spec.tiers[tier]
+    start = time.perf_counter()
+    outcome = spec.run(params, seed)
+    elapsed = time.perf_counter() - start
     report = BenchReport(
         benchmark=spec.name,
         tier=tier,
         seed=seed,
+        params=dict(params),
+        environment=capture_environment(),
         created_unix=time.time(),
-        environment=env,
-        scenarios=results,
+        elapsed_s=elapsed,
+        artefact=outcome.artefact,
     )
-    if spec.check is not None:
-        try:
-            spec.check(values, report)
-        except AssertionError as failure:
-            report.checks_passed = False
-            report.check_error = str(failure) or failure.__class__.__name__
-    # Stash rendered artefacts on the values map under a reserved key so the
-    # CLI can persist them without re-running scenarios.
-    values["__artefacts__"] = artefacts
-    return report, values
+    try:
+        spec.check(outcome.value, tier)
+    except AssertionError as failure:
+        report.checks_passed = False
+        report.check_error = str(failure) or failure.__class__.__name__
+    return report

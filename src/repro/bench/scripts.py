@@ -1,76 +1,32 @@
 """The uniform entry point behind every ``benchmarks/bench_*.py`` shim.
 
-Each script resolves its spec by name and delegates here, so every
-benchmark accepts the same arguments (``--tier``, the legacy ``--tiny``
-alias, ``--seed``, ``--output-dir``) and produces the same artefacts: a
-schema-valid ``BENCH_<name>.json`` plus the rendered table/figure text.
-:func:`bench_script` also returns a pytest test function running the tiny
-tier, so ``pytest benchmarks/`` still smoke-checks every benchmark.
+Each script resolves its spec by name and delegates here.  Script mode *is*
+``repro-ksir bench run <name>`` — same arguments (``--tier``, ``--seed``,
+``--output-dir``), same defaults, same outputs — and :func:`bench_script`
+also returns a pytest test function running the tiny tier, so
+``pytest benchmarks/`` smoke-checks every artefact.
 """
 
 from __future__ import annotations
 
-import argparse
-from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+import sys
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.bench.report import BenchReport
 from repro.bench.runner import run_spec
-from repro.bench.spec import TIERS, get_spec
-
-#: Default location of JSON reports and rendered artefacts.
-DEFAULT_OUTPUT_DIR = Path("benchmarks/results")
-
-
-def write_outputs(
-    report: BenchReport, values: Mapping[str, Any], output_dir: Path
-) -> Path:
-    """Persist a report and its rendered artefacts; returns the JSON path."""
-    path = report.save(output_dir)
-    artefacts: Dict[str, str] = values.get("__artefacts__", {})
-    for scenario_name, text in artefacts.items():
-        suffix = "" if len(artefacts) == 1 else f"_{scenario_name}"
-        artefact_path = Path(output_dir) / f"{report.benchmark}{suffix}.txt"
-        artefact_path.write_text(text + "\n", encoding="utf-8")
-    return path
-
-
-def run_and_report(
-    name: str, tier: str, seed: int, output_dir: Path
-) -> Tuple[BenchReport, Path]:
-    """Run one registered benchmark and persist its outputs."""
-    report, values = run_spec(get_spec(name), tier=tier, seed=seed)
-    path = write_outputs(report, values, output_dir)
-    return report, path
+from repro.bench.spec import get_spec
 
 
 def bench_script(name: str) -> Tuple[Callable[[Optional[Sequence[str]]], int], Callable[[], None]]:
     """Build the ``main()`` and tiny-tier pytest test of one benchmark shim."""
 
     def main(argv: Optional[Sequence[str]] = None) -> int:
-        spec = get_spec(name)
-        parser = argparse.ArgumentParser(description=spec.description)
-        parser.add_argument("--tier", choices=TIERS, default=None,
-                            help="benchmark size tier (default: full)")
-        parser.add_argument("--tiny", action="store_true",
-                            help="alias for --tier tiny (CI smoke runs)")
-        parser.add_argument("--seed", type=int, default=2019,
-                            help="seed forwarded to dataset generation")
-        parser.add_argument("--output-dir", type=Path, default=DEFAULT_OUTPUT_DIR,
-                            help="where BENCH_<name>.json and artefacts go")
-        args = parser.parse_args(list(argv) if argv is not None else None)
-        tier = args.tier or ("tiny" if args.tiny else "full")
+        from repro.cli import main as cli_main
 
-        report, path = run_and_report(name, tier, args.seed, args.output_dir)
-        print(report.summary())
-        print(f"[saved to {path}]")
-        if not report.checks_passed:
-            print(f"CHECK FAILED: {report.check_error}")
-            return 1
-        return 0
+        arguments = sys.argv[1:] if argv is None else list(argv)
+        return cli_main(["bench", "run", name, *arguments])
 
     def test_tiny_tier() -> None:
-        report, _values = run_spec(get_spec(name), tier="tiny")
+        report = run_spec(get_spec(name), tier="tiny")
         assert report.checks_passed, report.check_error
 
     return main, test_tiny_tier

@@ -1,114 +1,73 @@
-"""Declarative benchmark specifications and the process-wide registry.
+"""Declarative paper-artefact specifications and the process-wide registry.
 
-A :class:`BenchSpec` describes one benchmark: a name, the scenarios of each
-size tier (``tiny`` for CI smoke runs, ``full`` for real measurements), the
-warmup/repeat policy, and an optional post-run check.  Scenarios are plain
-parameter mappings; the spec's ``setup`` callable turns ``(params, seed)``
-into a zero-argument measured callable, so all expensive preparation
-(dataset generation, stream replay) happens outside the timed region.
+A :class:`BenchSpec` describes one artefact of the paper's evaluation (a
+figure, a table or an ablation): a name, the parameters of each size tier
+(``tiny`` for CI, ``full`` for the sizes the shape assertions were tuned
+on), a ``run`` callable that regenerates the artefact and a ``check`` that
+asserts its shape.
 
 Specs register themselves into a module-level registry; the CLI
 (``repro-ksir bench``), the thin ``benchmarks/bench_*.py`` wrappers and the
-tests all resolve benchmarks through :func:`get_spec` / :func:`iter_specs`.
+tests all resolve them through :func:`get_spec` / :func:`iter_specs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
-#: The two benchmark size tiers every spec must provide.
+#: The two size tiers every spec must provide.
 TIERS = ("tiny", "full")
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One measured configuration of a benchmark.
-
-    ``params`` are passed verbatim to the spec's ``setup`` callable; they
-    are also recorded in the JSON report so a result is reproducible from
-    its file alone.
-    """
-
-    name: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TierPolicy:
-    """Scenario set and warmup/repeat policy of one tier."""
-
-    scenarios: Tuple[Scenario, ...]
-    warmup: int = 1
-    repeat: int = 3
-
-    def __post_init__(self) -> None:
-        if not self.scenarios:
-            raise ValueError("a tier needs at least one scenario")
-        if self.warmup < 0 or self.repeat < 1:
-            raise ValueError("warmup must be >= 0 and repeat >= 1")
-
-
-@dataclass(frozen=True)
 class Outcome:
-    """What a measured callable returns.
+    """What a spec's ``run`` returns.
 
-    ``units`` is the amount of work one call performed (elements ingested,
-    queries answered, ...) and feeds the throughput figure; ``artefact`` is
-    an optional rendered table/figure persisted next to the JSON report;
-    ``value`` is an arbitrary object handed to the spec's check function
-    (never serialised); ``metrics`` are extra scenario-level numbers
-    recorded verbatim in the JSON report.
+    ``artefact`` is the rendered table/figure persisted next to the JSON
+    report; ``value`` is the object handed to the spec's check function
+    (never serialised).
     """
 
-    units: int = 1
-    artefact: Optional[str] = None
-    value: Any = None
-    metrics: Mapping[str, float] = field(default_factory=dict)
+    artefact: str
+    value: Any
 
 
-#: ``setup(params, seed)`` returns the zero-argument measured callable.
-SetupFn = Callable[[Mapping[str, Any], int], Callable[[], Any]]
+#: ``run(params, seed)`` regenerates the artefact from one tier's parameters.
+RunFn = Callable[[Mapping[str, Any], int], Outcome]
 
-#: ``check(values, report)`` receives ``{scenario name: Outcome.value}`` and
-#: the finished report; it raises ``AssertionError`` on failure.
-CheckFn = Callable[[Mapping[str, Any], Any], None]
+#: ``check(value, tier)`` receives :attr:`Outcome.value` and the tier name;
+#: it raises ``AssertionError`` on failure.
+CheckFn = Callable[[Any, str], None]
 
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """A registered benchmark.
+    """A registered paper artefact.
 
     Attributes
     ----------
     name:
-        Registry key; the JSON report is written as ``BENCH_<name>.json``.
+        Registry key; the report is written as ``BENCH_<name>.json`` and
+        the rendered artefact as ``<name>.txt``.
     description:
         One-line summary shown by ``repro-ksir bench list``.
-    setup:
-        Builds the measured callable for one scenario (untimed).
+    run:
+        Regenerates the artefact (see :data:`RunFn`).
     tiers:
-        ``{"tiny": TierPolicy, "full": TierPolicy}``.
-    baseline:
-        Optional scenario name serving as the speedup reference: every
-        other scenario's ``speedup_vs_baseline`` is ``baseline p50 / own
-        p50``.
+        ``{"tiny": params, "full": params}``; the parameters are passed
+        verbatim to ``run`` and recorded in the JSON report.
     check:
-        Optional shape assertions run after measurement (see
-        :data:`CheckFn`); a failure marks the report ``checks_passed:
-        false`` and makes the runner exit non-zero.
-    tags:
-        Free-form labels used for CLI selection (e.g. ``micro`` for the CI
-        perf-smoke subset).
+        Shape assertions run on the result (see :data:`CheckFn`); a failure
+        marks the report ``checks_passed: false`` and makes the runner exit
+        non-zero.
     """
 
     name: str
     description: str
-    setup: SetupFn
-    tiers: Mapping[str, TierPolicy]
-    baseline: Optional[str] = None
-    check: Optional[CheckFn] = None
-    tags: Tuple[str, ...] = ()
+    run: RunFn
+    tiers: Mapping[str, Mapping[str, Any]]
+    check: CheckFn
 
     def __post_init__(self) -> None:
         if not self.name or any(c in self.name for c in " /\\"):
@@ -116,21 +75,6 @@ class BenchSpec:
         for tier in TIERS:
             if tier not in self.tiers:
                 raise ValueError(f"benchmark {self.name!r} is missing tier {tier!r}")
-        for tier, policy in self.tiers.items():
-            names = [scenario.name for scenario in policy.scenarios]
-            if len(names) != len(set(names)):
-                raise ValueError(
-                    f"benchmark {self.name!r} tier {tier!r} has duplicate scenarios"
-                )
-            if self.baseline is not None and self.baseline not in names:
-                raise ValueError(
-                    f"benchmark {self.name!r} tier {tier!r} lacks baseline "
-                    f"scenario {self.baseline!r}"
-                )
-
-    def tier(self, name: str) -> TierPolicy:
-        """The policy of one tier (KeyError when unknown)."""
-        return self.tiers[name]
 
 
 _REGISTRY: Dict[str, BenchSpec] = {}
@@ -165,24 +109,9 @@ def spec_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def iter_specs(
-    names: Sequence[str] = (), tags: Sequence[str] = ()
-) -> Tuple[BenchSpec, ...]:
-    """Resolve a benchmark selection.
-
-    ``names`` picks specs explicitly (unknown names raise); ``tags`` keeps
-    the specs carrying at least one of the given tags.  With neither, every
-    registered spec is returned.
-    """
-    _ensure_suites()
-    if names:
-        selected = [get_spec(name) for name in names]
-    else:
-        selected = [_REGISTRY[name] for name in sorted(_REGISTRY)]
-    if tags:
-        wanted = set(tags)
-        selected = [spec for spec in selected if wanted.intersection(spec.tags)]
-    return tuple(selected)
+def iter_specs(names: Sequence[str] = ()) -> Tuple[BenchSpec, ...]:
+    """The named specs (unknown names raise), or every registered one."""
+    return tuple(get_spec(name) for name in (names or spec_names()))
 
 
 def _ensure_suites() -> None:

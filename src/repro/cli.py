@@ -15,13 +15,9 @@ without writing Python:
   CRUD for standing queries, bucket ingest, checkpoints, Prometheus
   metrics and push channels); runs under uvicorn when the ``server``
   extra is installed and under the bundled stdlib ASGI server otherwise;
-* ``repro-ksir experiment`` — regenerate one of the paper's tables or figures
-  with reduced, CLI-friendly settings;
-* ``repro-ksir bench`` — run/list/profile/compare the registered
-  benchmarks: every run writes canonical ``BENCH_<name>.json`` reports,
-  ``bench profile`` prints cProfile hot spots plus the per-kernel timer
-  table for any scenario, and ``bench compare`` classifies regressions
-  against a baseline directory (the CI perf gate);
+* ``repro-ksir bench`` — list or regenerate the paper's figures, tables and
+  ablations: every run prints the rendered artefact, asserts its shape and
+  writes ``BENCH_<name>.json`` plus ``<name>.txt``;
 * ``repro-ksir ha`` — the supervised cluster runtime: inspect and compact
   delta-checkpoint chains, and run a kill-and-recover failover drill that
   SIGKILLs a live shard mid-stream and verifies the recovered cluster
@@ -39,31 +35,14 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.api import EngineConfig, KSIREngine, LocalBackend
+from repro.bench.spec import TIERS
 from repro.core.algorithms import ALGORITHM_REGISTRY
-from repro.kernels import KERNEL_CHOICES
 from repro.datasets.loaders import load_stream_jsonl, save_stream_jsonl
 from repro.datasets.profiles import profile_names
 from repro.datasets.synthetic import SyntheticStreamGenerator
 from repro.evaluation.workload import WorkloadGenerator
-from repro.experiments import figures as figure_experiments
 from repro.experiments import tables as table_experiments
-from repro.experiments.config import EffectivenessConfig, EfficiencyConfig
 from repro.topics.model import MatrixTopicModel
-
-#: Experiments runnable from the CLI, mapped to zero-argument-ish callables.
-EXPERIMENT_CHOICES = (
-    "table3",
-    "table5",
-    "table6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-)
 
 def _canonical_algorithm_names() -> tuple:
     """One name per registered algorithm class (shortest spelling wins)."""
@@ -159,74 +138,25 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--seed", type=int, default=2019)
     EngineConfig.add_arguments(server, service=True)
 
-    experiment = subparsers.add_parser(
-        "experiment", help="regenerate one of the paper's tables or figures"
-    )
-    experiment.add_argument("name", choices=EXPERIMENT_CHOICES)
-    experiment.add_argument("--datasets", nargs="+", default=None,
-                            help="dataset profiles (default: the three -small profiles)")
-    experiment.add_argument("--queries", type=int, default=5,
-                            help="queries per sweep point")
-    experiment.add_argument("--seed", type=int, default=2019)
-
     bench = subparsers.add_parser(
-        "bench", help="run, list or compare the registered benchmarks"
+        "bench", help="list or regenerate the paper's figures, tables and ablations"
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    bench_list = bench_sub.add_parser("list", help="list registered benchmarks")
-    bench_list.add_argument("--tag", action="append", default=None,
-                            help="only benchmarks carrying this tag (repeatable)")
+    bench_sub.add_parser("list", help="list registered benchmarks")
 
     bench_run = bench_sub.add_parser(
-        "run", help="execute benchmarks and write BENCH_<name>.json reports"
+        "run", help="regenerate artefacts, check their shape, write reports"
     )
     bench_run.add_argument("names", nargs="*",
                            help="benchmark names (default: every registered one)")
-    bench_run.add_argument("--tier", default="tiny", choices=["tiny", "full"],
+    bench_run.add_argument("--tier", default="tiny", choices=list(TIERS),
                            help="size tier: tiny for CI smoke runs, full for "
-                                "real measurements")
-    bench_run.add_argument("--tag", action="append", default=None,
-                           help="only benchmarks carrying this tag (repeatable); "
-                                "'micro' selects the CI perf-smoke subset")
+                                "the paper-sized sweeps")
     bench_run.add_argument("--seed", type=int, default=2019)
     bench_run.add_argument("--output-dir", type=Path,
                            default=Path("benchmarks/results"),
                            help="where reports and rendered artefacts are written")
-
-    bench_profile = bench_sub.add_parser(
-        "profile",
-        help="profile one benchmark scenario: cProfile hot spots plus the "
-             "per-kernel timer table",
-    )
-    bench_profile.add_argument("name", help="a registered benchmark name")
-    bench_profile.add_argument("--tier", default="tiny", choices=["tiny", "full"],
-                               help="size tier of the profiled scenario")
-    bench_profile.add_argument("--scenario", default=None,
-                               help="scenario name (default: every scenario "
-                                    "of the tier)")
-    bench_profile.add_argument("--seed", type=int, default=2019)
-    bench_profile.add_argument("--kernels", default="auto",
-                               choices=list(KERNEL_CHOICES),
-                               help="kernel backend to profile under")
-    bench_profile.add_argument("--top", type=int, default=20,
-                               help="cProfile rows to print per scenario")
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="classify regressions between two report sets"
-    )
-    bench_compare.add_argument("baseline", type=Path,
-                               help="baseline BENCH_*.json file or directory")
-    bench_compare.add_argument("candidate", type=Path,
-                               help="candidate BENCH_*.json file or directory")
-    bench_compare.add_argument("--tolerance", type=float, default=0.25,
-                               help="allowed latency-ratio slack (0.25 = 25%%)")
-    bench_compare.add_argument("--raw", action="store_true",
-                               help="compare raw milliseconds instead of "
-                                    "calibration-normalised latencies")
-    bench_compare.add_argument("--min-p50-ms", type=float, default=1.0,
-                               help="scenarios faster than this on both sides "
-                                    "are never classified (timer noise)")
 
     ha = subparsers.add_parser(
         "ha", help="supervised cluster runtime: chains, compaction, failover drills"
@@ -471,72 +401,22 @@ def run_server(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_runner(name: str, efficiency: EfficiencyConfig,
-                       effectiveness: EffectivenessConfig, queries: int) -> str:
-    if name == "table3":
-        return table_experiments.dataset_statistics_table(
-            datasets=effectiveness.datasets, seed=effectiveness.seed
-        ).render()
-    if name == "table5":
-        return table_experiments.user_study_table(effectiveness, num_queries=queries).render(2)
-    if name == "table6":
-        return table_experiments.quantitative_table(effectiveness, num_queries=queries).render()
-    figure_functions: Dict[str, Callable] = {
-        "figure7": figure_experiments.figure7_time_vs_epsilon,
-        "figure8": figure_experiments.figure8_score_vs_epsilon,
-        "figure9": figure_experiments.figure9_time_vs_k,
-        "figure10": figure_experiments.figure10_evaluation_ratio,
-        "figure11": figure_experiments.figure11_score_vs_k,
-        "figure12": figure_experiments.figure12_time_vs_topics,
-        "figure13": figure_experiments.figure13_time_vs_window,
-    }
-    if name in figure_functions:
-        return figure_functions[name](efficiency, num_queries=queries).render(3)
-    if name == "figure14":
-        return figure_experiments.figure14_update_time(efficiency).render(4)
-    raise ValueError(f"unknown experiment {name!r}")
-
-
-def run_experiment(args: argparse.Namespace) -> int:
-    datasets = tuple(args.datasets) if args.datasets else None
-    efficiency = EfficiencyConfig(seed=args.seed, num_queries=args.queries)
-    effectiveness = EffectivenessConfig(seed=args.seed)
-    if datasets:
-        efficiency = efficiency.with_overrides(datasets=datasets)
-        effectiveness = effectiveness.with_overrides(datasets=datasets)
-    _print(_experiment_runner(args.name, efficiency, effectiveness, args.queries))
-    return 0
-
-
 def run_bench(args: argparse.Namespace) -> int:
-    from repro.bench import compare_many, iter_specs, load_reports
-    from repro.bench.runner import capture_environment, run_spec
-    from repro.bench.scripts import write_outputs
+    from repro.bench import iter_specs, run_spec
 
     if args.bench_command == "list":
-        specs = iter_specs(tags=args.tag or ())
+        specs = iter_specs()
         for spec in specs:
-            tags = f" [{', '.join(spec.tags)}]" if spec.tags else ""
-            scenarios = {
-                tier: len(policy.scenarios) for tier, policy in sorted(spec.tiers.items())
-            }
-            sizes = " ".join(f"{tier}:{count}" for tier, count in scenarios.items())
-            _print(f"{spec.name:<24} {sizes:<14}{tags}\n    {spec.description}")
+            _print(f"{spec.name:<24} {spec.description}")
         _print(f"{len(specs)} benchmark(s) registered")
         return 0
 
     if args.bench_command == "run":
-        specs = iter_specs(names=args.names, tags=args.tag or ())
-        if not specs:
-            _print("error: no benchmarks match the selection")
-            return 2
-        environment = capture_environment()
         failures = 0
-        for spec in specs:
-            report, values = run_spec(
-                spec, tier=args.tier, seed=args.seed, environment=environment
-            )
-            path = write_outputs(report, values, args.output_dir)
+        for spec in iter_specs(args.names):
+            report = run_spec(spec, tier=args.tier, seed=args.seed)
+            path = report.save(args.output_dir)
+            _print(report.artefact)
             _print(report.summary())
             _print(f"[saved to {path}]")
             if not report.checks_passed:
@@ -544,90 +424,7 @@ def run_bench(args: argparse.Namespace) -> int:
                 failures += 1
         return 1 if failures else 0
 
-    if args.bench_command == "profile":
-        return _bench_profile(args)
-
-    if args.bench_command == "compare":
-        for path in (args.baseline, args.candidate):
-            if not path.exists():
-                _print(f"error: {path} does not exist")
-                return 2
-        old_reports = load_reports(args.baseline)
-        new_reports = load_reports(args.candidate)
-        if not old_reports or not new_reports:
-            _print("error: no BENCH_*.json reports found on one side")
-            return 2
-        result = compare_many(
-            old_reports,
-            new_reports,
-            tolerance=args.tolerance,
-            use_calibration=not args.raw,
-            min_p50_ms=args.min_p50_ms,
-        )
-        _print(result.render())
-        return 1 if result.has_regressions else 0
-
     raise ValueError(f"unknown bench command {args.bench_command!r}")
-
-
-def _bench_profile(args: argparse.Namespace) -> int:
-    """``bench profile``: cProfile one scenario + the kernel timer table.
-
-    Builds the scenario's measured callable exactly like ``bench run``
-    (setup stays untimed), then executes it once under :mod:`cProfile`
-    with the kernel timers reset, printing the top functions by
-    cumulative time followed by the per-kernel call/nanosecond table.
-    Works for any registered benchmark.
-    """
-    import cProfile
-    import pstats
-
-    from repro.bench import get_spec
-    from repro.kernels import (
-        format_kernel_stats,
-        kernel_stats,
-        reset_kernel_stats,
-        use_kernels,
-    )
-
-    try:
-        spec = get_spec(args.name)
-    except KeyError as error:
-        _print(f"error: {error}")
-        return 2
-    try:
-        policy = spec.tier(args.tier)
-    except KeyError:
-        _print(f"error: benchmark {spec.name!r} has no tier {args.tier!r}")
-        return 2
-    scenarios = policy.scenarios
-    if args.scenario is not None:
-        scenarios = tuple(s for s in scenarios if s.name == args.scenario)
-        if not scenarios:
-            known = ", ".join(s.name for s in policy.scenarios)
-            _print(
-                f"error: unknown scenario {args.scenario!r} "
-                f"(tier {args.tier!r} has: {known})"
-            )
-            return 2
-    with use_kernels(args.kernels):
-        for scenario in scenarios:
-            _print(f"=== {spec.name} / {args.tier} / {scenario.name} ===")
-            measured = spec.setup(scenario.params, args.seed)
-            reset_kernel_stats()
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                measured()
-            finally:
-                profiler.disable()
-            stats = kernel_stats()
-            pstats.Stats(profiler, stream=sys.stdout).sort_stats(
-                "cumulative"
-            ).print_stats(args.top)
-            _print(format_kernel_stats(stats))
-            _print("")
-    return 0
 
 
 def run_ha(args: argparse.Namespace) -> int:
@@ -759,7 +556,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "query": run_query,
     "serve": run_serve,
     "server": run_server,
-    "experiment": run_experiment,
     "bench": run_bench,
     "ha": run_ha,
 }

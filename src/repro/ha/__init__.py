@@ -3,8 +3,8 @@
 High availability for the sharded k-SIR engine: heartbeat failure
 detection over process shard workers, a bucket write-ahead log, chained
 full + delta checkpoints, single-shard restore-and-replay recovery, live
-shard re-partitioning, and the fault-injection harness the tests and the
-``BENCH_ha_failover`` benchmark drive it all with.
+shard re-partitioning, and the fault-injection harness the tests and
+``repro-ksir ha drill`` drive it all with.
 
 Entry points
 ------------

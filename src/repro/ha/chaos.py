@@ -1,8 +1,8 @@
 """Fault injection for the supervised cluster runtime.
 
 Three failure modes, matching the recovery paths `repro.ha` implements —
-used by the test suite and the ``BENCH_ha_failover`` benchmark, and
-runnable against a live deployment through ``repro-ksir ha drill``:
+used by the test suite and runnable against a live deployment through
+``repro-ksir ha drill``:
 
 * :func:`kill_worker` — hard-kill one shard worker process (SIGKILL), the
   crash/OOM case the heartbeat or the next in-band command detects;

@@ -22,8 +22,8 @@ Selection is process-wide via :func:`configure_kernels` (driven by the
 ``--kernels`` CLI flag): ``auto`` compiles when Numba is importable and
 silently falls back otherwise, so the package keeps zero new hard
 dependencies.  Every call is timed into :func:`kernel_stats`, the
-payload behind ``KSIREngine.stats()["kernels"]``, the ``ksir_kernel_*``
-Prometheus gauges and ``repro-ksir bench profile``.
+payload behind ``KSIREngine.stats()["kernels"]`` and the
+``ksir_kernel_*`` Prometheus gauges.
 
 Custom kernels register exactly like custom backends::
 
@@ -38,7 +38,6 @@ from repro.kernels.registry import (
     KernelHandle,
     active_kernel_backend,
     configure_kernels,
-    format_kernel_stats,
     get_kernel,
     kernel_mode,
     kernel_names,
@@ -60,7 +59,6 @@ __all__ = [
     "KernelHandle",
     "active_kernel_backend",
     "configure_kernels",
-    "format_kernel_stats",
     "get_kernel",
     "kernel_mode",
     "kernel_names",

@@ -28,8 +28,8 @@ of three modes:
 
 Every call through a handle is timed (``time.perf_counter_ns``) into
 per-kernel cumulative counters surfaced by :func:`kernel_stats` — the
-payload behind ``KSIREngine.stats()["kernels"]``, the server's
-``ksir_kernel_*`` gauges and the ``repro-ksir bench profile`` table.
+payload behind ``KSIREngine.stats()["kernels"]`` and the server's
+``ksir_kernel_*`` gauges.
 """
 
 from __future__ import annotations
@@ -246,19 +246,3 @@ def reset_kernel_stats() -> None:
     """Zero every kernel's timing counters."""
     for handle in _REGISTRY.values():
         handle.reset()
-
-
-def format_kernel_stats(stats: Optional[Dict[str, Any]] = None) -> str:
-    """Render :func:`kernel_stats` as the aligned table ``bench profile`` prints."""
-    payload = kernel_stats() if stats is None else stats
-    per_kernel = payload.get("per_kernel", {})
-    header = f"{'kernel':<24} {'calls':>10} {'total_ms':>12} {'ns/call':>12}"
-    lines = [f"kernel backend: {payload.get('backend', '?')}", header, "-" * len(header)]
-    for name, counters in sorted(per_kernel.items()):
-        calls = int(counters.get("calls", 0))
-        total_ns = int(counters.get("total_ns", 0))
-        per_call = total_ns / calls if calls else 0.0
-        lines.append(
-            f"{name:<24} {calls:>10} {total_ns / 1e6:>12.3f} {per_call:>12.0f}"
-        )
-    return "\n".join(lines)

@@ -18,8 +18,8 @@ library gains **zero hard dependencies**:
   ``uvicorn --factory your_module:build_app``;
 * without it, :func:`serve` / :class:`ServerHandle` run the bundled
   asyncio HTTP/1.1 + WebSocket server (:mod:`repro.server.asgi`) — the
-  same code path the tests, the CI smoke job and the
-  ``bench_server_load`` load generator exercise.
+  same code path the tests, the CI smoke job and the end-to-end
+  benchmark's ``serve_text`` workload exercise.
 
 Everything is exported lazily: importing :mod:`repro` or building engines
 never touches the serving modules.

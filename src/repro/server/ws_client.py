@@ -1,6 +1,6 @@
 """Stdlib asyncio HTTP and WebSocket clients for the serving tier.
 
-The load benchmark, the socket-level tests and the CI smoke check need a
+The end-to-end benchmark, the socket-level tests and the CI smoke check need a
 client that exists on a bare Python install; this is it.  ``HttpClient``
 speaks just enough HTTP/1.1 (keep-alive, ``Content-Length`` bodies, JSON
 payloads) and ``WebSocketClient`` performs the RFC 6455 opening handshake

@@ -1,4 +1,4 @@
-"""RFC 6455 WebSocket framing shared by the server, the client and the bench.
+"""RFC 6455 WebSocket framing shared by the server and the client.
 
 Only the subset a push channel needs: the opening-handshake accept key,
 frame encoding (server frames unmasked, client frames masked as the RFC

@@ -1,15 +1,11 @@
 """Tests of the ``repro.bench`` subsystem.
 
 Covers :class:`BenchSpec` registration and validation, runner execution
-with a synthetic (dataset-free) spec, the ``BENCH_<name>.json`` schema
-round-trip and validation, and the ``compare()`` classification of
-regressions, improvements and within-tolerance changes — including the
-calibration-based cross-machine normalisation and the timer-noise floor.
+with a synthetic (dataset-free) spec, and the ``BENCH_<name>.json`` +
+rendered-artefact round trip of a real paper spec.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -17,62 +13,28 @@ from repro.bench import (
     BenchReport,
     BenchSpec,
     Outcome,
-    Scenario,
-    ScenarioResult,
-    TierPolicy,
-    compare,
-    compare_many,
     get_spec,
     iter_specs,
     run_spec,
     spec_names,
-    validate_report_dict,
 )
-from repro.bench.compare import (
-    ADDED,
-    IMPROVEMENT,
-    REGRESSION,
-    REMOVED,
-    SKIPPED,
-    WITHIN_TOLERANCE,
-)
-from repro.bench.report import percentile
 from repro.bench.spec import register, unregister
 
 
-def _trivial_spec(name: str, check=None, baseline=None) -> BenchSpec:
-    """A dataset-free spec: the measured callable just counts invocations."""
+def _trivial_spec(name: str, check=lambda value, tier: None) -> BenchSpec:
+    """A dataset-free spec: ``run`` echoes its tier parameters."""
 
-    def setup(params, seed):
-        state = {"calls": 0}
+    def run(params, seed):
+        return Outcome(
+            artefact=f"artefact of {params['label']}", value=(params["label"], seed)
+        )
 
-        def measured():
-            state["calls"] += 1
-            return Outcome(
-                units=params.get("units", 10),
-                value=state["calls"],
-                metrics={"calls": float(state["calls"])},
-                artefact=f"artefact of {params.get('label', 'x')}",
-            )
-
-        return measured
-
-    tier = TierPolicy(
-        scenarios=(
-            Scenario("fast", {"units": 10, "label": "fast"}),
-            Scenario("slow", {"units": 10, "label": "slow"}),
-        ),
-        warmup=1,
-        repeat=3,
-    )
     return BenchSpec(
         name=name,
         description="synthetic test spec",
-        setup=setup,
-        tiers={"tiny": tier, "full": tier},
-        baseline=baseline,
+        run=run,
+        tiers={"tiny": {"label": "small"}, "full": {"label": "large"}},
         check=check,
-        tags=("synthetic",),
     )
 
 
@@ -88,7 +50,8 @@ class TestSpecRegistry:
         try:
             assert get_spec("synthetic_lookup") is spec
             assert "synthetic_lookup" in spec_names()
-            assert spec in iter_specs(tags=("synthetic",))
+            assert spec in iter_specs()
+            assert iter_specs(["synthetic_lookup"]) == (spec,)
         finally:
             unregister("synthetic_lookup")
 
@@ -106,35 +69,20 @@ class TestSpecRegistry:
             get_spec("no_such_benchmark")
 
     def test_missing_tier_rejected(self):
-        tier = TierPolicy(scenarios=(Scenario("only", {}),))
         with pytest.raises(ValueError, match="missing tier"):
-            BenchSpec(name="bad", description="", setup=lambda p, s: lambda: None,
-                      tiers={"tiny": tier})
-
-    def test_unknown_baseline_rejected(self):
-        tier = TierPolicy(scenarios=(Scenario("only", {}),))
-        with pytest.raises(ValueError, match="baseline"):
-            BenchSpec(name="bad", description="", setup=lambda p, s: lambda: None,
-                      tiers={"tiny": tier, "full": tier}, baseline="absent")
-
-    def test_duplicate_scenarios_rejected(self):
-        tier = TierPolicy(scenarios=(Scenario("dup", {}), Scenario("dup", {})))
-        with pytest.raises(ValueError, match="duplicate"):
-            BenchSpec(name="bad", description="", setup=lambda p, s: lambda: None,
-                      tiers={"tiny": tier, "full": tier})
+            BenchSpec(name="bad", description="", run=lambda p, s: Outcome("", None),
+                      tiers={"tiny": {}}, check=lambda value, tier: None)
 
     def test_builtin_suite_is_registered(self):
-        names = spec_names()
-        assert "micro_stream_update" in names
-        assert "micro_query_latency" in names
-        assert "kernel_hotpath" in names
-        assert len(names) >= 18
-        micro = iter_specs(tags=("micro",))
-        assert {spec.name for spec in micro} == {
-            "micro_stream_update", "micro_query_latency",
+        # Exactly the paper's evaluation: Figures 7-14, Tables 3/5/6 and the
+        # two ablations.  Speed is the end-to-end benchmark's business.
+        assert set(spec_names()) == {
+            "fig7_epsilon_time", "fig8_epsilon_score", "fig9_k_time",
+            "fig10_eval_ratio", "fig11_k_score", "fig12_topics_time",
+            "fig13_window_time", "fig14_update_time",
+            "table3_datasets", "table5_user_study", "table6_quantitative",
+            "ablation_ranked_list", "ablation_lazy_buffer",
         }
-        kernels = iter_specs(tags=("kernels",))
-        assert {spec.name for spec in kernels} == {"kernel_hotpath"}
 
 
 # ---------------------------------------------------------------------------
@@ -144,39 +92,31 @@ class TestSpecRegistry:
 
 class TestRunner:
     def test_run_spec_produces_valid_report(self, tmp_path):
-        spec = _trivial_spec("synthetic_run", baseline="fast")
-        report, values = run_spec(spec, tier="tiny", seed=7,
-                                  environment={"calibration_ms": 10.0})
+        seen = []
+        spec = _trivial_spec(
+            "synthetic_run", check=lambda value, tier: seen.append((value, tier))
+        )
+        report = run_spec(spec, tier="full", seed=7)
         assert report.benchmark == "synthetic_run"
-        assert report.tier == "tiny"
+        assert report.tier == "full"
         assert report.seed == 7
-        assert report.checks_passed
-        assert [s.name for s in report.scenarios] == ["fast", "slow"]
-        for scenario in report.scenarios:
-            # warmup=1 + repeat=3: the measured callable ran four times and
-            # three samples were recorded.
-            assert len(scenario.samples_ms) == 3
-            assert scenario.units == 10
-            assert scenario.metrics["calls"] == 4.0
-        # values carries the unserialised check payloads and artefacts.
-        assert values["fast"] == 4
-        assert values["__artefacts__"]["slow"] == "artefact of slow"
-        # the baseline scenario itself gets no speedup figure.
-        assert report.scenario("fast").speedup_vs_baseline is None
-        assert report.scenario("slow").speedup_vs_baseline is not None
-        # round-trips through disk, validating on the way in.
+        assert report.params == {"label": "large"}
+        assert report.checks_passed and report.check_error is None
+        assert report.elapsed_s >= 0.0
+        assert report.environment["kernels"] in ("numpy", "numba")
+        # the check saw the unserialised value and the tier it ran at.
+        assert seen == [(("large", 7), "full")]
+        # the rendered artefact is persisted next to the JSON report.
+        assert report.artefact == "artefact of large"
         path = report.save(tmp_path)
         assert path.name == "BENCH_synthetic_run.json"
-        loaded = BenchReport.load(path)
-        assert loaded.to_dict() == report.to_dict()
+        assert (tmp_path / "synthetic_run.txt").read_text() == "artefact of large\n"
 
     def test_failing_check_marks_report(self):
-        def check(values, report):
+        def check(value, tier):
             raise AssertionError("synthetic failure")
 
-        spec = _trivial_spec("synthetic_fail", check=check)
-        report, _values = run_spec(spec, tier="tiny",
-                                   environment={"calibration_ms": 10.0})
+        report = run_spec(_trivial_spec("synthetic_fail", check=check), tier="tiny")
         assert not report.checks_passed
         assert "synthetic failure" in (report.check_error or "")
         # the failure is persisted in the JSON form too.
@@ -186,217 +126,41 @@ class TestRunner:
 
 
 # ---------------------------------------------------------------------------
-# Report schema
+# Report round trip
 # ---------------------------------------------------------------------------
-
-
-def _report(
-    name="bench", p50s=(100.0,), calibration=None, tier="tiny", cpu_count=None,
-    kernels=None,
-) -> BenchReport:
-    scenarios = [
-        ScenarioResult(
-            name=f"s{i}",
-            params={},
-            warmup=0,
-            repeat=1,
-            samples_ms=[p50],
-            units=100,
-        )
-        for i, p50 in enumerate(p50s)
-    ]
-    environment = {"python": "3.x"}
-    if calibration is not None:
-        environment["calibration_ms"] = calibration
-    if cpu_count is not None:
-        environment["cpu_count"] = cpu_count
-    if kernels is not None:
-        environment["kernels"] = kernels
-    return BenchReport(
-        benchmark=name, tier=tier, seed=1, created_unix=0.0,
-        environment=environment, scenarios=scenarios,
-    )
 
 
 class TestReportSchema:
-    def test_percentiles(self):
-        assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.5
-        assert percentile([1.0], 0.95) == 1.0
-        samples = [float(v) for v in range(1, 101)]
-        assert percentile(samples, 0.95) == pytest.approx(95.05)
-        with pytest.raises(ValueError):
-            percentile([], 0.5)
-
-    def test_scenario_statistics(self):
-        scenario = ScenarioResult(
-            name="s", params={}, warmup=0, repeat=4,
-            samples_ms=[10.0, 20.0, 30.0, 40.0], units=50,
-        )
-        assert scenario.p50_ms == 25.0
-        assert scenario.mean_ms == 25.0
-        # 50 units at 25 ms median -> 2000 units/sec.
-        assert scenario.throughput_per_sec == pytest.approx(2000.0)
-
-    def test_validation_rejects_malformed_documents(self):
-        good = _report().to_dict()
-        validate_report_dict(good)
-
-        bad = dict(good, schema="repro-bench/999")
-        with pytest.raises(ValueError, match="schema"):
-            validate_report_dict(bad)
-
-        bad = {key: value for key, value in good.items() if key != "environment"}
-        with pytest.raises(ValueError, match="environment"):
-            validate_report_dict(bad)
-
-        bad = dict(good, scenarios=[])
-        with pytest.raises(ValueError, match="no scenarios"):
-            validate_report_dict(bad)
-
-        scenario = dict(good["scenarios"][0])
-        del scenario["p50_ms"]
-        with pytest.raises(ValueError, match="p50_ms"):
-            validate_report_dict(dict(good, scenarios=[scenario]))
-
-        twice = [dict(good["scenarios"][0]), dict(good["scenarios"][0])]
-        with pytest.raises(ValueError, match="duplicate"):
-            validate_report_dict(dict(good, scenarios=twice))
-
     def test_json_round_trip_preserves_everything(self, tmp_path):
-        report = _report(p50s=(12.5, 80.0), calibration=22.0)
-        report.scenarios[1].speedup_vs_baseline = 1.75
-        report.scenarios[1].metrics = {"extra": 3.5}
+        report = run_spec(get_spec("fig10_eval_ratio"), tier="tiny", seed=7)
+        assert report.checks_passed, report.check_error
+        assert report.params == {"datasets": ["twitter-small"], "queries": 2}
         path = report.save(tmp_path)
-        raw = json.loads(path.read_text())
-        assert raw["schema"] == "repro-bench/1"
         loaded = BenchReport.load(path)
+        assert loaded == report
         assert loaded.to_dict() == report.to_dict()
-        assert loaded.scenario("s1").speedup_vs_baseline == 1.75
-        assert loaded.scenario("s1").metrics == {"extra": 3.5}
-        assert loaded.calibration_ms == 22.0
+        assert "artefact" not in loaded.to_dict()
+        rendered = (tmp_path / "fig10_eval_ratio.txt").read_text()
+        assert rendered.startswith("Figure 10") and "twitter-small" in rendered
 
 
 # ---------------------------------------------------------------------------
-# Comparison / regression gating
+# Which shape checks bind at which tier
 # ---------------------------------------------------------------------------
 
 
-class TestCompare:
-    def test_classification(self):
-        old = _report(p50s=(100.0, 100.0, 100.0))
-        new = _report(p50s=(210.0, 101.0, 60.0))
-        result = compare(old, new, tolerance=0.25)
-        by_name = {entry.scenario: entry for entry in result.entries}
-        assert by_name["s0"].status == REGRESSION  # 2.1x slower
-        assert by_name["s1"].status == WITHIN_TOLERANCE
-        assert by_name["s2"].status == IMPROVEMENT
-        assert result.has_regressions
-        assert len(result.regressions) == 1
+class TestShapeCheckTiers:
+    def test_untimed_checks_bind_at_both_tiers_and_wall_clock_ones_at_full(self):
+        class NoPruning:
+            panels = {"d": {"mtts": [0.9, 0.9], "mttd": [0.9, 0.9]}}
 
-    def test_injected_2x_slowdown_is_a_regression(self):
-        old = _report(p50s=(50.0,))
-        new = _report(p50s=(100.0,))
-        result = compare(old, new, tolerance=0.25)
-        assert result.entries[0].status == REGRESSION
-        assert result.entries[0].ratio == pytest.approx(2.0)
+        class SlowerWithEpsilon:
+            panels = {"d": {"mtts": [1.0, 2.0]}}
 
-    def test_calibration_normalisation_forgives_slower_machines(self):
-        # The candidate machine is uniformly 2x slower (calibration 2x):
-        # identical relative performance must not be flagged.
-        old = _report(p50s=(100.0,), calibration=20.0)
-        new = _report(p50s=(200.0,), calibration=40.0)
-        result = compare(old, new, tolerance=0.25)
-        assert result.normalised
-        assert result.entries[0].status == WITHIN_TOLERANCE
-        assert result.entries[0].ratio == pytest.approx(1.0)
-        # ... but a genuine regression on the slower machine still trips.
-        new = _report(p50s=(400.0,), calibration=40.0)
-        assert compare(old, new, tolerance=0.25).has_regressions
-        # raw mode ignores the calibration.
-        raw = compare(old, _report(p50s=(200.0,), calibration=40.0),
-                      tolerance=0.25, use_calibration=False)
-        assert not raw.normalised
-        assert raw.entries[0].status == REGRESSION
-
-    def test_noise_floor_suppresses_microsecond_scenarios(self):
-        old = _report(p50s=(0.2,))
-        new = _report(p50s=(0.6,))  # 3x "slower" but sub-millisecond
-        result = compare(old, new, tolerance=0.25, min_p50_ms=1.0)
-        assert result.entries[0].status == WITHIN_TOLERANCE
-
-    def test_added_and_removed_scenarios(self):
-        old = _report(p50s=(100.0, 100.0))
-        new = _report(p50s=(100.0,))
-        statuses = {entry.scenario: entry.status
-                    for entry in compare(old, new).entries}
-        assert statuses["s1"] == REMOVED
-        statuses = {entry.scenario: entry.status
-                    for entry in compare(new, old).entries}
-        assert statuses["s1"] == ADDED
-        # neither direction is a regression by itself.
-        assert not compare(old, new).has_regressions
-
-    def test_cpu_count_mismatch_warns_without_failing(self):
-        # Calibration normalises single-thread speed, not core count — a
-        # baseline recorded on a 1-CPU box must be flagged against an
-        # 8-CPU candidate, but the mismatch alone is never a regression.
-        old = _report(p50s=(100.0,), cpu_count=1)
-        new = _report(p50s=(100.0,), cpu_count=8)
-        result = compare(old, new, tolerance=0.25)
-        assert len(result.warnings) == 1
-        assert "cpu_count mismatch" in result.warnings[0]
-        assert "baseline 1" in result.warnings[0]
-        assert not result.has_regressions
-        assert "warning: " in result.render()
-
-    def test_matching_or_absent_cpu_counts_stay_silent(self):
-        assert not compare(
-            _report(cpu_count=4), _report(cpu_count=4)
-        ).warnings
-        assert not compare(_report(), _report(cpu_count=4)).warnings
-        assert not compare(_report(), _report()).warnings
-
-    def test_kernel_backend_mismatch_warns_without_failing(self):
-        # A baseline recorded on the NumPy reference is not comparable to
-        # a Numba-compiled candidate (or vice versa): the ratio would mix
-        # the code change with the kernel-backend change.
-        old = _report(p50s=(100.0,), kernels="numpy")
-        new = _report(p50s=(100.0,), kernels="numba")
-        result = compare(old, new, tolerance=0.25)
-        assert len(result.warnings) == 1
-        assert "kernel backend mismatch" in result.warnings[0]
-        assert not result.has_regressions
-        assert not compare(
-            _report(kernels="numpy"), _report(kernels="numpy")
-        ).warnings
-
-    def test_tier_mismatch_skips_classification(self):
-        # A full-tier baseline against a tiny-tier candidate compares
-        # different workload sizes: scenarios are skipped (never bogus
-        # improvements or regressions) and a warning is emitted.
-        old = _report(p50s=(5000.0,), tier="full")
-        new = _report(p50s=(100.0,), tier="tiny")
-        result = compare(old, new, tolerance=0.25)
-        assert [entry.status for entry in result.entries] == [SKIPPED]
-        assert result.entries[0].ratio is None
-        assert not result.has_regressions
-        assert any("tier mismatch" in warning for warning in result.warnings)
-
-    def test_compare_many_propagates_environment_warnings(self):
-        old = [_report("a", cpu_count=1), _report("b", cpu_count=2)]
-        new = [_report("a", cpu_count=8), _report("b", cpu_count=2)]
-        result = compare_many(old, new, tolerance=0.25)
-        assert len(result.warnings) == 1
-        assert result.warnings[0].startswith("a: ")
-
-    def test_compare_many_matches_by_benchmark(self):
-        old = [_report("a", p50s=(100.0,)), _report("b", p50s=(100.0,))]
-        new = [_report("a", p50s=(300.0,)), _report("c", p50s=(10.0,))]
-        result = compare_many(old, new, tolerance=0.25)
-        statuses = {(e.benchmark, e.scenario): e.status for e in result.entries}
-        assert statuses[("a", "s0")] == REGRESSION
-        assert statuses[("b", "*")] == REMOVED
-        assert statuses[("c", "*")] == ADDED
-        assert result.has_regressions
-        rendered = result.render()
-        assert "regression" in rendered
+        for tier in ("tiny", "full"):
+            with pytest.raises(AssertionError, match="pruning ineffective"):
+                get_spec("fig10_eval_ratio").check(NoPruning, tier)
+        # A two-query sweep times noise: Figure 7's shape is a full-tier claim.
+        get_spec("fig7_epsilon_time").check(SlowerWithEpsilon, "tiny")
+        with pytest.raises(AssertionError, match="did not drop"):
+            get_spec("fig7_epsilon_time").check(SlowerWithEpsilon, "full")

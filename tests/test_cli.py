@@ -30,12 +30,6 @@ class TestParser:
         assert args.algorithm == "mttd"
         assert args.k == 10
 
-    def test_experiment_choices(self):
-        args = build_parser().parse_args(["experiment", "table3"])
-        assert args.name == "table3"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "table99"])
-
 
 class TestCommands:
     def test_generate_writes_stream_and_model(self, tmp_path, capsys):
@@ -101,20 +95,6 @@ class TestCommands:
         )
         assert exit_code == 2
 
-    def test_experiment_table3(self, capsys):
-        exit_code = main(["experiment", "table3", "--datasets", "tiny", "--seed", "3"])
-        assert exit_code == 0
-        assert "Table 3" in capsys.readouterr().out
-
-    def test_experiment_figure7_on_tiny(self, capsys):
-        exit_code = main(
-            ["experiment", "figure7", "--datasets", "tiny", "--queries", "2", "--seed", "3"]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "Figure 7" in output
-        assert "mttd" in output
-
 
 class TestServeCommand:
     def test_serve_defaults(self):
@@ -163,114 +143,60 @@ class TestServeCommand:
 class TestBenchCommands:
     def test_bench_parser(self):
         args = build_parser().parse_args(
-            ["bench", "run", "micro_query_latency", "--tier", "tiny", "--tag", "micro"]
+            ["bench", "run", "fig7_epsilon_time", "--tier", "full"]
         )
         assert args.command == "bench"
         assert args.bench_command == "run"
-        assert args.names == ["micro_query_latency"]
-        assert args.tag == ["micro"]
+        assert args.names == ["fig7_epsilon_time"]
+        assert args.tier == "full"
+        assert build_parser().parse_args(["bench", "run"]).tier == "tiny"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "run", "--tier", "huge"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
+        # The retired halves: the timing gate, the profiler, tag selection and
+        # the duplicate ``experiment`` path.
+        for retired in (["bench", "compare", "a", "b"], ["bench", "profile", "fig9_k_time"],
+                        ["bench", "run", "--tag", "micro"], ["experiment", "table3"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(retired)
 
     def test_bench_list(self, capsys):
         assert main(["bench", "list"]) == 0
         output = capsys.readouterr().out
-        assert "micro_stream_update" in output
-        assert "benchmark(s) registered" in output
-
-    def test_bench_list_tag_filter(self, capsys):
-        assert main(["bench", "list", "--tag", "micro"]) == 0
-        output = capsys.readouterr().out
-        assert "micro_stream_update" in output
-        assert "fig7_epsilon_time" not in output
+        assert "fig7_epsilon_time" in output
+        assert "13 benchmark(s) registered" in output
 
     def test_bench_run_writes_schema_valid_reports(self, tmp_path, capsys):
         import json
 
-        from repro.bench import validate_report_dict
-
         exit_code = main(
-            ["bench", "run", "micro_query_latency", "--tier", "tiny",
+            ["bench", "run", "table3_datasets", "fig7_epsilon_time", "--tier", "tiny",
              "--output-dir", str(tmp_path), "--seed", "7"]
         )
         assert exit_code == 0
-        path = tmp_path / "BENCH_micro_query_latency.json"
-        assert path.exists()
-        data = json.loads(path.read_text())
-        validate_report_dict(data)
-        assert data["tier"] == "tiny"
-        assert data["seed"] == 7
-        assert {entry["name"] for entry in data["scenarios"]} == {
-            "topk", "mttd", "mtts", "celf", "sieve",
-        }
+        for name in ("table3_datasets", "fig7_epsilon_time"):
+            data = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+            assert data["benchmark"] == name
+            assert data["tier"] == "tiny"
+            assert data["seed"] == 7
+            assert data["checks_passed"] is True
+            assert data["params"]["datasets"] == ["twitter-small"]
+        # the rendered artefacts are printed and written next to the reports.
         output = capsys.readouterr().out
-        assert "micro_query_latency" in output
+        assert "Table 3" in output
+        assert "Figure 7" in output and "mttd" in output
+        assert "Figure 7" in (tmp_path / "fig7_epsilon_time.txt").read_text()
 
     def test_bench_run_unknown_name(self, capsys):
         with pytest.raises(KeyError):
             main(["bench", "run", "nope"])
 
-    def test_bench_profile_prints_kernel_table(self, capsys):
-        exit_code = main(
-            ["bench", "profile", "micro_query_latency", "--tier", "tiny",
-             "--scenario", "topk", "--kernels", "numpy", "--top", "5"]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "micro_query_latency / tiny / topk" in output
-        assert "cumulative" in output  # the cProfile section
-        assert "kernel backend: numpy" in output
-        assert "ranked_merge" in output  # the per-kernel timer table
+    def test_shim_is_the_cli_command(self, tmp_path, capsys):
+        import runpy
 
-    def test_bench_profile_unknown_scenario(self, capsys):
-        assert main(
-            ["bench", "profile", "micro_query_latency", "--scenario", "nope"]
-        ) == 2
-
-    def test_bench_profile_rejects_unknown_kernel_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["bench", "profile", "kernel_hotpath", "--kernels", "fortran"]
-            )
-
-    def test_bench_run_empty_selection(self, capsys):
-        assert main(["bench", "run", "--tag", "no-such-tag"]) == 2
-
-    def test_bench_compare_gates_on_injected_slowdown(self, tmp_path, capsys):
-        import copy
-        import json
-
-        assert main(
-            ["bench", "run", "micro_query_latency", "--tier", "tiny",
-             "--output-dir", str(tmp_path / "base")]
-        ) == 0
-        capsys.readouterr()
-        # identical reports: no regression, exit 0.
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"), str(tmp_path / "base")]
-        ) == 0
-        assert "no regressions" in capsys.readouterr().out
-        # inject a 2x slowdown into every scenario: exit 1.
-        slow_dir = tmp_path / "slow"
-        slow_dir.mkdir()
-        data = json.loads(
-            (tmp_path / "base" / "BENCH_micro_query_latency.json").read_text()
-        )
-        slow = copy.deepcopy(data)
-        for scenario in slow["scenarios"]:
-            scenario["samples_ms"] = [s * 2 for s in scenario["samples_ms"]]
-            for key in ("p50_ms", "p95_ms", "mean_ms", "min_ms", "max_ms"):
-                scenario[key] *= 2
-        (slow_dir / "BENCH_micro_query_latency.json").write_text(json.dumps(slow))
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"), str(slow_dir),
-             "--tolerance", "0.25", "--min-p50-ms", "0.0"]
-        ) == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_bench_compare_missing_path(self, tmp_path, capsys):
-        assert main(
-            ["bench", "compare", str(tmp_path / "absent"), str(tmp_path / "absent")]
-        ) == 2
+        shim = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_table3_datasets.py"
+        namespace = runpy.run_path(str(shim))
+        assert namespace["main"](["--seed", "7", "--output-dir", str(tmp_path)]) == 0
+        assert "table3_datasets [tiny] seed=7" in capsys.readouterr().out
+        assert (tmp_path / "table3_datasets.txt").exists()

@@ -18,7 +18,6 @@ from repro.kernels import (
     KERNEL_CHOICES,
     active_kernel_backend,
     configure_kernels,
-    format_kernel_stats,
     get_kernel,
     kernel_mode,
     kernel_names,
@@ -218,17 +217,6 @@ class TestProfiling:
         for name in BUILTIN_KERNELS:
             counters = stats["per_kernel"][name]
             assert set(counters) == {"calls", "total_ns"}
-
-    def test_format_kernel_stats_table(self):
-        reset_kernel_stats()
-        get_kernel("ranked_merge")(
-            np.array([2.0, 1.0]), np.array([0, 1], dtype=np.int64)
-        )
-        table = format_kernel_stats()
-        assert table.startswith("kernel backend:")
-        assert "ranked_merge" in table
-        for name in BUILTIN_KERNELS:
-            assert name in table
 
 
 ranked_entries = st.lists(

@@ -162,3 +162,80 @@ class TestWebSocketOverSockets:
                 )
 
         run(_with_server(scenario))
+
+    def test_subscriber_fleet_loses_no_delta_under_rest_load(self) -> None:
+        """64 subscribers x 16 queries x 6 buckets beside 8 REST readers.
+
+        Every ``POST /ingest/bucket`` response names the queries it
+        re-evaluated, so the push contract is exactly checkable: one delta
+        per subscriber per bucket that names its query, nothing otherwise.
+        Counts only — nothing here is timed.
+        """
+        queries = [f"q{index}" for index in range(16)]
+        assigned = [queries[index % len(queries)] for index in range(64)]
+
+        async def scenario(handle) -> None:
+            control = HttpClient(handle.host, handle.port)
+            for index, query_id in enumerate(queries):
+                vector = [1.0, 0.0] if index % 2 == 0 else [0.0, 1.0]
+                created = await control.post(
+                    "/queries", {"vector": vector, "k": 2, "query_id": query_id}
+                )
+                assert created.status == 201
+
+            sockets = await asyncio.gather(*(
+                WebSocketClient.connect(handle.host, handle.port, f"/ws/queries/{query_id}")
+                for query_id in assigned
+            ))
+            for ws in sockets:
+                assert (await ws.recv_json(timeout=10))["type"] == "snapshot"
+            assert (await control.get("/telemetry")).json()["push"]["subscribers"] == 64
+
+            stop = asyncio.Event()
+
+            async def rest_reader(worker: int) -> int:
+                count = 0
+                async with HttpClient(handle.host, handle.port) as client:
+                    while not stop.is_set():
+                        target = queries[(worker + count) % len(queries)]
+                        assert (await client.get(f"/queries/{target}/result")).status == 200
+                        assert (await client.get("/health")).status == 200
+                        count += 2
+                return count
+
+            readers = [asyncio.ensure_future(rest_reader(w)) for w in range(8)]
+            expected = {query_id: [] for query_id in queries}
+            try:
+                for bucket in range(1, 7):
+                    # Even buckets live purely on topic 0, odd ones on topic 1.
+                    response = await control.post("/ingest/bucket", ingest_payload(
+                        bucket,
+                        element(2 * bucket, bucket, bucket % 2),
+                        element(2 * bucket + 1, bucket, bucket % 2),
+                    ))
+                    assert response.status == 200
+                    summary = response.json()
+                    for query_id in summary["updated"]:
+                        expected[query_id].append(summary["bucket"])
+            finally:
+                stop.set()
+                rest_requests = await asyncio.gather(*readers)
+            assert all(count > 0 for count in rest_requests)
+            # Past the first evaluation a pure topic-1 bucket never touches a
+            # topic-0 query, so "nothing otherwise" is exercised too.
+            assert expected["q0"][1:] == [2, 4, 6] and expected["q1"][1:] == [3, 5]
+
+            for ws, query_id in zip(sockets, assigned):
+                received = []
+                for _ in expected[query_id]:
+                    message = await ws.recv_json(timeout=10)
+                    assert message["type"] == "delta"
+                    received.append(message["bucket"])
+                assert received == expected[query_id]
+            # ... and nothing else was ever fanned out.
+            pushed = (await control.get("/telemetry")).json()["push"]["pushes"]
+            assert pushed == sum(len(expected[query_id]) for query_id in assigned)
+            await asyncio.gather(*(ws.close() for ws in sockets))
+            await control.close()
+
+        run(_with_server(scenario))
