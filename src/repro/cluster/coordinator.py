@@ -301,27 +301,23 @@ class ClusterCoordinator:
 
     # -- ingestion -----------------------------------------------------------------
 
-    def _prepare(self, elements: Sequence[SocialElement]) -> List[SocialElement]:
-        """Infer missing topic distributions once, before routing.
+    def prepare_elements(self, elements: Sequence[SocialElement]) -> List[SocialElement]:
+        """Infer missing topic distributions once per bucket, before routing.
 
         Central inference keeps replicas byte-identical across shards and
         means shard workers (including remote processes) never have to run
-        the inferencer themselves.
+        the inferencer themselves.  The supervisor logs *prepared* elements
+        so a replay after failover never re-runs inference; preparation is
+        idempotent (elements that already carry a topic distribution pass
+        through untouched).
         """
-        prepared: List[SocialElement] = []
-        for element in elements:
-            if element.topic_distribution is None:
-                element = element.with_topic_distribution(
-                    self._inferencer.infer(element.tokens)
-                )
-            prepared.append(element)
-        return prepared
+        return self._inferencer.with_topics(elements)
 
     def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
         """Route one bucket to the shards and advance every shard window."""
         self._require_open()
         with self._ingest_timer.measure():
-            prepared = self._prepare(elements)
+            prepared = self.prepare_elements(elements)
             routed = self._planner.route_bucket(
                 prepared, with_owners=self._fanout.ships_owners
             )
@@ -524,20 +520,11 @@ class ClusterCoordinator:
         Only the slice destined for ``shard_id`` is shipped; the other
         shards already hold the bucket.
         """
-        prepared = self._prepare(elements)
+        prepared = self.prepare_elements(elements)
         routed = self._planner.route_bucket(
             prepared, with_owners=self._fanout.ships_owners
         )
         self._fanout.ingest_shard(routed[shard_id], end_time)
-
-    def prepare_elements(self, elements: Sequence[SocialElement]) -> List[SocialElement]:
-        """Public wrapper over central topic inference (WAL normalisation).
-
-        The supervisor logs *prepared* elements so a replay after failover
-        never re-runs inference; preparation is idempotent (elements that
-        already carry a topic distribution pass through untouched).
-        """
-        return self._prepare(elements)
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -261,7 +261,9 @@ class KSIRProcessor:
         """Ingest one bucket ``B_t`` ending at ``end_time`` (Algorithm 1).
 
         Elements without a topic distribution are run through topic
-        inference first; then the active window, per-element profiles and
+        inference first, the whole bucket in one
+        :meth:`TopicInferencer.with_topics` call (one stacked iteration, not
+        one per element); then the active window, per-element profiles and
         ranked lists are updated and expired elements are evicted, with
         the work restructured around bucket-level batching:
 
@@ -279,7 +281,7 @@ class KSIRProcessor:
         follower the bucket added, and activity times combine via ``max``.
         """
         with self._ingest_timer.measure():
-            prepared = [self._with_topics(element) for element in elements]
+            prepared = self._inferencer.with_topics(elements)
             profiles = self._builder.build_many(prepared)
 
             home_filter = self._home_filter
@@ -324,7 +326,9 @@ class KSIRProcessor:
             # need their profiles rebuilt before the parents are re-scored.
             missing = [pid for pid in touched if profile_map[pid] is None]
             rebuilt = self._builder.build_many(
-                [self._with_topics(self._window.get(pid)) for pid in missing]
+                self._inferencer.with_topics(
+                    [self._window.get(pid) for pid in missing]
+                )
             )
             for parent_id, parent_profile in zip(missing, rebuilt):
                 self._register_profile(parent_id, parent_profile)
@@ -363,12 +367,6 @@ class KSIRProcessor:
     ) -> None:
         """Replay a whole stream (or until time ``until``) through the processor."""
         replay_stream(stream, self._config.bucket_length, self.process_bucket, until)
-
-    def _with_topics(self, element: SocialElement) -> SocialElement:
-        """``element``, its topic distribution inferred when it carries none."""
-        if element.topic_distribution is not None:
-            return element
-        return element.with_topic_distribution(self._inferencer.infer(element.tokens))
 
     def _register_profile(self, element_id: int, profile: ElementProfile) -> None:
         """Cache a profile and mirror its probabilities into the store."""

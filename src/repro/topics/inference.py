@@ -16,22 +16,34 @@ Two inference procedures are provided:
   ``q(i | w) ∝ p_i(w) * theta_i`` / ``theta_i ∝ alpha + Σ_w q(i | w)``;
   it is what the stream processor uses by default because it is an order of
   magnitude faster and deterministic, which keeps experiments reproducible.
+
+Inference runs once per sealed bucket: the processor and the cluster
+coordinator hand the bucket to :meth:`TopicInferencer.with_topics`, and the
+expectation method iterates every document of the batch on one stacked
+array.  A single document (a query's keywords) is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.topics.model import TopicModel
 from repro.utils.rng import SeedLike, make_rng
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.element import SocialElement
+
 
 @dataclass
 class TopicInferencer:
     """Infers topic distributions for token lists against a trained model.
+
+    :meth:`infer_many` is the one body (:meth:`infer` is a batch of one,
+    :meth:`with_topics` a bucket of elements); the vector a document gets
+    does not depend on what it was batched with.
 
     Parameters
     ----------
@@ -82,36 +94,85 @@ class TopicInferencer:
 
         Unknown tokens are ignored.  Empty (or fully out-of-vocabulary)
         documents get the uniform distribution, matching the "no information"
-        prior.
+        prior.  This is :meth:`infer_many` on a batch of one.
         """
-        word_ids = self.model.vocabulary.encode(tokens)
-        z = self.model.num_topics
-        if not word_ids:
-            return np.full(z, 1.0 / z)
-        if self.method == "gibbs":
-            distribution = self._infer_gibbs(word_ids)
-        else:
-            distribution = self._infer_expectation(word_ids)
-        return self._sparsify(distribution)
+        return self.infer_many([tokens])[0]
 
     def infer_many(self, documents: Sequence[Sequence[str]]) -> np.ndarray:
-        """Stack the inferred distributions of many documents row-wise."""
-        return np.vstack([self.infer(tokens) for tokens in documents])
+        """The inferred distributions of many documents, one row each.
+
+        The whole batch is one stacked fixed-point iteration (a sealed
+        bucket is inferred in one call); a row's bits depend neither on its
+        batch mates nor on its position.  ``method="gibbs"`` draws from the
+        inferencer's generator one document at a time, in document order.
+        """
+        z = self.model.num_topics
+        encode = self.model.vocabulary.encode
+        encoded = [encode(tokens) for tokens in documents]
+        distributions = np.full((len(encoded), z), 1.0 / z)
+        known = [row for row, word_ids in enumerate(encoded) if word_ids]
+        if not known:
+            return distributions
+        word_ids = [encoded[row] for row in known]
+        if self.method == "gibbs":
+            inferred = np.array([self._infer_gibbs(ids) for ids in word_ids])
+        else:
+            inferred = self._infer_expectation(word_ids)
+        distributions[known] = self._sparsify(inferred)
+        return distributions
+
+    def with_topics(self, elements: Sequence[SocialElement]) -> List[SocialElement]:
+        """``elements`` in order, those without a topic distribution inferred.
+
+        One :meth:`infer_many` call covers every element that carries none;
+        elements that already carry one pass through untouched, so the call
+        is idempotent.
+        """
+        prepared = list(elements)
+        missing = [
+            position
+            for position, element in enumerate(prepared)
+            if element.topic_distribution is None
+        ]
+        if missing:
+            rows = self.infer_many([prepared[position].tokens for position in missing])
+            for position, row in zip(missing, rows):
+                prepared[position] = prepared[position].with_topic_distribution(row)
+        return prepared
 
     # -- inference procedures ------------------------------------------------------
 
-    def _infer_expectation(self, word_ids: Sequence[int]) -> np.ndarray:
-        phi = self.model.topic_word_matrix[:, word_ids]  # (z, n_tokens)
+    def _infer_expectation(self, word_ids: Sequence[Sequence[int]]) -> np.ndarray:
+        """Mean-field ``theta`` of every (non-empty) id list, stacked.
+
+        The layout keeps each row bit-identical to iterating that document
+        alone: ``phi`` (gathered from the transposed matrix, no copy of it)
+        and the work buffer are C-contiguous ``(docs, tokens, z)``, so a
+        token's total is NumPy's pairwise sum over the contiguous topic axis
+        and ``theta`` accumulates token after token; documents shorter than
+        the longest are padded with all-zero tokens, which only add ``+0.0``
+        at the tail of that sequential sum.
+        """
         z = self.model.num_topics
-        theta = np.full(z, 1.0 / z)
+        lengths = np.array([len(ids) for ids in word_ids])
+        padded = np.zeros((len(word_ids), lengths.max()), dtype=np.intp)
+        for row, ids in zip(padded, word_ids):
+            row[: len(ids)] = ids
+        phi = self.model.topic_word_matrix.T[padded]
+        phi[np.arange(padded.shape[1]) >= lengths[:, None]] = 0.0
+        theta = np.full((len(word_ids), z), 1.0 / z)
+        # One C-ordered buffer for the whole iteration: it fixes the
+        # reduction layout, and bucket-sized temporaries are what the
+        # serving process's heap would otherwise churn 60 times a bucket.
+        responsibilities = np.empty(phi.shape)
         for _ in range(self.iterations):
             # responsibilities of each topic for each token
-            weighted = phi * theta[:, None]
-            token_totals = weighted.sum(axis=0)
+            np.multiply(phi, theta[:, None, :], out=responsibilities)
+            token_totals = responsibilities.sum(axis=2, keepdims=True)
             token_totals[token_totals == 0.0] = 1.0
-            responsibilities = weighted / token_totals
+            responsibilities /= token_totals
             theta = self._alpha + responsibilities.sum(axis=1)
-            theta = theta / theta.sum()
+            theta /= theta.sum(axis=1, keepdims=True)
         return theta
 
     def _infer_gibbs(self, word_ids: Sequence[int]) -> np.ndarray:
@@ -144,18 +205,18 @@ class TopicInferencer:
         theta = accumulated + self._alpha
         return theta / theta.sum()
 
-    def _sparsify(self, distribution: np.ndarray) -> np.ndarray:
+    def _sparsify(self, distributions: np.ndarray) -> np.ndarray:
+        """Truncate every row below the threshold and re-normalise it."""
         if self.sparsity_threshold <= 0.0:
-            return distribution
-        truncated = np.where(distribution >= self.sparsity_threshold, distribution, 0.0)
-        total = truncated.sum()
-        if total <= 0.0:
+            return distributions
+        truncated = np.where(distributions >= self.sparsity_threshold, distributions, 0.0)
+        totals = truncated.sum(axis=1, keepdims=True)
+        emptied = np.flatnonzero(totals[:, 0] <= 0.0)
+        if emptied.size:
             # Keep only the single best topic rather than returning zeros.
-            best = int(np.argmax(distribution))
-            truncated = np.zeros_like(distribution)
-            truncated[best] = 1.0
-            return truncated
-        return truncated / total
+            truncated[emptied, distributions[emptied].argmax(axis=1)] = 1.0
+            totals[emptied] = 1.0
+        return truncated / totals
 
 
 def infer_query_vector(
@@ -216,8 +277,8 @@ def infer_personalized_vector(
         return np.full(model.num_topics, 1.0 / model.num_topics)
     combined = np.zeros(model.num_topics)
     weight = 1.0
-    for tokens in reversed(documents):
-        combined += weight * inferencer.infer(list(tokens))
+    for distribution in inferencer.infer_many(documents[::-1]):  # most recent first
+        combined += weight * distribution
         weight *= decay
     total = combined.sum()
     if total <= 0.0:

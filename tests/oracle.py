@@ -17,7 +17,9 @@ the same bucket re-posts never touches (or marks dirty) a list.
 
 The second half is the reference of the *query* path: the objective, the
 ranked-list traversal and MTTS written out call by call, importing nothing
-of production's compiled forms (``tests/test_query_path.py``).
+of production's compiled forms (``tests/test_query_path.py``).  The last
+part is topic inference one document at a time
+(``tests/test_topics_inference.py``).
 """
 
 from __future__ import annotations
@@ -469,3 +471,50 @@ def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
         best = objective.new_state()
     extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
     return tuple(best.selected), best.value, objective.evaluated_elements, extras
+
+
+# ---------------------------------------------------------------------------
+# Topic inference, one document at a time
+# ---------------------------------------------------------------------------
+#
+# Production infers a sealed bucket as one stacked iteration
+# (``TopicInferencer.infer_many``).  This is the per-document body it
+# replaced, kept verbatim: ``matrix[:, word_ids]`` is F-contiguous, so the
+# token totals are pairwise sums over the contiguous topic axis and ``theta``
+# accumulates token after token — the order the stacked layout has to keep.
+
+
+def reference_infer(
+    model,
+    tokens: Sequence[str],
+    alpha: Optional[float] = None,
+    iterations: int = 30,
+    sparsity_threshold: float = 0.0,
+) -> np.ndarray:
+    """The mean-field topic distribution of one token list."""
+    word_ids = model.vocabulary.encode(tokens)
+    z = model.num_topics
+    if not word_ids:
+        return np.full(z, 1.0 / z)
+    alpha = float(alpha) if alpha is not None else 50.0 / z
+    phi = model.topic_word_matrix[:, word_ids]  # (z, n_tokens)
+    theta = np.full(z, 1.0 / z)
+    for _ in range(iterations):
+        # responsibilities of each topic for each token
+        weighted = phi * theta[:, None]
+        token_totals = weighted.sum(axis=0)
+        token_totals[token_totals == 0.0] = 1.0
+        responsibilities = weighted / token_totals
+        theta = alpha + responsibilities.sum(axis=1)
+        theta = theta / theta.sum()
+    if sparsity_threshold <= 0.0:
+        return theta
+    truncated = np.where(theta >= sparsity_threshold, theta, 0.0)
+    total = truncated.sum()
+    if total <= 0.0:
+        # Keep only the single best topic rather than returning zeros.
+        best = int(np.argmax(theta))
+        truncated = np.zeros_like(theta)
+        truncated[best] = 1.0
+        return truncated
+    return truncated / total

@@ -10,6 +10,8 @@ an answer, so every comparison below is ``==`` on floats:
   contexts and indexes drawn to hit the awkward cases;
 * against a recorded run of the parent commit (``recorded_answers.json``) —
   six algorithms after every bucket, three execution backends;
+* on the raw-token path: a stream the engine infers bucket by bucket against
+  the same stream pre-inferred by the per-document reference;
 * plus the contract of the per-window memo.
 """
 
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, KSIREngine, ServiceConfig
+from repro.api import EngineConfig, InferenceConfig, KSIREngine, ServiceConfig
 from repro.cluster import ClusterConfig
 from repro.core.algorithms import MTTS
 from repro.core.element import SocialElement
@@ -41,7 +43,12 @@ from repro.core.scoring import (
 )
 from tests.check_e2e_counts import differences, float_environment
 from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
-from tests.oracle import ReferenceObjective, ReferenceTraversal, reference_mtts
+from tests.oracle import (
+    ReferenceObjective,
+    ReferenceTraversal,
+    reference_infer,
+    reference_mtts,
+)
 from tests.test_store_columnar import bucketise
 
 SCORING = ScoringConfig(lambda_weight=0.4, eta=3.0)
@@ -396,6 +403,81 @@ def test_both_recordings_share_one_environment():
     counts = json.loads(RECORDED.with_name("e2e_counts.json").read_text())
     answers = json.loads(RECORDED.read_text())
     assert counts["float_environment"] == answers["float_environment"]
+
+
+# ---------------------------------------------------------------------------
+# The raw-token path
+# ---------------------------------------------------------------------------
+
+INFERENCE = InferenceConfig(alpha=0.05, sparsity_threshold=0.05)
+
+
+def observed_after_every_bucket(model, elements, backend):
+    """Window order, follower sets, ranked lists, dirty topics and the
+    MTTS / MTTD answers after every bucket, per (shard) processor."""
+    processor = ProcessorConfig(
+        window_length=10, bucket_length=4, scoring=PAPER_SCORING, archive_windows=3
+    )
+    if backend == "sharded":
+        config = EngineConfig(
+            backend="sharded", processor=processor, inference=INFERENCE,
+            cluster=ClusterConfig(num_shards=2, transport="serial"),
+        )
+    else:
+        config = EngineConfig(processor=processor, inference=INFERENCE)
+    rng = np.random.default_rng(7)
+    observed = []
+    with KSIREngine(model, config) as engine:
+        if backend == "sharded":
+            processors = [w.processor for w in engine.backend.coordinator.workers]
+        else:
+            processors = [engine.backend.processor]
+        for members, end_time in bucketise(elements, 4):
+            engine.ingest_bucket(members, end_time)
+            for shard in processors:
+                window, index = shard.window, shard.ranked_lists
+                observed.append((
+                    window.active_ids(),
+                    sorted(window.window_ids()),
+                    window.followers_snapshot(),
+                    [index.items(topic) for topic in range(index.num_topics)],
+                    index.take_dirty_topics(),
+                ))
+            query = KSIRQuery(k=int(rng.integers(1, 6)), vector=rng.dirichlet(np.full(3, 0.6)))
+            for algorithm in ("mtts", "mttd"):
+                result = engine.query(query, algorithm=algorithm)
+                observed.append((
+                    result.element_ids, result.score, result.evaluated_elements,
+                    sorted(result.extras.items()),
+                ))
+    return observed
+
+
+@pytest.mark.parametrize("backend", ["local", "sharded"])
+@pytest.mark.parametrize("seed", range(4))
+def test_raw_tokens_answer_as_the_reference_inferred_stream(backend, seed):
+    """One stream fed as raw tokens (the engine infers each bucket in one
+    stacked call) and pre-inferred one document at a time by the reference."""
+    model, base = reposting_stream(seed)
+    raw, inferred = [], []
+    for position, element in enumerate(base):
+        tokens = ("zzz",) if position % 9 == 4 else element.tokens  # one in nine unknown
+        fields = dict(
+            element_id=element.element_id, timestamp=element.timestamp,
+            tokens=tokens, references=element.references,
+        )
+        raw.append(SocialElement(**fields))
+        inferred.append(SocialElement(
+            topic_distribution=reference_infer(
+                model, tokens, INFERENCE.alpha, INFERENCE.iterations,
+                INFERENCE.sparsity_threshold,
+            ),
+            **fields,
+        ))
+    assert all(element.topic_distribution is None for element in raw)
+    assert observed_after_every_bucket(model, raw, backend) == (
+        observed_after_every_bucket(model, inferred, backend)
+    )
 
 
 # ---------------------------------------------------------------------------
