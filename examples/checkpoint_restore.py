@@ -30,7 +30,6 @@ from repro import (
     KSIREngine,
     ProcessorConfig,
     ScoringConfig,
-    ServiceConfig,
     SyntheticStreamGenerator,
 )
 
@@ -41,7 +40,6 @@ CONFIG = EngineConfig(
         bucket_length=900,
         scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
     ),
-    service=ServiceConfig(max_workers=2),
 )
 
 

@@ -32,7 +32,6 @@ from repro import (
     KSIREngine,
     ProcessorConfig,
     ScoringConfig,
-    ServiceConfig,
     SyntheticStreamGenerator,
     verify_equivalence,
 )
@@ -57,7 +56,6 @@ CONFIG = EngineConfig(
         scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
     ),
     cluster=ClusterConfig(num_shards=NUM_SHARDS, partitioner="load-balanced"),
-    service=ServiceConfig(max_workers=2),
 )
 
 

@@ -28,7 +28,6 @@ from repro import (
     KSIREngine,
     ProcessorConfig,
     ScoringConfig,
-    ServiceConfig,
     SyntheticStreamGenerator,
 )
 from repro.datasets.profiles import get_profile
@@ -58,7 +57,6 @@ def main() -> None:
             bucket_length=900,
             scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
         ),
-        service=ServiceConfig(max_workers=4),
     )
 
     with KSIREngine(dataset.topic_model, config) as engine:

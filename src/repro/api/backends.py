@@ -264,9 +264,7 @@ class ServiceBackend:
                 topic_model, config.processor, inferencer=inferencer
             )
         self._engine = ServiceEngine(
-            self._substrate,
-            max_workers=config.service.max_workers,
-            incremental=config.service.incremental,
+            self._substrate, incremental=config.service.incremental
         )
 
     @property
@@ -354,7 +352,7 @@ class ServiceBackend:
         self._engine.restore_state(state["service"])
 
     def close(self) -> None:
-        """Shut down the evaluator pool and the substrate, in that order."""
+        """Close the serving engine and the substrate, in that order."""
         self._engine.close()
         if isinstance(self._substrate, ClusterCoordinator):
             self._substrate.close()

@@ -9,13 +9,18 @@ through plain dictionaries (:meth:`EngineConfig.to_dict` /
 any JSON/YAML deployment description use, and it can be assembled from an
 ``argparse`` namespace (:meth:`EngineConfig.from_args`) so every CLI
 subcommand shares one backend-wiring path instead of re-implementing it.
+
+No key or default is spelled twice: the round-trip is :mod:`repro.utils.config`
+walking the dataclass fields, ``_RETIRED`` holds the keys earlier releases
+wrote and ``_FLAGS`` the CLI flags ``add_arguments`` and ``from_args`` read.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from functools import reduce
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Union
 
 from repro.cluster.coordinator import ClusterConfig
 from repro.cluster.transport import transport_names
@@ -27,6 +32,7 @@ from repro.kernels import KERNEL_CHOICES
 from repro.streams.config import StreamConfig
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
+from repro.utils.config import RetiredKeys, config_from_dict, config_to_dict
 
 #: Canonical execution-backend names (the adapter registry keys).
 LOCAL_BACKEND = "local"
@@ -57,12 +63,6 @@ def canonical_backend_name(name: str) -> str:
         ) from error
 
 
-def _check_known_keys(payload: Mapping[str, Any], known: Tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {where} keys in config dict: {', '.join(unknown)}")
-
-
 @dataclass(frozen=True)
 class InferenceConfig:
     """Topic-inference settings, shared by ingest and query-by-keyword.
@@ -89,36 +89,16 @@ class InferenceConfig:
 
     def build(self, model: TopicModel) -> TopicInferencer:
         """Instantiate a :class:`TopicInferencer` bound to ``model``."""
-        return TopicInferencer(
-            model,
-            alpha=self.alpha,
-            iterations=self.iterations,
-            method=self.method,
-            sparsity_threshold=self.sparsity_threshold,
-        )
+        return TopicInferencer(model, **config_to_dict(self))
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return {
-            "alpha": self.alpha,
-            "iterations": self.iterations,
-            "method": self.method,
-            "sparsity_threshold": self.sparsity_threshold,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "InferenceConfig":
         """Inverse of :meth:`to_dict` (unknown keys raise ``ValueError``)."""
-        _check_known_keys(
-            payload, ("alpha", "iterations", "method", "sparsity_threshold"), "inference"
-        )
-        alpha = payload.get("alpha")
-        return cls(
-            alpha=None if alpha is None else float(alpha),
-            iterations=int(payload.get("iterations", 30)),
-            method=str(payload.get("method", "expectation")),
-            sparsity_threshold=float(payload.get("sparsity_threshold", 0.0)),
-        )
+        return config_from_dict(cls, payload, "inference")
 
 
 #: The inference settings every dataset-backed CLI path historically used
@@ -128,27 +108,23 @@ QUERY_INFERENCE = InferenceConfig(alpha=0.05, sparsity_threshold=0.05)
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Standing-query serving options of the ``service`` backend."""
+    """Standing-query serving options of the ``service`` backend.
 
-    max_workers: int = 4
+    ``incremental`` re-evaluates only the standing queries whose topics a
+    bucket touched; ``False`` re-runs every query on every bucket (the
+    naive baseline the comparison tests hold it to).
+    """
+
     incremental: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return {"max_workers": self.max_workers, "incremental": self.incremental}
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
         """Inverse of :meth:`to_dict` (unknown keys raise ``ValueError``)."""
-        _check_known_keys(payload, ("max_workers", "incremental"), "service")
-        return cls(
-            max_workers=int(payload.get("max_workers", 4)),
-            incremental=bool(payload.get("incremental", True)),
-        )
+        return config_from_dict(cls, payload, "service", _RETIRED)
 
 
 @dataclass(frozen=True)
@@ -174,137 +150,12 @@ class KernelConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return {"mode": self.mode}
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "KernelConfig":
         """Inverse of :meth:`to_dict` (unknown keys raise ``ValueError``)."""
-        _check_known_keys(payload, ("mode",), "kernels")
-        return cls(mode=str(payload.get("mode", "auto")))
-
-
-def _scoring_to_dict(scoring: ScoringConfig) -> Dict[str, Any]:
-    return {
-        "lambda_weight": scoring.lambda_weight,
-        "eta": scoring.eta,
-        "topic_threshold": scoring.topic_threshold,
-    }
-
-
-def _scoring_from_dict(payload: Mapping[str, Any]) -> ScoringConfig:
-    _check_known_keys(payload, ("lambda_weight", "eta", "topic_threshold"), "scoring")
-    defaults = ScoringConfig()
-    return ScoringConfig(
-        lambda_weight=float(payload.get("lambda_weight", defaults.lambda_weight)),
-        eta=float(payload.get("eta", defaults.eta)),
-        topic_threshold=float(payload.get("topic_threshold", defaults.topic_threshold)),
-    )
-
-
-def _processor_to_dict(config: ProcessorConfig) -> Dict[str, Any]:
-    return {
-        "window_length": config.window_length,
-        "bucket_length": config.bucket_length,
-        "scoring": _scoring_to_dict(config.scoring),
-        "default_algorithm": config.default_algorithm,
-        "default_epsilon": config.default_epsilon,
-        "archive_windows": config.archive_windows,
-        "window_policy": config.window_policy,
-        "session_gap": config.session_gap,
-    }
-
-
-#: ``ProcessorConfig`` keys retired with the objects store and the
-#: sequential ingest path, mapped to the only value each may still carry.
-#: Payloads written by earlier releases (checkpoint manifests) hold them.
-_RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
-
-
-def _processor_from_dict(payload: Mapping[str, Any]) -> ProcessorConfig:
-    for key, surviving in _RETIRED_PROCESSOR_KEYS.items():
-        if key in payload and payload[key] != surviving:
-            raise ValueError(
-                f"processor.{key}={payload[key]!r} is no longer supported: "
-                f"the {key!r} option was retired and {surviving!r} is the "
-                "only behaviour left"
-            )
-    _check_known_keys(
-        payload,
-        (
-            "window_length",
-            "bucket_length",
-            "scoring",
-            "default_algorithm",
-            "default_epsilon",
-            "archive_windows",
-            "window_policy",
-            "session_gap",
-            *_RETIRED_PROCESSOR_KEYS,
-        ),
-        "processor",
-    )
-    defaults = ProcessorConfig()
-    session_gap = payload.get("session_gap")
-    return ProcessorConfig(
-        window_length=int(payload.get("window_length", defaults.window_length)),
-        bucket_length=int(payload.get("bucket_length", defaults.bucket_length)),
-        scoring=_scoring_from_dict(payload.get("scoring", {})),
-        default_algorithm=str(
-            payload.get("default_algorithm", defaults.default_algorithm)
-        ),
-        default_epsilon=float(payload.get("default_epsilon", defaults.default_epsilon)),
-        archive_windows=int(payload.get("archive_windows", defaults.archive_windows)),
-        window_policy=str(payload.get("window_policy", defaults.window_policy)),
-        session_gap=None if session_gap is None else int(session_gap),
-    )
-
-
-def _cluster_to_dict(config: ClusterConfig) -> Dict[str, Any]:
-    return {
-        "num_shards": config.num_shards,
-        "partitioner": config.partitioner,
-        "transport": config.transport,
-        "candidate_budget": config.candidate_budget,
-        "budget_scale": config.budget_scale,
-    }
-
-
-#: Fan-out spellings of manifests written before PR 16 → the transport that
-#: survived them.  ``thread`` (the old default) was the ``serial`` workers
-#: behind a pool and ``shm`` the ``pipe`` processes with another payload
-#: encoding; answers and checkpoint state are the same on all of them.
-_RETIRED_TRANSPORTS = {"thread": "serial", "shm": "pipe", "process": "pipe"}
-
-
-def _cluster_from_dict(payload: Mapping[str, Any]) -> ClusterConfig:
-    # ``backend`` (the fan-out when ``transport`` was null) and
-    # ``max_workers`` (the thread pool's size) are in every older manifest.
-    _check_known_keys(
-        payload,
-        (
-            "num_shards",
-            "partitioner",
-            "transport",
-            "candidate_budget",
-            "budget_scale",
-            "backend",
-            "max_workers",
-        ),
-        "cluster",
-    )
-    defaults = ClusterConfig()
-    candidate_budget = payload.get("candidate_budget")
-    transport = payload.get("transport")
-    if transport is None:
-        transport = payload.get("backend", defaults.transport)
-    transport = str(transport)
-    return ClusterConfig(
-        num_shards=int(payload.get("num_shards", defaults.num_shards)),
-        partitioner=str(payload.get("partitioner", defaults.partitioner)),
-        transport=_RETIRED_TRANSPORTS.get(transport.strip().lower(), transport),
-        candidate_budget=None if candidate_budget is None else int(candidate_budget),
-        budget_scale=float(payload.get("budget_scale", defaults.budget_scale)),
-    )
+        return config_from_dict(cls, payload, "kernels")
 
 
 @dataclass(frozen=True)
@@ -319,14 +170,15 @@ class EngineConfig:
         engine over either substrate).  CLI spellings ``"single"`` and
         ``"cluster"`` are accepted as aliases.
     processor:
-        The per-node stream-processor configuration (window, bucket,
-        scoring, ingest path, defaults).
+        The per-node stream-processor configuration (window length and
+        shape, bucket, scoring, defaults) — the section shard workers
+        receive, and the one place the window policy is named.
     cluster:
         The sharding configuration; ``None`` keeps single-node execution.
         A ``service`` backend with a cluster config serves its standing
         queries over the shards.
     service:
-        Standing-query serving options (thread pool, incremental vs naive
+        Standing-query serving options (incremental vs naive
         maintenance); only the ``service`` backend reads them.
     inference:
         Topic-inference settings applied to both ingest and keyword
@@ -338,11 +190,9 @@ class EngineConfig:
         ``None`` means supervisor defaults.  The engine itself ignores
         this section — it only travels with the configuration.
     streams:
-        Event-time ingestion tuning (default source, allowed lateness,
-        window policy) consumed by :meth:`~repro.api.engine.KSIREngine.ingest`;
-        ``None`` means in-order defaults.  A non-sliding window policy
-        named here is mirrored into the processor section (which is what
-        shard workers receive), so the two spellings cannot drift.
+        Event-time ingestion tuning (default source, allowed lateness)
+        consumed by :meth:`~repro.api.engine.KSIREngine.ingest`;
+        ``None`` means in-order defaults.
     kernels:
         Hot-path kernel selection (``auto``/``numba``/``numpy``), applied
         process-wide when a backend is constructed; see
@@ -362,30 +212,6 @@ class EngineConfig:
         object.__setattr__(self, "backend", canonical_backend_name(self.backend))
         if self.backend == SHARDED_BACKEND and self.cluster is None:
             object.__setattr__(self, "cluster", ClusterConfig())
-        streams = self.streams
-        if streams is not None and (
-            streams.window_policy != "sliding" or streams.session_gap is not None
-        ):
-            processor = self.processor
-            if processor.window_policy == "sliding" and processor.session_gap is None:
-                object.__setattr__(
-                    self,
-                    "processor",
-                    replace(
-                        processor,
-                        window_policy=streams.window_policy,
-                        session_gap=streams.session_gap,
-                    ),
-                )
-            elif (
-                processor.window_policy != streams.window_policy
-                or processor.session_gap != streams.session_gap
-            ):
-                raise ValueError(
-                    "the processor and streams sections name different window "
-                    f"policies ({processor.window_policy!r} vs "
-                    f"{streams.window_policy!r}); configure the policy once"
-                )
 
     # -- derived views -----------------------------------------------------------------
 
@@ -408,52 +234,18 @@ class EngineConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return {
-            "backend": self.backend,
-            "processor": _processor_to_dict(self.processor),
-            "cluster": None if self.cluster is None else _cluster_to_dict(self.cluster),
-            "service": self.service.to_dict(),
-            "inference": None if self.inference is None else self.inference.to_dict(),
-            "ha": None if self.ha is None else self.ha.to_dict(),
-            "streams": None if self.streams is None else self.streams.to_dict(),
-            "kernels": self.kernels.to_dict(),
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "EngineConfig":
         """Rebuild a configuration from :meth:`to_dict` output.
 
-        Missing sections fall back to their defaults; unknown keys raise
-        ``ValueError`` so typos in deployment files fail loudly.
+        Missing sections and keys fall back to their defaults; unknown keys
+        and values of the wrong type raise ``ValueError`` so typos in
+        deployment files fail loudly.  Keys retired by earlier releases
+        (``_RETIRED``) still load.
         """
-        _check_known_keys(
-            payload,
-            (
-                "backend",
-                "processor",
-                "cluster",
-                "service",
-                "inference",
-                "ha",
-                "streams",
-                "kernels",
-            ),
-            "engine",
-        )
-        cluster = payload.get("cluster")
-        inference = payload.get("inference")
-        ha = payload.get("ha")
-        streams = payload.get("streams")
-        return cls(
-            backend=str(payload.get("backend", LOCAL_BACKEND)),
-            processor=_processor_from_dict(payload.get("processor", {})),
-            cluster=None if cluster is None else _cluster_from_dict(cluster),
-            service=ServiceConfig.from_dict(payload.get("service", {})),
-            inference=None if inference is None else InferenceConfig.from_dict(inference),
-            ha=None if ha is None else HAConfig.from_dict(ha),
-            streams=None if streams is None else StreamConfig.from_dict(streams),
-            kernels=KernelConfig.from_dict(payload.get("kernels", {})),
-        )
+        return config_from_dict(cls, payload, "engine", _RETIRED)
 
     # -- argparse integration ----------------------------------------------------------
 
@@ -463,95 +255,25 @@ class EngineConfig:
     ) -> None:
         """Install the shared engine options on an ``argparse`` parser.
 
-        Adds the execution-layer flags (``--backend``, ``--shards``,
-        ``--partitioner``, ``--transport``), the processor flags
-        (``--window-hours``, ``--bucket-minutes``, ``--lambda-weight``,
-        ``--eta``), the event-time ingest flags (``--source``,
-        ``--allowed-lateness``, ``--window-policy``, ``--session-gap``)
-        and the kernel-backend flag (``--kernels``).
-        With ``service=True`` the serving flags
-        (``--workers``, ``--naive``) are added too.  The single source of
-        truth consumed by :meth:`from_args`.
+        One option per row of ``_FLAGS`` (the ``service.*`` rows only with
+        ``service=True``).  An option's default is its config field's
+        default unless the row states a CLI default of its own.
         """
-        parser.add_argument(
-            "--backend",
-            default="single",
-            choices=["single", "cluster"],
-            help="execution backend: one processor or a sharded cluster",
-        )
-        parser.add_argument(
-            "--shards",
-            type=int,
-            default=4,
-            help="number of shards (cluster backend only)",
-        )
-        parser.add_argument(
-            "--partitioner",
-            default="hash",
-            choices=["hash", "round-robin", "load-balanced"],
-            help="element partitioning strategy (cluster backend only)",
-        )
-        parser.add_argument(
-            "--transport",
-            default="serial",
-            choices=list(transport_names()),
-            help="cluster transport (serial = in-process shard workers, "
-            "pipe = one process per shard)",
-        )
-        parser.add_argument("--window-hours", type=int, default=24)
-        parser.add_argument("--bucket-minutes", type=int, default=15)
-        parser.add_argument("--lambda-weight", type=float, default=0.5)
-        parser.add_argument("--eta", type=float, default=1.5)
-        parser.add_argument(
-            "--archive-windows",
-            type=int,
-            default=8,
-            help="archive retention horizon in window lengths",
-        )
-        parser.add_argument(
-            "--source",
-            default="memory",
-            help="default stream source name for raw-event ingest "
-            "(memory, jsonl, citations, entities, or a registered name)",
-        )
-        parser.add_argument(
-            "--allowed-lateness",
-            type=int,
-            default=0,
-            help="out-of-order tolerance of raw-event ingest, in bucket "
-            "units (0 = require in-order arrival)",
-        )
-        parser.add_argument(
-            "--window-policy",
-            default="sliding",
-            choices=list(WINDOW_POLICY_CHOICES),
-            help="window shape driving expiry: the paper's sliding window "
-            "(default), epoch-aligned tumbling spans, or gap-based sessions",
-        )
-        parser.add_argument(
-            "--session-gap",
-            type=int,
-            default=None,
-            help="session-window gap in stream time units "
-            "(required by --window-policy session)",
-        )
-        parser.add_argument(
-            "--kernels",
-            default="auto",
-            choices=list(KERNEL_CHOICES),
-            help="hot-path kernel backend: compile with Numba when "
-            "importable (auto, the default), require the compiled path "
-            "(numba), or force the NumPy reference (numpy)",
-        )
-        if service:
+        declared = EngineConfig(cluster=ClusterConfig(), streams=StreamConfig())
+        for flag in _FLAGS:
+            if flag.path.startswith("service.") and not service:
+                continue
+            if flag.type is bool:
+                parser.add_argument(flag.flag, action="store_true", help=flag.help)
+                continue
+            default = flag.default
+            if default is None:
+                default = reduce(getattr, flag.path.split("."), declared)
+                if flag.scale != 1:
+                    default //= flag.scale
+            choices = flag.choices() if callable(flag.choices) else flag.choices
             parser.add_argument(
-                "--workers", type=int, default=4, help="evaluator thread-pool size"
-            )
-            parser.add_argument(
-                "--naive",
-                action="store_true",
-                help="re-run every standing query on every bucket "
-                "(disables incremental maintenance)",
+                flag.flag, type=flag.type, default=default, choices=choices, help=flag.help
             )
 
     @classmethod
@@ -566,43 +288,157 @@ class EngineConfig:
         ``service=True`` selects the ``service`` execution backend (over a
         cluster when ``--backend cluster`` was given).  ``inference``
         defaults to the dataset-backed CLI inference settings; pass
-        ``None`` to keep the library-default inferencer.
+        ``None`` to keep the library-default inferencer.  An option the
+        namespace does not carry takes its ``_FLAGS`` default.
         """
-        processor = ProcessorConfig(
-            window_length=int(getattr(args, "window_hours", 24)) * 3600,
-            bucket_length=int(getattr(args, "bucket_minutes", 15)) * 60,
-            scoring=ScoringConfig(
-                lambda_weight=float(getattr(args, "lambda_weight", 0.5)),
-                eta=float(getattr(args, "eta", 1.5)),
-            ),
-            archive_windows=int(getattr(args, "archive_windows", 8)),
-        )
-        cluster: Optional[ClusterConfig] = None
-        backend = canonical_backend_name(str(getattr(args, "backend", "single")))
-        if backend == SHARDED_BACKEND:
-            cluster = ClusterConfig(
-                num_shards=int(getattr(args, "shards", 4)),
-                partitioner=str(getattr(args, "partitioner", "hash")),
-                transport=str(getattr(args, "transport", "serial")),
-            )
+        given = vars(args)
+        payload: Dict[str, Any] = {"streams": {}}
+        for flag in _FLAGS:
+            value = given.get(flag.flag[2:].replace("-", "_"), flag.default)
+            if value is None:
+                continue  # the dataclass default
+            if flag.type is bool:
+                value = not value  # a switch turns its field off
+            elif flag.scale != 1:
+                value *= flag.scale
+            *sections, key = flag.path.split(".")
+            section = payload
+            for name in sections:
+                section = section.setdefault(name, {})
+            section[key] = value
+        if canonical_backend_name(payload["backend"]) != SHARDED_BACKEND:
+            payload.pop("cluster", None)
         if service:
-            backend = SERVICE_BACKEND
-        session_gap = getattr(args, "session_gap", None)
-        streams = StreamConfig(
-            source=str(getattr(args, "source", "memory")),
-            allowed_lateness=int(getattr(args, "allowed_lateness", 0)),
-            window_policy=str(getattr(args, "window_policy", "sliding")),
-            session_gap=None if session_gap is None else int(session_gap),
+            payload["backend"] = SERVICE_BACKEND
+        return replace(cls.from_dict(payload), inference=inference)
+
+
+# -- keys earlier releases wrote --------------------------------------------------------
+
+#: ``ProcessorConfig`` keys retired with the objects store and the
+#: sequential ingest path, mapped to the only value each may still carry.
+_RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
+
+#: Fan-out spellings of manifests written before PR 16 → the transport that
+#: survived them.  ``thread`` (the old default) was the ``serial`` workers
+#: behind a pool and ``shm`` the ``pipe`` processes with another payload
+#: encoding; answers and checkpoint state are the same on all of them.
+_RETIRED_TRANSPORTS = {"thread": "serial", "shm": "pipe", "process": "pipe"}
+
+
+def _retired_processor(written: Dict[str, Any]) -> None:
+    for key, surviving in _RETIRED_PROCESSOR_KEYS.items():
+        if key in written and written.pop(key) != surviving:
+            raise ValueError(
+                f"processor.{key} is no longer supported: the {key!r} option "
+                f"was retired and {surviving!r} is the only behaviour left"
+            )
+
+
+def _retired_cluster(written: Dict[str, Any]) -> None:
+    # ``backend`` (the fan-out when ``transport`` was null) and
+    # ``max_workers`` (the thread pool's size) are in every older manifest.
+    written.pop("max_workers", None)
+    backend = written.pop("backend", None)
+    transport = written.pop("transport", None)
+    if transport is None:
+        transport = backend
+    if isinstance(transport, str):
+        transport = _RETIRED_TRANSPORTS.get(transport.strip().lower(), transport)
+    if transport is not None:
+        written["transport"] = transport
+
+
+def _retired_engine(written: Dict[str, Any]) -> None:
+    """Fold the window policy a ``streams`` section named (until PR 19 the
+    second spelling of it) into ``processor``, the one place that does now."""
+    streams, processor = written.get("streams"), written.get("processor", {})
+    if not (isinstance(streams, Mapping) and isinstance(processor, Mapping)):
+        return
+    default = ProcessorConfig()
+    sliding = {"window_policy": default.window_policy, "session_gap": default.session_gap}
+    named = {**sliding, **{key: streams[key] for key in sliding if key in streams}}
+    current = {**sliding, **{key: processor[key] for key in sliding if key in processor}}
+    if named != current and sliding not in (named, current):
+        raise ValueError(
+            "the processor and streams sections name different window "
+            f"policies ({current['window_policy']!r} vs "
+            f"{named['window_policy']!r}); configure the policy once"
         )
-        return cls(
-            backend=backend,
-            processor=processor,
-            cluster=cluster,
-            service=ServiceConfig(
-                max_workers=int(getattr(args, "workers", 4)),
-                incremental=not bool(getattr(args, "naive", False)),
-            ),
-            inference=inference,
-            streams=streams,
-            kernels=KernelConfig(mode=str(getattr(args, "kernels", "auto"))),
-        )
+    written["streams"] = {key: streams[key] for key in streams if key not in sliding}
+    if named != sliding:
+        written["processor"] = {**processor, **named}
+
+
+_RETIRED: RetiredKeys = {
+    ProcessorConfig: _retired_processor,
+    # The evaluator thread pool's size: every evaluation now runs in the
+    # caller's thread, with the same answers at any value this held.
+    ServiceConfig: lambda written: written.pop("max_workers", None),
+    ClusterConfig: _retired_cluster,
+    EngineConfig: _retired_engine,
+}
+
+
+# -- the CLI flags, once ----------------------------------------------------------------
+
+
+class _Flag(NamedTuple):
+    """One shared CLI option and the ``section.key`` path of the field it sets.
+
+    ``type`` ``bool`` makes it a switch that turns the field off; ``scale``
+    is config units per flag unit (``--window-hours`` counts 3600 s);
+    ``default`` is the CLI's own default, ``None`` = the dataclass default.
+    """
+
+    flag: str
+    path: str
+    type: type
+    help: Optional[str] = None
+    scale: int = 1
+    default: Any = None
+    choices: Union[Sequence[str], Callable[[], Sequence[str]], None] = None
+
+
+_FLAGS = (
+    _Flag("--backend", "backend", str,
+          "execution backend: one processor or a sharded cluster",
+          default="single", choices=("single", "cluster")),
+    _Flag("--shards", "cluster.num_shards", int,
+          "number of shards (cluster backend only)"),
+    _Flag("--partitioner", "cluster.partitioner", str,
+          "element partitioning strategy (cluster backend only)",
+          choices=("hash", "round-robin", "load-balanced")),
+    _Flag("--transport", "cluster.transport", str,
+          "cluster transport (serial = in-process shard workers, "
+          "pipe = one process per shard)", choices=transport_names),
+    _Flag("--window-hours", "processor.window_length", int, scale=3600),
+    _Flag("--bucket-minutes", "processor.bucket_length", int, scale=60),
+    _Flag("--lambda-weight", "processor.scoring.lambda_weight", float),
+    # The η of ``twitter-small``, the profile ``query`` replays by default
+    # (``experiments.config.DATASET_ETA``); the dataclass holds the paper's 20.
+    _Flag("--eta", "processor.scoring.eta", float, default=1.5),
+    _Flag("--archive-windows", "processor.archive_windows", int,
+          "archive retention horizon in window lengths"),
+    _Flag("--window-policy", "processor.window_policy", str,
+          "window shape driving expiry: the paper's sliding window "
+          "(default), epoch-aligned tumbling spans, or gap-based sessions",
+          choices=WINDOW_POLICY_CHOICES),
+    _Flag("--session-gap", "processor.session_gap", int,
+          "session-window gap in stream time units "
+          "(required by --window-policy session)"),
+    _Flag("--source", "streams.source", str,
+          "default stream source name for raw-event ingest "
+          "(memory, jsonl, citations, entities, or a registered name)"),
+    _Flag("--allowed-lateness", "streams.allowed_lateness", int,
+          "out-of-order tolerance of raw-event ingest, in bucket "
+          "units (0 = require in-order arrival)"),
+    _Flag("--kernels", "kernels.mode", str,
+          "hot-path kernel backend: compile with Numba when "
+          "importable (auto, the default), require the compiled path "
+          "(numba), or force the NumPy reference (numpy)",
+          choices=KERNEL_CHOICES),
+    _Flag("--naive", "service.incremental", bool,
+          "re-run every standing query on every bucket "
+          "(disables incremental maintenance)"),
+)

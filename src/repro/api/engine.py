@@ -83,6 +83,7 @@ class KSIREngine:
         self._backend = create_backend(
             self._config.backend, topic_model, self._config, inferencer
         )
+        self._streams = self._config.streams or StreamConfig()
         self._ingestor: Optional[StreamIngestor] = None
         self._closed = False
 
@@ -166,13 +167,10 @@ class KSIREngine:
 
     def _stream_ingestor(self) -> StreamIngestor:
         if self._ingestor is None:
-            streams = self._config.streams
-            if streams is None:
-                streams = StreamConfig()
             self._ingestor = StreamIngestor(
                 self._backend.ingest_bucket,
                 self._backend.processor_config.bucket_length,
-                allowed_lateness=streams.allowed_lateness,
+                allowed_lateness=self._streams.allowed_lateness,
             )
         return self._ingestor
 
@@ -218,8 +216,7 @@ class KSIREngine:
         """
         self._require_open()
         if source is None:
-            streams = self._config.streams
-            source = streams.source if streams is not None else "memory"
+            source = self._streams.source
         if isinstance(source, str):
             source = create_source(source, **options)
         elif options:

@@ -32,17 +32,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api import EngineConfig, KSIREngine, LocalBackend
 from repro.bench.spec import TIERS
 from repro.core.algorithms import ALGORITHM_REGISTRY
+from repro.core.stream import SocialStream
 from repro.datasets.loaders import load_stream_jsonl, save_stream_jsonl
 from repro.datasets.profiles import profile_names
-from repro.datasets.synthetic import SyntheticStreamGenerator
+from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.evaluation.workload import WorkloadGenerator
 from repro.experiments import tables as table_experiments
-from repro.topics.model import MatrixTopicModel
+from repro.ha import CheckpointChain
+from repro.topics.model import MatrixTopicModel, TopicModel
+
 
 def _canonical_algorithm_names() -> tuple:
     """One name per registered algorithm class (shortest spelling wins)."""
@@ -204,8 +207,43 @@ def _print(text: str) -> None:
     print(text)
 
 
+class UsageError(Exception):
+    """Options the parser accepted but no engine can be built from.
+
+    :func:`main` reports it through ``parser.error``: usage and message on
+    stderr, exit status 2, no traceback.
+    """
+
+
+def _engine_config(args: argparse.Namespace, service: bool = False) -> EngineConfig:
+    try:
+        return EngineConfig.from_args(args, service=service)
+    except ValueError as error:
+        raise UsageError(str(error)) from error
+
+
+def _profile_dataset(args: argparse.Namespace) -> SyntheticDataset:
+    return SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
+
+
+def _load_inputs(args: argparse.Namespace) -> Tuple[SocialStream, TopicModel]:
+    """The stream and topic model of ``--stream`` + ``--model``, or of ``--profile``."""
+    if args.stream is None:
+        dataset = _profile_dataset(args)
+        return dataset.stream, dataset.topic_model
+    if args.model is None:
+        raise UsageError("--model is required when --stream is given")
+    return load_stream_jsonl(args.stream), MatrixTopicModel.load(args.model)
+
+
+def _open_chain(path: Path) -> CheckpointChain:
+    if not CheckpointChain.is_chain(path):
+        raise UsageError(f"{path} is not a checkpoint chain (no CHAIN.json)")
+    return CheckpointChain(path)
+
+
 def run_generate(args: argparse.Namespace) -> int:
-    dataset = SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
+    dataset = _profile_dataset(args)
     output_dir = args.output_dir / args.profile
     stream_path = output_dir / "stream.jsonl"
     model_path = output_dir / "topic_model.npz"
@@ -246,21 +284,11 @@ def run_stats(args: argparse.Namespace) -> int:
 
 
 def run_query(args: argparse.Namespace) -> int:
-    if args.stream is not None:
-        if args.model is None:
-            _print("error: --model is required when --stream is given")
-            return 2
-        stream = load_stream_jsonl(args.stream)
-        model = MatrixTopicModel.load(args.model)
-    else:
-        dataset = SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
-        stream = dataset.stream
-        model = dataset.topic_model
-
     # Both input paths share the engine's inference settings (from
     # EngineConfig.from_args), so stream-file and profile runs infer
     # query vectors identically.
-    config = EngineConfig.from_args(args)
+    config = _engine_config(args)
+    stream, model = _load_inputs(args)
     with KSIREngine(model, config) as engine:
         engine.process_stream(stream)
         cluster = engine.config.cluster
@@ -298,8 +326,8 @@ def run_query(args: argparse.Namespace) -> int:
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    dataset = SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
-    config = EngineConfig.from_args(args, service=True)
+    config = _engine_config(args, service=True)
+    dataset = _profile_dataset(args)
     generator = WorkloadGenerator(
         dataset, k=args.k, mode=args.mode, seed=args.seed + 17
     )
@@ -340,40 +368,23 @@ def build_server_app(args: argparse.Namespace):
     The serving tier is imported lazily: the core CLI works without it and
     the tier itself works without its optional dependencies.
     """
-    import dataclasses
-
     from repro.server.app import create_app
     from repro.server.runtime_store import RuntimeStore
 
-    config = EngineConfig.from_args(args, service=True)
-    if config.backend != "service":
-        # Standing queries and pushes are the product of this tier.
-        config = dataclasses.replace(config, backend="service")
-
+    # Standing queries and pushes are the product of this tier.
+    config = _engine_config(args, service=True)
     if args.checkpoint is not None:
         engine = KSIREngine.load(args.checkpoint)
         if engine.service_engine is None:
             engine.close()
-            raise SystemExit("error: checkpoint does not hold a service-backend engine")
-    elif args.stream is not None:
-        if args.model is None:
-            raise SystemExit("error: --model is required when --stream is given")
-        stream = load_stream_jsonl(args.stream)
-        model = MatrixTopicModel.load(args.model)
-        engine = KSIREngine(model, config)
-        engine.process_stream(stream)
-        _print(f"replayed {engine.elements_processed} elements from {args.stream}")
+            raise UsageError("checkpoint does not hold a service-backend engine")
     else:
-        dataset = SyntheticStreamGenerator.from_profile(
-            args.profile, seed=args.seed
-        ).generate()
-        engine = KSIREngine(dataset.topic_model, config)
-        if args.preload:
-            engine.process_stream(dataset.stream)
-            _print(
-                f"replayed {engine.elements_processed} elements "
-                f"of profile {args.profile!r}"
-            )
+        stream, model = _load_inputs(args)
+        engine = KSIREngine(model, config)
+        if args.stream is not None or args.preload:
+            engine.process_stream(stream)
+            replayed = args.stream if args.stream is not None else f"profile {args.profile!r}"
+            _print(f"replayed {engine.elements_processed} elements of {replayed}")
 
     store = RuntimeStore(args.store_path) if args.store_path is not None else None
     return create_app(engine, store=store, max_workers=args.http_workers)
@@ -428,13 +439,8 @@ def run_bench(args: argparse.Namespace) -> int:
 
 
 def run_ha(args: argparse.Namespace) -> int:
-    from repro.ha import CheckpointChain
-
     if args.ha_command == "chain":
-        if not CheckpointChain.is_chain(args.path):
-            _print(f"error: {args.path} is not a checkpoint chain (no CHAIN.json)")
-            return 2
-        chain = CheckpointChain(args.path)
+        chain = _open_chain(args.path)
         for segment in chain.segments:
             _print(
                 f"{segment['name']:<16} {segment['kind']:<6} "
@@ -456,10 +462,7 @@ def run_ha(args: argparse.Namespace) -> int:
         return 0
 
     if args.ha_command == "compact":
-        if not CheckpointChain.is_chain(args.path):
-            _print(f"error: {args.path} is not a checkpoint chain (no CHAIN.json)")
-            return 2
-        chain = CheckpointChain(args.path)
+        chain = _open_chain(args.path)
         before = chain.stats()
         name = chain.compact()
         after = chain.stats()
@@ -487,10 +490,9 @@ def _run_ha_drill(args: argparse.Namespace) -> int:
 
     kill_shard = args.kill_shard if args.kill_shard is not None else args.shards - 1
     if not 0 <= kill_shard < args.shards:
-        _print(f"error: --kill-shard must be in [0, {args.shards})")
-        return 2
+        raise UsageError(f"--kill-shard must be in [0, {args.shards})")
 
-    dataset = SyntheticStreamGenerator.from_profile(args.profile, seed=args.seed).generate()
+    dataset = _profile_dataset(args)
     sharded_config = EngineConfig(
         backend="sharded",
         cluster=ClusterConfig(num_shards=args.shards, transport="pipe"),
@@ -565,8 +567,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    handler = _COMMANDS[args.command]
-    return handler(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UsageError as error:
+        parser.error(str(error))
 
 
 if __name__ == "__main__":

@@ -165,8 +165,8 @@ class ProcessFanout:
             self._processes.append(process)
         self._closed = False
         self._dead: Set[int] = set()
-        # The serving engine evaluates standing queries from a thread pool,
-        # so exports can arrive concurrently; the pipe protocol is strictly
+        # The supervisor's heartbeat thread pings the shards while the
+        # caller's thread ingests and queries; the pipe protocol is strictly
         # request/reply per shard and must not interleave across threads.
         self._protocol_lock = threading.Lock()
 

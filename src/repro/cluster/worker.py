@@ -102,8 +102,8 @@ class ShardWorker:
         self._foreign_ingested = 0
         self._exports = 0
         self._exported_candidates = 0
-        # Export counters may be bumped from several evaluator threads at
-        # once (the serving engine gathers candidates concurrently).
+        # Queries only read the window, so a caller may issue them from
+        # several threads at once; the export counters are what they write.
         self._counter_lock = threading.Lock()
 
     # -- metadata ----------------------------------------------------------------

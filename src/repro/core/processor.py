@@ -31,7 +31,7 @@ from repro.core.scoring import (
     ScoringContext,
 )
 from repro.core.stream import SocialStream, replay_stream
-from repro.core.window_policy import WINDOW_POLICY_CHOICES, WindowPolicy
+from repro.core.window_policy import WindowPolicy
 from repro.kernels import get_kernel
 from repro.store import ColumnarWindow, ElementStore
 from repro.topics.inference import TopicInferencer
@@ -93,12 +93,7 @@ class ProcessorConfig:
         if self.bucket_length > self.window_length:
             raise ValueError("bucket_length must not exceed window_length")
         require_positive(self.archive_windows, "archive_windows")
-        if self.window_policy not in WINDOW_POLICY_CHOICES:
-            raise ValueError(
-                f"unknown window policy {self.window_policy!r}; available: "
-                + ", ".join(WINDOW_POLICY_CHOICES)
-            )
-        # Delegate the gap/policy coupling rules to the policy constructor.
+        # The policy constructor owns the name and gap/policy coupling rules.
         self.build_window_policy()
 
     @property

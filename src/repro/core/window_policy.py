@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.utils.config import config_from_dict, config_to_dict
+
 #: Canonical window-policy names.
 WINDOW_POLICY_CHOICES: Tuple[str, ...] = ("sliding", "tumbling", "session")
 
@@ -177,18 +179,9 @@ class WindowPolicy:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable view (inverse of :meth:`from_dict`)."""
-        return {"kind": self.kind, "session_gap": self.session_gap}
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Optional[Mapping[str, Any]]) -> "WindowPolicy":
         """Rebuild from :meth:`to_dict` output (``None`` = sliding)."""
-        if payload is None:
-            return cls()
-        unknown = sorted(set(payload) - {"kind", "session_gap"})
-        if unknown:
-            raise ValueError(f"unknown window-policy keys: {', '.join(unknown)}")
-        session_gap = payload.get("session_gap")
-        return cls(
-            kind=str(payload.get("kind", "sliding")),
-            session_gap=None if session_gap is None else int(session_gap),
-        )
+        return cls() if payload is None else config_from_dict(cls, payload, "window-policy")

@@ -13,9 +13,11 @@ when constructing a config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, TypeVar
 
 from repro.core.scoring import ScoringConfig
+
+_Config = TypeVar("_Config", bound="ExperimentConfig")
 
 #: Datasets used by default in every experiment (Table 3's three corpora).
 DEFAULT_DATASETS: Tuple[str, ...] = ("aminer-small", "reddit-small", "twitter-small")
@@ -53,20 +55,17 @@ class SweepValues:
 
 
 @dataclass(frozen=True)
-class EfficiencyConfig:
-    """Configuration of the efficiency / scalability experiments (Section 5.3)."""
+class ExperimentConfig:
+    """What the efficiency and the effectiveness experiments both set."""
 
     datasets: Tuple[str, ...] = DEFAULT_DATASETS
     seed: int = 2019
-    k: int = 10
     epsilon: float = 0.1
-    num_queries: int = 20
     window_hours: int = 24
     bucket_minutes: int = 15
     lambda_weight: float = 0.5
     #: Fraction of the stream replayed before queries are issued.
     replay_fraction: float = 0.75
-    sweeps: SweepValues = field(default_factory=SweepValues)
 
     def scoring_for(self, dataset: str) -> ScoringConfig:
         """The scoring configuration (λ, η) for one dataset."""
@@ -85,17 +84,24 @@ class EfficiencyConfig:
         """Bucket length in seconds."""
         return self.bucket_minutes * 60
 
-    def with_overrides(self, **kwargs) -> "EfficiencyConfig":
+    def with_overrides(self: _Config, **kwargs) -> _Config:
         """A copy with the given fields replaced."""
         return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
-class EffectivenessConfig:
+class EfficiencyConfig(ExperimentConfig):
+    """Configuration of the efficiency / scalability experiments (Section 5.3)."""
+
+    k: int = 10
+    num_queries: int = 20
+    sweeps: SweepValues = field(default_factory=SweepValues)
+
+
+@dataclass(frozen=True)
+class EffectivenessConfig(ExperimentConfig):
     """Configuration of the effectiveness experiments (Section 5.2)."""
 
-    datasets: Tuple[str, ...] = DEFAULT_DATASETS
-    seed: int = 2019
     #: Result size of the user study (the paper shows 5 elements per query).
     user_study_k: int = 5
     #: Result size of the quantitative comparison (the paper's default k).
@@ -104,32 +110,6 @@ class EffectivenessConfig:
     num_quantitative_queries: int = 30
     evaluators_per_query: int = 3
     evaluator_noise: float = 0.08
-    window_hours: int = 24
-    bucket_minutes: int = 15
-    lambda_weight: float = 0.5
-    replay_fraction: float = 0.75
-    epsilon: float = 0.1
-
-    def scoring_for(self, dataset: str) -> ScoringConfig:
-        """The scoring configuration (λ, η) for one dataset."""
-        return ScoringConfig(
-            lambda_weight=self.lambda_weight,
-            eta=DATASET_ETA.get(dataset, 20.0),
-        )
-
-    @property
-    def window_length(self) -> int:
-        """Window length in seconds."""
-        return self.window_hours * 3600
-
-    @property
-    def bucket_length(self) -> int:
-        """Bucket length in seconds."""
-        return self.bucket_minutes * 60
-
-    def with_overrides(self, **kwargs) -> "EffectivenessConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 DEFAULT_EFFICIENCY_CONFIG = EfficiencyConfig()

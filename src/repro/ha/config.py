@@ -1,20 +1,16 @@
 """Configuration of the supervised cluster runtime (:mod:`repro.ha`).
 
-Kept stdlib-only so :class:`~repro.api.config.EngineConfig` can embed an
-``ha`` section without creating an import cycle through the heavier
-supervisor/checkpoint modules.
+Imports nothing but :mod:`repro.utils.config`, so
+:class:`~repro.api.config.EngineConfig` can embed an ``ha`` section without
+creating an import cycle through the heavier supervisor/checkpoint modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
-
-def _check_known_keys(payload: Mapping[str, Any], known: frozenset, label: str) -> None:
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ValueError(f"unknown {label} keys: {', '.join(unknown)}")
+from repro.utils.config import config_from_dict, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -52,17 +48,6 @@ class HAConfig:
     wal_capacity: int = 4096
     auto_restart: bool = True
 
-    _KNOWN = frozenset(
-        {
-            "heartbeat_interval",
-            "heartbeat_timeout",
-            "checkpoint_every",
-            "full_every",
-            "wal_capacity",
-            "auto_restart",
-        }
-    )
-
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
@@ -77,20 +62,9 @@ class HAConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable view (inverse of :meth:`from_dict`)."""
-        payload = asdict(self)
-        return {key: payload[key] for key in sorted(self._KNOWN)}
+        return config_to_dict(self)
 
     @classmethod
-    def from_dict(cls, payload: Optional[Mapping[str, Any]]) -> "HAConfig":
-        """Rebuild from :meth:`to_dict` output (None = defaults)."""
-        if payload is None:
-            return cls()
-        _check_known_keys(payload, cls._KNOWN, "HAConfig")
-        return cls(
-            heartbeat_interval=float(payload.get("heartbeat_interval", 0.5)),
-            heartbeat_timeout=float(payload.get("heartbeat_timeout", 2.0)),
-            checkpoint_every=int(payload.get("checkpoint_every", 0)),
-            full_every=int(payload.get("full_every", 8)),
-            wal_capacity=int(payload.get("wal_capacity", 4096)),
-            auto_restart=bool(payload.get("auto_restart", True)),
-        )
+    def from_dict(cls, payload: Mapping[str, Any]) -> "HAConfig":
+        """Rebuild from :meth:`to_dict` output (missing keys = defaults)."""
+        return config_from_dict(cls, payload, "ha")

@@ -12,7 +12,7 @@ actually changed.
   lists' per-topic dirty sets to the affected queries, falling back to full
   re-evaluation on window-expiry churn;
 * :class:`ServiceEngine` / :class:`StandingResult` — the façade wiring it
-  all to a thread-pool evaluator, a per-query result cache with staleness
+  all to the per-bucket evaluation loop, a per-query result cache with staleness
   metadata and :class:`ServiceMetrics`.
 """
 

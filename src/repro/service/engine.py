@@ -5,8 +5,8 @@ an execution backend — a single-node
 :class:`~repro.core.processor.KSIRProcessor` or a sharded
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — a
 :class:`~repro.service.registry.QueryRegistry` of standing queries, the
-:class:`~repro.service.scheduler.IncrementalScheduler` and a thread-pool
-evaluator (on a single node, every evaluation of a bucket shares the
+:class:`~repro.service.scheduler.IncrementalScheduler` and the evaluation
+loop (on a single node, every evaluation of a bucket shares the
 processor's memoised scoring snapshot).  Standing queries are
 backend-transparent: the same registry and scheduling loop runs over one
 window or over ``N`` shards, with cluster evaluations delegated to the
@@ -27,7 +27,6 @@ ratio).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -148,11 +147,8 @@ class ServiceEngine:
         backend: Union[KSIRProcessor, ClusterCoordinator],
         registry: Optional[QueryRegistry] = None,
         scheduler: Optional[IncrementalScheduler] = None,
-        max_workers: int = 4,
         incremental: bool = True,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self._backend = backend
         self._is_cluster = isinstance(backend, ClusterCoordinator)
         # On a single-node backend the incremental scheduler reads dirty
@@ -167,14 +163,10 @@ class ServiceEngine:
         )
         if self._scheduler.registry is not self._registry:
             raise ValueError("scheduler must be bound to the engine's registry")
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="ksir-eval"
-        )
         self._incremental = bool(incremental)
         self._results: Dict[str, StandingResult] = {}
         # Solver instances resolved once per standing query (algorithms are
-        # stateless across select() calls, and one query never evaluates
-        # concurrently with itself).
+        # stateless across select() calls).
         self._solvers: Dict[str, KSIRAlgorithm] = {}
         self._pending: set = set()
         self._metrics = ServiceMetrics()
@@ -418,13 +410,8 @@ class ServiceEngine:
             # Scatter-gather evaluation: each standing query exports bounded
             # candidate pools from every shard and runs the final selection
             # on the coordinator; there is no shared single-node snapshot.
-            if len(standings) == 1:
-                outcomes = [self._evaluate_on_cluster(standings[0])]
-            else:
-                outcomes = list(self._pool.map(self._evaluate_on_cluster, standings))
+            outcomes = [self._evaluate_on_cluster(standing) for standing in standings]
         else:
-            # Materialise the shared snapshot once in the caller's thread so
-            # the workers never race to build it.
             builds_before = self._backend.snapshot_builds
             context = self._backend.snapshot()
             built_fresh = self._backend.snapshot_builds > builds_before
@@ -432,12 +419,7 @@ class ServiceEngine:
             # bucket pays for a fresh snapshot, every other one shares it.
             self._metrics.snapshot_misses += 1 if built_fresh else 0
             self._metrics.snapshot_hits += len(standings) - (1 if built_fresh else 0)
-            if len(standings) == 1:
-                outcomes = [self._evaluate(standings[0], context)]
-            else:
-                outcomes = list(
-                    self._pool.map(lambda s: self._evaluate(s, context), standings)
-                )
+            outcomes = [self._evaluate(standing, context) for standing in standings]
         bucket = self._backend.buckets_processed
         time = self._backend.current_time
         for standing, result in zip(standings, outcomes):
@@ -534,10 +516,8 @@ class ServiceEngine:
     # -- lifecycle ---------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the evaluator thread pool (idempotent)."""
-        if not self._closed:
-            self._pool.shutdown(wait=True)
-            self._closed = True
+        """Mark the engine closed: later ingests raise (idempotent)."""
+        self._closed = True
 
     def __enter__(self) -> "ServiceEngine":
         return self

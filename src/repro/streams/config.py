@@ -1,25 +1,16 @@
 """Configuration of the event-time ingestion subsystem (:mod:`repro.streams`).
 
-Kept lightweight (no imports beyond :mod:`repro.core.window_policy`, which
-is itself stdlib-only) so :class:`~repro.api.config.EngineConfig` can embed
-a ``streams`` section without creating an import cycle through the source
-adapters.
+Imports nothing but :mod:`repro.utils.config`, so
+:class:`~repro.api.config.EngineConfig` can embed a ``streams`` section
+without creating an import cycle through the source adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Mapping, Optional
+from typing import Any, Dict, Mapping
 
-from repro.core.window_policy import WINDOW_POLICY_CHOICES
-
-
-def _check_known_keys(
-    payload: Mapping[str, Any], known: FrozenSet[str], label: str
-) -> None:
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ValueError(f"unknown {label} keys: {', '.join(unknown)}")
+from repro.utils.config import config_from_dict, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -44,58 +35,25 @@ class StreamConfig:
         default) means in-order input commits each bucket as soon as the
         first later-stamped element arrives — byte-identical to the
         historical pre-bucketed path.
-    window_policy:
-        The window shape (``"sliding"``, ``"tumbling"``, ``"session"``),
-        mirrored into :attr:`~repro.core.processor.ProcessorConfig.window_policy`
-        by :class:`~repro.api.config.EngineConfig` so it reaches shard
-        workers unchanged.
-    session_gap:
-        Session-window gap in stream time units (required by, and
-        exclusive to, the ``session`` policy).
+
+    The window shape is named in ``processor``
+    (:attr:`~repro.core.processor.ProcessorConfig.window_policy`), not here.
     """
 
     source: str = "memory"
     allowed_lateness: int = 0
-    window_policy: str = "sliding"
-    session_gap: Optional[int] = None
-
-    _KNOWN = frozenset({"source", "allowed_lateness", "window_policy", "session_gap"})
 
     def __post_init__(self) -> None:
         if not self.source:
             raise ValueError("source must be a non-empty name")
         if self.allowed_lateness < 0:
             raise ValueError("allowed_lateness must be >= 0")
-        if self.window_policy not in WINDOW_POLICY_CHOICES:
-            raise ValueError(
-                f"unknown window policy {self.window_policy!r}; available: "
-                + ", ".join(WINDOW_POLICY_CHOICES)
-            )
-        if self.window_policy == "session":
-            if self.session_gap is None or self.session_gap <= 0:
-                raise ValueError("session windows require a positive session_gap")
-        elif self.session_gap is not None:
-            raise ValueError("session_gap is only valid with the 'session' policy")
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-serialisable view (inverse of :meth:`from_dict`)."""
-        return {
-            "source": self.source,
-            "allowed_lateness": self.allowed_lateness,
-            "window_policy": self.window_policy,
-            "session_gap": self.session_gap,
-        }
+        return config_to_dict(self)
 
     @classmethod
-    def from_dict(cls, payload: Optional[Mapping[str, Any]]) -> "StreamConfig":
-        """Rebuild from :meth:`to_dict` output (``None`` = defaults)."""
-        if payload is None:
-            return cls()
-        _check_known_keys(payload, cls._KNOWN, "StreamConfig")
-        session_gap = payload.get("session_gap")
-        return cls(
-            source=str(payload.get("source", "memory")),
-            allowed_lateness=int(payload.get("allowed_lateness", 0)),
-            window_policy=str(payload.get("window_policy", "sliding")),
-            session_gap=None if session_gap is None else int(session_gap),
-        )
+    def from_dict(cls, payload: Mapping[str, Any]) -> "StreamConfig":
+        """Rebuild from :meth:`to_dict` output (missing keys = defaults)."""
+        return config_from_dict(cls, payload, "streams")

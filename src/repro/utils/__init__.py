@@ -12,6 +12,8 @@ The helpers in this package are deliberately small and dependency-free:
   invalidation (used by CELF and MTTD's candidate buffer).
 * :mod:`repro.utils.validation` — argument validation helpers shared by the
   public API.
+* :mod:`repro.utils.config` — the dict round-trip every frozen config
+  dataclass derives from its fields.
 """
 
 from repro.utils.lazy_heap import LazyMaxHeap

@@ -15,7 +15,6 @@ from repro.api import (
     KSIREngine,
     LocalBackend,
     ServiceBackend,
-    ServiceConfig,
     ShardedBackend,
     read_checkpoint,
 )
@@ -58,14 +57,11 @@ CONFIGS = {
         processor=PROCESSOR,
         cluster=ClusterConfig(num_shards=3, partitioner="load-balanced"),
     ),
-    "service": EngineConfig(
-        backend="service", processor=PROCESSOR, service=ServiceConfig(max_workers=1)
-    ),
+    "service": EngineConfig(backend="service", processor=PROCESSOR),
     "service-sharded": EngineConfig(
         backend="service",
         processor=PROCESSOR,
         cluster=ClusterConfig(num_shards=2),
-        service=ServiceConfig(max_workers=1),
     ),
 }
 

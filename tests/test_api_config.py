@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.api import (
     BACKEND_ALIASES,
@@ -18,6 +20,7 @@ from repro.api import (
 from repro.cluster import ClusterConfig
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
+from repro.ha import HAConfig
 
 
 class TestBackendNames:
@@ -82,7 +85,7 @@ class TestEngineConfig:
                 candidate_budget=64,
                 budget_scale=2.0,
             ),
-            service=ServiceConfig(max_workers=7, incremental=False),
+            service=ServiceConfig(incremental=False),
             inference=InferenceConfig(alpha=0.05, sparsity_threshold=0.05),
             kernels=KernelConfig(mode="numpy"),
         )
@@ -91,8 +94,6 @@ class TestEngineConfig:
         assert EngineConfig.from_dict(payload) == config
 
     def test_dict_is_json_compatible(self):
-        import json
-
         payload = json.loads(json.dumps(EngineConfig(backend="sharded").to_dict()))
         assert EngineConfig.from_dict(payload) == EngineConfig(backend="sharded")
 
@@ -142,6 +143,55 @@ class TestEngineConfig:
             ClusterConfig(num_shards=2)
         )
 
+    def test_manifest_written_before_pr19_loads(self):
+        """``service.max_workers`` and the ``streams`` spelling of the window
+        policy are gone; this is the ``config`` of a manifest the parent
+        commit wrote for a service-over-cluster engine with session windows."""
+        manifest = {
+            "backend": "service",
+            "processor": {
+                "window_length": 7200, "bucket_length": 600,
+                "scoring": {"lambda_weight": 0.5, "eta": 20.0, "topic_threshold": 0.0001},
+                "default_algorithm": "mttd", "default_epsilon": 0.1,
+                "archive_windows": 8, "window_policy": "session", "session_gap": 1800,
+            },
+            "cluster": {
+                "num_shards": 2, "partitioner": "hash", "transport": "pipe",
+                "candidate_budget": None, "budget_scale": 1.0,
+            },
+            "service": {"max_workers": 2, "incremental": False},
+            "inference": None,
+            "ha": {
+                "auto_restart": True, "checkpoint_every": 4, "full_every": 8,
+                "heartbeat_interval": 0.5, "heartbeat_timeout": 2.0, "wal_capacity": 4096,
+            },
+            "streams": {
+                "source": "memory", "allowed_lateness": 2,
+                "window_policy": "session", "session_gap": 1800,
+            },
+            "kernels": {"mode": "auto"},
+        }
+        loaded = EngineConfig.from_dict(manifest)
+        assert loaded == EngineConfig(
+            backend="service",
+            processor=ProcessorConfig(
+                window_length=7200, bucket_length=600,
+                window_policy="session", session_gap=1800,
+            ),
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
+            service=ServiceConfig(incremental=False),
+            ha=HAConfig(checkpoint_every=4),
+            streams=StreamConfig(allowed_lateness=2),
+        )
+        # What it writes back drops exactly the three retired keys.
+        written = loaded.to_dict()
+        del manifest["service"]["max_workers"]
+        del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
+        assert written == manifest
+        assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
+        with pytest.raises(TypeError):
+            ServiceConfig(max_workers=4)  # type: ignore[call-arg]
+
     def test_retired_transports_cannot_be_constructed(self):
         for retired in ("shm", "thread"):
             with pytest.raises(ValueError, match="retired in PR 16"):
@@ -166,6 +216,10 @@ class TestEngineConfig:
             EngineConfig.from_dict({"inference": {"a": 1.0}})
         with pytest.raises(ValueError, match="unknown kernels keys"):
             EngineConfig.from_dict({"kernels": {"backend": "auto"}})
+        with pytest.raises(ValueError, match="unknown ha keys: heartbeat"):
+            EngineConfig.from_dict({"ha": {"heartbeat": 1.0}})
+        with pytest.raises(ValueError, match="unknown streams keys: lateness"):
+            EngineConfig.from_dict({"streams": {"lateness": 1}})
 
     def test_kernel_config_validates_mode(self):
         assert KernelConfig().mode == "auto"
@@ -180,10 +234,6 @@ class TestEngineConfig:
 
 
 class TestValidation:
-    def test_service_config_requires_workers(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(max_workers=0)
-
     def test_inference_config_validates(self):
         with pytest.raises(ValueError):
             InferenceConfig(method="magic")
@@ -191,6 +241,31 @@ class TestValidation:
             InferenceConfig(iterations=0)
         with pytest.raises(ValueError):
             InferenceConfig(sparsity_threshold=1.5)
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"service": {"incremental": "false"}}, "service.incremental"),
+            ({"ha": {"auto_restart": "no"}}, "ha.auto_restart"),
+            ({"cluster": {"num_shards": 2.9}}, "cluster.num_shards"),
+            ({"processor": {"window_length": True}}, "processor.window_length"),
+            ({"processor": {"scoring": None}}, "processor.scoring"),
+            ({"processor": {"window_length": "abc"}}, "processor.window_length"),
+        ],
+    )
+    def test_values_are_checked_against_the_field_type(self, payload, named):
+        """No silent coercion at the boundary: ``"false"`` is not a bool,
+        2.9 is not a shard count, ``True`` is not a length."""
+        with pytest.raises(ValueError, match=named.replace(".", r"\.")):
+            EngineConfig.from_dict(payload)
+
+    def test_numbers_load_as_the_field_type(self):
+        loaded = EngineConfig.from_dict(
+            {"processor": {"window_length": 7200.0, "default_epsilon": 1}}
+        )
+        assert loaded.processor == ProcessorConfig(window_length=7200, default_epsilon=1.0)
+        assert type(loaded.processor.window_length) is int
+        assert type(loaded.processor.default_epsilon) is float
 
 
 def parse(extra, service=False):
@@ -244,11 +319,13 @@ class TestFromArgs:
 
     def test_service_mode_wraps_any_backend(self):
         config = EngineConfig.from_args(
-            parse(["--workers", "2", "--naive"], service=True), service=True
+            parse(["--naive"], service=True), service=True
         )
         assert config.backend == "service"
         assert config.cluster is None
-        assert config.service == ServiceConfig(max_workers=2, incremental=False)
+        assert config.service == ServiceConfig(incremental=False)
+        with pytest.raises(SystemExit):  # retired with the evaluator pool
+            parse(["--workers", "2"], service=True)
 
         sharded = EngineConfig.from_args(
             parse(["--backend", "cluster"], service=True), service=True
@@ -261,6 +338,45 @@ class TestFromArgs:
         assert config.inference == InferenceConfig(alpha=0.05, sparsity_threshold=0.05)
         bare = EngineConfig.from_args(parse([]), inference=None)
         assert bare.inference is None
+
+    @pytest.mark.parametrize("service", [False, True])
+    def test_flag_defaults_are_pinned(self, service):
+        """The flags derive their defaults from the dataclasses and the
+        flag table; this literal is what they must keep deriving."""
+        config = EngineConfig.from_args(parse([], service=service), service=service)
+        assert config == EngineConfig(
+            backend="service" if service else "local",
+            processor=ProcessorConfig(
+                window_length=86400,
+                bucket_length=900,
+                scoring=ScoringConfig(lambda_weight=0.5, eta=1.5, topic_threshold=1e-4),
+                default_algorithm="mttd",
+                default_epsilon=0.1,
+                archive_windows=8,
+                window_policy="sliding",
+                session_gap=None,
+            ),
+            cluster=None,
+            service=ServiceConfig(incremental=True),
+            inference=InferenceConfig(
+                alpha=0.05, iterations=30, method="expectation", sparsity_threshold=0.05
+            ),
+            ha=None,
+            streams=StreamConfig(source="memory", allowed_lateness=0),
+            kernels=KernelConfig(mode="auto"),
+        )
+        sharded = EngineConfig.from_args(
+            parse(["--backend", "cluster"], service=service), service=service
+        )
+        assert sharded.cluster == ClusterConfig(
+            num_shards=4, partitioner="hash", transport="serial",
+            candidate_budget=None, budget_scale=1.0,
+        )
+
+    def test_a_namespace_without_the_flags_takes_the_same_defaults(self):
+        assert EngineConfig.from_args(argparse.Namespace()) == EngineConfig.from_args(
+            parse([])
+        )
 
 
 class TestStreamsSection:
@@ -280,32 +396,48 @@ class TestStreamsSection:
     def test_stream_config_validation(self):
         with pytest.raises(ValueError, match="allowed_lateness"):
             StreamConfig(allowed_lateness=-1)
-        with pytest.raises(ValueError, match="unknown window policy"):
-            StreamConfig(window_policy="hopping")
-        with pytest.raises(ValueError, match="session_gap"):
-            StreamConfig(window_policy="session")
-        with pytest.raises(ValueError, match="unknown StreamConfig keys"):
+        with pytest.raises(ValueError, match="source"):
+            StreamConfig(source="")
+        with pytest.raises(TypeError):  # the policy is named in ``processor``
+            StreamConfig(window_policy="tumbling")  # type: ignore[call-arg]
+        with pytest.raises(ValueError, match="unknown streams keys"):
             StreamConfig.from_dict({"lateness": 1})
 
     def test_window_policy_is_mirrored_into_processor(self):
-        config = EngineConfig(
-            streams=StreamConfig(window_policy="session", session_gap=600)
+        """A ``streams`` section written before PR 19 may carry the policy;
+        it is folded into ``processor``, the one place that names it."""
+        config = EngineConfig.from_dict(
+            {"streams": {"window_policy": "session", "session_gap": 600}}
         )
         assert config.processor.window_policy == "session"
         assert config.processor.session_gap == 600
+        assert config.streams == StreamConfig()
+        assert set(config.to_dict()["streams"]) == {"source", "allowed_lateness"}
 
     def test_matching_policy_in_both_sections_is_accepted(self):
-        config = EngineConfig(
-            processor=ProcessorConfig(window_policy="tumbling"),
-            streams=StreamConfig(window_policy="tumbling"),
+        config = EngineConfig.from_dict(
+            {
+                "processor": {"window_policy": "tumbling"},
+                "streams": {"window_policy": "tumbling", "session_gap": None},
+            }
         )
         assert config.processor.window_policy == "tumbling"
+        # The sliding default in ``streams`` never overrides ``processor``.
+        kept = EngineConfig.from_dict(
+            {
+                "processor": {"window_policy": "tumbling"},
+                "streams": {"window_policy": "sliding", "session_gap": None},
+            }
+        )
+        assert kept.processor.window_policy == "tumbling"
 
     def test_conflicting_policies_are_rejected(self):
         with pytest.raises(ValueError, match="configure the policy once"):
-            EngineConfig(
-                processor=ProcessorConfig(window_policy="tumbling"),
-                streams=StreamConfig(window_policy="session", session_gap=60),
+            EngineConfig.from_dict(
+                {
+                    "processor": {"window_policy": "tumbling"},
+                    "streams": {"window_policy": "session", "session_gap": 60},
+                }
             )
 
     def test_stream_flags_build_streams_section(self):
@@ -317,15 +449,98 @@ class TestStreamsSection:
                 ]
             )
         )
-        assert config.streams == StreamConfig(
-            source="citations",
-            allowed_lateness=2,
-            window_policy="session",
-            session_gap=1800,
-        )
+        assert config.streams == StreamConfig(source="citations", allowed_lateness=2)
         assert config.processor.window_policy == "session"
+        assert config.processor.session_gap == 1800
 
     def test_stream_flag_defaults_are_inert(self):
         config = EngineConfig.from_args(parse([]))
         assert config.streams == StreamConfig()
         assert config.processor.window_policy == "sliding"
+
+
+# -- the round-trip property -----------------------------------------------------------
+
+_POLICIES = st.one_of(
+    st.sampled_from([("sliding", None), ("tumbling", None)]),
+    st.tuples(st.just("session"), st.integers(1, 10**6)),
+)
+_POSITIVE = st.floats(1e-6, 1e6, allow_nan=False)
+
+
+@st.composite
+def processor_configs(draw):
+    window_length = draw(st.integers(1, 10**7))
+    policy, gap = draw(_POLICIES)
+    return ProcessorConfig(
+        window_length=window_length,
+        bucket_length=draw(st.integers(1, window_length)),
+        scoring=ScoringConfig(
+            lambda_weight=draw(st.floats(0, 1)),
+            eta=draw(_POSITIVE),
+            topic_threshold=draw(st.floats(0, 0.99)),
+        ),
+        default_algorithm=draw(st.sampled_from(["mttd", "mtts", "celf"])),
+        default_epsilon=draw(st.floats(0.01, 0.99)),
+        archive_windows=draw(st.integers(1, 64)),
+        window_policy=policy,
+        session_gap=gap,
+    )
+
+
+def _optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+engine_configs = st.builds(
+    EngineConfig,
+    backend=st.sampled_from(["local", "sharded", "service", "single", "cluster"]),
+    processor=processor_configs(),
+    cluster=_optional(
+        st.builds(
+            ClusterConfig,
+            num_shards=st.integers(1, 64),
+            partitioner=st.sampled_from(["hash", "round-robin", "load-balanced"]),
+            transport=st.sampled_from(["serial", "pipe"]),
+            candidate_budget=_optional(st.integers(1, 10**4)),
+            budget_scale=_POSITIVE,
+        )
+    ),
+    service=st.builds(ServiceConfig, incremental=st.booleans()),
+    inference=_optional(
+        st.builds(
+            InferenceConfig,
+            alpha=_optional(_POSITIVE),
+            iterations=st.integers(1, 200),
+            method=st.sampled_from(["expectation", "gibbs"]),
+            sparsity_threshold=st.floats(0, 0.99),
+        )
+    ),
+    ha=_optional(
+        st.builds(
+            HAConfig,
+            heartbeat_interval=_POSITIVE,
+            heartbeat_timeout=_POSITIVE,
+            checkpoint_every=st.integers(0, 100),
+            full_every=st.integers(1, 100),
+            wal_capacity=st.integers(1, 10**5),
+            auto_restart=st.booleans(),
+        )
+    ),
+    streams=_optional(
+        st.builds(
+            StreamConfig,
+            source=st.text(min_size=1, max_size=12),
+            allowed_lateness=st.integers(0, 100),
+        )
+    ),
+    kernels=st.builds(KernelConfig, mode=st.sampled_from(["auto", "numpy"])),
+)
+
+
+@given(engine_configs)
+def test_every_config_round_trips_through_a_dict_and_through_json(config):
+    payload = config.to_dict()
+    assert EngineConfig.from_dict(payload) == config
+    assert json.loads(json.dumps(payload)) == payload
+    assert EngineConfig.from_dict(json.loads(json.dumps(payload))) == config

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import EngineConfig, KSIREngine, LocalBackend, ServiceConfig
+from repro.api import EngineConfig, KSIREngine, LocalBackend
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.datasets.synthetic import SyntheticStreamGenerator
@@ -68,13 +68,12 @@ class TestEquivalence:
         self, dataset, twenty_buckets
     ):
         processor = build_processor(dataset.topic_model, CONFIG)
-        direct = build_service_engine(processor, max_workers=1)
+        direct = build_service_engine(processor)
         facade = KSIREngine(
             dataset.topic_model,
             EngineConfig(
                 backend="service",
                 processor=CONFIG,
-                service=ServiceConfig(max_workers=1),
             ),
         )
         for topic in range(4):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, KSIREngine, ServiceConfig, backend_names
+from repro.api import EngineConfig, KSIREngine, backend_names
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.query import KSIRQuery
@@ -185,7 +185,6 @@ class TestFacadeEquivalence:
             EngineConfig(
                 backend="service",
                 processor=config,
-                service=ServiceConfig(max_workers=1),
             ),
         )
         facade.register(query, algorithm="mttd", epsilon=0.25)
@@ -194,7 +193,7 @@ class TestFacadeEquivalence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             processor = build_processor(model, config)
-            direct = build_service_engine(processor, max_workers=1)
+            direct = build_service_engine(processor)
         direct.register(query, algorithm="mttd", epsilon=0.25)
         ingest(direct, elements, config.bucket_length)
 

@@ -90,10 +90,41 @@ class TestCommands:
     def test_query_with_stream_requires_model(self, tmp_path, capsys):
         main(["generate", "tiny", "--seed", "3", "--output-dir", str(tmp_path)])
         capsys.readouterr()
-        exit_code = main(
-            ["query", "soccer", "--stream", str(tmp_path / "tiny" / "stream.jsonl")]
-        )
-        assert exit_code == 2
+        stream = str(tmp_path / "tiny" / "stream.jsonl")
+        # One failure mode for query and server: usage error, exit status 2.
+        for command in (["query", "soccer"], ["server"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--stream", stream])
+            assert exit_info.value.code == 2
+            assert "--model is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["query", "foo"], ["serve"], ["server"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--session-gap", "5"], "session_gap is only valid"),
+            (["--window-policy", "session"], "require a positive session_gap"),
+            (["--backend", "cluster", "--shards", "0"], "num_shards must be > 0"),
+            (["--window-hours", "0"], "window_length must be > 0"),
+        ],
+    )
+    def test_flags_that_fail_validation_are_usage_errors(
+        self, command, flags, message, capsys
+    ):
+        """Exit status 2 and the message on stderr, not a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--profile", "tiny", *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_ha_commands_reject_a_directory_that_is_no_chain(self, tmp_path, capsys):
+        for command in ("chain", "compact"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["ha", command, str(tmp_path)])
+            assert exit_info.value.code == 2
+            assert "is not a checkpoint chain" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -115,7 +146,7 @@ class TestServeCommand:
             [
                 "serve", "--profile", "tiny", "--queries", "10", "--k", "3",
                 "--window-hours", "3", "--bucket-minutes", "30", "--eta", "1.0",
-                "--workers", "2", "--seed", "3",
+                "--seed", "3",
             ]
         )
         assert exit_code == 0

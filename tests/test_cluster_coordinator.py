@@ -197,7 +197,7 @@ class TestServiceEngineClusterBackend:
         queries = [tiny_dataset.make_query(k=4, topic=t) for t in range(4)]
 
         single_processor = build_processor(tiny_dataset.topic_model, TINY_CONFIG)
-        with build_service_engine(single_processor, max_workers=2) as engine:
+        with build_service_engine(single_processor) as engine:
             for query in queries:
                 engine.register(query, algorithm="mttd", epsilon=0.1)
             engine.serve_stream(tiny_dataset.stream)
@@ -213,7 +213,7 @@ class TestServiceEngineClusterBackend:
             TINY_CONFIG,
             cluster=ClusterConfig(num_shards=3),
         )
-        with coordinator, build_service_engine(coordinator, max_workers=2) as engine:
+        with coordinator, build_service_engine(coordinator) as engine:
             for query in queries:
                 engine.register(query, algorithm="mttd", epsilon=0.1)
             engine.serve_stream(tiny_dataset.stream)

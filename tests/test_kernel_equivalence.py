@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, KernelConfig, KSIREngine, ServiceConfig
+from repro.api import EngineConfig, KernelConfig, KSIREngine
 from repro.cluster import ClusterConfig
 from repro.kernels import configure_kernels, kernel_mode, numba_available
 
@@ -93,7 +93,6 @@ def run_service(model, elements, config, query, mode):
         EngineConfig(
             backend="service",
             processor=config,
-            service=ServiceConfig(max_workers=1),
             kernels=KernelConfig(mode=mode),
         ),
     )

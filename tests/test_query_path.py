@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, InferenceConfig, KSIREngine, ServiceConfig
+from repro.api import EngineConfig, InferenceConfig, KSIREngine
 from repro.cluster import ClusterConfig
 from repro.core.algorithms import MTTS
 from repro.core.element import SocialElement
@@ -338,9 +338,7 @@ def answers_digest(kind, backend, seed):
         )
 
     if backend == "service":
-        config = EngineConfig(
-            backend="service", processor=processor, service=ServiceConfig(max_workers=2)
-        )
+        config = EngineConfig(backend="service", processor=processor)
     elif backend == "sharded":
         config = EngineConfig(
             backend="sharded", processor=processor,

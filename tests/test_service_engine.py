@@ -166,7 +166,7 @@ class TestServiceEngineBasics:
             assert engine.result("ok") is not None
 
     def test_standing_results_match_adhoc_queries(self):
-        with paper_engine(max_workers=2) as engine:
+        with paper_engine() as engine:
             engine.register(make_query(0.5, 0.5), query_id="both")
             engine.register(make_query(1.0, 0.0), query_id="sports")
             replay_paper(engine)
@@ -303,7 +303,7 @@ class TestIncrementalMaintenance:
 
     def _serve(self, dataset, incremental: bool) -> ServiceEngine:
         processor = build_processor(dataset.topic_model, self.CONFIG)
-        engine = build_service_engine(processor, incremental=incremental, max_workers=2)
+        engine = build_service_engine(processor, incremental=incremental)
         for i in range(self.NUM_QUERIES):
             engine.register(
                 dataset.make_query(k=3, topic=i % self.PROFILE.num_topics),
@@ -346,7 +346,7 @@ class TestIncrementalMaintenance:
         incremental = self._serve(dataset, incremental=True)
 
         processor = build_processor(dataset.topic_model, self.CONFIG)
-        with build_service_engine(processor, incremental=False, max_workers=2) as naive:
+        with build_service_engine(processor, incremental=False) as naive:
             for i in range(self.NUM_QUERIES):
                 naive.register(
                     dataset.make_query(k=3, topic=i % self.PROFILE.num_topics),

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CheckpointError, EngineConfig, KSIREngine, ServiceConfig
+from repro.api import CheckpointError, EngineConfig, KSIREngine
 from repro.cluster import ClusterConfig
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
@@ -419,7 +419,6 @@ def engine_config(backend: str, window_length: int, shards: int = 2):
         backend=backend,
         processor=processor,
         cluster=cluster,
-        service=ServiceConfig(max_workers=1),
     )
 
 
