@@ -14,7 +14,7 @@ Along the way it shows:
 * staleness metadata — cached results report how many buckets ago they were
   computed (0 = fresh, >0 = provably unaffected since);
 * the service metrics report — p50/p99 evaluation latency, sustained
-  pairs/sec, result/snapshot cache hit rates and the re-eval ratio.
+  pairs/sec, the result-cache hit rate and the re-eval ratio.
 
 Run with:  python examples/standing_queries_service.py
 """

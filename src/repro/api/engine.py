@@ -395,12 +395,17 @@ class KSIREngine:
             payload = read_checkpoint(path)
         engine_config = config if config is not None else payload.config
         engine = cls(payload.topic_model, engine_config, inferencer=inferencer)
-        if engine.backend_name != payload.backend:
-            raise CheckpointError(
-                f"checkpoint was written by the {payload.backend!r} backend but "
-                f"the configuration selects {engine.backend_name!r}"
-            )
-        engine._backend.restore_state(payload.state)
+        try:
+            if engine.backend_name != payload.backend:
+                raise CheckpointError(
+                    f"checkpoint was written by the {payload.backend!r} backend but "
+                    f"the configuration selects {engine.backend_name!r}"
+                )
+            engine._backend.restore_state(payload.state)
+        except BaseException:
+            # The engine may already own shard processes: do not leak them.
+            engine.close()
+            raise
         return engine
 
     # -- lifecycle ---------------------------------------------------------------------

@@ -161,7 +161,7 @@ class ShardWorker:
 
     def take_dirty_topics(self) -> Tuple[int, ...]:
         """Drain the shard's dirty-topic set (see RankedListIndex)."""
-        return self._processor.ranked_lists.take_dirty_topics()
+        return self._processor.take_dirty_topics()
 
     # -- checkpoint state -------------------------------------------------------------
 

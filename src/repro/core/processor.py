@@ -157,9 +157,7 @@ class KSIRProcessor:
             store=self._store,
             policy=self._config.build_window_policy(),
         )
-        self._index = RankedListIndex(
-            topic_model.num_topics, self._config.scoring, epoch_sink=self._store
-        )
+        self._index = RankedListIndex(topic_model.num_topics, self._config.scoring)
         self._profiles: Dict[int, ElementProfile] = {}
         self._elements_processed = 0
         self._buckets_processed = 0
@@ -407,6 +405,10 @@ class KSIRProcessor:
             }
             entries.append((parent_id, scores, touched[parent_id]))
         return entries
+
+    def take_dirty_topics(self) -> Tuple[int, ...]:
+        """Drain the topics whose ranked lists changed since the last drain."""
+        return self._index.take_dirty_topics()
 
     # -- query processing ----------------------------------------------------------------------
 

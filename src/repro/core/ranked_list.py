@@ -38,7 +38,6 @@ from repro.store.codec import (
     decode_ranked_entries,
     encode_ranked_entries,
 )
-from repro.store.view import TopicEpochSink
 from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
 
@@ -64,12 +63,7 @@ def _topics(mask: int) -> List[int]:
 class RankedListIndex:
     """The collection of per-topic ranked lists ``RL_1, ..., RL_z``."""
 
-    def __init__(
-        self,
-        num_topics: int,
-        config: ScoringConfig,
-        epoch_sink: Optional[TopicEpochSink] = None,
-    ) -> None:
+    def __init__(self, num_topics: int, config: ScoringConfig) -> None:
         if num_topics <= 0:
             raise ValueError("num_topics must be positive")
         self._num_topics = int(num_topics)
@@ -87,20 +81,8 @@ class RankedListIndex:
         self._topics_of: Dict[int, int] = {}
         # Topics whose lists changed since the last drain (bounded by z).
         self._dirty_topics: Set[int] = set()
-        # Optional columnar-store epoch stamping: every dirty marking is
-        # mirrored as a topic-epoch stamp, which the serving layer's
-        # incremental scheduler reads instead of draining the set.
-        self._epoch_sink = epoch_sink
         self._update_timer = TimingStats(name="ranked-list-update")
 
-    def _mark_dirty(self, topics: Iterable[int]) -> None:
-        """Mark topics dirty and mirror the change onto the epoch sink."""
-        topic_list = list(topics)
-        if not topic_list:
-            return
-        self._dirty_topics.update(topic_list)
-        if self._epoch_sink is not None:
-            self._epoch_sink.mark_topics_dirty(topic_list)
 
     # -- metadata ----------------------------------------------------------------
 
@@ -229,7 +211,7 @@ class RankedListIndex:
             for topic in profile.topics:
                 score = self._config.lambda_weight * profile.semantic_score(topic)
                 self._lists[topic].insert(element_id, score)
-            self._mark_dirty(retired + list(profile.topics))
+            self._dirty_topics.update(retired + list(profile.topics))
 
     def refresh(
         self,
@@ -249,7 +231,7 @@ class RankedListIndex:
             self._topics_of[profile.element_id] = (
                 self._topics_of.get(profile.element_id, 0) | _mask(scores)
             )
-            self._mark_dirty(scores)
+            self._dirty_topics.update(scores)
 
     def remove(self, element_id: int) -> None:
         """Remove every tuple of an expired element."""
@@ -258,7 +240,7 @@ class RankedListIndex:
             touched = _topics(self._topics_of.pop(element_id, 0))
             for topic in touched:
                 self._lists[topic].remove(element_id)
-            self._mark_dirty(touched)
+            self._dirty_topics.update(touched)
 
     def bulk_update(
         self,
@@ -289,8 +271,8 @@ class RankedListIndex:
 
         The update timer keeps its per-element meaning (Figure 14): the
         bucket-level span is split evenly across the applied operations, so
-        one sample is recorded per insert/refresh/remove, exactly as many
-        as the per-element methods would record.
+        its count grows by one per insert/refresh/remove, exactly as many
+        as the per-element methods would record, and its mean is per element.
         """
         watch = StopWatch()
         watch.start()
@@ -304,7 +286,7 @@ class RankedListIndex:
                     removals[topic].append(element_id)
             for topic, element_ids in removals.items():
                 self._lists[topic].bulk_discard(element_ids)
-            self._mark_dirty(removals)
+            self._dirty_topics.update(removals)
 
         lambda_weight = self._config.lambda_weight
         last_activity = self._last_activity
@@ -342,13 +324,11 @@ class RankedListIndex:
             topics_of[element_id] &= ~dropped
         for topic, entries in per_topic.items():
             self._lists[topic].bulk_insert(entries.items())
-        self._mark_dirty(per_topic)
+        self._dirty_topics.update(per_topic)
 
-        elapsed = watch.stop()
-        operations = len(inserts) + len(removes) + len(scored_refreshes)
-        if operations:
-            per_operation_ms = (elapsed * 1000.0) / operations
-            self._update_timer.samples_ms.extend([per_operation_ms] * operations)
+        self._update_timer.add_many(
+            watch.stop(), len(inserts) + len(removes) + len(scored_refreshes)
+        )
 
     def insert_scores(
         self,
@@ -369,16 +349,14 @@ class RankedListIndex:
             for topic, score in scores.items():
                 self._lists[topic].insert(element_id, float(score))
             self._topics_of[element_id] = self._topics_of.get(element_id, 0) | _mask(scores)
-            self._mark_dirty(scores)
+            self._dirty_topics.update(scores)
 
     def clear(self) -> None:
         """Drop every tuple (used when rebuilding the index)."""
-        touched = []
         for topic, ranked in enumerate(self._lists):
             if len(ranked) > 0:
-                touched.append(topic)
+                self._dirty_topics.add(topic)
             ranked.clear()
-        self._mark_dirty(touched)
         self._last_activity.clear()
         self._topics_of.clear()
 
@@ -418,12 +396,7 @@ class RankedListIndex:
             self.insert_scores(element_id, scores, activity_time=activity_time)
         # insert_scores marked everything dirty; restore the saved set so
         # the serving layer's scheduler resumes exactly where it left off.
-        # (The epoch sink keeps its over-approximate stamps: epochs only
-        # ever err towards re-evaluating more standing queries.)
-        saved_dirty = decode_id_list(state["dirty_topics"])
-        self._dirty_topics = set(saved_dirty)
-        if self._epoch_sink is not None:
-            self._epoch_sink.mark_topics_dirty(saved_dirty)
+        self._dirty_topics = set(decode_id_list(state["dirty_topics"]))
 
     # -- traversal ----------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ is bit-exact: :func:`apply_delta` reconstructs precisely the state tree
 :func:`diff_state` was given.
 
 The diff exploits how the columnar store's state evolves between buckets —
-the change-epoch design means most state is untouched per bucket:
+most of it is untouched per bucket:
 
 * dict nodes diff per key;
 * NumPy arrays diff **by row**: only rows that changed since the base

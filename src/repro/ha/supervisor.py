@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.backends import ShardedBackend
 from repro.api.engine import KSIREngine
@@ -53,8 +53,7 @@ class ClusterSupervisor:
         checkpoint_dir: Optional[Union[str, Path]] = None,
         wal_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        backend = engine.backend
-        if not isinstance(backend, ShardedBackend):
+        if not isinstance(engine.backend, ShardedBackend):
             raise TypeError(
                 "ClusterSupervisor requires a sharded engine "
                 '(EngineConfig(backend="cluster" / "sharded")); got '
@@ -90,10 +89,8 @@ class ClusterSupervisor:
 
     @property
     def coordinator(self) -> ClusterCoordinator:
-        """The supervised cluster coordinator."""
-        backend = self._engine.backend
-        assert isinstance(backend, ShardedBackend)
-        return backend.coordinator
+        """The supervised cluster coordinator (of the engine in place now)."""
+        return cast(ShardedBackend, self._engine.backend).coordinator
 
     @property
     def wal(self) -> BucketWAL:
@@ -278,19 +275,20 @@ class ClusterSupervisor:
             raise ValueError("num_shards must be >= 1")
         with self._lock:
             old_engine = self._engine
-            coordinator = self.coordinator
-            state = coordinator.state_dict()
-            new_state = repartition_state(state, num_shards)
+            new_state = repartition_state(self.coordinator.state_dict(), num_shards)
             old_config = old_engine.config
             assert old_config.cluster is not None
             new_config = replace(
                 old_config, cluster=replace(old_config.cluster, num_shards=num_shards)
             )
-            new_engine = KSIREngine(old_engine.topic_model, new_config)
-            backend = new_engine.backend
-            assert isinstance(backend, ShardedBackend)
-            backend.coordinator.restore_state(new_state)
-            self._engine = new_engine
+            self._engine = new_engine = KSIREngine(old_engine.topic_model, new_config)
+            try:
+                self.coordinator.restore_state(new_state)
+            except BaseException:
+                # Keep serving on the old shape; do not leak the new workers.
+                self._engine = old_engine
+                new_engine.close()
+                raise
             old_engine.close()
             self._rebalances += 1
             # Previous checkpoints describe the old shard shape; anchor the

@@ -6,7 +6,7 @@ CRUD, on-demand top-k queries, batched stream ingest, engine
 checkpoint/restore, Prometheus ``/metrics`` and a persistent ``/telemetry``
 surface, plus a WebSocket channel (``/ws/queries/{id}``) that pushes a
 result delta whenever the incremental scheduler marks a standing query
-dirty — pushes ride the existing dirty-topic epochs through
+dirty — pushes ride the ranked lists' dirty-topic set through
 :meth:`~repro.service.engine.ServiceEngine.add_update_listener`, never
 polling.
 

@@ -4,7 +4,7 @@ The :class:`PushHub` sits between the synchronous serving engine and the
 asynchronous WebSocket sessions.  It subscribes to
 :meth:`~repro.service.engine.ServiceEngine.add_update_listener`, so a push
 fires exactly when the incremental scheduler re-evaluated a standing query
-on an ingested bucket — the dirty-topic epochs decide, never a poll — and
+on an ingested bucket — the bucket's dirty topics decide, never a poll — and
 is dropped for every query the scheduler proved unchanged.
 
 Engine callbacks arrive on whatever worker thread ran the ingest; each

@@ -6,14 +6,15 @@ an execution backend — a single-node
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — a
 :class:`~repro.service.registry.QueryRegistry` of standing queries, the
 :class:`~repro.service.scheduler.IncrementalScheduler` and the evaluation
-loop (on a single node, every evaluation of a bucket shares the
-processor's memoised scoring snapshot).  Standing queries are
-backend-transparent: the same registry and scheduling loop runs over one
-window or over ``N`` shards, with cluster evaluations delegated to the
-coordinator's scatter-gather path.  Driving it is a two-step loop:
+loop.  A standing query is a query: the engine programs against the surface
+both backends share (``process_bucket``, ``take_dirty_topics``, ``query``,
+the stream counters, ``state_dict`` / ``restore_state``), so an evaluation
+is the backend's own ad-hoc ``query`` — over the processor's memoised
+per-bucket snapshot on one node, by scatter-gather on ``N`` shards.
+Driving it is a two-step loop:
 
-1. :meth:`ingest_bucket` feeds one stream bucket to the processor, drains
-   the ranked lists' per-topic dirty sets, prunes TTL-expired queries, asks
+1. :meth:`ingest_bucket` feeds one stream bucket to the backend, drains
+   the ranked lists' dirty-topic set, prunes TTL-expired queries, asks
    the scheduler which standing queries are affected and re-evaluates only
    those (the naive mode re-runs everything for comparison);
 2. :meth:`result` / :meth:`results` read the per-query result cache, with
@@ -21,8 +22,8 @@ coordinator's scatter-gather path.  Driving it is a two-step loop:
 
 :meth:`serve_stream` wraps the loop over a whole
 :class:`~repro.core.stream.SocialStream`, and :meth:`report` renders the
-service metrics (p50/p99 latency, pairs/sec, cache hit rates, re-eval
-ratio).
+service metrics (p50/p99 latency, pairs/sec, result-cache hit rate,
+re-eval ratio).
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor
 from repro.core.query import KSIRQuery, QueryResult
-from repro.core.scoring import KSIRObjective, ScoringContext
 from repro.core.stream import SocialStream, replay_stream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
 from repro.service.scheduler import IncrementalScheduler, SchedulePlan
-from repro.utils.timing import StopWatch
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class ServiceUpdate:
     The serving tier (``repro.server``) subscribes here to push WebSocket
     deltas: ``updated`` holds the standing results the incremental
     scheduler re-evaluated on this bucket (exactly the queries whose
-    dirty-topic epochs intersected their support — everything else is
+    support met the bucket's dirty topics — everything else is
     provably unchanged and generates no push), and ``expired`` names the
     queries dropped by TTL on this bucket.
 
@@ -150,13 +149,6 @@ class ServiceEngine:
         incremental: bool = True,
     ) -> None:
         self._backend = backend
-        self._is_cluster = isinstance(backend, ClusterCoordinator)
-        # On a single-node backend the incremental scheduler reads dirty
-        # topics from the store's per-topic change epochs; the cursor
-        # starts at 0 so changes ingested before the engine adopted the
-        # processor are still observed (matching the undrained dirty set).
-        self._store = None if self._is_cluster else backend.store
-        self._store_epoch_cursor = 0
         self._registry = registry or QueryRegistry()
         self._scheduler = scheduler or IncrementalScheduler(
             self._registry, backend.topic_model.num_topics
@@ -166,17 +158,16 @@ class ServiceEngine:
         self._incremental = bool(incremental)
         self._results: Dict[str, StandingResult] = {}
         # Solver instances resolved once per standing query (algorithms are
-        # stateless across select() calls).
-        self._solvers: Dict[str, KSIRAlgorithm] = {}
-        self._pending: set = set()
+        # stateless across select() calls).  A supplied registry's queries
+        # are adopted as never-evaluated: the next bucket answers them.
+        self._solvers: Dict[str, KSIRAlgorithm] = {
+            standing.query_id: self._resolve_standing(standing)
+            for standing in self._registry
+        }
+        self._pending = set(self._solvers)
         self._metrics = ServiceMetrics()
         self._listeners: List[UpdateListener] = []
         self._closed = False
-        # A supplied registry may already hold standing queries: adopt them
-        # as never-evaluated so the next bucket gives them a first answer.
-        for standing in self._registry:
-            self._solvers[standing.query_id] = self._resolve_standing(standing)
-            self._pending.add(standing.query_id)
 
     # -- metadata -----------------------------------------------------------------
 
@@ -186,14 +177,9 @@ class ServiceEngine:
         return self._backend
 
     @property
-    def is_cluster(self) -> bool:
-        """Whether standing queries run on the sharded backend."""
-        return self._is_cluster
-
-    @property
     def processor(self) -> Optional[KSIRProcessor]:
         """The single-node processor (None when backed by a cluster)."""
-        return None if self._is_cluster else self._backend
+        return self._backend if isinstance(self._backend, KSIRProcessor) else None
 
     @property
     def registry(self) -> QueryRegistry:
@@ -284,15 +270,7 @@ class ServiceEngine:
         self._require_open()
         active_before = self._backend.active_count
         self._backend.process_bucket(elements, end_time)
-        if self._is_cluster:
-            dirty = self._backend.take_dirty_topics()
-        else:
-            # Read the per-topic change epochs stamped by the ranked-list
-            # maintenance since the last bucket (the dirty set is still
-            # drained so it stays bounded for ad-hoc consumers).
-            self._backend.ranked_lists.take_dirty_topics()
-            dirty = self._store.dirty_topics_since(self._store_epoch_cursor)
-            self._store_epoch_cursor = self._store.epoch
+        dirty = self._backend.take_dirty_topics()
 
         bucket = self._backend.buckets_processed
         expired_ids: List[str] = []
@@ -389,9 +367,9 @@ class ServiceEngine:
         """A human-readable service report (mode, registry size, metrics)."""
         mode = "incremental" if self._incremental else "naive"
         where = (
-            f"{self._backend.num_shards}-shard cluster"
-            if self._is_cluster
-            else "single node"
+            "single node"
+            if self.processor is not None
+            else f"{self._backend.num_shards}-shard cluster"
         )
         header = (
             f"serving {len(self._registry)} standing queries ({mode} maintenance, "
@@ -403,37 +381,21 @@ class ServiceEngine:
     # -- evaluation -----------------------------------------------------------------------
 
     def _evaluate_many(self, query_ids: Sequence[str]) -> None:
-        if not query_ids:
-            return
-        standings = [self._registry.get(query_id) for query_id in query_ids]
-        if self._is_cluster:
-            # Scatter-gather evaluation: each standing query exports bounded
-            # candidate pools from every shard and runs the final selection
-            # on the coordinator; there is no shared single-node snapshot.
-            outcomes = [self._evaluate_on_cluster(standing) for standing in standings]
-        else:
-            builds_before = self._backend.snapshot_builds
-            context = self._backend.snapshot()
-            built_fresh = self._backend.snapshot_builds > builds_before
-            # Per-evaluation snapshot accounting: at most one evaluation per
-            # bucket pays for a fresh snapshot, every other one shares it.
-            self._metrics.snapshot_misses += 1 if built_fresh else 0
-            self._metrics.snapshot_hits += len(standings) - (1 if built_fresh else 0)
-            outcomes = [self._evaluate(standing, context) for standing in standings]
         bucket = self._backend.buckets_processed
         time = self._backend.current_time
-        for standing, result in zip(standings, outcomes):
-            previous = self._results.get(standing.query_id)
-            self._results[standing.query_id] = StandingResult(
-                query_id=standing.query_id,
-                result=result,
+        for query_id in query_ids:
+            previous = self._results.get(query_id)
+            self._results[query_id] = StandingResult(
+                query_id=query_id,
+                result=self._evaluate(self._registry.get(query_id)),
                 evaluated_at_bucket=bucket,
                 evaluated_at_time=time,
                 evaluations=1 if previous is None else previous.evaluations + 1,
             )
-            self._pending.discard(standing.query_id)
+            self._pending.discard(query_id)
 
-    def _evaluate_on_cluster(self, standing: StandingQuery) -> QueryResult:
+    def _evaluate(self, standing: StandingQuery) -> QueryResult:
+        """One standing evaluation: the backend's ad-hoc query, timed by it."""
         solver = self._solvers.get(standing.query_id)
         if solver is None:
             # Query registered on the registry directly, not via the engine.
@@ -447,31 +409,6 @@ class ServiceEngine:
     def _resolve_standing(self, standing: StandingQuery) -> KSIRAlgorithm:
         return self._backend.config.resolve_algorithm(
             standing.algorithm, standing.epsilon
-        )
-
-    def _evaluate(self, standing: StandingQuery, context: ScoringContext) -> QueryResult:
-        solver = self._solvers.get(standing.query_id)
-        if solver is None:
-            # Query registered on the registry directly, not via the engine.
-            solver = self._solvers[standing.query_id] = self._resolve_standing(standing)
-        objective = KSIRObjective(context, standing.query.vector)
-        watch = StopWatch()
-        watch.start()
-        outcome = solver.select(
-            objective,
-            standing.query.k,
-            index=self._backend.ranked_lists if solver.requires_index else None,
-        )
-        elapsed = watch.stop()
-        self._metrics.eval_latency.add(elapsed)
-        return QueryResult(
-            element_ids=outcome.element_ids,
-            score=outcome.value,
-            algorithm=solver.name,
-            elapsed_ms=elapsed * 1000.0,
-            evaluated_elements=outcome.evaluated_elements,
-            active_elements=context.active_count,
-            extras=dict(outcome.extras),
         )
 
     # -- checkpoint state --------------------------------------------------------------------
@@ -504,10 +441,11 @@ class ServiceEngine:
         self._registry.restore_state(state["registry"])
         self._metrics = ServiceMetrics()
         self._results = {}
-        self._solvers = {}
+        self._solvers = {
+            standing.query_id: self._resolve_standing(standing)
+            for standing in self._registry
+        }
         self._pending = {str(query_id) for query_id in state["pending"]}
-        for standing in self._registry:
-            self._solvers[standing.query_id] = self._resolve_standing(standing)
         for payload in state["results"]:
             stored = StandingResult.from_dict(payload)
             if stored.query_id in self._registry:

@@ -8,10 +8,13 @@ what incremental maintenance buys, so the report centres on:
 * the **re-eval ratio** — evaluations / opportunities;
 * the **result-cache hit rate** — the complementary fraction of pairs served
   from the per-query result cache (with staleness metadata);
-* the **snapshot-cache hit rate** — how often an evaluation reused the shared
-  per-bucket :class:`~repro.core.scoring.ScoringContext`;
-* **latency percentiles** (p50/p99) of individual query evaluations and the
-  sustained **maintenance throughput** in pairs per second.
+* **latency percentiles** (p50/p99) of individual query evaluations — over
+  the evaluation timer's most recent samples, see
+  :data:`~repro.utils.timing.RECENT_SAMPLES` — and the sustained
+  **maintenance throughput** in pairs per second.
+
+How often the per-bucket scoring snapshot was built is the processor's
+counter (``engine.stats()["snapshot_builds"]``), not a service metric.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ def timer_summary(stats: TimingStats) -> Dict[str, float]:
 
     Counters and percentiles only (the raw samples stay private), so the
     serving tier can expose timers over ``/metrics`` and ``/telemetry``
-    without reaching into sample lists.
+    without reaching into sample lists.  Count, total, mean and max cover
+    the timer's whole life; the percentiles cover its recent samples.
     """
     samples = stats.samples_ms
     return {
@@ -79,10 +83,6 @@ class ServiceMetrics:
         standing query (window-expiry churn or near-total dirtiness).
     expired_queries:
         Standing queries dropped because their TTL elapsed.
-    snapshot_hits:
-        Evaluations that reused the shared per-bucket scoring snapshot.
-    snapshot_misses:
-        Evaluations that had to materialise a fresh snapshot.
     """
 
     eval_latency: TimingStats = field(
@@ -96,8 +96,6 @@ class ServiceMetrics:
     reused: int = 0
     full_reevals: int = 0
     expired_queries: int = 0
-    snapshot_hits: int = 0
-    snapshot_misses: int = 0
 
     # -- derived rates ----------------------------------------------------------------
 
@@ -119,14 +117,6 @@ class ServiceMetrics:
         if self.opportunities == 0:
             return 0.0
         return self.reused / self.opportunities
-
-    @property
-    def snapshot_hit_rate(self) -> float:
-        """Fraction of snapshot lookups answered from the shared cache."""
-        lookups = self.snapshot_hits + self.snapshot_misses
-        if lookups == 0:
-            return 0.0
-        return self.snapshot_hits / lookups
 
     @property
     def latency_p50_ms(self) -> float:
@@ -182,11 +172,8 @@ class ServiceMetrics:
             "opportunities": self.opportunities,
             "full_reevals": self.full_reevals,
             "expired_queries": self.expired_queries,
-            "snapshot_hits": self.snapshot_hits,
-            "snapshot_misses": self.snapshot_misses,
             "reeval_ratio": float(self.reeval_ratio),
             "result_cache_hit_rate": float(self.result_cache_hit_rate),
-            "snapshot_hit_rate": float(self.snapshot_hit_rate),
             "queries_per_sec": float(self.queries_per_sec),
             "evaluations_per_sec": float(self.evaluations_per_sec),
             "maintenance_seconds": float(self.maintenance_seconds),
@@ -220,10 +207,6 @@ class ServiceMetrics:
                 f"  throughput           {self.queries_per_sec:.1f} pairs/sec"
                 f" ({self.evaluations_per_sec:.1f} evals/sec,"
                 f" maintenance {self.maintenance_seconds:.3f} s)"
-            ),
-            (
-                f"  snapshot cache       hit rate {self.snapshot_hit_rate * 100.0:.1f}%"
-                f" ({self.snapshot_hits} hits, {self.snapshot_misses} misses)"
             ),
         ]
         return "\n".join(lines)

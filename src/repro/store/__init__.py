@@ -20,13 +20,11 @@ from repro.store.codec import (
     encode_ranked_entries,
 )
 from repro.store.store import ElementStore
-from repro.store.view import TopicEpochSink
 from repro.store.window import ColumnarWindow
 
 __all__ = [
     "ColumnarWindow",
     "ElementStore",
-    "TopicEpochSink",
     "decode_followers",
     "decode_id_list",
     "decode_pairs",

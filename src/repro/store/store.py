@@ -22,10 +22,7 @@ vectorised view of the active set:
   checkpoint format;
 * **the follower view** — a sparse ``parent id → ascending follower ids``
   map kept current at the adjacency mutation points, so a scoring snapshot
-  costs time proportional to the rows a bucket changed, not to the window;
-* **topic epochs** — a monotonically increasing epoch is stamped on every
-  topic whose ranked list changes, which is what the serving layer's
-  incremental scheduler reads instead of draining per-topic dirty sets.
+  costs time proportional to the rows a bucket changed, not to the window.
 
 The store is deliberately dumb about *semantics*: the sliding-window rules
 of Algorithm 1 live in :class:`~repro.store.window.ColumnarWindow`, which
@@ -85,11 +82,6 @@ class ElementStore:
         self._row_of: Dict[int, int] = {}
         self._free_rows: List[int] = []
         self._high_water = 0
-        # Per-topic change epochs (see mark_topics_dirty).
-        self._topic_epochs: npt.NDArray[np.int64] = np.zeros(
-            self._num_topics, dtype=np.int64
-        )
-        self._epoch = 0
 
     # -- metadata ----------------------------------------------------------------
 
@@ -529,31 +521,6 @@ class ElementStore:
             int(window_start),
         )
         return result
-
-    # -- topic epochs -------------------------------------------------------------
-
-    @property
-    def epoch(self) -> int:
-        """The current (monotonically increasing) change epoch."""
-        return self._epoch
-
-    def mark_topics_dirty(self, topics: Iterable[int]) -> None:
-        """Stamp the given topics with a fresh epoch.
-
-        Called by the ranked-list index whenever a topic's list changes;
-        the serving layer's incremental scheduler reads the stamps through
-        :meth:`dirty_topics_since` instead of draining a dirty set.
-        """
-        topic_list = list(topics)
-        if not topic_list:
-            return
-        self._epoch += 1
-        self._topic_epochs[topic_list] = self._epoch
-
-    def dirty_topics_since(self, epoch: int) -> Tuple[int, ...]:
-        """Topics stamped after ``epoch``, ascending."""
-        dirty = np.nonzero(self._topic_epochs > epoch)[0]
-        return tuple(int(topic) for topic in dirty)
 
     # -- invariants ---------------------------------------------------------------
 

@@ -2,16 +2,19 @@
 
 The paper reports average CPU time per query (Figures 7, 9, 12, 13) and per
 stream update (Figure 14).  :class:`StopWatch` measures a single interval and
-:class:`TimingStats` accumulates many intervals and exposes the summary
-statistics the reports print.
+:class:`TimingStats` accumulates many intervals in bounded memory: an exact
+running count, total and extremes (what the figures' means and the shard
+statistics read) plus the :data:`RECENT_SAMPLES` most recent samples (what the
+median, the deviation and the serving layer's latency percentiles describe).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Deque, Iterator, Optional
 
 
 class StopWatch:
@@ -51,24 +54,59 @@ class StopWatch:
         return self._elapsed * 1000.0
 
 
+#: How many of its most recent samples a :class:`TimingStats` keeps, so a
+#: timer's memory does not grow with the life of the process.
+RECENT_SAMPLES = 2048
+
+
 @dataclass
 class TimingStats:
-    """Accumulates a series of timing samples (stored in milliseconds)."""
+    """Running count, total and extremes of timing samples (milliseconds,
+    0.0 when empty), plus the :data:`RECENT_SAMPLES` most recent samples."""
 
     name: str = "timer"
-    samples_ms: List[float] = field(default_factory=list)
+    samples_ms: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=RECENT_SAMPLES)
+    )
+    count: int = 0
+    total_ms: float = 0.0
+    min_ms: float = 0.0
+    max_ms: float = 0.0
 
     def add(self, seconds: float) -> None:
         """Record one interval measured in seconds."""
-        self.samples_ms.append(seconds * 1000.0)
+        self._record(seconds * 1000.0, 1)
 
     def add_ms(self, milliseconds: float) -> None:
         """Record one interval measured in milliseconds."""
-        self.samples_ms.append(float(milliseconds))
+        self._record(float(milliseconds), 1)
+
+    def add_many(self, seconds: float, operations: int) -> None:
+        """Record ``operations`` equal shares of one interval of ``seconds``.
+
+        The count grows by ``operations`` and the total by the interval, so
+        ``mean_ms`` stays a per-operation mean; the recent samples gain one
+        entry, at that mean.
+        """
+        if operations > 0:
+            self._record(seconds * 1000.0, operations)
+
+    def _record(self, span_ms: float, operations: int) -> None:
+        sample_ms = span_ms / operations
+        self.min_ms = sample_ms if self.count == 0 else min(self.min_ms, sample_ms)
+        self.max_ms = max(self.max_ms, sample_ms)
+        self.count += operations
+        self.total_ms += span_ms
+        self.samples_ms.append(sample_ms)
 
     def extend(self, other: "TimingStats") -> None:
-        """Merge the samples of ``other`` into this accumulator."""
-        self.samples_ms.extend(other.samples_ms)
+        """Merge the totals and recent samples of ``other`` into this one."""
+        if other.count:
+            low = other.min_ms if self.count == 0 else min(self.min_ms, other.min_ms)
+            self.min_ms, self.max_ms = low, max(self.max_ms, other.max_ms)
+            self.count += other.count
+            self.total_ms += other.total_ms
+            self.samples_ms.extend(other.samples_ms)
 
     def measure(self) -> "_TimingContext":
         """Return a context manager that records its duration on exit."""
@@ -81,25 +119,15 @@ class TimingStats:
         return iter(self.samples_ms)
 
     @property
-    def count(self) -> int:
-        """Number of recorded samples."""
-        return len(self.samples_ms)
-
-    @property
-    def total_ms(self) -> float:
-        """Sum of all samples in milliseconds."""
-        return float(sum(self.samples_ms))
-
-    @property
     def mean_ms(self) -> float:
         """Average sample in milliseconds (0.0 when empty)."""
-        if not self.samples_ms:
+        if self.count == 0:
             return 0.0
-        return self.total_ms / len(self.samples_ms)
+        return self.total_ms / self.count
 
     @property
     def median_ms(self) -> float:
-        """Median sample in milliseconds (0.0 when empty)."""
+        """Median of the recent samples in milliseconds (0.0 when empty)."""
         if not self.samples_ms:
             return 0.0
         ordered = sorted(self.samples_ms)
@@ -110,22 +138,12 @@ class TimingStats:
 
     @property
     def stdev_ms(self) -> float:
-        """Population standard deviation in milliseconds (0.0 when < 2)."""
+        """Population standard deviation of the recent samples (0.0 when < 2)."""
         if len(self.samples_ms) < 2:
             return 0.0
-        mean = self.mean_ms
+        mean = sum(self.samples_ms) / len(self.samples_ms)
         variance = sum((s - mean) ** 2 for s in self.samples_ms) / len(self.samples_ms)
         return math.sqrt(variance)
-
-    @property
-    def max_ms(self) -> float:
-        """Maximum sample in milliseconds (0.0 when empty)."""
-        return max(self.samples_ms) if self.samples_ms else 0.0
-
-    @property
-    def min_ms(self) -> float:
-        """Minimum sample in milliseconds (0.0 when empty)."""
-        return min(self.samples_ms) if self.samples_ms else 0.0
 
     def summary(self) -> str:
         """A one-line human-readable summary."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -270,6 +271,51 @@ def test_backend_mismatch_rejected(tmp_path):
     path = engine.save(tmp_path / "ckpt")
     with pytest.raises(CheckpointError, match="backend"):
         KSIREngine.load(path, config=CONFIGS["sharded"])
+
+
+PIPE_SHARDS = EngineConfig(
+    backend="sharded",
+    processor=PROCESSOR,
+    cluster=ClusterConfig(num_shards=2, transport="pipe"),
+)
+
+
+def live_shard_processes():
+    return [
+        child.name
+        for child in multiprocessing.active_children()
+        if child.name.startswith("ksir-shard-")
+    ]
+
+
+def test_failed_load_closes_the_engine_it_built(tmp_path):
+    """A rejected load leaves no shard process behind."""
+    model, elements = build_stream(seed=5)
+    members, end_time = buckets_of(elements)[0]
+    with KSIREngine(model, CONFIGS["local"]) as engine:
+        engine.ingest_bucket(members, end_time)
+        path = engine.save(tmp_path / "local")
+    assert live_shard_processes() == []
+    with pytest.raises(CheckpointError, match="backend"):
+        KSIREngine.load(path, config=PIPE_SHARDS)
+    assert live_shard_processes() == []
+
+
+def test_failed_restore_closes_the_engine_it_built(tmp_path):
+    """The same when restore_state itself raises on a truncated state."""
+    model, elements = build_stream(seed=5)
+    members, end_time = buckets_of(elements)[0]
+    with KSIREngine(model, PIPE_SHARDS) as engine:
+        engine.ingest_bucket(members, end_time)
+        path = engine.save(tmp_path / "sharded")
+    state_file = path / "state.json"
+    state = json.loads(state_file.read_text())
+    state["coordinator"] = {"buckets_processed": 1}
+    state_file.write_text(json.dumps(state))
+    assert live_shard_processes() == []
+    with pytest.raises(KeyError):
+        KSIREngine.load(path)
+    assert live_shard_processes() == []
 
 
 def test_window_length_mismatch_rejected(tmp_path):

@@ -242,6 +242,41 @@ class TestFacadeSurface:
             assert engine.backend_name == backend
             engine.close()
 
+    @pytest.mark.parametrize(
+        "cluster, substrate_keys",
+        [
+            (None, {"ranked_tuples", "snapshot_builds"}),
+            (ClusterConfig(num_shards=2, transport="serial"), {"num_shards", "shards"}),
+        ],
+        ids=["local", "sharded"],
+    )
+    def test_service_stats_are_the_substrate_stats_plus_the_serving_keys(
+        self, tiny_dataset, cluster, substrate_keys
+    ):
+        serving = {"standing_queries", "evaluations", "reused", "incremental", "sharded"}
+        elements = tiny_dataset.stream.elements[:40]
+        service = EngineConfig(backend="service", cluster=cluster)
+        plain = EngineConfig(
+            backend="local" if cluster is None else "sharded", cluster=cluster
+        )
+        with KSIREngine(tiny_dataset.topic_model, service) as engine, KSIREngine(
+            tiny_dataset.topic_model, plain
+        ) as substrate:
+            engine.register(tiny_dataset.make_query(k=3, topic=0))
+            for each in (engine, substrate):
+                each.ingest_bucket(elements, elements[-1].timestamp)
+            stats, substrate_stats = engine.stats(), substrate.stats()
+        assert substrate_keys <= set(substrate_stats)
+        assert set(stats) == set(substrate_stats) | serving
+        assert stats["backend"] == "service"
+        assert stats["sharded"] is (cluster is not None)
+        assert stats["standing_queries"] == stats["evaluations"] == 1
+        for key in set(substrate_stats) - {"backend", "snapshot_builds", "kernels"}:
+            assert stats[key] == substrate_stats[key], key
+        if cluster is None:
+            # One bucket, one standing evaluation, one snapshot; none ad hoc.
+            assert (stats["snapshot_builds"], substrate_stats["snapshot_builds"]) == (1, 0)
+
     def test_closed_engine_rejects_work(self, tiny_dataset):
         engine = KSIREngine(tiny_dataset.topic_model, EngineConfig())
         engine.close()

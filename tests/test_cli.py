@@ -154,7 +154,7 @@ class TestServeCommand:
         assert "standing queries" in output
         assert "p50" in output and "p99" in output
         assert "re-eval ratio" in output
-        assert "snapshot cache" in output
+        assert "snapshot cache" not in output
         assert "q00000" in output  # sample standing results are printed
 
     def test_serve_naive_mode(self, capsys):

@@ -8,7 +8,9 @@ import pytest
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.query import KSIRQuery
+from repro.core.ranked_list import RankedListIndex
 from repro.core.stream import SocialStream
+from repro.utils.timing import RECENT_SAMPLES
 from tests.conftest import (
     PAPER_SCORING,
     PAPER_WINDOW_LENGTH,
@@ -134,6 +136,28 @@ class TestStreamIngestion:
     def test_timers_collect_samples(self, paper_processor):
         assert paper_processor.ingest_timer.count == 8
         assert paper_processor.update_timer.count > 0
+
+    def test_update_timer_counts_operations_in_bounded_memory(
+        self, tiny_dataset, monkeypatch
+    ):
+        """One recent sample per maintained bucket, one count per tuple operation."""
+        applied = []
+        bulk_update = RankedListIndex.bulk_update
+
+        def counting(self, inserts=(), removes=(), scored_refreshes=()):
+            applied.append(len(inserts) + len(removes) + len(scored_refreshes))
+            bulk_update(self, inserts, removes, scored_refreshes)
+
+        monkeypatch.setattr(RankedListIndex, "bulk_update", counting)
+        config = ProcessorConfig(window_length=3 * 3600, bucket_length=100)
+        processor = build_processor(tiny_dataset.topic_model, config)
+        processor.process_stream(tiny_dataset.stream)
+        assert processor.buckets_processed >= 200
+        timer = processor.update_timer
+        assert timer.count == sum(applied) > len(tiny_dataset.stream.elements)
+        assert len(timer.samples_ms) == sum(1 for operations in applied if operations)
+        assert len(timer.samples_ms) <= RECENT_SAMPLES
+        assert timer.mean_ms == pytest.approx(timer.total_ms / sum(applied))
 
 
 class TestQueryProcessing:

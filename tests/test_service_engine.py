@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.core.algorithms import ALGORITHM_REGISTRY
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
@@ -48,7 +50,7 @@ def replay_paper(engine: ServiceEngine, until: int = 8) -> None:
 
 
 class TestSnapshotCache:
-    """Snapshot hit/miss accounting, derived from the processor's build count."""
+    """Standing evaluations share the processor's memoised per-bucket snapshot."""
 
     def _engine(self) -> ServiceEngine:
         engine = paper_engine()
@@ -59,10 +61,8 @@ class TestSnapshotCache:
     def test_same_context_within_a_bucket(self):
         with self._engine() as engine:
             replay_paper(engine, until=1)
+            assert engine.metrics.evaluations == 2
             assert engine.processor.snapshot_builds == 1
-            assert engine.metrics.snapshot_misses == 1
-            assert engine.metrics.snapshot_hits == 1
-            assert engine.metrics.snapshot_hit_rate == pytest.approx(0.5)
 
     def test_invalidated_by_ingestion(self):
         with self._engine() as engine:
@@ -72,20 +72,19 @@ class TestSnapshotCache:
             third = build_paper_elements()[2]
             engine.ingest_bucket([third], end_time=third.timestamp)
             assert engine.processor.snapshot() is not first
-            assert engine.metrics.snapshot_misses == engine.metrics.buckets == 3
-            assert engine.processor.snapshot_builds == 3
+            assert engine.processor.snapshot_builds == engine.metrics.buckets == 3
 
     def test_cold_cache_has_no_version(self):
         with self._engine() as engine:
-            assert engine.metrics.snapshot_hit_rate == 0.0
+            assert engine.processor.snapshot_builds == 0
             replay_paper(engine, until=2)
-            # A restore drops the processor's memo and zeroes the metrics:
-            # the next evaluation pays for exactly one fresh context.
+            # A restore drops the processor's memo: the next bucket's
+            # evaluations pay for exactly one fresh context.
             engine.restore_state(engine.state_dict())
-            assert engine.metrics.snapshot_misses == 0
+            assert engine.processor.snapshot_builds == 2
             third = build_paper_elements()[2]
             engine.ingest_bucket([third], end_time=third.timestamp)
-            assert engine.metrics.snapshot_misses == 1
+            assert engine.processor.snapshot_builds == 3
 
 
 class TestIncrementalScheduler:
@@ -276,7 +275,55 @@ class TestServiceEngineBasics:
             assert "standing queries" in report
             assert "p50" in report and "p99" in report
             assert "re-eval ratio" in report
-            assert "snapshot cache" in report
+            assert "snapshot cache" not in report
+
+
+class TestStandingQueryIsAQuery:
+    """A standing evaluation is the substrate's ad-hoc query, field for field."""
+
+    CONFIG = ProcessorConfig(
+        window_length=3 * 3600,
+        bucket_length=1800,
+        scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
+    )
+    #: One registry name per registered algorithm class (aliases collapse).
+    ALGORITHMS = sorted({cls: name for name, cls in ALGORITHM_REGISTRY.items()}.values())
+
+    def _replay(self, tiny_dataset, substrate, fields):
+        query = tiny_dataset.make_query(k=4, topic=1)
+        buckets = 0
+        # Naive maintenance: every standing query is fresh after every bucket.
+        with build_service_engine(substrate, incremental=False) as service:
+            for algorithm in self.ALGORITHMS:
+                service.register(query, query_id=algorithm, algorithm=algorithm)
+            for bucket in tiny_dataset.stream.buckets(self.CONFIG.bucket_length):
+                service.ingest_bucket(bucket.elements, bucket.end_time)
+                buckets += 1
+                for algorithm in self.ALGORITHMS:
+                    standing = service.result(algorithm).result
+                    adhoc = substrate.query(query, algorithm=algorithm)
+                    for name in fields:
+                        assert getattr(standing, name) == getattr(adhoc, name), (
+                            buckets, algorithm, name,
+                        )
+        assert buckets >= 8
+
+    def test_local_answers_equal_adhoc_answers(self, tiny_dataset):
+        assert len(self.ALGORITHMS) == 6
+        self._replay(
+            tiny_dataset,
+            build_processor(tiny_dataset.topic_model, self.CONFIG),
+            ("element_ids", "score", "algorithm", "evaluated_elements",
+             "active_elements", "extras"),
+        )
+
+    def test_sharded_answers_equal_adhoc_answers(self, tiny_dataset):
+        with ClusterCoordinator(
+            tiny_dataset.topic_model,
+            self.CONFIG,
+            cluster=ClusterConfig(num_shards=3, transport="serial"),
+        ) as coordinator:
+            self._replay(tiny_dataset, coordinator, ("element_ids", "score"))
 
 
 class TestIncrementalMaintenance:

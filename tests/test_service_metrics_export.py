@@ -34,8 +34,6 @@ class TestToDict:
             reused=2,
             full_reevals=1,
             expired_queries=1,
-            snapshot_hits=5,
-            snapshot_misses=1,
         )
         metrics.eval_latency.add_ms(2.0)
         metrics.eval_latency.add_ms(4.0)
@@ -48,7 +46,7 @@ class TestToDict:
         assert snapshot["opportunities"] == 8
         assert snapshot["reeval_ratio"] == 6 / 8
         assert snapshot["result_cache_hit_rate"] == 2 / 8
-        assert snapshot["snapshot_hit_rate"] == 5 / 6
+        assert not [key for key in snapshot if key.startswith("snapshot")]
         assert snapshot["maintenance_seconds"] == 0.5
         assert snapshot["queries_per_sec"] == 8 / 0.5
         assert snapshot["evaluations_per_sec"] == 6 / 0.5

@@ -150,10 +150,3 @@ class TestServiceMetrics:
         metrics.maintenance_timer.add(2.0)
         assert metrics.queries_per_sec == pytest.approx(20.0)
         assert metrics.evaluations_per_sec == pytest.approx(5.0)
-
-    def test_snapshot_hit_rate(self):
-        metrics = ServiceMetrics()
-        assert metrics.snapshot_hit_rate == 0.0
-        metrics.snapshot_hits = 9
-        metrics.snapshot_misses = 1
-        assert metrics.snapshot_hit_rate == pytest.approx(0.9)

@@ -2,8 +2,8 @@
 
 The serving and cluster layers both lean on these two pieces of bookkeeping:
 the processor's snapshot memo must version correctly on ``buckets_processed``
-(the service derives its snapshot hit/miss metrics from the processor's
-``snapshot_builds`` counter) and the ranked lists must report dirty topics
+(every standing evaluation of a bucket goes through ``processor.query`` and
+shares it; ``snapshot_builds`` counts the builds) and the ranked lists must report dirty topics
 across every mutation path — including :meth:`RankedListIndex.clear`.
 """
 
@@ -31,9 +31,10 @@ class TestSnapshotCache:
     def test_cold_cache_reports_nothing(self, fresh_processor):
         assert fresh_processor.snapshot_builds == 0
         with build_service_engine(fresh_processor) as engine:
-            metrics = engine.metrics
-            assert metrics.snapshot_hits == 0 and metrics.snapshot_misses == 0
-            assert metrics.snapshot_hit_rate == 0.0
+            # Adopting a processor and registering a query evaluates nothing.
+            engine.register(KSIRQuery(k=2, vector=np.array([1.0, 0.0])))
+            assert engine.metrics.evaluations == 0
+            assert fresh_processor.snapshot_builds == 0
 
     def test_miss_then_hits_share_one_context(self, fresh_processor, paper_elements):
         fresh_processor.process_bucket(paper_elements[:3], end_time=3)
@@ -60,15 +61,14 @@ class TestSnapshotCache:
         self, fresh_processor, paper_elements
     ):
         # Every evaluation of a bucket shares the processor's memoised
-        # context: one build (one miss), the other evaluation is a hit, and
-        # an ad-hoc query afterwards reuses the same object.
+        # context: two evaluations, one build, and an ad-hoc query
+        # afterwards reuses the same object.
         with build_service_engine(fresh_processor) as engine:
             engine.register(KSIRQuery(k=2, vector=np.array([1.0, 0.0])))
             engine.register(KSIRQuery(k=2, vector=np.array([0.0, 1.0])))
             engine.ingest_bucket(paper_elements[:4], end_time=4)
+            assert engine.metrics.evaluations == 2
             assert fresh_processor.snapshot_builds == 1
-            assert engine.metrics.snapshot_misses == 1
-            assert engine.metrics.snapshot_hits == 1
             context = fresh_processor.snapshot()
             assert fresh_processor.snapshot() is context
             assert fresh_processor.snapshot_builds == 1

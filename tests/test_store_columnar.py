@@ -117,17 +117,6 @@ class TestElementStore:
         store.release(7)
         assert store.profile_matrix[row].tolist() == [0.0, 0.0, 0.0, 0.0]
 
-    def test_topic_epochs(self):
-        store = ElementStore(num_topics=5)
-        assert store.dirty_topics_since(0) == ()
-        store.mark_topics_dirty([1, 3])
-        cursor = store.epoch
-        assert store.dirty_topics_since(0) == (1, 3)
-        store.mark_topics_dirty([3, 4])
-        assert store.dirty_topics_since(cursor) == (3, 4)
-        assert store.dirty_topics_since(0) == (1, 3, 4)
-        assert store.dirty_topics_since(store.epoch) == ()
-
     def test_vectorised_scans(self):
         store = ElementStore(num_topics=1)
         for element_id, timestamp in ((1, 1), (2, 5), (3, 9)):
@@ -482,25 +471,41 @@ class TestColumnarBackendEquivalence:
             columnar.ranked_lists.take_dirty_topics()
             == oracle.ranked_lists.take_dirty_topics()
         )
-        # The store's epoch stamps cover the same topics the dirty sets saw.
-        assert columnar.store.epoch > 0
         assert columnar.window.validate()
 
-    def test_store_epochs_drive_the_scheduler(self):
-        """The scheduler's dirty topics come from the store's epoch stamps;
-        they equal what draining the oracle's dirty set yields per bucket."""
+    def test_store_epochs_drive_the_scheduler(self, tmp_path):
+        """The plan reads the one dirty set: the ranked lists' drained one.
+        Per bucket it equals what draining the oracle's yields, and a set
+        saved undrained reaches the first plan after a load."""
         model, elements = build_reference_stream(11, 24, 3, 10)
         buckets = bucketise(elements, 2)
+        half = len(buckets) // 2
         query = KSIRQuery(k=3, vector=np.array([1.0, 0.0, 0.0]))
         config = engine_config("service", window_length=12)
         oracle = Oracle.for_config(model, config.processor)
         with KSIREngine(model, config) as engine:
             engine.register(query, query_id="standing")
             service = engine.service_engine
-            for members, end_time in buckets:
+            for members, end_time in buckets[:half]:
                 plan = service.ingest_bucket(members, end_time)
                 oracle.process_bucket(members, end_time)
                 assert plan.dirty_topics == oracle.ranked_lists.take_dirty_topics()
+            # One bucket reaches the processor behind the service's back, so
+            # the checkpoint carries a dirty set nobody drained.
+            members, end_time = buckets[half]
+            service.processor.process_bucket(members, end_time)
+            oracle.process_bucket(members, end_time)
+            carried = set(oracle.ranked_lists.take_dirty_topics())
+            assert carried
+            engine.save(tmp_path / "checkpoint")
+        with KSIREngine.load(tmp_path / "checkpoint") as engine:
+            service = engine.service_engine
+            for members, end_time in buckets[half + 1:]:
+                plan = service.ingest_bucket(members, end_time)
+                oracle.process_bucket(members, end_time)
+                carried.update(oracle.ranked_lists.take_dirty_topics())
+                assert plan.dirty_topics == tuple(sorted(carried))
+                carried.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import derive_seed, make_rng, spawn_rng
-from repro.utils.timing import StopWatch, TimingStats
+from repro.utils.timing import RECENT_SAMPLES, StopWatch, TimingStats
 from repro.utils.validation import (
     require_in_range,
     require_non_negative,
@@ -78,6 +78,29 @@ class TestTimingStats:
         left.extend(right)
         assert list(left) == [1.0, 2.0]
         assert len(left) == 2
+
+    def test_samples_are_bounded_and_totals_exact(self):
+        stats = TimingStats()
+        calls = 10 * RECENT_SAMPLES
+        for value in range(1, calls + 1):
+            stats.add_ms(float(value))
+        assert len(stats.samples_ms) == RECENT_SAMPLES
+        assert list(stats.samples_ms)[-1] == float(calls)
+        assert stats.count == calls
+        assert stats.total_ms == calls * (calls + 1) / 2
+        assert stats.mean_ms == (calls + 1) / 2
+        assert stats.max_ms == float(calls) and stats.min_ms == 1.0
+        # The median describes the recent tail, not the whole history.
+        assert stats.median_ms == calls - (RECENT_SAMPLES - 1) / 2
+
+    def test_add_many_keeps_the_per_operation_mean(self):
+        stats = TimingStats()
+        stats.add_many(0.006, 3)
+        stats.add_many(0.001, 0)  # an empty bucket records nothing
+        assert stats.count == 3
+        assert stats.total_ms == pytest.approx(6.0)
+        assert stats.mean_ms == pytest.approx(2.0)
+        assert list(stats.samples_ms) == [pytest.approx(2.0)]
 
     def test_summary_is_readable(self):
         stats = TimingStats(name="queries")
