@@ -6,7 +6,8 @@ backend:
 
 1. the same :class:`repro.KSIREngine` replays a stream on the ``local``
    and the ``sharded`` backends — switching is one field in
-   :class:`repro.EngineConfig`;
+   :class:`repro.EngineConfig`; an element's home shard is a hash of its
+   id (``repro.cluster.shard_of``), so the shards need no routing state;
 2. an ad-hoc k-SIR query is answered by scatter-gather on the sharded
    engine and checked against the local engine, element for element;
 3. the ``service`` backend runs standing queries over the same shard
@@ -55,7 +56,7 @@ CONFIG = EngineConfig(
         bucket_length=900,
         scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
     ),
-    cluster=ClusterConfig(num_shards=NUM_SHARDS, partitioner="load-balanced"),
+    cluster=ClusterConfig(num_shards=NUM_SHARDS),
 )
 
 

@@ -43,8 +43,8 @@ PROFILE = replace(
     duration=12 * 3600,
 )
 
-#: One standing topic monitor per user; users 0..NUM_MONITORS-1 watch topics
-#: round-robin.
+#: One standing topic monitor per user; users 0..NUM_MONITORS-1 watch the
+#: topics in rotation.
 NUM_MONITORS = 30
 
 

@@ -209,6 +209,15 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointPayload:
     for required in (MODEL_FILE, STATE_FILE):
         if not (directory / required).exists():
             raise CheckpointError(f"{directory} is missing {required}")
+    partitioner = (manifest["config"].get("cluster") or {}).get("partitioner", "hash")
+    if partitioner != "hash":
+        # Not a configuration to correct: the state itself is unusable.
+        raise CheckpointError(
+            f"{directory} was written by a cluster partitioned by "
+            f"{partitioner!r}, which is no longer supported: 'hash' is the "
+            "only partitioner left and homes the elements on other shards "
+            "than this checkpoint holds them on; re-ingest the stream"
+        )
     config = EngineConfig.from_dict(manifest["config"])
     topic_model = MatrixTopicModel.load(directory / MODEL_FILE)
     try:

@@ -319,6 +319,10 @@ class EngineConfig:
 #: sequential ingest path, mapped to the only value each may still carry.
 _RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
 
+#: The same for ``ClusterConfig``: ``round-robin`` and ``load-balanced``
+#: (PR 22) homed elements where ``shard_of`` does not.
+_RETIRED_CLUSTER_KEYS = {"partitioner": "hash"}
+
 #: Fan-out spellings of manifests written before PR 16 → the transport that
 #: survived them.  ``thread`` (the old default) was the ``serial`` workers
 #: behind a pool and ``shm`` the ``pipe`` processes with another payload
@@ -326,16 +330,21 @@ _RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
 _RETIRED_TRANSPORTS = {"thread": "serial", "shm": "pipe", "process": "pipe"}
 
 
-def _retired_processor(written: Dict[str, Any]) -> None:
-    for key, surviving in _RETIRED_PROCESSOR_KEYS.items():
+def _pop_retired(section: str, keys: Mapping[str, Any], written: Dict[str, Any]) -> None:
+    for key, surviving in keys.items():
         if key in written and written.pop(key) != surviving:
             raise ValueError(
-                f"processor.{key} is no longer supported: the {key!r} option "
+                f"{section}.{key} is no longer supported: the {key!r} option "
                 f"was retired and {surviving!r} is the only behaviour left"
             )
 
 
+def _retired_processor(written: Dict[str, Any]) -> None:
+    _pop_retired("processor", _RETIRED_PROCESSOR_KEYS, written)
+
+
 def _retired_cluster(written: Dict[str, Any]) -> None:
+    _pop_retired("cluster", _RETIRED_CLUSTER_KEYS, written)
     # ``backend`` (the fan-out when ``transport`` was null) and
     # ``max_workers`` (the thread pool's size) are in every older manifest.
     written.pop("max_workers", None)
@@ -406,9 +415,6 @@ _FLAGS = (
           default="single", choices=("single", "cluster")),
     _Flag("--shards", "cluster.num_shards", int,
           "number of shards (cluster backend only)"),
-    _Flag("--partitioner", "cluster.partitioner", str,
-          "element partitioning strategy (cluster backend only)",
-          choices=("hash", "round-robin", "load-balanced")),
     _Flag("--transport", "cluster.transport", str,
           "cluster transport (serial = in-process shard workers, "
           "pipe = one process per shard)", choices=transport_names),

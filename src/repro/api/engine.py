@@ -377,7 +377,7 @@ class KSIREngine:
         lists and query answers (within float re-association noise) as an
         uninterrupted run.  ``config`` may override the persisted
         configuration — the processor/cluster shape must stay compatible
-        (window length, shard count, partitioner), which the layer-wise
+        (window length, shard count), which the layer-wise
         restores enforce; ``inferencer`` overrides the persisted
         inference settings (needed for stateful Gibbs inference, whose
         RNG is not serialisable).

@@ -4,8 +4,8 @@ The cluster layer partitions the stream across ``N`` shards, each owning a
 partition-restricted :class:`~repro.core.processor.KSIRProcessor`, and keeps
 sharding *transparent*: queries return exactly the single-node answers.
 
-* :class:`ShardPlanner` + partitioning strategies (``hash``,
-  ``round-robin``, ``load-balanced``) — element → home-shard assignment and
+* :func:`shard_of` / :class:`ShardPlanner` — the
+  element → home-shard function (a hash of the id, nothing remembered) and
   the routing of followers to their parents' shards (exact influence);
 * :class:`ShardWorker` / :class:`CandidatePool` — per-shard ingestion and
   bounded candidate export for scatter-gather queries;
@@ -23,17 +23,7 @@ sharding *transparent*: queries return exactly the single-node answers.
 
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.cluster.merge import MergedCandidateContext, merge_candidate_pools
-from repro.cluster.partition import (
-    PARTITIONER_REGISTRY,
-    HashPartitioner,
-    LoadBalancedPartitioner,
-    OwnershipTable,
-    PartitionStrategy,
-    RoundRobinPartitioner,
-    RoutedBucket,
-    ShardPlanner,
-    make_partitioner,
-)
+from repro.cluster.partition import RoutedBucket, ShardPlanner, shard_of
 from repro.cluster.transport import (
     TransportBackend,
     create_transport,
@@ -48,23 +38,17 @@ __all__ = [
     "ClusterConfig",
     "ClusterCoordinator",
     "EquivalenceReport",
-    "HashPartitioner",
-    "LoadBalancedPartitioner",
     "MergedCandidateContext",
-    "OwnershipTable",
-    "PARTITIONER_REGISTRY",
-    "PartitionStrategy",
     "QueryComparison",
-    "RoundRobinPartitioner",
     "RoutedBucket",
     "ShardPlanner",
     "ShardStats",
     "ShardWorker",
     "TransportBackend",
     "create_transport",
-    "make_partitioner",
     "merge_candidate_pools",
     "register_transport",
+    "shard_of",
     "transport_names",
     "verify_equivalence",
 ]

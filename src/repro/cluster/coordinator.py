@@ -7,7 +7,7 @@ over ``N`` :class:`~repro.cluster.worker.ShardWorker` partitions planned by a
 :class:`~repro.cluster.partition.ShardPlanner`.
 
 **Ingestion** routes each element to its home shard plus the home shards of
-its referenced parents (exact influence accounting; see the partition module)
+its references (exact influence accounting; see the partition module)
 and fans the routed buckets out over the configured transport: ``serial``
 (in-process workers, the default and the reference every recorded answer
 runs on) or ``pipe`` (one OS process per shard, for isolation and
@@ -52,7 +52,7 @@ from repro.core.query import KSIRQuery, QueryResult
 from repro.core.scoring import ElementProfile, KSIRObjective, ScoringContext
 from repro.core.stream import SocialStream, replay_stream
 from repro.cluster.merge import merge_candidate_pools
-from repro.cluster.partition import RoutedBucket, ShardPlanner
+from repro.cluster.partition import RoutedBucket, ShardPlanner, home_filter
 from repro.cluster.transport import (
     TransportBackend,
     create_transport,
@@ -74,9 +74,6 @@ class ClusterConfig:
     num_shards:
         Number of partitions (1 degenerates to single-node behaviour with
         routing overhead).
-    partitioner:
-        Partitioning strategy name (``hash``, ``round-robin``,
-        ``load-balanced``).
     transport:
         Fan-out transport name resolved through the
         :func:`repro.cluster.register_transport` registry: ``serial``
@@ -92,7 +89,6 @@ class ClusterConfig:
     """
 
     num_shards: int = 4
-    partitioner: str = "hash"
     transport: str = "serial"
     candidate_budget: Optional[int] = None
     budget_scale: float = 1.0
@@ -115,10 +111,6 @@ class ClusterConfig:
 
 class _LocalFanout:
     """Same-thread fan-out over in-process shard workers (``serial``)."""
-
-    #: In-process workers share the planner; routed buckets need no
-    #: ownership entries (see ``TransportBackend.ships_owners``).
-    ships_owners = False
 
     def __init__(self, workers: Sequence[ShardWorker]):
         self._workers = list(workers)
@@ -154,25 +146,11 @@ class _LocalFanout:
     def states(self) -> List[Dict[str, object]]:
         return [worker.state_dict() for worker in self._workers]
 
-    # The home filters read the coordinator's planner, which the coordinator
-    # restores itself: the shipped ownership table is not needed here.
-
-    def restore_all(
-        self,
-        states: Sequence[Mapping[str, object]],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
+    def restore_all(self, states: Sequence[Mapping[str, object]]) -> None:
         for worker, state in zip(self._workers, states):
             worker.restore_state(state)
 
-    def restore_shard(
-        self,
-        shard_id: int,
-        state: Mapping[str, object],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
+    def restore_shard(self, shard_id: int, state: Mapping[str, object]) -> None:
         self._workers[shard_id].restore_state(state)
 
     def close(self) -> None:
@@ -193,15 +171,12 @@ class ClusterCoordinator:
         self._config = config or ProcessorConfig()
         self._cluster = cluster or ClusterConfig()
         self._inferencer = inferencer or TopicInferencer(topic_model)
-        self._planner = ShardPlanner(
-            self._cluster.num_shards, strategy=self._cluster.partitioner
-        )
+        self._planner = ShardPlanner(self._cluster.num_shards)
         self._buckets_processed = 0
         self._elements_processed = 0
         self._current_time: Optional[int] = None
         self._active_cache: Optional[Tuple[int, int]] = None
         self._ingest_timer = TimingStats(name="cluster-ingest")
-        self._scatter_timer = TimingStats(name="cluster-scatter")
         self._closed = False
 
         # The concrete fan-out is resolved through the transport registry
@@ -210,10 +185,6 @@ class ClusterCoordinator:
         self._fanout: TransportBackend = create_transport(
             self._cluster.transport, self
         )
-
-    def _make_home_filter(self, shard_id: int):
-        planner = self._planner
-        return lambda element_id: planner.owner(element_id) == shard_id
 
     # -- metadata -----------------------------------------------------------------
 
@@ -234,7 +205,7 @@ class ClusterCoordinator:
 
     @property
     def planner(self) -> ShardPlanner:
-        """The shard planner (ownership and routing)."""
+        """The shard planner (routing; ownership is ``shard_of``)."""
         return self._planner
 
     @property
@@ -286,11 +257,6 @@ class ClusterCoordinator:
         """Coordinator-side per-bucket fan-out wall times."""
         return self._ingest_timer
 
-    @property
-    def scatter_timer(self) -> TimingStats:
-        """Per-query scatter (candidate export) wall times."""
-        return self._scatter_timer
-
     def shard_stats(self) -> List[ShardStats]:
         """Per-shard accounting snapshots."""
         return self._fanout.stats()
@@ -318,10 +284,7 @@ class ClusterCoordinator:
         self._require_open()
         with self._ingest_timer.measure():
             prepared = self.prepare_elements(elements)
-            routed = self._planner.route_bucket(
-                prepared, with_owners=self._fanout.ships_owners
-            )
-            self._fanout.ingest(routed, end_time)
+            self._fanout.ingest(self._planner.route_bucket(prepared), end_time)
             self.commit_bucket(len(prepared), end_time)
 
     def commit_bucket(self, num_elements: int, end_time: int) -> None:
@@ -337,10 +300,6 @@ class ClusterCoordinator:
         self._elements_processed += int(num_elements)
         self._buckets_processed += 1
         self._current_time = int(end_time)
-        # Ownership entries of elements inactive everywhere (even out of
-        # every shard's archive) are routing dead weight; trim with the
-        # archive's own horizon so memory stays bounded on endless streams.
-        self._planner.expire(end_time, self._config.archive_horizon)
 
     def process_stream(
         self,
@@ -378,8 +337,7 @@ class ClusterCoordinator:
 
         watch = StopWatch()
         watch.start()
-        with self._scatter_timer.measure():
-            pools = self._fanout.export(ksir_query.vector, budget)
+        pools = self._fanout.export(ksir_query.vector, budget)
         context, index = merge_candidate_pools(
             pools,
             num_topics=self._model.num_topics,
@@ -450,10 +408,10 @@ class ClusterCoordinator:
     def state_dict(self) -> Dict[str, object]:
         """A JSON-serialisable snapshot of the whole cluster.
 
-        Serialises the coordinator counters, the planner (ownership table
-        plus strategy state) and every shard worker (gathered over the pipes
-        on the ``pipe`` transport), so every transport is checkpointable and
-        a checkpoint taken on one loads on the other.
+        Serialises the coordinator counters, the planner (the shard count:
+        ownership is a function, not state) and every shard worker (gathered
+        over the pipes on the ``pipe`` transport), so every transport is
+        checkpointable and a checkpoint taken on one loads on the other.
         """
         return {
             "buckets_processed": self._buckets_processed,
@@ -477,12 +435,7 @@ class ClusterCoordinator:
         self._current_time = None if current_time is None else int(current_time)
         self._active_cache = None
         self._planner.restore_state(state["planner"])
-        # Remote workers also need the ownership table their home filters
-        # consult; ship the planner's full map (entries for other shards'
-        # elements keep foreign-replica filtering exact).
-        self._fanout.restore_all(
-            shard_states, self._planner.owners_snapshot(), self._current_time or 0
-        )
+        self._fanout.restore_all(shard_states)
 
     # -- failover hooks (repro.ha) ------------------------------------------------------
 
@@ -491,22 +444,11 @@ class ClusterCoordinator:
 
         Used by the supervisor after :meth:`ProcessFanout.restart_shard`:
         the fresh worker process receives the shard's slice of the latest
-        checkpoint plus the planner's ownership table.  The planner first
-        recalls the checkpoint's entries it has trimmed since: the gap
-        replay that follows re-lives the buckets after the checkpoint, when
-        those elements were still owned (their tuples must leave the shard's
-        lists as they expire, a late reference must still find their home).
-        Entries of other shards and of later buckets are harmless — the
-        filter only tests equality with the worker's own shard id — and the
-        recalled ones age out again one horizon after the next bucket.
+        checkpoint; the WAL gap follows through
+        :meth:`replay_bucket_to_shard`.
         """
-        self._planner.recall(state["planner"])
-        self._fanout.restore_shard(
-            shard_id,
-            state["workers"][shard_id],
-            self._planner.owners_snapshot(),
-            self._current_time or 0,
-        )
+        self._planner.restore_state(state["planner"])
+        self._fanout.restore_shard(shard_id, state["workers"][shard_id])
         self._active_cache = None
 
     def replay_bucket_to_shard(
@@ -514,16 +456,12 @@ class ClusterCoordinator:
     ) -> None:
         """Re-ingest one logged bucket into a single shard (WAL gap replay).
 
-        Routing is recomputed through the planner, which is idempotent for
-        already-seen elements (ownership is memoised and activity times are
-        max-raised), so replay produces byte-identical routed buckets.
-        Only the slice destined for ``shard_id`` is shipped; the other
-        shards already hold the bucket.
+        Routing is a pure function of the elements, so the replayed slice
+        is the one the shard received (or would have) the first time.  Only
+        the slice destined for ``shard_id`` is shipped; the other shards
+        already hold the bucket.
         """
-        prepared = self.prepare_elements(elements)
-        routed = self._planner.route_bucket(
-            prepared, with_owners=self._fanout.ships_owners
-        )
+        routed = self._planner.route_bucket(self.prepare_elements(elements))
         self._fanout.ingest_shard(routed[shard_id], end_time)
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -557,7 +495,7 @@ def _serial_transport(coordinator: ClusterCoordinator) -> TransportBackend:
                 coordinator.topic_model,
                 coordinator.config,
                 inferencer=coordinator._inferencer,
-                home_filter=coordinator._make_home_filter(shard_id),
+                home_filter=home_filter(shard_id, coordinator.num_shards),
             )
             for shard_id in range(coordinator.num_shards)
         ]

@@ -5,11 +5,9 @@ Protocol per command: the coordinator scatters a message to every shard
 pipe, then gathers every reply — so shards genuinely overlap on multi-core
 machines, and a crash or a kill takes down one shard, not the engine.
 
-State that must agree between the planner (coordinator side) and the home
-filters (shard side) is the element → home-shard table: each
-:class:`~repro.cluster.partition.RoutedBucket` carries the ownership entries
-for its routed elements and their references, and the remote worker replays
-them into a local table before ingesting.
+The coordinator's routing and the workers' home filters agree without
+exchanging anything: both are :func:`~repro.cluster.partition.shard_of`, a
+pure function of the element id and the shard count.
 
 Costs to be aware of: per-bucket pickling of the routed elements, per-query
 pickling of the candidate pools and, at startup, pickling of the topic model
@@ -41,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.processor import ProcessorConfig
-from repro.cluster.partition import OwnershipTable, RoutedBucket
+from repro.cluster.partition import RoutedBucket, home_filter
 from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
 from repro.topics.model import TopicModel
 
@@ -73,13 +71,10 @@ class ShardFailure(RuntimeError):
         super().__init__(message)
 
 
-def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorConfig) -> None:
+def _shard_main(
+    conn, shard_id: int, num_shards: int, topic_model: TopicModel, config: ProcessorConfig
+) -> None:
     """The shard process loop: execute commands until ``close`` arrives."""
-    # The worker's copy of the planner's ownership table, replayed from the
-    # entries shipped with each routed bucket.  Shipping times never trail
-    # true activity times, so it is only ever trimmed later than the
-    # planner's — safe.
-    owners = OwnershipTable()
     # Fault-injection knobs (repro.ha.chaos): a positive ping delay makes
     # the worker look hung to heartbeat probes without killing it.
     chaos: Dict[str, float] = {"ping_delay": 0.0}
@@ -87,7 +82,7 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
         shard_id,
         topic_model,
         config,
-        home_filter=lambda element_id: owners.get(element_id) == shard_id,
+        home_filter=home_filter(shard_id, num_shards),
     )
     while True:
         try:
@@ -96,10 +91,8 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
             break
         try:
             if command == "ingest":
-                elements, end_time, owner_updates, home_count = payload
-                owners.update(owner_updates, end_time)
+                elements, end_time, home_count = payload
                 worker.ingest(elements, end_time, home_count=home_count)
-                owners.expire(end_time, config.archive_horizon)
                 conn.send(("ok", None))
             elif command == "export":
                 vector, budget = payload
@@ -117,11 +110,7 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
             elif command == "state":
                 conn.send(("ok", worker.state_dict()))
             elif command == "restore":
-                worker_state, owner_table, owner_time = payload
-                worker.restore_state(worker_state)
-                # ``owners`` is captured by the home filter: mutate in place.
-                owners.clear()
-                owners.update(owner_table, owner_time)
+                worker.restore_state(payload)
                 conn.send(("ok", None))
             elif command == "chaos":
                 chaos.update({str(key): float(value) for key, value in payload.items()})
@@ -139,10 +128,6 @@ def _shard_main(conn, shard_id: int, topic_model: TopicModel, config: ProcessorC
 class ProcessFanout:
     """Scatter-gather over one worker process per shard."""
 
-    #: Remote workers cannot consult the coordinator's planner: routed
-    #: buckets must carry the ownership entries their home filters replay.
-    ships_owners = True
-
     #: The workers live in their own processes.
     workers: Tuple[ShardWorker, ...] = ()
 
@@ -157,9 +142,10 @@ class ProcessFanout:
         )
         self._model = topic_model
         self._config = config
+        self._num_shards = int(num_shards)
         self._connections = []
         self._processes = []
-        for shard_id in range(num_shards):
+        for shard_id in range(self._num_shards):
             connection, process = self._spawn(shard_id)
             self._connections.append(connection)
             self._processes.append(process)
@@ -174,7 +160,7 @@ class ProcessFanout:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_shard_main,
-            args=(child_conn, shard_id, self._model, self._config),
+            args=(child_conn, shard_id, self._num_shards, self._model, self._config),
             daemon=True,
             name=f"ksir-shard-{shard_id}",
         )
@@ -187,7 +173,7 @@ class ProcessFanout:
     @property
     def num_shards(self) -> int:
         """Number of shard worker processes."""
-        return len(self._connections)
+        return self._num_shards
 
     @property
     def dead_shards(self) -> Tuple[int, ...]:
@@ -333,12 +319,12 @@ class ProcessFanout:
     # -- the fan-out interface (TransportBackend) --------------------------------------
 
     def ingest(self, routed: Sequence[RoutedBucket], end_time: int) -> None:
-        messages = []
-        for bucket in sorted(routed, key=lambda b: b.shard_id):
-            messages.append(
-                ("ingest", (bucket.elements, end_time, bucket.owners, bucket.home_count))
-            )
-        self._scatter_gather(messages)
+        self._scatter_gather(
+            [
+                ("ingest", (bucket.elements, end_time, bucket.home_count))
+                for bucket in sorted(routed, key=lambda b: b.shard_id)
+            ]
+        )
 
     def export(self, vector: np.ndarray, budget: Optional[int]) -> List[CandidatePool]:
         return self._broadcast("export", (vector, budget))
@@ -361,48 +347,23 @@ class ProcessFanout:
         """Every worker's ``state_dict`` gathered over the pipes."""
         return self._broadcast("state")
 
-    def shard_state(self, shard_id: int) -> Dict[str, object]:
-        """One worker's ``state_dict``."""
-        return self._request(shard_id, "state")
+    def restore_shard(self, shard_id: int, state: Mapping[str, object]) -> None:
+        """Restore one worker from a checkpointed shard state."""
+        self._request(shard_id, "restore", dict(state))
 
-    def restore_shard(
-        self,
-        shard_id: int,
-        state: Mapping[str, object],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
-        """Restore one worker from a checkpointed shard state.
-
-        ``owners`` is the planner's ownership table at checkpoint time (the
-        worker's home filter consults it); entries for elements homed on
-        other shards are harmless and keep foreign-replica filtering exact.
-        """
-        self._request(shard_id, "restore", (dict(state), dict(owners), int(owner_time)))
-
-    def restore_all(
-        self,
-        states: Sequence[Mapping[str, object]],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
+    def restore_all(self, states: Sequence[Mapping[str, object]]) -> None:
         """Restore every worker (one checkpointed state per shard)."""
         if len(states) != self.num_shards:
             raise ValueError(
                 f"checkpoint holds {len(states)} shards, the fan-out "
                 f"runs {self.num_shards}"
             )
-        payload = (dict(owners), int(owner_time))
-        self._scatter_gather(
-            [("restore", (dict(state), *payload)) for state in states]
-        )
+        self._scatter_gather([("restore", dict(state)) for state in states])
 
     def ingest_shard(self, bucket: RoutedBucket, end_time: int) -> None:
         """Ingest one routed bucket into a single shard (WAL gap replay)."""
         self._request(
-            bucket.shard_id,
-            "ingest",
-            (bucket.elements, end_time, bucket.owners, bucket.home_count),
+            bucket.shard_id, "ingest", (bucket.elements, end_time, bucket.home_count)
         )
 
     def close(self) -> None:

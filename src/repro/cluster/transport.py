@@ -64,12 +64,6 @@ class TransportBackend(Protocol):
     import this module — can serve as a transport.
     """
 
-    #: Whether routed buckets must carry the ownership entries of their
-    #: elements: ``True`` for workers that cannot read the coordinator's
-    #: planner (other processes or machines) and replay the entries into a
-    #: table of their own.
-    ships_owners: bool
-
     #: The shard workers when they live in this process, else ``()``.
     workers: Tuple[ShardWorker, ...]
 
@@ -99,27 +93,11 @@ class TransportBackend(Protocol):
         """Every worker's ``ShardWorker.state_dict``, in shard order."""
         ...
 
-    def restore_all(
-        self,
-        states: Sequence[Mapping[str, object]],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
-        """Restore every worker from :meth:`states` output.
-
-        ``owners`` is the planner's ownership table and ``owner_time`` the
-        checkpoint's stream time, for workers that keep a table of their
-        own (see ``ships_owners``).
-        """
+    def restore_all(self, states: Sequence[Mapping[str, object]]) -> None:
+        """Restore every worker from :meth:`states` output."""
         ...
 
-    def restore_shard(
-        self,
-        shard_id: int,
-        state: Mapping[str, object],
-        owners: Mapping[int, int],
-        owner_time: int,
-    ) -> None:
+    def restore_shard(self, shard_id: int, state: Mapping[str, object]) -> None:
         """:meth:`restore_all` for one (freshly restarted) worker."""
         ...
 
@@ -133,7 +111,7 @@ class TransportBackend(Protocol):
 
 
 #: Signature of a transport factory: the owning coordinator (which carries
-#: the topic model, processor/cluster configs, planner and inferencer) → a
+#: the topic model, processor/cluster configs and inferencer) → a
 #: ready fan-out adapter.
 TransportFactory = Callable[["ClusterCoordinator"], TransportBackend]
 

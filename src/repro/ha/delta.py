@@ -48,8 +48,6 @@ from repro.api.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.api.config import EngineConfig
-from repro.topics.inference import TopicInferencer
 
 CHAIN_FILE = "CHAIN.json"
 CHAIN_FORMAT = "ksir-ha-chain"
@@ -558,25 +556,6 @@ class CheckpointChain:
     def load_state(self) -> Dict[str, Any]:
         """The newest backend state tree (cached after the first fold)."""
         return self._materialised_state()
-
-    def restore_engine(
-        self,
-        inferencer: Optional[TopicInferencer] = None,
-        config: Optional[EngineConfig] = None,
-    ) -> Any:
-        """Build a fresh engine from the chain's newest state."""
-        from repro.api.engine import KSIREngine
-
-        payload = self.read_payload()
-        engine_config = config if config is not None else payload.config
-        engine = KSIREngine(payload.topic_model, engine_config, inferencer=inferencer)
-        if engine.backend_name != payload.backend:
-            raise CheckpointError(
-                f"chain was written by the {payload.backend!r} backend but the "
-                f"configuration selects {engine.backend_name!r}"
-            )
-        engine.backend.restore_state(payload.state)
-        return engine
 
     # -- maintenance -------------------------------------------------------------------
 

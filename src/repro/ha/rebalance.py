@@ -20,10 +20,10 @@ rebalancer therefore:
   time, follower set) and taking unions elsewhere — the merged window is
   a superset of what any shard organically accumulates, and supersets
   are safe for exactly the reason stale replicas are;
-* re-homes every owned element with the pure hash ownership function
-  (:meth:`~repro.cluster.partition.HashPartitioner.shard_of`) over the
-  new shard count — ownership is memoised in the planner table, so this
-  is valid under *any* partitioning strategy, including stateful ones;
+* re-homes every element with the ownership function
+  (:func:`~repro.cluster.partition.shard_of`) over the new shard count —
+  the same function names an element's old home, so there is no ownership
+  state to carry across;
 * slices the merged ranked-list entries by the new ownership, so each
   element's tuples land exactly on its new home shard — which its future
   followers are routed to by construction.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, cast
 
-from repro.cluster.partition import HashPartitioner
+from repro.cluster.partition import shard_of
 from repro.store.codec import (
     decode_followers,
     decode_id_list,
@@ -71,18 +71,6 @@ def repartition_state(
             f"state holds {len(worker_states)} workers for "
             f"{old_num_shards} planner shards"
         )
-
-    # -- re-home ownership (memoised table: valid for any strategy) -------------------
-    old_owners = {int(eid): int(shard) for eid, shard in planner_state["owners"]}
-    new_owners = {
-        eid: HashPartitioner.shard_of(eid, new_num_shards) for eid in old_owners
-    }
-    strategy = str(planner_state["strategy"])
-    strategy_state: Dict[str, Any] = dict(planner_state["strategy_state"])
-    if "loads" in strategy_state:
-        # Load-balanced accounting is per-shard history; restart it for the
-        # new shard shape (it only steers *future* first-time assignments).
-        strategy_state["loads"] = [0.0] * new_num_shards
 
     # -- merge the shard windows into one full replica --------------------------------
     archive: Dict[int, Any] = {}
@@ -121,7 +109,7 @@ def repartition_state(
 
         for payload in cast(List[Mapping[str, Any]], window_state["archive"]):
             element_id = int(cast(int, payload["element_id"]))
-            is_home = old_owners.get(element_id) == shard_id
+            is_home = shard_of(element_id, old_num_shards) == shard_id
             if element_id not in archive or (
                 is_home and element_id not in home_archive
             ):
@@ -131,7 +119,7 @@ def repartition_state(
         active_ids.update(decode_id_list(window_state["active_ids"]))
         window_member_ids.update(decode_id_list(window_state["window_member_ids"]))
         for element_id, time in decode_pairs(window_state["last_activity"]):
-            is_home = old_owners.get(element_id) == shard_id
+            is_home = shard_of(element_id, old_num_shards) == shard_id
             if is_home:
                 last_activity[element_id] = time
                 home_activity.add(element_id)
@@ -142,7 +130,7 @@ def repartition_state(
         for parent_id, follower_ids in decode_followers(
             window_state["followers"]
         ).items():
-            is_home = old_owners.get(parent_id) == shard_id
+            is_home = shard_of(parent_id, old_num_shards) == shard_id
             if is_home:
                 followers[parent_id] = set(follower_ids)
                 home_followers.add(parent_id)
@@ -157,10 +145,8 @@ def repartition_state(
         for element_id, activity_time, scores in decode_ranked_entries(
             ranked_state["entries"]
         ):
-            # Ranked tuples live only on home shards, so collisions would
-            # mean duplicated ownership; prefer the home copy regardless.
-            if old_owners.get(element_id) == shard_id or element_id not in ranked:
-                ranked[element_id] = (activity_time, scores)
+            # Ranked tuples live only on an element's one home shard.
+            ranked[element_id] = (activity_time, scores)
 
     # Windows only reference elements they archived; after the union that
     # still holds, but guard the invariant explicitly.
@@ -192,12 +178,9 @@ def repartition_state(
     ]
     for element_id in sorted(ranked):
         activity_time, scores = ranked[element_id]
-        home = new_owners.get(element_id)
-        if home is None:
-            # Owned once, since trimmed by the planner but still indexed
-            # (activity horizons differ slightly); re-home it the same way.
-            home = HashPartitioner.shard_of(element_id, new_num_shards)
-        shard_entries[home].append((element_id, activity_time, scores))
+        shard_entries[shard_of(element_id, new_num_shards)].append(
+            (element_id, activity_time, scores)
+        )
 
     new_workers: List[Dict[str, Any]] = []
     for shard_id in range(new_num_shards):
@@ -237,14 +220,6 @@ def repartition_state(
         "buckets_processed": int(cast(int, state["buckets_processed"])),
         "elements_processed": int(cast(int, state["elements_processed"])),
         "current_time": state["current_time"],
-        "planner": {
-            "num_shards": new_num_shards,
-            "strategy": strategy,
-            "strategy_state": strategy_state,
-            "owners": sorted(new_owners.items()),
-            "last_activity": [
-                [int(eid), int(time)] for eid, time in planner_state["last_activity"]
-            ],
-        },
+        "planner": {"num_shards": new_num_shards},
         "workers": new_workers,
     }

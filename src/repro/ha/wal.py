@@ -4,9 +4,9 @@ The supervisor appends every *prepared* bucket (topic distributions already
 inferred) to the WAL before handing it to the coordinator, and truncates
 the log whenever a checkpoint lands.  A worker restarted after a failure is
 therefore restorable as ``latest checkpoint + replay of exactly its WAL
-gap`` — routing is recomputed through the planner, which is idempotent for
-already-seen elements, so the replayed per-shard buckets are byte-identical
-to the originals.
+gap`` — routing is a pure function of the logged elements
+(:meth:`repro.cluster.partition.ShardPlanner.route_bucket`), so the replayed per-shard
+buckets are the originals.
 
 The log lives in memory (the failure domain is a *worker process*; the
 coordinator process holding the WAL survives).  Passing ``path`` addition-

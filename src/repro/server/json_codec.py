@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.element import SocialElement
-from repro.core.query import KSIRQuery, QueryResult
+from repro.core.query import QueryResult
 from repro.service.engine import StandingResult
 from repro.service.registry import StandingQuery
 
@@ -160,11 +160,6 @@ def parse_events(payload: Mapping[str, Any]) -> Tuple[List[SocialElement], bool]
 def element_to_json(element: SocialElement) -> Dict[str, Any]:
     """The wire form of one element (the JSONL stream format)."""
     return dict(element.to_dict())
-
-
-def query_to_json(query: KSIRQuery) -> Dict[str, Any]:
-    """The wire form of a k-SIR query."""
-    return dict(query.to_dict())
 
 
 def result_to_json(result: QueryResult) -> Dict[str, Any]:

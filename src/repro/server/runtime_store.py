@@ -15,7 +15,6 @@ in from executor threads and the event loop alike.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 import time
@@ -224,10 +223,6 @@ class RuntimeStore:
             "latency": self.histograms(),
             "websocket": self.ws_stats(),
         }
-
-    def render_json(self) -> str:
-        """The ``/telemetry`` document as a JSON string."""
-        return json.dumps(self.snapshot(), sort_keys=True)
 
     # -- lifecycle ---------------------------------------------------------------------
 

@@ -249,14 +249,6 @@ class ServiceEngine:
         """
         self._listeners.append(listener)
 
-    def remove_update_listener(self, listener: UpdateListener) -> bool:
-        """Unsubscribe a listener; returns whether it was registered."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            return False
-        return True
-
     # -- serving loop -----------------------------------------------------------------
 
     def ingest_bucket(

@@ -24,20 +24,21 @@ equivalence tests pin down to 1e-9 on every backend.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.element import SocialElement
+from repro.utils.timing import RECENT_SAMPLES
 
 #: The sink a sealed bucket is committed to: ``sink(elements, end_time)``.
 BucketSink = Callable[[Sequence[SocialElement], int], None]
 
 
-def _quantile(samples: Sequence[int], q: float) -> float:
-    """Linear-interpolated quantile of a sample list (0.0 when empty)."""
-    if not samples:
+def _quantile(ordered: Sequence[int], q: float) -> float:
+    """Linear-interpolated quantile of a sorted sample list (0.0 when empty)."""
+    if not ordered:
         return 0.0
-    ordered = sorted(samples)
     position = (len(ordered) - 1) * q
     lower = int(position)
     upper = min(lower + 1, len(ordered) - 1)
@@ -185,7 +186,8 @@ class StreamIngestor:
         self._events = 0
         self._dropped = 0
         self._sealed = 0
-        self._lag_samples: List[int] = []
+        # One per sealed bucket; the percentiles describe the recent seals.
+        self._lag_samples: Deque[int] = deque(maxlen=RECENT_SAMPLES)
 
     # -- accessors ---------------------------------------------------------------------
 
@@ -271,6 +273,7 @@ class StreamIngestor:
 
     def metrics(self) -> StreamMetrics:
         """The current lateness/watermark accounting snapshot."""
+        lags = sorted(self._lag_samples)
         return StreamMetrics(
             events_total=self._events,
             late_events=self._tracker.late_events,
@@ -280,8 +283,8 @@ class StreamIngestor:
             allowed_lateness=self._allowed_lateness,
             watermark=self._tracker.watermark,
             max_event_time=self._tracker.max_event_time,
-            watermark_lag_p50=_quantile(self._lag_samples, 0.50),
-            watermark_lag_p95=_quantile(self._lag_samples, 0.95),
+            watermark_lag_p50=_quantile(lags, 0.50),
+            watermark_lag_p95=_quantile(lags, 0.95),
         )
 
     # -- internals ---------------------------------------------------------------------

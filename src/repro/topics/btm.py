@@ -86,7 +86,6 @@ class BitermTopicModel(TopicModel):
         self._rng = make_rng(seed)
         self._topic_word: Optional[np.ndarray] = None
         self._topic_mixture: Optional[np.ndarray] = None
-        self._report: Optional[BTMTrainingReport] = None
 
     # -- training --------------------------------------------------------------
 
@@ -167,8 +166,7 @@ class BitermTopicModel(TopicModel):
 
         self._topic_word = topic_word
         self._topic_mixture = mixture
-        self._report = BTMTrainingReport(self.iterations, len(biterms), log_likelihoods)
-        return self._report
+        return BTMTrainingReport(self.iterations, len(biterms), log_likelihoods)
 
     def _joint_log_likelihood(
         self, topic_counts: np.ndarray, topic_word_counts: np.ndarray
@@ -235,13 +233,6 @@ class BitermTopicModel(TopicModel):
         if self._topic_mixture is None:
             raise RuntimeError("BitermTopicModel has not been fitted yet")
         return self._topic_mixture
-
-    @property
-    def training_report(self) -> BTMTrainingReport:
-        """The report of the last :meth:`fit` call."""
-        if self._report is None:
-            raise RuntimeError("BitermTopicModel has not been fitted yet")
-        return self._report
 
     @property
     def is_fitted(self) -> bool:

@@ -37,11 +37,6 @@ class LDATrainingReport:
     iterations: int
     log_likelihood_trace: List[float]
 
-    @property
-    def final_log_likelihood(self) -> float:
-        """Joint log-likelihood of the last recorded iteration."""
-        return self.log_likelihood_trace[-1] if self.log_likelihood_trace else float("nan")
-
 
 class LatentDirichletAllocation(TopicModel):
     """LDA with collapsed Gibbs sampling.
@@ -90,7 +85,6 @@ class LatentDirichletAllocation(TopicModel):
         self._rng = make_rng(seed)
         self._topic_word: Optional[np.ndarray] = None
         self._document_topic: Optional[np.ndarray] = None
-        self._report: Optional[LDATrainingReport] = None
 
     # -- training ------------------------------------------------------------
 
@@ -171,8 +165,7 @@ class LatentDirichletAllocation(TopicModel):
 
         self._topic_word = topic_word
         self._document_topic = doc_topic
-        self._report = LDATrainingReport(self.iterations, log_likelihoods)
-        return self._report
+        return LDATrainingReport(self.iterations, log_likelihoods)
 
     def _joint_log_likelihood(
         self, topic_word_counts: np.ndarray, doc_topic_counts: np.ndarray
@@ -205,13 +198,6 @@ class LatentDirichletAllocation(TopicModel):
         if self._document_topic is None:
             raise RuntimeError("LatentDirichletAllocation has not been fitted yet")
         return self._document_topic
-
-    @property
-    def training_report(self) -> LDATrainingReport:
-        """The report of the last :meth:`fit` call."""
-        if self._report is None:
-            raise RuntimeError("LatentDirichletAllocation has not been fitted yet")
-        return self._report
 
     @property
     def is_fitted(self) -> bool:

@@ -56,7 +56,7 @@ CONFIGS = {
     "sharded": EngineConfig(
         backend="sharded",
         processor=PROCESSOR,
-        cluster=ClusterConfig(num_shards=3, partitioner="load-balanced"),
+        cluster=ClusterConfig(num_shards=3),
     ),
     "service": EngineConfig(backend="service", processor=PROCESSOR),
     "service-sharded": EngineConfig(
@@ -168,6 +168,62 @@ def test_save_load_continue_matches_uninterrupted(name, tmp_path):
 
     uninterrupted.close()
     resumed.close()
+
+
+def as_written_before_pr22(path, strategy="hash"):
+    """Lay a sharded checkpoint out as the parent commit did: the partitioner
+    in the manifest, the ownership table and the strategy in the planner."""
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    manifest["config"]["cluster"]["partitioner"] = strategy
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
+    state = json.loads((path / "state.json").read_text())
+    coordinator = state.get("coordinator") or state["service"]["backend"]
+    assert coordinator["planner"].keys() - {"strategy", "strategy_state", "owners", "last_activity"} == {"num_shards"}
+    coordinator["planner"].update(
+        strategy=strategy, strategy_state={},
+        owners=[[0, 0], [1, 1]], last_activity=[[0, 3], [1, 3]],
+    )
+    (path / "state.json").write_text(json.dumps(state))
+
+
+@pytest.mark.parametrize("name", ["sharded", "service-sharded"])
+def test_sharded_checkpoint_written_before_pr22(name, tmp_path):
+    """New sharded checkpoints carry no owner lists; one the parent wrote
+    under ``hash`` loads with its lists ignored and answers identically, one
+    written under a retired partitioner is refused, saying why."""
+    model, elements = build_stream(seed=31)
+    query = KSIRQuery(k=4, vector=np.array([0.5, 0.5, 0.0, 0.0]))
+    engine = make_engine(model, CONFIGS[name], query)
+    for members, end_time in buckets_of(elements)[: NUM_BUCKETS // 2]:
+        engine.ingest_bucket(members, end_time)
+    path = engine.save(tmp_path / "ckpt")
+    assert '"owners"' not in (path / "state.json").read_text()
+    as_written_before_pr22(path)
+    with KSIREngine.load(path) as resumed:
+        assert resumed.config == CONFIGS[name]
+        for members, end_time in buckets_of(elements)[NUM_BUCKETS // 2 :]:
+            for side in (engine, resumed):
+                side.ingest_bucket(members, end_time)
+            for algorithm in ("mttd", "greedy"):
+                a = engine.query(query, algorithm=algorithm, epsilon=0.2)
+                b = resumed.query(query, algorithm=algorithm, epsilon=0.2)
+                assert (a.element_ids, repr(a.score)) == (b.element_ids, repr(b.score))
+        assert_ranked_lists_close(ranked_list_states(resumed), ranked_list_states(engine), 0.0)
+    engine.close()
+
+    as_written_before_pr22(path, strategy="round-robin")
+    with pytest.raises(
+        CheckpointError,
+        match="partitioned by 'round-robin', which is no longer supported: 'hash' is the only",
+    ):
+        KSIREngine.load(path)
+    # A manifest edited to pass still meets the planner's own record of how
+    # the shards were filled.
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    del manifest["config"]["cluster"]["partitioner"]
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="partitioned by 'round-robin'.*no longer supported"):
+        KSIREngine.load(path)
 
 
 def test_checkpoint_is_versioned_on_disk(tmp_path):

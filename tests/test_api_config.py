@@ -80,7 +80,6 @@ class TestEngineConfig:
             ),
             cluster=ClusterConfig(
                 num_shards=3,
-                partitioner="load-balanced",
                 transport="pipe",
                 candidate_budget=64,
                 budget_scale=2.0,
@@ -116,7 +115,7 @@ class TestEngineConfig:
         before still load, at the transport that survived each."""
         payload = EngineConfig(backend="sharded").to_dict()
         assert sorted(payload["cluster"]) == [
-            "budget_scale", "candidate_budget", "num_shards", "partitioner", "transport",
+            "budget_scale", "candidate_budget", "num_shards", "transport",
         ]
         assert payload["cluster"]["transport"] == "serial"
         written_before = {
@@ -142,6 +141,22 @@ class TestEngineConfig:
         assert EngineConfig.from_dict({"cluster": {"num_shards": 2}}).cluster == (
             ClusterConfig(num_shards=2)
         )
+
+    def test_retired_partitioner(self):
+        """``cluster.partitioner`` is gone (PR 22): ``hash`` — what every
+        cluster runs now — loads silently, the two strategies that needed an
+        ownership table are refused by name."""
+        assert EngineConfig.from_dict({"cluster": {"partitioner": "hash"}}).cluster == (
+            ClusterConfig()
+        )
+        for retired in ("round-robin", "load-balanced"):
+            with pytest.raises(
+                ValueError,
+                match="cluster.partitioner is no longer supported.*'hash' is the only behaviour left",
+            ):
+                EngineConfig.from_dict({"cluster": {"partitioner": retired}})
+        with pytest.raises(TypeError):
+            ClusterConfig(partitioner="hash")
 
     def test_manifest_written_before_pr19_loads(self):
         """``service.max_workers`` and the ``streams`` spelling of the window
@@ -183,9 +198,9 @@ class TestEngineConfig:
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the three retired keys.
+        # What it writes back drops exactly the four retired keys.
         written = loaded.to_dict()
-        del manifest["service"]["max_workers"]
+        del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
         del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
         assert written == manifest
         assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
@@ -288,16 +303,16 @@ class TestFromArgs:
             parse(
                 [
                     "--backend", "cluster", "--shards", "6",
-                    "--partitioner", "round-robin", "--transport", "serial",
+                    "--transport", "serial",
                     "--window-hours", "3", "--bucket-minutes", "30",
                     "--lambda-weight", "0.7", "--eta", "2.0",
                 ]
             )
         )
         assert config.backend == "sharded"
-        assert config.cluster == ClusterConfig(
-            num_shards=6, partitioner="round-robin"
-        )
+        assert config.cluster == ClusterConfig(num_shards=6)
+        with pytest.raises(SystemExit):
+            parse(["--backend", "cluster", "--partitioner", "hash"])
         assert config.processor.window_length == 3 * 3600
         assert config.processor.bucket_length == 30 * 60
         assert config.processor.scoring.lambda_weight == 0.7
@@ -369,7 +384,7 @@ class TestFromArgs:
             parse(["--backend", "cluster"], service=service), service=service
         )
         assert sharded.cluster == ClusterConfig(
-            num_shards=4, partitioner="hash", transport="serial",
+            num_shards=4, transport="serial",
             candidate_budget=None, budget_scale=1.0,
         )
 
@@ -500,7 +515,6 @@ engine_configs = st.builds(
         st.builds(
             ClusterConfig,
             num_shards=st.integers(1, 64),
-            partitioner=st.sampled_from(["hash", "round-robin", "load-balanced"]),
             transport=st.sampled_from(["serial", "pipe"]),
             candidate_budget=_optional(st.integers(1, 10**4)),
             budget_scale=_POSITIVE,

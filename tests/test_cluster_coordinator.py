@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,15 @@ from repro.cluster import (
     register_transport,
     transport_names,
 )
-from repro.cluster import transport as transport_module
+from repro.cluster import shard_of, transport as transport_module
+from repro.cluster.partition import home_filter
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
 from repro.core.stream import SocialStream
 from repro.ha.delta import _equal, normalise_state
+from repro.ha.rebalance import repartition_state
 from tests.conftest import PAPER_SCORING, build_processor, build_service_engine
 from tests.oracle import Oracle
 from tests.test_oracle import ALGORITHMS, materialise
@@ -53,9 +57,9 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match="unknown cluster transport"):
             ClusterConfig(transport=" ")
 
-    def test_five_fields(self):
+    def test_four_fields(self):
         assert list(ClusterConfig.__dataclass_fields__) == [
-            "num_shards", "partitioner", "transport", "candidate_budget", "budget_scale",
+            "num_shards", "transport", "candidate_budget", "budget_scale",
         ]
         assert ClusterConfig().transport == "serial"
 
@@ -336,10 +340,12 @@ class TestTransportContract:
             oracle, self.QUERY, self.ORDER_FREE
         )
 
-    def coordinator(self, model, transport):
+    def coordinator(self, model, transport, num_shards=3):
         # A budget above the window never truncates: the one configuration
         # whose answers the cluster layer promises to be the single node's.
-        cluster = ClusterConfig(num_shards=3, transport=transport, candidate_budget=1000)
+        cluster = ClusterConfig(
+            num_shards=num_shards, transport=transport, candidate_budget=1000
+        )
         return ClusterCoordinator(model, self.CONFIG, cluster=cluster)
 
     def test_whole_protocol(self, transport):
@@ -348,7 +354,7 @@ class TestTransportContract:
         oracle = Oracle.for_config(model, self.CONFIG)
         coordinator = self.coordinator(model, transport)
         assert isinstance(coordinator.fanout, TransportBackend)
-        assert (coordinator.workers == ()) == coordinator.fanout.ships_owners
+        assert (coordinator.workers == ()) == (transport == "pipe")
 
         # ingest, export, dirty topics — after every bucket
         for elements, end_time in stream[:8]:
@@ -401,12 +407,85 @@ class TestTransportContract:
             with pytest.raises(RuntimeError, match="closed"):
                 engine.query(self.QUERY)
 
+    def test_restarted_shard_replays_the_gap(self, transport):
+        """kill → restart → restore → WAL-gap replay of each shard in turn
+        answers as the run nothing happened to — including for an element
+        first seen inside the gap and gone from every archive before the
+        failure, which a partitioner that *remembered* homes would have
+        re-assigned on replay (ROADMAP 5d, the stateful-partitioner half)."""
+        model, stream = contract_stream()
+        checkpoint_after, fail_after = 3, 13
+        gap_elements, gap_time = stream[checkpoint_after]
+        one_shot = SocialElement(
+            40, gap_time, ("w1", "w2"), (), topic_distribution=np.array([0.6, 0.3, 0.1])
+        )
+        stream[checkpoint_after] = (list(gap_elements) + [one_shot], gap_time)
+        fail_time = stream[fail_after - 1][1]
+        assert gap_time + self.CONFIG.archive_horizon < fail_time
+
+        uninterrupted = self.coordinator(model, transport)
+        recovering = self.coordinator(model, transport)
+        for index, (elements, end_time) in enumerate(stream[:fail_after]):
+            for engine in (uninterrupted, recovering):
+                engine.process_bucket(elements, end_time)
+            if index + 1 == checkpoint_after:
+                checkpoint = recovering.state_dict()
+        for shard_id in range(3):
+            if transport == "pipe":
+                recovering.fanout.kill_shard(shard_id)
+                recovering.fanout.restart_shard(shard_id)
+            recovering.restore_shard(shard_id, checkpoint)
+            for elements, end_time in stream[checkpoint_after:fail_after]:
+                recovering.replay_bucket_to_shard(shard_id, elements, end_time)
+            assert answers(recovering, self.QUERY) == answers(uninterrupted, self.QUERY)
+            assert recovering.active_count == uninterrupted.active_count
+        for name in ("window", "ranked_lists"):
+            for ours, theirs in zip(
+                recovering.state_dict()["workers"], uninterrupted.state_dict()["workers"]
+            ):
+                if name == "ranked_lists":  # nothing drained the dirty topics since
+                    ours, theirs = (s["processor"][name]["entries"] for s in (ours, theirs))
+                else:
+                    ours, theirs = (s["processor"][name] for s in (ours, theirs))
+                assert same_state(ours, theirs)
+        for elements, end_time in stream[fail_after:]:
+            for engine in (uninterrupted, recovering):
+                engine.process_bucket(elements, end_time)
+            assert answers(recovering, self.QUERY) == answers(uninterrupted, self.QUERY)
+        for engine in (uninterrupted, recovering):
+            engine.close()
+
+    def test_rebalance_2_3_2_keeps_answers(self, transport):
+        """``repartition_state`` re-homes with the function the shards were
+        filled by: no ownership state crosses from one shape to the next."""
+        model, stream = contract_stream()
+        oracle = Oracle.for_config(model, self.CONFIG)
+        engine = self.coordinator(model, transport, num_shards=2)
+        for index, (elements, end_time) in enumerate(stream):
+            if index in (5, 10):
+                num_shards = 5 - engine.num_shards
+                state = repartition_state(engine.state_dict(), num_shards)
+                assert state["planner"] == {"num_shards": num_shards}
+                engine.close()
+                engine = self.coordinator(model, transport, num_shards=num_shards)
+                engine.restore_state(state)
+                self.assert_equals_oracle(engine, oracle)
+            engine.process_bucket(elements, end_time)
+            oracle.process_bucket(elements, end_time)
+            self.assert_equals_oracle(engine, oracle)
+            assert engine.active_count == len(oracle.window.active_ids())
+        engine.close()
+
     @pytest.mark.parametrize("archive_windows", [1, 12])
-    def test_ownership_is_forgotten_at_the_archive_horizon(self, transport, archive_windows):
+    def test_expired_parent_is_dangling(self, transport, archive_windows):
         """A parent last active ``w`` windows ago is re-activated by a late
-        reference iff ``w ≤ archive_windows`` — on a single node and, with the
-        planner forgetting its owner at the same age, on the cluster.  (Before
-        PR 16 the planner forgot at 8 windows whatever ``archive_windows``.)"""
+        reference iff ``w ≤ archive_windows`` — on a single node and on the
+        cluster, which keeps no record of the parent but its home shard's
+        archive: the reference is routed to ``shard_of(parent)`` either way
+        and is dangling there exactly when it is on one node.  So is a
+        reference to an id never posted.  (Sieve reads its ground set shard
+        by shard, so it is held to the other transport, the rest to the
+        oracle.)"""
         model, _ = contract_stream()
         config = ProcessorConfig(
             window_length=2, bucket_length=1, scoring=PAPER_SCORING,
@@ -424,24 +503,71 @@ class TestTransportContract:
 
         parents = [element(eid, 1) for eid in range(6)]
         # One child per parent: 10 windows later, inside a 12-window archive
-        # only; and a second generation referencing parents 1.5 windows old.
+        # only; a second generation referencing parents 1.5 windows old; and
+        # one child of 99, which nobody ever posts.
         late = [element(10 + eid, 21, [eid]) for eid in range(6)]
-        soon = [element(20 + eid, 24, [10 + eid]) for eid in range(6)]
+        soon = [element(20 + eid, 24, [10 + eid]) for eid in range(6)] + [element(30, 24, [99])]
         stream = [(parents, 1)]
         stream += [([], time) for time in range(2, 21)]
         stream += [(late, 21), ([], 22), ([], 23), (soon, 24), ([], 25)]
+        # Every reference reaches its target's shard, whatever became of the target.
+        replicas = [0, 0, 0]
+        for child in late + soon:
+            for shard in {shard_of(r, 3) for r in child.references} - {shard_of(child.element_id, 3)}:
+                replicas[shard] += 1
+        assert shard_of(30, 3) != shard_of(99, 3)
 
         oracle = Oracle.for_config(model, config)
-        cluster = ClusterConfig(num_shards=3, transport=transport, candidate_budget=1000)
-        with ClusterCoordinator(model, config, cluster=cluster) as coordinator:
+        other = next(name for name in BUILT_INS if name != transport)
+        clusters = [
+            ClusterConfig(num_shards=3, transport=name, candidate_budget=1000)
+            for name in (transport, other)
+        ]
+        with ClusterCoordinator(model, config, cluster=clusters[0]) as coordinator, \
+                ClusterCoordinator(model, config, cluster=clusters[1]) as twin:
             for elements, end_time in stream:
                 coordinator.process_bucket(elements, end_time)
+                twin.process_bucket(elements, end_time)
                 oracle.process_bucket(elements, end_time)
                 self.assert_equals_oracle(coordinator, oracle)
+                assert answers(coordinator, self.QUERY) == answers(twin, self.QUERY)
                 assert coordinator.active_count == len(oracle.window.active_ids())
                 if end_time == 21:
                     reactivated = set(range(6)) & set(oracle.window.active_ids())
                     assert len(reactivated) == (6 if archive_windows == 12 else 0)
-            # The table is bounded by the horizon, not by the stream: the
-            # parents are gone once no archive can hold them.
-            assert coordinator.planner.assigned_count == (18 if archive_windows == 12 else 12)
+            assert [s.foreign_elements for s in coordinator.shard_stats()] == replicas
+            # Nothing about the stream stayed with the routing: the parents
+            # are gone once no archive can hold them, and 99 never was.
+            assert coordinator.state_dict()["planner"] == {"num_shards": 3}
+
+    def test_routing_holds_nothing_per_element(self, transport, tiny_dataset):
+        """After 10 × ``archive_windows`` windows of the tiny stream, nothing
+        on the routing / home-filter path has grown with the elements seen."""
+        config = ProcessorConfig(
+            window_length=1800, bucket_length=900, archive_windows=1,
+            scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
+        )
+        elements = tiny_dataset.stream.elements
+        assert elements[-1].timestamp - elements[0].timestamp >= 10 * config.archive_horizon
+        cluster = ClusterConfig(num_shards=3, transport=transport)
+        with ClusterCoordinator(tiny_dataset.topic_model, config, cluster=cluster) as coordinator:
+            coordinator.process_stream(tiny_dataset.stream)
+            assert coordinator.elements_processed == len(elements)
+
+            def grown(holder):
+                return {
+                    name: value for name, value in vars(holder).items()
+                    if isinstance(value, (dict, list, set, frozenset, deque, tuple))
+                    and len(value) > coordinator.num_shards
+                }
+
+            assert vars(coordinator.planner) == {"_num_shards": 3}
+            assert coordinator.state_dict()["planner"] == {"num_shards": 3}
+            assert grown(coordinator) == {} and grown(coordinator.fanout) == {}
+            # One home filter on both transports (the shard processes build
+            # theirs from the same two integers), closing over no container.
+            filters = [worker.processor._home_filter for worker in coordinator.workers]
+            for shard_id, is_home in enumerate(filters or map(home_filter, range(3), [3] * 3)):
+                assert [cell.cell_contents for cell in is_home.__closure__] == [3, shard_id]
+                assert all(is_home(e.element_id) == (shard_of(e.element_id, 3) == shard_id)
+                           for e in elements)

@@ -2,8 +2,8 @@
 
 Random streamed instances (random topic models, documents, backward
 references and query vectors) are replayed through a single
-``KSIRProcessor`` and a ``ClusterCoordinator`` with a random shard count and
-partitioning strategy; window lengths are chosen so expiry, follower loss
+``KSIRProcessor`` and a ``ClusterCoordinator`` with a random shard count;
+window lengths are chosen so expiry, follower loss
 and parent re-activation all trigger.  ``verify_equivalence`` must report
 identical element ids and scores (within 1e-9) for every deterministic
 algorithm.
@@ -81,7 +81,6 @@ instance_params = st.tuples(
     st.integers(min_value=6, max_value=14),      # vocabulary
     st.integers(min_value=2, max_value=4),       # k
     st.integers(min_value=2, max_value=4),       # shards
-    st.sampled_from(["hash", "round-robin", "load-balanced"]),
 )
 
 
@@ -89,7 +88,7 @@ class TestShardedEquivalence:
     @given(params=instance_params)
     @settings(max_examples=30, deadline=None)
     def test_sharded_answers_match_single_node(self, params):
-        seed, n, z, v, k, shards, partitioner = params
+        seed, n, z, v, k, shards = params
         model, elements = build_stream(seed, n, z, v)
         # A window shorter than the stream forces expiry/re-activation on
         # both sides; small buckets force several advances.
@@ -103,9 +102,7 @@ class TestShardedEquivalence:
             model,
             queries=[random_query(seed, z, k)],
             config=config,
-            cluster=ClusterConfig(
-                num_shards=shards, partitioner=partitioner
-            ),
+            cluster=ClusterConfig(num_shards=shards),
             algorithms=ALGORITHMS,
             epsilon=0.1,
         )
@@ -117,9 +114,9 @@ class TestShardedEquivalence:
     @given(params=instance_params)
     @settings(max_examples=5, deadline=None)
     def test_random_instances_match_single_node_over_pipes(self, params):
-        """The same proof with one process per shard (every partitioner: the
-        remote home filters replay the ownership entries the planner ships)."""
-        seed, n, z, v, k, shards, partitioner = params
+        """The same proof with one process per shard (whose home filters
+        recompute ``shard_of``: nothing about ownership crosses the pipe)."""
+        seed, n, z, v, k, shards = params
         model, elements = build_stream(seed, n, z, v)
         config = ProcessorConfig(
             window_length=max(3, n // 2),
@@ -131,9 +128,7 @@ class TestShardedEquivalence:
             model,
             queries=[random_query(seed, z, k)],
             config=config,
-            cluster=ClusterConfig(
-                num_shards=min(shards, 3), partitioner=partitioner, transport="pipe"
-            ),
+            cluster=ClusterConfig(num_shards=min(shards, 3), transport="pipe"),
             algorithms=("mttd", "mtts", "greedy", "celf"),
             epsilon=0.1,
         )
@@ -146,7 +141,7 @@ class TestShardedEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_full_window_instances_match(self, params):
         """No-expiry regime: the whole stream stays active."""
-        seed, n, z, v, k, shards, partitioner = params
+        seed, n, z, v, k, shards = params
         model, elements = build_stream(seed, n, z, v)
         config = ProcessorConfig(
             window_length=10 * n,
@@ -158,9 +153,7 @@ class TestShardedEquivalence:
             model,
             queries=[random_query(seed, z, k), random_query(seed + 1, z, k)],
             config=config,
-            cluster=ClusterConfig(
-                num_shards=shards, partitioner=partitioner
-            ),
+            cluster=ClusterConfig(num_shards=shards),
             algorithms=("mttd", "greedy"),
             epsilon=0.1,
         )

@@ -16,6 +16,7 @@ import pytest
 from repro.core.element import SocialElement
 from repro.core.stream import SocialStream
 from repro.streams import StreamIngestor, WatermarkTracker
+from repro.utils.timing import RECENT_SAMPLES
 
 
 def make_element(element_id: int, timestamp: int) -> SocialElement:
@@ -231,3 +232,21 @@ class TestStreamIngestor:
         metrics = ingestor.metrics()
         assert metrics.watermark_lag_p50 >= 0.0
         assert metrics.watermark_lag_p95 >= metrics.watermark_lag_p50
+
+    def test_lag_percentiles_cover_the_recent_seals(self):
+        """One lag sample per sealed bucket for the life of a server: only
+        the ``RECENT_SAMPLES`` newest are kept, and described."""
+        ingestor = StreamIngestor(RecordingSink(), bucket_length=10, start_time=0)
+        # Element i lands ``offset`` into bucket i and seals bucket i − 1,
+        # whose end it is ``offset + 1`` past: 2 500 seals at lag 9, then 548
+        # at lag 6 and 1 500 at lag 3 — the newest 2 048.
+        offsets = [8] * 2500 + [5] * 548 + [2] * 1500
+        for index, offset in enumerate(offsets, start=1):
+            assert ingestor.push(make_element(index, 10 * index + offset)) == 1
+        assert len(offsets) > RECENT_SAMPLES == 548 + 1500
+        assert len(ingestor._lag_samples) == RECENT_SAMPLES
+        metrics = ingestor.metrics()
+        assert metrics.buckets_sealed == len(offsets)
+        # Over every seal ever made both would be 9.
+        assert (metrics.watermark_lag_p50, metrics.watermark_lag_p95) == (3.0, 6.0)
+
