@@ -35,6 +35,8 @@ class MergedCandidateContext(ScoringContext):
     ``context.active_ids`` as their ground set, so the merged context
     restricts it to the candidates; the profile table keeps the follower
     profiles too, which is what makes every marginal-gain evaluation exact.
+    The two dicts are kept, not copied: :func:`merge_candidate_pools` builds
+    them for this context alone.
     """
 
     def __init__(
@@ -45,7 +47,7 @@ class MergedCandidateContext(ScoringContext):
         candidate_ids: Sequence[int],
         time: Optional[int] = None,
     ) -> None:
-        super().__init__(profiles, followers, config, time=time)
+        super().__init__(profiles, followers, config, time=time, frozen=True)
         self._candidate_ids = tuple(candidate_ids)
 
     @property

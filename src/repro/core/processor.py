@@ -24,6 +24,7 @@ from repro.core.element import SocialElement
 from repro.core.query import KSIRQuery, QueryResult
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import (
+    EdgeMemo,
     ElementProfile,
     KSIRObjective,
     ProfileBuilder,
@@ -99,8 +100,7 @@ class ProcessorConfig:
     @property
     def archive_horizon(self) -> int:
         """``archive_windows × window_length``: how far back a reference
-        can still re-activate its target (the cluster layer forgets an
-        element's home shard at the same age)."""
+        can still re-activate its target."""
         return self.archive_windows * self.window_length
 
     def build_window_policy(self) -> WindowPolicy:
@@ -167,6 +167,11 @@ class KSIRProcessor:
         # window share one frozen context instead of rebuilding it per call.
         self._snapshot_cache: Optional[Tuple[int, ScoringContext]] = None
         self._snapshot_builds = 0
+        # Compiled follower edges of active elements that have in-window
+        # followers, filled by the snapshots' queries and kept across
+        # buckets: process_bucket drops exactly the entries a bucket makes
+        # stale (see ScoringContext.follower_edges).
+        self._edge_memo: EdgeMemo = {}
 
     # -- metadata -----------------------------------------------------------------
 
@@ -272,13 +277,27 @@ class KSIRProcessor:
         Element-by-element Algorithm 1 converges to the same final state
         because a parent's last refresh in a bucket already sees every
         follower the bucket added, and activity times combine via ``max``.
+
+        The same enumeration keeps the follower-edge memo exact: the entry
+        of every element the bucket posts, of every parent it touches (new
+        follower, re-posted follower, follower lost to expiry or to a
+        re-post) and of every element that leaves ``A_t`` is dropped,
+        whoever owns the element — a shard scores its foreign replicas from
+        the same memo.  The snapshot of the previous window stops sharing
+        the memo first, so it stays frozen.
         """
         with self._ingest_timer.measure():
             prepared = self._inferencer.with_topics(elements)
             profiles = self._builder.build_many(prepared)
 
+            # Only the current snapshot shares the memo; an older one let go
+            # of it a bucket ago and keeps whatever it compiled since.
+            cached = self._snapshot_cache
+            if cached is not None and cached[0] == self._buckets_processed:
+                cached[1].unshare_edges()
             home_filter = self._home_filter
             profile_map = self._profiles
+            edge_memo = self._edge_memo
             inserts = []
             touched: Dict[int, int] = {}
             # One bulk row allocation for the bucket, one fancy-indexed
@@ -293,6 +312,7 @@ class KSIRProcessor:
                 element_id = element.element_id
                 timestamp = element.timestamp
                 profile_map[element_id] = profile
+                edge_memo.pop(element_id, None)
                 if home_filter is None or home_filter(element_id):
                     inserts.append((profile, timestamp))
                     if self._window.follower_count(element_id):
@@ -303,6 +323,7 @@ class KSIRProcessor:
                         if previous is None or previous < timestamp:
                             touched[element_id] = timestamp
                 for parent_id in touched_parents:
+                    edge_memo.pop(parent_id, None)
                     if home_filter is not None and not home_filter(parent_id):
                         continue
                     if parent_id not in profile_map:
@@ -338,14 +359,16 @@ class KSIRProcessor:
             removes = []
             for element_id in removed:
                 profile_map.pop(element_id, None)
+                edge_memo.pop(element_id, None)
                 if home_filter is None or home_filter(element_id):
                     removes.append(element_id)
-            expiry_touched = {
-                element_id: self._window.last_activity(element_id)
-                for element_id in self._window.take_touched_by_expiry()
-                if (home_filter is None or home_filter(element_id))
-                and element_id in profile_map
-            }
+            expiry_touched = {}
+            for element_id in self._window.take_touched_by_expiry():
+                edge_memo.pop(element_id, None)
+                if (
+                    home_filter is None or home_filter(element_id)
+                ) and element_id in profile_map:
+                    expiry_touched[element_id] = self._window.last_activity(element_id)
             if removes or expiry_touched:
                 self._index.bulk_update(
                     scored_refreshes=self._columnar_refresh_entries(expiry_touched),
@@ -421,6 +444,11 @@ class KSIRProcessor:
         Both inputs are state Algorithm 1 already maintains per bucket — the
         profile map and the window's sparse follower view — so a fresh
         context is one copy of each; nothing is re-derived from the window.
+        The follower-edge memo is not copied but shared: its entries are
+        exact for the current window (:meth:`process_bucket` dropped the
+        others), the context's queries fill in what is missing, and the next
+        bucket takes the memo away from the context before it changes
+        anything.
         Profiles are registered where the window activates their elements,
         so the map, and with it ``context.active_ids`` (which the batch
         algorithms enumerate), iterates in ``window.active_ids()`` order.
@@ -437,6 +465,7 @@ class KSIRProcessor:
             config=self._config.scoring,
             time=self._window.current_time,
             frozen=True,
+            edges=self._edge_memo,
         )
         self._snapshot_builds += 1
         self._snapshot_cache = (self._buckets_processed, context)
@@ -519,6 +548,7 @@ class KSIRProcessor:
         self._window.restore_state(state["window"])
         self._index.restore_state(state["ranked_lists"])
         self._snapshot_cache = None
+        self._edge_memo = {}
         # Registered in A_t order: snapshot() iterates the map as it stands.
         active = list(self._window.active_elements())
         self._profiles = {}

@@ -40,12 +40,18 @@ from repro.utils.validation import require_in_range, require_positive, require_p
 _POSITIVE_COUNTS = get_kernel("positive_counts")
 
 
-#: Positive follower edges of one (element, topic), in follower order:
-#: ``((follower id, p_i(e ⇝ follower)), …)``.
-_Edges = Tuple[Tuple[int, float], ...]
-#: A compiled element: ``(topic, x_i, R_i(e), σ_i(·, e), edges)`` per query topic.
-_Terms = Tuple[Tuple[int, float, float, Mapping[int, float], _Edges], ...]
+#: The follower side of one (element, topic): the followers with a positive
+#: edge, their edges ``p_i(e ⇝ follower)`` in the same (follower) order, and
+#: ``Σ edges`` accumulated in that order.  Flat tuples of ints and floats.
+_Edges = Tuple[Tuple[int, ...], Tuple[float, ...], float]
+#: ``element id → {topic: _Edges}`` for elements that have in-window
+#: followers; see :meth:`ScoringContext.follower_edges`.
+EdgeMemo = Dict[int, Dict[int, _Edges]]
+#: A compiled element, one term per query topic:
+#: ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), follower side)``.
+_Terms = Tuple[Tuple[int, float, float, float, Mapping[int, float], _Edges], ...]
 _EMPTY: Mapping[int, Any] = MappingProxyType({})  # shared, so read-only
+_NO_EDGES: _Edges = ((), (), 0.0)
 
 
 @dataclass(frozen=True)
@@ -382,12 +388,17 @@ class ScoringContext:
     ``t``; the objective (and the naive evaluators used in tests) read
     everything from here so queries never mutate the live window.
 
-    What depends only on the window is computed here once per snapshot:
-    :meth:`follower_edges` memoises, for elements that have in-window
-    followers, the per-topic edges ``p_i(e ⇝ follower)``.  The memo fills
-    lazily, holds nothing for follower-less elements, never touches the
-    profile and follower maps, and dies with the snapshot (the processor
-    builds a new context after every bucket).  Filling it is idempotent —
+    What depends only on the window is compiled once per *change*, not per
+    snapshot: :meth:`follower_edges` memoises, for elements that have
+    in-window followers, the per-topic edges ``p_i(e ⇝ follower)`` and their
+    sum.  The memo fills lazily, holds nothing for follower-less elements and
+    never touches the profile and follower maps.  A context built on its own
+    owns its memo; the processor's snapshot is handed the processor's
+    (``edges=``), whose entries outlive the snapshot and are dropped where a
+    bucket changes what they were compiled from
+    (:meth:`KSIRProcessor.process_bucket`).  Before the window changes the
+    processor calls :meth:`unshare_edges`, so a snapshot somebody still holds
+    keeps answering from its own frozen maps.  Filling is idempotent —
     threads that compile one element concurrently store equal entries.
     """
 
@@ -399,6 +410,7 @@ class ScoringContext:
         time: Optional[int] = None,
         *,
         frozen: bool = False,
+        edges: Optional[EdgeMemo] = None,
     ) -> None:
         # ``frozen``: the caller hands over dicts nothing else will mutate
         # (followers already ``id → tuple``), so they are kept, not copied.
@@ -408,8 +420,9 @@ class ScoringContext:
         }
         self._config = config
         self._time = time
-        # element id -> {topic: ((follower id, edge), ...)}; see follower_edges.
-        self._edges: Dict[int, Dict[int, _Edges]] = {}
+        # ``edges``: a memo whose every entry equals what these maps compile
+        # to, kept so by its owner until :meth:`unshare_edges`.
+        self._edge_memo: EdgeMemo = {} if edges is None else edges
 
     # -- accessors ---------------------------------------------------------------
 
@@ -445,7 +458,7 @@ class ScoringContext:
         return self._followers.get(element_id, ())
 
     def follower_edges(self, element_id: int) -> Mapping[int, _Edges]:
-        """``topic → ((follower, p_i(e ⇝ follower)), …)`` of an active element.
+        """``topic → (followers, edges p_i(e ⇝ follower), Σ edges)`` of an active element.
 
         One entry per topic of the element's profile, followers in
         :meth:`followers_of` order; followers without a profile and edges
@@ -455,23 +468,37 @@ class ScoringContext:
         followers = self._followers.get(element_id)
         if not followers:
             return _EMPTY
-        edges = self._edges.get(element_id)
-        if edges is None:
+        compiled = self._edge_memo.get(element_id)
+        if compiled is None:
             profiles = self._profiles
             present = [
                 (follower_id, profiles[follower_id].topic_probabilities)
                 for follower_id in followers
                 if follower_id in profiles
             ]
-            edges = self._edges[element_id] = {
-                topic: tuple(
-                    (follower_id, edge)
-                    for follower_id, theirs in present
-                    if (edge := probability * theirs.get(topic, 0.0)) > 0.0
-                )
-                for topic, probability in profiles[element_id].topic_probabilities.items()
-            }
-        return edges
+            compiled = {}
+            for topic, probability in profiles[element_id].topic_probabilities.items():
+                ids: List[int] = []
+                edges: List[float] = []
+                total = 0.0
+                for follower_id, theirs in present:
+                    edge = probability * theirs.get(topic, 0.0)
+                    if edge > 0.0:
+                        ids.append(follower_id)
+                        edges.append(edge)
+                        total += edge
+                compiled[topic] = (tuple(ids), tuple(edges), total) if ids else _NO_EDGES
+            self._edge_memo[element_id] = compiled
+        return compiled
+
+    def unshare_edges(self) -> None:
+        """Stop reading (and filling) the memo this context was handed.
+
+        Called by the memo's owner when the window is about to change: from
+        here on the context compiles from its own frozen maps into a memo of
+        its own.
+        """
+        self._edge_memo = {}
 
     def influence_probability(self, topic: int, source_id: int, follower_id: int) -> float:
         """``p_i(e' ⇝ e) = p_i(e') · p_i(e)`` for an observed reference."""
@@ -525,7 +552,6 @@ class ScoringContext:
     def influence_score(self, element_ids: Iterable[int], topic: int) -> float:
         """``I_{i,t}(S)`` computed directly from Eq. 4."""
         members = [eid for eid in element_ids if eid in self._profiles]
-        member_set = set(members)
         influenced: Dict[int, float] = {}
         for source_id in members:
             source = self._profiles[source_id]
@@ -537,7 +563,6 @@ class ScoringContext:
                 edge = probability * follower.topic_probability(topic)
                 remaining = influenced.get(follower_id, 1.0)
                 influenced[follower_id] = remaining * (1.0 - edge)
-        del member_set
         return float(sum(1.0 - remaining for remaining in influenced.values()))
 
     def topic_score(self, element_ids: Iterable[int], topic: int) -> float:
@@ -608,9 +633,10 @@ class KSIRObjective:
     experiment harness can reproduce Figure 10 (ratio of evaluated elements).
 
     An element is *compiled* on its first evaluation into one term
-    ``(topic, x_i, R_i(e), σ_i(·, e), follower edges)`` per query topic it
-    has (profile lookups happen here, once per query; the edges come from
-    the context's per-window memo), and every evaluation afterwards —
+    ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), (followers, edges, Σ edges))``
+    per query topic it has (profile lookups happen here, once per query; the
+    follower side comes from the context's memo, which outlives the query
+    and the snapshot), and every evaluation afterwards —
     :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`gains`,
     :meth:`add` — is a loop over those terms and the selection state only.
     """
@@ -664,13 +690,9 @@ class KSIRObjective:
     def singleton_score(self, element_id: int) -> float:
         """``δ(e, x) = f({e}, x)``."""
         self._evaluation_calls += 1
-        lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
         total = 0.0
-        for _topic, weight, semantic, _words, edges in self._terms(element_id):
-            influence = 0.0
-            for _follower_id, edge in edges:
-                influence += edge
-            total += weight * (lambda_weight * semantic + influence_weight * influence)
+        for term in self._terms(element_id):
+            total += term[1] * term[2]  # x_i · δ_i(e)
         return total
 
     def new_state(self) -> ObjectiveState:
@@ -714,22 +736,28 @@ class KSIRObjective:
         terms = self._compiled.get(element_id)
         if terms is None:
             profile = self._context.profile(element_id)
-            edges = self._context.follower_edges(element_id)
+            followed = self._context.follower_edges(element_id)
             probabilities = profile.topic_probabilities
-            semantic, words = profile.semantic_scores, profile.word_weights
-            terms = self._compiled[element_id] = tuple([
-                (topic, weight, semantic.get(topic, 0.0), words.get(topic, _EMPTY),
-                 edges.get(topic, ()))
-                for topic, weight in self._query_topics
-                if probabilities.get(topic, 0.0) > 0.0
-            ])
+            semantic_scores, words = profile.semantic_scores, profile.word_weights
+            lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
+            compiled = []
+            for topic, weight in self._query_topics:
+                if probabilities.get(topic, 0.0) > 0.0:
+                    semantic = semantic_scores.get(topic, 0.0)
+                    edges = followed.get(topic, _NO_EDGES)
+                    compiled.append((
+                        topic, weight,
+                        lambda_weight * semantic + influence_weight * edges[2],
+                        semantic, words.get(topic, _EMPTY), edges,
+                    ))
+            terms = self._compiled[element_id] = tuple(compiled)
         return terms
 
     def _gain(self, terms: _Terms, state: ObjectiveState, commit: bool) -> float:
         lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
         covered_words = state.covered_words
         total = 0.0
-        for topic, weight, semantic, words, edges in terms:
+        for topic, weight, _delta, semantic, words, (follower_ids, edges, influence) in terms:
             covered = covered_words.get(topic)
             if covered is None:
                 semantic_gain = semantic
@@ -750,15 +778,14 @@ class KSIRObjective:
                 if commit:
                     if remaining_map is None:
                         remaining_map = state.remaining_influence[topic] = {}
-                    for follower_id, edge in edges:
+                    for follower_id, edge in zip(follower_ids, edges):
                         remaining = remaining_map.get(follower_id, 1.0)
                         influence_gain += edge * remaining
                         remaining_map[follower_id] = remaining * (1.0 - edge)
                 elif remaining_map is None:
-                    for _follower_id, edge in edges:
-                        influence_gain += edge
+                    influence_gain = influence  # Σ edges, summed in this order
                 else:
-                    for follower_id, edge in edges:
+                    for follower_id, edge in zip(follower_ids, edges):
                         influence_gain += edge * remaining_map.get(follower_id, 1.0)
 
             total += weight * (

@@ -11,7 +11,9 @@ Two layers:
   random streams with re-posts, dangling and forward references, archive
   re-activation, expiry and all three window policies — on the local
   processor, on the home-filtered processors of a serial cluster, and
-  across save → load → continue.
+  across save → load → continue.  The same walk holds the window-resident
+  follower-edge memo to its definition: whatever bucket an entry was
+  compiled in, it equals what a cold context compiles from the live maps.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from tests.conftest import (
     build_processor,
     build_reference_stream,
 )
-from tests.oracle import Oracle
+from tests.oracle import Oracle, ReferenceObjective
 from tests.test_store_columnar import assert_ranked_lists_equal
 
 ALGORITHMS = ("mttd", "mtts", "celf", "sieve", "topk", "greedy")
@@ -191,6 +193,36 @@ def assert_matches_oracle(processor, oracle, query):
         ids, score = oracle.query(query, algorithm)
         assert result.element_ids == ids, algorithm
         assert result.score == pytest.approx(score, abs=1e-9), algorithm
+    assert_memo_is_the_definition(processor, query.vector)
+
+
+def assert_memo_is_the_definition(processor, vector):
+    """The processor's follower-edge memo against a cold context over copies
+    of the live maps: every entry (compiled by this bucket's queries or by
+    any earlier one's) ``==`` the cold compilation, no entry for an inactive
+    or follower-less id, and evaluations through the warm snapshot ``==`` the
+    call-by-call reference."""
+    cold = ScoringContext(
+        dict(processor._profiles),
+        processor.window.followers_snapshot(),
+        processor.config.scoring,
+    )
+    memo = processor._edge_memo
+    for element_id, compiled in memo.items():
+        assert element_id in cold and cold.followers_of(element_id)
+        assert compiled == cold.follower_edges(element_id)
+    ours = KSIRObjective(processor.snapshot(), vector)
+    theirs = ReferenceObjective(cold, vector)
+    our_state, their_state = ours.new_state(), theirs.new_state()
+    for position, element_id in enumerate(cold.active_ids):
+        assert ours.singleton_score(element_id) == theirs.singleton_score(element_id)
+        gain = theirs.marginal_gain(element_id, their_state)
+        assert ours.marginal_gain(element_id, our_state) == gain
+        if position % 2 == 0:
+            assert ours.add(element_id, our_state) == theirs.add(element_id, their_state)
+    assert our_state == their_state
+    # Every followed element went through the memo just now.
+    assert set(memo) == {e for e in cold.active_ids if cold.followers_of(e)}
 
 
 class TestProductionEqualsOracle:

@@ -1,7 +1,8 @@
 """The compiled query path equals its written-out references, bit for bit.
 
 Production compiles an element once per query (:class:`KSIRObjective`),
-memoises follower edges once per window (:meth:`ScoringContext.follower_edges`),
+memoises follower edges once per change (:meth:`ScoringContext.follower_edges`,
+filling a memo the processor owns and invalidates bucket by bucket),
 keeps the traversal's fronts cached (:class:`RankedListTraversal`) and sweeps
 MTTS's open candidates by bisection.  None of that may change a single bit of
 an answer, so every comparison below is ``==`` on floats:
@@ -12,7 +13,8 @@ an answer, so every comparison below is ``==`` on floats:
   six algorithms after every bucket, three execution backends;
 * on the raw-token path: a stream the engine infers bucket by bucket against
   the same stream pre-inferred by the per-document reference;
-* plus the contract of the per-window memo.
+* plus the contract of the window-resident memo (its entries are held to
+  their definition after every bucket in ``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import EngineConfig, InferenceConfig, KSIREngine
 from repro.cluster import ClusterConfig
-from repro.core.algorithms import MTTS
+from repro.core.algorithms import MTTS, resolve_algorithm
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
@@ -41,6 +43,7 @@ from repro.core.scoring import (
     ScoringConfig,
     ScoringContext,
 )
+from repro.core.stream import replay_stream
 from tests.check_e2e_counts import differences, float_environment
 from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
 from tests.oracle import (
@@ -49,6 +52,7 @@ from tests.oracle import (
     reference_infer,
     reference_mtts,
 )
+from tests.test_oracle import assert_memo_is_the_definition
 from tests.test_store_columnar import bucketise
 
 SCORING = ScoringConfig(lambda_weight=0.4, eta=3.0)
@@ -479,8 +483,33 @@ def test_raw_tokens_answer_as_the_reference_inferred_stream(backend, seed):
 
 
 # ---------------------------------------------------------------------------
-# The per-window memo
+# The window-resident memo
 # ---------------------------------------------------------------------------
+
+
+def cold_copy(context):
+    """A context over copies of ``context``'s maps, with a memo of its own."""
+    return ScoringContext(
+        {e: context.profile(e) for e in context.active_ids},
+        {e: context.followers_of(e) for e in context.active_ids if context.followers_of(e)},
+        context.config,
+        time=context.time,
+    )
+
+
+def everything_it_answers(context):
+    """Compiled edges, singleton scores and two index-free selections."""
+    vectors = (np.array([0.5, 0.3, 0.2]), np.array([0.0, 1.0, 0.0]))
+    answers = [{e: dict(context.follower_edges(e)) for e in context.active_ids}]
+    for vector in vectors:
+        objective = KSIRObjective(context, vector)
+        answers.append([objective.singleton_score(e) for e in context.active_ids])
+        for name in ("celf", "greedy"):
+            outcome = resolve_algorithm(name, default_name=name).select(
+                KSIRObjective(context, vector), 4
+            )
+            answers.append((outcome.element_ids, outcome.value))
+    return answers
 
 
 class TestFollowerEdgeMemo:
@@ -489,45 +518,113 @@ class TestFollowerEdgeMemo:
         for algorithm in algorithms:
             processor.query(KSIRQuery(k=4, vector=rng.dirichlet(np.ones(3))), algorithm=algorithm)
 
-    def test_holds_only_elements_with_in_window_followers(self):
-        processor = small_window(3)
-        context = processor.snapshot()
-        assert context._edges == {}
-        self.exercise(processor)
-        assert context._edges  # the queries did go through it
-        for element_id, edges in context._edges.items():
-            assert context.followers_of(element_id)
-            assert set(edges) == set(context.profile(element_id).topics)
-        lonely = [e for e in context.active_ids if not context.followers_of(e)]
-        assert lonely and all(context.follower_edges(e) == {} for e in lonely)
-        assert not set(lonely) & set(context._edges)
+    def test_a_held_snapshot_answers_as_a_cold_copy_of_itself(self):
+        """Three further buckets (and their queries) change the memo under a
+        snapshot somebody kept; it answers from its own frozen maps."""
+        model, elements = build_reference_stream(6, 60, 3, 8)
+        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+        processor = build_processor(model, config)
+        buckets = bucketise(elements, 4)
+        for members, end_time in buckets[:-3]:
+            processor.process_bucket(members, end_time)
+            self.exercise(processor)
+        held = processor.snapshot()
+        assert held._edge_memo is processor._edge_memo and held._edge_memo
+        expected = everything_it_answers(cold_copy(held))
+        assert everything_it_answers(held) == expected
+        for members, end_time in buckets[-3:]:
+            processor.process_bucket(members, end_time)
+            assert held._edge_memo is not processor._edge_memo
+            assert everything_it_answers(held) == expected  # compiles what it lost
+            self.exercise(processor)
+            assert processor.snapshot() is not held
+            assert everything_it_answers(held) == expected
+            # ... and nothing the stale snapshot compiled reached the live memo.
+            assert_memo_is_the_definition(processor, np.ones(3) / 3)
 
     def test_edges_are_the_positive_profiled_products(self):
         processor = small_window(4)
         context = processor.snapshot()
         for element_id in context.active_ids:
-            for topic, edges in context.follower_edges(element_id).items():
-                assert list(edges) == [
+            for topic, (ids, edges, total) in context.follower_edges(element_id).items():
+                assert list(zip(ids, edges)) == [
                     (f, context.influence_probability(topic, element_id, f))
                     for f in context.followers_of(element_id)
                     if context.influence_probability(topic, element_id, f) > 0.0
                 ]
+                influence = 0.0
+                for edge in edges:
+                    influence += edge
+                assert total == influence
 
-    def test_next_bucket_starts_from_an_empty_memo(self):
-        model, elements = build_reference_stream(6, 40, 3, 8)
-        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
-        processor = build_processor(model, config)
-        buckets = bucketise(elements, 4)
-        for members, end_time in buckets[:-1]:
+    def test_holds_only_active_elements_that_have_followers(self, tiny_dataset):
+        """Twelve windows of the ``tiny`` replay: entries come and go with the
+        follower sets, so the memo is bounded by the followed active elements
+        (the whole-window table this is not would hold ``active_count``)."""
+        config = ProcessorConfig(
+            window_length=1800, bucket_length=300,
+            scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
+        )
+        processor = build_processor(tiny_dataset.topic_model, config)
+        seen_sizes = []
+
+        def after_bucket(members, end_time):
             processor.process_bucket(members, end_time)
-        before = processor.snapshot()
-        self.exercise(processor)
-        assert before._edges and processor.snapshot() is before
-        held = {e: dict(edges) for e, edges in before._edges.items()}
-        processor.process_bucket(*buckets[-1])
-        after = processor.snapshot()
-        assert after is not before and after._edges == {}
-        assert before._edges == held  # the old snapshot keeps answering as it did
+            window, memo = processor.window, processor._edge_memo
+            stale = [e for e in memo if e not in window or not window.follower_count(e)]
+            assert stale == []
+            query = tiny_dataset.make_query(k=5, topic=len(seen_sizes) % 5)
+            for algorithm in ("mttd", "mtts"):
+                processor.query(query, algorithm=algorithm)
+            followed = {e for e in window.active_ids() if window.follower_count(e)}
+            assert set(memo) <= followed
+            seen_sizes.append((len(memo), len(followed), window.active_count))
+
+        replay_stream(tiny_dataset.stream, config.bucket_length, after_bucket)
+        assert len(seen_sizes) >= 12 * (config.window_length // config.bucket_length)
+        assert max(size for size, _, _ in seen_sizes) > 0
+        assert all(size <= followed < active for size, followed, active in seen_sizes)
+
+    @pytest.mark.parametrize("via", ["restore_state", "engine_load"])
+    def test_a_restored_processor_starts_from_an_empty_memo(self, via, tmp_path):
+        model, elements = build_reference_stream(11, 60, 3, 8)
+        config = EngineConfig(processor=ProcessorConfig(
+            window_length=12, bucket_length=4, scoring=PAPER_SCORING
+        ))
+        buckets = bucketise(elements, 4)
+        query = KSIRQuery(k=4, vector=np.array([0.2, 0.5, 0.3]))
+
+        def answers(engine):
+            # Not sieve: it streams A_t in map order, and a checkpoint lists
+            # A_t by ascending id.
+            return [
+                (r.element_ids, r.score, r.evaluated_elements, r.extras)
+                for r in (engine.query(query, algorithm=a)
+                          for a in ALGORITHMS if a != "sieve")
+            ]
+
+        uninterrupted, resumed = [], []
+        with KSIREngine(model, config) as engine:
+            for members, end_time in buckets:
+                engine.ingest_bucket(members, end_time)
+                uninterrupted.append(answers(engine))
+        engine = KSIREngine(model, config)
+        for position, (members, end_time) in enumerate(buckets):
+            engine.ingest_bucket(members, end_time)
+            resumed.append(answers(engine))
+            if position % 4 == 3:
+                processor = engine.backend.processor
+                assert processor._edge_memo  # warm, and about to be left behind
+                if via == "restore_state":
+                    processor.restore_state(processor.state_dict())
+                else:
+                    engine.save(tmp_path / f"checkpoint-{position}")
+                    engine.close()
+                    engine = KSIREngine.load(tmp_path / f"checkpoint-{position}")
+                assert engine.backend.processor._edge_memo == {}
+                assert answers(engine) == resumed[-1]
+        engine.close()
+        assert resumed == uninterrupted
 
     def test_never_changes_the_observable_maps(self):
         processor = small_window(7)
@@ -564,11 +661,7 @@ class TestFollowerEdgeMemo:
     def test_threads_compiling_the_same_elements_leave_equal_entries(self):
         processor = small_window(9)
         context = processor.snapshot()
-        expected = ScoringContext(
-            {e: context.profile(e) for e in context.active_ids},
-            {e: context.followers_of(e) for e in context.active_ids},
-            PAPER_SCORING,
-        )
+        expected = cold_copy(context)
         scores = {e: KSIRObjective(expected, np.ones(3)).singleton_score(e)
                   for e in expected.active_ids}
         failures = []
@@ -576,7 +669,7 @@ class TestFollowerEdgeMemo:
         def worker():
             try:
                 for _ in range(20):
-                    context._edges.clear()  # force every thread to refill
+                    context._edge_memo.clear()  # force every thread to refill
                     objective = KSIRObjective(context, np.ones(3))
                     for element_id in context.active_ids:
                         if objective.singleton_score(element_id) != scores[element_id]:
