@@ -24,7 +24,8 @@ algorithms evaluating the merged context and index algorithms traversing the
 merged candidate index.
 
 **Exactness.**  Candidate scores and marginal gains are always exact (each
-pool carries its candidates' complete follower views).  Whenever no shard
+pool carries its candidates' follower edges, compiled by the home shard,
+which sees every follower of its elements).  Whenever no shard
 truncates its export — the ``ε``-derived budget exceeds the shard's
 positive-weight support, which ``⌈k/ε⌉`` comfortably does on topical
 queries — the merged union contains everything the single-node run could
@@ -322,8 +323,9 @@ class ClusterCoordinator:
 
         Accepts the same inputs as :meth:`KSIRProcessor.query`.  The final
         selection runs the resolved algorithm over the merged per-shard
-        candidate pools; scores are exact because each pool carries its
-        candidates' complete follower views.
+        candidate pools; scores are exact because each pool carries the
+        follower edges its shard compiled from the candidates' complete
+        follower sets.
         """
         self._require_open()
         ksir_query = KSIRQuery.coerce(query, k)

@@ -5,15 +5,17 @@ shard and needs to run an unmodified k-SIR algorithm over their union.  Two
 structures make that possible:
 
 * :class:`MergedCandidateContext` — a :class:`~repro.core.scoring.ScoringContext`
-  whose *ground set* (``active_ids``) is exactly the candidate union, while
-  its profile table additionally holds the candidates' followers.  Marginal
-  gains computed against it equal the single-node values because influence
-  gains only ever read follower profiles, and the home shard exports the
-  complete follower set of each of its candidates.
-* a merged :class:`~repro.core.ranked_list.RankedListIndex` — rebuilt from
-  the shards' stored ``δ_i(e)`` tuples via the raw loader, so index-driven
-  algorithms (MTTS, MTTD, top-k) traverse the union in the same descending
-  order the single-node index would produce restricted to the candidates.
+  whose *ground set* (``active_ids``) is exactly the candidate union and whose
+  edge memo is the follower edges the candidates' home shards compiled.  A
+  marginal gain reads a candidate's profile and its edges and nothing else,
+  and the home shard sees the complete follower set of each of its
+  candidates, so gains computed against it equal the single-node values —
+  without the coordinator compiling an edge or seeing a follower.
+* a merged :class:`~repro.core.ranked_list.RankedListIndex` — loaded from the
+  shards' stored ``δ_i(e)`` tuples (one sorted load per topic), so
+  index-driven algorithms (MTTS, MTTD, top-k) traverse the union in the same
+  descending order the single-node index would produce restricted to the
+  candidates.
 
 Candidate sets are disjoint across shards (each element's tuples live only on
 its home shard), so the merge is a plain union.
@@ -21,44 +23,43 @@ its home shard), so the merge is a plain union.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ranked_list import RankedListIndex
-from repro.core.scoring import ElementProfile, ScoringConfig, ScoringContext
+from repro.core.scoring import EdgeMemo, ElementProfile, ScoringConfig, ScoringContext
 from repro.cluster.worker import CandidatePool
+
+#: One candidate's entry of the edge memo: ``topic → (followers, edges, Σ)``.
+_FollowerEdges = Mapping[int, Tuple[Tuple[int, ...], Tuple[float, ...], float]]
+_NO_FOLLOWERS: _FollowerEdges = MappingProxyType({})
 
 
 class MergedCandidateContext(ScoringContext):
     """A scoring snapshot whose ground set is the merged candidate union.
 
-    Batch algorithms (greedy, CELF, SieveStreaming) enumerate
-    ``context.active_ids`` as their ground set, so the merged context
-    restricts it to the candidates; the profile table keeps the follower
-    profiles too, which is what makes every marginal-gain evaluation exact.
-    The two dicts are kept, not copied: :func:`merge_candidate_pools` builds
-    them for this context alone.
+    Its profile table holds the candidates only, so batch algorithms
+    (greedy, CELF, SieveStreaming), which enumerate ``context.active_ids``,
+    select from the union; its edge memo is what the home shards shipped.
+    It has no follower view: the naive set evaluators built on
+    :meth:`followers_of` do not apply here
+    (:meth:`ClusterCoordinator.snapshot` is the whole-window context).
+    The dicts are kept, not copied: :func:`merge_candidate_pools` builds them
+    for this context alone.
     """
 
     def __init__(
         self,
         profiles: Dict[int, ElementProfile],
-        followers: Dict[int, Tuple[int, ...]],
+        edges: EdgeMemo,
         config: ScoringConfig,
-        candidate_ids: Sequence[int],
         time: Optional[int] = None,
     ) -> None:
-        super().__init__(profiles, followers, config, time=time, frozen=True)
-        self._candidate_ids = tuple(candidate_ids)
+        super().__init__(profiles, {}, config, time=time, frozen=True, edges=edges)
 
-    @property
-    def active_ids(self) -> Tuple[int, ...]:
-        """The merged candidate union (the selection ground set)."""
-        return self._candidate_ids
-
-    @property
-    def active_count(self) -> int:
-        """Number of candidates in the merged union."""
-        return len(self._candidate_ids)
+    def follower_edges(self, element_id: int) -> _FollowerEdges:
+        """The edges the candidate's home shard compiled (empty without followers)."""
+        return self._edge_memo.get(element_id, _NO_FOLLOWERS)
 
 
 def merge_candidate_pools(
@@ -76,27 +77,16 @@ def merge_candidate_pools(
     matters for deterministic iteration, not for correctness.
     """
     profiles: Dict[int, ElementProfile] = {}
-    followers: Dict[int, Tuple[int, ...]] = {}
-    candidate_ids = []
-    index = RankedListIndex(num_topics, config) if build_index else None
-
+    edges: EdgeMemo = {}
     for pool in pools:
         profiles.update(pool.profiles)
-        for element_id in pool.candidate_ids:
-            candidate_ids.append(element_id)
-            followers[element_id] = pool.followers[element_id]
-            if index is not None:
-                index.insert_scores(
-                    element_id,
-                    pool.scores[element_id],
-                    activity_time=pool.activity[element_id],
-                )
-
-    context = MergedCandidateContext(
-        profiles=profiles,
-        followers=followers,
-        config=config,
-        candidate_ids=candidate_ids,
-        time=time,
-    )
-    return context, index
+        edges.update(pool.edges)
+    index = None
+    if build_index:
+        index = RankedListIndex(num_topics, config)
+        index.load(
+            (element_id, pool.activity[element_id], scores)
+            for pool in pools
+            for element_id, scores in pool.scores.items()
+        )
+    return MergedCandidateContext(profiles, edges, config, time=time), index

@@ -10,8 +10,8 @@ scatter-gather protocol:
 * :meth:`export_candidates` — walk the shard's ranked lists in descending
   ``x_i · δ_i`` order and return a bounded :class:`CandidatePool` carrying
   everything the coordinator needs to evaluate the candidates *exactly*:
-  their stored topic-wise scores, their profiles, their in-window follower
-  ids and the followers' profiles.
+  their profiles, their stored scores on the query's topics and the follower
+  edges the shard compiled (it sees every follower of its elements).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
-from repro.core.scoring import ElementProfile
+from repro.core.scoring import EdgeMemo, ElementProfile
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 
@@ -37,32 +37,26 @@ class CandidatePool:
     ----------
     shard_id:
         The exporting shard.
-    candidate_ids:
-        Candidates in the shard's descending retrieval order.
+    profiles:
+        The candidates' profiles, in the shard's descending retrieval order.
     scores:
-        ``element_id → {topic → δ_i(e)}`` exactly as stored on the shard's
-        ranked lists (maintained incrementally, so they equal the global
-        singleton scores).
+        ``element_id → {topic → δ_i(e)}`` on the query's topics (the only
+        lists index algorithms traverse), exactly as the shard stores them.
     activity:
         ``element_id → t_e`` last-activity timestamps.
-    followers:
-        ``element_id → in-window follower ids`` for every candidate.  The
-        home shard sees the complete follower set of its elements because
-        every follower is routed to it.
-    profiles:
-        Profiles of the candidates *and* of their followers (follower topic
-        probabilities are needed to evaluate influence gains exactly).
+    edges:
+        ``element_id → {topic → (follower ids, edges, Σ edges)}`` of every
+        candidate with in-window followers: its entry of the shard's edge memo.
     """
 
     shard_id: int
-    candidate_ids: Tuple[int, ...]
+    profiles: Dict[int, ElementProfile]
     scores: Dict[int, Dict[int, float]]
     activity: Dict[int, int]
-    followers: Dict[int, Tuple[int, ...]]
-    profiles: Dict[int, ElementProfile]
+    edges: EdgeMemo
 
     def __len__(self) -> int:
-        return len(self.candidate_ids)
+        return len(self.profiles)
 
 
 @dataclass
@@ -196,45 +190,32 @@ class ShardWorker:
     ) -> CandidatePool:
         """Export the shard's top candidates for one query vector.
 
-        The candidates' follower views come out of one CSR array slice
-        over the store's adjacency
-        (:meth:`repro.store.ElementStore.followers_csr`) instead of one
-        window call per candidate.
+        Profiles and follower edges are read through the processor's
+        memoised :meth:`~KSIRProcessor.snapshot`, which shares the
+        processor's edge memo: an entry compiled for one query serves every
+        later one until a bucket changes the element or its followers.
         """
         index = self._processor.ranked_lists
-        candidate_ids = tuple(index.top_candidates(query_vector, budget))
-
+        context = self._processor.snapshot()
+        query_topics = {topic for topic, weight in enumerate(query_vector) if weight > 0.0}
+        profiles: Dict[int, ElementProfile] = {}
         scores: Dict[int, Dict[int, float]] = {}
         activity: Dict[int, int] = {}
-        followers: Dict[int, Tuple[int, ...]] = {}
-        profiles: Dict[int, ElementProfile] = {}
-        store = self._processor.store
-        if candidate_ids:
-            rows = store.rows_of(candidate_ids)
-            indptr, follower_flat = store.followers_csr(rows)
-            flat = follower_flat.tolist()
-            for position, element_id in enumerate(candidate_ids):
-                start, stop = int(indptr[position]), int(indptr[position + 1])
-                followers[element_id] = tuple(flat[start:stop])
-        for element_id in candidate_ids:
-            profile = profiles[element_id] = self._processor.profile(element_id)
+        edges: EdgeMemo = {}
+        for element_id in index.top_candidates(query_vector, budget):
+            profile = profiles[element_id] = context.profile(element_id)
             # A home element's tuples sit on exactly its profile's topics.
             scores[element_id] = {
-                topic: index.score(topic, element_id) for topic in profile.topics
+                topic: index.score(topic, element_id)
+                for topic in profile.topic_probabilities
+                if topic in query_topics
             }
             activity[element_id] = index.last_activity(element_id)
-            for follower_id in followers[element_id]:
-                if follower_id not in profiles:
-                    profiles[follower_id] = self._processor.profile(follower_id)
+            followed = context.follower_edges(element_id)
+            if followed:
+                edges[element_id] = followed
 
         with self._counter_lock:
             self._exports += 1
-            self._exported_candidates += len(candidate_ids)
-        return CandidatePool(
-            shard_id=self._shard_id,
-            candidate_ids=candidate_ids,
-            scores=scores,
-            activity=activity,
-            followers=followers,
-            profiles=profiles,
-        )
+            self._exported_candidates += len(profiles)
+        return CandidatePool(self._shard_id, profiles, scores, activity, edges)

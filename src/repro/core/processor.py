@@ -454,7 +454,8 @@ class KSIRProcessor:
         algorithms enumerate), iterates in ``window.active_ids()`` order.
         Only a shard's home-filtered processor can depart from it (a re-post
         of a foreign id it held as a profile-less re-activated precedent);
-        cluster queries never read a shard's own snapshot.
+        a shard reads its snapshot for profiles and follower edges, never
+        for ``active_ids``.
         """
         cached = self._snapshot_cache
         if cached is not None and cached[0] == self._buckets_processed:

@@ -330,26 +330,29 @@ class RankedListIndex:
             watch.stop(), len(inserts) + len(removes) + len(scored_refreshes)
         )
 
-    def insert_scores(
-        self,
-        element_id: int,
-        scores: Mapping[int, float],
-        activity_time: int,
-    ) -> None:
-        """Load pre-computed ``⟨topic → δ_i(e)⟩`` tuples verbatim.
+    def load(self, entries: Iterable[Tuple[int, int, Mapping[int, float]]]) -> None:
+        """Load pre-computed ``(element_id, t_e, topic → δ_i(e))`` entries verbatim.
 
-        This is the raw loader used by the sharded execution layer
-        (:mod:`repro.cluster`) when it assembles a merged candidate index
-        from per-shard exports: the stored scores were already maintained by
-        the owning shard, so re-deriving them from profiles would only risk
-        drift.  Replaces any previous tuples of the element.
+        The raw loader of a checkpoint restore and of the sharded layer's
+        merged candidate index (:mod:`repro.cluster`): the scores were
+        maintained where the window is, so re-deriving them from profiles
+        would only risk drift.  An entry replaces the element's activity
+        time and its tuples on the topics it names.  The tuples are grouped
+        per topic and each list takes them in one
+        :meth:`DescendingSortedList.bulk_insert`, which orders them by
+        ``(−score, id)`` exactly as one insertion per tuple would.  Loading
+        is not stream maintenance: the update timer records nothing.
         """
-        with self._update_timer.measure():
-            self._last_activity[element_id] = int(activity_time)
+        last_activity, topics_of = self._last_activity, self._topics_of
+        per_topic: Dict[int, List[Tuple[int, float]]] = defaultdict(list)
+        for element_id, activity_time, scores in entries:
+            last_activity[element_id] = int(activity_time)
             for topic, score in scores.items():
-                self._lists[topic].insert(element_id, float(score))
-            self._topics_of[element_id] = self._topics_of.get(element_id, 0) | _mask(scores)
-            self._dirty_topics.update(scores)
+                per_topic[topic].append((element_id, score))
+            topics_of[element_id] = topics_of.get(element_id, 0) | _mask(scores)
+        for topic, items in per_topic.items():
+            self._lists[topic].bulk_insert(items)
+        self._dirty_topics.update(per_topic)
 
     def clear(self) -> None:
         """Drop every tuple (used when rebuilding the index)."""
@@ -392,10 +395,9 @@ class RankedListIndex:
                 f"configured for {self._num_topics}"
             )
         self.clear()
-        for element_id, activity_time, scores in decode_ranked_entries(state["entries"]):
-            self.insert_scores(element_id, scores, activity_time=activity_time)
-        # insert_scores marked everything dirty; restore the saved set so
-        # the serving layer's scheduler resumes exactly where it left off.
+        self.load(decode_ranked_entries(state["entries"]))
+        # Loading marked every list dirty; restore the saved set so the
+        # serving layer's scheduler resumes exactly where it left off.
         self._dirty_topics = set(decode_id_list(state["dirty_topics"]))
 
     # -- traversal ----------------------------------------------------------------------------

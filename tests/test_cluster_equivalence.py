@@ -11,6 +11,11 @@ algorithm.
 SieveStreaming is excluded by design: it is a single-pass streaming
 algorithm whose output depends on element iteration order, which sharding
 inherently changes (see ``repro.cluster.verify``).
+
+The pool contract is then held exactly, with ``==``: with every replica
+current the sharded answers are the single node's to the last bit, and every
+candidate pool a shard exports is what the single node holds for those
+candidates — compiled follower edges included.
 """
 
 from __future__ import annotations
@@ -18,16 +23,27 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, verify_equivalence
+from repro.cluster import (
+    ClusterConfig,
+    ClusterCoordinator,
+    RoutedBucket,
+    ShardPlanner,
+    shard_of,
+    verify_equivalence,
+)
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
-from repro.core.scoring import ScoringConfig
+from repro.core.scoring import ScoringConfig, ScoringContext
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
+from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
+from tests.test_query_path import reposting_stream
+from tests.test_store_columnar import bucketise
 
 #: Deterministic algorithms covered by the transparency contract.
 ALGORITHMS = ("mttd", "mtts", "greedy", "celf")
@@ -158,3 +174,102 @@ class TestShardedEquivalence:
             epsilon=0.1,
         )
         assert report.matched, "; ".join(c.detail for c in report.mismatches)
+
+
+# ---------------------------------------------------------------------------
+# The pool contract, exactly
+# ---------------------------------------------------------------------------
+
+#: Every index algorithm and both deterministic batch algorithms.
+EXACT_ALGORITHMS = ("mtts", "mttd", "celf", "greedy", "topk")
+REPLAY = ProcessorConfig(
+    window_length=10, bucket_length=4, scoring=PAPER_SCORING, archive_windows=3
+)
+
+
+def replicate_everywhere(planner, elements):
+    """``ShardPlanner.route_bucket`` with every element sent to every shard,
+    so no shard can hold a version of an element its home shard replaced."""
+    num_shards = planner.num_shards
+    home_counts = [0] * num_shards
+    for element in elements:
+        home_counts[shard_of(element.element_id, num_shards)] += 1
+    return tuple(
+        RoutedBucket(
+            shard, tuple(elements), home_counts[shard], len(elements) - home_counts[shard]
+        )
+        for shard in range(num_shards)
+    )
+
+
+class TestThePoolContract:
+    def test_consistent_replicas_answer_as_one_node(self, monkeypatch):
+        """With every replica current (every element on every shard), the
+        sharded answer *is* the single node's: ids and ``repr(score)`` of
+        five algorithms after every bucket of the re-posting streams.  What
+        the recorded sharded digests still differ by is ROADMAP 5(d) — a
+        shard keeping a version of an element that a re-post replaced."""
+        monkeypatch.setattr(ShardPlanner, "route_bucket", replicate_everywhere)
+        compared = 0
+        for seed in range(30):
+            model, elements = reposting_stream(seed)
+            rng = np.random.default_rng(seed)
+            queries = [
+                KSIRQuery(k=int(rng.integers(1, 6)), vector=rng.dirichlet(np.full(3, 0.6)))
+                for _ in range(len(elements))
+            ]
+            single = build_processor(model, REPLAY)
+            with ClusterCoordinator(model, REPLAY, ClusterConfig(num_shards=3)) as cluster:
+                for position, (members, end_time) in enumerate(bucketise(elements, 4)):
+                    single.process_bucket(members, end_time)
+                    cluster.process_bucket(members, end_time)
+                    for algorithm in EXACT_ALGORITHMS:
+                        ours = cluster.query(queries[position], algorithm=algorithm)
+                        theirs = single.query(queries[position], algorithm=algorithm)
+                        assert (ours.element_ids, repr(ours.score)) == (
+                            theirs.element_ids, repr(theirs.score)
+                        ), (seed, position, algorithm)
+                        compared += 1
+        assert compared == 30 * 12 * len(EXACT_ALGORITHMS)
+
+    @pytest.mark.parametrize("transport", ["serial", "pipe"])
+    def test_a_pool_is_what_one_node_holds(self, transport):
+        """After every bucket, every shard's pool for two queries: each
+        candidate's shipped edges ``==`` what a cold single-node context over
+        copies of the live maps compiles, its profile and activity time are
+        the single node's, and its scores are the single node's on exactly
+        the query's topics."""
+        model, elements = build_reference_stream(21, 64, 3, 8)
+        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+        vectors = (np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.6, 0.4]))
+        single = build_processor(model, config)
+        cluster_config = ClusterConfig(num_shards=3, transport=transport)
+        exported = followed = 0
+        with ClusterCoordinator(model, config, cluster_config) as cluster:
+            for members, end_time in bucketise(elements, 4):
+                single.process_bucket(members, end_time)
+                cluster.process_bucket(members, end_time)
+                cold = ScoringContext(
+                    dict(single._profiles), single.window.followers_snapshot(), config.scoring
+                )
+                index = single.ranked_lists
+                for vector in vectors:
+                    pools = cluster.fanout.export(vector, None)
+                    assert sorted(e for pool in pools for e in pool.profiles) == sorted(
+                        index.top_candidates(vector)
+                    )
+                    for pool in pools:
+                        assert set(pool.edges) <= set(pool.profiles)
+                        for element_id, profile in pool.profiles.items():
+                            edges = pool.edges.get(element_id, {})
+                            assert edges == cold.follower_edges(element_id)
+                            assert profile == single.profile(element_id)
+                            assert pool.activity[element_id] == index.last_activity(element_id)
+                            assert pool.scores[element_id] == {
+                                topic: score
+                                for topic, score in index.scores_of(element_id).items()
+                                if vector[topic] > 0.0
+                            }
+                            followed += bool(edges)
+                        exported += len(pool)
+        assert followed > 100 and exported > followed  # both kinds of candidate

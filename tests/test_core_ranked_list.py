@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ProfileBuilder
@@ -157,7 +159,7 @@ class TestRepostDropsATopic:
         index = RankedListIndex(3, PAPER_SCORING)
         index.insert(self.version([0, 1]))
         index.refresh(self.version([0, 1]), {}, 2)
-        index.insert_scores(8, {2: 0.5}, activity_time=2)
+        index.load([(8, 2, {2: 0.5})])
         assert index.validate()
         state = index.state_dict()
         index.remove(7)
@@ -166,6 +168,56 @@ class TestRepostDropsATopic:
         assert index.validate() and index.scores_of(7).keys() == {0, 1}
         index.clear()
         assert index.validate() and index.scores_of(8) == {}
+
+
+#: Few distinct scores, so equal scores on one list are common (ties order by id).
+TIED_SCORES = st.sampled_from([0.0, 0.1, 0.1, 0.25, 0.5])
+TOPIC_SCORES = st.dictionaries(st.integers(0, 2), TIED_SCORES, min_size=1)
+
+
+class TestLoad:
+    """The one loader behind a checkpoint restore and a merged candidate index."""
+
+    @given(
+        refreshes=st.lists(
+            st.tuples(st.integers(0, 40), TOPIC_SCORES, st.integers(1, 9)), max_size=60
+        ),
+        removes=st.lists(st.integers(0, 40), max_size=10),
+        drained=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_restored_index_is_the_saved_one(self, refreshes, removes, drained):
+        """Maintained one element at a time, saved, restored through the
+        per-topic bulk load: the same ``(−score, id)`` order on every list
+        (lists long enough for the bulk merge included), the same topic
+        records and activity times, and the saved dirty set."""
+        index = RankedListIndex(3, PAPER_SCORING)
+        for element_id, scores, activity_time in refreshes:
+            index.bulk_update(scored_refreshes=[(element_id, scores, activity_time)])
+        if drained:
+            index.take_dirty_topics()
+        index.bulk_update(removes=removes)
+
+        restored = RankedListIndex(3, PAPER_SCORING)
+        restored.load([(99, 1, {0: 0.5, 2: 0.1})])  # replaced, not merged
+        restored.restore_state(index.state_dict())
+        assert restored.validate()
+        for topic in range(3):
+            assert restored._lists[topic].entries() == index._lists[topic].entries()
+        assert restored._topics_of == index._topics_of
+        assert restored._last_activity == index._last_activity
+        assert restored.peek_dirty_topics() == index.peek_dirty_topics()
+
+    def test_load_groups_per_topic_and_replaces_per_element(self):
+        index = RankedListIndex(3, PAPER_SCORING)
+        index.load((eid, eid, {0: 0.5, 1: 0.1 * eid}) for eid in range(10))
+        index.take_dirty_topics()
+        index.load([(3, 20, {2: 0.7}), (4, 21, {0: 0.9})])
+        assert [element_id for element_id, _ in index.items(0)][:3] == [4, 0, 1]
+        assert index.scores_of(3) == {0: 0.5, 1: 0.30000000000000004, 2: 0.7}
+        assert (index.last_activity(3), index.last_activity(4)) == (20, 21)
+        assert index.take_dirty_topics() == (0, 2)
+        assert index.update_timer.count == 0 and index.validate()
 
 
 class TestTraversal:

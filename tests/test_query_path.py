@@ -109,15 +109,14 @@ QUERY_VECTORS = st.lists(
 def indexes(draw):
     """Ranked lists with tied scores and ids present on several lists."""
     index = RankedListIndex(NUM_TOPICS, SCORING)
-    for element_id in range(draw(st.integers(0, 10))):
-        scores = draw(
-            st.dictionaries(
-                st.integers(0, NUM_TOPICS - 1),
-                st.sampled_from([0.0, 0.1, 0.1, 0.25, 0.5, 0.75]),
-                min_size=1,
-            )
-        )
-        index.insert_scores(element_id, scores, activity_time=1)
+    scores = st.dictionaries(
+        st.integers(0, NUM_TOPICS - 1),
+        st.sampled_from([0.0, 0.1, 0.1, 0.25, 0.5, 0.75]),
+        min_size=1,
+    )
+    index.load(
+        (element_id, 1, draw(scores)) for element_id in range(draw(st.integers(0, 10)))
+    )
     return index
 
 
