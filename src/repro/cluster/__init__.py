@@ -7,8 +7,9 @@ sharding *transparent*: queries return exactly the single-node answers.
 * :func:`shard_of` / :class:`ShardPlanner` — the
   element → home-shard function (a hash of the id, nothing remembered) and
   the routing of followers to their parents' shards (exact influence);
-* :class:`ShardWorker` / :class:`CandidatePool` — per-shard ingestion and
-  bounded candidate export for scatter-gather queries;
+* :class:`ShardWorker` / :data:`CandidatePool` — per-shard ingestion and
+  bounded candidate export for scatter-gather queries (per candidate, its
+  scoring record on the query's topics, not its profile);
 * :class:`ClusterCoordinator` / :class:`ClusterConfig` — fan-out
   ingestion and the merged final submodular selection;
 * :class:`TransportBackend` / :func:`register_transport` — the formal
@@ -16,7 +17,8 @@ sharding *transparent*: queries return exactly the single-node answers.
   the default — and ``pipe`` — one process per shard); third-party
   transports plug in under new names;
 * :func:`merge_candidate_pools` / :class:`MergedCandidateContext` — exact
-  evaluation substrate over the candidate union;
+  evaluation substrate over the candidate union, compiled from the shipped
+  records;
 * :func:`verify_equivalence` — replay-and-compare harness proving sharded
   answers match single-node answers.
 """

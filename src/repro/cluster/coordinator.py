@@ -14,7 +14,7 @@ runs on) or ``pipe`` (one OS process per shard, for isolation and
 `repro.ha` failover).
 
 **Queries** run scatter-gather: every shard walks its ranked lists to export
-a bounded :class:`~repro.cluster.worker.CandidatePool` (the per-shard budget
+a bounded :data:`~repro.cluster.worker.CandidatePool` (the per-shard budget
 is derived from the algorithm's ``ε`` — an MTTD/MTTS descend admits at most
 ``k`` elements per round and retrieves no deeper than the ``ε``-termination
 threshold, so ``⌈k/ε⌉`` candidates per shard cover every element a descend
@@ -24,8 +24,9 @@ algorithms evaluating the merged context and index algorithms traversing the
 merged candidate index.
 
 **Exactness.**  Candidate scores and marginal gains are always exact (each
-pool carries its candidates' follower edges, compiled by the home shard,
-which sees every follower of its elements).  Whenever no shard
+pool carries, per candidate and query topic, the stored ``δ_i``, ``R_i``,
+``σ_i`` and the follower edges compiled by the home shard, which sees every
+follower of its elements).  Whenever no shard
 truncates its export — the ``ε``-derived budget exceeds the shard's
 positive-weight support, which ``⌈k/ε⌉`` comfortably does on topical
 queries — the merged union contains everything the single-node run could
@@ -323,9 +324,9 @@ class ClusterCoordinator:
 
         Accepts the same inputs as :meth:`KSIRProcessor.query`.  The final
         selection runs the resolved algorithm over the merged per-shard
-        candidate pools; scores are exact because each pool carries the
-        follower edges its shard compiled from the candidates' complete
-        follower sets.
+        candidate pools; scores are exact because each pool carries, per
+        candidate and query topic, the scoring record its home shard
+        compiled from the candidate's profile and complete follower set.
         """
         self._require_open()
         ksir_query = KSIRQuery.coerce(query, k)

@@ -8,10 +8,10 @@ scatter-gather protocol:
 * :meth:`ingest` — process one routed bucket (home elements plus the foreign
   replicas whose references point into this partition);
 * :meth:`export_candidates` — walk the shard's ranked lists in descending
-  ``x_i · δ_i`` order and return a bounded :class:`CandidatePool` carrying
-  everything the coordinator needs to evaluate the candidates *exactly*:
-  their profiles, their stored scores on the query's topics and the follower
-  edges the shard compiled (it sees every follower of its elements).
+  ``x_i · δ_i`` order and return a bounded :data:`CandidatePool`: per
+  candidate, exactly what the coordinator's objective reads on the query's
+  topics (stored ``δ_i``, ``R_i``, ``σ_i`` and the follower edges the shard
+  compiled — it sees every follower of its elements), and no profile.
 """
 
 from __future__ import annotations
@@ -24,39 +24,17 @@ import numpy as np
 
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
-from repro.core.scoring import EdgeMemo, ElementProfile
+from repro.core.scoring import NO_EDGES, Edges
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 
-
-@dataclass(frozen=True)
-class CandidatePool:
-    """One shard's bounded candidate export for one query.
-
-    Attributes
-    ----------
-    shard_id:
-        The exporting shard.
-    profiles:
-        The candidates' profiles, in the shard's descending retrieval order.
-    scores:
-        ``element_id → {topic → δ_i(e)}`` on the query's topics (the only
-        lists index algorithms traverse), exactly as the shard stores them.
-    activity:
-        ``element_id → t_e`` last-activity timestamps.
-    edges:
-        ``element_id → {topic → (follower ids, edges, Σ edges)}`` of every
-        candidate with in-window followers: its entry of the shard's edge memo.
-    """
-
-    shard_id: int
-    profiles: Dict[int, ElementProfile]
-    scores: Dict[int, Dict[int, float]]
-    activity: Dict[int, int]
-    edges: EdgeMemo
-
-    def __len__(self) -> int:
-        return len(self.profiles)
+#: One candidate on one query topic it holds: ``(stored δ_i(e), R_i(e),
+#: σ_i(·, e), (follower ids, edges, Σ edges))``.
+TopicRecord = Tuple[float, float, Mapping[int, float], Edges]
+#: One shard's export for one query: ``element id → (t_e, {topic:
+#: TopicRecord})`` over the query's positive-weight topics the candidate
+#: holds, in the shard's descending retrieval order.
+CandidatePool = Dict[int, Tuple[int, Dict[int, TopicRecord]]]
 
 
 @dataclass
@@ -190,7 +168,8 @@ class ShardWorker:
     ) -> CandidatePool:
         """Export the shard's top candidates for one query vector.
 
-        Profiles and follower edges are read through the processor's
+        ``σ_i`` is the profile's own map and the edges are the memo's tuples:
+        referenced, not copied.  Both are read through the processor's
         memoised :meth:`~KSIRProcessor.snapshot`, which shares the
         processor's edge memo: an entry compiled for one query serves every
         later one until a bucket changes the element or its followers.
@@ -198,24 +177,22 @@ class ShardWorker:
         index = self._processor.ranked_lists
         context = self._processor.snapshot()
         query_topics = {topic for topic, weight in enumerate(query_vector) if weight > 0.0}
-        profiles: Dict[int, ElementProfile] = {}
-        scores: Dict[int, Dict[int, float]] = {}
-        activity: Dict[int, int] = {}
-        edges: EdgeMemo = {}
+        pool: CandidatePool = {}
         for element_id in index.top_candidates(query_vector, budget):
-            profile = profiles[element_id] = context.profile(element_id)
-            # A home element's tuples sit on exactly its profile's topics.
-            scores[element_id] = {
-                topic: index.score(topic, element_id)
-                for topic in profile.topic_probabilities
-                if topic in query_topics
-            }
-            activity[element_id] = index.last_activity(element_id)
+            profile = context.profile(element_id)
             followed = context.follower_edges(element_id)
-            if followed:
-                edges[element_id] = followed
+            semantic, words = profile.semantic_scores, profile.word_weights
+            held: Dict[int, TopicRecord] = {}
+            # A home element's tuples sit on exactly its profile's topics.
+            for topic in profile.topic_probabilities:
+                if topic in query_topics:
+                    held[topic] = (
+                        index.score(topic, element_id), semantic[topic], words[topic],
+                        followed.get(topic, NO_EDGES),
+                    )
+            pool[element_id] = (index.last_activity(element_id), held)
 
         with self._counter_lock:
             self._exports += 1
-            self._exported_candidates += len(profiles)
-        return CandidatePool(self._shard_id, profiles, scores, activity, edges)
+            self._exported_candidates += len(pool)
+        return pool

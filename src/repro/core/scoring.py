@@ -16,8 +16,8 @@ exposes an :class:`ObjectiveState` carrying the word-coverage and
 influence-coverage bookkeeping needed to compute
 ``Δ(e | S) = f(S ∪ {e}, x) − f(S, x)`` in time proportional to the element's
 own words and followers (``O(l·d)`` in the paper's analysis) instead of
-re-evaluating the whole set.  Naive from-scratch evaluators are kept
-alongside for tests and for the effectiveness metrics.
+re-evaluating the whole set.  The from-scratch evaluators it is checked
+against live with the reference model (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -43,15 +43,15 @@ _POSITIVE_COUNTS = get_kernel("positive_counts")
 #: The follower side of one (element, topic): the followers with a positive
 #: edge, their edges ``p_i(e ⇝ follower)`` in the same (follower) order, and
 #: ``Σ edges`` accumulated in that order.  Flat tuples of ints and floats.
-_Edges = Tuple[Tuple[int, ...], Tuple[float, ...], float]
-#: ``element id → {topic: _Edges}`` for elements that have in-window
+Edges = Tuple[Tuple[int, ...], Tuple[float, ...], float]
+#: ``element id → {topic: Edges}`` for elements that have in-window
 #: followers; see :meth:`ScoringContext.follower_edges`.
-EdgeMemo = Dict[int, Dict[int, _Edges]]
+EdgeMemo = Dict[int, Dict[int, Edges]]
 #: A compiled element, one term per query topic:
 #: ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), follower side)``.
-_Terms = Tuple[Tuple[int, float, float, float, Mapping[int, float], _Edges], ...]
+Terms = Tuple[Tuple[int, float, float, float, Mapping[int, float], Edges], ...]
 _EMPTY: Mapping[int, Any] = MappingProxyType({})  # shared, so read-only
-_NO_EDGES: _Edges = ((), (), 0.0)
+NO_EDGES: Edges = ((), (), 0.0)
 
 
 @dataclass(frozen=True)
@@ -385,8 +385,8 @@ class ScoringContext:
     """A frozen snapshot of the active window, shared by every query on it.
 
     Holds the element profiles and the in-window follower view at query time
-    ``t``; the objective (and the naive evaluators used in tests) read
-    everything from here so queries never mutate the live window.
+    ``t``; the objective reads everything from here
+    (:meth:`compile_terms`), so queries never mutate the live window.
 
     What depends only on the window is compiled once per *change*, not per
     snapshot: :meth:`follower_edges` memoises, for elements that have
@@ -419,6 +419,7 @@ class ScoringContext:
             key: tuple(value) for key, value in followers.items()
         }
         self._config = config
+        self._weights = (config.lambda_weight, config.influence_weight)
         self._time = time
         # ``edges``: a memo whose every entry equals what these maps compile
         # to, kept so by its owner until :meth:`unshare_edges`.
@@ -457,7 +458,7 @@ class ScoringContext:
         """``I_t(e)``: in-window followers of the element."""
         return self._followers.get(element_id, ())
 
-    def follower_edges(self, element_id: int) -> Mapping[int, _Edges]:
+    def follower_edges(self, element_id: int) -> Mapping[int, Edges]:
         """``topic → (followers, edges p_i(e ⇝ follower), Σ edges)`` of an active element.
 
         One entry per topic of the element's profile, followers in
@@ -487,9 +488,32 @@ class ScoringContext:
                         ids.append(follower_id)
                         edges.append(edge)
                         total += edge
-                compiled[topic] = (tuple(ids), tuple(edges), total) if ids else _NO_EDGES
+                compiled[topic] = (tuple(ids), tuple(edges), total) if ids else NO_EDGES
             self._edge_memo[element_id] = compiled
         return compiled
+
+    def compile_terms(
+        self, element_id: int, query_topics: Sequence[Tuple[int, float]]
+    ) -> Terms:
+        """One term ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), follower side)``
+        per ``(topic, x_i)`` of ``query_topics`` the element holds (KeyError
+        when inactive)."""
+        profile = self._profiles[element_id]
+        followed = self.follower_edges(element_id)
+        probabilities = profile.topic_probabilities
+        semantic_scores, words = profile.semantic_scores, profile.word_weights
+        lambda_weight, influence_weight = self._weights
+        compiled = []
+        for topic, weight in query_topics:
+            if probabilities.get(topic, 0.0) > 0.0:
+                semantic = semantic_scores.get(topic, 0.0)
+                edges = followed.get(topic, NO_EDGES)
+                compiled.append((
+                    topic, weight,
+                    lambda_weight * semantic + influence_weight * edges[2],
+                    semantic, words.get(topic, _EMPTY), edges,
+                ))
+        return tuple(compiled)
 
     def unshare_edges(self) -> None:
         """Stop reading (and filling) the memo this context was handed.
@@ -499,88 +523,6 @@ class ScoringContext:
         its own.
         """
         self._edge_memo = {}
-
-    def influence_probability(self, topic: int, source_id: int, follower_id: int) -> float:
-        """``p_i(e' ⇝ e) = p_i(e') · p_i(e)`` for an observed reference."""
-        source = self._profiles.get(source_id)
-        follower = self._profiles.get(follower_id)
-        if source is None or follower is None:
-            return 0.0
-        return source.topic_probability(topic) * follower.topic_probability(topic)
-
-    # -- singleton scores -----------------------------------------------------------
-
-    def singleton_topic_score(self, element_id: int, topic: int) -> float:
-        """``δ_i(e) = f_i({e})``: the element's score on one topic."""
-        profile = self._profiles[element_id]
-        semantic = profile.semantic_score(topic)
-        influence = 0.0
-        probability = profile.topic_probability(topic)
-        if probability > 0.0:
-            for follower_id in self.followers_of(element_id):
-                follower = self._profiles.get(follower_id)
-                if follower is None:
-                    continue
-                influence += probability * follower.topic_probability(topic)
-        return (
-            self._config.lambda_weight * semantic
-            + self._config.influence_weight * influence
-        )
-
-    def singleton_score(self, element_id: int, query_vector: np.ndarray) -> float:
-        """``δ(e, x) = f({e}, x)``."""
-        profile = self._profiles[element_id]
-        total = 0.0
-        for topic in profile.topics:
-            weight = float(query_vector[topic])
-            if weight > 0.0:
-                total += weight * self.singleton_topic_score(element_id, topic)
-        return total
-
-    # -- naive set evaluators (reference implementations) ------------------------------
-
-    def semantic_score(self, element_ids: Iterable[int], topic: int) -> float:
-        """``R_i(S)`` computed directly from Eq. 3."""
-        best: Dict[int, float] = {}
-        for element_id in element_ids:
-            profile = self._profiles[element_id]
-            for word_id, weight in profile.word_weights.get(topic, {}).items():
-                if weight > best.get(word_id, 0.0):
-                    best[word_id] = weight
-        return float(sum(best.values()))
-
-    def influence_score(self, element_ids: Iterable[int], topic: int) -> float:
-        """``I_{i,t}(S)`` computed directly from Eq. 4."""
-        members = [eid for eid in element_ids if eid in self._profiles]
-        influenced: Dict[int, float] = {}
-        for source_id in members:
-            source = self._profiles[source_id]
-            probability = source.topic_probability(topic)
-            for follower_id in self.followers_of(source_id):
-                follower = self._profiles.get(follower_id)
-                if follower is None:
-                    continue
-                edge = probability * follower.topic_probability(topic)
-                remaining = influenced.get(follower_id, 1.0)
-                influenced[follower_id] = remaining * (1.0 - edge)
-        return float(sum(1.0 - remaining for remaining in influenced.values()))
-
-    def topic_score(self, element_ids: Iterable[int], topic: int) -> float:
-        """``f_i(S)`` computed from the naive evaluators."""
-        ids = list(element_ids)
-        return (
-            self._config.lambda_weight * self.semantic_score(ids, topic)
-            + self._config.influence_weight * self.influence_score(ids, topic)
-        )
-
-    def score(self, element_ids: Iterable[int], query_vector: np.ndarray) -> float:
-        """``f(S, x)`` computed from the naive evaluators."""
-        ids = list(element_ids)
-        total = 0.0
-        for topic, weight in enumerate(np.asarray(query_vector, dtype=float)):
-            if weight > 0.0:
-                total += float(weight) * self.topic_score(ids, topic)
-        return total
 
 
 @dataclass
@@ -624,24 +566,43 @@ class ObjectiveState:
         return element_id in self.selected
 
 
+class ObjectiveContext(Protocol):
+    """What :class:`KSIRObjective` and the algorithms read from a context:
+    a :class:`ScoringContext` window snapshot, or the sharded layer's merged
+    candidate records (:class:`repro.cluster.MergedCandidateContext`)."""
+
+    @property
+    def config(self) -> ScoringConfig: ...
+    @property
+    def time(self) -> Optional[int]: ...
+    @property
+    def active_ids(self) -> Tuple[int, ...]: ...
+    @property
+    def active_count(self) -> int: ...
+    def __contains__(self, element_id: int) -> bool: ...
+    def compile_terms(
+        self, element_id: int, query_topics: Sequence[Tuple[int, float]]
+    ) -> Terms: ...
+
+
 class KSIRObjective:
     """The monotone submodular k-SIR objective ``f(·, x)`` for one query.
 
-    The objective is bound to a :class:`ScoringContext` snapshot and a query
+    The objective is bound to an :class:`ObjectiveContext` and a query
     vector; it exposes singleton scores, incremental marginal gains and the
     exact set value.  Evaluations of distinct elements are counted so the
     experiment harness can reproduce Figure 10 (ratio of evaluated elements).
 
-    An element is *compiled* on its first evaluation into one term
-    ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), (followers, edges, Σ edges))``
-    per query topic it has (profile lookups happen here, once per query; the
-    follower side comes from the context's memo, which outlives the query
-    and the snapshot), and every evaluation afterwards —
+    An element is *compiled* by the context on its first evaluation into one
+    term ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), (followers, edges, Σ
+    edges))`` per query topic it has (:meth:`ScoringContext.compile_terms`,
+    once per query; the follower side comes from the context's memo, which
+    outlives the query and the snapshot), and every evaluation afterwards —
     :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`gains`,
     :meth:`add` — is a loop over those terms and the selection state only.
     """
 
-    def __init__(self, context: ScoringContext, query_vector: np.ndarray) -> None:
+    def __init__(self, context: ObjectiveContext, query_vector: np.ndarray) -> None:
         vector = np.asarray(query_vector, dtype=float)
         if vector.ndim != 1:
             raise ValueError("query_vector must be one-dimensional")
@@ -655,14 +616,14 @@ class KSIRObjective:
         self._lambda_weight = context.config.lambda_weight
         self._influence_weight = context.config.influence_weight
         # element id -> compiled terms; its keys are the evaluated elements.
-        self._compiled: Dict[int, _Terms] = {}
+        self._compiled: Dict[int, Terms] = {}
         self._evaluation_calls = 0
 
     # -- metadata --------------------------------------------------------------------
 
     @property
-    def context(self) -> ScoringContext:
-        """The bound scoring snapshot."""
+    def context(self) -> ObjectiveContext:
+        """The bound scoring context."""
         return self._context
 
     @property
@@ -731,29 +692,16 @@ class KSIRObjective:
 
     # -- internals ------------------------------------------------------------------------
 
-    def _terms(self, element_id: int) -> _Terms:
+    def _terms(self, element_id: int) -> Terms:
         """The element's terms, compiled on first use (KeyError when inactive)."""
         terms = self._compiled.get(element_id)
         if terms is None:
-            profile = self._context.profile(element_id)
-            followed = self._context.follower_edges(element_id)
-            probabilities = profile.topic_probabilities
-            semantic_scores, words = profile.semantic_scores, profile.word_weights
-            lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
-            compiled = []
-            for topic, weight in self._query_topics:
-                if probabilities.get(topic, 0.0) > 0.0:
-                    semantic = semantic_scores.get(topic, 0.0)
-                    edges = followed.get(topic, _NO_EDGES)
-                    compiled.append((
-                        topic, weight,
-                        lambda_weight * semantic + influence_weight * edges[2],
-                        semantic, words.get(topic, _EMPTY), edges,
-                    ))
-            terms = self._compiled[element_id] = tuple(compiled)
+            terms = self._compiled[element_id] = self._context.compile_terms(
+                element_id, self._query_topics
+            )
         return terms
 
-    def _gain(self, terms: _Terms, state: ObjectiveState, commit: bool) -> float:
+    def _gain(self, terms: Terms, state: ObjectiveState, commit: bool) -> float:
         lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
         covered_words = state.covered_words
         total = 0.0

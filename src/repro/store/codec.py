@@ -25,7 +25,8 @@ def decode_id_list(value: object) -> List[int]:
     """Id list from either a JSON list or an id vector."""
     if isinstance(value, np.ndarray):
         return [int(i) for i in value.tolist()]
-    assert isinstance(value, (list, tuple))
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"an id list must be a list or an array, got {type(value).__name__}")
     return [int(i) for i in value]
 
 
@@ -39,7 +40,8 @@ def encode_pairs(pairs: Mapping[int, int]) -> npt.NDArray[np.int64]:
 
 def decode_pairs(value: object) -> List[Tuple[int, int]]:
     """``(id, value)`` pairs from an ``(N, 2)`` matrix."""
-    assert isinstance(value, np.ndarray)
+    if not isinstance(value, np.ndarray) or value.ndim != 2 or value.shape[1] != 2:
+        raise ValueError(f"pairs must be an (N, 2) array, got {value!r:.80}")
     return [(int(row[0]), int(row[1])) for row in value.tolist()]
 
 
@@ -62,11 +64,9 @@ def encode_followers_csr(
 
 
 def decode_followers(value: object) -> Dict[int, Set[int]]:
-    """Follower table from a CSR triple."""
-    assert isinstance(value, Mapping)
-    parents = np.asarray(value["parents"], dtype=np.int64)
-    indptr = np.asarray(value["indptr"], dtype=np.int64)
-    flat = np.asarray(value["followers"], dtype=np.int64)
+    """Follower table from a CSR triple (checked by :func:`_checked_csr`)."""
+    arrays = _checked_csr(value, {"parents": np.int64}, {"followers": np.int64})
+    parents, indptr, flat = arrays["parents"], arrays["indptr"], arrays["followers"]
     table: Dict[int, Set[int]] = {}
     for position, parent in enumerate(parents.tolist()):
         start, stop = int(indptr[position]), int(indptr[position + 1])
@@ -104,13 +104,19 @@ def encode_ranked_entries(
 
 
 def decode_ranked_entries(value: object) -> Iterator[Tuple[int, int, Dict[int, float]]]:
-    """Inverse of :func:`encode_ranked_entries`: ``(id, activity, topic → score)``."""
-    assert isinstance(value, Mapping)
-    ids = np.asarray(value["ids"], dtype=np.int64).tolist()
-    activity = np.asarray(value["activity"], dtype=np.int64).tolist()
-    indptr = np.asarray(value["indptr"], dtype=np.int64).tolist()
-    topics = np.asarray(value["topics"], dtype=np.int64).tolist()
-    scores = np.asarray(value["scores"], dtype=np.float64).tolist()
+    """Inverse of :func:`encode_ranked_entries`: ``(id, activity, topic → score)``.
+
+    The arrays are checked (:func:`_checked_csr`) before the first entry is
+    yielded, so a corrupt member loads nothing.
+    """
+    arrays = _checked_csr(
+        value,
+        {"ids": np.int64, "activity": np.int64},
+        {"topics": np.int64, "scores": np.float64},
+    )
+    ids, activity, indptr, topics, scores = (
+        arrays[key].tolist() for key in ("ids", "activity", "indptr", "topics", "scores")
+    )
     for position, element_id in enumerate(ids):
         start, stop = indptr[position], indptr[position + 1]
         yield (
@@ -118,3 +124,29 @@ def decode_ranked_entries(value: object) -> Iterator[Tuple[int, int, Dict[int, f
             int(activity[position]),
             {int(t): float(s) for t, s in zip(topics[start:stop], scores[start:stop])},
         )
+
+
+def _checked_csr(
+    value: object, rows: Mapping[str, npt.DTypeLike], flat: Mapping[str, npt.DTypeLike]
+) -> Dict[str, npt.NDArray[Any]]:
+    """A CSR member's arrays, converted and checked: ``indptr`` starts at 0
+    and never decreases, each of ``rows`` has ``len(indptr) − 1`` entries and
+    each of ``flat`` ``indptr[-1]``.  Anything else — a slice past the end, a
+    short column ``zip`` would truncate — raises :class:`ValueError` naming
+    the key instead of dropping entries without a word."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"a CSR member must be a mapping, got {type(value).__name__}")
+    arrays = {
+        key: np.asarray(value[key], dtype=dtype)
+        for key, dtype in {"indptr": np.int64, **rows, **flat}.items()
+    }
+    indptr = arrays["indptr"]
+    if indptr.ndim != 1 or len(indptr) == 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ValueError("CSR 'indptr' must be a vector that starts at 0 and never decreases")
+    for key in (*rows, *flat):
+        expected = len(indptr) - 1 if key in rows else int(indptr[-1])
+        if arrays[key].shape != (expected,):
+            raise ValueError(
+                f"CSR {key!r} has shape {arrays[key].shape}, 'indptr' implies ({expected},)"
+            )
+    return arrays

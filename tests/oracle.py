@@ -15,11 +15,12 @@ place it looks past the current element: a parent re-activated from the
 archive receives its tuples when the bucket closes, so an archived version
 the same bucket re-posts never touches (or marks dirty) a list.
 
-The second half is the reference of the *query* path: the objective, the
-ranked-list traversal and MTTS written out call by call, importing nothing
-of production's compiled forms (``tests/test_query_path.py``).  The last
-part is topic inference one document at a time
-(``tests/test_topics_inference.py``).
+The second half is the reference of the *query* path: ``f(S, x)`` and its
+parts computed from scratch out of a window snapshot (Eq. 1-4), then the
+objective, the ranked-list traversal and MTTS written out call by call,
+importing nothing of production's compiled forms
+(``tests/test_query_path.py``).  The last part is topic inference one
+document at a time (``tests/test_topics_inference.py``).
 """
 
 from __future__ import annotations
@@ -267,6 +268,91 @@ class Oracle:
         index = self.ranked_lists if solver.requires_index else None
         outcome = solver.select(objective, query.k, index=index)
         return outcome.element_ids, outcome.value
+
+
+# ---------------------------------------------------------------------------
+# The objective from its definition (Eq. 1-4)
+# ---------------------------------------------------------------------------
+#
+# Production only ever evaluates compiled terms against a selection state.
+# These recompute a score from scratch out of a window snapshot's profiles
+# and follower view.
+
+
+def influence_probability(
+    context: ScoringContext, topic: int, source_id: int, follower_id: int
+) -> float:
+    """``p_i(e' ⇝ e) = p_i(e') · p_i(e)`` for an observed reference."""
+    if source_id not in context or follower_id not in context:
+        return 0.0
+    source, follower = context.profile(source_id), context.profile(follower_id)
+    return source.topic_probability(topic) * follower.topic_probability(topic)
+
+
+def singleton_topic_score(context: ScoringContext, element_id: int, topic: int) -> float:
+    """``δ_i(e) = f_i({e})``: the element's score on one topic."""
+    profile = context.profile(element_id)
+    influence = 0.0
+    probability = profile.topic_probability(topic)
+    if probability > 0.0:
+        for follower_id in context.followers_of(element_id):
+            if follower_id in context:
+                influence += probability * context.profile(follower_id).topic_probability(topic)
+    config = context.config
+    return (
+        config.lambda_weight * profile.semantic_score(topic)
+        + config.influence_weight * influence
+    )
+
+
+def singleton_score(context: ScoringContext, element_id: int, query_vector) -> float:
+    """``δ(e, x) = f({e}, x)``."""
+    total = 0.0
+    for topic in context.profile(element_id).topics:
+        weight = float(query_vector[topic])
+        if weight > 0.0:
+            total += weight * singleton_topic_score(context, element_id, topic)
+    return total
+
+
+def semantic_score(context: ScoringContext, element_ids, topic: int) -> float:
+    """``R_i(S)`` computed directly from Eq. 3."""
+    best: Dict[int, float] = {}
+    for element_id in element_ids:
+        for word_id, weight in context.profile(element_id).word_weights.get(topic, {}).items():
+            if weight > best.get(word_id, 0.0):
+                best[word_id] = weight
+    return float(sum(best.values()))
+
+
+def influence_score(context: ScoringContext, element_ids, topic: int) -> float:
+    """``I_{i,t}(S)`` computed directly from Eq. 4."""
+    influenced: Dict[int, float] = {}
+    for source_id in element_ids:
+        if source_id not in context:
+            continue
+        probability = context.profile(source_id).topic_probability(topic)
+        for follower_id in context.followers_of(source_id):
+            if follower_id not in context:
+                continue
+            edge = probability * context.profile(follower_id).topic_probability(topic)
+            remaining = influenced.get(follower_id, 1.0)
+            influenced[follower_id] = remaining * (1.0 - edge)
+    return float(sum(1.0 - remaining for remaining in influenced.values()))
+
+
+def score(context: ScoringContext, element_ids, query_vector) -> float:
+    """``f(S, x) = Σ_i x_i · (λ·R_i(S) + (1 − λ)/η·I_{i,t}(S))`` (Eq. 1-2)."""
+    ids = list(element_ids)
+    config = context.config
+    total = 0.0
+    for topic, weight in enumerate(np.asarray(query_vector, dtype=float)):
+        if weight > 0.0:
+            total += float(weight) * (
+                config.lambda_weight * semantic_score(context, ids, topic)
+                + config.influence_weight * influence_score(context, ids, topic)
+            )
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,63 @@ def test_corrupt_arrays_member_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def _shift_tail(indptr):
+    """Every segment after the first starts 3 entries later: the last runs past the end."""
+    shifted = indptr.copy()
+    shifted[1:] += 3
+    return shifted
+
+
+def _swap_first_two(indptr):
+    swapped = indptr.copy()
+    swapped[1], swapped[2] = indptr[2], indptr[1]
+    return swapped
+
+
+#: ``(npz member suffix, corruption, key the error names)``: each one used to
+#: load without a word and leave elements with tuples or followers missing.
+CSR_CORRUPTIONS = {
+    "ranked-indptr-past-the-end": ("/ranked_lists/entries/indptr", _shift_tail, "'topics'"),
+    "ranked-scores-short": ("/ranked_lists/entries/scores", lambda a: a[:-2], "'scores'"),
+    "ranked-ids-short": ("/ranked_lists/entries/ids", lambda a: a[:-1], "'ids'"),
+    "ranked-indptr-decreasing": ("/ranked_lists/entries/indptr", _swap_first_two, "'indptr'"),
+    "followers-indptr-past-the-end": ("/window/followers/indptr", _shift_tail, "'followers'"),
+    "followers-parents-short": ("/window/followers/parents", lambda a: a[:-1], "'parents'"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CSR_CORRUPTIONS))
+def test_corrupt_csr_member_fails_loudly(corruption, tmp_path):
+    """A hand-corrupted CSR array in a well-formed ``.npz`` fails the load
+    naming the key; it must not restore with tuples or followers missing."""
+    suffix, corrupt, key = CSR_CORRUPTIONS[corruption]
+    model, elements = build_stream(seed=5)
+    with KSIREngine(model, CONFIGS["local"]) as engine:
+        for members, end_time in buckets_of(elements)[:6]:
+            engine.ingest_bucket(members, end_time)
+        path = engine.save(tmp_path / "ckpt")
+    victim = path / "state_arrays.npz"
+    with np.load(victim) as arrays:
+        members = {name: arrays[name] for name in arrays.files}
+    (name,) = [name for name in members if name.endswith(suffix)]
+    members[name] = corrupt(members[name])
+    np.savez(victim, **members)
+    with pytest.raises((CheckpointError, ValueError), match=key):
+        KSIREngine.load(path)
+
+
+def test_decoders_raise_rather_than_assert():
+    """Input checks survive ``python -O``: they raise, they do not assert."""
+    from repro.store.codec import decode_id_list, decode_pairs, decode_ranked_entries
+
+    with pytest.raises(ValueError, match="id list"):
+        decode_id_list("0,1,2")
+    with pytest.raises(ValueError, match="pairs"):
+        decode_pairs(np.arange(6))
+    with pytest.raises(ValueError, match="mapping"):
+        list(decode_ranked_entries([0, 1]))
+
+
 def test_overwrite_invalidates_before_rewriting(tmp_path):
     model, elements = build_stream(seed=5)
     engine = KSIREngine(model, CONFIGS["local"])

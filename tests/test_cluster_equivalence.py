@@ -14,8 +14,8 @@ inherently changes (see ``repro.cluster.verify``).
 
 The pool contract is then held exactly, with ``==``: with every replica
 current the sharded answers are the single node's to the last bit, and every
-candidate pool a shard exports is what the single node holds for those
-candidates — compiled follower edges included.
+candidate pool a shard exports compiles, on the coordinator, to the terms the
+single node compiles for those candidates — follower edges included.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from repro.cluster import (
     ClusterCoordinator,
     RoutedBucket,
     ShardPlanner,
+    merge_candidate_pools,
     shard_of,
     verify_equivalence,
 )
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
-from repro.core.scoring import ScoringConfig, ScoringContext
+from repro.core.scoring import KSIRObjective, ScoringConfig, ScoringContext
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
 from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
@@ -234,11 +235,13 @@ class TestThePoolContract:
 
     @pytest.mark.parametrize("transport", ["serial", "pipe"])
     def test_a_pool_is_what_one_node_holds(self, transport):
-        """After every bucket, every shard's pool for two queries: each
-        candidate's shipped edges ``==`` what a cold single-node context over
-        copies of the live maps compiles, its profile and activity time are
-        the single node's, and its scores are the single node's on exactly
-        the query's topics."""
+        """After every bucket, every shard's pool for two queries (all
+        topics; one topic at zero weight): the pools hold exactly the single
+        node's candidates; per candidate, the merged context compiles the
+        very terms a cold single-node context over copies of the live maps
+        compiles (``σ`` maps in the same order), its activity time is the
+        single node's, and the shipped ``δ_i`` are the single node's stored
+        scores on exactly the query's topics — no record names another."""
         model, elements = build_reference_stream(21, 64, 3, 8)
         config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
         vectors = (np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.6, 0.4]))
@@ -254,22 +257,47 @@ class TestThePoolContract:
                 )
                 index = single.ranked_lists
                 for vector in vectors:
+                    query_topics = KSIRObjective(cold, vector).query_topics
                     pools = cluster.fanout.export(vector, None)
-                    assert sorted(e for pool in pools for e in pool.profiles) == sorted(
+                    assert sorted(e for pool in pools for e in pool) == sorted(
                         index.top_candidates(vector)
                     )
+                    merged, _ = merge_candidate_pools(pools, model.num_topics, config.scoring)
                     for pool in pools:
-                        assert set(pool.edges) <= set(pool.profiles)
-                        for element_id, profile in pool.profiles.items():
-                            edges = pool.edges.get(element_id, {})
-                            assert edges == cold.follower_edges(element_id)
-                            assert profile == single.profile(element_id)
-                            assert pool.activity[element_id] == index.last_activity(element_id)
-                            assert pool.scores[element_id] == {
+                        for element_id, (activity, held) in pool.items():
+                            ours = merged.compile_terms(element_id, query_topics)
+                            theirs = cold.compile_terms(element_id, query_topics)
+                            assert ours == theirs
+                            assert [list(term[4].items()) for term in ours] == [
+                                list(term[4].items()) for term in theirs
+                            ]
+                            assert activity == index.last_activity(element_id)
+                            assert {topic: record[0] for topic, record in held.items()} == {
                                 topic: score
                                 for topic, score in index.scores_of(element_id).items()
                                 if vector[topic] > 0.0
                             }
-                            followed += bool(edges)
+                            followed += any(term[5][0] for term in ours)
                         exported += len(pool)
         assert followed > 100 and exported > followed  # both kinds of candidate
+
+    def test_the_merged_context_is_not_a_window_snapshot(self):
+        """The merged context offers what the objective reads and nothing of
+        a window snapshot: no profiles, no follower view and no from-scratch
+        evaluator that would answer influence 0.0 without a follower view."""
+        model, elements = build_reference_stream(21, 64, 3, 8)
+        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+        vector = np.array([0.5, 0.3, 0.2])
+        with ClusterCoordinator(model, config, ClusterConfig(num_shards=2)) as cluster:
+            cluster.process_stream(elements)
+            pools = cluster.fanout.export(vector, None)
+            merged, _ = merge_candidate_pools(pools, model.num_topics, config.scoring)
+        assert not isinstance(merged, ScoringContext)
+        assert merged.active_count == sum(map(len, pools)) > 0
+        assert all(element_id in merged for element_id in merged.active_ids)
+        window_api = {
+            name for name in dir(ScoringContext) if not name.startswith("_")
+        } - {"config", "time", "active_ids", "active_count", "compile_terms"}
+        assert window_api >= {"profile", "followers_of", "follower_edges"}
+        window_api |= {"semantic_score", "influence_score", "singleton_score", "score"}
+        assert [name for name in window_api if hasattr(merged, name)] == []

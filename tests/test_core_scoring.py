@@ -5,7 +5,7 @@ in its worked example: Example 3.1 (semantic score), Example 3.2 (influence
 score), Example 3.4 (optimal query answers) and the ranked-list tuples of
 Figure 5.  Property-based tests check the monotonicity and submodularity the
 approximation guarantees rely on, and the equivalence of the incremental
-marginal-gain bookkeeping with the naive from-scratch evaluators.
+marginal-gain bookkeeping with the from-scratch evaluators of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.scoring import (
     ScoringContext,
     word_weight,
 )
+from tests import oracle
 from tests.conftest import PAPER_SCORING, build_paper_context, build_paper_elements, build_paper_topic_model
 
 
@@ -130,11 +131,12 @@ class TestPaperExample31:
         assert weights_e7[vocabulary.id_of("pl")] == pytest.approx(0.19, abs=0.005)
 
     def test_semantic_score_of_set(self, paper_context):
-        assert paper_context.semantic_score([2, 7], topic=1) == pytest.approx(0.53, abs=0.01)
+        together = oracle.semantic_score(paper_context, [2, 7], topic=1)
+        assert together == pytest.approx(0.53, abs=0.01)
 
     def test_e7_contributes_nothing_next_to_e2(self, paper_context):
-        alone = paper_context.semantic_score([2], topic=1)
-        together = paper_context.semantic_score([2, 7], topic=1)
+        alone = oracle.semantic_score(paper_context, [2], topic=1)
+        together = oracle.semantic_score(paper_context, [2, 7], topic=1)
         assert together == pytest.approx(alone)
 
 
@@ -143,16 +145,18 @@ class TestPaperExample32:
 
     def test_pairwise_influence_probabilities(self, paper_context):
         # The probabilities used in the example (the paper's topic 2 = index 1).
-        assert paper_context.influence_probability(1, 3, 6) == pytest.approx(0.033, abs=0.002)
-        assert paper_context.influence_probability(1, 2, 7) == pytest.approx(0.50, abs=0.005)
-        assert paper_context.influence_probability(1, 2, 99) == 0.0
+        probability = oracle.influence_probability
+        assert probability(paper_context, 1, 3, 6) == pytest.approx(0.033, abs=0.002)
+        assert probability(paper_context, 1, 2, 7) == pytest.approx(0.50, abs=0.005)
+        assert probability(paper_context, 1, 2, 99) == 0.0
 
     def test_influence_score_of_set(self, paper_context):
-        assert paper_context.influence_score([2, 3], topic=1) == pytest.approx(0.93, abs=0.01)
+        influence = oracle.influence_score(paper_context, [2, 3], topic=1)
+        assert influence == pytest.approx(0.93, abs=0.01)
 
     def test_influence_low_for_off_topic_element(self, paper_context):
         # e3 is mostly on topic 1 (basketball); its influence on topic 2 is low.
-        assert paper_context.influence_score([3], topic=1) < 0.1
+        assert oracle.influence_score(paper_context, [3], topic=1) < 0.1
 
 
 class TestPaperExample34:
@@ -187,27 +191,27 @@ class TestSingletonScores:
         expected_topic1 = {3: 0.65, 6: 0.48, 8: 0.17, 2: 0.10, 1: 0.06, 5: 0.05}
         expected_topic2 = {1: 0.56, 2: 0.48, 5: 0.27, 7: 0.18, 8: 0.16, 6: 0.13, 3: 0.03}
         for element_id, expected in expected_topic1.items():
-            assert paper_context.singleton_topic_score(element_id, 0) == pytest.approx(
+            assert oracle.singleton_topic_score(paper_context, element_id, 0) == pytest.approx(
                 expected, abs=0.01
             )
         for element_id, expected in expected_topic2.items():
-            assert paper_context.singleton_topic_score(element_id, 1) == pytest.approx(
+            assert oracle.singleton_topic_score(paper_context, element_id, 1) == pytest.approx(
                 expected, abs=0.01
             )
 
     def test_singleton_score_weights_topics(self, paper_context):
         vector = np.array([0.5, 0.5])
-        expected = 0.5 * paper_context.singleton_topic_score(3, 0) + 0.5 * (
-            paper_context.singleton_topic_score(3, 1)
+        expected = 0.5 * oracle.singleton_topic_score(paper_context, 3, 0) + 0.5 * (
+            oracle.singleton_topic_score(paper_context, 3, 1)
         )
-        assert paper_context.singleton_score(3, vector) == pytest.approx(expected)
+        assert oracle.singleton_score(paper_context, 3, vector) == pytest.approx(expected)
 
     def test_objective_singleton_matches_context(self, paper_context):
         vector = np.array([0.3, 0.7])
         objective = KSIRObjective(paper_context, vector)
         for element_id in paper_context.active_ids:
             assert objective.singleton_score(element_id) == pytest.approx(
-                paper_context.singleton_score(element_id, vector)
+                oracle.singleton_score(paper_context, element_id, vector)
             )
 
 
@@ -233,7 +237,7 @@ class TestObjectiveIncremental:
         for subset_size in (1, 2, 3):
             for subset in itertools.combinations(paper_context.active_ids, subset_size):
                 assert objective.value(subset) == pytest.approx(
-                    paper_context.score(subset, vector), abs=1e-9
+                    oracle.score(paper_context, subset, vector), abs=1e-9
                 )
 
     def test_add_accumulates_gains(self, paper_context):

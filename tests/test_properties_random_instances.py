@@ -30,6 +30,7 @@ from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import KSIRObjective, ProfileBuilder, ScoringConfig, ScoringContext
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
+from tests import oracle
 
 
 def build_instance(
@@ -122,7 +123,7 @@ class TestRandomInstances:
             outcome = algorithm.select(
                 objective, k, index=index if algorithm.requires_index else None
             )
-            recomputed = context.score(outcome.element_ids, vector)
+            recomputed = oracle.score(context, outcome.element_ids, vector)
             assert outcome.value == pytest.approx(recomputed, abs=1e-9)
             assert len(outcome.element_ids) <= k
 
@@ -175,7 +176,7 @@ class TestRandomInstances:
             element_id, stored = item
             assert stored <= bound + 1e-9
             # Stored scores equal the true singleton scores after the refresh.
-            assert stored == pytest.approx(context.singleton_score(element_id, vector), abs=1e-9)
+            assert stored == pytest.approx(oracle.singleton_score(context, element_id, vector), abs=1e-9)
 
 
 

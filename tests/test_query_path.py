@@ -49,6 +49,7 @@ from tests.conftest import PAPER_SCORING, build_processor, build_reference_strea
 from tests.oracle import (
     ReferenceObjective,
     ReferenceTraversal,
+    influence_probability,
     reference_infer,
     reference_mtts,
 )
@@ -547,9 +548,9 @@ class TestFollowerEdgeMemo:
         for element_id in context.active_ids:
             for topic, (ids, edges, total) in context.follower_edges(element_id).items():
                 assert list(zip(ids, edges)) == [
-                    (f, context.influence_probability(topic, element_id, f))
+                    (f, influence_probability(context, topic, element_id, f))
                     for f in context.followers_of(element_id)
-                    if context.influence_probability(topic, element_id, f) > 0.0
+                    if influence_probability(context, topic, element_id, f) > 0.0
                 ]
                 influence = 0.0
                 for edge in edges:
