@@ -8,8 +8,9 @@ backend:
    and the ``sharded`` backends — switching is one field in
    :class:`repro.EngineConfig`; an element's home shard is a hash of its
    id (``repro.cluster.shard_of``), so the shards need no routing state;
-2. an ad-hoc k-SIR query is answered by scatter-gather on the sharded
-   engine and checked against the local engine, element for element;
+2. an ad-hoc k-SIR query is answered on the sharded engine — from the
+   coordinator's replica of the shards' scoring records, synced once per
+   bucket — and checked against the local engine, element for element;
 3. the ``service`` backend runs standing queries over the same shard
    partitions, transparently;
 4. the sharded engine is checkpointed mid-stream with ``engine.save`` and
@@ -80,15 +81,14 @@ def main() -> None:
     local = KSIREngine(dataset.topic_model, CONFIG.with_backend("local"))
     local.process_stream(dataset.stream)
 
-    # -- 2. scatter-gather query, checked against the local engine ----------------
+    # -- 2. sharded query, checked against the local engine ------------------------
     query = dataset.make_query(k=5, keywords=["goal", "league", "champions"])
     answer = sharded.query(query, algorithm="mttd", epsilon=0.1)
     reference = local.query(query, algorithm="mttd", epsilon=0.1)
-    print(f"\nscatter-gather: {answer.summary()}")
+    print(f"\nsharded: {answer.summary()}")
     print(
-        f"  merged {answer.extras['merged_candidates']:.0f} candidates "
-        f"(budget {answer.extras['candidate_budget']:.0f}/shard) from "
-        f"{answer.extras['shards']:.0f} shards"
+        f"  {answer.evaluated_elements} of the {answer.active_elements} active "
+        f"elements of {answer.extras['shards']:.0f} shards evaluated"
     )
     assert set(answer.element_ids) == set(reference.element_ids)
     assert abs(answer.score - reference.score) <= 1e-9

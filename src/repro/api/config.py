@@ -320,8 +320,13 @@ class EngineConfig:
 _RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
 
 #: The same for ``ClusterConfig``: ``round-robin`` and ``load-balanced``
-#: (PR 22) homed elements where ``shard_of`` does not.
-_RETIRED_CLUSTER_KEYS = {"partitioner": "hash"}
+#: homed elements where ``shard_of`` does not; see ``_WHY_RETIRED``.
+_RETIRED_CLUSTER_KEYS = {"partitioner": "hash", "budget_scale": 1.0}
+
+_WHY_RETIRED = {
+    "budget_scale": "queries read the coordinator's replica of every shard's "
+    "records, so there is no candidate budget to scale",
+}
 
 #: Fan-out spellings of manifests written before PR 16 → the transport that
 #: survived them.  ``thread`` (the old default) was the ``serial`` workers
@@ -333,9 +338,10 @@ _RETIRED_TRANSPORTS = {"thread": "serial", "shm": "pipe", "process": "pipe"}
 def _pop_retired(section: str, keys: Mapping[str, Any], written: Dict[str, Any]) -> None:
     for key, surviving in keys.items():
         if key in written and written.pop(key) != surviving:
+            why = f" ({_WHY_RETIRED[key]})" if key in _WHY_RETIRED else ""
             raise ValueError(
                 f"{section}.{key} is no longer supported: the {key!r} option "
-                f"was retired and {surviving!r} is the only behaviour left"
+                f"was retired and {surviving!r} is the only behaviour left{why}"
             )
 
 

@@ -7,18 +7,19 @@ sharding *transparent*: queries return exactly the single-node answers.
 * :func:`shard_of` / :class:`ShardPlanner` — the
   element → home-shard function (a hash of the id, nothing remembered) and
   the routing of followers to their parents' shards (exact influence);
-* :class:`ShardWorker` / :data:`CandidatePool` — per-shard ingestion and
-  bounded candidate export for scatter-gather queries (per candidate, its
-  scoring record on the query's topics, not its profile);
+* :class:`ShardWorker` / :class:`ShardDelta` — per-shard ingestion and the
+  sync of the coordinator's replica (per changed element, its scoring
+  record, not its profile);
 * :class:`ClusterCoordinator` / :class:`ClusterConfig` — fan-out
-  ingestion and the merged final submodular selection;
+  ingestion, the replica of every shard's records and the final
+  submodular selection over it;
 * :class:`TransportBackend` / :func:`register_transport` — the formal
   fan-out protocol and its registry (built-ins: ``serial`` — in-process,
   the default — and ``pipe`` — one process per shard); third-party
   transports plug in under new names;
-* :func:`merge_candidate_pools` / :class:`MergedCandidateContext` — exact
-  evaluation substrate over the candidate union, compiled from the shipped
-  records;
+* :func:`merge_candidate_pools` / :class:`MergedCandidateContext` — the
+  fold of a sync into the replica, and the exact evaluation substrate a
+  query compiles from it;
 * :func:`verify_equivalence` — replay-and-compare harness proving sharded
   answers match single-node answers.
 """
@@ -33,16 +34,16 @@ from repro.cluster.transport import (
     transport_names,
 )
 from repro.cluster.verify import EquivalenceReport, QueryComparison, verify_equivalence
-from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
+from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 
 __all__ = [
-    "CandidatePool",
     "ClusterConfig",
     "ClusterCoordinator",
     "EquivalenceReport",
     "MergedCandidateContext",
     "QueryComparison",
     "RoutedBucket",
+    "ShardDelta",
     "ShardPlanner",
     "ShardStats",
     "ShardWorker",

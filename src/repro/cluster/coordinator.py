@@ -1,4 +1,4 @@
-"""The cluster coordinator: parallel fan-out ingestion + scatter-gather queries.
+"""The cluster coordinator: parallel fan-out ingestion + replica queries.
 
 :class:`ClusterCoordinator` is the sharded drop-in for
 :class:`~repro.core.processor.KSIRProcessor`: it exposes the same
@@ -13,35 +13,28 @@ and fans the routed buckets out over the configured transport: ``serial``
 runs on) or ``pipe`` (one OS process per shard, for isolation and
 `repro.ha` failover).
 
-**Queries** run scatter-gather: every shard walks its ranked lists to export
-a bounded :data:`~repro.cluster.worker.CandidatePool` (the per-shard budget
-is derived from the algorithm's ``ε`` — an MTTD/MTTS descend admits at most
-``k`` elements per round and retrieves no deeper than the ``ε``-termination
-threshold, so ``⌈k/ε⌉`` candidates per shard cover every element a descend
-could touch in practice), and the coordinator runs the final submodular
-selection — any registered algorithm — over the merged union, with batch
-algorithms evaluating the merged context and index algorithms traversing the
-merged candidate index.
+**Queries** read a replica the coordinator keeps of every shard's home
+scoring records, with one ranked-list index over them
+(:mod:`repro.cluster.merge`).  The first query after a bucket or a restore
+pulls one :class:`~repro.cluster.worker.ShardDelta` per shard — the records
+the bucket changed — and folds them in; later queries on the same window
+send nothing to the shards.  Any registered algorithm then runs over the
+replica: index algorithms traverse its index, batch algorithms evaluate
+the query's candidates.
 
-**Exactness.**  Candidate scores and marginal gains are always exact (each
-pool carries, per candidate and query topic, the stored ``δ_i``, ``R_i``,
-``σ_i`` and the follower edges compiled by the home shard, which sees every
-follower of its elements).  Whenever no shard
-truncates its export — the ``ε``-derived budget exceeds the shard's
-positive-weight support, which ``⌈k/ε⌉`` comfortably does on topical
-queries — the merged union contains everything the single-node run could
-select and the answer is *identical* to the single node's for every
-deterministic algorithm.  A truncated pool keeps index algorithms on their
-usual retrieval frontier but restricts batch algorithms (greedy, CELF) to
-the per-shard top candidates; use :func:`repro.cluster.verify_equivalence`
-to prove the contract on a given stream and configuration, and raise
-``candidate_budget`` / ``budget_scale`` when it reports truncation-induced
-mismatches.
+**Exactness.**  The replica holds what the single node's index and
+objective read: the stored ``δ_i``, ``R_i``, ``σ_i`` and the follower
+edges compiled by the home shard, which sees every follower of its
+elements.  So every deterministic algorithm answers as the single node
+does, at any ``k`` and ``ε``; SieveStreaming reads its ground set in
+order, and the replica's (ascending id) is not the single node's
+activation order.  :func:`repro.cluster.verify_equivalence` checks a
+stream on both paths.
 """
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -51,9 +44,10 @@ from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery, QueryResult
+from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ElementProfile, KSIRObjective, ScoringContext
 from repro.core.stream import SocialStream, replay_stream
-from repro.cluster.merge import merge_candidate_pools
+from repro.cluster.merge import MergedCandidateContext, Records, merge_candidate_pools
 from repro.cluster.partition import RoutedBucket, ShardPlanner, home_filter
 from repro.cluster.transport import (
     TransportBackend,
@@ -61,10 +55,10 @@ from repro.cluster.transport import (
     register_transport,
     transport_factory,
 )
-from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
+from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
-from repro.utils.timing import StopWatch, TimingStats
+from repro.utils.timing import StopWatch
 from repro.utils.validation import require_positive
 
 @dataclass(frozen=True)
@@ -82,18 +76,14 @@ class ClusterConfig:
         (in-process workers, same thread) or ``pipe`` (one OS process per
         shard, pickled payloads over pipes).
     candidate_budget:
-        Fixed per-shard candidate budget for queries; ``None`` derives the
-        budget from the query algorithm's ``ε`` as
-        ``max(k, ⌈budget_scale · k / ε⌉)``.
-    budget_scale:
-        Multiplier applied to the ε-derived budget (>1 trades latency for an
-        even larger safety margin).
+        Has no effect (queries read the coordinator's replica of every
+        shard's records: no export to bound); validated, because
+        configurations that set it must keep constructing.
     """
 
     num_shards: int = 4
     transport: str = "serial"
     candidate_budget: Optional[int] = None
-    budget_scale: float = 1.0
 
     def __post_init__(self) -> None:
         require_positive(self.num_shards, "num_shards")
@@ -102,13 +92,6 @@ class ClusterConfig:
         transport_factory(self.transport)
         if self.candidate_budget is not None:
             require_positive(self.candidate_budget, "candidate_budget")
-        require_positive(self.budget_scale, "budget_scale")
-
-    def derive_budget(self, k: int, epsilon: float) -> int:
-        """The per-shard candidate budget for a ``(k, ε)`` query."""
-        if self.candidate_budget is not None:
-            return self.candidate_budget
-        return max(int(k), int(math.ceil(self.budget_scale * k / max(epsilon, 1e-9))))
 
 
 class _LocalFanout:
@@ -130,8 +113,11 @@ class _LocalFanout:
             bucket.elements, end_time, home_count=bucket.home_count
         )
 
-    def export(self, vector: np.ndarray, budget: Optional[int]) -> List[CandidatePool]:
-        return [worker.export_candidates(vector, budget) for worker in self._workers]
+    def sync(self, generations: Sequence[Optional[int]]) -> List[ShardDelta]:
+        return [
+            worker.sync(generation)
+            for worker, generation in zip(self._workers, generations)
+        ]
 
     def take_dirty_topics(self) -> Set[int]:
         dirty: Set[int] = set()
@@ -160,7 +146,7 @@ class _LocalFanout:
 
 
 class ClusterCoordinator:
-    """Routes ingestion to shards and answers queries by scatter-gather."""
+    """Routes ingestion to shards; answers queries from its replica of them."""
 
     def __init__(
         self,
@@ -177,9 +163,13 @@ class ClusterCoordinator:
         self._buckets_processed = 0
         self._elements_processed = 0
         self._current_time: Optional[int] = None
-        self._active_cache: Optional[Tuple[int, int]] = None
-        self._ingest_timer = TimingStats(name="cluster-ingest")
         self._closed = False
+        # The replica (see repro.cluster.merge): a sync and the selection
+        # that reads it hold the lock.  ``_changes`` counts what was done to
+        # the shards, ``_synced`` is its value at the last applied sync.
+        self._lock = threading.Lock()
+        self._changes = 0
+        self._forget_replica()
 
         # The concrete fan-out is resolved through the transport registry
         # (see repro.cluster.transport); built-ins are registered at the
@@ -242,22 +232,11 @@ class ClusterCoordinator:
 
     @property
     def active_count(self) -> int:
-        """Active elements across the cluster (each counted on its home shard).
-
-        Memoised per ingested bucket: the count only changes at ingestion,
-        and on the process backend reading it costs a full shard broadcast.
-        """
-        cached = self._active_cache
-        if cached is not None and cached[0] == self._buckets_processed:
-            return cached[1]
-        value = sum(self._fanout.home_active_counts())
-        self._active_cache = (self._buckets_processed, value)
-        return value
-
-    @property
-    def ingest_timer(self) -> TimingStats:
-        """Coordinator-side per-bucket fan-out wall times."""
-        return self._ingest_timer
+        """Active elements across the cluster: the replica's records, one per
+        element on its home shard (synced first, as a query does)."""
+        with self._lock:
+            self._sync()
+            return len(self._records)
 
     def shard_stats(self) -> List[ShardStats]:
         """Per-shard accounting snapshots."""
@@ -284,10 +263,12 @@ class ClusterCoordinator:
     def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
         """Route one bucket to the shards and advance every shard window."""
         self._require_open()
-        with self._ingest_timer.measure():
-            prepared = self.prepare_elements(elements)
+        prepared = self.prepare_elements(elements)
+        try:
             self._fanout.ingest(self._planner.route_bucket(prepared), end_time)
-            self.commit_bucket(len(prepared), end_time)
+        finally:
+            self._changes += 1
+        self.commit_bucket(len(prepared), end_time)
 
     def commit_bucket(self, num_elements: int, end_time: int) -> None:
         """Advance the coordinator counters after a bucket reached the shards.
@@ -320,55 +301,66 @@ class ClusterCoordinator:
         algorithm: Union[str, KSIRAlgorithm, None] = None,
         epsilon: Optional[float] = None,
     ) -> QueryResult:
-        """Answer a k-SIR query by scatter-gather over the shards.
+        """Answer a k-SIR query over the coordinator's replica.
 
-        Accepts the same inputs as :meth:`KSIRProcessor.query`.  The final
-        selection runs the resolved algorithm over the merged per-shard
-        candidate pools; scores are exact because each pool carries, per
-        candidate and query topic, the scoring record its home shard
-        compiled from the candidate's profile and complete follower set.
+        Accepts the same inputs as :meth:`KSIRProcessor.query`.  The first
+        query after a bucket or a restore syncs the replica (one round trip
+        per shard, carrying what the bucket changed); then the resolved
+        algorithm runs over it.  Scores are exact because the replica holds,
+        per element and topic, the scoring record its home shard compiled
+        from the element's profile and complete follower set.  Queries from
+        several threads run one at a time.
         """
         self._require_open()
         ksir_query = KSIRQuery.coerce(query, k)
         solver = self._config.resolve_algorithm(algorithm, epsilon)
-        solver_epsilon = getattr(solver, "epsilon", None)
-        if solver_epsilon is None:
-            solver_epsilon = (
-                self._config.default_epsilon if epsilon is None else epsilon
+        with self._lock:
+            watch = StopWatch()
+            watch.start()
+            self._sync()
+            context = MergedCandidateContext(
+                self._records, ksir_query.vector, self._config.scoring,
+                time=self._current_time,
             )
-        budget = self._cluster.derive_budget(ksir_query.k, float(solver_epsilon))
-
-        watch = StopWatch()
-        watch.start()
-        pools = self._fanout.export(ksir_query.vector, budget)
-        context, index = merge_candidate_pools(
-            pools,
-            num_topics=self._model.num_topics,
-            config=self._config.scoring,
-            time=self._current_time,
-            build_index=solver.requires_index,
-        )
-        objective = KSIRObjective(context, ksir_query.vector)
-        outcome = solver.select(
-            objective,
-            ksir_query.k,
-            index=index if solver.requires_index else None,
-        )
-        elapsed = watch.stop()
+            outcome = solver.select(
+                KSIRObjective(context, ksir_query.vector),
+                ksir_query.k,
+                index=self._index if solver.requires_index else None,
+            )
+            elapsed = watch.stop()
+            active = len(self._records)
 
         extras = dict(outcome.extras)
         extras["shards"] = float(self.num_shards)
-        extras["candidate_budget"] = float(budget)
-        extras["merged_candidates"] = float(context.active_count)
         return QueryResult(
             element_ids=outcome.element_ids,
             score=outcome.value,
             algorithm=solver.name,
             elapsed_ms=elapsed * 1000.0,
             evaluated_elements=outcome.evaluated_elements,
-            active_elements=self.active_count,
+            active_elements=active,
             extras=extras,
         )
+
+    def _sync(self) -> None:
+        """Bring the replica up to the shards (lock held); a no-op until
+        something is done to them.  Replies are folded in, and their
+        generations kept, only once every shard has answered."""
+        changes = self._changes
+        if self._synced == changes:
+            return
+        replies = self._fanout.sync(self._generations)
+        merge_candidate_pools(replies, self._records, self._index, self.num_shards)
+        self._generations = [reply.generation for reply in replies]
+        self._synced = changes
+
+    def _forget_replica(self) -> None:
+        """Start the replica over: the next sync is a full dump of every shard."""
+        with self._lock:
+            self._records: Records = {}
+            self._index = RankedListIndex(self._model.num_topics, self._config.scoring)
+            self._generations: List[Optional[int]] = [None] * self.num_shards
+            self._synced: Optional[int] = None
 
     def snapshot(self) -> ScoringContext:
         """A frozen scoring snapshot of the whole cluster's active window.
@@ -397,7 +389,7 @@ class ClusterCoordinator:
             for element_id in window.active_ids():
                 if not processor.is_home(element_id):
                     continue
-                profiles[element_id] = processor.profile(element_id)
+                profiles[element_id] = processor.profiles[element_id]
                 followers[element_id] = shard_followers.get(element_id, ())
         return ScoringContext(
             profiles=profiles,
@@ -425,7 +417,8 @@ class ClusterCoordinator:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this coordinator."""
+        """Restore a :meth:`state_dict` snapshot onto this coordinator (the
+        replica starts over: it is never part of the state)."""
         shard_states = state["workers"]
         if len(shard_states) != self._cluster.num_shards:
             raise ValueError(
@@ -436,9 +429,9 @@ class ClusterCoordinator:
         self._elements_processed = int(state["elements_processed"])
         current_time = state["current_time"]
         self._current_time = None if current_time is None else int(current_time)
-        self._active_cache = None
         self._planner.restore_state(state["planner"])
         self._fanout.restore_all(shard_states)
+        self._forget_replica()
 
     # -- failover hooks (repro.ha) ------------------------------------------------------
 
@@ -452,7 +445,7 @@ class ClusterCoordinator:
         """
         self._planner.restore_state(state["planner"])
         self._fanout.restore_shard(shard_id, state["workers"][shard_id])
-        self._active_cache = None
+        self._forget_replica()
 
     def replay_bucket_to_shard(
         self, shard_id: int, elements: Sequence[SocialElement], end_time: int
@@ -465,7 +458,10 @@ class ClusterCoordinator:
         already hold the bucket.
         """
         routed = self._planner.route_bucket(self.prepare_elements(elements))
-        self._fanout.ingest_shard(routed[shard_id], end_time)
+        try:
+            self._fanout.ingest_shard(routed[shard_id], end_time)
+        finally:
+            self._changes += 1
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -1,54 +1,55 @@
-"""Merging per-shard candidate pools into one exact evaluation substrate.
+"""The coordinator's replica of the shards' scoring records.
 
-The coordinator gathers one :data:`~repro.cluster.worker.CandidatePool` per
-shard and needs to run an unmodified k-SIR algorithm over their union.  Two
-structures make that possible:
-
-* :class:`MergedCandidateContext` — an
-  :class:`~repro.core.scoring.ObjectiveContext` whose *ground set*
-  (``active_ids``) is exactly the candidate union and whose compiled terms
-  are read straight off the shipped records: ``R_i(e)``, ``σ_i(·, e)`` and
-  the follower edges the candidates' home shards compiled.  A marginal gain
-  reads those and nothing else, and the home shard sees the complete
-  follower set of each of its candidates, so gains computed against it
-  equal the single-node values — without the coordinator seeing a profile,
-  a follower or an edge it did not ship.
-* a merged :class:`~repro.core.ranked_list.RankedListIndex` — loaded from the
-  shards' stored ``δ_i(e)`` (one sorted load per topic), so index-driven
-  algorithms (MTTS, MTTD, top-k) traverse the union in the same descending
-  order the single-node index would produce restricted to the candidates.
-
-Candidate sets are disjoint across shards (each element's tuples live only on
-its home shard), so the merge is a plain union.
+The coordinator keeps the :data:`~repro.cluster.worker.Record` of every
+shard's home-active elements and one
+:class:`~repro.core.ranked_list.RankedListIndex` over their stored
+``δ_i(e)``.  :func:`merge_candidate_pools` folds one sync's
+:class:`~repro.cluster.worker.ShardDelta` replies into both; index
+algorithms (MTTS, MTTD, top-k) traverse that index in the single-node
+order, because it holds the same tuples.  :class:`MergedCandidateContext`
+is one query's :class:`~repro.core.scoring.ObjectiveContext` over the
+records: it compiles terms from ``R_i(e)``, ``σ_i(·, e)`` and the follower
+edges the home shard compiled (it sees every follower of its elements), so
+gains equal the single node's without a profile or follower reaching the
+coordinator.  Shards' shares are disjoint: a record comes from its home.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ScoringConfig, Terms
-from repro.cluster.worker import CandidatePool
+from repro.cluster.partition import shard_of
+from repro.cluster.worker import Record, ShardDelta
+
+#: The replica: ``element id → Record`` of every shard's home-active elements.
+Records = Dict[int, Record]
 
 
 class MergedCandidateContext:
-    """The objective's view of the merged candidate records.
+    """The objective's view of the replica for one query.
 
-    Its ground set is the candidates only, so batch algorithms (greedy,
-    CELF, SieveStreaming), which enumerate ``context.active_ids``, select
-    from the union.  It is not a window snapshot: it holds no profiles and
-    no follower view (:meth:`ClusterCoordinator.snapshot` is the whole-window
-    context).  The records are kept, not copied: :func:`merge_candidate_pools`
-    builds the dict for this context alone.
+    Its ground set, which batch algorithms (greedy, CELF, SieveStreaming)
+    enumerate, is the elements holding a positive-weight query topic, in
+    ascending id order: no sync history changes it.  It is no window
+    snapshot — no profiles, no follower view.  The records are the
+    coordinator's, read under its lock.
     """
 
     def __init__(
         self,
-        records: CandidatePool,
+        records: Records,
+        query_vector: np.ndarray,
         config: ScoringConfig,
         time: Optional[int] = None,
     ) -> None:
         self._records = records
+        self._topics = frozenset(
+            topic for topic, weight in enumerate(query_vector) if weight > 0.0
+        )
         self._config = config
         self._weights = (config.lambda_weight, config.influence_weight)
         self._time = time
@@ -65,21 +66,26 @@ class MergedCandidateContext:
 
     @property
     def active_ids(self) -> Tuple[int, ...]:
-        """The candidate union, pool by pool in retrieval order."""
-        return tuple(self._records)
+        """The query's candidates, ascending."""
+        topics = self._topics
+        return tuple(sorted(
+            element_id for element_id, (_, held) in self._records.items()
+            if not topics.isdisjoint(held)
+        ))
 
     @property
     def active_count(self) -> int:
-        """The number of merged candidates."""
-        return len(self._records)
+        """The number of candidates."""
+        return len(self.active_ids)
 
     def __contains__(self, element_id: int) -> bool:
-        return element_id in self._records
+        record = self._records.get(element_id)
+        return record is not None and not self._topics.isdisjoint(record[1])
 
     def compile_terms(
         self, element_id: int, query_topics: Sequence[Tuple[int, float]]
     ) -> Terms:
-        """:meth:`ScoringContext.compile_terms` over the shipped floats."""
+        """:meth:`ScoringContext.compile_terms` over the replicated floats."""
         held = self._records[element_id][1]
         lambda_weight, influence_weight = self._weights
         compiled = []
@@ -96,27 +102,28 @@ class MergedCandidateContext:
 
 
 def merge_candidate_pools(
-    pools: Sequence[CandidatePool],
-    num_topics: int,
-    config: ScoringConfig,
-    time: Optional[int] = None,
-    build_index: bool = True,
-) -> Tuple[MergedCandidateContext, Optional[RankedListIndex]]:
-    """Union the per-shard pools into a context (and optionally an index).
-
-    Candidates are interleaved across pools in descending stored-score
-    retrieval order by the merged index itself; the context's candidate
-    order follows the pools' export order (shard by shard), which only
-    matters for deterministic iteration, not for correctness.
-    """
-    records: CandidatePool = {}
-    for pool in pools:
-        records.update(pool)
-    index = None
-    if build_index:
-        index = RankedListIndex(num_topics, config)
+    replies: Sequence[ShardDelta],
+    records: Records,
+    index: RankedListIndex,
+    num_shards: int,
+) -> None:
+    """Fold one sync's replies (one per shard, in shard order) into the
+    replica: a delta's changed and gone ids leave it, a full reply's shard
+    loses its whole share, then the new records and their ``δ_i`` go in — a
+    re-post that dropped a topic leaves no tuple behind."""
+    for shard_id, reply in enumerate(replies):
+        if reply.full:
+            stale = [
+                element_id for element_id in records
+                if shard_of(element_id, num_shards) == shard_id
+            ]
+        else:
+            stale = [*reply.records, *reply.gone]
+        index.bulk_update(removes=stale)
+        for element_id in stale:
+            records.pop(element_id, None)
+        records.update(reply.records)
         index.load(
             (element_id, activity, {topic: record[0] for topic, record in held.items()})
-            for element_id, (activity, held) in records.items()
+            for element_id, (activity, held) in reply.records.items()
         )
-    return MergedCandidateContext(records, config, time=time), index

@@ -9,8 +9,9 @@ The coordinator's routing and the workers' home filters agree without
 exchanging anything: both are :func:`~repro.cluster.partition.shard_of`, a
 pure function of the element id and the shard count.
 
-Costs to be aware of: per-bucket pickling of the routed elements, per-query
-pickling of the candidate pools and, at startup, pickling of the topic model
+Costs to be aware of: per-bucket pickling of the routed elements, at the
+first query after a bucket pickling of each shard's delta (the scoring
+records the bucket changed) and, at startup, pickling of the topic model
 into every shard process.  On the 2-core benchmark box the in-process
 ``serial`` transport beats two shard processes on every end-to-end metric
 (``benchmarks/trajectory/BENCH_transports_pr16.json``): this transport is
@@ -36,11 +37,9 @@ import threading
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.core.processor import ProcessorConfig
 from repro.cluster.partition import RoutedBucket, home_filter
-from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
+from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 from repro.topics.model import TopicModel
 
 
@@ -86,6 +85,11 @@ def _shard_main(
     )
     while True:
         try:
+            # Wait in poll(), not in the read: on a 2-core host, two shards
+            # woken from a blocking read were put on the coordinator's core
+            # and ran one after the other in 122 of 400 `sharded_mixed`
+            # buckets (13 of 400 when waiting in poll).
+            conn.poll(None)
             command, payload = conn.recv()
         except EOFError:
             break
@@ -94,9 +98,8 @@ def _shard_main(
                 elements, end_time, home_count = payload
                 worker.ingest(elements, end_time, home_count=home_count)
                 conn.send(("ok", None))
-            elif command == "export":
-                vector, budget = payload
-                conn.send(("ok", worker.export_candidates(vector, budget)))
+            elif command == "sync":
+                conn.send(("ok", worker.sync(payload)))
             elif command == "dirty":
                 conn.send(("ok", worker.take_dirty_topics()))
             elif command == "active":
@@ -326,8 +329,8 @@ class ProcessFanout:
             ]
         )
 
-    def export(self, vector: np.ndarray, budget: Optional[int]) -> List[CandidatePool]:
-        return self._broadcast("export", (vector, budget))
+    def sync(self, generations: Sequence[Optional[int]]) -> List[ShardDelta]:
+        return self._scatter_gather([("sync", generation) for generation in generations])
 
     def take_dirty_topics(self) -> Set[int]:
         dirty: Set[int] = set()

@@ -4,7 +4,7 @@ A way of reaching the shard workers is a :class:`TransportBackend`: a
 scatter-gather executor with one command surface, small enough to state as
 a transition system::
 
-    ingest* ─┬─ export / take_dirty_topics / home_active_counts / stats
+    ingest* ─┬─ sync / take_dirty_topics / home_active_counts / stats
              ├─ states ──► restore_all          (checkpoint, any transport
              │                                   to any transport)
              ├─ restore_shard ─► ingest_shard*  (one shard's failover: its
@@ -25,7 +25,7 @@ Built-in transports (registered by :mod:`repro.cluster.coordinator`):
     reference the oracle and the recorded answers run on, and the only one
     whose windows :meth:`ClusterCoordinator.snapshot` can read.
 ``pipe``
-    One OS process per shard; buckets and candidate pools are pickled over
+    One OS process per shard; buckets and sync deltas are pickled over
     pipes.  The one `repro.ha` can supervise, kill and restart.
 """
 
@@ -45,11 +45,8 @@ from typing import (
     runtime_checkable,
 )
 
-import numpy as np
-import numpy.typing as npt
-
 from repro.cluster.partition import RoutedBucket
-from repro.cluster.worker import CandidatePool, ShardStats, ShardWorker
+from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cluster.coordinator import ClusterCoordinator
@@ -71,10 +68,9 @@ class TransportBackend(Protocol):
         """Deliver one routed bucket per shard and advance every window."""
         ...
 
-    def export(
-        self, vector: npt.NDArray[np.float64], budget: Optional[int]
-    ) -> List[CandidatePool]:
-        """Gather one bounded candidate pool per shard for a query vector."""
+    def sync(self, generations: Sequence[Optional[int]]) -> List[ShardDelta]:
+        """``ShardWorker.sync`` on every shard, each handed its generation;
+        every reply, in shard order, or an exception."""
         ...
 
     def take_dirty_topics(self) -> Set[int]:

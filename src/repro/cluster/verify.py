@@ -1,15 +1,12 @@
 """Equivalence checking between sharded and single-node execution.
 
-The cluster's contract is that sharding is *transparent*: whenever no shard
-truncates its candidate export (the ε-derived budget covers the shard's
-positive-weight support — see :mod:`repro.cluster.coordinator`), the
-coordinator returns the same elements with the same score as one
-:class:`~repro.core.processor.KSIRProcessor` owning the whole window.
-:func:`verify_equivalence` replays a stream through both, answers the same
-queries on both sides and compares — the property-based test suite drives it
-over many random instances, and operators can run it as a pre-deployment
-smoke check on real data (raising ``candidate_budget`` if truncation ever
-surfaces as a mismatch).
+The cluster's contract is that sharding is *transparent*: the coordinator
+returns the same elements with the same score as one
+:class:`~repro.core.processor.KSIRProcessor` owning the whole window (see
+:mod:`repro.cluster.coordinator`).  :func:`verify_equivalence` replays a
+stream through both, answers the same queries on both sides and compares —
+the property-based test suite drives it over many random instances, and
+operators can run it as a pre-deployment smoke check on real data.
 
 Selected sets are compared as sets: tie-breaking may legitimately order equal
 picks differently, but the membership and the objective value must agree to

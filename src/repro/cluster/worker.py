@@ -2,39 +2,43 @@
 
 A :class:`ShardWorker` owns one :class:`~repro.core.processor.KSIRProcessor`
 whose home filter restricts ranked-list maintenance to the shard's partition.
-The worker's two operations mirror the two halves of the coordinator's
-scatter-gather protocol:
-
-* :meth:`ingest` — process one routed bucket (home elements plus the foreign
-  replicas whose references point into this partition);
-* :meth:`export_candidates` — walk the shard's ranked lists in descending
-  ``x_i · δ_i`` order and return a bounded :data:`CandidatePool`: per
-  candidate, exactly what the coordinator's objective reads on the query's
-  topics (stored ``δ_i``, ``R_i``, ``σ_i`` and the follower edges the shard
-  compiled — it sees every follower of its elements), and no profile.
+:meth:`ShardWorker.ingest` processes one routed bucket (home elements plus
+the foreign replicas whose references point into this partition) and
+remembers which records it changed; :meth:`ShardWorker.sync` ships them to
+the coordinator's replica: per home-active element, exactly what the
+objective reads (stored ``δ_i``, ``R_i``, ``σ_i`` and the follower edges
+the shard compiled — it sees every follower of its elements), no profile.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
-from repro.core.scoring import NO_EDGES, Edges
+from repro.core.scoring import NO_EDGES, Edges, ScoringContext
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 
-#: One candidate on one query topic it holds: ``(stored δ_i(e), R_i(e),
-#: σ_i(·, e), (follower ids, edges, Σ edges))``.
+#: One element on one topic it holds: ``(stored δ_i(e), R_i(e), σ_i(·, e),
+#: (follower ids, edges, Σ edges))``.
 TopicRecord = Tuple[float, float, Mapping[int, float], Edges]
-#: One shard's export for one query: ``element id → (t_e, {topic:
-#: TopicRecord})`` over the query's positive-weight topics the candidate
-#: holds, in the shard's descending retrieval order.
-CandidatePool = Dict[int, Tuple[int, Dict[int, TopicRecord]]]
+#: One element's scoring record: ``(t_e, {topic: TopicRecord})`` over every
+#: topic the element holds.
+Record = Tuple[int, Dict[int, TopicRecord]]
+
+
+class ShardDelta(NamedTuple):
+    """One shard's reply to :meth:`ShardWorker.sync`: the ``generation`` to
+    hand back at the next sync once applied; the :data:`Record` of every
+    changed home-active element — of every home-active element when
+    ``full`` — and the changed home ids that left ``A_t``."""
+
+    generation: int
+    full: bool
+    records: Dict[int, Record]
+    gone: Tuple[int, ...]
 
 
 @dataclass
@@ -48,12 +52,10 @@ class ShardStats:
     active_home: int = 0
     active_total: int = 0
     ingest_seconds: float = 0.0
-    exports: int = 0
-    exported_candidates: int = 0
 
 
 class ShardWorker:
-    """One shard: a home-filtered processor plus the export protocol."""
+    """One shard: a home-filtered processor plus the sync protocol."""
 
     def __init__(
         self,
@@ -72,11 +74,11 @@ class ShardWorker:
         )
         self._home_ingested = 0
         self._foreign_ingested = 0
-        self._exports = 0
-        self._exported_candidates = 0
-        # Queries only read the window, so a caller may issue them from
-        # several threads at once; the export counters are what they write.
-        self._counter_lock = threading.Lock()
+        # Ids whose records buckets changed since the last sync (foreign ids
+        # included), and the generation that sync sent (None: the next
+        # reply must be a full dump).
+        self._changed: Set[int] = set()
+        self._sent: Optional[int] = None
 
     # -- metadata ----------------------------------------------------------------
 
@@ -105,8 +107,6 @@ class ShardWorker:
             active_home=self._processor.home_count,
             active_total=self._processor.active_count,
             ingest_seconds=self._processor.ingest_timer.total_ms / 1000.0,
-            exports=self._exports,
-            exported_candidates=self._exported_candidates,
         )
 
     # -- scatter: ingestion ---------------------------------------------------------
@@ -129,7 +129,8 @@ class ShardWorker:
             )
         self._home_ingested += home_count
         self._foreign_ingested += len(elements) - home_count
-        self._processor.process_bucket(elements, end_time)
+        # Foreign ids too: telling them from home ids waits for the sync.
+        self._changed.update(self._processor.process_bucket(elements, end_time))
 
     def take_dirty_topics(self) -> Tuple[int, ...]:
         """Drain the shard's dirty-topic set (see RankedListIndex)."""
@@ -143,13 +144,16 @@ class ShardWorker:
             "shard_id": self._shard_id,
             "home_ingested": self._home_ingested,
             "foreign_ingested": self._foreign_ingested,
-            "exports": self._exports,
-            "exported_candidates": self._exported_candidates,
             "processor": self._processor.state_dict(),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this worker."""
+        """Restore a :meth:`state_dict` snapshot onto this worker.
+
+        The next :meth:`sync` is a full dump, whatever generation it is
+        handed.  (Checkpoints written when shards exported candidate pools
+        also carry export counters; they are ignored.)
+        """
         if int(state["shard_id"]) != self._shard_id:
             raise ValueError(
                 f"checkpoint shard {state['shard_id']} restored onto shard "
@@ -157,42 +161,46 @@ class ShardWorker:
             )
         self._home_ingested = int(state["home_ingested"])
         self._foreign_ingested = int(state["foreign_ingested"])
-        self._exports = int(state["exports"])
-        self._exported_candidates = int(state["exported_candidates"])
         self._processor.restore_state(state["processor"])
+        self._changed = set()
+        self._sent = None
 
-    # -- gather: candidate export -----------------------------------------------------
+    # -- gather: the coordinator's replica ----------------------------------------------
 
-    def export_candidates(
-        self, query_vector: np.ndarray, budget: Optional[int] = None
-    ) -> CandidatePool:
-        """Export the shard's top candidates for one query vector.
+    def sync(self, generation: Optional[int]) -> ShardDelta:
+        """What the coordinator's replica needs since ``generation``, the
+        generation of the last reply it applied.
 
-        ``σ_i`` is the profile's own map and the edges are the memo's tuples:
-        referenced, not copied.  Both are read through the processor's
-        memoised :meth:`~KSIRProcessor.snapshot`, which shares the
-        processor's edge memo: an entry compiled for one query serves every
-        later one until a bucket changes the element or its followers.
+        When that is the one this worker last sent, the reply is a delta;
+        otherwise (first call, a restored or restarted worker, a reply the
+        coordinator never applied) a full dump.  Its generation is
+        ``generation + 1``: every shard of one gather replies the same.
+        ``σ_i`` is the profile's own map, referenced, not copied.
         """
-        index = self._processor.ranked_lists
-        context = self._processor.snapshot()
-        query_topics = {topic for topic, weight in enumerate(query_vector) if weight > 0.0}
-        pool: CandidatePool = {}
-        for element_id in index.top_candidates(query_vector, budget):
-            profile = context.profile(element_id)
+        processor = self._processor
+        index, profiles, window = processor.ranked_lists, processor.profiles, processor.window
+        full = generation is None or generation != self._sent
+        changed = window.active_ids() if full else self._changed
+        self._changed, self._sent = set(), (0 if generation is None else generation + 1)
+        active = [element_id for element_id in changed if element_id in index]
+        gone = tuple(e for e in changed if e not in index and processor.is_home(e))
+        # Follower sets in ascending id order, as a snapshot's follower view
+        # holds them: the order fixes the last bit of ``Σ edges``.
+        context = ScoringContext(profiles, {
+            element_id: tuple(sorted(window.followers_of(element_id)))
+            for element_id in active
+        }, processor.config.scoring, frozen=True)
+        records: Dict[int, Record] = {}
+        for element_id in active:
+            profile = profiles[element_id]
             followed = context.follower_edges(element_id)
             semantic, words = profile.semantic_scores, profile.word_weights
-            held: Dict[int, TopicRecord] = {}
             # A home element's tuples sit on exactly its profile's topics.
-            for topic in profile.topic_probabilities:
-                if topic in query_topics:
-                    held[topic] = (
-                        index.score(topic, element_id), semantic[topic], words[topic],
-                        followed.get(topic, NO_EDGES),
-                    )
-            pool[element_id] = (index.last_activity(element_id), held)
-
-        with self._counter_lock:
-            self._exports += 1
-            self._exported_candidates += len(pool)
-        return pool
+            records[element_id] = (index.last_activity(element_id), {
+                topic: (
+                    index.score(topic, element_id), semantic[topic], words[topic],
+                    followed.get(topic, NO_EDGES),
+                )
+                for topic in profile.topic_probabilities
+            })
+        return ShardDelta(self._sent, full, records, gone)

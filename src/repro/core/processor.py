@@ -15,7 +15,7 @@ The :class:`KSIRProcessor` ties everything together:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -239,9 +239,10 @@ class KSIRProcessor:
         """Whether the element belongs to this processor's partition."""
         return self._home_filter is None or self._home_filter(element_id)
 
-    def profile(self, element_id: int) -> ElementProfile:
-        """The cached profile of an active element (KeyError when absent)."""
-        return self._profiles[element_id]
+    @property
+    def profiles(self) -> Mapping[int, ElementProfile]:
+        """The live profile map of ``A_t`` (not a copy)."""
+        return self._profiles
 
     @property
     def ingest_timer(self) -> TimingStats:
@@ -255,7 +256,7 @@ class KSIRProcessor:
 
     # -- stream ingestion ----------------------------------------------------------------
 
-    def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
+    def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> List[int]:
         """Ingest one bucket ``B_t`` ending at ``end_time`` (Algorithm 1).
 
         Elements without a topic distribution are run through topic
@@ -285,6 +286,9 @@ class KSIRProcessor:
         whoever owns the element — a shard scores its foreign replicas from
         the same memo.  The snapshot of the previous window stops sharing
         the memo first, so it stays frozen.
+        Returns that enumeration, ids possibly repeated: every element
+        whose scoring record the bucket may have changed (what a shard's
+        next sync ships).
         """
         with self._ingest_timer.measure():
             prepared = self._inferencer.with_topics(elements)
@@ -298,6 +302,7 @@ class KSIRProcessor:
             home_filter = self._home_filter
             profile_map = self._profiles
             edge_memo = self._edge_memo
+            changed: List[int] = []
             inserts = []
             touched: Dict[int, int] = {}
             # One bulk row allocation for the bucket, one fancy-indexed
@@ -312,7 +317,7 @@ class KSIRProcessor:
                 element_id = element.element_id
                 timestamp = element.timestamp
                 profile_map[element_id] = profile
-                edge_memo.pop(element_id, None)
+                changed.append(element_id)
                 if home_filter is None or home_filter(element_id):
                     inserts.append((profile, timestamp))
                     if self._window.follower_count(element_id):
@@ -322,8 +327,8 @@ class KSIRProcessor:
                         previous = touched.get(element_id)
                         if previous is None or previous < timestamp:
                             touched[element_id] = timestamp
+                changed.extend(touched_parents)
                 for parent_id in touched_parents:
-                    edge_memo.pop(parent_id, None)
                     if home_filter is not None and not home_filter(parent_id):
                         continue
                     if parent_id not in profile_map:
@@ -356,15 +361,16 @@ class KSIRProcessor:
             )
 
             removed = self._window.advance_to(end_time)
+            changed.extend(removed)
             removes = []
             for element_id in removed:
                 profile_map.pop(element_id, None)
-                edge_memo.pop(element_id, None)
                 if home_filter is None or home_filter(element_id):
                     removes.append(element_id)
             expiry_touched = {}
-            for element_id in self._window.take_touched_by_expiry():
-                edge_memo.pop(element_id, None)
+            lost_followers = self._window.take_touched_by_expiry()
+            changed.extend(lost_followers)
+            for element_id in lost_followers:
                 if (
                     home_filter is None or home_filter(element_id)
                 ) and element_id in profile_map:
@@ -374,7 +380,10 @@ class KSIRProcessor:
                     scored_refreshes=self._columnar_refresh_entries(expiry_touched),
                     removes=removes,
                 )
+            for element_id in changed:
+                edge_memo.pop(element_id, None)
             self._buckets_processed += 1
+        return changed
 
     def process_stream(
         self,

@@ -75,9 +75,8 @@ class RankedListIndex:
         self._last_activity: Dict[int, int] = {}
         # element id -> the topics whose lists hold a tuple of it: what an
         # expiry removes and what a re-post may drop, without probing z lists.
-        # One int per element (a bitmask): the merged index of a sharded
-        # query records a thousand of these and throws them away, and an int
-        # is no work for the garbage collector where a tuple is.
+        # One int per element (a bitmask): an int is no work for the garbage
+        # collector where a tuple is.
         self._topics_of: Dict[int, int] = {}
         # Topics whose lists changed since the last drain (bounded by z).
         self._dirty_topics: Set[int] = set()
@@ -333,8 +332,8 @@ class RankedListIndex:
     def load(self, entries: Iterable[Tuple[int, int, Mapping[int, float]]]) -> None:
         """Load pre-computed ``(element_id, t_e, topic → δ_i(e))`` entries verbatim.
 
-        The raw loader of a checkpoint restore and of the sharded layer's
-        merged candidate index (:mod:`repro.cluster`): the scores were
+        The raw loader of a checkpoint restore and of the cluster
+        coordinator's replica index (:mod:`repro.cluster.merge`): the scores were
         maintained where the window is, so re-deriving them from profiles
         would only risk drift.  An entry replaces the element's activity
         time and its tuples on the topics it names.  The tuples are grouped
@@ -405,29 +404,6 @@ class RankedListIndex:
     def traversal(self, query_vector: np.ndarray) -> "RankedListTraversal":
         """A fresh descending traversal for the given query vector."""
         return RankedListTraversal(self, query_vector)
-
-    def top_candidates(
-        self, query_vector: np.ndarray, budget: Optional[int] = None
-    ) -> List[int]:
-        """Element ids in descending ``x_i · δ_i`` retrieval order.
-
-        Walks the merged per-topic traversal (the same first/next discipline
-        the query algorithms use) and returns up to ``budget`` distinct
-        element ids; ``None`` drains every list with positive query weight.
-        This is the candidate-export primitive of the scatter-gather layer:
-        each shard bounds its pool here, and the coordinator runs the final
-        submodular selection over the merged union.
-        """
-        if budget is not None and budget <= 0:
-            raise ValueError("budget must be positive (or None for no bound)")
-        traversal = self.traversal(query_vector)
-        candidates: List[int] = []
-        while budget is None or len(candidates) < budget:
-            element_id = traversal.next_id()
-            if element_id is None:
-                break
-            candidates.append(element_id)
-        return candidates
 
     def validate(self) -> bool:
         """Check the sorted-list invariants of every list and that the

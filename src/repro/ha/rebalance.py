@@ -12,8 +12,8 @@ holds (a) the *home* records of the elements it owns — complete follower
 views, authoritative activity times, the element's ranked-list tuples —
 and (b) *foreign replicas* of elements routed to it because their
 followers live here; replicas may be stale, and that is part of the
-normal execution contract (only home records are ever exported).  The
-rebalancer therefore:
+normal execution contract (only home records ever reach the
+coordinator).  The rebalancer therefore:
 
 * merges every shard's window into one full-replica window, preferring
   the element's **old home shard** copy for per-element records (activity
@@ -28,8 +28,8 @@ rebalancer therefore:
   element's tuples land exactly on its new home shard — which its future
   followers are routed to by construction.
 
-Per-shard ingest/export accounting restarts at zero (the history cannot
-be attributed to shards that did not exist); cluster-level counters are
+Per-shard ingest accounting restarts at zero (the history cannot be
+attributed to shards that did not exist); cluster-level counters are
 carried verbatim.
 """
 
@@ -57,9 +57,9 @@ def repartition_state(
 
     The result restores onto a coordinator configured for
     ``new_num_shards`` (same processor configuration) and answers every
-    query identically to the source cluster — the merged candidate union
-    is preserved because home records, follower views and ranked-list
-    tuples all move to the new home shards intact.
+    query identically to the source cluster — every home record is
+    preserved because follower views and ranked-list tuples all move to
+    the new home shards intact.
     """
     if new_num_shards < 1:
         raise ValueError("new_num_shards must be >= 1")
@@ -190,12 +190,10 @@ def repartition_state(
         new_workers.append(
             {
                 "shard_id": shard_id,
-                # Per-shard ingest/export accounting restarts: history is
-                # not attributable to shards that did not exist.
+                # Per-shard ingest accounting restarts: history is not
+                # attributable to shards that did not exist.
                 "home_ingested": 0,
                 "foreign_ingested": 0,
-                "exports": 0,
-                "exported_candidates": 0,
                 "processor": {
                     "elements_processed": 0,
                     "buckets_processed": buckets_processed,

@@ -19,10 +19,11 @@ from repro.api import (
     ShardedBackend,
     read_checkpoint,
 )
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, ShardWorker
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
+from repro.ha.delta import CheckpointChain
 
 from tests.conftest import build_reference_stream
 
@@ -224,6 +225,72 @@ def test_sharded_checkpoint_written_before_pr22(name, tmp_path):
     (path / "MANIFEST.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="partitioned by 'round-robin'.*no longer supported"):
         KSIREngine.load(path)
+
+
+ALL_ALGORITHMS = ("mtts", "mttd", "celf", "greedy", "sieve", "topk")
+
+
+def every_answer(engine, query):
+    return [
+        (r.element_ids, repr(r.score), r.evaluated_elements, sorted(r.extras.items()))
+        for r in (engine.query(query, algorithm=a, epsilon=0.2) for a in ALL_ALGORITHMS)
+    ]
+
+
+@pytest.mark.parametrize("name", ["sharded", "sharded-pipe", "service-sharded", "chain"])
+def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
+    """Before the coordinator kept a replica, shards exported candidate
+    pools: their checkpoints carry export counters in every worker state
+    and ``cluster.budget_scale`` in the manifest.  Such a checkpoint — a
+    directory, or a delta chain whose full and delta segments both carry
+    the counters — loads with both ignored and answers every later bucket,
+    all six algorithms, as the engine it was taken from."""
+    config = CONFIGS["sharded" if name == "chain" else name.replace("-pipe", "")]
+    if name == "sharded-pipe":
+        config = EngineConfig(
+            backend="sharded", processor=PROCESSOR,
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
+        )
+    model, elements = build_stream(seed=37)
+    buckets = buckets_of(elements)
+    query = KSIRQuery(k=4, vector=np.array([0.4, 0.3, 0.3, 0.0]))
+    written = ShardWorker.state_dict
+
+    def with_export_counters(worker):
+        processed = worker.processor.buckets_processed
+        return {**written(worker), "exports": processed, "exported_candidates": 40 * processed}
+
+    # Patched before the engine forks its shard processes.
+    monkeypatch.setattr(ShardWorker, "state_dict", with_export_counters)
+    engine = make_engine(model, config, query)
+    half = NUM_BUCKETS // 2
+    for position, (members, end_time) in enumerate(buckets[:half]):
+        engine.ingest_bucket(members, end_time)
+        if name == "chain" and position in (half - 3, half - 1):
+            CheckpointChain(tmp_path / "ckpt").save(engine)
+    path = tmp_path / "ckpt"
+    if name != "chain":
+        engine.save(path)
+    monkeypatch.undo()
+    assert '"exported_candidates"' in "".join(
+        state.read_text() for state in path.rglob("*.json")
+    )
+    for manifest_path in path.rglob("MANIFEST.json"):
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["cluster"]["budget_scale"] = 1.0
+        manifest_path.write_text(json.dumps(manifest))
+
+    with engine, KSIREngine.load(path) as resumed:
+        assert resumed.config == config
+        assert every_answer(resumed, query) == every_answer(engine, query)
+        for members, end_time in buckets[half:]:
+            for side in (engine, resumed):
+                side.ingest_bucket(members, end_time)
+            assert every_answer(resumed, query) == every_answer(engine, query)
+        if config.backend == "service":
+            assert {q: r.result.element_ids for q, r in resumed.results().items()} == {
+                q: r.result.element_ids for q, r in engine.results().items()
+            }
 
 
 def test_checkpoint_is_versioned_on_disk(tmp_path):

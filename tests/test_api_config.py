@@ -82,7 +82,6 @@ class TestEngineConfig:
                 num_shards=3,
                 transport="pipe",
                 candidate_budget=64,
-                budget_scale=2.0,
             ),
             service=ServiceConfig(incremental=False),
             inference=InferenceConfig(alpha=0.05, sparsity_threshold=0.05),
@@ -115,7 +114,7 @@ class TestEngineConfig:
         before still load, at the transport that survived each."""
         payload = EngineConfig(backend="sharded").to_dict()
         assert sorted(payload["cluster"]) == [
-            "budget_scale", "candidate_budget", "num_shards", "transport",
+            "candidate_budget", "num_shards", "transport",
         ]
         assert payload["cluster"]["transport"] == "serial"
         written_before = {
@@ -158,6 +157,23 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             ClusterConfig(partitioner="hash")
 
+    def test_retired_budget_scale(self):
+        """``cluster.budget_scale`` is gone: a query reads the coordinator's
+        replica, so no per-shard budget is left to scale.  ``1.0`` — what
+        every manifest wrote unless told otherwise — loads silently; any
+        other value is refused, naming the key and the reason."""
+        assert EngineConfig.from_dict({"cluster": {"budget_scale": 1.0}}).cluster == (
+            ClusterConfig()
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"cluster.budget_scale is no longer supported.*1.0 is the only "
+            r"behaviour left \(queries read the coordinator's replica",
+        ):
+            EngineConfig.from_dict({"cluster": {"budget_scale": 2.0}})
+        with pytest.raises(TypeError):
+            ClusterConfig(budget_scale=1.0)
+
     def test_manifest_written_before_pr19_loads(self):
         """``service.max_workers`` and the ``streams`` spelling of the window
         policy are gone; this is the ``config`` of a manifest the parent
@@ -198,9 +214,10 @@ class TestEngineConfig:
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the four retired keys.
+        # What it writes back drops exactly the five retired keys.
         written = loaded.to_dict()
         del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
+        del manifest["cluster"]["budget_scale"]
         del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
         assert written == manifest
         assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
@@ -385,7 +402,7 @@ class TestFromArgs:
         )
         assert sharded.cluster == ClusterConfig(
             num_shards=4, transport="serial",
-            candidate_budget=None, budget_scale=1.0,
+            candidate_budget=None,
         )
 
     def test_a_namespace_without_the_flags_takes_the_same_defaults(self):
@@ -517,7 +534,6 @@ engine_configs = st.builds(
             num_shards=st.integers(1, 64),
             transport=st.sampled_from(["serial", "pipe"]),
             candidate_budget=_optional(st.integers(1, 10**4)),
-            budget_scale=_POSITIVE,
         )
     ),
     service=st.builds(ServiceConfig, incremental=st.booleans()),

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -57,20 +60,33 @@ class TestClusterConfig:
         with pytest.raises(ValueError, match="unknown cluster transport"):
             ClusterConfig(transport=" ")
 
-    def test_four_fields(self):
+    def test_three_fields(self):
         assert list(ClusterConfig.__dataclass_fields__) == [
-            "num_shards", "transport", "candidate_budget", "budget_scale",
+            "num_shards", "transport", "candidate_budget",
         ]
         assert ClusterConfig().transport == "serial"
 
-    def test_budget_derivation(self):
-        config = ClusterConfig()
-        assert config.derive_budget(k=5, epsilon=0.1) == 50
-        assert config.derive_budget(k=5, epsilon=0.9) == 6
-        fixed = ClusterConfig(candidate_budget=7)
-        assert fixed.derive_budget(k=5, epsilon=0.1) == 7
-        scaled = ClusterConfig(budget_scale=2.0)
-        assert scaled.derive_budget(k=5, epsilon=0.1) == 100
+    def test_the_budget_is_retired(self, replayed, tiny_dataset):
+        """Nothing derives a per-shard budget any more; ``candidate_budget``
+        is still validated (configurations name it) and changes nothing."""
+        assert not hasattr(ClusterConfig, "derive_budget")
+        with pytest.raises(ValueError, match="candidate_budget"):
+            ClusterConfig(candidate_budget=0)
+        _single, coordinator = replayed
+        query = tiny_dataset.make_query(k=4, topic=0)
+        with ClusterCoordinator(
+            tiny_dataset.topic_model, TINY_CONFIG,
+            cluster=ClusterConfig(num_shards=3, candidate_budget=1),
+        ) as budgeted:
+            budgeted.process_stream(tiny_dataset.stream)
+            for algorithm in ("mttd", "celf"):
+                ours = budgeted.query(query, algorithm=algorithm)
+                theirs = coordinator.query(query, algorithm=algorithm)
+                assert (ours.element_ids, repr(ours.score), ours.extras) == (
+                    theirs.element_ids, repr(theirs.score), theirs.extras
+                )
+                assert ours.extras["shards"] == 3.0
+                assert not {"candidate_budget", "merged_candidates"} & set(ours.extras)
 
 
 class TestCoordinatorIngestion:
@@ -162,19 +178,57 @@ class TestCoordinatorQueries:
         result = coordinator.query(vector, k=3)
         assert len(result) <= 3
 
-    def test_bounded_candidate_budget_still_returns(self, tiny_dataset):
-        with ClusterCoordinator(
-            tiny_dataset.topic_model,
-            TINY_CONFIG,
-            cluster=ClusterConfig(
-                num_shards=2, candidate_budget=2
-            ),
-        ) as coordinator:
-            coordinator.process_stream(tiny_dataset.stream)
-            result = coordinator.query(tiny_dataset.make_query(k=4, topic=0))
-            assert len(result) <= 4
-            # At most budget × shards candidates are merged.
-            assert result.extras["merged_candidates"] <= 4
+    def test_default_config_answers_as_one_node(self, replayed, tiny_dataset):
+        """Mixed-topic queries whose support on every shard is larger than
+        the ``⌈k/ε⌉`` candidates a shard used to export (which moved 5 of
+        these 12 MTTD answers): the default configuration answers as one
+        node, ids and ``repr(score)``, for every deterministic algorithm."""
+        single, coordinator = replayed
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            vector = rng.dirichlet(np.ones(5))
+            k, epsilon = int(rng.integers(2, 7)), float(rng.choice([0.2, 0.3, 0.5]))
+            for worker in coordinator.workers:
+                index = worker.processor.ranked_lists
+                support = {e for topic in range(5) for e, _ in index.items(topic)}
+                assert len(support) > math.ceil(k / epsilon)
+            query = KSIRQuery(k=k, vector=vector)
+            for algorithm in ("mttd", "mtts", "celf", "greedy", "topk"):
+                ours = coordinator.query(query, algorithm=algorithm, epsilon=epsilon)
+                theirs = single.query(query, algorithm=algorithm, epsilon=epsilon)
+                assert (ours.element_ids, repr(ours.score)) == (
+                    theirs.element_ids, repr(theirs.score)
+                ), algorithm
+                assert ours.active_elements == theirs.active_elements
+
+    def test_concurrent_queries_answer_as_sequential_ones(self, tiny_dataset):
+        """4 threads × 20 queries after every bucket, on ``serial``, with the
+        interpreter switching threads every 10 µs: the first query of a
+        bucket syncs the replica while the others wait, and every answer is
+        the one a lone caller gets."""
+        queries = [
+            (tiny_dataset.make_query(k=3 + n % 3, topic=n % 5), ("mttd", "mtts", "celf")[n % 3])
+            for n in range(20)
+        ]
+        elements = tiny_dataset.stream.elements[:160]
+        cluster = ClusterConfig(num_shards=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ClusterCoordinator(tiny_dataset.topic_model, TINY_CONFIG, cluster) as shared, \
+                    ClusterCoordinator(tiny_dataset.topic_model, TINY_CONFIG, cluster) as alone:
+                for bucket in SocialStream(elements).buckets(TINY_CONFIG.bucket_length):
+                    shared.process_bucket(bucket.elements, bucket.end_time)
+                    alone.process_bucket(bucket.elements, bucket.end_time)
+                    expected = [answers(alone, q, (a,)) for q, a in queries]
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        runs = [
+                            pool.submit(lambda: [answers(shared, q, (a,)) for q, a in queries])
+                            for _ in range(4)
+                        ]
+                        assert [run.result(timeout=60) for run in runs] == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProcessBackend:
@@ -323,7 +377,7 @@ def same_state(left, right):
 
 @pytest.mark.parametrize("transport", BUILT_INS)
 class TestTransportContract:
-    """ingest → export / dirty / state → restore → close, on every built-in,
+    """ingest → sync / dirty / state → restore → close, on every built-in,
     against the element-by-element oracle of ``tests/oracle.py``."""
 
     CONFIG = ProcessorConfig(
@@ -331,7 +385,7 @@ class TestTransportContract:
     )
     QUERY = KSIRQuery(k=3, vector=np.array([0.5, 0.3, 0.2]))
     #: Sieve reads the ground set in enumeration order — activation order on
-    #: a single node, shard by shard on a cluster — so it is held to the
+    #: a single node, ascending ids on a cluster — so it is held to the
     #: other transport; the rest are held to the oracle.
     ORDER_FREE = tuple(name for name in ALGORITHMS if name != "sieve")
 
@@ -341,11 +395,7 @@ class TestTransportContract:
         )
 
     def coordinator(self, model, transport, num_shards=3):
-        # A budget above the window never truncates: the one configuration
-        # whose answers the cluster layer promises to be the single node's.
-        cluster = ClusterConfig(
-            num_shards=num_shards, transport=transport, candidate_budget=1000
-        )
+        cluster = ClusterConfig(num_shards=num_shards, transport=transport)
         return ClusterCoordinator(model, self.CONFIG, cluster=cluster)
 
     def test_whole_protocol(self, transport):
@@ -356,7 +406,7 @@ class TestTransportContract:
         assert isinstance(coordinator.fanout, TransportBackend)
         assert (coordinator.workers == ()) == (transport == "pipe")
 
-        # ingest, export, dirty topics — after every bucket
+        # ingest, sync, dirty topics — after every bucket
         for elements, end_time in stream[:8]:
             coordinator.process_bucket(elements, end_time)
             oracle.process_bucket(elements, end_time)
@@ -520,7 +570,7 @@ class TestTransportContract:
         oracle = Oracle.for_config(model, config)
         other = next(name for name in BUILT_INS if name != transport)
         clusters = [
-            ClusterConfig(num_shards=3, transport=name, candidate_budget=1000)
+            ClusterConfig(num_shards=3, transport=name)
             for name in (transport, other)
         ]
         with ClusterCoordinator(model, config, cluster=clusters[0]) as coordinator, \

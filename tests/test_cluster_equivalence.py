@@ -12,10 +12,11 @@ SieveStreaming is excluded by design: it is a single-pass streaming
 algorithm whose output depends on element iteration order, which sharding
 inherently changes (see ``repro.cluster.verify``).
 
-The pool contract is then held exactly, with ``==``: with every replica
-current the sharded answers are the single node's to the last bit, and every
-candidate pool a shard exports compiles, on the coordinator, to the terms the
-single node compiles for those candidates — follower edges included.
+The mirror contract is then held exactly, with ``==``: with every replica
+current the sharded answers are the single node's to the last bit, and the
+coordinator's replica of the shards' records compiles to the terms the
+single node compiles — follower edges included — and holds the single
+node's ranked lists, after every bucket, a load, a failover and a rebalance.
 """
 
 from __future__ import annotations
@@ -27,22 +28,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EngineConfig, KSIREngine
 from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
+    MergedCandidateContext,
     RoutedBucket,
     ShardPlanner,
-    merge_candidate_pools,
+    ShardWorker,
     shard_of,
     verify_equivalence,
 )
+from repro.cluster.partition import home_filter
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
-from repro.core.scoring import KSIRObjective, ScoringConfig, ScoringContext
+from repro.core.scoring import ScoringConfig, ScoringContext
+from repro.ha import ClusterSupervisor, HAConfig
+from repro.ha.chaos import kill_worker
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
 from tests.conftest import PAPER_SCORING, build_processor, build_reference_stream
+from tests.test_cluster_coordinator import contract_stream
 from tests.test_query_path import reposting_stream
 from tests.test_store_columnar import bucketise
 
@@ -178,13 +185,18 @@ class TestShardedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# The pool contract, exactly
+# The mirror contract, exactly
 # ---------------------------------------------------------------------------
 
 #: Every index algorithm and both deterministic batch algorithms.
 EXACT_ALGORITHMS = ("mtts", "mttd", "celf", "greedy", "topk")
 REPLAY = ProcessorConfig(
     window_length=10, bucket_length=4, scoring=PAPER_SCORING, archive_windows=3
+)
+MIRRORED = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
+#: ``TestTransportContract.CONFIG``, the configuration of ``contract_stream``.
+CONTRACT = ProcessorConfig(
+    window_length=4, bucket_length=1, scoring=PAPER_SCORING, archive_windows=2
 )
 
 
@@ -203,7 +215,54 @@ def replicate_everywhere(planner, elements):
     )
 
 
-class TestThePoolContract:
+def mirrored_streams():
+    """``(model, config, buckets)`` of the reference stream (followers,
+    expiry, re-activation) and of the transport contract's stream (re-posts
+    that drop and regain topics)."""
+    model, elements = build_reference_stream(21, 64, 3, 8)
+    yield model, MIRRORED, list(bucketise(elements, 4))
+    model, buckets = contract_stream()
+    yield model, CONTRACT, buckets
+
+
+def assert_mirrors_one_node(coordinator, single):
+    """Sync the replica (the first query after a bucket does) and hold it to
+    the single node with ``==``: the same ids; per element the terms a cold
+    single-node context compiles on every topic (``σ`` maps in the same
+    order) and the same activity time; every ranked list item for item.
+    Returns how many replicated elements have followers."""
+    num_topics = single.topic_model.num_topics
+    coordinator.query(np.full(num_topics, 1.0 / num_topics), k=1)
+    records, index = coordinator._records, coordinator._index
+    assert sorted(records) == sorted(single.window.active_ids())
+    cold = ScoringContext(
+        dict(single.profiles), single.window.followers_snapshot(), single.config.scoring
+    )
+    merged = MergedCandidateContext(records, np.ones(num_topics), single.config.scoring)
+    every_topic = tuple((topic, 1.0) for topic in range(num_topics))
+    followed = 0
+    for element_id, (activity, _) in records.items():
+        ours = merged.compile_terms(element_id, every_topic)
+        theirs = cold.compile_terms(element_id, every_topic)
+        assert ours == theirs, element_id
+        assert [list(term[4].items()) for term in ours] == [
+            list(term[4].items()) for term in theirs
+        ]
+        assert activity == single.ranked_lists.last_activity(element_id)
+        followed += any(term[5][0] for term in ours)
+    for topic in range(num_topics):
+        assert index.items(topic) == single.ranked_lists.items(topic), topic
+    return followed
+
+
+def sharded(transport, num_shards=3, config=MIRRORED):
+    return EngineConfig(
+        backend="sharded", processor=config,
+        cluster=ClusterConfig(num_shards=num_shards, transport=transport),
+    )
+
+
+class TestTheMirrorContract:
     def test_consistent_replicas_answer_as_one_node(self, monkeypatch):
         """With every replica current (every element on every shard), the
         sharded answer *is* the single node's: ids and ``repr(score)`` of
@@ -234,67 +293,159 @@ class TestThePoolContract:
         assert compared == 30 * 12 * len(EXACT_ALGORITHMS)
 
     @pytest.mark.parametrize("transport", ["serial", "pipe"])
-    def test_a_pool_is_what_one_node_holds(self, transport):
-        """After every bucket, every shard's pool for two queries (all
-        topics; one topic at zero weight): the pools hold exactly the single
-        node's candidates; per candidate, the merged context compiles the
-        very terms a cold single-node context over copies of the live maps
-        compiles (``σ`` maps in the same order), its activity time is the
-        single node's, and the shipped ``δ_i`` are the single node's stored
-        scores on exactly the query's topics — no record names another."""
-        model, elements = build_reference_stream(21, 64, 3, 8)
-        config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
-        vectors = (np.array([0.5, 0.3, 0.2]), np.array([0.0, 0.6, 0.4]))
+    def test_the_mirror_is_what_one_node_holds(self, transport):
+        """After every bucket of both streams the replica is the single
+        node's window, record for record and list for list."""
+        followed = 0
+        for model, config, buckets in mirrored_streams():
+            single = build_processor(model, config)
+            cluster_config = ClusterConfig(num_shards=3, transport=transport)
+            with ClusterCoordinator(model, config, cluster_config) as cluster:
+                for members, end_time in buckets:
+                    single.process_bucket(members, end_time)
+                    cluster.process_bucket(members, end_time)
+                    followed += assert_mirrors_one_node(cluster, single)
+        assert followed > 100  # and the rest have none: both kinds of record
+
+    @pytest.mark.parametrize("transport", ["serial", "pipe"])
+    def test_a_loaded_engine_mirrors_one_node(self, transport, tmp_path):
+        """A checkpoint never holds the replica: the loaded engine syncs a
+        full dump of every shard, then deltas."""
+        model, config, buckets = next(mirrored_streams())
         single = build_processor(model, config)
-        cluster_config = ClusterConfig(num_shards=3, transport=transport)
-        exported = followed = 0
-        with ClusterCoordinator(model, config, cluster_config) as cluster:
-            for members, end_time in bucketise(elements, 4):
+        with KSIREngine(model, sharded(transport)) as engine:
+            for members, end_time in buckets[:7]:
+                single.process_bucket(members, end_time)
+                engine.ingest_bucket(members, end_time)
+                assert_mirrors_one_node(engine.backend.coordinator, single)
+            path = engine.save(tmp_path / "ckpt")
+        with KSIREngine.load(path) as loaded:
+            coordinator = loaded.backend.coordinator
+            assert coordinator._records == {}
+            assert_mirrors_one_node(coordinator, single)
+            for members, end_time in buckets[7:]:
+                single.process_bucket(members, end_time)
+                loaded.ingest_bucket(members, end_time)
+                assert_mirrors_one_node(coordinator, single)
+
+    @pytest.mark.parametrize("recovery", ["logged", "checkpointed"])
+    def test_a_healed_cluster_mirrors_one_node(self, recovery, tmp_path):
+        """Kill a shard before a bucket (healed in the ingest) and between a
+        bucket and its query (healed in the query's sync, whose reply from
+        the live shard is never applied).  ``logged``: the dead shard
+        replays the whole WAL into a fresh process and the replica is kept,
+        so the live shard answers the next sync in full; ``checkpointed``:
+        the shard restores the newest checkpoint and the replica starts
+        over."""
+        model, config, buckets = next(mirrored_streams())
+        single = build_processor(model, config)
+        supervisor = ClusterSupervisor(
+            KSIREngine(model, sharded("pipe", num_shards=2)),
+            ha=HAConfig(checkpoint_every=3 if recovery == "checkpointed" else 0),
+            checkpoint_dir=tmp_path / "chain" if recovery == "checkpointed" else None,
+        )
+        query = KSIRQuery(k=3, vector=np.array([0.5, 0.3, 0.2]))
+        with supervisor:
+            for position, (members, end_time) in enumerate(buckets):
+                if position == 5:
+                    kill_worker(supervisor.coordinator, 1)
+                single.process_bucket(members, end_time)
+                supervisor.ingest_bucket(members, end_time)
+                if position in (4, 9):
+                    kill_worker(supervisor.coordinator, position % 2)
+                ours = supervisor.query(query, algorithm="mttd")
+                theirs = single.query(query, algorithm="mttd")
+                assert (ours.element_ids, repr(ours.score)) == (
+                    theirs.element_ids, repr(theirs.score)
+                )
+                assert_mirrors_one_node(supervisor.coordinator, single)
+            assert supervisor.status()["recoveries"] == 3
+
+    def test_a_rebalanced_cluster_mirrors_one_node(self):
+        """2 → 3 → 2 shards: each new engine starts from an empty replica."""
+        model, config, buckets = next(mirrored_streams())
+        single = build_processor(model, config)
+        with ClusterSupervisor(KSIREngine(model, sharded("serial", num_shards=2))) as supervisor:
+            for position, (members, end_time) in enumerate(buckets):
+                if position in (5, 10):
+                    supervisor.rebalance(5 - supervisor.coordinator.num_shards)
+                    assert supervisor.coordinator._records == {}
+                    assert_mirrors_one_node(supervisor.coordinator, single)
+                single.process_bucket(members, end_time)
+                supervisor.ingest_bucket(members, end_time)
+                assert_mirrors_one_node(supervisor.coordinator, single)
+            assert supervisor.coordinator.num_shards == 2
+
+    def test_a_failed_sync_is_never_half_applied(self):
+        """A sync that fails on one shard folds in nothing and keeps no
+        generation: the shards that did answer reply in full next time."""
+        model, config, buckets = next(mirrored_streams())
+        single = build_processor(model, config)
+        with ClusterCoordinator(model, config, ClusterConfig(num_shards=3)) as cluster:
+            for position, (members, end_time) in enumerate(buckets):
                 single.process_bucket(members, end_time)
                 cluster.process_bucket(members, end_time)
-                cold = ScoringContext(
-                    dict(single._profiles), single.window.followers_snapshot(), config.scoring
-                )
-                index = single.ranked_lists
-                for vector in vectors:
-                    query_topics = KSIRObjective(cold, vector).query_topics
-                    pools = cluster.fanout.export(vector, None)
-                    assert sorted(e for pool in pools for e in pool) == sorted(
-                        index.top_candidates(vector)
-                    )
-                    merged, _ = merge_candidate_pools(pools, model.num_topics, config.scoring)
-                    for pool in pools:
-                        for element_id, (activity, held) in pool.items():
-                            ours = merged.compile_terms(element_id, query_topics)
-                            theirs = cold.compile_terms(element_id, query_topics)
-                            assert ours == theirs
-                            assert [list(term[4].items()) for term in ours] == [
-                                list(term[4].items()) for term in theirs
-                            ]
-                            assert activity == index.last_activity(element_id)
-                            assert {topic: record[0] for topic, record in held.items()} == {
-                                topic: score
-                                for topic, score in index.scores_of(element_id).items()
-                                if vector[topic] > 0.0
-                            }
-                            followed += any(term[5][0] for term in ours)
-                        exported += len(pool)
-        assert followed > 100 and exported > followed  # both kinds of candidate
+                if position % 4 == 2:
+                    failing = cluster.workers[position % 3]
 
-    def test_the_merged_context_is_not_a_window_snapshot(self):
+                    def refuse(generation, worker=failing):
+                        del worker.sync  # answer the next sync again
+                        raise RuntimeError("shard unavailable")
+
+                    failing.sync = refuse
+                    with pytest.raises(RuntimeError, match="shard unavailable"):
+                        cluster.query(np.full(3, 1 / 3), k=1)
+                assert_mirrors_one_node(cluster, single)
+
+    def test_a_restored_worker_dumps_in_full(self):
+        """Whatever generation it is handed, a restored worker's next reply
+        is its whole share, equal to the share of a worker that never
+        synced."""
+        model, config, buckets = next(mirrored_streams())
+
+        def worker():
+            return ShardWorker(0, model, config, home_filter=home_filter(0, 2))
+
+        live, checkpointed = worker(), worker()
+        for members, end_time in buckets[:6]:
+            live.ingest(members, end_time)
+        first = live.sync(None)
+        assert first.full and first.records and first.generation == 0
+        state = live.state_dict()
+        checkpointed.restore_state(state)
+        for members, end_time in buckets[6:9]:
+            live.ingest(members, end_time)
+        delta = live.sync(first.generation)
+        assert not delta.full and delta.generation == 1
+        assert delta.records and delta.gone and delta.records.keys().isdisjoint(delta.gone)
+        live.restore_state(state)
+        again = live.sync(delta.generation)
+        assert again.full and again.gone == ()
+        assert again.records == checkpointed.sync(None).records == first.records
+
+    def test_merged_context_is_not_a_window_snapshot(self):
         """The merged context offers what the objective reads and nothing of
         a window snapshot: no profiles, no follower view and no from-scratch
-        evaluator that would answer influence 0.0 without a follower view."""
+        evaluator that would answer influence 0.0 without a follower view.
+        Its ground set is the query's candidates, ascending."""
         model, elements = build_reference_stream(21, 64, 3, 8)
         config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
-        vector = np.array([0.5, 0.3, 0.2])
+        vector = np.array([0.0, 0.3, 0.7])
         with ClusterCoordinator(model, config, ClusterConfig(num_shards=2)) as cluster:
             cluster.process_stream(elements)
-            pools = cluster.fanout.export(vector, None)
-            merged, _ = merge_candidate_pools(pools, model.num_topics, config.scoring)
+            cluster.query(vector, k=1)
+            records = cluster._records
+            merged = MergedCandidateContext(records, vector, config.scoring)
         assert not isinstance(merged, ScoringContext)
-        assert merged.active_count == sum(map(len, pools)) > 0
-        assert all(element_id in merged for element_id in merged.active_ids)
+        assert merged.active_ids == tuple(sorted(records)) and merged.active_count > 0
+        record = (0.5, 0.5, {3: 0.5}, ((), (), 0.0))
+        held_by = {9: {0: record}, 4: {1: record, 2: record}, 7: {2: record}}
+        only = MergedCandidateContext(
+            {element_id: (1, held) for element_id, held in held_by.items()},
+            np.array([0.0, 0.0, 1.0]), config.scoring,
+        )
+        assert (only.active_ids, only.active_count) == ((4, 7), 2)
+        assert [element_id in only for element_id in (4, 7, 9, 5)] == [True, True, False, False]
         window_api = {
             name for name in dir(ScoringContext) if not name.startswith("_")
         } - {"config", "time", "active_ids", "active_count", "compile_terms"}

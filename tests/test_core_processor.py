@@ -412,7 +412,7 @@ class TestRepostDropsATopic:
         assert index.scores_of(1).keys() == {1}
         assert index.take_dirty_topics() == (0, 1)
         assert index.score(1, 1) == pytest.approx(oracle.ranked_lists.score(1, 1), abs=1e-12)
-        assert index.score(1, 1) > PAPER_SCORING.lambda_weight * processor.profile(1).semantic_score(1)
+        assert index.score(1, 1) > PAPER_SCORING.lambda_weight * processor.profiles[1].semantic_score(1)
         assert [e for e, _ in index.items(0)] == [e for e, _ in oracle.ranked_lists.items(0)] == [2]
 
 

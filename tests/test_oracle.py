@@ -279,8 +279,9 @@ class TestProductionEqualsOracle:
                 ingest = processor.process_bucket
 
                 def mirrored(elements, end_time, ingest=ingest, oracle=oracle):
-                    ingest(elements, end_time)
+                    changed = ingest(elements, end_time)
                     oracle.process_bucket(elements, end_time)
+                    return changed
 
                 processor.process_bucket = mirrored
                 pairs.append((processor, oracle))

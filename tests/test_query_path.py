@@ -191,12 +191,18 @@ class TestTraversalEqualsReference:
     @given(index=indexes(), vector=QUERY_VECTORS, budget=st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
     def test_top_candidates_is_the_pop_order(self, index, vector, budget):
+        """The first ``budget`` ids ``next_id()`` retrieves, unbounded, are
+        the reference's pop order, and so is the drained rest."""
         reference = ReferenceTraversal(index, vector)
         expected = []
-        while len(expected) < budget and (element_id := reference.pop()) is not None:
+        while (element_id := reference.pop()) is not None:
             expected.append(element_id)
-        assert index.top_candidates(vector, budget) == expected
-        assert index.top_candidates(vector)[:budget] == expected
+        traversal = index.traversal(vector)
+        retrieved = [traversal.next_id() for _ in range(budget)]
+        while (element_id := traversal.next_id()) is not None:
+            retrieved.append(element_id)
+        assert [e for e in retrieved if e is not None] == expected
+        assert retrieved[: len(expected)] == expected
 
 
 def small_window(seed, reposts=False):
@@ -638,7 +644,7 @@ class TestFollowerEdgeMemo:
         before = observed()
         self.exercise(processor, ALGORITHMS)
         assert observed() == before
-        assert all(context.profile(e) is processor.profile(e) for e in context.active_ids)
+        assert all(context.profile(e) is processor.profiles[e] for e in context.active_ids)
 
     def test_counters_keep_their_meaning(self):
         """One call per evaluation, one element per distinct id — compiled,
