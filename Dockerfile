@@ -1,4 +1,4 @@
-# The serving-tier image: `repro-ksir server` behind uvicorn.
+# The serving-tier image: `repro-ksir server` on its bundled ASGI server.
 #
 #   docker build -t repro-ksir-server .
 #   docker run -p 8000:8000 repro-ksir-server
@@ -17,11 +17,11 @@ ENV PYTHONDONTWRITEBYTECODE=1 \
 
 WORKDIR /app
 
-# Install the package with the serving extras (uvicorn et al.).  The source
+# Install the package; the serving tier needs nothing beyond it.  The source
 # tree is small; a single-stage copy keeps the build dependency-free.
 COPY pyproject.toml README.md ./
 COPY src ./src
-RUN pip install ".[server]"
+RUN pip install .
 
 # Telemetry store + checkpoint volume.
 RUN mkdir -p /data

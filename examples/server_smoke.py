@@ -5,8 +5,7 @@ Drives a live server over real sockets with the bundled stdlib clients
 query, subscribes over WebSocket, ingests one real bucket of the tiny
 profile's stream, and asserts the delta push plus the Prometheus
 exposition.  CI boots `repro-ksir server --profile tiny` and runs this
-against it; it works the same against a uvicorn- or stdlib-served
-instance.
+against it; it works the same against the app hosted by any ASGI server.
 
 Usage::
 

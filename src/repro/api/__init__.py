@@ -8,8 +8,7 @@ or resumes full execution state through the versioned checkpoint format
 (:meth:`KSIREngine.save` / :meth:`KSIREngine.load`).
 
 * :class:`EngineConfig` / :class:`ServiceConfig` / :class:`InferenceConfig`
-  / :class:`KernelConfig` / :class:`~repro.streams.StreamConfig` — the
-  nested configuration with ``to_dict``/``from_dict`` round-trip and
+  / :class:`~repro.streams.StreamConfig` — the nested configuration with ``to_dict``/``from_dict`` round-trip and
   ``argparse`` integration;
 * :class:`ExecutionBackend` + :func:`register_backend` /
   :func:`create_backend` / :func:`backend_names` — the formal backend
@@ -39,7 +38,6 @@ from repro.api.config import (
     QUERY_INFERENCE,
     EngineConfig,
     InferenceConfig,
-    KernelConfig,
     ServiceConfig,
     canonical_backend_name,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "ExecutionBackend",
     "InferenceConfig",
     "KSIREngine",
-    "KernelConfig",
     "LocalBackend",
     "QUERY_INFERENCE",
     "ServiceBackend",

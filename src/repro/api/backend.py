@@ -157,15 +157,7 @@ def create_backend(
     config: EngineConfig,
     inferencer: Optional[TopicInferencer] = None,
 ) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``.
-
-    Applies the configuration's kernel selection first (process-wide, see
-    :mod:`repro.kernels`), so every processor the adapter constructs runs
-    on the requested kernel backend.
-    """
-    from repro.kernels import configure_kernels
-
-    configure_kernels(config.kernels.mode)
+    """Instantiate the backend registered under ``name``."""
     key = name.strip().lower()
     try:
         factory = _REGISTRY[key]

@@ -28,7 +28,6 @@ from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.core.window_policy import WINDOW_POLICY_CHOICES
 from repro.ha.config import HAConfig
-from repro.kernels import KERNEL_CHOICES
 from repro.streams.config import StreamConfig
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
@@ -128,37 +127,6 @@ class ServiceConfig:
 
 
 @dataclass(frozen=True)
-class KernelConfig:
-    """Hot-path kernel selection (see :mod:`repro.kernels`).
-
-    ``mode`` is ``"auto"`` (compile with Numba when importable, silently
-    fall back to the NumPy reference otherwise — the default, zero hard
-    dependencies), ``"numba"`` (require the compiled path) or
-    ``"numpy"`` (force the reference implementations).  Selection is
-    process-wide: the backend factory applies it once per engine
-    construction via :func:`repro.kernels.configure_kernels`.
-    """
-
-    mode: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.mode not in KERNEL_CHOICES:
-            available = ", ".join(KERNEL_CHOICES)
-            raise ValueError(
-                f"unknown kernel mode {self.mode!r}; available: {available}"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "KernelConfig":
-        """Inverse of :meth:`to_dict` (unknown keys raise ``ValueError``)."""
-        return config_from_dict(cls, payload, "kernels")
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """One composable description of a complete k-SIR engine.
 
@@ -193,10 +161,6 @@ class EngineConfig:
         Event-time ingestion tuning (default source, allowed lateness)
         consumed by :meth:`~repro.api.engine.KSIREngine.ingest`;
         ``None`` means in-order defaults.
-    kernels:
-        Hot-path kernel selection (``auto``/``numba``/``numpy``), applied
-        process-wide when a backend is constructed; see
-        :mod:`repro.kernels`.
     """
 
     backend: str = LOCAL_BACKEND
@@ -206,7 +170,6 @@ class EngineConfig:
     inference: Optional[InferenceConfig] = None
     ha: Optional[HAConfig] = None
     streams: Optional[StreamConfig] = None
-    kernels: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", canonical_backend_name(self.backend))
@@ -326,6 +289,8 @@ _RETIRED_CLUSTER_KEYS = {"partitioner": "hash", "budget_scale": 1.0}
 _WHY_RETIRED = {
     "budget_scale": "queries read the coordinator's replica of every shard's "
     "records, so there is no candidate budget to scale",
+    "mode": "Numba, the other kernel backend, was retired because it could "
+    "never be measured",
 }
 
 #: Fan-out spellings of manifests written before PR 16 → the transport that
@@ -365,8 +330,18 @@ def _retired_cluster(written: Dict[str, Any]) -> None:
 
 
 def _retired_engine(written: Dict[str, Any]) -> None:
-    """Fold the window policy a ``streams`` section named (until PR 19 the
-    second spelling of it) into ``processor``, the one place that does now."""
+    """Drop the ``kernels`` section, which chose the kernel backend, and fold
+    the window policy an older ``streams`` section named (its second
+    spelling) into ``processor``, the one place that names it now."""
+    kernels = written.pop("kernels", {})
+    if not isinstance(kernels, Mapping):
+        raise ValueError(f"kernels must be a mapping of config keys, got {kernels!r}")
+    kernels = dict(kernels)
+    if kernels.get("mode") == "auto":  # the default, which ran these kernels
+        kernels["mode"] = "numpy"
+    _pop_retired("kernels", {"mode": "numpy"}, kernels)
+    if kernels:
+        raise ValueError(f"unknown kernels keys: {', '.join(sorted(kernels))}")
     streams, processor = written.get("streams"), written.get("processor", {})
     if not (isinstance(streams, Mapping) and isinstance(processor, Mapping)):
         return
@@ -445,11 +420,6 @@ _FLAGS = (
     _Flag("--allowed-lateness", "streams.allowed_lateness", int,
           "out-of-order tolerance of raw-event ingest, in bucket "
           "units (0 = require in-order arrival)"),
-    _Flag("--kernels", "kernels.mode", str,
-          "hot-path kernel backend: compile with Numba when "
-          "importable (auto, the default), require the compiled path "
-          "(numba), or force the NumPy reference (numpy)",
-          choices=KERNEL_CHOICES),
     _Flag("--naive", "service.incremental", bool,
           "re-run every standing query on every bucket "
           "(disables incremental maintenance)"),

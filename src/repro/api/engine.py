@@ -281,7 +281,7 @@ class KSIREngine:
         Includes a ``"kernels"`` section — the process-wide per-kernel
         call counts and cumulative nanoseconds from
         :func:`repro.kernels.kernel_stats` — which the serving tier
-        re-exposes as ``ksir_kernel_*`` Prometheus gauges.
+        re-exposes as ``ksir_kernel_*`` Prometheus counters.
         """
         self._require_open()
         stats = dict(self._backend.stats())

@@ -25,7 +25,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.bench.spec import BenchSpec
-from repro.kernels import active_kernel_backend, numba_available
 
 
 @dataclass
@@ -88,8 +87,6 @@ def capture_environment() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
         "numpy": np.__version__,
-        "kernels": active_kernel_backend(),
-        "numba_available": numba_available(),
     }
 
 

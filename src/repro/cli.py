@@ -13,8 +13,7 @@ without writing Python:
   registered standing queries and print the service metrics report;
 * ``repro-ksir server`` — expose the engine over HTTP + WebSockets (REST
   CRUD for standing queries, bucket ingest, checkpoints, Prometheus
-  metrics and push channels); runs under uvicorn when the ``server``
-  extra is installed and under the bundled stdlib ASGI server otherwise;
+  metrics and push channels) on the bundled stdlib ASGI server;
 * ``repro-ksir bench`` — list or regenerate the paper's figures, tables and
   ablations: every run prints the rendered artefact, asserts its shape and
   writes ``BENCH_<name>.json`` plus ``<name>.txt``;
@@ -365,8 +364,7 @@ def build_server_app(args: argparse.Namespace):
 
     Split from :func:`run_server` so tests (and programmatic embedders) can
     construct the exact app the CLI would serve without binding a socket.
-    The serving tier is imported lazily: the core CLI works without it and
-    the tier itself works without its optional dependencies.
+    The serving tier is imported lazily: the core CLI works without it.
     """
     from repro.server.app import create_app
     from repro.server.runtime_store import RuntimeStore
@@ -386,25 +384,20 @@ def build_server_app(args: argparse.Namespace):
             replayed = args.stream if args.stream is not None else f"profile {args.profile!r}"
             _print(f"replayed {engine.elements_processed} elements of {replayed}")
 
-    store = RuntimeStore(args.store_path) if args.store_path is not None else None
+    try:
+        store = RuntimeStore(args.store_path) if args.store_path is not None else None
+    except BaseException:
+        engine.close()  # it may own shard processes
+        raise
     return create_app(engine, store=store, max_workers=args.http_workers)
 
 
 def run_server(args: argparse.Namespace) -> int:
+    from repro.server.asgi import run
+
     app = build_server_app(args)
     try:
-        try:
-            import uvicorn
-        except ImportError:
-            from repro.server.asgi import run as run_stdlib
-
-            _print(
-                "uvicorn is not installed (pip install 'repro-ksir[server]'); "
-                "using the bundled stdlib ASGI server"
-            )
-            run_stdlib(app, host=args.host, port=args.port)
-        else:
-            uvicorn.run(app, host=args.host, port=args.port)
+        run(app, host=args.host, port=args.port)
     finally:
         store = app.store
         app.close()

@@ -33,16 +33,12 @@ from repro.core.scoring import (
 )
 from repro.core.stream import SocialStream, replay_stream
 from repro.core.window_policy import WindowPolicy
-from repro.kernels import get_kernel
+from repro.kernels import delta_topic_sums
 from repro.store import ColumnarWindow, ElementStore
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 from repro.utils.timing import StopWatch, TimingStats
 from repro.utils.validation import require_positive
-
-#: The touched-parent δ-recompute kernel (gather + segmented reduce over
-#: the store's ``P[rows, z]`` matrix); see :mod:`repro.kernels`.
-_DELTA_TOPIC_SUMS = get_kernel("delta_topic_sums")
 
 
 @dataclass(frozen=True)
@@ -408,9 +404,8 @@ class KSIRProcessor:
         For every touched parent, the per-topic follower-probability sums
         ``Σ_{e ∈ I_t(parent)} p_i(e)`` come out of the ``delta_topic_sums``
         kernel — one gather + segmented reduce over the store's
-        ``P[rows, z]`` matrix, compiled when Numba is active; the sparse
-        per-topic score maps are then assembled in the profile's topic
-        order, so scores agree with per-follower accumulation within float
+        ``P[rows, z]`` matrix; the sparse per-topic score maps are then
+        assembled in the profile's topic order, so scores agree with per-follower accumulation within float
         re-association noise (≤ 1e-9 on realistic windows).  Returns
         ``(element_id, topic → δ_i(e), activity_time)`` triples for
         :meth:`RankedListIndex.bulk_update`'s ``scored_refreshes``.
@@ -421,7 +416,7 @@ class KSIRProcessor:
         parent_ids = list(touched)
         rows = store.rows_of(parent_ids)
         indices, counts = store.followers_concat(rows)
-        sums = _DELTA_TOPIC_SUMS(store.profile_matrix, indices, counts)
+        sums = delta_topic_sums(store.profile_matrix, indices, counts)
         scoring = self._config.scoring
         lambda_weight = scoring.lambda_weight
         influence_weight = scoring.influence_weight

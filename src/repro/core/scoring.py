@@ -31,13 +31,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Seque
 import numpy as np
 
 from repro.core.element import SocialElement
-from repro.kernels import get_kernel
+from repro.kernels import positive_counts
 from repro.topics.model import TopicModel
 from repro.utils.validation import require_in_range, require_positive, require_probability
-
-#: The per-(element, topic) positive-weight counting kernel (thresholded
-#: segmented reduce); see :mod:`repro.kernels`.
-_POSITIVE_COUNTS = get_kernel("positive_counts")
 
 
 #: The follower side of one (element, topic): the followers with a positive
@@ -303,7 +299,7 @@ class ProfileBuilder:
 
         weight_values: List[float] = []
         all_positive = False
-        positive_counts: List[int] = []
+        positive_per_pair: List[int] = []
         if total_entries:
             all_words = np.asarray(flat_words, dtype=np.intp)
             all_frequencies = np.asarray(flat_frequencies, dtype=float)
@@ -334,7 +330,7 @@ class ProfileBuilder:
                 # fast path whenever a pair has no zero weights to filter
                 # out.  The segmented reduce (empty segments stay 0) runs
                 # through the ``positive_counts`` kernel.
-                positive_counts = _POSITIVE_COUNTS(weights, pair_counts).tolist()
+                positive_per_pair = positive_counts(weights, pair_counts).tolist()
             weight_values = weights.tolist()
 
         # Reassemble per-element sparse maps from the flat weight array.
@@ -351,7 +347,7 @@ class ProfileBuilder:
             )
         ):
             word_ids = word_lists[element_index]
-            if count and (all_positive or positive_counts[pair_index] == count):
+            if count and (all_positive or positive_per_pair[pair_index] == count):
                 values = weight_values[cursor : cursor + count]
                 entries = dict(zip(word_ids, values))
                 total = float(sum(values))

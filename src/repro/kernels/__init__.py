@@ -1,9 +1,4 @@
-"""Native-speed hot-path kernels behind a registry seam.
-
-The kernel layer gives every hot inner loop of the reproduction two
-interchangeable implementations — a pure-NumPy reference and an optional
-Numba-compiled variant — behind one :func:`get_kernel` lookup, mirroring
-the execution-backend, transport and stream-source registries:
+"""The four hot-path kernels: NumPy functions, each behind a call timer.
 
 ======================  ==============================================
 kernel                  hot path it backs
@@ -17,55 +12,71 @@ kernel                  hot path it backs
                         builder (thresholded segmented reduce)
 ======================  ==============================================
 
-Selection is process-wide via :func:`configure_kernels` (driven by the
-``kernels`` section of :class:`~repro.api.config.EngineConfig` and the
-``--kernels`` CLI flag): ``auto`` compiles when Numba is importable and
-silently falls back otherwise, so the package keeps zero new hard
-dependencies.  Every call is timed into :func:`kernel_stats`, the
-payload behind ``KSIREngine.stats()["kernels"]`` and the
-``ksir_kernel_*`` Prometheus gauges.
-
-Custom kernels register exactly like custom backends::
-
-    from repro.kernels import register_kernel
-
-    register_kernel("my_kernel", my_numpy_reference, my_compiled_variant)
+The bodies live in :mod:`repro.kernels.numpy_impl`; this module wraps each
+once in a ``perf_counter_ns`` timer, and the call sites import the wrapped
+names.  :func:`kernel_stats` reads the counters: it is the payload behind
+``KSIREngine.stats()["kernels"]`` and the ``ksir_kernel_*`` Prometheus
+counters.
 """
 
+from __future__ import annotations
+
+from functools import wraps
+from time import perf_counter_ns
+from typing import Any, Callable, Dict, List, TypeVar, cast
+
 from repro.kernels import numpy_impl
-from repro.kernels.registry import (
-    KERNEL_CHOICES,
-    KernelHandle,
-    active_kernel_backend,
-    configure_kernels,
-    get_kernel,
-    kernel_mode,
-    kernel_names,
-    kernel_stats,
-    numba_available,
-    register_kernel,
-    reset_kernel_stats,
-    use_kernels,
-)
 from repro.kernels.segments import segment_sums
 
-register_kernel("delta_topic_sums", numpy_impl.delta_topic_sums)
-register_kernel("ranked_merge", numpy_impl.ranked_merge)
-register_kernel("window_scan", numpy_impl.window_scan)
-register_kernel("positive_counts", numpy_impl.positive_counts)
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+#: Kernel name → ``[calls, total_ns]``, process-wide.
+_COUNTERS: Dict[str, List[int]] = {}
+
+
+def _timed(kernel: _F) -> _F:
+    """``kernel`` counting its calls and nanoseconds into ``_COUNTERS``."""
+    counters = _COUNTERS[kernel.__name__] = [0, 0]
+
+    @wraps(kernel)
+    def timed(*args: Any) -> Any:
+        started = perf_counter_ns()
+        try:
+            return kernel(*args)
+        finally:
+            counters[0] += 1
+            counters[1] += perf_counter_ns() - started
+
+    return cast(_F, timed)
+
+
+delta_topic_sums = _timed(numpy_impl.delta_topic_sums)
+ranked_merge = _timed(numpy_impl.ranked_merge)
+window_scan = _timed(numpy_impl.window_scan)
+positive_counts = _timed(numpy_impl.positive_counts)
+
+
+def kernel_stats() -> Dict[str, Any]:
+    """Cumulative per-kernel calls and nanoseconds since the process started::
+
+        {"backend": "numpy",
+         "per_kernel": {"ranked_merge": {"calls": 12, "total_ns": 83210}, ...}}
+
+    Counters are process-wide and only grow: every engine in the process
+    shares them, so a caller measures a span as the difference of two reads.
+    """
+    per_kernel = {
+        name: {"calls": calls, "total_ns": total_ns}
+        for name, (calls, total_ns) in sorted(_COUNTERS.items())
+    }
+    return {"backend": "numpy", "per_kernel": per_kernel}
+
 
 __all__ = [
-    "KERNEL_CHOICES",
-    "KernelHandle",
-    "active_kernel_backend",
-    "configure_kernels",
-    "get_kernel",
-    "kernel_mode",
-    "kernel_names",
+    "delta_topic_sums",
     "kernel_stats",
-    "numba_available",
-    "register_kernel",
-    "reset_kernel_stats",
+    "positive_counts",
+    "ranked_merge",
     "segment_sums",
-    "use_kernels",
+    "window_scan",
 ]

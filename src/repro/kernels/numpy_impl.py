@@ -1,11 +1,8 @@
-"""Pure-NumPy reference implementations of every built-in kernel.
+"""The bodies of the four hot-path kernels.
 
-These are the always-available, always-correct versions: the compiled
-Numba variants in :mod:`repro.kernels.numba_impl` must match them within
-1e-9 (equivalence-tested with hypothesis, like the columnar-store
-migration before them).  Each function is a pure array
-transformation — no store or processor objects cross the seam, so the
-same signatures compile unchanged under ``@njit``.
+Each function is a pure array transformation: no store or processor
+objects cross the seam.  :mod:`repro.kernels` wraps each one in a call
+timer, and the call sites use the wrapped names.
 """
 
 from __future__ import annotations

@@ -10,16 +10,12 @@ dirty — pushes ride the ranked lists' dirty-topic set through
 :meth:`~repro.service.engine.ServiceEngine.add_update_listener`, never
 polling.
 
-The application is framework-free (pure ASGI on the stdlib), so the core
-library gains **zero hard dependencies**:
-
-* under ``uvicorn`` (or any ASGI server, installed via the ``server``
-  extra) it deploys like any FastAPI-style app:
-  ``uvicorn --factory your_module:build_app``;
-* without it, :func:`serve` / :class:`ServerHandle` run the bundled
-  asyncio HTTP/1.1 + WebSocket server (:mod:`repro.server.asgi`) — the
-  same code path the tests, the CI smoke job and the end-to-end
-  benchmark's ``serve_text`` workload exercise.
+The application is framework-free (pure ASGI 3 on the stdlib), so the
+tier adds **no dependency**.  :func:`serve` / :class:`ServerHandle` run it
+on the bundled asyncio HTTP/1.1 + WebSocket server
+(:mod:`repro.server.asgi`): ``repro-ksir server``, the tests, the CI smoke
+job and the end-to-end benchmark's ``serve_text`` workload all take that
+path.  Any other ASGI 3 server can host the same application object.
 
 Everything is exported lazily: importing :mod:`repro` or building engines
 never touches the serving modules.

@@ -1,9 +1,8 @@
 """The ASGI application serving a :class:`~repro.api.engine.KSIREngine`.
 
-Framework-free ASGI (the ``scope``/``receive``/``send`` protocol), so the
-same application object runs under uvicorn/hypercorn when the ``server``
-extra is installed *and* under the bundled stdlib server
-(:mod:`repro.server.asgi`) when it is not.
+Framework-free ASGI 3 (the ``scope``/``receive``/``send`` protocol): the
+bundled stdlib server (:mod:`repro.server.asgi`) runs it, and so can any
+other ASGI 3 server.
 
 Surface
 -------

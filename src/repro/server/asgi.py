@@ -1,15 +1,14 @@
 """A stdlib asyncio HTTP/1.1 + WebSocket server driving any ASGI app.
 
-Production deployments install the ``server`` extra and run uvicorn; this
-module is the zero-dependency fallback that makes the serving tier, its
-tests and its load benchmark work on a bare Python install.  It implements
-the slice of HTTP/1.1 the tier needs — request line, headers,
+``repro-ksir server`` runs the serving tier on this module, and so do its
+tests and its load benchmark: no dependency beyond the standard library.
+It implements the slice of HTTP/1.1 the tier needs — request line, headers,
 ``Content-Length`` bodies, keep-alive — and upgrades to RFC 6455
 WebSockets using the shared framing in :mod:`repro.server.ws_frames`.
 
 The bridge follows the ASGI 3.0 connection scopes (``http``,
-``websocket``), so the same application object is served here and under
-uvicorn unchanged.
+``websocket``), so the application it serves is a plain ASGI 3 app that
+any other ASGI server can host unchanged.
 """
 
 from __future__ import annotations

@@ -127,15 +127,6 @@ def render_prometheus(
 
     if isinstance(kernel_stats, Mapping):
         per_kernel = kernel_stats.get("per_kernel")
-        backend = str(kernel_stats.get("backend", "numpy"))
-        lines.append(
-            "# HELP ksir_kernel_backend The active hot-path kernel backend "
-            "(1 = in use)."
-        )
-        lines.append("# TYPE ksir_kernel_backend gauge")
-        lines.append(
-            f'ksir_kernel_backend{{backend="{_escape_label(backend)}"}} 1'
-        )
         if isinstance(per_kernel, Mapping):
             lines.append(
                 "# HELP ksir_kernel_calls_total Calls per hot-path kernel."

@@ -36,12 +36,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.kernels import get_kernel
+from repro.kernels import window_scan
 
 _NO_ACTIVITY = np.iinfo(np.int64).min
-
-#: The fused expiry + free-row recycling scan kernel; see :mod:`repro.kernels`.
-_WINDOW_SCAN = get_kernel("window_scan")
 
 
 class ElementStore:
@@ -509,11 +506,10 @@ class ElementStore:
         Returns ``(expired, inactive)`` — the same rows
         :meth:`expired_window_rows` and :meth:`inactive_rows` yield
         individually, computed by the ``window_scan`` kernel in a single
-        pass over the columns (one loop under Numba, two masks in the
-        NumPy reference).
+        pass over the columns (two masks).
         """
         limit = self._high_water
-        result: Tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]] = _WINDOW_SCAN(
+        result: Tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]] = window_scan(
             self._element_ids[:limit],
             self._in_window[:limit],
             self._timestamps[:limit],

@@ -24,12 +24,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import get_kernel
-
-#: The ranked-list merge-order kernel (score descending, key ascending);
-#: see :mod:`repro.kernels`.  Engaged by :meth:`DescendingSortedList.bulk_insert`
-#: when every key is a plain ``int`` (the element-id hot path).
-_RANKED_MERGE = get_kernel("ranked_merge")
+from repro.kernels import ranked_merge
 
 
 class DescendingSortedList:
@@ -100,9 +95,9 @@ class DescendingSortedList:
         order = None
         if all(type(key) is int for _neg, key in entries):
             # Element-id hot path: the merge order comes from the
-            # ``ranked_merge`` kernel (lexsort reference, compiled stable
-            # sorts under Numba).  The original tuples are re-indexed by
-            # the returned permutation, so key objects are preserved.
+            # ``ranked_merge`` kernel (score descending, key ascending).
+            # The original tuples are re-indexed by the returned
+            # permutation, so key objects are preserved.
             try:
                 keys = np.fromiter(
                     (key for _neg, key in entries),
@@ -117,7 +112,7 @@ class DescendingSortedList:
                     dtype=np.float64,
                     count=len(entries),
                 )
-                order = _RANKED_MERGE(-neg_scores, keys)
+                order = ranked_merge(-neg_scores, keys)
         if order is not None:
             self._entries = [entries[index] for index in order.tolist()]
         else:

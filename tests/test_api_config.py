@@ -12,7 +12,6 @@ from repro.api import (
     BACKEND_ALIASES,
     EngineConfig,
     InferenceConfig,
-    KernelConfig,
     ServiceConfig,
     StreamConfig,
     canonical_backend_name,
@@ -85,10 +84,9 @@ class TestEngineConfig:
             ),
             service=ServiceConfig(incremental=False),
             inference=InferenceConfig(alpha=0.05, sparsity_threshold=0.05),
-            kernels=KernelConfig(mode="numpy"),
         )
         payload = config.to_dict()
-        assert payload["kernels"] == {"mode": "numpy"}
+        assert "kernels" not in payload
         assert EngineConfig.from_dict(payload) == config
 
     def test_dict_is_json_compatible(self):
@@ -174,6 +172,37 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             ClusterConfig(budget_scale=1.0)
 
+    def test_retired_kernels(self):
+        """The ``kernels`` section is gone: every kernel is a NumPy function.
+        ``auto`` (the default every manifest wrote, which ran NumPy wherever
+        Numba was absent) and ``numpy`` load silently; ``numba`` is refused,
+        naming the key and the reason."""
+        for mode in ("auto", "numpy"):
+            assert EngineConfig.from_dict({"kernels": {"mode": mode}}) == EngineConfig()
+        assert EngineConfig.from_dict({"kernels": {}}) == EngineConfig()
+        with pytest.raises(
+            ValueError,
+            match=r"kernels.mode is no longer supported.*'numpy' is the only "
+            r"behaviour left \(Numba, the other kernel backend, was retired because "
+            r"it could never be measured\)",
+        ):
+            EngineConfig.from_dict({"kernels": {"mode": "numba"}})
+        with pytest.raises(ValueError, match="kernels must be a mapping"):
+            EngineConfig.from_dict({"kernels": "numpy"})
+        with pytest.raises(TypeError):
+            EngineConfig(kernels=None)  # type: ignore[call-arg]
+
+    def test_kernels_flag_reaches_config(self):
+        """``--kernels`` went with its section: the parser refuses the flag,
+        and a parsed config carries no ``kernels`` section for it to reach."""
+        parser = argparse.ArgumentParser()
+        EngineConfig.add_arguments(parser)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--kernels", "numpy"])
+        config = EngineConfig.from_args(parser.parse_args([]))
+        assert "kernels" not in config.to_dict()
+        assert not hasattr(config, "kernels")
+
     def test_manifest_written_before_pr19_loads(self):
         """``service.max_workers`` and the ``streams`` spelling of the window
         policy are gone; this is the ``config`` of a manifest the parent
@@ -214,10 +243,10 @@ class TestEngineConfig:
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the five retired keys.
+        # What it writes back drops exactly the six retired keys.
         written = loaded.to_dict()
         del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
-        del manifest["cluster"]["budget_scale"]
+        del manifest["cluster"]["budget_scale"], manifest["kernels"]
         del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
         assert written == manifest
         assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
@@ -252,17 +281,6 @@ class TestEngineConfig:
             EngineConfig.from_dict({"ha": {"heartbeat": 1.0}})
         with pytest.raises(ValueError, match="unknown streams keys: lateness"):
             EngineConfig.from_dict({"streams": {"lateness": 1}})
-
-    def test_kernel_config_validates_mode(self):
-        assert KernelConfig().mode == "auto"
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            KernelConfig(mode="fortran")
-
-    def test_kernels_flag_reaches_config(self):
-        parser = argparse.ArgumentParser()
-        EngineConfig.add_arguments(parser)
-        config = EngineConfig.from_args(parser.parse_args(["--kernels", "numpy"]))
-        assert config.kernels == KernelConfig(mode="numpy")
 
 
 class TestValidation:
@@ -345,7 +363,7 @@ class TestFromArgs:
         bare = EngineConfig.from_args(parse(["--backend", "cluster"]))
         assert bare.cluster is not None
         assert bare.cluster.transport == "serial"
-        for retired in (["--fanout", "serial"], ["--transport", "shm"]):
+        for retired in (["--fanout", "serial"], ["--transport", "shm"], ["--kernels", "numpy"]):
             with pytest.raises(SystemExit):
                 parse(["--backend", "cluster", *retired])
 
@@ -395,7 +413,6 @@ class TestFromArgs:
             ),
             ha=None,
             streams=StreamConfig(source="memory", allowed_lateness=0),
-            kernels=KernelConfig(mode="auto"),
         )
         sharded = EngineConfig.from_args(
             parse(["--backend", "cluster"], service=service), service=service
@@ -564,7 +581,6 @@ engine_configs = st.builds(
             allowed_lateness=st.integers(0, 100),
         )
     ),
-    kernels=st.builds(KernelConfig, mode=st.sampled_from(["auto", "numpy"])),
 )
 
 

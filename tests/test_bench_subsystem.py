@@ -103,7 +103,7 @@ class TestRunner:
         assert report.params == {"label": "large"}
         assert report.checks_passed and report.check_error is None
         assert report.elapsed_s >= 0.0
-        assert report.environment["kernels"] in ("numpy", "numba")
+        assert "kernels" not in report.environment
         # the check saw the unserialised value and the tier it ran at.
         assert seen == [(("large", 7), "full")]
         # the rendered artefact is persisted next to the JSON report.

@@ -171,6 +171,55 @@ class TestServeCommand:
         assert "re-eval ratio 1.000" in output
 
 
+class TestServerCommand:
+    def test_runs_the_bundled_server_and_closes_the_app(self, tmp_path, monkeypatch, capsys):
+        """``repro-ksir server`` hands its app to :func:`repro.server.asgi.run`
+        with ``--host`` / ``--port``, then closes the app and its store."""
+        import repro.server.asgi
+
+        served = []
+        monkeypatch.setattr(
+            repro.server.asgi, "run",
+            lambda app, host, port: served.append((app, host, port)),
+        )
+        store_path = tmp_path / "runtime.db"
+        exit_code = main(
+            ["server", "--profile", "tiny", "--host", "0.0.0.0", "--port", "8123",
+             "--store-path", str(store_path)]
+        )
+        assert exit_code == 0
+        [(app, host, port)] = served
+        assert (host, port) == ("0.0.0.0", 8123)
+        assert app.store.path == str(store_path)
+        assert app._closed and app.store._closed
+
+    def test_a_store_that_fails_to_open_closes_the_engine(self, tmp_path, monkeypatch):
+        """``--store-path`` naming a file that is no SQLite database raises
+        after the engine was built; the engine (and any shard processes it
+        owns) is closed before the error propagates."""
+        import sqlite3
+
+        from repro.api import KSIREngine
+        from repro.cli import build_server_app
+
+        closed = []
+        original_close = KSIREngine.close
+
+        def close(engine):
+            closed.append(engine)
+            original_close(engine)
+
+        monkeypatch.setattr(KSIREngine, "close", close)
+        not_a_database = tmp_path / "telemetry.db"
+        not_a_database.write_bytes(b"this is not an SQLite file" * 64)
+        args = build_parser().parse_args(
+            ["server", "--profile", "tiny", "--store-path", str(not_a_database)]
+        )
+        with pytest.raises(sqlite3.DatabaseError):
+            build_server_app(args)
+        assert len(closed) == 1
+
+
 class TestBenchCommands:
     def test_bench_parser(self):
         args = build_parser().parse_args(

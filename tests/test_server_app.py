@@ -276,8 +276,9 @@ class TestMetricsAndTelemetry:
         assert "ksir_service_evaluations" in text
 
         # The kernel layer exports under its own namespace, not flattened
-        # into ksir_engine_*: one backend gauge plus per-kernel counters.
-        assert 'ksir_kernel_backend{backend="num' in text
+        # into ksir_engine_*: per-kernel counters, and no backend gauge,
+        # since NumPy is the only one.
+        assert "ksir_kernel_backend" not in text
         assert 'ksir_kernel_calls_total{kernel="ranked_merge"}' in text
         assert 'ksir_kernel_time_ns_total{kernel="window_scan"}' in text
         assert "ksir_engine_kernels" not in text

@@ -3,7 +3,8 @@
 `repro.server.asgi.serve` + the stdlib HTTP/WebSocket clients from
 `repro.server.ws_client` give an end-to-end path with zero third-party
 dependencies: real HTTP parsing, real RFC 6455 frames, real keep-alive —
-the environment `repro-ksir server` runs in when uvicorn is absent.
+the server `repro-ksir server` runs.  `create_app` stays a plain ASGI 3 app
+that any other server can host; these tests are its contract.
 """
 
 from __future__ import annotations
