@@ -132,6 +132,24 @@ def _contains_array_refs(node: Any) -> bool:
     return False
 
 
+def normalise_state(node: Any) -> Any:
+    """Canonicalise a state tree the way a write-then-read round-trip would.
+
+    Tuples become lists, dict keys become strings and NumPy scalars become
+    Python scalars, while array leaves stay arrays.  A state kept in memory
+    in this shape restores exactly like the checkpoint written from it.
+    """
+    if isinstance(node, np.ndarray):
+        return node
+    if isinstance(node, dict):
+        return {str(key): normalise_state(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [normalise_state(value) for value in node]
+    if isinstance(node, (np.integer, np.floating, np.bool_)):
+        return node.item()
+    return node
+
+
 def _library_version() -> str:
     try:  # Imported lazily: repro/__init__ imports this package.
         from repro import __version__
@@ -186,6 +204,16 @@ def read_checkpoint(path: Union[str, Path]) -> CheckpointPayload:
     """Read and validate a checkpoint directory."""
     directory = Path(path)
     manifest_path = directory / MANIFEST_FILE
+    if (directory / "CHAIN.json").exists():
+        # Not a configuration to correct: no reader of the format is left.
+        fulls = sorted(directory.glob("[0-9]*-full"))
+        newest = f"its newest full segment ({fulls[-1]})" if fulls else "a full segment"
+        raise CheckpointError(
+            f"{directory} is a delta-checkpoint chain, a format this library "
+            f"no longer reads: load {newest}, an ordinary checkpoint that "
+            "lacks the buckets of the delta segments after it, or re-ingest "
+            "the stream"
+        )
     if not manifest_path.exists():
         raise CheckpointError(
             f"{directory} is not a k-SIR checkpoint (missing {MANIFEST_FILE})"

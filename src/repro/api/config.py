@@ -366,6 +366,9 @@ _RETIRED: RetiredKeys = {
     # caller's thread, with the same answers at any value this held.
     ServiceConfig: lambda written: written.pop("max_workers", None),
     ClusterConfig: _retired_cluster,
+    # The cadence of full segments in the retired delta-checkpoint chain:
+    # it never changed an answer, so any value loads.
+    HAConfig: lambda written: written.pop("full_every", None),
     EngineConfig: _retired_engine,
 }
 

@@ -381,18 +381,8 @@ class KSIREngine:
         restores enforce; ``inferencer`` overrides the persisted
         inference settings (needed for stateful Gibbs inference, whose
         RNG is not serialisable).
-
-        ``path`` may also be a delta-checkpoint chain written by
-        :class:`repro.ha.delta.CheckpointChain` (detected by its
-        ``CHAIN.json`` manifest); the chain's newest state is folded and
-        restored identically to a plain checkpoint.
         """
-        from repro.ha.delta import CheckpointChain
-
-        if CheckpointChain.is_chain(path):
-            payload = CheckpointChain(path).read_payload()
-        else:
-            payload = read_checkpoint(path)
+        payload = read_checkpoint(path)
         engine_config = config if config is not None else payload.config
         engine = cls(payload.topic_model, engine_config, inferencer=inferencer)
         try:

@@ -17,10 +17,10 @@ without writing Python:
 * ``repro-ksir bench`` — list or regenerate the paper's figures, tables and
   ablations: every run prints the rendered artefact, asserts its shape and
   writes ``BENCH_<name>.json`` plus ``<name>.txt``;
-* ``repro-ksir ha`` — the supervised cluster runtime: inspect and compact
-  delta-checkpoint chains, and run a kill-and-recover failover drill that
-  SIGKILLs a live shard mid-stream and verifies the recovered cluster
-  answers queries identically to an uninterrupted run.
+* ``repro-ksir ha drill`` — the supervised cluster runtime's
+  kill-and-recover failover drill: it SIGKILLs a live shard mid-stream and
+  verifies the recovered cluster answers queries identically to an
+  uninterrupted run.
 
 Every subcommand is a thin wrapper over the public library API, so the CLI
 doubles as executable documentation.
@@ -42,7 +42,6 @@ from repro.datasets.profiles import profile_names
 from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.evaluation.workload import WorkloadGenerator
 from repro.experiments import tables as table_experiments
-from repro.ha import CheckpointChain
 from repro.topics.model import MatrixTopicModel, TopicModel
 
 
@@ -161,19 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="where reports and rendered artefacts are written")
 
     ha = subparsers.add_parser(
-        "ha", help="supervised cluster runtime: chains, compaction, failover drills"
+        "ha", help="supervised cluster runtime: failover drills"
     )
     ha_sub = ha.add_subparsers(dest="ha_command", required=True)
-
-    ha_chain = ha_sub.add_parser(
-        "chain", help="inspect a delta-checkpoint chain (segments and savings)"
-    )
-    ha_chain.add_argument("path", type=Path, help="chain directory (holds CHAIN.json)")
-
-    ha_compact = ha_sub.add_parser(
-        "compact", help="fold a chain into one full segment and drop the rest"
-    )
-    ha_compact.add_argument("path", type=Path, help="chain directory (holds CHAIN.json)")
 
     ha_drill = ha_sub.add_parser(
         "drill", help="kill a live shard mid-stream, recover, verify equivalence"
@@ -186,9 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     ha_drill.add_argument("--kill-after", type=int, default=5,
                           help="buckets to ingest before the kill")
     ha_drill.add_argument("--checkpoint-every", type=int, default=4,
-                          help="delta-checkpoint cadence in buckets (0 = WAL only)")
+                          help="checkpoint cadence in buckets (0 = WAL only)")
     ha_drill.add_argument("--checkpoint-dir", type=Path, default=None,
-                          help="chain directory (default: a temporary one)")
+                          help="where the supervisor checkpoints; the newest "
+                               "checkpoint is <dir>/latest, loadable with "
+                               "KSIREngine.load (default: a temporary directory)")
     ha_drill.add_argument("--queries", type=int, default=5,
                           help="verification queries after the replay")
     ha_drill.add_argument("--k", type=int, default=5)
@@ -233,12 +224,6 @@ def _load_inputs(args: argparse.Namespace) -> Tuple[SocialStream, TopicModel]:
     if args.model is None:
         raise UsageError("--model is required when --stream is given")
     return load_stream_jsonl(args.stream), MatrixTopicModel.load(args.model)
-
-
-def _open_chain(path: Path) -> CheckpointChain:
-    if not CheckpointChain.is_chain(path):
-        raise UsageError(f"{path} is not a checkpoint chain (no CHAIN.json)")
-    return CheckpointChain(path)
 
 
 def run_generate(args: argparse.Namespace) -> int:
@@ -432,40 +417,6 @@ def run_bench(args: argparse.Namespace) -> int:
 
 
 def run_ha(args: argparse.Namespace) -> int:
-    if args.ha_command == "chain":
-        chain = _open_chain(args.path)
-        for segment in chain.segments:
-            _print(
-                f"{segment['name']:<16} {segment['kind']:<6} "
-                f"{segment['bytes']:>10} bytes  "
-                f"buckets={segment['buckets_processed']} "
-                f"t={segment.get('current_time')}"
-            )
-        stats = chain.stats()
-        _print(
-            f"{stats['segments']} segment(s): {stats['full_segments']} full, "
-            f"{stats['delta_segments']} delta, {stats['total_bytes']} bytes total"
-        )
-        if stats["delta_segments"]:
-            _print(
-                f"mean delta {stats['mean_delta_bytes']:.0f} bytes vs "
-                f"mean full {stats['mean_full_bytes']:.0f} bytes "
-                f"({stats['delta_savings']:.1%} smaller)"
-            )
-        return 0
-
-    if args.ha_command == "compact":
-        chain = _open_chain(args.path)
-        before = chain.stats()
-        name = chain.compact()
-        after = chain.stats()
-        _print(
-            f"compacted {before['segments']} segment(s) "
-            f"({before['total_bytes']} bytes) into {name} "
-            f"({after['total_bytes']} bytes)"
-        )
-        return 0
-
     if args.ha_command == "drill":
         return _run_ha_drill(args)
 
@@ -493,9 +444,9 @@ def _run_ha_drill(args: argparse.Namespace) -> int:
     )
 
     with tempfile.TemporaryDirectory() as tmp:
-        chain_dir = args.checkpoint_dir if args.checkpoint_dir is not None else Path(tmp) / "chain"
+        checkpoint_dir = args.checkpoint_dir if args.checkpoint_dir is not None else Path(tmp)
         engine = KSIREngine(dataset.topic_model, sharded_config)
-        with ClusterSupervisor(engine, checkpoint_dir=chain_dir) as supervisor:
+        with ClusterSupervisor(engine, checkpoint_dir=checkpoint_dir) as supervisor:
             bucket_length = supervisor.coordinator.config.bucket_length
             buckets_seen = 0
 
@@ -518,8 +469,6 @@ def _run_ha_drill(args: argparse.Namespace) -> int:
                 f"{(status['last_recovery_seconds'] or 0) * 1000:.1f} ms, "
                 f"{status['last_replayed_buckets']} bucket(s) replayed from the WAL"
             )
-            if status["chain"] is not None and status["chain"]["delta_segments"]:
-                _print(f"delta checkpoints {status['chain']['delta_savings']:.1%} smaller than fulls")
 
             if status["recoveries"] == 0:
                 _print("warning: the kill was never detected (stream too short?)")

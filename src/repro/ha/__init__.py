@@ -1,10 +1,11 @@
 """``repro.ha`` — the supervised cluster runtime.
 
 High availability for the sharded k-SIR engine: heartbeat failure
-detection over process shard workers, a bucket write-ahead log, chained
-full + delta checkpoints, single-shard restore-and-replay recovery, live
-shard re-partitioning, and the fault-injection harness the tests and
-``repro-ksir ha drill`` drive it all with.
+detection over process shard workers, a bucket write-ahead log, periodic
+engine checkpoints (one ordinary :meth:`~repro.api.KSIREngine.save`
+directory, repointed atomically), single-shard restore-and-replay
+recovery, live shard re-partitioning, and the fault-injection harness the
+tests and ``repro-ksir ha drill`` drive it all with.
 
 Entry points
 ------------
@@ -13,14 +14,13 @@ Entry points
 * :class:`ClusterSupervisor` — wrap a sharded engine, call
   :meth:`~repro.ha.supervisor.ClusterSupervisor.start`, ingest through
   :meth:`~repro.ha.supervisor.ClusterSupervisor.ingest_bucket`;
-* :class:`CheckpointChain` — delta-checkpoint chains, usable standalone;
 * :class:`BucketWAL` — the bucket log;
 * :func:`repartition_state` — N→M shard state transformation;
 * :mod:`repro.ha.chaos` — kill/delay/corrupt fault injection.
 
 Only the stdlib-light configuration and WAL are imported eagerly; the
-supervisor, chain and rebalancer pull in the engine stack and are loaded
-on first attribute access (this also keeps ``repro.api.config`` free to
+supervisor and rebalancer pull in the engine stack and are loaded on
+first attribute access (this also keeps ``repro.api.config`` free to
 import :class:`HAConfig` without a cycle).
 """
 
@@ -32,7 +32,6 @@ from repro.ha.config import HAConfig
 from repro.ha.wal import BucketWAL, WALEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ha.delta import CheckpointChain, apply_delta, diff_state
     from repro.ha.rebalance import repartition_state
     from repro.ha.supervisor import ClusterSupervisor
 
@@ -40,17 +39,11 @@ __all__ = [
     "HAConfig",
     "BucketWAL",
     "WALEntry",
-    "CheckpointChain",
     "ClusterSupervisor",
-    "apply_delta",
-    "diff_state",
     "repartition_state",
 ]
 
 _LAZY = {
-    "CheckpointChain": ("repro.ha.delta", "CheckpointChain"),
-    "apply_delta": ("repro.ha.delta", "apply_delta"),
-    "diff_state": ("repro.ha.delta", "diff_state"),
     "repartition_state": ("repro.ha.rebalance", "repartition_state"),
     "ClusterSupervisor": ("repro.ha.supervisor", "ClusterSupervisor"),
 }

@@ -8,8 +8,8 @@ used by the test suite and runnable against a live deployment through
   crash/OOM case the heartbeat or the next in-band command detects;
 * :func:`delay_heartbeat` — make a worker sleep before answering liveness
   probes, the hung-but-alive case that must trip the heartbeat timeout;
-* :func:`corrupt_checkpoint` — damage the newest full segment's array
-  member on disk, the torn-copy case that must surface as a clear
+* :func:`corrupt_checkpoint` — damage a checkpoint's array member on
+  disk, the torn-copy case that must surface as a clear
   :class:`~repro.api.checkpoint.CheckpointError` instead of garbage state.
 
 Every function takes the object it attacks explicitly; nothing here is
@@ -26,7 +26,6 @@ from typing import Union
 from repro.api.checkpoint import ARRAYS_FILE, MANIFEST_FILE
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.process_backend import ProcessFanout
-from repro.ha.delta import CheckpointChain
 
 
 def _fanout_of(target: Union[ClusterCoordinator, ProcessFanout]) -> ProcessFanout:
@@ -77,26 +76,14 @@ def delay_heartbeat(
 
 
 def corrupt_checkpoint(path: Union[str, Path], mode: str = "truncate") -> Path:
-    """Damage a checkpoint on disk; returns the file that was corrupted.
+    """Damage a checkpoint directory on disk; returns the file that was corrupted.
 
-    ``path`` may be a plain checkpoint directory or a checkpoint chain
-    (the newest *full* segment is attacked — deltas are useless without
-    it).  Modes: ``"truncate"`` cuts the ``state_arrays.npz`` member in
-    half (torn copy), ``"garbage"`` overwrites its head (bit rot),
-    ``"remove"`` deletes it (partial rsync).  Loading the damaged
-    checkpoint must raise :class:`~repro.api.checkpoint.CheckpointError`.
+    Modes: ``"truncate"`` cuts the ``state_arrays.npz`` member in half
+    (torn copy), ``"garbage"`` overwrites its head (bit rot), ``"remove"``
+    deletes it (partial rsync).  Loading the damaged checkpoint must raise
+    :class:`~repro.api.checkpoint.CheckpointError`.
     """
     directory = Path(path)
-    if CheckpointChain.is_chain(directory):
-        chain = CheckpointChain(directory)
-        fulls = [
-            str(segment["name"])
-            for segment in chain.segments
-            if segment["kind"] == "full"
-        ]
-        if not fulls:
-            raise FileNotFoundError(f"chain {directory} holds no full segment")
-        directory = directory / fulls[-1]
     if not (directory / MANIFEST_FILE).exists():
         raise FileNotFoundError(f"{directory} is not a checkpoint directory")
     victim = directory / ARRAYS_FILE

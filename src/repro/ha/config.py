@@ -29,10 +29,6 @@ class HAConfig:
         Buckets between automatic checkpoints taken by the supervisor
         (``0`` = checkpoints are taken only on explicit
         :meth:`~repro.ha.supervisor.ClusterSupervisor.checkpoint` calls).
-    full_every:
-        Chain cadence: every ``full_every``-th checkpoint segment is a full
-        snapshot, the segments in between are structural deltas
-        (``1`` = every checkpoint is full, deltas disabled).
     wal_capacity:
         Bucket count at which the supervisor forces a checkpoint so the
         replay gap — and with it worst-case recovery time — stays bounded.
@@ -44,7 +40,6 @@ class HAConfig:
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.0
     checkpoint_every: int = 0
-    full_every: int = 8
     wal_capacity: int = 4096
     auto_restart: bool = True
 
@@ -55,8 +50,6 @@ class HAConfig:
             raise ValueError("heartbeat_timeout must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.full_every < 1:
-            raise ValueError("full_every must be >= 1")
         if self.wal_capacity < 1:
             raise ValueError("wal_capacity must be >= 1")
 

@@ -5,12 +5,19 @@ and owns its operational lifecycle:
 
 * **ingest** flows through :meth:`ingest_bucket`, which logs every
   prepared bucket to the :class:`~repro.ha.wal.BucketWAL` *before* the
-  coordinator sees it, then takes automatic delta checkpoints on the
-  configured cadence;
+  coordinator sees it, then takes automatic checkpoints on the configured
+  cadence;
+* a **checkpoint** is an ordinary engine checkpoint
+  (:func:`~repro.api.checkpoint.write_checkpoint`) written into a fresh
+  generation directory of ``checkpoint_dir``; the ``latest`` symlink is
+  then repointed atomically and the older generation removed, so a crash
+  mid-save leaves the previous checkpoint loadable, disk holds one
+  checkpoint, and ``KSIREngine.load(checkpoint_dir / "latest")`` resumes;
 * a **heartbeat thread** probes the process shard workers; a worker that
-  dies (or stops answering) is restarted, restored from the latest
-  checkpoint-chain state and caught up by replaying exactly its WAL gap —
-  the surviving shards are never touched;
+  dies (or stops answering) is restarted, restored from the in-memory copy
+  of the newest checkpointed state (or of the state the engine held when
+  supervision began) and caught up by replaying exactly its WAL gap — the
+  surviving shards are never touched;
 * a mid-bucket failure (a worker dying while a bucket is in flight) is
   recovered in-line: the live shards already hold the bucket, so the
   restored worker replays through it and the coordinator counters are
@@ -25,6 +32,8 @@ lives in :mod:`repro.ha.chaos`; this module only ever heals.
 
 from __future__ import annotations
 
+import os
+import shutil
 import threading
 import time
 from dataclasses import replace
@@ -32,15 +41,18 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.backends import ShardedBackend
+from repro.api.checkpoint import normalise_state, write_checkpoint
 from repro.api.engine import KSIREngine
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.process_backend import ProcessFanout, ShardFailure
 from repro.core.element import SocialElement
 from repro.core.query import QueryResult
 from repro.ha.config import HAConfig
-from repro.ha.delta import CheckpointChain
 from repro.ha.rebalance import repartition_state
 from repro.ha.wal import BucketWAL
+
+#: The symlink in ``checkpoint_dir`` naming the newest checkpoint.
+LATEST = "latest"
 
 
 class ClusterSupervisor:
@@ -62,12 +74,21 @@ class ClusterSupervisor:
         self._engine = engine
         self._ha = ha if ha is not None else (engine.config.ha or HAConfig())
         self._wal = BucketWAL(wal_path)
-        self._chain: Optional[CheckpointChain] = None
-        if checkpoint_dir is not None:
-            self._chain = CheckpointChain(
-                checkpoint_dir, full_every=self._ha.full_every
+        self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+        self._generation = 0
+        if self._checkpoint_dir is not None and self._checkpoint_dir.is_dir():
+            self._generation = max(
+                (int(p.name) for p in self._checkpoint_dir.iterdir() if p.name.isdigit()),
+                default=0,
             )
-        # Sequence number of the newest WAL entry covered by a checkpoint;
+        # The coordinator state a restarted shard restores from: a copy of
+        # the newest checkpointed state, in the shape a load reads back.  An
+        # engine that arrives holding buckets is anchored now, so a shard
+        # killed before the first checkpoint does not restart empty.
+        self._anchor: Optional[Dict[str, Any]] = None
+        if engine.buckets_processed > 0:
+            self._anchor = normalise_state(self.coordinator.state_dict())
+        # Sequence number of the newest WAL entry covered by the anchor;
         # the replay gap of a restored shard is everything after it.
         self._checkpoint_seq = -1
         self._buckets_at_checkpoint = engine.buckets_processed
@@ -96,11 +117,6 @@ class ClusterSupervisor:
     def wal(self) -> BucketWAL:
         """The bucket write-ahead log."""
         return self._wal
-
-    @property
-    def chain(self) -> Optional[CheckpointChain]:
-        """The checkpoint chain (None = checkpointing disabled)."""
-        return self._chain
 
     @property
     def ha_config(self) -> HAConfig:
@@ -196,19 +212,53 @@ class ClusterSupervisor:
 
     # -- checkpoints -------------------------------------------------------------------
 
-    def checkpoint(self, force_full: bool = False) -> Optional[str]:
-        """Take a chain checkpoint now and truncate the WAL; returns its name."""
-        if self._chain is None:
+    def checkpoint(self) -> Optional[str]:
+        """Checkpoint the engine now and truncate the WAL.
+
+        Writes a fresh generation directory, repoints ``latest`` at it and
+        removes the older one; returns the generation's name (None when
+        the supervisor has no ``checkpoint_dir``).  A save that fails
+        leaves ``latest``, the anchor and the WAL as they were.
+        """
+        directory = self._checkpoint_dir
+        if directory is None:
             return None
         with self._lock:
-            name = self._chain.save(self._engine, force_full=force_full)
-            self._checkpoint_seq = self._wal.last_seq
-            self._buckets_at_checkpoint = self._engine.buckets_processed
-            self._wal.truncate()
+            engine = self._engine
+            state = normalise_state(engine.backend.state_dict())
+            self._generation += 1
+            name = f"{self._generation:06d}"
+            try:
+                write_checkpoint(
+                    directory / name,
+                    backend_name=engine.backend_name,
+                    config=engine.config,
+                    topic_model=engine.topic_model,
+                    state=state,
+                )
+            except BaseException:
+                shutil.rmtree(directory / name, ignore_errors=True)
+                raise
+            pointer = directory / (LATEST + ".tmp")
+            pointer.unlink(missing_ok=True)
+            pointer.symlink_to(name, target_is_directory=True)
+            os.replace(pointer, directory / LATEST)
+            for old in directory.iterdir():
+                if old.name.isdigit() and old.name != name:
+                    shutil.rmtree(old, ignore_errors=True)
+            self._set_anchor(state["coordinator"])
             return name
 
+    def _set_anchor(self, coordinator_state: Dict[str, Any]) -> None:
+        """Make ``coordinator_state`` what a restarted shard restores from;
+        the WAL it covers is dropped."""
+        self._anchor = coordinator_state
+        self._checkpoint_seq = self._wal.last_seq
+        self._buckets_at_checkpoint = self._engine.buckets_processed
+        self._wal.truncate()
+
     def _maybe_checkpoint(self) -> None:
-        if self._chain is None:
+        if self._checkpoint_dir is None:
             return
         since = self._engine.buckets_processed - self._buckets_at_checkpoint
         if self._ha.checkpoint_every and since >= self._ha.checkpoint_every:
@@ -217,14 +267,6 @@ class ClusterSupervisor:
             self.checkpoint()
 
     # -- recovery ----------------------------------------------------------------------
-
-    def _checkpoint_coordinator_state(self) -> Optional[Dict[str, Any]]:
-        if self._chain is None or not self._chain.segments:
-            return None
-        state = self._chain.load_state()
-        coordinator_state = state.get("coordinator")
-        assert coordinator_state is None or isinstance(coordinator_state, dict)
-        return coordinator_state
 
     def _recover(
         self, shard_ids: Sequence[int], upto_seq: Optional[int] = None
@@ -242,17 +284,16 @@ class ClusterSupervisor:
             raise ShardFailure(
                 shard_ids, "in-process shard workers cannot be restarted"
             )
-        checkpoint = self._checkpoint_coordinator_state()
         entries = self._wal.entries_since(self._checkpoint_seq)
         if upto_seq is not None:
             entries = [entry for entry in entries if entry.seq <= upto_seq]
         for shard_id in shard_ids:
             fanout.restart_shard(shard_id)
-            if checkpoint is not None:
-                coordinator.restore_shard(shard_id, checkpoint)
-            # Without a checkpoint the fresh worker starts empty and the
-            # WAL — never truncated in that configuration — replays the
-            # shard's entire history.
+            if self._anchor is not None:
+                coordinator.restore_shard(shard_id, self._anchor)
+            # Without an anchor the engine started empty, so does the fresh
+            # worker, and the WAL — never truncated in that configuration —
+            # replays the shard's entire history.
             for entry in entries:
                 coordinator.replay_bucket_to_shard(
                     shard_id, list(entry.elements), entry.end_time
@@ -291,13 +332,12 @@ class ClusterSupervisor:
                 raise
             old_engine.close()
             self._rebalances += 1
-            # Previous checkpoints describe the old shard shape; anchor the
-            # chain with a full snapshot of the new one.
-            if self._chain is not None:
-                self.checkpoint(force_full=True)
+            # The anchor and any checkpoint describe the old shard shape:
+            # replace them with the new one.
+            if self._checkpoint_dir is not None:
+                self.checkpoint()
             else:
-                self._checkpoint_seq = self._wal.last_seq
-                self._wal.truncate()
+                self._set_anchor(normalise_state(new_state))
             return new_engine
 
     # -- telemetry ---------------------------------------------------------------------
@@ -310,7 +350,13 @@ class ClusterSupervisor:
         dead: Tuple[int, ...] = fanout.dead_shards if fanout is not None else ()
         for shard_id in range(num_shards):
             shards.append({"shard_id": shard_id, "alive": shard_id not in dead})
-        chain_stats = self._chain.stats() if self._chain is not None else None
+        checkpoint = None
+        if self._checkpoint_dir is not None:
+            latest = self._checkpoint_dir / LATEST
+            checkpoint = {
+                "latest": str(latest) if latest.exists() else None,
+                "generation": self._generation,
+            }
         return {
             "supervised": True,
             "transport": self.coordinator.cluster_config.transport,
@@ -332,7 +378,7 @@ class ClusterSupervisor:
             "last_recovery_seconds": self._last_recovery_seconds,
             "last_replayed_buckets": self._last_replayed_buckets,
             "wal": self._wal.stats(),
-            "chain": chain_stats,
+            "checkpoint": checkpoint,
         }
 
     # -- lifecycle ---------------------------------------------------------------------

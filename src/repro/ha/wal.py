@@ -50,15 +50,18 @@ class BucketWAL:
         assert self._path is not None
         if not self._path.exists():
             return
-        with open(self._path, "rb") as handle:
+        with open(self._path, "r+b") as handle:
+            intact = 0
             while True:
                 try:
                     entry = pickle.load(handle)
-                except EOFError:
-                    break
-                except (pickle.UnpicklingError, ValueError):
-                    break  # torn tail write: everything before it is intact
+                except (EOFError, pickle.UnpicklingError, ValueError):
+                    break  # the end, or a torn tail write after `intact`
                 self._entries.append(entry)
+                intact = handle.tell()
+            # Cut the torn tail off: new entries must follow the last intact
+            # one, or the next reload would stop at the torn bytes again.
+            handle.truncate(intact)
         if self._entries:
             self._next_seq = self._entries[-1].seq + 1
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.api.checkpoint import normalise_state
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.scoring import ProfileBuilder, ScoringConfig, ScoringContext
@@ -222,6 +223,31 @@ def build_reference_stream(
             )
         )
     return model, elements
+
+
+def _equal(a, b) -> bool:
+    """Deep equality over normalised state trees (arrays included)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
+            return False
+        if a.dtype != b.dtype or a.shape != b.shape:
+            return False
+        return bool(np.array_equal(a, b, equal_nan=a.dtype.kind == "f"))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    if type(a) is not type(b) and not (
+        isinstance(a, (int, float)) and isinstance(b, (int, float))
+    ):
+        return False
+    return bool(a == b)
+
+
+def same_state(left, right) -> bool:
+    """Deep equality over ``state_dict`` trees (arrays included), compared
+    in the shape a checkpoint reads them back."""
+    return _equal(normalise_state(left), normalise_state(right))
 
 
 # ---------------------------------------------------------------------------

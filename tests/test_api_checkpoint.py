@@ -23,7 +23,6 @@ from repro.cluster import ClusterConfig, ShardWorker
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
-from repro.ha.delta import CheckpointChain
 
 from tests.conftest import build_reference_stream
 
@@ -237,15 +236,14 @@ def every_answer(engine, query):
     ]
 
 
-@pytest.mark.parametrize("name", ["sharded", "sharded-pipe", "service-sharded", "chain"])
+@pytest.mark.parametrize("name", ["sharded", "sharded-pipe", "service-sharded"])
 def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
     """Before the coordinator kept a replica, shards exported candidate
     pools: their checkpoints carry export counters in every worker state
-    and ``cluster.budget_scale`` in the manifest.  Such a checkpoint — a
-    directory, or a delta chain whose full and delta segments both carry
-    the counters — loads with both ignored and answers every later bucket,
-    all six algorithms, as the engine it was taken from."""
-    config = CONFIGS["sharded" if name == "chain" else name.replace("-pipe", "")]
+    and ``cluster.budget_scale`` in the manifest.  Such a checkpoint loads
+    with both ignored and answers every later bucket, all six algorithms,
+    as the engine it was taken from."""
+    config = CONFIGS[name.replace("-pipe", "")]
     if name == "sharded-pipe":
         config = EngineConfig(
             backend="sharded", processor=PROCESSOR,
@@ -264,21 +262,14 @@ def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
     monkeypatch.setattr(ShardWorker, "state_dict", with_export_counters)
     engine = make_engine(model, config, query)
     half = NUM_BUCKETS // 2
-    for position, (members, end_time) in enumerate(buckets[:half]):
+    for members, end_time in buckets[:half]:
         engine.ingest_bucket(members, end_time)
-        if name == "chain" and position in (half - 3, half - 1):
-            CheckpointChain(tmp_path / "ckpt").save(engine)
-    path = tmp_path / "ckpt"
-    if name != "chain":
-        engine.save(path)
+    path = engine.save(tmp_path / "ckpt")
     monkeypatch.undo()
-    assert '"exported_candidates"' in "".join(
-        state.read_text() for state in path.rglob("*.json")
-    )
-    for manifest_path in path.rglob("MANIFEST.json"):
-        manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["cluster"]["budget_scale"] = 1.0
-        manifest_path.write_text(json.dumps(manifest))
+    assert '"exported_candidates"' in (path / "state.json").read_text()
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    manifest["config"]["cluster"]["budget_scale"] = 1.0
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
 
     with engine, KSIREngine.load(path) as resumed:
         assert resumed.config == config
@@ -291,6 +282,28 @@ def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
             assert {q: r.result.element_ids for q, r in resumed.results().items()} == {
                 q: r.result.element_ids for q, r in engine.results().items()
             }
+
+
+def test_a_delta_checkpoint_chain_is_refused_with_what_to_do(tmp_path):
+    """The chain format (``CHAIN.json`` plus ``NNNNNN-full`` / ``-delta``
+    segments) has no reader left; its full segments are ordinary
+    checkpoints, and the error names the newest one."""
+    model, elements = build_stream(seed=5)
+    with KSIREngine(model, CONFIGS["local"]) as engine:
+        for members, end_time in buckets_of(elements)[:4]:
+            engine.ingest_bucket(members, end_time)
+        chain = tmp_path / "chain"
+        engine.save(chain / "000000-full")
+        engine.save(chain / "000002-full")
+        (chain / "000003-delta").mkdir()
+        (chain / "CHAIN.json").write_text('{"format": "ksir-ha-chain", "version": 1}')
+        for load in (read_checkpoint, KSIREngine.load):
+            with pytest.raises(CheckpointError, match="delta-checkpoint chain") as error:
+                load(chain)
+            assert "000002-full" in str(error.value)
+            assert "re-ingest" in str(error.value)
+        with KSIREngine.load(chain / "000002-full") as resumed:
+            assert resumed.buckets_processed == engine.buckets_processed
 
 
 def test_checkpoint_is_versioned_on_disk(tmp_path):

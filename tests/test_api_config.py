@@ -243,8 +243,9 @@ class TestEngineConfig:
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the six retired keys.
+        # What it writes back drops exactly the seven retired keys.
         written = loaded.to_dict()
+        del manifest["ha"]["full_every"]
         del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
         del manifest["cluster"]["budget_scale"], manifest["kernels"]
         del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
@@ -252,6 +253,11 @@ class TestEngineConfig:
         assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
         with pytest.raises(TypeError):
             ServiceConfig(max_workers=4)  # type: ignore[call-arg]
+        # The chain cadence never changed an answer: any value loads.
+        for full_every in (1, 100):
+            assert EngineConfig.from_dict({"ha": {"full_every": full_every}}).ha == HAConfig()
+        with pytest.raises(TypeError):
+            HAConfig(full_every=8)  # type: ignore[call-arg]
 
     def test_retired_transports_cannot_be_constructed(self):
         for retired in ("shm", "thread"):
@@ -569,7 +575,6 @@ engine_configs = st.builds(
             heartbeat_interval=_POSITIVE,
             heartbeat_timeout=_POSITIVE,
             checkpoint_every=st.integers(0, 100),
-            full_every=st.integers(1, 100),
             wal_capacity=st.integers(1, 10**5),
             auto_restart=st.booleans(),
         )

@@ -119,12 +119,14 @@ class TestCommands:
         assert message in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    def test_ha_commands_reject_a_directory_that_is_no_chain(self, tmp_path, capsys):
+    def test_ha_offers_only_the_drill(self, tmp_path, capsys):
+        """The checkpoint-chain commands went with the chain format."""
         for command in ("chain", "compact"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["ha", command, str(tmp_path)])
             assert exit_info.value.code == 2
-            assert "is not a checkpoint chain" in capsys.readouterr().err
+            assert "invalid choice" in capsys.readouterr().err
+        assert build_parser().parse_args(["ha", "drill"]).ha_command == "drill"
 
 
 class TestServeCommand:

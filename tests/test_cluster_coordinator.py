@@ -25,9 +25,8 @@ from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
 from repro.core.stream import SocialStream
-from repro.ha.delta import _equal, normalise_state
 from repro.ha.rebalance import repartition_state
-from tests.conftest import PAPER_SCORING, build_processor, build_service_engine
+from tests.conftest import PAPER_SCORING, build_processor, build_service_engine, same_state
 from tests.oracle import Oracle
 from tests.test_oracle import ALGORITHMS, materialise
 
@@ -368,11 +367,6 @@ def answers(engine, query, algorithms=ALGORITHMS):
             ids, score = result.element_ids, result.score
         out[algorithm] = (tuple(ids), repr(float(score)))
     return out
-
-
-def same_state(left, right):
-    """Deep equality over ``state_dict`` trees (arrays included)."""
-    return _equal(normalise_state(left), normalise_state(right))
 
 
 @pytest.mark.parametrize("transport", BUILT_INS)

@@ -342,7 +342,7 @@ class TestTheMirrorContract:
         supervisor = ClusterSupervisor(
             KSIREngine(model, sharded("pipe", num_shards=2)),
             ha=HAConfig(checkpoint_every=3 if recovery == "checkpointed" else 0),
-            checkpoint_dir=tmp_path / "chain" if recovery == "checkpointed" else None,
+            checkpoint_dir=tmp_path if recovery == "checkpointed" else None,
         )
         query = KSIRQuery(k=3, vector=np.array([0.5, 0.3, 0.2]))
         with supervisor:

@@ -2,8 +2,8 @@
 
 Each injector is exercised against the failure path it simulates: a hung
 worker must trip the heartbeat timeout and be replaced, and a damaged
-checkpoint — plain or chain — must surface as a clear CheckpointError
-rather than garbage state.
+checkpoint must surface as a clear CheckpointError rather than garbage
+state.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.api import (
 from repro.cluster import ClusterConfig
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
-from repro.ha import CheckpointChain, ClusterSupervisor, HAConfig
+from repro.ha import ClusterSupervisor, HAConfig
 from repro.ha.chaos import corrupt_checkpoint, delay_heartbeat, kill_worker
 
 from tests.conftest import build_reference_stream
@@ -149,21 +149,6 @@ class TestCorruptCheckpoint:
         assert victim.name == "state_arrays.npz" or not victim.exists()
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
-
-    def test_damaged_chain_targets_newest_full_segment(self, tmp_path):
-        model, elements = build_stream(seed=5)
-        buckets = buckets_of(elements)
-        engine = KSIREngine(model, EngineConfig(processor=PROCESSOR))
-        chain = CheckpointChain(tmp_path / "chain", full_every=8)
-        for index in range(0, 6, 2):
-            for members, end_time in buckets[index : index + 2]:
-                engine.ingest_bucket(members, end_time)
-            chain.save(engine)
-        engine.close()
-        victim = corrupt_checkpoint(tmp_path / "chain", mode="garbage")
-        assert victim.parent.name.endswith("-full")
-        with pytest.raises(CheckpointError):
-            CheckpointChain(tmp_path / "chain").read_payload()
 
     def test_unknown_mode_rejected(self, tmp_path):
         path = self._checkpoint(tmp_path)

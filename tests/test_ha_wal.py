@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.element import SocialElement
 from repro.ha import BucketWAL
@@ -93,6 +94,27 @@ class TestBucketWAL:
         assert len(reopened) == 1
         assert reopened.entries_since(-1)[0].seq == 0
         reopened.close()
+
+    @pytest.mark.parametrize("cut", range(10, 119, 12))
+    def test_appends_after_a_torn_tail_survive_the_next_reopen(self, tmp_path, cut):
+        """The torn record is cut off on reload, so entries appended after
+        it follow the last intact one instead of the torn bytes."""
+        path = tmp_path / "bucket.wal"
+        wal = BucketWAL(path)
+        for start in range(0, 6, 2):
+            wal.append(bucket(start), end_time=start + 2)
+        wal.close()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut])
+        reopened = BucketWAL(path)
+        assert reopened.last_seq == 1
+        assert reopened.append(bucket(6), end_time=8) == 2
+        assert reopened.append(bucket(8), end_time=10) == 3
+        reopened.close()
+        again = BucketWAL(path)
+        assert [entry.seq for entry in again.entries_since(-1)] == [0, 1, 2, 3]
+        assert [e.element_id for e in again.entries_since(2)[0].elements] == [8, 9]
+        again.close()
 
     def test_truncate_clears_file(self, tmp_path):
         path = tmp_path / "bucket.wal"
