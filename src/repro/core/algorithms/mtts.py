@@ -13,19 +13,36 @@ MTTS combines two ideas:
    unfilled candidate.
 
 The returned candidate with the maximum score is a ``(1/2 − ε)``-approximate
-answer, and every active element is evaluated at most once.
+answer, and every active element is compiled at most once.
+
+The objective is submodular, so ``Δ(e | S) ≤ Δ(e | T)`` for ``T ⊆ S``: once
+a candidate ``T`` rejects ``e``, every candidate holding ``T`` whose
+threshold lies above ``Δ(e | T)`` rejects it too, and its gain is never
+computed.  The computed floats obey that inequality wherever both sides run
+the same loop (covered σ's are stored values, ``remaining · (1 − edge)`` and
+the ordered sums round monotonically, and every candidate sees elements in
+the one traversal order).  The exception is a topic ``T`` does not cover:
+there ``T``'s gain is the profile's stored ``R_i(e)`` and ``S``'s the word
+loop's sum, which may differ by a few ulps — more when ``R_i(e)`` came from
+a compensated ``sum()``.  A rejection therefore settles another only below
+``ϕ/2k · (1 − 1e-9)``, a margin that can make a skip only rarer, never
+change an admission.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import KSIRObjective, ObjectiveState
 from repro.utils.validation import require_in_range
+
+#: A subset's rejection settles a candidate's only this far below its
+#: threshold (see the module docstring).
+_MARGIN = 1.0 - 1e-9
 
 
 class MTTS(KSIRAlgorithm):
@@ -70,12 +87,17 @@ class MTTS(KSIRAlgorithm):
     ) -> SelectionOutcome:
         """Algorithm 2 over the merged traversal.
 
-        ``candidates`` maps grid exponent ``j`` to ``S_ϕ`` and is rebuilt
-        only when ``δ_max`` grows.  The sweep runs over the *open* (unfilled)
+        ``candidates`` maps grid exponent ``j`` to ``S_ϕ`` and ``masks``
+        maps it to ``S_ϕ``'s members (bit ``r`` for the ``r``-th retrieved
+        element; a new candidate's is 0); both are rebuilt only when
+        ``δ_max`` grows.  The sweep runs over the *open* (unfilled)
         candidates, kept ascending in ``ϕ`` beside their admission
         thresholds ``ϕ / 2k``: the candidates an element may enter are the
         prefix whose threshold is at most ``δ(e, x)``, found by bisection
-        and evaluated in one :meth:`KSIRObjective.gains` call; a candidate
+        and walked from the highest threshold down.  Each candidate that
+        rejects ``e`` leaves ``(members, gain)`` behind; a later candidate
+        whose members include an entry's and whose threshold · ``_MARGIN``
+        exceeds its gain rejects ``e`` without evaluating it.  A candidate
         that fills leaves the open list, whose first threshold is ``TH``.
         Equal-valued candidates tie to the first in ``candidates``' order.
         """
@@ -84,6 +106,8 @@ class MTTS(KSIRAlgorithm):
         base = 1.0 + self.epsilon
 
         candidates: Dict[int, ObjectiveState] = {}
+        masks: Dict[int, int] = {}
+        open_js: List[int] = []
         open_states: List[ObjectiveState] = []
         open_thresholds: List[float] = []
         delta_max = 0.0
@@ -91,6 +115,7 @@ class MTTS(KSIRAlgorithm):
         retrieved = 0
 
         while (element_id := traversal.next_id(threshold)) is not None:
+            bit = 1 << retrieved
             retrieved += 1
             score = objective.singleton_score(element_id)
 
@@ -100,18 +125,31 @@ class MTTS(KSIRAlgorithm):
                 candidates = {j: s for j, s in candidates.items() if j in valid}
                 for j in valid:
                     candidates.setdefault(j, objective.new_state())
+                masks = {j: masks.get(j, 0) for j in candidates}
                 open_js = sorted(j for j, s in candidates.items() if len(s.selected) < k)
                 open_states = [candidates[j] for j in open_js]
                 open_thresholds = [base**j / (2.0 * k) for j in open_js]
 
-            reach = bisect_right(open_thresholds, score)
-            gains = objective.gains(element_id, open_states[:reach])
-            for position in reversed(range(reach)):  # so deletions keep positions
-                if gains[position] >= open_thresholds[position]:
+            # (members, gain) of each candidate that rejected this element;
+            # walked downwards, so deletions keep the positions still to come.
+            rejected: List[Tuple[int, float]] = []
+            for position in reversed(range(bisect_right(open_thresholds, score))):
+                j, admission = open_js[position], open_thresholds[position]
+                members = masks[j]
+                bound = admission * _MARGIN
+                for mask, gain in rejected:
+                    if gain < bound and mask & members == mask:
+                        break  # Δ(e | S_j) ≤ Δ(e | T) < ϕ/2k for T ⊆ S_j
+                else:
                     state = open_states[position]
+                    gain = objective.marginal_gain(element_id, state)
+                    if gain < admission:
+                        rejected.append((members, gain))
+                        continue
                     objective.add(element_id, state)
+                    masks[j] = members | bit
                     if len(state.selected) >= k:
-                        del open_states[position], open_thresholds[position]
+                        del open_js[position], open_states[position], open_thresholds[position]
 
             # When every candidate is full no further element can be admitted.
             if candidates and not open_states:

@@ -26,8 +26,8 @@ class KSIRQuery:
     k:
         Maximum result size (``|S| ≤ k``).
     vector:
-        The query vector ``x`` over topics; it is validated to be
-        non-negative and normalised to sum to one (the paper's convention)
+        The query vector ``x`` over topics; it is validated to be finite
+        and non-negative and normalised to sum to one (the paper's convention)
         unless it sums to zero, which is rejected.
     time:
         Optional query timestamp; ``None`` means "the processor's current
@@ -47,6 +47,8 @@ class KSIRQuery:
         vector = np.asarray(self.vector, dtype=float)
         if vector.ndim != 1:
             raise ValueError("query vector must be one-dimensional")
+        if not np.isfinite(vector).all():
+            raise ValueError("query vector entries must be finite")
         if np.any(vector < 0):
             raise ValueError("query vector entries must be non-negative")
         total = float(vector.sum())

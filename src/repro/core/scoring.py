@@ -594,14 +594,16 @@ class KSIRObjective:
     edges))`` per query topic it has (:meth:`ScoringContext.compile_terms`,
     once per query; the follower side comes from the context's memo, which
     outlives the query and the snapshot), and every evaluation afterwards —
-    :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`gains`,
-    :meth:`add` — is a loop over those terms and the selection state only.
+    :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`add` — is a loop
+    over those terms and the selection state only.
     """
 
     def __init__(self, context: ObjectiveContext, query_vector: np.ndarray) -> None:
         vector = np.asarray(query_vector, dtype=float)
         if vector.ndim != 1:
             raise ValueError("query_vector must be one-dimensional")
+        if not np.isfinite(vector).all():
+            raise ValueError("query_vector entries must be finite")
         if np.any(vector < 0):
             raise ValueError("query_vector entries must be non-negative")
         self._context = context
@@ -660,14 +662,6 @@ class KSIRObjective:
         """``Δ(e | S) = f(S ∪ {e}, x) − f(S, x)`` without mutating ``state``."""
         self._evaluation_calls += 1
         return self._gain(self._terms(element_id), state, commit=False)
-
-    def gains(self, element_id: int, states: Sequence[ObjectiveState]) -> List[float]:
-        """:meth:`marginal_gain` of one element against each of ``states``."""
-        if not states:
-            return []
-        self._evaluation_calls += len(states)
-        terms = self._terms(element_id)
-        return [self._gain(terms, state, commit=False) for state in states]
 
     def add(self, element_id: int, state: ObjectiveState) -> float:
         """Add the element to the state and return its marginal gain."""

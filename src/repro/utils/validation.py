@@ -18,8 +18,8 @@ def require_positive(value: Real, name: str) -> None:
 
 
 def require_non_negative(value: Real, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value`` is >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
@@ -37,14 +37,18 @@ def require_in_range(
     low_inclusive: bool = True,
     high_inclusive: bool = True,
 ) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in the requested interval."""
+    """Raise ``ValueError`` unless ``value`` lies in the requested interval.
+
+    Each check is written negated, so NaN — which compares false with
+    everything — lies in no interval that has a bound.
+    """
     if low is not None:
-        if low_inclusive and value < low:
+        if low_inclusive and not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        if not low_inclusive and value <= low:
+        if not low_inclusive and not value > low:
             raise ValueError(f"{name} must be > {low}, got {value!r}")
     if high is not None:
-        if high_inclusive and value > high:
+        if high_inclusive and not value <= high:
             raise ValueError(f"{name} must be <= {high}, got {value!r}")
-        if not high_inclusive and value >= high:
+        if not high_inclusive and not value < high:
             raise ValueError(f"{name} must be < {high}, got {value!r}")

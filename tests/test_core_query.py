@@ -25,6 +25,15 @@ class TestKSIRQuery:
         with pytest.raises(ValueError):
             KSIRQuery(k=1, vector=np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_vectors(self, entry):
+        # NaN compares false with everything and inf / inf is NaN, so
+        # neither is caught by the sign and mass checks.
+        with pytest.raises(ValueError, match="finite"):
+            KSIRQuery(k=1, vector=np.array([entry, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            KSIRQuery(k=1, vector=np.array([entry, 0.0]))
+
     def test_nonzero_topics(self):
         query = KSIRQuery(k=3, vector=np.array([0.0, 0.7, 0.0, 0.3]))
         assert query.nonzero_topics == (1, 3)

@@ -273,6 +273,9 @@ class TestObjectiveIncremental:
             KSIRObjective(paper_context, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
             KSIRObjective(paper_context, np.array([-0.1, 1.1]))
+        for entry in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                KSIRObjective(paper_context, np.array([entry, 0.5]))
 
     def test_state_copy_is_independent(self, paper_context):
         objective = KSIRObjective(paper_context, np.array([0.5, 0.5]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import threading
 from pathlib import Path
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from repro.api import EngineConfig, InferenceConfig, KSIREngine
 from repro.cluster import ClusterConfig
 from repro.core.algorithms import MTTS, resolve_algorithm
+from repro.core.algorithms.mtts import _MARGIN
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
@@ -71,9 +73,10 @@ SIGMA = st.sampled_from([0.05, 0.1, 0.1, 0.2, 0.35])
 
 
 @st.composite
-def profiles(draw, element_id):
+def profiles(draw, element_id, total=sum):
     """A full profile, or one stripped to its probabilities (all that
-    influence evaluation reads of a follower)."""
+    influence evaluation reads of a follower); ``total`` sums each topic's
+    σ's into its stored ``R_i(e)``."""
     probabilities = draw(
         st.dictionaries(st.integers(0, NUM_TOPICS - 1), PROBABILITY, max_size=NUM_TOPICS)
     )
@@ -84,14 +87,14 @@ def profiles(draw, element_id):
             if draw(st.integers(0, 4)) == 0:
                 continue  # a topic without word and semantic entries
             words[topic] = draw(st.dictionaries(st.integers(0, 5), SIGMA, max_size=4))
-            semantic[topic] = sum(words[topic].values())
+            semantic[topic] = total(words[topic].values())
     return ElementProfile(element_id, 1, probabilities, words, semantic, ())
 
 
 @st.composite
-def contexts(draw):
+def contexts(draw, total=sum):
     count = draw(st.integers(1, 7))
-    profile_map = {eid: draw(profiles(eid)) for eid in range(count)}
+    profile_map = {eid: draw(profiles(eid, total)) for eid in range(count)}
     # Ids 7..9 have no profile: followers missing from the profile map.
     followers = {
         eid: tuple(draw(st.lists(st.integers(0, 9), max_size=4, unique=True)))
@@ -142,25 +145,75 @@ class TestCompiledObjectiveEqualsReference:
             elif operation == "gain":
                 gain = theirs.marginal_gain(element_id, their_state)
                 assert ours.marginal_gain(element_id, our_state) == gain
-                assert ours.gains(element_id, [our_state, ours.new_state()]) == [
-                    theirs.marginal_gain(element_id, their_state),
-                    theirs.marginal_gain(element_id, theirs.new_state()),
-                ]
             else:
                 assert ours.add(element_id, our_state) == theirs.add(element_id, their_state)
             assert our_state == their_state
             assert ours.evaluation_calls == theirs.evaluation_calls
             assert ours.evaluated_elements == theirs.evaluated_elements
 
-    def test_gains_of_no_states_evaluates_nothing(self, paper_context):
-        objective = KSIRObjective(paper_context, np.array([0.5, 0.5]))
-        assert objective.gains(3, []) == []
-        assert (objective.evaluation_calls, objective.evaluated_elements) == (0, 0)
-
     def test_inactive_element_is_a_key_error(self, paper_context):
         objective = KSIRObjective(paper_context, np.array([0.5, 0.5]))
         with pytest.raises(KeyError):
             objective.singleton_score(99)
+
+
+class TestSubsetBoundIsSound:
+    """MTTS rejects ``e`` from ``S`` unevaluated when ``Δ(e | T) < ϕ/2k ·
+    (1 − 1e-9)`` for a candidate ``T ⊆ S``, both built in one element order.
+    Submodularity gives ``Δ(e | S) ≤ Δ(e | T)``; the computed floats follow
+    it except where ``T`` has no coverage on a topic (stored ``R_i(e)``) and
+    ``S`` has (the word loop's sum), which the margin absorbs.  ``math.fsum``
+    stands in for a compensated ``sum()`` (CPython ≥ 3.12) building the
+    stored ``R_i(e)``."""
+
+    @pytest.mark.parametrize("total", [sum, math.fsum], ids=["sum", "fsum"])
+    @given(data=st.data(), vector=QUERY_VECTORS)
+    @settings(max_examples=300, deadline=None)
+    def test_a_subset_rejection_rejects_the_superset(self, total, data, vector):
+        context = data.draw(contexts(total))
+        order = data.draw(st.permutations(context.active_ids))
+        members = order[: data.draw(st.integers(0, len(order)))]
+        chosen = data.draw(
+            st.lists(st.booleans(), min_size=len(members), max_size=len(members))
+        )
+        objective = KSIRObjective(context, vector)
+        subset, superset = objective.new_state(), objective.new_state()
+        for element_id, in_subset in zip(members, chosen):
+            objective.add(element_id, superset)
+            if in_subset:
+                objective.add(element_id, subset)
+
+        gains = {
+            element_id: (
+                objective.marginal_gain(element_id, subset),
+                objective.marginal_gain(element_id, superset),
+            )
+            for element_id in order[len(members):]
+        }
+        thresholds = [gain for pair in gains.values() for gain in pair]
+        for small, large in gains.values():
+            for threshold in thresholds:
+                if small < threshold * _MARGIN:
+                    assert large < threshold
+
+    def test_the_margin_covers_a_compensated_stored_sum(self):
+        """The case the margin is for: ``Δ(e | ∅)`` reads the stored
+        ``fsum`` of ``e``'s σ's, ``Δ(e | S)`` adds the same σ's in order and
+        lands one ulp above it, so without the margin a threshold of
+        ``Δ(e | S)`` would be settled from the empty candidate."""
+        sigmas = {0: 0.2, 1: 0.35, 2: 0.05}
+        profile_map = {
+            0: ElementProfile(0, 1, {0: 0.5}, {0: sigmas}, {0: math.fsum(sigmas.values())}, ()),
+            1: ElementProfile(1, 1, {0: 0.5}, {0: {3: 0.1}}, {0: 0.1}, ()),
+        }
+        context = ScoringContext(profile_map, {}, SCORING, time=1)
+        objective = KSIRObjective(context, np.array([1.0, 0.0, 0.0, 0.0]))
+        empty, superset = objective.new_state(), objective.new_state()
+        objective.add(1, superset)
+        small = objective.marginal_gain(0, empty)
+        large = objective.marginal_gain(0, superset)
+        assert small < large  # the computed gains are not monotone here
+        assert not small < large * _MARGIN
 
 
 class TestTraversalEqualsReference:
@@ -260,7 +313,45 @@ class TestMTTSEqualsReference:
         assert [s.value for s in our_states.states] == [s.value for s in their_states.states]
         assert (outcome.element_ids, outcome.value) == (ids, value)
         assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
-        assert ours.evaluation_calls == theirs.evaluation_calls
+        # Gains a smaller candidate's rejection settles are never computed.
+        assert ours.evaluation_calls <= theirs.evaluation_calls
+
+    def test_the_subset_bound_settles_half_the_gains(self):
+        """Over windows of 40 elements at k = 10, ε = 0.1, MTTS computes at
+        most half of the marginal gains full evaluation computes."""
+
+        def counting(objective):
+            calls = [0]
+            marginal_gain = objective.marginal_gain
+
+            def counted(element_id, state):
+                calls[0] += 1
+                return marginal_gain(element_id, state)
+
+            objective.marginal_gain = counted
+            return calls
+
+        computed = reference = 0
+        for seed in range(30):
+            model, elements = build_reference_stream(seed, 80, 3, 8)
+            processor = build_processor(
+                model,
+                ProcessorConfig(window_length=40, bucket_length=4, scoring=PAPER_SCORING),
+            )
+            for members, end_time in bucketise(elements, 4):
+                processor.process_bucket(members, end_time)
+            context, index = processor.snapshot(), processor.ranked_lists
+            rng = np.random.default_rng(seed)
+            for vector in (np.ones(3), rng.dirichlet(np.full(3, 0.6))):
+                ours = KSIRObjective(context, vector)
+                theirs = ReferenceObjective(context, vector)
+                ours_calls, their_calls = counting(ours), counting(theirs)
+                outcome = MTTS(0.1).select(ours, 10, index=index)
+                ids, value, _, _ = reference_mtts(theirs, index, 10, 0.1)
+                assert (outcome.element_ids, outcome.value) == (ids, value)
+                computed += ours_calls[0]
+                reference += their_calls[0]
+        assert 2 * computed <= reference
 
     def test_equal_valued_candidates_keep_their_winner(self):
         """Duplicate elements give candidates with equal values and different
@@ -655,7 +746,8 @@ class TestFollowerEdgeMemo:
         objective = KSIRObjective(context, np.ones(3))
         state = objective.new_state()
         objective.singleton_score(followed)
-        objective.gains(followed, [state, objective.new_state()])
+        objective.marginal_gain(followed, state)
+        objective.marginal_gain(followed, objective.new_state())
         objective.add(followed, state)
         assert (objective.evaluation_calls, objective.evaluated_elements) == (4, 1)
         # A second query on the warm memo counts exactly as the first did.

@@ -208,6 +208,24 @@ class TestIngestAndQuery:
         )
         assert response.json()["updated"] == []
 
+    @pytest.mark.parametrize("vector", [["nan", 1], ["inf", 0]])
+    def test_non_finite_vector_is_client_error(self, client: TestClient, vector) -> None:
+        client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
+        response = client.post("/query", {"vector": vector, "k": 1})
+        assert response.status == 400
+        assert "finite" in response.json()["error"]
+        assert client.post("/queries", {"vector": vector, "k": 1}).status == 400
+        assert client.get("/health").json()["standing_queries"] == 0
+
+    @pytest.mark.parametrize("algorithm", ["mtts", "mttd"])
+    def test_nan_epsilon_is_client_error(self, client: TestClient, algorithm) -> None:
+        client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
+        response = client.post(
+            "/query",
+            {"vector": [1.0, 0.0], "k": 1, "algorithm": algorithm, "epsilon": "nan"},
+        )
+        assert response.status == 400
+
     def test_ad_hoc_query(self, client: TestClient) -> None:
         client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
         response = client.post("/query", {"keywords": ["alpha"], "k": 1})

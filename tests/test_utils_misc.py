@@ -141,6 +141,9 @@ class TestValidation:
         require_non_negative(0, "x")
         with pytest.raises(ValueError):
             require_non_negative(-0.1, "x")
+        require_non_negative(float("inf"), "x")
+        with pytest.raises(ValueError):
+            require_non_negative(float("nan"), "x")
 
     def test_require_probability(self):
         require_probability(0.0, "p")
@@ -163,3 +166,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             require_in_range(10, "x", 0, 10, high_inclusive=False)
         require_in_range(5, "x", 0, 10, low_inclusive=False, high_inclusive=False)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"low": 0.0},
+            {"high": 1.0},
+            {"low": 0.0, "high": 1.0},
+            {"low": 0.0, "high": 1.0, "low_inclusive": False, "high_inclusive": False},
+        ],
+    )
+    def test_require_in_range_rejects_nan(self, bounds):
+        with pytest.raises(ValueError):
+            require_in_range(float("nan"), "x", **bounds)
