@@ -85,7 +85,8 @@ def main() -> None:
     inferencer = TopicInferencer(model, alpha=0.05, sparsity_threshold=0.05)
     engine = KSIREngine(model, EngineConfig(processor=config), inferencer=inferencer)
     engine.process_stream(strip_ground_truth(dataset.stream))
-    processor = engine.backend.processor  # window internals, for display
+    processor = engine.processor  # window internals, for display
+    assert processor is not None
     print(
         f"    {processor.active_count} active papers in the last "
         f"{config.window_length // 3600}h window"

@@ -64,8 +64,9 @@ def main() -> None:
     )
     engine = KSIREngine(dataset.topic_model, EngineConfig(processor=config))
     # The dashboard reads window internals for display; they live one layer
-    # below the facade, on the local backend's processor.
-    processor = engine.backend.processor
+    # below the facade, on the local engine's processor.
+    processor = engine.processor
+    assert processor is not None
     topic_names = {topic: dataset.topic_names[topic] for topic in TRACKED_TOPICS}
     print("Tracked topics: " + ", ".join(f"{t} ({name})" for t, name in topic_names.items()))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro import (
     EngineConfig,
     KSIREngine,
-    LocalBackend,
     ProcessorConfig,
     ScoringConfig,
     SyntheticStreamGenerator,
@@ -60,9 +59,8 @@ def main() -> None:
         f"{engine.buckets_processed} buckets; "
         f"{engine.active_count} active elements in the current window"
     )
-    backend = engine.backend
-    assert isinstance(backend, LocalBackend)  # the layer below the facade
-    processor = backend.processor
+    processor = engine.processor  # the layer below the facade
+    assert processor is not None  # a local engine runs one processor
     print(
         f"    ranked-list maintenance: "
         f"{processor.update_timer.mean_ms:.3f} ms per element on average"

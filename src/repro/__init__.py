@@ -24,22 +24,18 @@ True
 
 The same engine runs sharded (``EngineConfig(backend="sharded")``) or as
 a standing-query service (``backend="service"``), and can be persisted
-mid-stream with ``engine.save(path)`` / ``KSIREngine.load(path)``.
+mid-stream with ``engine.save(path)`` / ``KSIREngine.load(path)``.  It
+drives one :class:`KSIRProcessor` or one :class:`ClusterCoordinator`
+directly (``engine.processor`` / ``engine.coordinator``), with a
+:class:`ServiceEngine` over it when serving (``engine.service_engine``).
 """
 
 from repro.api import (
     CheckpointError,
     EngineConfig,
-    ExecutionBackend,
     InferenceConfig,
     KSIREngine,
-    LocalBackend,
-    ServiceBackend,
     ServiceConfig,
-    ShardedBackend,
-    backend_names,
-    create_backend,
-    register_backend,
 )
 from repro.cluster import (
     ClusterConfig,
@@ -47,7 +43,6 @@ from repro.cluster import (
     ShardPlanner,
     ShardWorker,
     TransportBackend,
-    register_transport,
     transport_names,
     verify_equivalence,
 )
@@ -86,7 +81,6 @@ from repro.streams import (
     WindowPolicy,
     create_source,
     inject_disorder,
-    register_source,
     source_names,
 )
 from repro.topics.btm import BitermTopicModel
@@ -107,18 +101,10 @@ __all__ = [
     "ColumnarWindow",
     "ElementStore",
     "EngineConfig",
-    "ExecutionBackend",
     "InferenceConfig",
     "KSIREngine",
-    "LocalBackend",
-    "ServiceBackend",
     "ServiceConfig",
-    "ShardedBackend",
     "TransportBackend",
-    "backend_names",
-    "create_backend",
-    "register_backend",
-    "register_transport",
     "transport_names",
     "DATASET_PROFILES",
     "DatasetProfile",
@@ -163,7 +149,6 @@ __all__ = [
     "infer_query_vector",
     "inject_disorder",
     "make_algorithm",
-    "register_source",
     "source_names",
     "tokenize",
     "verify_equivalence",

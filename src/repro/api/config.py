@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Union
 
-from repro.cluster.coordinator import ClusterConfig
-from repro.cluster.transport import transport_names
+from repro.cluster.coordinator import ClusterConfig, transport_names
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.core.window_policy import WINDOW_POLICY_CHOICES
@@ -33,7 +32,7 @@ from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 from repro.utils.config import RetiredKeys, config_from_dict, config_to_dict
 
-#: Canonical execution-backend names (the adapter registry keys).
+#: Canonical execution-backend names (what `EngineConfig.backend` holds).
 LOCAL_BACKEND = "local"
 SHARDED_BACKEND = "sharded"
 SERVICE_BACKEND = "service"
@@ -51,7 +50,7 @@ BACKEND_ALIASES: Dict[str, str] = {
 
 
 def canonical_backend_name(name: str) -> str:
-    """Resolve a backend spelling to its canonical registry name."""
+    """Resolve a backend spelling to its canonical name."""
     key = name.strip().lower()
     try:
         return BACKEND_ALIASES[key]
@@ -419,7 +418,7 @@ _FLAGS = (
           "(required by --window-policy session)"),
     _Flag("--source", "streams.source", str,
           "default stream source name for raw-event ingest "
-          "(memory, jsonl, citations, entities, or a registered name)"),
+          "(memory, jsonl, citations or entities)"),
     _Flag("--allowed-lateness", "streams.allowed_lateness", int,
           "out-of-order tolerance of raw-event ingest, in bucket "
           "units (0 = require in-order arrival)"),

@@ -2,10 +2,14 @@
 
 One typed entry point for every way of running k-SIR workloads: the
 engine is built from a topic model plus one composable
-:class:`~repro.api.config.EngineConfig` and delegates execution to the
-:class:`~repro.api.backend.ExecutionBackend` adapter the config names —
-single-node, sharded, or standing-query serving.  The facade adds the
-cross-cutting surface every deployment needs regardless of backend:
+:class:`~repro.api.config.EngineConfig` and drives what the config names
+directly — a :class:`~repro.core.processor.KSIRProcessor` (``"local"``), a
+:class:`~repro.cluster.coordinator.ClusterCoordinator` (``"sharded"``), and
+for ``"service"`` a :class:`~repro.service.engine.ServiceEngine` over
+either.  The processor and the coordinator share one surface
+(``process_bucket`` / ``query`` / ``snapshot`` / ``state_dict``), so every
+call is one hop.  The facade adds the cross-cutting surface every
+deployment needs regardless of backend:
 
 * stream replay (:meth:`process_stream`) with the shared bucket
   semantics;
@@ -21,22 +25,21 @@ cross-cutting surface every deployment needs regardless of backend:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.backend import (
-    AlgorithmLike,
-    ExecutionBackend,
-    QueryLike,
-    create_backend,
-)
-from repro.api.backends import ServiceBackend
+import numpy as np
+import numpy.typing as npt
+
 from repro.api.checkpoint import (
     CheckpointError,
     read_checkpoint,
     write_checkpoint,
 )
-from repro.api.config import EngineConfig
+from repro.api.config import SERVICE_BACKEND, EngineConfig
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
+from repro.core.processor import KSIRProcessor
 from repro.core.query import KSIRQuery, QueryResult
 from repro.core.scoring import ScoringContext
 from repro.kernels import kernel_stats
@@ -53,6 +56,12 @@ from repro.streams import (
 from repro.topics.inference import TopicInferencer, infer_query_vector
 from repro.topics.model import TopicModel
 
+#: Query inputs the engine accepts (mirrors ``KSIRQuery.coerce``).
+QueryLike = Union[KSIRQuery, npt.NDArray[np.float64], Sequence[float]]
+
+#: Algorithm selectors the engine accepts.
+AlgorithmLike = Union[str, KSIRAlgorithm, None]
+
 
 class KSIREngine:
     """The single public entry point of the k-SIR reproduction.
@@ -62,9 +71,8 @@ class KSIREngine:
     >>> engine.process_stream(stream)
     >>> engine.query_keywords(["music", "concert"], k=5)
 
-    Construction wiring, backend dispatch and lifecycle live here; the
-    actual execution semantics live behind the
-    :class:`~repro.api.backend.ExecutionBackend` protocol, so swapping
+    Construction wiring and lifecycle live here; the execution semantics
+    live in the processor or coordinator the engine owns, so swapping
     ``backend="local"`` for ``"sharded"`` or ``"service"`` changes no
     other line of user code.
     """
@@ -80,9 +88,25 @@ class KSIREngine:
         if inferencer is None:
             inferencer = self._config.build_inferencer(topic_model)
         self._inferencer = inferencer
-        self._backend = create_backend(
-            self._config.backend, topic_model, self._config, inferencer
-        )
+        self._processor: Optional[KSIRProcessor] = None
+        self._coordinator: Optional[ClusterCoordinator] = None
+        self._substrate: Union[KSIRProcessor, ClusterCoordinator]
+        if self._config.is_sharded:
+            self._substrate = self._coordinator = ClusterCoordinator(
+                topic_model,
+                self._config.processor,
+                cluster=self._config.cluster,
+                inferencer=inferencer,
+            )
+        else:
+            self._substrate = self._processor = KSIRProcessor(
+                topic_model, self._config.processor, inferencer=inferencer
+            )
+        self._service_engine: Optional[ServiceEngine] = None
+        if self._config.backend == SERVICE_BACKEND:
+            self._service_engine = ServiceEngine(
+                self._substrate, incremental=self._config.service.incremental
+            )
         self._streams = self._config.streams or StreamConfig()
         self._ingestor: Optional[StreamIngestor] = None
         self._closed = False
@@ -95,14 +119,29 @@ class KSIREngine:
         return self._config
 
     @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend adapter in use."""
-        return self._backend
+    def backend(self) -> "KSIREngine":
+        """The engine itself.
+
+        Kept because the frozen end-to-end benchmark reads
+        ``engine.backend.coordinator``; new code reads :attr:`processor`,
+        :attr:`coordinator` or :attr:`service_engine` directly.
+        """
+        return self
 
     @property
     def backend_name(self) -> str:
         """The canonical name of the execution backend."""
-        return self._backend.name
+        return self._config.backend
+
+    @property
+    def processor(self) -> Optional[KSIRProcessor]:
+        """The single-node processor (None when the config is sharded)."""
+        return self._processor
+
+    @property
+    def coordinator(self) -> Optional[ClusterCoordinator]:
+        """The cluster coordinator (None unless the config is sharded)."""
+        return self._coordinator
 
     @property
     def topic_model(self) -> TopicModel:
@@ -112,29 +151,27 @@ class KSIREngine:
     @property
     def buckets_processed(self) -> int:
         """Buckets ingested so far."""
-        return self._backend.buckets_processed
+        return self._substrate.buckets_processed
 
     @property
     def elements_processed(self) -> int:
         """Stream elements ingested so far."""
-        return self._backend.elements_processed
+        return self._substrate.elements_processed
 
     @property
     def active_count(self) -> int:
         """Number of currently active elements."""
-        return self._backend.active_count
+        return self._substrate.active_count
 
     @property
     def current_time(self) -> Optional[int]:
         """Stream time of the last ingested bucket."""
-        return self._backend.current_time
+        return self._substrate.current_time
 
     @property
     def service_engine(self) -> Optional[ServiceEngine]:
         """The standing-query engine (None unless serving)."""
-        if isinstance(self._backend, ServiceBackend):
-            return self._backend.engine
-        return None
+        return self._service_engine
 
     # -- ingestion ---------------------------------------------------------------------
 
@@ -143,7 +180,15 @@ class KSIREngine:
     ) -> None:
         """Ingest one stream bucket ending at ``end_time``."""
         self._require_open()
-        self._backend.ingest_bucket(elements, end_time)
+        self._commit(elements, end_time)
+
+    def _commit(self, elements: Sequence[SocialElement], end_time: int) -> None:
+        # Looked up per call rather than bound at construction, so a wrapper
+        # installed on the class later (a tracer) still sees every bucket.
+        if self._service_engine is not None:
+            self._service_engine.ingest_bucket(elements, end_time)
+        else:
+            self._substrate.process_bucket(elements, end_time)
 
     def process_stream(
         self,
@@ -158,8 +203,8 @@ class KSIREngine:
         self._require_open()
         replay_stream(
             stream,
-            self._backend.processor_config.bucket_length,
-            self._backend.ingest_bucket,
+            self._substrate.config.bucket_length,
+            self._commit,
             until,
         )
 
@@ -168,8 +213,8 @@ class KSIREngine:
     def _stream_ingestor(self) -> StreamIngestor:
         if self._ingestor is None:
             self._ingestor = StreamIngestor(
-                self._backend.ingest_bucket,
-                self._backend.processor_config.bucket_length,
+                self._commit,
+                self._substrate.config.bucket_length,
                 allowed_lateness=self._streams.allowed_lateness,
             )
         return self._ingestor
@@ -208,7 +253,7 @@ class KSIREngine:
     ) -> StreamMetrics:
         """Drain a whole :class:`~repro.streams.StreamSource` through ingest.
 
-        ``source`` is a source instance, a registered source name (with
+        ``source`` is a source instance, a source name (with
         ``options`` forwarded to its factory), or ``None`` to use the
         configured ``streams.source`` name.  Flushes at end of feed
         unless ``flush=False`` and returns the resulting metrics
@@ -221,7 +266,7 @@ class KSIREngine:
             source = create_source(source, **options)
         elif options:
             raise ValueError(
-                "source options are only valid with a registered source name, "
+                "source options are only valid with a source name, "
                 "not a source instance"
             )
         ingestor = self._stream_ingestor()
@@ -246,7 +291,7 @@ class KSIREngine:
     ) -> QueryResult:
         """Answer an ad-hoc k-SIR query against the current window."""
         self._require_open()
-        return self._backend.query(query, k, algorithm=algorithm, epsilon=epsilon)
+        return self._substrate.query(query, k, algorithm=algorithm, epsilon=epsilon)
 
     def infer_query(self, keywords: Sequence[str], k: int) -> KSIRQuery:
         """Build a :class:`KSIRQuery` from raw keywords.
@@ -273,7 +318,7 @@ class KSIREngine:
     def snapshot(self) -> ScoringContext:
         """A frozen scoring snapshot of the current active window."""
         self._require_open()
-        return self._backend.snapshot()
+        return self._substrate.snapshot()
 
     def stats(self) -> Dict[str, object]:
         """Backend counters for reporting and monitoring.
@@ -284,7 +329,34 @@ class KSIREngine:
         re-exposes as ``ksir_kernel_*`` Prometheus counters.
         """
         self._require_open()
-        stats = dict(self._backend.stats())
+        stats: Dict[str, object] = {
+            "backend": self.backend_name,
+            "elements_processed": self.elements_processed,
+            "buckets_processed": self.buckets_processed,
+            "active_count": self.active_count,
+            "current_time": self.current_time,
+        }
+        if self._processor is not None:
+            stats["ranked_tuples"] = self._processor.ranked_lists.total_tuples()
+            stats["snapshot_builds"] = self._processor.snapshot_builds
+        if self._coordinator is not None:
+            stats["num_shards"] = self._coordinator.num_shards
+            stats["shards"] = [
+                {
+                    "shard_id": stat.shard_id,
+                    "home_elements": stat.home_elements,
+                    "foreign_elements": stat.foreign_elements,
+                    "active_home": stat.active_home,
+                }
+                for stat in self._coordinator.shard_stats()
+            ]
+        service = self._service_engine
+        if service is not None:
+            stats["standing_queries"] = len(service.registry)
+            stats["evaluations"] = service.metrics.evaluations
+            stats["reused"] = service.metrics.reused
+            stats["incremental"] = service.incremental
+            stats["sharded"] = self._coordinator is not None
         stats["kernels"] = kernel_stats()
         return stats
 
@@ -360,8 +432,28 @@ class KSIREngine:
             backend_name=self.backend_name,
             config=self._config,
             topic_model=self._model,
-            state=self._backend.state_dict(),
+            state=self.state_dict(),
         )
+
+    def _state_owner(
+        self,
+    ) -> Tuple[str, Union[KSIRProcessor, ClusterCoordinator, ServiceEngine]]:
+        # The checkpoint key and the object whose state sits under it.
+        if self._service_engine is not None:
+            return "service", self._service_engine
+        if self._coordinator is not None:
+            return "coordinator", self._coordinator
+        return "processor", self._substrate
+
+    def state_dict(self) -> Dict[str, object]:
+        """The execution state a checkpoint holds, under its one key
+        (``processor``, ``coordinator`` or ``service``)."""
+        key, owner = self._state_owner()
+        return {key: owner.state_dict()}
+
+    def _restore_state(self, state: Mapping[str, Any]) -> None:
+        key, owner = self._state_owner()
+        owner.restore_state(state[key])
 
     @classmethod
     def load(
@@ -391,7 +483,7 @@ class KSIREngine:
                     f"checkpoint was written by the {payload.backend!r} backend but "
                     f"the configuration selects {engine.backend_name!r}"
                 )
-            engine._backend.restore_state(payload.state)
+            engine._restore_state(payload.state)
         except BaseException:
             # The engine may already own shard processes: do not leak them.
             engine.close()
@@ -403,7 +495,10 @@ class KSIREngine:
     def close(self) -> None:
         """Release backend resources (idempotent)."""
         if not self._closed:
-            self._backend.close()
+            if self._service_engine is not None:
+                self._service_engine.close()
+            if self._coordinator is not None:
+                self._coordinator.close()
             self._closed = True
 
     def __enter__(self) -> "KSIREngine":

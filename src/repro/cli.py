@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.api import EngineConfig, KSIREngine, LocalBackend
+from repro.api import EngineConfig, KSIREngine
 from repro.bench.spec import TIERS
 from repro.core.algorithms import ALGORITHM_REGISTRY
 from repro.core.stream import SocialStream
@@ -289,9 +289,9 @@ def run_query(args: argparse.Namespace) -> int:
         )
         _print(result.summary())
         elements_by_id = {element.element_id: element for element in stream}
-        backend = engine.backend
-        if isinstance(backend, LocalBackend):
-            follower_count = backend.processor.window.follower_count
+        processor = engine.processor
+        if processor is not None:
+            follower_count = processor.window.follower_count
         else:
             # Shard windows are not exposed here; show the stream-wide
             # in-degree instead (one pass, shared by every result line).

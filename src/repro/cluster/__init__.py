@@ -13,10 +13,10 @@ sharding *transparent*: queries return exactly the single-node answers.
 * :class:`ClusterCoordinator` / :class:`ClusterConfig` — fan-out
   ingestion, the replica of every shard's records and the final
   submodular selection over it;
-* :class:`TransportBackend` / :func:`register_transport` — the formal
-  fan-out protocol and its registry (built-ins: ``serial`` — in-process,
-  the default — and ``pipe`` — one process per shard); third-party
-  transports plug in under new names;
+* :class:`TransportBackend` / :func:`transport_names` — the formal
+  fan-out protocol and the two transports ``ClusterConfig.transport``
+  names: ``serial`` (in-process, the default) and ``pipe`` (one process
+  per shard);
 * :func:`merge_candidate_pools` / :class:`MergedCandidateContext` — the
   fold of a sync into the replica, and the exact evaluation substrate a
   query compiles from it;
@@ -24,15 +24,10 @@ sharding *transparent*: queries return exactly the single-node answers.
   answers match single-node answers.
 """
 
-from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
+from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator, transport_names
 from repro.cluster.merge import MergedCandidateContext, merge_candidate_pools
 from repro.cluster.partition import RoutedBucket, ShardPlanner, shard_of
-from repro.cluster.transport import (
-    TransportBackend,
-    create_transport,
-    register_transport,
-    transport_names,
-)
+from repro.cluster.transport import TransportBackend
 from repro.cluster.verify import EquivalenceReport, QueryComparison, verify_equivalence
 from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 
@@ -48,9 +43,7 @@ __all__ = [
     "ShardStats",
     "ShardWorker",
     "TransportBackend",
-    "create_transport",
     "merge_candidate_pools",
-    "register_transport",
     "shard_of",
     "transport_names",
     "verify_equivalence",

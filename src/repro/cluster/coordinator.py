@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -49,12 +49,7 @@ from repro.core.scoring import ElementProfile, KSIRObjective, ScoringContext
 from repro.core.stream import SocialStream, replay_stream
 from repro.cluster.merge import MergedCandidateContext, Records, merge_candidate_pools
 from repro.cluster.partition import RoutedBucket, ShardPlanner, home_filter
-from repro.cluster.transport import (
-    TransportBackend,
-    create_transport,
-    register_transport,
-    transport_factory,
-)
+from repro.cluster.transport import TransportBackend
 from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
@@ -71,10 +66,9 @@ class ClusterConfig:
         Number of partitions (1 degenerates to single-node behaviour with
         routing overhead).
     transport:
-        Fan-out transport name resolved through the
-        :func:`repro.cluster.register_transport` registry: ``serial``
-        (in-process workers, same thread) or ``pipe`` (one OS process per
-        shard, pickled payloads over pipes).
+        Fan-out transport, one of :func:`transport_names` (case-insensitive):
+        ``serial`` (in-process workers, same thread) or ``pipe`` (one OS
+        process per shard, pickled payloads over pipes).
     candidate_budget:
         Has no effect (queries read the coordinator's replica of every
         shard's records: no export to bound); validated, because
@@ -87,9 +81,9 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.num_shards, "num_shards")
-        # An unregistered name (the retired ones included) fails here, not
-        # at the first bucket.
-        transport_factory(self.transport)
+        # An unknown name (the retired ones included) fails here, not at
+        # the first bucket.
+        _transport(self.transport)
         if self.candidate_budget is not None:
             require_positive(self.candidate_budget, "candidate_budget")
 
@@ -171,12 +165,7 @@ class ClusterCoordinator:
         self._changes = 0
         self._forget_replica()
 
-        # The concrete fan-out is resolved through the transport registry
-        # (see repro.cluster.transport); built-ins are registered at the
-        # bottom of this module, third parties via register_transport().
-        self._fanout: TransportBackend = create_transport(
-            self._cluster.transport, self
-        )
+        self._fanout: TransportBackend = _transport(self._cluster.transport)(self)
 
     # -- metadata -----------------------------------------------------------------
 
@@ -482,7 +471,7 @@ class ClusterCoordinator:
             raise RuntimeError("the cluster coordinator has been closed")
 
 
-# -- built-in transport factories ------------------------------------------------------
+# -- the transports ------------------------------------------------------------------
 
 
 def _serial_transport(coordinator: ClusterCoordinator) -> TransportBackend:
@@ -512,5 +501,25 @@ def _pipe_transport(coordinator: ClusterCoordinator) -> TransportBackend:
     )
 
 
-register_transport("serial", _serial_transport)
-register_transport("pipe", _pipe_transport)
+#: The fan-out transport each ``ClusterConfig.transport`` name builds.
+_TRANSPORTS: Dict[str, Callable[[ClusterCoordinator], TransportBackend]] = {
+    "serial": _serial_transport,
+    "pipe": _pipe_transport,
+}
+
+
+def transport_names() -> Tuple[str, ...]:
+    """The transport names ``ClusterConfig.transport`` accepts, sorted."""
+    return tuple(sorted(_TRANSPORTS))
+
+
+def _transport(name: str) -> Callable[[ClusterCoordinator], TransportBackend]:
+    try:
+        return _TRANSPORTS[name.strip().lower()]
+    except KeyError as error:
+        raise ValueError(
+            f"unknown cluster transport {name!r}; available: "
+            f"{', '.join(transport_names())} (the thread-pool and shared-memory "
+            "transports were retired in PR 16 after losing to 'serial' and "
+            "'pipe' on every end-to-end metric: use those)"
+        ) from error

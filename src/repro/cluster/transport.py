@@ -13,12 +13,9 @@ a transition system::
              └─ close (idempotent)
 
 The :class:`~repro.cluster.coordinator.ClusterCoordinator` programs against
-this protocol only and resolves the concrete adapter through a registry,
-exactly like :func:`repro.api.register_backend` resolves execution
-backends — so new transports (sockets, a remote worker pool, ...) plug in by
-registering a factory under a new name, with no coordinator changes.
-
-Built-in transports (registered by :mod:`repro.cluster.coordinator`):
+this protocol only; ``ClusterConfig.transport`` picks one of the two
+adapters from a fixed table in :mod:`repro.cluster.coordinator`
+(:func:`~repro.cluster.coordinator.transport_names`):
 
 ``serial``
     In-process workers driven from the calling thread.  The default, the
@@ -32,8 +29,6 @@ Built-in transports (registered by :mod:`repro.cluster.coordinator`):
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -48,17 +43,13 @@ from typing import (
 from repro.cluster.partition import RoutedBucket
 from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.cluster.coordinator import ClusterCoordinator
-
 
 @runtime_checkable
 class TransportBackend(Protocol):
     """The contract every cluster fan-out adapter satisfies.
 
-    Structural typing keeps adapters decoupled from the coordinator:
-    anything with these members — including third-party classes that never
-    import this module — can serve as a transport.
+    Structural typing keeps the adapters decoupled from the coordinator:
+    neither built-in imports this module.
     """
 
     #: The shard workers when they live in this process, else ``()``.
@@ -104,48 +95,3 @@ class TransportBackend(Protocol):
     def close(self) -> None:
         """Release process resources (idempotent)."""
         ...
-
-
-#: Signature of a transport factory: the owning coordinator (which carries
-#: the topic model, processor/cluster configs and inferencer) → a
-#: ready fan-out adapter.
-TransportFactory = Callable[["ClusterCoordinator"], TransportBackend]
-
-_REGISTRY: Dict[str, TransportFactory] = {}
-
-
-def register_transport(name: str, factory: TransportFactory) -> None:
-    """Register a cluster fan-out transport under a (case-insensitive) name.
-
-    The public extension hook of the cluster layer, mirroring
-    :func:`repro.api.register_backend`: ``factory`` receives the owning
-    :class:`~repro.cluster.coordinator.ClusterCoordinator` and returns an
-    object satisfying :class:`TransportBackend`.  Select the transport via
-    ``ClusterConfig(transport=name)``.  Re-registering a name replaces the
-    factory (useful for tests and instrumented adapters).
-    """
-    _REGISTRY[name.strip().lower()] = factory
-
-
-def transport_names() -> Tuple[str, ...]:
-    """The registered transport names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def transport_factory(name: str) -> TransportFactory:
-    """The factory registered under ``name``; ``ValueError`` when none is."""
-    try:
-        return _REGISTRY[name.strip().lower()]
-    except KeyError as error:
-        available = ", ".join(transport_names()) or "<none registered>"
-        raise ValueError(
-            f"unknown cluster transport {name!r}; registered: {available} "
-            "(the thread-pool and shared-memory transports were retired in "
-            "PR 16 after losing to 'serial' and 'pipe' on every end-to-end "
-            "metric: use those)"
-        ) from error
-
-
-def create_transport(name: str, coordinator: "ClusterCoordinator") -> TransportBackend:
-    """Instantiate the transport registered under ``name``."""
-    return transport_factory(name)(coordinator)

@@ -113,12 +113,19 @@ class SocialElement:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SocialElement":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        ``tokens`` must be a list of strings: a bare string would otherwise
+        be split into its characters.
+        """
         distribution = payload.get("topic_distribution")
+        tokens = payload.get("tokens", ())
+        if isinstance(tokens, str) or not all(isinstance(token, str) for token in tokens):
+            raise ValueError("'tokens' must be a list of strings")
         return cls(
             element_id=int(payload["element_id"]),
             timestamp=int(payload["timestamp"]),
-            tokens=tuple(payload.get("tokens", ())),
+            tokens=tuple(tokens),
             references=tuple(int(r) for r in payload.get("references", ())),
             topic_distribution=(
                 np.asarray(distribution, dtype=float) if distribution is not None else None

@@ -40,8 +40,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from repro.api.backends import ShardedBackend
 from repro.api.checkpoint import normalise_state, write_checkpoint
+from repro.api.config import SHARDED_BACKEND
 from repro.api.engine import KSIREngine
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.process_backend import ProcessFanout, ShardFailure
@@ -65,7 +65,7 @@ class ClusterSupervisor:
         checkpoint_dir: Optional[Union[str, Path]] = None,
         wal_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        if not isinstance(engine.backend, ShardedBackend):
+        if engine.backend_name != SHARDED_BACKEND:
             raise TypeError(
                 "ClusterSupervisor requires a sharded engine "
                 '(EngineConfig(backend="cluster" / "sharded")); got '
@@ -111,7 +111,7 @@ class ClusterSupervisor:
     @property
     def coordinator(self) -> ClusterCoordinator:
         """The supervised cluster coordinator (of the engine in place now)."""
-        return cast(ShardedBackend, self._engine.backend).coordinator
+        return cast(ClusterCoordinator, self._engine.coordinator)
 
     @property
     def wal(self) -> BucketWAL:
@@ -225,7 +225,7 @@ class ClusterSupervisor:
             return None
         with self._lock:
             engine = self._engine
-            state = normalise_state(engine.backend.state_dict())
+            state = normalise_state(engine.state_dict())
             self._generation += 1
             name = f"{self._generation:06d}"
             try:

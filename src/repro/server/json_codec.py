@@ -21,6 +21,40 @@ class PayloadError(ValueError):
     """A malformed request payload (maps to HTTP 400/422)."""
 
 
+#: The range of the store's int64 columns, which hold ids and timestamps.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _int64(value: Any, name: str) -> int:
+    """``value`` as an integer within int64, or :class:`PayloadError`.
+
+    ``int(inf)`` raises ``OverflowError``, which is not a ``ValueError``,
+    and an integer past int64 would reach the store (a far-future
+    timestamp seals every empty bucket up to it).
+    """
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PayloadError(f"'{name}' must be an integer") from None
+    if not _INT64_MIN <= number <= _INT64_MAX:
+        raise PayloadError(f"'{name}' must be an integer within int64")
+    return number
+
+
+def _element(entry: Any, where: str) -> SocialElement:
+    """One element object of a request body, or :class:`PayloadError`."""
+    if not isinstance(entry, Mapping):
+        raise PayloadError(f"{where} must be a JSON object")
+    fields = dict(entry)
+    for name in ("element_id", "timestamp"):
+        if name in fields:
+            fields[name] = _int64(fields[name], f"{where}.{name}")
+    try:
+        return SocialElement.from_dict(fields)
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise PayloadError(f"{where} is invalid: {error}") from None
+
+
 def require_mapping(payload: Any, where: str) -> Mapping[str, Any]:
     """The payload as a mapping, or :class:`PayloadError`."""
     if not isinstance(payload, Mapping):
@@ -43,10 +77,7 @@ def parse_query_spec(
     k_raw = payload.get("k", default_k)
     if k_raw is None:
         raise PayloadError("'k' is required")
-    try:
-        k = int(k_raw)
-    except (TypeError, ValueError):
-        raise PayloadError("'k' must be an integer") from None
+    k = _int64(k_raw, "k")
     if k < 1:
         raise PayloadError("'k' must be positive")
     if keywords is not None:
@@ -89,10 +120,7 @@ def parse_registration(payload: Mapping[str, Any]) -> Dict[str, Any]:
         except (TypeError, ValueError):
             raise PayloadError("'epsilon' must be a number") from None
     if payload.get("ttl_buckets") is not None:
-        try:
-            options["ttl_buckets"] = int(payload["ttl_buckets"])
-        except (TypeError, ValueError):
-            raise PayloadError("'ttl_buckets' must be an integer") from None
+        options["ttl_buckets"] = _int64(payload["ttl_buckets"], "ttl_buckets")
     unknown = set(payload) - {
         "keywords", "vector", "k", "query_id", "algorithm", "epsilon", "ttl_buckets",
     }
@@ -105,21 +133,13 @@ def parse_ingest(payload: Mapping[str, Any]) -> Tuple[List[SocialElement], int]:
     """Parse a ``POST /ingest/bucket`` body into elements and end time."""
     if "end_time" not in payload:
         raise PayloadError("'end_time' is required")
-    try:
-        end_time = int(payload["end_time"])
-    except (TypeError, ValueError):
-        raise PayloadError("'end_time' must be an integer") from None
+    end_time = _int64(payload["end_time"], "end_time")
     raw_elements = payload.get("elements", [])
     if not isinstance(raw_elements, Sequence) or isinstance(raw_elements, (str, bytes)):
         raise PayloadError("'elements' must be a list of element objects")
-    elements: List[SocialElement] = []
-    for index, entry in enumerate(raw_elements):
-        if not isinstance(entry, Mapping):
-            raise PayloadError(f"elements[{index}] must be a JSON object")
-        try:
-            elements.append(SocialElement.from_dict(dict(entry)))
-        except (KeyError, TypeError, ValueError) as error:
-            raise PayloadError(f"elements[{index}] is invalid: {error}") from None
+    elements = [
+        _element(entry, f"elements[{index}]") for index, entry in enumerate(raw_elements)
+    ]
     return elements, end_time
 
 
@@ -137,14 +157,9 @@ def parse_events(payload: Mapping[str, Any]) -> Tuple[List[SocialElement], bool]
         raise PayloadError("'events' is required")
     if not isinstance(raw_elements, Sequence) or isinstance(raw_elements, (str, bytes)):
         raise PayloadError("'events' must be a list of element objects")
-    elements: List[SocialElement] = []
-    for index, entry in enumerate(raw_elements):
-        if not isinstance(entry, Mapping):
-            raise PayloadError(f"events[{index}] must be a JSON object")
-        try:
-            elements.append(SocialElement.from_dict(dict(entry)))
-        except (KeyError, TypeError, ValueError) as error:
-            raise PayloadError(f"events[{index}] is invalid: {error}") from None
+    elements = [
+        _element(entry, f"events[{index}]") for index, entry in enumerate(raw_elements)
+    ]
     flush = payload.get("flush", False)
     if not isinstance(flush, bool):
         raise PayloadError("'flush' must be a boolean")

@@ -1,7 +1,7 @@
 """repro.streams — the event-time ingestion subsystem.
 
 Owns the path from raw, possibly out-of-order events to the committed
-buckets every execution backend consumes: pluggable stream sources
+buckets every execution backend consumes: the four named stream sources
 (:mod:`repro.streams.source`), the watermark tracker and bounded
 reordering buffer (:mod:`repro.streams.watermark`), the window-policy
 seam (re-exported from :mod:`repro.core.window_policy` — sliding,
@@ -26,7 +26,6 @@ from repro.streams.source import (
     StreamSource,
     create_source,
     inject_disorder,
-    register_source,
     source_names,
 )
 from repro.streams.watermark import (
@@ -54,6 +53,5 @@ __all__ = [
     "WindowPolicy",
     "create_source",
     "inject_disorder",
-    "register_source",
     "source_names",
 ]

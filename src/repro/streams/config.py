@@ -20,11 +20,10 @@ class StreamConfig:
     Parameters
     ----------
     source:
-        Default stream-source name resolved through the
-        :func:`~repro.streams.source.create_source` registry when the
-        engine is asked to ingest from a named source (``"memory"``,
-        ``"jsonl"``, ``"citations"``, ``"entities"``, or any name a
-        deployment registered).
+        Default stream-source name, resolved by
+        :func:`~repro.streams.source.create_source` when the engine is
+        asked to ingest from a named source: ``"memory"``, ``"jsonl"``,
+        ``"citations"`` or ``"entities"``.
     allowed_lateness:
         Bounded-disorder tolerance in **bucket units**: an element may
         arrive up to ``allowed_lateness × bucket_length`` stream-time

@@ -3,10 +3,10 @@
 A :class:`StreamSource` is anything iterable over
 :class:`~repro.core.element.SocialElement` values **in arrival order** —
 which, unlike every other stream surface in the repository, may differ
-from event-time order.  Sources are registered under canonical names
-(:func:`register_source` / :func:`create_source`), mirroring the
-execution-backend and cluster-transport registries, so deployments can
-plug in their own feeds without touching engine code.
+from event-time order.  The four built-ins below are named
+(:func:`create_source` / :func:`source_names`); any other iterable of
+elements can be handed to :meth:`~repro.api.engine.KSIREngine.ingest_source`
+as an instance.
 
 Built-ins
 ---------
@@ -64,38 +64,6 @@ class StreamSource(Protocol):
     def __iter__(self) -> Iterator[SocialElement]:
         """Yield the feed's elements in arrival order."""
         ...
-
-
-SourceFactory = Callable[..., StreamSource]
-
-_REGISTRY: Dict[str, SourceFactory] = {}
-
-
-def register_source(name: str, factory: SourceFactory) -> None:
-    """Register a stream-source factory under a canonical name.
-
-    Re-registering a name replaces the factory (useful for tests and for
-    deployments that swap in instrumented feeds).
-    """
-    _REGISTRY[name.strip().lower()] = factory
-
-
-def source_names() -> Tuple[str, ...]:
-    """The registered canonical source names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_source(name: str, **options: Any) -> StreamSource:
-    """Instantiate the source registered under ``name``."""
-    key = name.strip().lower()
-    try:
-        factory = _REGISTRY[key]
-    except KeyError as error:
-        available = ", ".join(source_names()) or "<none registered>"
-        raise ValueError(
-            f"unknown stream source {name!r}; available: {available}"
-        ) from error
-    return factory(**options)
 
 
 # -- disorder injection ----------------------------------------------------------------
@@ -444,7 +412,26 @@ class EntityDumpSource:
         )
 
 
-register_source("memory", MemorySource)
-register_source("jsonl", JsonlReplaySource)
-register_source("citations", CitationFeedSource)
-register_source("entities", EntityDumpSource)
+#: The source each canonical name builds.
+_SOURCES: Dict[str, Callable[..., StreamSource]] = {
+    "memory": MemorySource,
+    "jsonl": JsonlReplaySource,
+    "citations": CitationFeedSource,
+    "entities": EntityDumpSource,
+}
+
+
+def source_names() -> Tuple[str, ...]:
+    """The canonical source names, sorted."""
+    return tuple(sorted(_SOURCES))
+
+
+def create_source(name: str, **options: Any) -> StreamSource:
+    """Instantiate the source named ``name`` (case-insensitive)."""
+    try:
+        factory = _SOURCES[name.strip().lower()]
+    except KeyError as error:
+        raise ValueError(
+            f"unknown stream source {name!r}; available: {', '.join(source_names())}"
+        ) from error
+    return factory(**options)

@@ -14,9 +14,6 @@ from repro.api import (
     CheckpointError,
     EngineConfig,
     KSIREngine,
-    LocalBackend,
-    ServiceBackend,
-    ShardedBackend,
     read_checkpoint,
 )
 from repro.cluster import ClusterConfig, ShardWorker
@@ -69,19 +66,11 @@ CONFIGS = {
 
 def ranked_list_states(engine: KSIREngine):
     """Every ranked-list index behind an engine, as {topic: {id: score}} maps."""
-    backend = engine.backend
-    if isinstance(backend, ServiceBackend):
-        substrate = backend.engine.backend
-        processors = (
-            [worker.processor for worker in substrate.workers]
-            if hasattr(substrate, "workers")
-            else [substrate]
-        )
-    elif isinstance(backend, ShardedBackend):
-        processors = [worker.processor for worker in backend.coordinator.workers]
+    if engine.coordinator is not None:
+        processors = [worker.processor for worker in engine.coordinator.workers]
     else:
-        assert isinstance(backend, LocalBackend)
-        processors = [backend.processor]
+        assert engine.processor is not None
+        processors = [engine.processor]
     states = []
     for processor in processors:
         index = processor.ranked_lists

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import EngineConfig, KSIREngine, LocalBackend
+from repro.api import EngineConfig, KSIREngine
 from repro.core.processor import ProcessorConfig
 from repro.core.scoring import ScoringConfig
 from repro.datasets.synthetic import SyntheticStreamGenerator
@@ -51,9 +51,8 @@ class TestEquivalence:
         assert direct.active_count == facade.active_count
         assert direct.buckets_processed == facade.buckets_processed
 
-        backend = facade.backend
-        assert isinstance(backend, LocalBackend)
-        index_a, index_b = direct.ranked_lists, backend.processor.ranked_lists
+        assert facade.processor is not None
+        index_a, index_b = direct.ranked_lists, facade.processor.ranked_lists
         for topic in range(index_a.num_topics):
             assert dict(index_a.items(topic)) == dict(index_b.items(topic))
 

@@ -1,6 +1,6 @@
 """Facade tests: KSIREngine must be execution-equivalent to direct backends.
 
-The acceptance contract of the api redesign: for every registered
+The acceptance contract of the api redesign: for every
 execution backend, a ``KSIREngine`` produces *identical* ``QueryResult``s
 to constructing the underlying surface (``KSIRProcessor``,
 ``ClusterCoordinator``, ``ServiceEngine``) by hand — checked both on a
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import EngineConfig, KSIREngine, backend_names
+from repro.api import EngineConfig, KSIREngine
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.processor import KSIRProcessor, ProcessorConfig
 from repro.core.query import KSIRQuery
@@ -78,40 +78,15 @@ def suppress_deprecations():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(backend_names()) >= {"local", "sharded", "service"}
+        model, _ = build_stream(0, 4, 2, 6)
+        for name in ("local", "sharded", "service"):
+            with KSIREngine(model, EngineConfig(backend=name)) as engine:
+                assert engine.backend_name == name
+                assert engine.backend is engine
 
     def test_unknown_backend_rejected_by_config(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             EngineConfig(backend="nope")
-
-    def test_unknown_backend_rejected_by_registry(self):
-        from repro.api import create_backend
-
-        model, _ = build_stream(0, 4, 2, 6)
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            create_backend("quantum", model, EngineConfig())
-
-    def test_custom_backend_registration(self):
-        from repro.api import create_backend, register_backend
-
-        model, _ = build_stream(0, 4, 2, 6)
-        seen = {}
-
-        def factory(topic_model, config, inferencer):
-            seen["called"] = True
-            from repro.api import LocalBackend
-
-            return LocalBackend(topic_model, config, inferencer)
-
-        register_backend("custom-test", factory)
-        try:
-            backend = create_backend("custom-test", model, EngineConfig())
-            assert seen["called"]
-            assert backend.name == "local"
-        finally:
-            from repro.api.backend import _REGISTRY
-
-            _REGISTRY.pop("custom-test", None)
 
 
 instance_params = st.tuples(

@@ -14,11 +14,9 @@ from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
     TransportBackend,
-    create_transport,
-    register_transport,
     transport_names,
 )
-from repro.cluster import shard_of, transport as transport_module
+from repro.cluster import shard_of
 from repro.cluster.partition import home_filter
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
@@ -298,36 +296,14 @@ class TestTransportRegistry:
     def test_builtin_transports_are_registered(self):
         assert transport_names() == tuple(sorted(BUILT_INS))
 
-    def test_unknown_transport_is_an_error(self, paper_topic_model):
+    def test_unknown_transport_is_an_error(self):
         with pytest.raises(ValueError, match="unknown cluster transport"):
-            create_transport("carrier-pigeon", None)
+            ClusterConfig(transport="carrier-pigeon")
 
     @pytest.mark.parametrize("retired", ["shm", "thread", "SHM "])
     def test_retired_transports_are_named_as_such(self, retired):
         with pytest.raises(ValueError, match="retired in PR 16.*'serial' and 'pipe'"):
             ClusterConfig(transport=retired)
-
-    def test_third_party_registration(self, paper_topic_model):
-        calls = []
-
-        def factory(coordinator):
-            calls.append(coordinator)
-            return create_transport("serial", coordinator)
-
-        register_transport("test-custom", factory)
-        try:
-            config = ProcessorConfig(window_length=4, bucket_length=1)
-            coordinator = ClusterCoordinator(
-                paper_topic_model,
-                config,
-                cluster=ClusterConfig(num_shards=2, transport="Test-Custom"),
-            )
-            coordinator.close()
-            assert calls == [coordinator]
-        finally:
-            transport_module._REGISTRY.pop("test-custom", None)
-        with pytest.raises(ValueError, match="unknown cluster transport"):
-            ClusterConfig(transport="test-custom")
 
 
 def contract_stream():

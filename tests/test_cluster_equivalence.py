@@ -317,10 +317,10 @@ class TestTheMirrorContract:
             for members, end_time in buckets[:7]:
                 single.process_bucket(members, end_time)
                 engine.ingest_bucket(members, end_time)
-                assert_mirrors_one_node(engine.backend.coordinator, single)
+                assert_mirrors_one_node(engine.coordinator, single)
             path = engine.save(tmp_path / "ckpt")
         with KSIREngine.load(path) as loaded:
-            coordinator = loaded.backend.coordinator
+            coordinator = loaded.coordinator
             assert coordinator._records == {}
             assert_mirrors_one_node(coordinator, single)
             for members, end_time in buckets[7:]:

@@ -73,6 +73,12 @@ class TestSocialElement:
         restored = SocialElement.from_dict(payload)
         assert restored.topic_distribution is None
 
+    @pytest.mark.parametrize("tokens", ["abc", ["a", 1], [None]])
+    def test_from_dict_rejects_tokens_that_are_not_a_list_of_strings(self, tokens):
+        payload = {"element_id": 1, "timestamp": 10, "tokens": tokens}
+        with pytest.raises(ValueError, match="'tokens' must be a list of strings"):
+            SocialElement.from_dict(payload)
+
 
 class TestSocialStream:
     def test_append_in_order(self):

@@ -123,9 +123,8 @@ class TestKillWorker:
                 cluster=ClusterConfig(num_shards=2),
             ),
         )
-        backend = engine.backend
         with pytest.raises(TypeError, match="process fan-out"):
-            kill_worker(backend.coordinator, 0)
+            kill_worker(engine.coordinator, 0)
         engine.close()
 
 

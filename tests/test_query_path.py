@@ -528,9 +528,9 @@ def observed_after_every_bucket(model, elements, backend):
     observed = []
     with KSIREngine(model, config) as engine:
         if backend == "sharded":
-            processors = [w.processor for w in engine.backend.coordinator.workers]
+            processors = [w.processor for w in engine.coordinator.workers]
         else:
-            processors = [engine.backend.processor]
+            processors = [engine.processor]
         for members, end_time in bucketise(elements, 4):
             engine.ingest_bucket(members, end_time)
             for shard in processors:
@@ -710,7 +710,7 @@ class TestFollowerEdgeMemo:
             engine.ingest_bucket(members, end_time)
             resumed.append(answers(engine))
             if position % 4 == 3:
-                processor = engine.backend.processor
+                processor = engine.processor
                 assert processor._edge_memo  # warm, and about to be left behind
                 if via == "restore_state":
                     processor.restore_state(processor.state_dict())
@@ -718,7 +718,7 @@ class TestFollowerEdgeMemo:
                     engine.save(tmp_path / f"checkpoint-{position}")
                     engine.close()
                     engine = KSIREngine.load(tmp_path / f"checkpoint-{position}")
-                assert engine.backend.processor._edge_memo == {}
+                assert engine.processor._edge_memo == {}
                 assert answers(engine) == resumed[-1]
         engine.close()
         assert resumed == uninterrupted

@@ -241,6 +241,18 @@ class TestIngestAndQuery:
             == 422
         )
 
+    def test_infinite_reference_is_client_error(self, client: TestClient) -> None:
+        event = {**element(1, 1, 0), "references": [float("inf")]}
+        assert client.post("/ingest", {"events": [event]}).status == 422
+        assert client.post("/ingest/bucket", ingest_payload(1, event)).status == 422
+
+    def test_string_tokens_are_client_error(self, client: TestClient) -> None:
+        event = {"element_id": 1, "timestamp": 1, "tokens": "abc"}
+        response = client.post("/ingest", {"events": [event]})
+        assert response.status == 422
+        assert "'tokens' must be a list of strings" in response.json()["error"]
+        assert client.post("/ingest/bucket", ingest_payload(1, event)).status == 422
+
     def test_non_monotonic_ingest_is_client_error(self, client: TestClient) -> None:
         assert (
             client.post("/ingest/bucket", ingest_payload(5, element(1, 5, 0))).status
@@ -250,6 +262,50 @@ class TestIngestAndQuery:
             "/ingest/bucket", ingest_payload(3, element(2, 3, 0))
         )
         assert response.status in (400, 422)
+
+
+def _out_of_range_requests(value: object):
+    """(route, body) pairs that put ``value`` in one integer field each."""
+    bad_element = {**element(1, 1, 0)}
+    return {
+        "k": [
+            ("/query", {"vector": [1.0, 0.0], "k": value}),
+            ("/queries", {"vector": [1.0, 0.0], "k": value}),
+        ],
+        "ttl_buckets": [
+            ("/queries", {"vector": [1.0, 0.0], "k": 1, "ttl_buckets": value}),
+        ],
+        "end_time": [("/ingest/bucket", {"end_time": value, "elements": []})],
+        "element_id": [
+            ("/ingest/bucket", ingest_payload(1, {**bad_element, "element_id": value})),
+            ("/ingest", {"events": [{**bad_element, "element_id": value}]}),
+        ],
+        "timestamp": [
+            ("/ingest/bucket", ingest_payload(1, {**bad_element, "timestamp": value})),
+            ("/ingest", {"events": [{**bad_element, "timestamp": value}]}),
+        ],
+    }
+
+
+class TestOutOfRangeIntegers:
+    """Integer fields are finite and within int64, the store's column type:
+    ``inf`` used to escape as ``OverflowError`` (an uncounted 500), and a
+    ``2**70`` timestamp was accepted and later sealed buckets toward it."""
+
+    @pytest.mark.parametrize("value", [float("inf"), 2**70], ids=["inf", "2**70"])
+    @pytest.mark.parametrize(
+        "field", ["k", "ttl_buckets", "end_time", "element_id", "timestamp"]
+    )
+    def test_is_unprocessable_and_counted(self, app: KSIRServer, field, value) -> None:
+        with TestClient(app) as client:
+            for route, body in _out_of_range_requests(value)[field]:
+                response = client.post(route, body)
+                assert response.status == 422, (route, response.body)
+                assert field in response.json()["error"]
+                counted = app.store.counters()["http_requests"]
+                assert counted[f"POST {route}|422"] >= 1
+            assert client.get("/health").json()["standing_queries"] == 0
+            assert client.get("/stats").json()["stats"]["buckets_processed"] == 0
 
 
 class TestCheckpoint:

@@ -242,7 +242,7 @@ class TestColumnarWindowEquivalence:
             engine.ingest_bucket(members, end_time)
             oracle.process_bucket(members, end_time)
         assert_ranked_lists_equal(
-            engine.backend.processor.ranked_lists, oracle.ranked_lists
+            engine.processor.ranked_lists, oracle.ranked_lists
         )
 
     def test_repost_with_dropped_reference_retires_the_edge(self):
@@ -525,7 +525,7 @@ class TestArchiveHorizon:
         engine = KSIREngine(model, EngineConfig(processor=config))
         for members, end_time in bucketise(elements, 2):
             engine.ingest_bucket(members, end_time)
-        window = engine.backend.processor.window
+        window = engine.processor.window
         horizon = window._archive_horizon  # noqa: SLF001 - white-box check
         assert horizon == archive_windows * 4
         cutoff = engine.current_time - horizon
@@ -554,7 +554,7 @@ class TestArchiveHorizon:
             processor=replace(generous, archive_windows=tight_windows)
         )
         restored = KSIREngine.load(path, config=tight)
-        window = restored.backend.processor.window
+        window = restored.processor.window
         cutoff = restored.current_time - tight_windows * 4
         stale = [
             element_id
@@ -563,7 +563,7 @@ class TestArchiveHorizon:
         ]
         assert stale == [], "restore carried archived elements beyond the horizon"
         # The generous engine itself kept more history than the tight one.
-        wide_archive = engine.backend.processor.window._archive
+        wide_archive = engine.processor.window._archive
         assert len(wide_archive) > len(window._archive)
 
 

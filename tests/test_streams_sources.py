@@ -1,4 +1,4 @@
-"""Stream sources: the registry, disorder injection and the adapters."""
+"""Stream sources: the named sources, disorder injection and the adapters."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.element import SocialElement
 from repro.datasets.loaders import save_stream_jsonl
-from repro.streams import create_source, inject_disorder, register_source, source_names
+from repro.streams import create_source, inject_disorder, source_names
 from repro.streams.source import (
     CitationFeedSource,
     EntityDumpSource,
@@ -28,7 +28,7 @@ def make_element(element_id: int, timestamp: int) -> SocialElement:
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"memory", "jsonl", "citations", "entities"} <= set(source_names())
+        assert source_names() == ("citations", "entities", "jsonl", "memory")
 
     def test_create_source_resolves_case_insensitively(self):
         source = create_source("  MEMORY ", elements=[make_element(1, 5)])
@@ -38,17 +38,6 @@ class TestRegistry:
     def test_unknown_source_lists_available_names(self):
         with pytest.raises(ValueError, match="unknown stream source 'nope'"):
             create_source("nope")
-
-    def test_register_source_replaces_and_extends(self):
-        try:
-            register_source("custom-feed", lambda **kw: MemorySource(**kw))
-            assert "custom-feed" in source_names()
-            source = create_source("custom-feed", elements=[make_element(2, 7)])
-            assert [element.element_id for element in source] == [2]
-        finally:
-            from repro.streams import source as source_module
-
-            source_module._REGISTRY.pop("custom-feed", None)
 
 
 class TestInjectDisorder:
