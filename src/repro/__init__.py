@@ -76,12 +76,8 @@ from repro.streams import (
     StreamConfig,
     StreamIngestor,
     StreamMetrics,
-    StreamSource,
     WatermarkTracker,
-    WindowPolicy,
-    create_source,
     inject_disorder,
-    source_names,
 )
 from repro.topics.btm import BitermTopicModel
 from repro.topics.inference import TopicInferencer, infer_query_vector
@@ -136,7 +132,6 @@ __all__ = [
     "StreamConfig",
     "StreamIngestor",
     "StreamMetrics",
-    "StreamSource",
     "SyntheticDataset",
     "SyntheticStreamGenerator",
     "TopKRepresentative",
@@ -144,12 +139,9 @@ __all__ = [
     "TopicModel",
     "Vocabulary",
     "WatermarkTracker",
-    "WindowPolicy",
-    "create_source",
     "infer_query_vector",
     "inject_disorder",
     "make_algorithm",
-    "source_names",
     "tokenize",
     "verify_equivalence",
     "__version__",

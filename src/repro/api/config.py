@@ -24,8 +24,6 @@ from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence,
 
 from repro.cluster.coordinator import ClusterConfig, transport_names
 from repro.core.processor import ProcessorConfig
-from repro.core.scoring import ScoringConfig
-from repro.core.window_policy import WINDOW_POLICY_CHOICES
 from repro.ha.config import HAConfig
 from repro.streams.config import StreamConfig
 from repro.topics.inference import TopicInferencer
@@ -137,9 +135,8 @@ class EngineConfig:
         engine over either substrate).  CLI spellings ``"single"`` and
         ``"cluster"`` are accepted as aliases.
     processor:
-        The per-node stream-processor configuration (window length and
-        shape, bucket, scoring, defaults) — the section shard workers
-        receive, and the one place the window policy is named.
+        The per-node stream-processor configuration (window length,
+        bucket, scoring, defaults) — the section shard workers receive.
     cluster:
         The sharding configuration; ``None`` keeps single-node execution.
         A ``service`` backend with a cluster config serves its standing
@@ -157,9 +154,9 @@ class EngineConfig:
         ``None`` means supervisor defaults.  The engine itself ignores
         this section — it only travels with the configuration.
     streams:
-        Event-time ingestion tuning (default source, allowed lateness)
-        consumed by :meth:`~repro.api.engine.KSIREngine.ingest`;
-        ``None`` means in-order defaults.
+        Event-time ingestion tuning (allowed lateness) consumed by
+        :meth:`~repro.api.engine.KSIREngine.ingest`; ``None`` means in-order
+        defaults.
     """
 
     backend: str = LOCAL_BACKEND
@@ -285,7 +282,14 @@ _RETIRED_PROCESSOR_KEYS = {"store": "columnar", "batched_ingest": True}
 #: homed elements where ``shard_of`` does not; see ``_WHY_RETIRED``.
 _RETIRED_CLUSTER_KEYS = {"partitioner": "hash", "budget_scale": 1.0}
 
+#: The window shape, named in ``processor`` (and in ``streams`` by older
+#: manifests): the sliding window is the only one left; see ``_WHY_RETIRED``.
+_RETIRED_WINDOW_KEYS = {"window_policy": "sliding", "session_gap": None}
+
 _WHY_RETIRED = {
+    "window_policy": "the tumbling and session windows were removed; a k-SIR "
+    "query is defined over the paper's sliding window",
+    "session_gap": "it only configured the removed session window",
     "budget_scale": "queries read the coordinator's replica of every shard's "
     "records, so there is no candidate budget to scale",
     "mode": "Numba, the other kernel backend, was retired because it could "
@@ -310,7 +314,15 @@ def _pop_retired(section: str, keys: Mapping[str, Any], written: Dict[str, Any])
 
 
 def _retired_processor(written: Dict[str, Any]) -> None:
+    _pop_retired("processor", _RETIRED_WINDOW_KEYS, written)
     _pop_retired("processor", _RETIRED_PROCESSOR_KEYS, written)
+
+
+def _retired_streams(written: Dict[str, Any]) -> None:
+    _pop_retired("streams", _RETIRED_WINDOW_KEYS, written)
+    # The default of the removed named sources: it never changed state or
+    # answers, so any value loads.
+    written.pop("source", None)
 
 
 def _retired_cluster(written: Dict[str, Any]) -> None:
@@ -329,9 +341,7 @@ def _retired_cluster(written: Dict[str, Any]) -> None:
 
 
 def _retired_engine(written: Dict[str, Any]) -> None:
-    """Drop the ``kernels`` section, which chose the kernel backend, and fold
-    the window policy an older ``streams`` section named (its second
-    spelling) into ``processor``, the one place that names it now."""
+    """Drop the ``kernels`` section, which chose the kernel backend."""
     kernels = written.pop("kernels", {})
     if not isinstance(kernels, Mapping):
         raise ValueError(f"kernels must be a mapping of config keys, got {kernels!r}")
@@ -341,22 +351,6 @@ def _retired_engine(written: Dict[str, Any]) -> None:
     _pop_retired("kernels", {"mode": "numpy"}, kernels)
     if kernels:
         raise ValueError(f"unknown kernels keys: {', '.join(sorted(kernels))}")
-    streams, processor = written.get("streams"), written.get("processor", {})
-    if not (isinstance(streams, Mapping) and isinstance(processor, Mapping)):
-        return
-    default = ProcessorConfig()
-    sliding = {"window_policy": default.window_policy, "session_gap": default.session_gap}
-    named = {**sliding, **{key: streams[key] for key in sliding if key in streams}}
-    current = {**sliding, **{key: processor[key] for key in sliding if key in processor}}
-    if named != current and sliding not in (named, current):
-        raise ValueError(
-            "the processor and streams sections name different window "
-            f"policies ({current['window_policy']!r} vs "
-            f"{named['window_policy']!r}); configure the policy once"
-        )
-    written["streams"] = {key: streams[key] for key in streams if key not in sliding}
-    if named != sliding:
-        written["processor"] = {**processor, **named}
 
 
 _RETIRED: RetiredKeys = {
@@ -368,6 +362,7 @@ _RETIRED: RetiredKeys = {
     # The cadence of full segments in the retired delta-checkpoint chain:
     # it never changed an answer, so any value loads.
     HAConfig: lambda written: written.pop("full_every", None),
+    StreamConfig: _retired_streams,
     EngineConfig: _retired_engine,
 }
 
@@ -409,16 +404,6 @@ _FLAGS = (
     _Flag("--eta", "processor.scoring.eta", float, default=1.5),
     _Flag("--archive-windows", "processor.archive_windows", int,
           "archive retention horizon in window lengths"),
-    _Flag("--window-policy", "processor.window_policy", str,
-          "window shape driving expiry: the paper's sliding window "
-          "(default), epoch-aligned tumbling spans, or gap-based sessions",
-          choices=WINDOW_POLICY_CHOICES),
-    _Flag("--session-gap", "processor.session_gap", int,
-          "session-window gap in stream time units "
-          "(required by --window-policy session)"),
-    _Flag("--source", "streams.source", str,
-          "default stream source name for raw-event ingest "
-          "(memory, jsonl, citations or entities)"),
     _Flag("--allowed-lateness", "streams.allowed_lateness", int,
           "out-of-order tolerance of raw-event ingest, in bucket "
           "units (0 = require in-order arrival)"),

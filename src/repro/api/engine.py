@@ -41,18 +41,12 @@ from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor
 from repro.core.query import KSIRQuery, QueryResult
-from repro.core.scoring import ScoringContext
+from repro.core.scoring import ScoringContext, topic_distributions
 from repro.kernels import kernel_stats
 from repro.core.stream import SocialStream, replay_stream
 from repro.service.engine import ServiceEngine, StandingResult
 from repro.service.registry import StandingQuery
-from repro.streams import (
-    StreamConfig,
-    StreamIngestor,
-    StreamMetrics,
-    StreamSource,
-    create_source,
-)
+from repro.streams import StreamConfig, StreamIngestor, StreamMetrics
 from repro.topics.inference import TopicInferencer, infer_query_vector
 from repro.topics.model import TopicModel
 
@@ -228,9 +222,16 @@ class KSIREngine:
         and commits a bucket to the backend only once the watermark
         passes its end time.  Returns the number of buckets sealed by
         this call.  Elements later than ``allowed_lateness`` buckets are
-        dropped and counted in :meth:`stream_metrics`.
+        dropped and counted in :meth:`stream_metrics`.  A topic
+        distribution that is not ``num_topics`` probabilities raises
+        ``ValueError`` before any event of the call is buffered.
         """
         self._require_open()
+        events = list(events)
+        topic_distributions(
+            [event for event in events if event.topic_distribution is not None],
+            self._model.num_topics,
+        )
         return self._stream_ingestor().push_many(events)
 
     def ingest_flush(self) -> int:
@@ -243,37 +244,6 @@ class KSIREngine:
         """
         self._require_open()
         return self._stream_ingestor().flush()
-
-    def ingest_source(
-        self,
-        source: Union[str, StreamSource, None] = None,
-        *,
-        flush: bool = True,
-        **options: object,
-    ) -> StreamMetrics:
-        """Drain a whole :class:`~repro.streams.StreamSource` through ingest.
-
-        ``source`` is a source instance, a source name (with
-        ``options`` forwarded to its factory), or ``None`` to use the
-        configured ``streams.source`` name.  Flushes at end of feed
-        unless ``flush=False`` and returns the resulting metrics
-        snapshot.
-        """
-        self._require_open()
-        if source is None:
-            source = self._streams.source
-        if isinstance(source, str):
-            source = create_source(source, **options)
-        elif options:
-            raise ValueError(
-                "source options are only valid with a source name, "
-                "not a source instance"
-            )
-        ingestor = self._stream_ingestor()
-        ingestor.push_many(iter(source))
-        if flush:
-            ingestor.flush()
-        return ingestor.metrics()
 
     def stream_metrics(self) -> StreamMetrics:
         """The event-time ingest accounting (lateness, drops, watermark lag)."""

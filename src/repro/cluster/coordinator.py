@@ -45,7 +45,12 @@ from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery, QueryResult
 from repro.core.ranked_list import RankedListIndex
-from repro.core.scoring import ElementProfile, KSIRObjective, ScoringContext
+from repro.core.scoring import (
+    ElementProfile,
+    KSIRObjective,
+    ScoringContext,
+    topic_distributions,
+)
 from repro.core.stream import SocialStream, replay_stream
 from repro.cluster.merge import MergedCandidateContext, Records, merge_candidate_pools
 from repro.cluster.partition import RoutedBucket, ShardPlanner, home_filter
@@ -245,9 +250,12 @@ class ClusterCoordinator:
         the inferencer themselves.  The supervisor logs *prepared* elements
         so a replay after failover never re-runs inference; preparation is
         idempotent (elements that already carry a topic distribution pass
-        through untouched).
+        through untouched).  A distribution that is not ``num_topics``
+        probabilities raises here, before any shard sees the bucket.
         """
-        return self._inferencer.with_topics(elements)
+        prepared = self._inferencer.with_topics(elements)
+        topic_distributions(prepared, self._model.num_topics)
+        return prepared
 
     def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
         """Route one bucket to the shards and advance every shard window."""

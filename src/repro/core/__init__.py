@@ -4,9 +4,8 @@ This package contains the paper's primary contribution:
 
 * :mod:`repro.core.element` / :mod:`repro.core.stream` — the social element
   and social stream data model (Section 3.1).
-* :mod:`repro.core.window_policy` — the expiry-cutoff rules of the
-  time-based window (the window itself, the active set ``A_t`` and the
-  follower view live in :mod:`repro.store`).
+* the sliding window ``W_t``, the active set ``A_t`` and the follower
+  view of Section 3.1 live in :mod:`repro.store`.
 * :mod:`repro.core.scoring` — semantic, influence and combined
   representativeness scoring with incremental marginal-gain state
   (Section 3.2).

@@ -32,7 +32,6 @@ from repro.core.scoring import (
     ScoringContext,
 )
 from repro.core.stream import SocialStream, replay_stream
-from repro.core.window_policy import WindowPolicy
 from repro.kernels import delta_topic_sums
 from repro.store import ColumnarWindow, ElementStore
 from repro.topics.inference import TopicInferencer
@@ -63,16 +62,6 @@ class ProcessorConfig:
         How many window lengths of recently seen elements the archive
         retains for reference re-activation (the active-window archive
         horizon is ``archive_windows × window_length``).
-    window_policy:
-        The window shape driving expiry: ``"sliding"`` (the paper's
-        window, the default), ``"tumbling"`` (epoch-aligned fixed spans
-        of length ``window_length``) or ``"session"`` (gap-based, closed
-        by silence longer than ``session_gap``).  See
-        :mod:`repro.core.window_policy`.
-    session_gap:
-        Maximum silence between two events of one session, in stream
-        time units; required by (and exclusive to) the ``session``
-        policy.
     """
 
     window_length: int = 24 * 3600
@@ -81,8 +70,6 @@ class ProcessorConfig:
     default_algorithm: str = "mttd"
     default_epsilon: float = 0.1
     archive_windows: int = 8
-    window_policy: str = "sliding"
-    session_gap: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_positive(self.window_length, "window_length")
@@ -90,18 +77,12 @@ class ProcessorConfig:
         if self.bucket_length > self.window_length:
             raise ValueError("bucket_length must not exceed window_length")
         require_positive(self.archive_windows, "archive_windows")
-        # The policy constructor owns the name and gap/policy coupling rules.
-        self.build_window_policy()
 
     @property
     def archive_horizon(self) -> int:
         """``archive_windows × window_length``: how far back a reference
         can still re-activate its target."""
         return self.archive_windows * self.window_length
-
-    def build_window_policy(self) -> WindowPolicy:
-        """The :class:`WindowPolicy` value this configuration describes."""
-        return WindowPolicy(kind=self.window_policy, session_gap=self.session_gap)
 
     def resolve_algorithm(
         self,
@@ -151,7 +132,6 @@ class KSIRProcessor:
             self._config.window_length,
             archive_windows=self._config.archive_windows,
             store=self._store,
-            policy=self._config.build_window_policy(),
         )
         self._index = RankedListIndex(topic_model.num_topics, self._config.scoring)
         self._profiles: Dict[int, ElementProfile] = {}

@@ -140,6 +140,42 @@ class ElementProfile:
         return self.semantic_scores.get(topic, 0.0)
 
 
+def topic_distributions(elements: Sequence[SocialElement], num_topics: int) -> np.ndarray:
+    """The elements' ``p(e)`` as the rows of an ``(n, num_topics)`` array.
+
+    Every element must carry a distribution of ``num_topics`` entries,
+    each finite and within ``[0, 1]``; anything else raises ``ValueError``
+    naming the element.  An entry above one scales the element's scores
+    past any distribution's, and a wrong length breaks a later bucket's
+    stacking, so each path that accepts elements calls this before it
+    changes any state.
+    """
+    rows: List[np.ndarray] = []
+    for element in elements:
+        distribution = element.topic_distribution
+        if distribution is None:
+            raise ValueError(
+                f"element {element.element_id!r} has no topic distribution; "
+                "run topic inference before profiling"
+            )
+        if distribution.shape != (num_topics,):
+            raise ValueError(
+                f"element {element.element_id!r} topic distribution has shape "
+                f"{distribution.shape}, expected ({num_topics},)"
+            )
+        rows.append(distribution)
+    matrix = np.stack(rows) if rows else np.zeros((0, num_topics))
+    valid = np.isfinite(matrix) & (matrix >= 0.0) & (matrix <= 1.0)
+    invalid = ~valid.all(axis=1)
+    if invalid.any():
+        row = int(np.argmax(invalid))
+        raise ValueError(
+            f"element {elements[row].element_id!r} topic distribution must hold "
+            f"finite probabilities within [0, 1], got {matrix[row].tolist()}"
+        )
+    return matrix
+
+
 class ProfileBuilder:
     """Builds :class:`ElementProfile` objects against a topic model."""
 
@@ -164,18 +200,7 @@ class ProfileBuilder:
 
     def build(self, element: SocialElement) -> ElementProfile:
         """Profile one element; its topic distribution must be present."""
-        distribution = element.topic_distribution
-        if distribution is None:
-            raise ValueError(
-                f"element {element.element_id!r} has no topic distribution; "
-                "run topic inference before profiling"
-            )
-        distribution = np.asarray(distribution, dtype=float)
-        if distribution.shape != (self._model.num_topics,):
-            raise ValueError(
-                f"element {element.element_id!r} topic distribution has shape "
-                f"{distribution.shape}, expected ({self._model.num_topics},)"
-            )
+        (distribution,) = topic_distributions((element,), self._model.num_topics)
 
         vocabulary = self._model.vocabulary
         matrix = self._model.topic_word_matrix
@@ -239,28 +264,7 @@ class ProfileBuilder:
         threshold = self._config.topic_threshold
         word_id_cache = self._word_id_cache
 
-        for element in elements:
-            if element.topic_distribution is None:
-                raise ValueError(
-                    f"element {element.element_id!r} has no topic distribution; "
-                    "run topic inference before profiling"
-                )
-        try:
-            distributions = np.stack(
-                [
-                    np.asarray(element.topic_distribution, dtype=float)
-                    for element in elements
-                ]
-            )
-        except ValueError as error:
-            raise ValueError(
-                f"inconsistent topic-distribution shapes in bucket: {error}"
-            ) from None
-        if distributions.shape[1] != num_topics:
-            raise ValueError(
-                f"bucket topic distributions have {distributions.shape[1]} topics, "
-                f"expected {num_topics}"
-            )
+        distributions = topic_distributions(elements, num_topics)
 
         # In-vocabulary word ids and frequencies per element (order
         # preserved), flattened as they are collected so the numpy arrays

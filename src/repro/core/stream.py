@@ -57,8 +57,8 @@ class SocialStream:
 
     This is what lets synthetic generators and the event-time ingestion
     layer (:mod:`repro.streams`) treat ``SocialStream`` as the canonical
-    in-order view of any element set.  Arrival-order feeds live in
-    :class:`repro.streams.StreamSource`, not here.
+    in-order view of any element set.  Arrival-order events enter
+    through :meth:`repro.api.engine.KSIREngine.ingest`, not here.
     """
 
     def __init__(self, elements: Optional[Iterable[SocialElement]] = None) -> None:

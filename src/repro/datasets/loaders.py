@@ -40,8 +40,9 @@ def load_stream_jsonl(path: PathLike, *, expect_sorted: bool = False) -> SocialS
     turns such a violation into a :class:`ValueError` instead: use it
     when the file is supposed to be a canonical :func:`save_stream_jsonl`
     artefact and silent re-sorting would hide corruption.  Raw
-    arrival-order feeds belong to :class:`repro.streams.JsonlReplaySource`,
-    which preserves file order rather than sorting it.
+    arrival-order events go through
+    :meth:`repro.api.engine.KSIREngine.ingest` instead, which re-sorts
+    them into buckets under a bounded lateness.
     """
     source = Path(path)
     stream = SocialStream()

@@ -30,8 +30,11 @@ def _int64(value: Any, name: str) -> int:
 
     ``int(inf)`` raises ``OverflowError``, which is not a ``ValueError``,
     and an integer past int64 would reach the store (a far-future
-    timestamp seals every empty bucket up to it).
+    timestamp seals every empty bucket up to it).  JSON ``true`` is not a
+    number, although ``int(True)`` is 1.
     """
+    if isinstance(value, bool):
+        raise PayloadError(f"'{name}' must be an integer")
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -111,7 +114,12 @@ def parse_registration(payload: Mapping[str, Any]) -> Dict[str, Any]:
         "ttl_buckets": None,
     }
     if payload.get("query_id") is not None:
-        options["query_id"] = str(payload["query_id"])
+        query_id = str(payload["query_id"])
+        # ``/queries/{query_id}`` matches one non-empty path segment, so any
+        # other id would register a query no route can read or delete.
+        if not query_id or "/" in query_id:
+            raise PayloadError("'query_id' must be non-empty and contain no '/'")
+        options["query_id"] = query_id
     if payload.get("algorithm") is not None:
         options["algorithm"] = str(payload["algorithm"])
     if payload.get("epsilon") is not None:

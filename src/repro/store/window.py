@@ -36,7 +36,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.element import SocialElement
-from repro.core.window_policy import WindowPolicy
 from repro.store.archive import ElementArchive
 from repro.store.codec import (
     decode_followers,
@@ -56,14 +55,11 @@ class ColumnarWindow:
         archive_windows: int = 8,
         store: Optional[ElementStore] = None,
         num_topics: int = 1,
-        policy: Optional[WindowPolicy] = None,
     ) -> None:
         if window_length <= 0:
             raise ValueError("window_length must be positive")
         if archive_windows < 1:
             raise ValueError("archive_windows must be at least 1")
-        self._policy = policy if policy is not None else WindowPolicy()
-        self._tracker = self._policy.tracker(int(window_length))
         self._window_length = int(window_length)
         self._archive_horizon = int(archive_windows) * self._window_length
         self._current_time: Optional[int] = None
@@ -97,16 +93,11 @@ class ColumnarWindow:
         return self._current_time
 
     @property
-    def policy(self) -> WindowPolicy:
-        """The window policy governing the expiry cutoff."""
-        return self._policy
-
-    @property
     def window_start(self) -> Optional[int]:
-        """The earliest in-window timestamp (``t − T + 1`` when sliding)."""
+        """The earliest in-window timestamp, ``t − T + 1``."""
         if self._current_time is None:
             return None
-        return self._tracker.cutoff(self._current_time)
+        return self._current_time - self._window_length + 1
 
     # -- updates -----------------------------------------------------------------
 
@@ -122,8 +113,6 @@ class ColumnarWindow:
         """
         store = self._store
         element_id = element.element_id
-        if self._policy.stateful:
-            self._tracker.observe(element.timestamp)
         self._retire_replaced_edges(element_id)
         row = store.acquire(element_id, element.timestamp)
         store.raise_last_activity(row, element.timestamp)
@@ -184,10 +173,6 @@ class ColumnarWindow:
         to calling :meth:`insert` per element.
         """
         store = self._store
-        if self._policy.stateful:
-            self._tracker.observe_many(
-                [element.timestamp for element in elements]
-            )
         # Rows are interned for the whole bucket up front, so reference
         # resolution below must reconstruct the element-at-a-time world:
         # ids that were not live before the bucket and have not been
@@ -406,15 +391,7 @@ class ColumnarWindow:
         last_activity = np.stack(
             [ordered, store.last_activity_slice(rows)], axis=1
         ).astype(np.int64)
-        extra: Dict[str, object] = {}
-        if self._policy.kind != "sliding":
-            # Non-sliding policies carry their identity and tracker state;
-            # the sliding default writes neither so its checkpoints stay
-            # identical to every earlier release.
-            extra["window_policy"] = self._policy.to_dict()
-            extra["window_tracker"] = self._tracker.state_dict()
         return {
-            **extra,
             "window_length": self._window_length,
             "archive_horizon": self._archive_horizon,
             "current_time": self._current_time,
@@ -434,29 +411,24 @@ class ColumnarWindow:
         """Replace the window contents with a :meth:`state_dict` snapshot.
 
         The receiving window must have been constructed with the same
-        ``window_length`` and policy (the expiry semantics depend on
-        them); a mismatch raises ``ValueError`` instead of silently
-        changing behaviour.  The loaded archive is pruned to *this*
-        window's configured horizon, so a checkpoint written with a longer
-        horizon does not carry stale history into a tighter configuration.
+        ``window_length`` (the expiry semantics depend on it); a mismatch
+        raises ``ValueError`` instead of silently changing behaviour, and
+        so does the state of a tumbling or session window, which earlier
+        releases wrote under a ``window_policy`` key.  The loaded archive is
+        pruned to *this* window's configured horizon, so a checkpoint
+        written with a longer horizon does not carry stale history into a
+        tighter configuration.
         """
         if int(cast(int, state["window_length"])) != self._window_length:
             raise ValueError(
                 f"checkpoint window_length {state['window_length']} does not match "
                 f"the configured window_length {self._window_length}"
             )
-        persisted_policy = WindowPolicy.from_dict(
-            cast("Optional[Mapping[str, object]]", state.get("window_policy"))
-        )
-        if persisted_policy.kind != self._policy.kind:
+        if "window_policy" in state:
             raise ValueError(
-                f"checkpoint window policy {persisted_policy.kind!r} does not "
-                f"match the configured policy {self._policy.kind!r}"
-            )
-        tracker_state = state.get("window_tracker")
-        if tracker_state is not None:
-            self._tracker.restore_state(
-                cast("Mapping[str, object]", tracker_state)
+                f"checkpoint holds a non-sliding window ({state['window_policy']!r}): "
+                "the tumbling and session windows were retired and the sliding "
+                "window is the only one left, so its expiry state cannot be resumed"
             )
         archive_payload = cast(List[Dict[str, object]], state["archive"])
         archive = {

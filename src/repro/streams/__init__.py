@@ -1,33 +1,17 @@
 """repro.streams — the event-time ingestion subsystem.
 
 Owns the path from raw, possibly out-of-order events to the committed
-buckets every execution backend consumes: the four named stream sources
-(:mod:`repro.streams.source`), the watermark tracker and bounded
-reordering buffer (:mod:`repro.streams.watermark`), the window-policy
-seam (re-exported from :mod:`repro.core.window_policy` — sliding,
-tumbling and session windows) and the
-``streams`` section of the engine configuration
-(:mod:`repro.streams.config`).
+buckets the processor or coordinator consumes: the watermark tracker and
+bounded reordering buffer (:mod:`repro.streams.watermark`), seeded
+disorder injection for replaying a stream out of order
+(:mod:`repro.streams.source`) and the ``streams`` section of the engine
+configuration (:mod:`repro.streams.config`).  Events enter through
+:meth:`~repro.api.engine.KSIREngine.ingest` and
+:meth:`~repro.api.engine.KSIREngine.ingest_flush`.
 """
 
-from repro.core.window_policy import (
-    WINDOW_POLICY_CHOICES,
-    CutoffTracker,
-    SessionCutoff,
-    TumblingCutoff,
-    WindowPolicy,
-)
 from repro.streams.config import StreamConfig
-from repro.streams.source import (
-    CitationFeedSource,
-    EntityDumpSource,
-    JsonlReplaySource,
-    MemorySource,
-    StreamSource,
-    create_source,
-    inject_disorder,
-    source_names,
-)
+from repro.streams.source import inject_disorder
 from repro.streams.watermark import (
     BucketSink,
     StreamIngestor,
@@ -36,22 +20,10 @@ from repro.streams.watermark import (
 )
 
 __all__ = [
-    "WINDOW_POLICY_CHOICES",
     "BucketSink",
-    "CitationFeedSource",
-    "CutoffTracker",
-    "EntityDumpSource",
-    "JsonlReplaySource",
-    "MemorySource",
-    "SessionCutoff",
     "StreamConfig",
     "StreamIngestor",
     "StreamMetrics",
-    "StreamSource",
-    "TumblingCutoff",
     "WatermarkTracker",
-    "WindowPolicy",
-    "create_source",
     "inject_disorder",
-    "source_names",
 ]

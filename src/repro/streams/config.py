@@ -2,7 +2,8 @@
 
 Imports nothing but :mod:`repro.utils.config`, so
 :class:`~repro.api.config.EngineConfig` can embed a ``streams`` section
-without creating an import cycle through the source adapters.
+without an import cycle.  The window is always the paper's sliding
+``W_t``; its length is named in ``processor``, not here.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ class StreamConfig:
 
     Parameters
     ----------
-    source:
-        Default stream-source name, resolved by
-        :func:`~repro.streams.source.create_source` when the engine is
-        asked to ingest from a named source: ``"memory"``, ``"jsonl"``,
-        ``"citations"`` or ``"entities"``.
     allowed_lateness:
         Bounded-disorder tolerance in **bucket units**: an element may
         arrive up to ``allowed_lateness × bucket_length`` stream-time
@@ -34,17 +30,11 @@ class StreamConfig:
         default) means in-order input commits each bucket as soon as the
         first later-stamped element arrives — byte-identical to the
         historical pre-bucketed path.
-
-    The window shape is named in ``processor``
-    (:attr:`~repro.core.processor.ProcessorConfig.window_policy`), not here.
     """
 
-    source: str = "memory"
     allowed_lateness: int = 0
 
     def __post_init__(self) -> None:
-        if not self.source:
-            raise ValueError("source must be a non-empty name")
         if self.allowed_lateness < 0:
             raise ValueError("allowed_lateness must be >= 0")
 

@@ -5,7 +5,7 @@ procedure: the window ``W_t``, the active set ``A_t`` with its in-window
 follower sets ``I_t(e)``, and the per-topic ranked lists of ``δ_i(e)``.
 It is deliberately slow and plain — no arrays, no bulk paths, no
 checkpoints, no timers, a full-scan archive — and shares with production
-only the value types (``SocialElement``, ``WindowPolicy``, ``KSIRQuery``),
+only the value types (``SocialElement``, ``KSIRQuery``),
 the per-element primitives (``ProfileBuilder.build``,
 ``RankedListIndex.insert / refresh / remove``), ``ScoringContext`` /
 ``KSIRObjective`` and the solvers.  A re-post is a new version of its
@@ -42,20 +42,13 @@ from repro.core.scoring import (
     ScoringConfig,
     ScoringContext,
 )
-from repro.core.window_policy import WindowPolicy
 
 
 class OracleWindow:
     """``W_t``, ``A_t`` and ``I_t(e)`` on plain dicts and sets (Section 3.1)."""
 
-    def __init__(
-        self,
-        window_length: int,
-        archive_windows: int = 8,
-        policy: Optional[WindowPolicy] = None,
-    ) -> None:
-        self.policy = policy if policy is not None else WindowPolicy()
-        self._tracker = self.policy.tracker(window_length)
+    def __init__(self, window_length: int, archive_windows: int = 8) -> None:
+        self._window_length = window_length
         self._horizon = archive_windows * window_length
         self.current_time: Optional[int] = None
         self._elements: Dict[int, SocialElement] = {}  # A_t, activation order
@@ -68,8 +61,6 @@ class OracleWindow:
     def insert(self, element: SocialElement) -> Tuple[int, ...]:
         """Insert an arrival; returns the referenced parents now active."""
         element_id = element.element_id
-        if self.policy.stateful:
-            self._tracker.observe(element.timestamp)
         # A re-posted window member replaces its previous version, and the
         # edges only the old version claimed retire with it.
         previous = self._members.get(element_id)
@@ -142,7 +133,7 @@ class OracleWindow:
     def window_start(self) -> Optional[int]:
         if self.current_time is None:
             return None
-        return self._tracker.cutoff(self.current_time)
+        return self.current_time - self._window_length + 1
 
     def __contains__(self, element_id: int) -> bool:
         return element_id in self._elements
@@ -178,11 +169,10 @@ class Oracle:
         window_length: int,
         scoring: ScoringConfig,
         archive_windows: int = 8,
-        policy: Optional[WindowPolicy] = None,
         home_filter: Optional[Callable[[int], bool]] = None,
     ) -> None:
         self.scoring = scoring
-        self.window = OracleWindow(window_length, archive_windows, policy)
+        self.window = OracleWindow(window_length, archive_windows)
         self.ranked_lists = RankedListIndex(topic_model.num_topics, scoring)
         self.profiles: Dict[int, ElementProfile] = {}
         self._builder = ProfileBuilder(topic_model, scoring)
@@ -196,7 +186,6 @@ class Oracle:
             config.window_length,
             config.scoring,
             archive_windows=config.archive_windows,
-            policy=WindowPolicy(config.window_policy, config.session_gap),
             home_filter=home_filter,
         )
 

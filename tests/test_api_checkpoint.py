@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.cluster import ClusterConfig, ShardWorker
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
+from repro.streams import StreamConfig
 
 from tests.conftest import build_reference_stream
 
@@ -273,6 +275,49 @@ def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
             }
 
 
+@pytest.mark.parametrize("name", ["local", "service", "sharded", "sharded-pipe"])
+def test_checkpoint_written_before_the_window_policy_went(name, tmp_path):
+    """Older manifests name the window policy in ``processor`` and
+    ``streams`` and carry ``streams.source``; a sliding engine's checkpoint
+    loads with all three dropped and answers every later bucket, all six
+    algorithms, as the engine it was taken from.  A non-sliding manifest or
+    window state is refused, saying why."""
+    config = CONFIGS[name.replace("-pipe", "")]
+    if name == "sharded-pipe":
+        config = EngineConfig(
+            backend="sharded", processor=PROCESSOR,
+            cluster=ClusterConfig(num_shards=2, transport="pipe"),
+        )
+    config = replace(config, streams=StreamConfig(allowed_lateness=1))
+    model, elements = build_stream(seed=41)
+    buckets = buckets_of(elements)
+    query = KSIRQuery(k=4, vector=np.array([0.4, 0.3, 0.3, 0.0]))
+    engine = make_engine(model, config, query)
+    half = NUM_BUCKETS // 2
+    for members, end_time in buckets[:half]:
+        engine.ingest_bucket(members, end_time)
+    path = engine.save(tmp_path / "ckpt")
+    manifest_path = path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    written = manifest["config"]
+    written["processor"].update(window_policy="sliding", session_gap=None)
+    written["streams"].update(source="citations", window_policy="sliding", session_gap=None)
+    manifest_path.write_text(json.dumps(manifest))
+
+    with engine, KSIREngine.load(path) as resumed:
+        assert resumed.config == config
+        assert every_answer(resumed, query) == every_answer(engine, query)
+        for members, end_time in buckets[half:]:
+            for side in (engine, resumed):
+                side.ingest_bucket(members, end_time)
+            assert every_answer(resumed, query) == every_answer(engine, query)
+
+    written["processor"].update(window_policy="session", session_gap=1800)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"processor\.window_policy is no longer supported"):
+        KSIREngine.load(path)
+
+
 def test_a_delta_checkpoint_chain_is_refused_with_what_to_do(tmp_path):
     """The chain format (``CHAIN.json`` plus ``NNNNNN-full`` / ``-delta``
     segments) has no reader left; its full segments are ordinary
@@ -506,8 +551,6 @@ def test_window_length_mismatch_rejected(tmp_path):
     members, end_time = buckets_of(elements)[0]
     engine.ingest_bucket(members, end_time)
     path = engine.save(tmp_path / "ckpt")
-    from dataclasses import replace
-
     smaller = EngineConfig(
         processor=replace(PROCESSOR, window_length=NUM_BUCKETS * 4)
     )

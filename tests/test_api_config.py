@@ -204,9 +204,11 @@ class TestEngineConfig:
         assert not hasattr(config, "kernels")
 
     def test_manifest_written_before_pr19_loads(self):
-        """``service.max_workers`` and the ``streams`` spelling of the window
-        policy are gone; this is the ``config`` of a manifest the parent
-        commit wrote for a service-over-cluster engine with session windows."""
+        """``service.max_workers``, the window policy (in both sections) and
+        ``streams.source`` are gone; this is the ``config`` of a manifest an
+        older release wrote for a service-over-cluster engine.  Its
+        session-window version is refused, naming the key, and its sliding
+        twin loads."""
         manifest = {
             "backend": "service",
             "processor": {
@@ -231,24 +233,28 @@ class TestEngineConfig:
             },
             "kernels": {"mode": "auto"},
         }
+        with pytest.raises(ValueError, match=r"processor\.window_policy is no longer"):
+            EngineConfig.from_dict(manifest)
+        for section in ("processor", "streams"):
+            manifest[section].update(window_policy="sliding", session_gap=None)
+        manifest["streams"]["source"] = "citations"
         loaded = EngineConfig.from_dict(manifest)
         assert loaded == EngineConfig(
             backend="service",
-            processor=ProcessorConfig(
-                window_length=7200, bucket_length=600,
-                window_policy="session", session_gap=1800,
-            ),
+            processor=ProcessorConfig(window_length=7200, bucket_length=600),
             cluster=ClusterConfig(num_shards=2, transport="pipe"),
             service=ServiceConfig(incremental=False),
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the seven retired keys.
+        # What it writes back drops exactly the ten retired keys.
         written = loaded.to_dict()
         del manifest["ha"]["full_every"]
         del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
         del manifest["cluster"]["budget_scale"], manifest["kernels"]
-        del manifest["streams"]["window_policy"], manifest["streams"]["session_gap"]
+        for section in ("processor", "streams"):
+            del manifest[section]["window_policy"], manifest[section]["session_gap"]
+        del manifest["streams"]["source"]
         assert written == manifest
         assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
         with pytest.raises(TypeError):
@@ -409,8 +415,6 @@ class TestFromArgs:
                 default_algorithm="mttd",
                 default_epsilon=0.1,
                 archive_windows=8,
-                window_policy="sliding",
-                session_gap=None,
             ),
             cluster=None,
             service=ServiceConfig(incremental=True),
@@ -418,7 +422,7 @@ class TestFromArgs:
                 alpha=0.05, iterations=30, method="expectation", sparsity_threshold=0.05
             ),
             ha=None,
-            streams=StreamConfig(source="memory", allowed_lateness=0),
+            streams=StreamConfig(allowed_lateness=0),
         )
         sharded = EngineConfig.from_args(
             parse(["--backend", "cluster"], service=service), service=service
@@ -436,11 +440,9 @@ class TestFromArgs:
 
 class TestStreamsSection:
     def test_streams_round_trip(self):
-        config = EngineConfig(
-            streams=StreamConfig(source="jsonl", allowed_lateness=3)
-        )
+        config = EngineConfig(streams=StreamConfig(allowed_lateness=3))
         assert EngineConfig.from_dict(config.to_dict()) == config
-        assert config.to_dict()["streams"]["allowed_lateness"] == 3
+        assert config.to_dict()["streams"] == {"allowed_lateness": 3}
 
     def test_absent_streams_round_trips_to_none(self):
         config = EngineConfig()
@@ -451,43 +453,54 @@ class TestStreamsSection:
     def test_stream_config_validation(self):
         with pytest.raises(ValueError, match="allowed_lateness"):
             StreamConfig(allowed_lateness=-1)
-        with pytest.raises(ValueError, match="source"):
-            StreamConfig(source="")
-        with pytest.raises(TypeError):  # the policy is named in ``processor``
-            StreamConfig(window_policy="tumbling")  # type: ignore[call-arg]
+        for retired in ("source", "window_policy"):
+            with pytest.raises(TypeError):
+                StreamConfig(**{retired: "memory"})
         with pytest.raises(ValueError, match="unknown streams keys"):
             StreamConfig.from_dict({"lateness": 1})
 
-    def test_window_policy_is_mirrored_into_processor(self):
-        """A ``streams`` section written before PR 19 may carry the policy;
-        it is folded into ``processor``, the one place that names it."""
+    def test_streams_window_policy_loads_only_as_sliding(self):
+        """An older ``streams`` section may name the window policy: the
+        sliding one loads and is dropped, any other is refused."""
         config = EngineConfig.from_dict(
-            {"streams": {"window_policy": "session", "session_gap": 600}}
+            {"streams": {"window_policy": "sliding", "session_gap": None}}
         )
-        assert config.processor.window_policy == "session"
-        assert config.processor.session_gap == 600
         assert config.streams == StreamConfig()
-        assert set(config.to_dict()["streams"]) == {"source", "allowed_lateness"}
+        assert config.to_dict()["streams"] == {"allowed_lateness": 0}
+        for policy, gap in (("session", 600), ("tumbling", None), ("sliding", 600)):
+            key = "session_gap" if policy == "sliding" else "window_policy"
+            with pytest.raises(ValueError, match=rf"streams\.{key} is no longer"):
+                EngineConfig.from_dict(
+                    {"streams": {"window_policy": policy, "session_gap": gap}}
+                )
+
+    def test_retired_source_loads_at_any_value(self):
+        """``streams.source`` named the default of the removed stream sources;
+        it never changed state or answers, so any value loads and is dropped."""
+        for source in ("memory", "citations", "anything"):
+            config = EngineConfig.from_dict(
+                {"streams": {"source": source, "allowed_lateness": 1}}
+            )
+            assert config.streams == StreamConfig(allowed_lateness=1)
 
     def test_matching_policy_in_both_sections_is_accepted(self):
         config = EngineConfig.from_dict(
             {
-                "processor": {"window_policy": "tumbling"},
-                "streams": {"window_policy": "tumbling", "session_gap": None},
-            }
-        )
-        assert config.processor.window_policy == "tumbling"
-        # The sliding default in ``streams`` never overrides ``processor``.
-        kept = EngineConfig.from_dict(
-            {
-                "processor": {"window_policy": "tumbling"},
+                "processor": {"window_policy": "sliding", "session_gap": None},
                 "streams": {"window_policy": "sliding", "session_gap": None},
             }
         )
-        assert kept.processor.window_policy == "tumbling"
+        assert config == EngineConfig(streams=StreamConfig())
+        with pytest.raises(ValueError, match=r"processor\.window_policy is no longer"):
+            EngineConfig.from_dict(
+                {
+                    "processor": {"window_policy": "tumbling"},
+                    "streams": {"window_policy": "tumbling", "session_gap": None},
+                }
+            )
 
     def test_conflicting_policies_are_rejected(self):
-        with pytest.raises(ValueError, match="configure the policy once"):
+        with pytest.raises(ValueError, match=r"processor\.window_policy is no longer"):
             EngineConfig.from_dict(
                 {
                     "processor": {"window_policy": "tumbling"},
@@ -496,37 +509,28 @@ class TestStreamsSection:
             )
 
     def test_stream_flags_build_streams_section(self):
-        config = EngineConfig.from_args(
-            parse(
-                [
-                    "--source", "citations", "--allowed-lateness", "2",
-                    "--window-policy", "session", "--session-gap", "1800",
-                ]
-            )
-        )
-        assert config.streams == StreamConfig(source="citations", allowed_lateness=2)
-        assert config.processor.window_policy == "session"
-        assert config.processor.session_gap == 1800
+        config = EngineConfig.from_args(parse(["--allowed-lateness", "2"]))
+        assert config.streams == StreamConfig(allowed_lateness=2)
+        for retired in ("--source", "--window-policy", "--session-gap"):
+            with pytest.raises(SystemExit):
+                parse([retired, "1"])
 
     def test_stream_flag_defaults_are_inert(self):
         config = EngineConfig.from_args(parse([]))
         assert config.streams == StreamConfig()
-        assert config.processor.window_policy == "sliding"
+        assert config.processor == ProcessorConfig(
+            scoring=ScoringConfig(eta=1.5)
+        )
 
 
 # -- the round-trip property -----------------------------------------------------------
 
-_POLICIES = st.one_of(
-    st.sampled_from([("sliding", None), ("tumbling", None)]),
-    st.tuples(st.just("session"), st.integers(1, 10**6)),
-)
 _POSITIVE = st.floats(1e-6, 1e6, allow_nan=False)
 
 
 @st.composite
 def processor_configs(draw):
     window_length = draw(st.integers(1, 10**7))
-    policy, gap = draw(_POLICIES)
     return ProcessorConfig(
         window_length=window_length,
         bucket_length=draw(st.integers(1, window_length)),
@@ -538,8 +542,6 @@ def processor_configs(draw):
         default_algorithm=draw(st.sampled_from(["mttd", "mtts", "celf"])),
         default_epsilon=draw(st.floats(0.01, 0.99)),
         archive_windows=draw(st.integers(1, 64)),
-        window_policy=policy,
-        session_gap=gap,
     )
 
 
@@ -582,7 +584,6 @@ engine_configs = st.builds(
     streams=_optional(
         st.builds(
             StreamConfig,
-            source=st.text(min_size=1, max_size=12),
             allowed_lateness=st.integers(0, 100),
         )
     ),

@@ -102,8 +102,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--session-gap", "5"], "session_gap is only valid"),
-            (["--window-policy", "session"], "require a positive session_gap"),
+            (["--session-gap", "5"], "unrecognized arguments: --session-gap"),
+            (["--window-policy", "session"], "unrecognized arguments: --window-policy"),
             (["--backend", "cluster", "--shards", "0"], "num_shards must be > 0"),
             (["--window-hours", "0"], "window_length must be > 0"),
         ],

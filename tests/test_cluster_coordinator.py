@@ -142,6 +142,25 @@ class TestCoordinatorIngestion:
             # Drained: a second take returns nothing new.
             assert coordinator.take_dirty_topics() == ()
 
+    def test_a_bad_topic_distribution_reaches_no_shard(self, tiny_dataset):
+        """The bucket is refused before routing: a shard that profiled its
+        part first used to keep it while another shard refused its own."""
+        elements = list(tiny_dataset.stream.elements[:40])
+        with ClusterCoordinator(
+            tiny_dataset.topic_model,
+            TINY_CONFIG,
+            cluster=ClusterConfig(num_shards=2),
+        ) as coordinator:
+            coordinator.process_bucket(elements[:20], elements[19].timestamp)
+            states = [worker.state_dict() for worker in coordinator.workers]
+            num_topics = tiny_dataset.topic_model.num_topics
+            bad = elements[-1].with_topic_distribution(np.full(num_topics, 2.0))
+            with pytest.raises(ValueError, match="within \\[0, 1\\]"):
+                coordinator.process_bucket([*elements[20:-1], bad], elements[-1].timestamp)
+            for worker, state in zip(coordinator.workers, states):
+                assert same_state(worker.state_dict(), state)
+            assert coordinator.buckets_processed == 1
+
     def test_closed_coordinator_rejects_work(self, tiny_dataset):
         coordinator = ClusterCoordinator(
             tiny_dataset.topic_model,

@@ -307,5 +307,5 @@ class TestBatchedProcessorEquivalence:
         """Batched ingest is the only path: no config field selects another."""
         assert [field.name for field in fields(ProcessorConfig)] == [
             "window_length", "bucket_length", "scoring", "default_algorithm",
-            "default_epsilon", "archive_windows", "window_policy", "session_gap",
+            "default_epsilon", "archive_windows",
         ]

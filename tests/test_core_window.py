@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.element import SocialElement
 from repro.store import ColumnarWindow
+from tests.oracle import OracleWindow
 
 
 def make_element(element_id, timestamp, references=()):
@@ -136,6 +137,66 @@ class TestActiveWindowBasics:
         assert list(iter(window))[0].element_id == 1
         with pytest.raises(KeyError):
             window.get(42)
+
+
+class TestSlidingCutoff:
+    """``W_t`` covers ``[t − T + 1, t]``: the one window of the paper."""
+
+    def test_cutoff_trails_by_window(self):
+        window = ColumnarWindow(4)
+        assert window.window_start is None
+        window.advance_to(8)
+        assert window.window_start == 5  # W_8 = [5, 8], the paper's T = 4
+
+    def test_membership_slides(self):
+        window = ColumnarWindow(4)
+        window.insert_bucket([make_element(1, 1), make_element(2, 4)])
+        window.advance_to(4)
+        assert set(window.window_ids()) == {1, 2}
+        window.advance_to(7)
+        assert set(window.window_ids()) == {2}
+
+    def test_agrees_with_the_oracle_window(self):
+        elements = [
+            make_element(1, 2),
+            make_element(2, 4, references=(1,)),
+            make_element(3, 5),
+            make_element(4, 9, references=(3,)),
+            make_element(5, 13),
+        ]
+        reference = OracleWindow(6)
+        columnar = ColumnarWindow(6)
+        for element in elements:
+            reference.insert(element)
+            columnar.insert_bucket([element])
+            reference.advance_to(element.timestamp)
+            columnar.advance_to(element.timestamp)
+            assert set(reference.window_ids()) == set(columnar.window_ids())
+            assert set(reference.active_ids()) == set(columnar.active_ids())
+
+    def test_checkpoint_has_no_policy_keys(self):
+        window = ColumnarWindow(4)
+        window.insert_bucket([make_element(1, 2)])
+        window.advance_to(2)
+        state = window.state_dict()
+        assert "window_policy" not in state
+        assert "window_tracker" not in state
+
+    def test_checkpoint_of_a_session_window_is_refused(self):
+        """Earlier releases wrote a tumbling or session window's policy and
+        cutoff state into its checkpoint; no window here can resume them."""
+        window = ColumnarWindow(4)
+        window.insert_bucket([make_element(1, 2)])
+        window.advance_to(2)
+        state = {
+            **window.state_dict(),
+            "window_policy": {"kind": "session", "session_gap": 3},
+            "window_tracker": {"session_start": 2, "last_event": 2},
+        }
+        restored = ColumnarWindow(4)
+        with pytest.raises(ValueError, match="session windows were retired"):
+            restored.restore_state(state)
+        assert restored.current_time is None and restored.active_count == 0
 
 
 class TestPaperExampleWindow:

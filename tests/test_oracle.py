@@ -9,7 +9,7 @@ Two layers:
   context built from the *definitions* of ``W_t``, ``A_t`` and ``I_t(e)``;
 * one property holds production to the oracle after **every** bucket of
   random streams with re-posts, dangling and forward references, archive
-  re-activation, expiry and all three window policies — on the local
+  re-activation and expiry — on the local
   processor, on the home-filtered processors of a serial cluster, and
   across save → load → continue.  The same walk holds the window-resident
   follower-edge memo to its definition: whatever bucket an entry was
@@ -28,7 +28,6 @@ from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import KSIRObjective, ProfileBuilder, ScoringContext
-from repro.core.window_policy import WindowPolicy
 from tests.conftest import (
     PAPER_SCORING,
     PAPER_WINDOW_LENGTH,
@@ -131,9 +130,6 @@ BUCKETS = st.lists(
     min_size=1,
     max_size=14,
 )
-POLICIES = st.sampled_from(
-    [WindowPolicy(), WindowPolicy("tumbling"), WindowPolicy("session", session_gap=3)]
-)
 
 
 def materialise(buckets, seed):
@@ -229,14 +225,13 @@ class TestProductionEqualsOracle:
     @given(
         buckets=BUCKETS,
         seed=st.integers(0, 10_000),
-        policy=POLICIES,
         window_length=st.integers(2, 6),
         archive_windows=st.integers(1, 2),
         mode=st.sampled_from(["local", "restore", "cluster"]),
     )
     @settings(max_examples=200, deadline=None)
     def test_after_every_bucket(
-        self, buckets, seed, policy, window_length, archive_windows, mode
+        self, buckets, seed, window_length, archive_windows, mode
     ):
         model, stream = materialise(buckets, seed)
         config = ProcessorConfig(
@@ -244,8 +239,6 @@ class TestProductionEqualsOracle:
             bucket_length=1,
             scoring=PAPER_SCORING,
             archive_windows=archive_windows,
-            window_policy=policy.kind,
-            session_gap=policy.session_gap,
         )
         query = KSIRQuery(k=3, vector=np.random.default_rng(seed).dirichlet(np.ones(3)))
         if mode == "cluster":

@@ -180,6 +180,25 @@ class TestQueryCrud:
     def test_result_of_unknown_query_is_404(self, client: TestClient) -> None:
         assert client.get("/queries/unknown/result").status == 404
 
+    @pytest.mark.parametrize("query_id", ["", "a/b"], ids=["empty", "slash"])
+    def test_unroutable_query_id_is_refused(self, client: TestClient, query_id) -> None:
+        """``/queries/{query_id}`` matches one non-empty segment: such an id
+        used to register a standing query no route could read or delete."""
+        response = client.post(
+            "/queries", {"vector": [1.0, 0.0], "k": 1, "query_id": query_id}
+        )
+        assert response.status == 422
+        assert "query_id" in response.json()["error"]
+        assert client.get("/health").json()["standing_queries"] == 0
+
+    def test_boolean_k_is_refused(self, client: TestClient) -> None:
+        """``int(True)`` is 1, so ``k: true`` used to register a k = 1 query."""
+        for route in ("/query", "/queries"):
+            response = client.post(route, {"vector": [1.0, 0.0], "k": True})
+            assert response.status == 422, route
+            assert "'k' must be an integer" in response.json()["error"]
+        assert client.get("/health").json()["standing_queries"] == 0
+
 
 class TestIngestAndQuery:
     def test_ingest_reports_updated_queries(self, client: TestClient) -> None:
@@ -306,6 +325,39 @@ class TestOutOfRangeIntegers:
                 assert counted[f"POST {route}|422"] >= 1
             assert client.get("/health").json()["standing_queries"] == 0
             assert client.get("/stats").json()["stats"]["buckets_processed"] == 0
+
+
+class TestBadTopicDistribution:
+    """An element's topic distribution is ``num_topics`` finite
+    probabilities: ``[5, 0]`` used to lift its parent's answer score,
+    ``[1e308, 0]`` to overflow it, and a wrong length posted to ``/ingest``
+    to fail the next client's request and lose the bucket it sealed."""
+
+    @pytest.mark.parametrize(
+        "distribution",
+        [[5.0, 0.0], [1e308, 0.0], [1.0, 0.0, 0.0], [-0.5, 1.0], ["nan", 1.0]],
+        ids=["above-one", "huge", "wrong-length", "negative", "nan"],
+    )
+    def test_is_refused_and_changes_nothing(self, app: KSIRServer, distribution) -> None:
+        bad = {**element(2, 2, 0), "references": [1], "topic_distribution": distribution}
+        with TestClient(app) as client:
+            client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
+            stats = app.engine.stats()
+            for route, body in (
+                ("/ingest", {"events": [element(3, 2, 1), bad]}),
+                ("/ingest/bucket", ingest_payload(2, element(3, 2, 1), bad)),
+            ):
+                response = client.post(route, body)
+                assert 400 <= response.status < 500, route
+                assert "topic distribution" in response.json()["error"], route
+                assert app.engine.stats() == stats, route
+                assert app.engine.stream_metrics().events_total == 0, route
+            # The next request ingests as if the refused ones never came.
+            response = client.post(
+                "/ingest", {"events": [element(3, 2, 1), element(4, 3, 1)]}
+            )
+            assert response.status == 200
+            assert app.engine.stats()["elements_processed"] == 2
 
 
 class TestCheckpoint:

@@ -23,7 +23,7 @@ from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
 from repro.core.stream import SocialStream
-from repro.streams import MemorySource, StreamConfig, inject_disorder
+from repro.streams import StreamConfig, inject_disorder
 
 BUCKET_LENGTH = 2
 
@@ -121,37 +121,6 @@ class TestEngineIngestApi:
         sealed = engine.ingest(self.elements)
         sealed += engine.ingest_flush()
         assert sealed == engine.buckets_processed > 0
-        engine.close()
-
-    def test_ingest_source_named_with_options(self):
-        engine = self.make_engine(allowed_lateness=2)
-        metrics = engine.ingest_source(
-            "memory",
-            elements=self.elements,
-            bucket_length=BUCKET_LENGTH,
-            disorder=1.0,
-            max_delay_buckets=2,
-            seed=5,
-        )
-        assert metrics.events_total == len(self.elements)
-        assert metrics.dropped_late == 0
-        assert metrics.pending_events == 0
-        assert engine.elements_processed == len(self.elements)
-        engine.close()
-
-    def test_ingest_source_accepts_instances_but_not_their_options(self):
-        engine = self.make_engine()
-        source = MemorySource(self.elements)
-        metrics = engine.ingest_source(source)
-        assert metrics.events_total == len(self.elements)
-        with pytest.raises(ValueError, match="source options"):
-            engine.ingest_source(MemorySource(self.elements), seed=1)
-        engine.close()
-
-    def test_ingest_source_defaults_to_configured_source(self):
-        engine = self.make_engine(source="memory")
-        metrics = engine.ingest_source(elements=self.elements[:5])
-        assert metrics.events_total == 5
         engine.close()
 
     def test_stream_metrics_before_any_ingest_is_zeroed(self):

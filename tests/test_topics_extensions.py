@@ -1,11 +1,10 @@
-"""Tests for topic-model persistence, query paradigms and incremental updates."""
+"""Tests for topic-model persistence and the query paradigms."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.topics.incremental import DriftReport, IncrementalTopicModelManager
 from repro.topics.inference import (
     TopicInferencer,
     infer_document_query_vector,
@@ -13,7 +12,6 @@ from repro.topics.inference import (
     infer_query_vector,
 )
 from repro.topics.model import MatrixTopicModel
-from repro.topics.vocabulary import Vocabulary
 
 
 class TestModelPersistence:
@@ -72,104 +70,3 @@ class TestQueryParadigms:
             infer_personalized_vector(paper_topic_model, [["pl"]], decay=0.0)
         with pytest.raises(ValueError):
             infer_personalized_vector(paper_topic_model, [["pl"]], decay=1.5)
-
-
-def two_theme_corpus(theme: str, count: int = 40):
-    rng = np.random.default_rng(hash(theme) % (2**31))
-    themes = {
-        "sports": ["goal", "match", "league", "striker", "penalty", "coach"],
-        "tech": ["software", "cloud", "compiler", "kernel", "network", "database"],
-        "food": ["recipe", "chef", "flavor", "baking", "noodle", "dessert"],
-    }
-    words = themes[theme]
-    return [list(rng.choice(words, size=6)) for _ in range(count)]
-
-
-class TestIncrementalTopicModelManager:
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            IncrementalTopicModelManager(num_topics=0)
-        with pytest.raises(ValueError):
-            IncrementalTopicModelManager(num_topics=2, model_kind="bogus")
-        with pytest.raises(ValueError):
-            IncrementalTopicModelManager(num_topics=2, blend=1.5)
-
-    def test_model_unavailable_before_refresh(self):
-        manager = IncrementalTopicModelManager(num_topics=2, seed=1)
-        assert not manager.has_model
-        with pytest.raises(RuntimeError):
-            _ = manager.model
-
-    def test_refresh_requires_documents(self):
-        manager = IncrementalTopicModelManager(num_topics=2, seed=1)
-        with pytest.raises(ValueError):
-            manager.refresh()
-
-    def test_initial_training_from_buffer(self):
-        manager = IncrementalTopicModelManager(num_topics=2, iterations=15, seed=3)
-        manager.observe_many(two_theme_corpus("sports") + two_theme_corpus("tech"))
-        assert manager.needs_refresh()
-        model = manager.refresh()
-        assert manager.has_model
-        assert manager.refresh_count == 1
-        assert model.num_topics == 2
-        assert model.validate()
-
-    def test_bootstrap_from_existing_model(self, paper_topic_model):
-        manager = IncrementalTopicModelManager(num_topics=2, seed=3)
-        manager.bootstrap(paper_topic_model)
-        assert manager.has_model
-        assert manager.model is paper_topic_model
-        assert manager.refresh_count == 0
-
-    def test_drift_detection_on_new_vocabulary(self, paper_topic_model):
-        manager = IncrementalTopicModelManager(
-            num_topics=2, oov_threshold=0.3, iterations=10, seed=4
-        )
-        manager.bootstrap(paper_topic_model)
-        # Documents from a theme the paper model never saw: high OOV rate.
-        manager.observe_many(two_theme_corpus("food", count=30))
-        report = manager.drift_report()
-        assert isinstance(report, DriftReport)
-        assert report.out_of_vocabulary_rate > 0.9
-        assert manager.needs_refresh()
-
-    def test_no_drift_on_in_vocabulary_documents(self, paper_topic_model):
-        manager = IncrementalTopicModelManager(
-            num_topics=2, oov_threshold=0.3, likelihood_threshold=-50.0, seed=4
-        )
-        manager.bootstrap(paper_topic_model)
-        manager.observe_many([["pl", "champion"], ["lebron", "nbaplayoffs"]] * 10)
-        assert manager.drift_report().out_of_vocabulary_rate == 0.0
-        assert not manager.needs_refresh()
-        assert manager.maybe_refresh() is None
-
-    def test_maybe_refresh_retrains_on_drift(self, paper_topic_model):
-        manager = IncrementalTopicModelManager(
-            num_topics=2, oov_threshold=0.3, iterations=12, blend=0.0, seed=5
-        )
-        manager.bootstrap(paper_topic_model)
-        manager.observe_many(two_theme_corpus("food", count=40))
-        refreshed = manager.maybe_refresh()
-        assert refreshed is not None
-        assert manager.refresh_count == 1
-        # The refreshed model now covers the new vocabulary.
-        assert manager.drift_report().out_of_vocabulary_rate < 0.1
-
-    def test_blending_keeps_old_vocabulary(self, paper_topic_model):
-        manager = IncrementalTopicModelManager(
-            num_topics=2, iterations=12, blend=0.5, seed=6
-        )
-        manager.bootstrap(paper_topic_model)
-        manager.observe_many(two_theme_corpus("food", count=40))
-        model = manager.refresh()
-        # Old words (from the paper model) keep non-zero probability somewhere.
-        assert "lebron" in model.vocabulary
-        assert float(model.word_probabilities("lebron").sum()) > 0.0
-        assert "recipe" in model.vocabulary
-        assert model.validate()
-
-    def test_buffer_is_bounded(self):
-        manager = IncrementalTopicModelManager(num_topics=2, buffer_size=10, seed=1)
-        manager.observe_many([["word"]] * 50)
-        assert manager.buffered_documents == 10
