@@ -35,7 +35,6 @@ from repro.api import (
     EngineConfig,
     InferenceConfig,
     KSIREngine,
-    ServiceConfig,
 )
 from repro.cluster import (
     ClusterConfig,
@@ -65,7 +64,6 @@ from repro.store import ColumnarWindow, ElementStore
 from repro.datasets.profiles import DATASET_PROFILES, DatasetProfile
 from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.service import (
-    IncrementalScheduler,
     QueryRegistry,
     ServiceEngine,
     ServiceMetrics,
@@ -99,7 +97,6 @@ __all__ = [
     "EngineConfig",
     "InferenceConfig",
     "KSIREngine",
-    "ServiceConfig",
     "TransportBackend",
     "transport_names",
     "DATASET_PROFILES",
@@ -112,7 +109,6 @@ __all__ = [
     "MatrixTopicModel",
     "MTTD",
     "MTTS",
-    "IncrementalScheduler",
     "Preprocessor",
     "ProcessorConfig",
     "QueryRegistry",

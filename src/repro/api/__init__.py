@@ -8,9 +8,9 @@ standing-query service over either (``"service"``) — and persists or
 resumes full execution state through the versioned checkpoint format
 (:meth:`KSIREngine.save` / :meth:`KSIREngine.load`).
 
-* :class:`EngineConfig` / :class:`ServiceConfig` / :class:`InferenceConfig`
-  / :class:`~repro.streams.StreamConfig` — the nested configuration with ``to_dict``/``from_dict`` round-trip and
-  ``argparse`` integration;
+* :class:`EngineConfig` / :class:`InferenceConfig` /
+  :class:`~repro.streams.StreamConfig` — the nested configuration with
+  ``to_dict``/``from_dict`` round-trip and ``argparse`` integration;
 * :class:`KSIREngine` — the facade (``engine.processor`` /
   ``engine.coordinator`` / ``engine.service_engine`` reach the layer
   below);
@@ -29,7 +29,6 @@ from repro.api.config import (
     QUERY_INFERENCE,
     EngineConfig,
     InferenceConfig,
-    ServiceConfig,
     canonical_backend_name,
 )
 from repro.api.engine import KSIREngine
@@ -44,7 +43,6 @@ __all__ = [
     "InferenceConfig",
     "KSIREngine",
     "QUERY_INFERENCE",
-    "ServiceConfig",
     "StreamConfig",
     "canonical_backend_name",
     "read_checkpoint",

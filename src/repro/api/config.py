@@ -2,13 +2,13 @@
 
 One :class:`EngineConfig` describes a complete k-SIR deployment: the
 stream-processor parameters (window, bucket, scoring), the optional
-sharding layer, the standing-query serving options, the topic-inference
-settings and the execution-backend name.  It round-trips losslessly
-through plain dictionaries (:meth:`EngineConfig.to_dict` /
-:meth:`EngineConfig.from_dict`), which is what the checkpoint format and
-any JSON/YAML deployment description use, and it can be assembled from an
-``argparse`` namespace (:meth:`EngineConfig.from_args`) so every CLI
-subcommand shares one backend-wiring path instead of re-implementing it.
+sharding layer, the topic-inference settings and the execution-backend
+name.  It round-trips losslessly through plain dictionaries
+(:meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict`), which is
+what the checkpoint format and any JSON/YAML deployment description use,
+and it can be assembled from an ``argparse`` namespace
+(:meth:`EngineConfig.from_args`) so every CLI subcommand shares one
+backend-wiring path instead of re-implementing it.
 
 No key or default is spelled twice: the round-trip is :mod:`repro.utils.config`
 walking the dataclass fields, ``_RETIRED`` holds the keys earlier releases
@@ -103,27 +103,6 @@ QUERY_INFERENCE = InferenceConfig(alpha=0.05, sparsity_threshold=0.05)
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
-    """Standing-query serving options of the ``service`` backend.
-
-    ``incremental`` re-evaluates only the standing queries whose topics a
-    bucket touched; ``False`` re-runs every query on every bucket (the
-    naive baseline the comparison tests hold it to).
-    """
-
-    incremental: bool = True
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-serialisable dictionary; inverse of :meth:`from_dict`."""
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
-        """Inverse of :meth:`to_dict` (unknown keys raise ``ValueError``)."""
-        return config_from_dict(cls, payload, "service", _RETIRED)
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """One composable description of a complete k-SIR engine.
 
@@ -141,9 +120,6 @@ class EngineConfig:
         The sharding configuration; ``None`` keeps single-node execution.
         A ``service`` backend with a cluster config serves its standing
         queries over the shards.
-    service:
-        Standing-query serving options (incremental vs naive
-        maintenance); only the ``service`` backend reads them.
     inference:
         Topic-inference settings applied to both ingest and keyword
         queries; ``None`` uses the inferencer defaults (``α = 50/z``,
@@ -162,7 +138,6 @@ class EngineConfig:
     backend: str = LOCAL_BACKEND
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     cluster: Optional[ClusterConfig] = None
-    service: ServiceConfig = field(default_factory=ServiceConfig)
     inference: Optional[InferenceConfig] = None
     ha: Optional[HAConfig] = None
     streams: Optional[StreamConfig] = None
@@ -209,22 +184,14 @@ class EngineConfig:
     # -- argparse integration ----------------------------------------------------------
 
     @staticmethod
-    def add_arguments(
-        parser: argparse.ArgumentParser, service: bool = False
-    ) -> None:
+    def add_arguments(parser: argparse.ArgumentParser) -> None:
         """Install the shared engine options on an ``argparse`` parser.
 
-        One option per row of ``_FLAGS`` (the ``service.*`` rows only with
-        ``service=True``).  An option's default is its config field's
-        default unless the row states a CLI default of its own.
+        One option per row of ``_FLAGS``.  An option's default is its config
+        field's default unless the row states a CLI default of its own.
         """
         declared = EngineConfig(cluster=ClusterConfig(), streams=StreamConfig())
         for flag in _FLAGS:
-            if flag.path.startswith("service.") and not service:
-                continue
-            if flag.type is bool:
-                parser.add_argument(flag.flag, action="store_true", help=flag.help)
-                continue
             default = flag.default
             if default is None:
                 default = reduce(getattr, flag.path.split("."), declared)
@@ -256,9 +223,7 @@ class EngineConfig:
             value = given.get(flag.flag[2:].replace("-", "_"), flag.default)
             if value is None:
                 continue  # the dataclass default
-            if flag.type is bool:
-                value = not value  # a switch turns its field off
-            elif flag.scale != 1:
+            if flag.scale != 1:
                 value *= flag.scale
             *sections, key = flag.path.split(".")
             section = payload
@@ -341,7 +306,19 @@ def _retired_cluster(written: Dict[str, Any]) -> None:
 
 
 def _retired_engine(written: Dict[str, Any]) -> None:
-    """Drop the ``kernels`` section, which chose the kernel backend."""
+    """Drop the ``service`` and ``kernels`` sections.
+
+    ``service`` held the maintenance mode (``incremental``: the naive mode
+    re-ran every standing query and gave the same answers) and the
+    evaluator pool's size (``max_workers``), so any value of either loads.
+    ``kernels`` chose the kernel backend.
+    """
+    service = written.pop("service", {})
+    if not isinstance(service, Mapping):
+        raise ValueError(f"service must be a mapping of config keys, got {service!r}")
+    unknown = sorted(set(service) - {"incremental", "max_workers"})
+    if unknown:
+        raise ValueError(f"unknown service keys: {', '.join(unknown)}")
     kernels = written.pop("kernels", {})
     if not isinstance(kernels, Mapping):
         raise ValueError(f"kernels must be a mapping of config keys, got {kernels!r}")
@@ -355,9 +332,6 @@ def _retired_engine(written: Dict[str, Any]) -> None:
 
 _RETIRED: RetiredKeys = {
     ProcessorConfig: _retired_processor,
-    # The evaluator thread pool's size: every evaluation now runs in the
-    # caller's thread, with the same answers at any value this held.
-    ServiceConfig: lambda written: written.pop("max_workers", None),
     ClusterConfig: _retired_cluster,
     # The cadence of full segments in the retired delta-checkpoint chain:
     # it never changed an answer, so any value loads.
@@ -373,8 +347,7 @@ _RETIRED: RetiredKeys = {
 class _Flag(NamedTuple):
     """One shared CLI option and the ``section.key`` path of the field it sets.
 
-    ``type`` ``bool`` makes it a switch that turns the field off; ``scale``
-    is config units per flag unit (``--window-hours`` counts 3600 s);
+    ``scale`` is config units per flag unit (``--window-hours`` counts 3600 s);
     ``default`` is the CLI's own default, ``None`` = the dataclass default.
     """
 
@@ -407,7 +380,4 @@ _FLAGS = (
     _Flag("--allowed-lateness", "streams.allowed_lateness", int,
           "out-of-order tolerance of raw-event ingest, in bucket "
           "units (0 = require in-order arrival)"),
-    _Flag("--naive", "service.incremental", bool,
-          "re-run every standing query on every bucket "
-          "(disables incremental maintenance)"),
 )

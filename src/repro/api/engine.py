@@ -44,7 +44,7 @@ from repro.core.query import KSIRQuery, QueryResult
 from repro.core.scoring import ScoringContext, topic_distributions
 from repro.kernels import kernel_stats
 from repro.core.stream import SocialStream, replay_stream
-from repro.service.engine import ServiceEngine, StandingResult
+from repro.service.engine import ServiceEngine, ServiceUpdate, StandingResult
 from repro.service.registry import StandingQuery
 from repro.streams import StreamConfig, StreamIngestor, StreamMetrics
 from repro.topics.inference import TopicInferencer, infer_query_vector
@@ -98,9 +98,7 @@ class KSIREngine:
             )
         self._service_engine: Optional[ServiceEngine] = None
         if self._config.backend == SERVICE_BACKEND:
-            self._service_engine = ServiceEngine(
-                self._substrate, incremental=self._config.service.incremental
-            )
+            self._service_engine = ServiceEngine(self._substrate)
         self._streams = self._config.streams or StreamConfig()
         self._ingestor: Optional[StreamIngestor] = None
         self._closed = False
@@ -171,18 +169,24 @@ class KSIREngine:
 
     def ingest_bucket(
         self, elements: Sequence[SocialElement], end_time: int
-    ) -> None:
-        """Ingest one stream bucket ending at ``end_time``."""
-        self._require_open()
-        self._commit(elements, end_time)
+    ) -> Optional[ServiceUpdate]:
+        """Ingest one stream bucket ending at ``end_time``.
 
-    def _commit(self, elements: Sequence[SocialElement], end_time: int) -> None:
+        On the ``service`` backend, returns what the bucket changed among
+        the standing queries (the update the listeners receive); else None.
+        """
+        self._require_open()
+        return self._commit(elements, end_time)
+
+    def _commit(
+        self, elements: Sequence[SocialElement], end_time: int
+    ) -> Optional[ServiceUpdate]:
         # Looked up per call rather than bound at construction, so a wrapper
         # installed on the class later (a tracer) still sees every bucket.
         if self._service_engine is not None:
-            self._service_engine.ingest_bucket(elements, end_time)
-        else:
-            self._substrate.process_bucket(elements, end_time)
+            return self._service_engine.ingest_bucket(elements, end_time)
+        self._substrate.process_bucket(elements, end_time)
+        return None
 
     def process_stream(
         self,
@@ -325,7 +329,6 @@ class KSIREngine:
             stats["standing_queries"] = len(service.registry)
             stats["evaluations"] = service.metrics.evaluations
             stats["reused"] = service.metrics.reused
-            stats["incremental"] = service.incremental
             stats["sharded"] = self._coordinator is not None
         stats["kernels"] = kernel_stats()
         return stats

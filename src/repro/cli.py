@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--top", type=int, default=3,
                        help="standing results to print after the replay")
     serve.add_argument("--seed", type=int, default=2019)
-    EngineConfig.add_arguments(serve, service=True)
+    EngineConfig.add_arguments(serve)
 
     server = subparsers.add_parser(
         "server", help="serve standing k-SIR queries over HTTP and WebSockets"
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--http-workers", type=int, default=8,
                         help="request worker threads of the serving tier")
     server.add_argument("--seed", type=int, default=2019)
-    EngineConfig.add_arguments(server, service=True)
+    EngineConfig.add_arguments(server)
 
     bench = subparsers.add_parser(
         "bench", help="list or regenerate the paper's figures, tables and ablations"

@@ -19,8 +19,8 @@ been retrieved from one list its tuples in the other lists are skipped.
 
 The index additionally records which topics had tuples inserted, re-scored
 or removed since the last drain (:meth:`RankedListIndex.take_dirty_topics`).
-The serving layer's incremental scheduler uses this dirty-topic set to
-re-evaluate only the standing queries whose topic support actually changed.
+The serving engine uses this dirty-topic set to re-evaluate only the
+standing queries whose topic support actually changed.
 The set is bounded by the number of topics, so consumers that never drain it
 (ad-hoc query users) pay at most ``O(z)`` memory.
 """
@@ -151,8 +151,7 @@ class RankedListIndex:
 
         The result holds every topic whose list had tuples inserted,
         re-scored or removed since the previous drain.  Consumers (the
-        serving layer's incremental scheduler) call this once per ingested
-        bucket.
+        serving engine) call this once per ingested bucket.
         """
         dirty = tuple(sorted(self._dirty_topics))
         self._dirty_topics.clear()
@@ -371,7 +370,7 @@ class RankedListIndex:
         time plus its ``topic → δ_i(e)`` map) rather than re-derived from
         profiles at restore time, so a restored index is bit-identical to
         the saved one.  The dirty-topic set is saved too, because it is the
-        serving layer's incremental-scheduling state.
+        serving engine's re-evaluation state.
 
         The entries are emitted as one CSR slice — id/activity vectors
         plus flat topic/score arrays — which the checkpoint stores in its
@@ -396,7 +395,7 @@ class RankedListIndex:
         self.clear()
         self.load(decode_ranked_entries(state["entries"]))
         # Loading marked every list dirty; restore the saved set so the
-        # serving layer's scheduler resumes exactly where it left off.
+        # serving engine resumes exactly where it left off.
         self._dirty_topics = set(decode_id_list(state["dirty_topics"]))
 
     # -- traversal ----------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """``repro.ha`` — the supervised cluster runtime.
 
 High availability for the sharded k-SIR engine: heartbeat failure
-detection over process shard workers, a bucket write-ahead log, periodic
-engine checkpoints (one ordinary :meth:`~repro.api.KSIREngine.save`
-directory, repointed atomically), single-shard restore-and-replay
-recovery, live shard re-partitioning, and the fault-injection harness the
-tests and ``repro-ksir ha drill`` drive it all with.
+detection over process shard workers, an in-memory bucket write-ahead
+log, periodic engine checkpoints (one ordinary
+:meth:`~repro.api.KSIREngine.save` directory, repointed atomically),
+single-shard restore-and-replay recovery, live shard re-partitioning,
+and the fault-injection harness the tests and ``repro-ksir ha drill``
+drive it all with.
 
 Entry points
 ------------

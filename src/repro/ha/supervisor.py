@@ -4,9 +4,9 @@
 and owns its operational lifecycle:
 
 * **ingest** flows through :meth:`ingest_bucket`, which logs every
-  prepared bucket to the :class:`~repro.ha.wal.BucketWAL` *before* the
-  coordinator sees it, then takes automatic checkpoints on the configured
-  cadence;
+  prepared bucket to the in-memory :class:`~repro.ha.wal.BucketWAL`
+  *before* the coordinator sees it, then takes automatic checkpoints on
+  the configured cadence;
 * a **checkpoint** is an ordinary engine checkpoint
   (:func:`~repro.api.checkpoint.write_checkpoint`) written into a fresh
   generation directory of ``checkpoint_dir``; the ``latest`` symlink is
@@ -26,7 +26,10 @@ and owns its operational lifecycle:
   shard count (:mod:`repro.ha.rebalance`) and swaps the engine without
   stopping ingest.
 
-The supervisor requires the ``sharded`` backend.  Failure *injection*
+The WAL serves worker recovery only: it does not outlive the
+coordinator's process, so a restarted coordinator resumes from ``latest``
+without the buckets ingested after it.  The supervisor requires the
+``sharded`` backend.  Failure *injection*
 lives in :mod:`repro.ha.chaos`; this module only ever heals.
 """
 
@@ -63,7 +66,6 @@ class ClusterSupervisor:
         engine: KSIREngine,
         ha: Optional[HAConfig] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
-        wal_path: Optional[Union[str, Path]] = None,
     ) -> None:
         if engine.backend_name != SHARDED_BACKEND:
             raise TypeError(
@@ -73,7 +75,7 @@ class ClusterSupervisor:
             )
         self._engine = engine
         self._ha = ha if ha is not None else (engine.config.ha or HAConfig())
-        self._wal = BucketWAL(wal_path)
+        self._wal = BucketWAL()
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self._generation = 0
         if self._checkpoint_dir is not None and self._checkpoint_dir.is_dir():
@@ -386,7 +388,6 @@ class ClusterSupervisor:
     def close(self) -> None:
         """Stop supervision and close the engine (idempotent)."""
         self.stop()
-        self._wal.close()
         self._engine.close()
 
     def __enter__(self) -> "ClusterSupervisor":

@@ -8,19 +8,16 @@ gap`` — routing is a pure function of the logged elements
 (:meth:`repro.cluster.partition.ShardPlanner.route_bucket`), so the replayed per-shard
 buckets are the originals.
 
-The log lives in memory (the failure domain is a *worker process*; the
-coordinator process holding the WAL survives).  Passing ``path`` addition-
-ally appends each entry to a pickle stream on disk and reloads it on
-construction, which extends recovery to coordinator restarts.
+The log lives in memory only: the failure domain is a *worker process*,
+and the coordinator process holding the WAL survives it.  A restarted
+coordinator resumes from the latest checkpoint; the buckets ingested after
+it are not recovered.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.element import SocialElement
 
@@ -37,33 +34,9 @@ class WALEntry:
 class BucketWAL:
     """Append-only log of the buckets ingested since the last checkpoint."""
 
-    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
+    def __init__(self) -> None:
         self._entries: List[WALEntry] = []
         self._next_seq = 0
-        self._path = Path(path) if path is not None else None
-        self._handle: Optional[io.BufferedWriter] = None
-        if self._path is not None:
-            self._reload()
-            self._handle = open(self._path, "ab")
-
-    def _reload(self) -> None:
-        assert self._path is not None
-        if not self._path.exists():
-            return
-        with open(self._path, "r+b") as handle:
-            intact = 0
-            while True:
-                try:
-                    entry = pickle.load(handle)
-                except (EOFError, pickle.UnpicklingError, ValueError):
-                    break  # the end, or a torn tail write after `intact`
-                self._entries.append(entry)
-                intact = handle.tell()
-            # Cut the torn tail off: new entries must follow the last intact
-            # one, or the next reload would stop at the torn bytes again.
-            handle.truncate(intact)
-        if self._entries:
-            self._next_seq = self._entries[-1].seq + 1
 
     # -- the log ----------------------------------------------------------------------
 
@@ -74,9 +47,6 @@ class BucketWAL:
         )
         self._entries.append(entry)
         self._next_seq += 1
-        if self._handle is not None:
-            pickle.dump(entry, self._handle)
-            self._handle.flush()
         return entry.seq
 
     def entries_since(self, seq: int) -> List[WALEntry]:
@@ -95,9 +65,6 @@ class BucketWAL:
         """
         dropped = len(self._entries)
         self._entries.clear()
-        if self._handle is not None:
-            self._handle.truncate(0)
-            self._handle.seek(0)
         return dropped
 
     # -- accounting -------------------------------------------------------------------
@@ -117,9 +84,3 @@ class BucketWAL:
             "elements": sum(len(entry.elements) for entry in self._entries),
             "last_seq": self.last_seq,
         }
-
-    def close(self) -> None:
-        """Close the on-disk stream (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None

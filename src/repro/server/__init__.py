@@ -5,8 +5,9 @@ standard **ASGI** application (:func:`create_app`) exposing standing-query
 CRUD, on-demand top-k queries, batched stream ingest, engine
 checkpoint/restore, Prometheus ``/metrics`` and a persistent ``/telemetry``
 surface, plus a WebSocket channel (``/ws/queries/{id}``) that pushes a
-result delta whenever the incremental scheduler marks a standing query
-dirty — pushes ride the ranked lists' dirty-topic set through
+result delta whenever a bucket re-evaluates a standing query because it
+dirtied one of the query's topics — pushes ride the ranked lists'
+dirty-topic set through
 :meth:`~repro.service.engine.ServiceEngine.add_update_listener`, never
 polling.
 

@@ -32,7 +32,7 @@ touches the engine runs in a worker thread under one mutation lock; the
 event loop only shuffles bytes.  WebSocket pushes ride the
 :class:`~repro.server.hub.PushHub` wired into the service engine's
 update-listener hook — one push per (re-evaluated query × subscriber) per
-bucket, none for provably unchanged results.
+bucket, none for a query whose topics the bucket left untouched.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.server import json_codec as codec
 from repro.server.hub import PushHub
 from repro.server.metrics import render_prometheus
 from repro.server.runtime_store import RuntimeStore
-from repro.service.engine import ServiceEngine, ServiceUpdate
+from repro.service.engine import ServiceEngine
 
 #: ASGI protocol aliases (PEP 484-friendly, no external types).
 Scope = MutableMapping[str, Any]
@@ -173,7 +173,6 @@ class KSIRServer:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="ksir-http"
         )
-        self._last_update: Optional[ServiceUpdate] = None
         self._closed = False
         # Optional repro.ha supervisor (duck-typed: needs status()); used
         # by /readyz for shard health and surfaced under /telemetry.
@@ -209,10 +208,6 @@ class KSIRServer:
 
     def _wire_listeners(self, service: ServiceEngine) -> None:
         service.add_update_listener(self._hub.on_update)
-        service.add_update_listener(self._remember_update)
-
-    def _remember_update(self, update: ServiceUpdate) -> None:
-        self._last_update = update
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -563,15 +558,14 @@ async def _ingest_bucket(server: KSIRServer, request: Request) -> Response:
 
     def ingest() -> Dict[str, Any]:
         engine = server.engine
-        server._last_update = None
-        engine.ingest_bucket(elements, end_time)
-        update = server._last_update
+        update = engine.ingest_bucket(elements, end_time)
+        assert update is not None  # the server runs the service backend only
         return {
             "ingested": len(elements),
             "bucket": engine.buckets_processed,
             "time": engine.current_time,
-            "updated": sorted(update.updated) if update is not None else [],
-            "expired": sorted(update.expired) if update is not None else [],
+            "updated": sorted(update.updated),
+            "expired": sorted(update.expired),
         }
 
     summary = await server._run(ingest)

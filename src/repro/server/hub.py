@@ -3,9 +3,9 @@
 The :class:`PushHub` sits between the synchronous serving engine and the
 asynchronous WebSocket sessions.  It subscribes to
 :meth:`~repro.service.engine.ServiceEngine.add_update_listener`, so a push
-fires exactly when the incremental scheduler re-evaluated a standing query
-on an ingested bucket — the bucket's dirty topics decide, never a poll — and
-is dropped for every query the scheduler proved unchanged.
+fires exactly when the serving engine re-evaluated a standing query on an
+ingested bucket — the bucket's dirty topics decide, never a poll — and is
+dropped for every query whose topics the bucket left untouched.
 
 Engine callbacks arrive on whatever worker thread ran the ingest; each
 subscription therefore carries the event loop of its WebSocket session and

@@ -4,42 +4,38 @@
 an execution backend — a single-node
 :class:`~repro.core.processor.KSIRProcessor` or a sharded
 :class:`~repro.cluster.coordinator.ClusterCoordinator` — a
-:class:`~repro.service.registry.QueryRegistry` of standing queries, the
-:class:`~repro.service.scheduler.IncrementalScheduler` and the evaluation
-loop.  A standing query is a query: the engine programs against the surface
-both backends share (``process_bucket``, ``take_dirty_topics``, ``query``,
-the stream counters, ``state_dict`` / ``restore_state``), so an evaluation
-is the backend's own ad-hoc ``query`` — over the processor's memoised
-per-bucket snapshot on one node, by scatter-gather on ``N`` shards.
+:class:`~repro.service.registry.QueryRegistry` of standing queries and the
+evaluation loop.  A standing query is a query: the engine programs against
+the surface both backends share (``process_bucket``, ``take_dirty_topics``,
+``query``, the stream counters, ``state_dict`` / ``restore_state``), so an
+evaluation is the backend's own ad-hoc ``query`` — over the processor's
+memoised per-bucket snapshot on one node, by scatter-gather on ``N`` shards.
 Driving it is a two-step loop:
 
 1. :meth:`ingest_bucket` feeds one stream bucket to the backend, drains
-   the ranked lists' dirty-topic set, prunes TTL-expired queries, asks
-   the scheduler which standing queries are affected and re-evaluates only
-   those (the naive mode re-runs everything for comparison);
+   the ranked lists' dirty-topic set, prunes TTL-expired queries and
+   re-evaluates exactly the standing queries whose topic support meets
+   that set, plus those never evaluated yet.  ``f(S, x)`` sums over the
+   query's non-zero topics only, so no other answer can have changed;
 2. :meth:`result` / :meth:`results` read the per-query result cache, with
    staleness metadata saying how many buckets ago each answer was computed.
 
-:meth:`serve_stream` wraps the loop over a whole
-:class:`~repro.core.stream.SocialStream`, and :meth:`report` renders the
-service metrics (p50/p99 latency, pairs/sec, result-cache hit rate,
-re-eval ratio).
+:meth:`report` renders the service metrics (p50/p99 latency, pairs/sec,
+result-cache hit rate, re-eval ratio).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor
 from repro.core.query import KSIRQuery, QueryResult
-from repro.core.stream import SocialStream, replay_stream
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
-from repro.service.scheduler import IncrementalScheduler, SchedulePlan
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,8 @@ class StandingResult:
         How many times the query has been evaluated so far.
     staleness_buckets:
         Buckets ingested since the answer was computed (0 = fresh).  A
-        positive value means the scheduler proved the window changes since
-        then could not affect this query's topics — the answer is reused,
-        not recomputed.
+        positive value means no bucket since then dirtied one of this
+        query's topics — the answer is reused, not recomputed.
     """
 
     query_id: str
@@ -107,11 +102,11 @@ class ServiceUpdate:
     """What one ingested bucket changed, delivered to update listeners.
 
     The serving tier (``repro.server``) subscribes here to push WebSocket
-    deltas: ``updated`` holds the standing results the incremental
-    scheduler re-evaluated on this bucket (exactly the queries whose
-    support met the bucket's dirty topics — everything else is
-    provably unchanged and generates no push), and ``expired`` names the
-    queries dropped by TTL on this bucket.
+    deltas: ``updated`` holds the standing results re-evaluated on this
+    bucket (exactly the queries whose support met the bucket's dirty
+    topics, plus the never-evaluated ones — everything else is provably
+    unchanged and generates no push), and ``expired`` names the queries
+    dropped by TTL on this bucket.
 
     Attributes
     ----------
@@ -119,8 +114,8 @@ class ServiceUpdate:
         ``buckets_processed`` after the ingest.
     time:
         Stream time of the bucket (None before any advance).
-    plan:
-        The schedule plan that was executed.
+    dirty_topics:
+        The topics whose ranked lists the bucket changed, ascending.
     updated:
         Freshly re-evaluated standing results, keyed by query id.
     expired:
@@ -129,7 +124,7 @@ class ServiceUpdate:
 
     bucket: int
     time: Optional[int]
-    plan: SchedulePlan
+    dirty_topics: Tuple[int, ...]
     updated: Mapping[str, StandingResult] = field(default_factory=dict)
     expired: Tuple[str, ...] = ()
 
@@ -141,30 +136,15 @@ UpdateListener = Callable[[ServiceUpdate], None]
 class ServiceEngine:
     """Maintains many standing k-SIR queries over one shared sliding window."""
 
-    def __init__(
-        self,
-        backend: Union[KSIRProcessor, ClusterCoordinator],
-        registry: Optional[QueryRegistry] = None,
-        scheduler: Optional[IncrementalScheduler] = None,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, backend: Union[KSIRProcessor, ClusterCoordinator]) -> None:
         self._backend = backend
-        self._registry = registry or QueryRegistry()
-        self._scheduler = scheduler or IncrementalScheduler(
-            self._registry, backend.topic_model.num_topics
-        )
-        if self._scheduler.registry is not self._registry:
-            raise ValueError("scheduler must be bound to the engine's registry")
-        self._incremental = bool(incremental)
+        self._registry = QueryRegistry()
         self._results: Dict[str, StandingResult] = {}
         # Solver instances resolved once per standing query (algorithms are
-        # stateless across select() calls).  A supplied registry's queries
-        # are adopted as never-evaluated: the next bucket answers them.
-        self._solvers: Dict[str, KSIRAlgorithm] = {
-            standing.query_id: self._resolve_standing(standing)
-            for standing in self._registry
-        }
-        self._pending = set(self._solvers)
+        # stateless across select() calls) by register and restore_state.
+        self._solvers: Dict[str, KSIRAlgorithm] = {}
+        # Registered queries not evaluated yet: always a subset of the registry.
+        self._pending: Set[str] = set()
         self._metrics = ServiceMetrics()
         self._listeners: List[UpdateListener] = []
         self._closed = False
@@ -190,11 +170,6 @@ class ServiceEngine:
     def metrics(self) -> ServiceMetrics:
         """Accumulated service metrics."""
         return self._metrics
-
-    @property
-    def incremental(self) -> bool:
-        """Whether incremental maintenance is on (False = naive re-run-all)."""
-        return self._incremental
 
     # -- registration ----------------------------------------------------------------
 
@@ -253,14 +228,15 @@ class ServiceEngine:
 
     def ingest_bucket(
         self, elements: Sequence[SocialElement], end_time: int
-    ) -> SchedulePlan:
+    ) -> ServiceUpdate:
         """Ingest one bucket and bring the affected standing results up to date.
 
-        Returns the schedule plan that was executed (useful for inspection
-        and tests).
+        Re-evaluates, in sorted id order, exactly the standing queries whose
+        topic support meets the bucket's dirty topics plus the registered
+        ones never evaluated yet.  Returns the :class:`ServiceUpdate` the
+        update listeners receive.
         """
         self._require_open()
-        active_before = self._backend.active_count
         self._backend.process_bucket(elements, end_time)
         dirty = self._backend.take_dirty_topics()
 
@@ -273,59 +249,27 @@ class ServiceEngine:
             self._metrics.expired_queries += 1
             expired_ids.append(standing.query_id)
 
-        if self._incremental:
-            # The advance may both add and expire elements, so the expiry
-            # count is estimated from the active-set balance.
-            expired_estimate = max(
-                0, active_before + len(elements) - self._backend.active_count
-            )
-            plan = self._scheduler.plan(
-                dirty,
-                expired_elements=expired_estimate,
-                active_elements=self._backend.active_count,
-                pending_ids=tuple(self._pending),
-            )
-        else:
-            plan = SchedulePlan(
-                query_ids=tuple(sorted(self._registry.ids())),
-                full=len(self._registry) > 0,
-                reason="naive",
-                dirty_topics=dirty,
-            )
-
+        query_ids = sorted(self._registry.affected_by(dirty) | self._pending)
         with self._metrics.maintenance_timer.measure():
-            self._evaluate_many(plan.query_ids)
+            self._evaluate_many(query_ids)
 
         self._metrics.buckets += 1
-        self._metrics.evaluations += len(plan.query_ids)
-        self._metrics.reused += len(self._registry) - len(plan.query_ids)
-        if plan.full and plan.reason != "incremental":
-            self._metrics.full_reevals += 1
-        if self._listeners:
-            update = ServiceUpdate(
-                bucket=self._backend.buckets_processed,
-                time=self._backend.current_time,
-                plan=plan,
-                updated={
-                    query_id: result
-                    for query_id in plan.query_ids
-                    if (result := self.result(query_id)) is not None
-                },
-                expired=tuple(expired_ids),
-            )
-            for listener in tuple(self._listeners):
-                listener(update)
-        return plan
-
-    def serve_stream(
-        self,
-        stream: Union[SocialStream, Iterable[SocialElement]],
-        until: Optional[int] = None,
-    ) -> None:
-        """Replay a whole stream, maintaining the standing queries throughout."""
-        replay_stream(
-            stream, self._backend.config.bucket_length, self.ingest_bucket, until
+        self._metrics.evaluations += len(query_ids)
+        self._metrics.reused += len(self._registry) - len(query_ids)
+        update = ServiceUpdate(
+            bucket=bucket,
+            time=self._backend.current_time,
+            dirty_topics=tuple(dirty),
+            updated={
+                query_id: result
+                for query_id in query_ids
+                if (result := self.result(query_id)) is not None
+            },
+            expired=tuple(expired_ids),
         )
+        for listener in tuple(self._listeners):
+            listener(update)
+        return update
 
     # -- result access -------------------------------------------------------------------
 
@@ -356,16 +300,15 @@ class ServiceEngine:
         }
 
     def report(self) -> str:
-        """A human-readable service report (mode, registry size, metrics)."""
-        mode = "incremental" if self._incremental else "naive"
+        """A human-readable service report (registry size, metrics)."""
         where = (
             "single node"
             if self.processor is not None
             else f"{self._backend.num_shards}-shard cluster"
         )
         header = (
-            f"serving {len(self._registry)} standing queries ({mode} maintenance, "
-            f"{where}), {self._backend.active_count} active elements at time "
+            f"serving {len(self._registry)} standing queries ({where}), "
+            f"{self._backend.active_count} active elements at time "
             f"{self._backend.current_time}"
         )
         return header + "\n" + self._metrics.render()
@@ -388,20 +331,13 @@ class ServiceEngine:
 
     def _evaluate(self, standing: StandingQuery) -> QueryResult:
         """One standing evaluation: the backend's ad-hoc query, timed by it."""
-        solver = self._solvers.get(standing.query_id)
-        if solver is None:
-            # Query registered on the registry directly, not via the engine.
-            solver = self._solvers[standing.query_id] = self._resolve_standing(standing)
         result = self._backend.query(
-            standing.query, algorithm=solver, epsilon=standing.epsilon
+            standing.query,
+            algorithm=self._solvers[standing.query_id],
+            epsilon=standing.epsilon,
         )
         self._metrics.eval_latency.add(result.elapsed_ms / 1000.0)
         return result
-
-    def _resolve_standing(self, standing: StandingQuery) -> KSIRAlgorithm:
-        return self._backend.config.resolve_algorithm(
-            standing.algorithm, standing.epsilon
-        )
 
     # -- checkpoint state --------------------------------------------------------------------
 
@@ -416,7 +352,6 @@ class ServiceEngine:
         """
         self._require_open()
         return {
-            "incremental": self._incremental,
             "backend": self._backend.state_dict(),
             "registry": self._registry.state_dict(),
             "results": [
@@ -427,17 +362,27 @@ class ServiceEngine:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this engine."""
+        """Restore a :meth:`state_dict` snapshot onto this engine.
+
+        Other keys are ignored: older releases also wrote the maintenance
+        mode, ``incremental``, which no longer changes anything.
+        """
         self._require_open()
         self._backend.restore_state(state["backend"])
         self._registry.restore_state(state["registry"])
         self._metrics = ServiceMetrics()
         self._results = {}
         self._solvers = {
-            standing.query_id: self._resolve_standing(standing)
+            standing.query_id: self._backend.config.resolve_algorithm(
+                standing.algorithm, standing.epsilon
+            )
             for standing in self._registry
         }
-        self._pending = {str(query_id) for query_id in state["pending"]}
+        self._pending = {
+            query_id
+            for query_id in map(str, state["pending"])
+            if query_id in self._registry
+        }
         for payload in state["results"]:
             stored = StandingResult.from_dict(payload)
             if stored.query_id in self._registry:

@@ -3,7 +3,8 @@
 The serving engine distinguishes *opportunities* (query × bucket pairs: every
 registered standing query could be re-evaluated after every ingested bucket)
 from *evaluations* (the pairs actually re-run).  The gap between the two is
-what incremental maintenance buys, so the report centres on:
+what re-evaluating only the queries a bucket's dirty topics reach buys, so
+the report centres on:
 
 * the **re-eval ratio** — evaluations / opportunities;
 * the **result-cache hit rate** — the complementary fraction of pairs served
@@ -78,9 +79,6 @@ class ServiceMetrics:
         Query × bucket pairs actually re-evaluated.
     reused:
         Query × bucket pairs served from the per-query result cache.
-    full_reevals:
-        Buckets on which the scheduler fell back to re-evaluating every
-        standing query (window-expiry churn or near-total dirtiness).
     expired_queries:
         Standing queries dropped because their TTL elapsed.
     """
@@ -94,7 +92,6 @@ class ServiceMetrics:
     buckets: int = 0
     evaluations: int = 0
     reused: int = 0
-    full_reevals: int = 0
     expired_queries: int = 0
 
     # -- derived rates ----------------------------------------------------------------
@@ -106,7 +103,7 @@ class ServiceMetrics:
 
     @property
     def reeval_ratio(self) -> float:
-        """Fraction of pairs actually re-evaluated (1.0 for the naive mode)."""
+        """Fraction of pairs actually re-evaluated."""
         if self.opportunities == 0:
             return 0.0
         return self.evaluations / self.opportunities
@@ -138,8 +135,7 @@ class ServiceMetrics:
         """Standing-query results maintained per second of maintenance time.
 
         Counts every query × bucket pair (cached pairs included: keeping a
-        result fresh *or* provably unchanged is the service's unit of work),
-        so the incremental and naive modes are compared on equal footing.
+        result fresh *or* provably unchanged is the service's unit of work).
         """
         seconds = self.maintenance_seconds
         if seconds <= 0.0:
@@ -170,7 +166,6 @@ class ServiceMetrics:
             "evaluations": self.evaluations,
             "reused": self.reused,
             "opportunities": self.opportunities,
-            "full_reevals": self.full_reevals,
             "expired_queries": self.expired_queries,
             "reeval_ratio": float(self.reeval_ratio),
             "result_cache_hit_rate": float(self.result_cache_hit_rate),
@@ -195,8 +190,7 @@ class ServiceMetrics:
             ),
             (
                 f"  evaluations          {self.evaluations}"
-                f" ({self.full_reevals} full re-eval buckets,"
-                f" {self.expired_queries} queries expired by TTL)"
+                f" ({self.expired_queries} queries expired by TTL)"
             ),
             (
                 f"  eval latency         p50 {self.latency_p50_ms:.3f} ms"

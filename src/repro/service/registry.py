@@ -4,7 +4,7 @@ A :class:`StandingQuery` wraps a :class:`~repro.core.query.KSIRQuery` with
 the per-query serving options — which algorithm answers it, its ``ε`` and an
 optional TTL in buckets after which the registry drops it.  The
 :class:`QueryRegistry` keeps the standing queries plus an inverted
-topic → query-ids index, which is what lets the incremental scheduler map the
+topic → query-ids index, which is what lets the serving engine map the
 ranked lists' per-topic dirty sets to the affected queries in time
 proportional to the dirty topics rather than to the registry size.
 """
@@ -12,7 +12,7 @@ proportional to the dirty topics rather than to the registry size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.core.query import KSIRQuery
 from repro.utils.validation import require_positive
@@ -204,10 +204,6 @@ class QueryRegistry:
 
     def __iter__(self) -> Iterator[StandingQuery]:
         return iter(tuple(self._queries.values()))
-
-    def queries_on_topic(self, topic: int) -> FrozenSet[str]:
-        """Ids of the standing queries with positive interest in ``topic``."""
-        return frozenset(self._by_topic.get(topic, ()))
 
     def affected_by(self, dirty_topics: Iterable[int]) -> Set[str]:
         """Ids of the standing queries whose support meets the dirty topics."""

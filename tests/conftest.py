@@ -32,9 +32,9 @@ def build_processor(*args, **kwargs) -> KSIRProcessor:
     return KSIRProcessor(*args, **kwargs)
 
 
-def build_service_engine(substrate, **kwargs) -> ServiceEngine:
+def build_service_engine(substrate) -> ServiceEngine:
     """A raw ServiceEngine over an already-built substrate."""
-    return ServiceEngine(substrate, **kwargs)
+    return ServiceEngine(substrate)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 An orthogonal two-topic world: the word ``alpha`` (and a ``[1, 0]``
 distribution) lives purely on topic 0, ``beta`` purely on topic 1.  That
-makes scheduler relevance exact in tests — a pure topic-1 bucket can
+makes re-evaluation exact in tests — a pure topic-1 bucket can
 never affect a topic-0 standing query, so "no push" is provable rather
 than probabilistic.
 """

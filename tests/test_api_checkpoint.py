@@ -21,6 +21,7 @@ from repro.cluster import ClusterConfig, ShardWorker
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
+from repro.service import ServiceEngine
 from repro.streams import StreamConfig
 
 from tests.conftest import build_reference_stream
@@ -273,6 +274,56 @@ def test_checkpoint_written_before_the_replica(name, monkeypatch, tmp_path):
             assert {q: r.result.element_ids for q, r in resumed.results().items()} == {
                 q: r.result.element_ids for q, r in engine.results().items()
             }
+
+
+def standing_answers(engine):
+    return {
+        query_id: (r.result.element_ids, repr(r.result.score), r.evaluated_at_bucket)
+        for query_id, r in engine.results().items()
+    }
+
+
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "naive"])
+@pytest.mark.parametrize("name", ["service", "service-sharded"])
+def test_service_checkpoint_carrying_the_mode(
+    name, incremental, monkeypatch, tmp_path
+):
+    """Before the naive mode went, a service checkpoint carried the
+    maintenance mode as ``incremental`` in its service state and as the
+    manifest's ``service`` section (with the evaluator pool's
+    ``max_workers``).  Such a checkpoint loads with both ignored and
+    answers every later bucket, standing and ad hoc, all six algorithms,
+    as the engine it was taken from."""
+    config = CONFIGS[name]
+    model, elements = build_stream(seed=43)
+    buckets = buckets_of(elements)
+    query = KSIRQuery(k=4, vector=np.array([0.4, 0.3, 0.3, 0.0]))
+    written = ServiceEngine.state_dict
+
+    def with_the_mode(service):
+        return {"incremental": incremental, **written(service)}
+
+    monkeypatch.setattr(ServiceEngine, "state_dict", with_the_mode)
+    engine = make_engine(model, config, query)
+    half = NUM_BUCKETS // 2
+    for members, end_time in buckets[:half]:
+        engine.ingest_bucket(members, end_time)
+    path = engine.save(tmp_path / "ckpt")
+    monkeypatch.undo()
+    assert f'"incremental": {json.dumps(incremental)}' in (path / "state.json").read_text()
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    manifest["config"]["service"] = {"incremental": incremental, "max_workers": 2}
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
+
+    with engine, KSIREngine.load(path) as resumed:
+        assert resumed.config == config
+        assert standing_answers(resumed) == standing_answers(engine)
+        assert every_answer(resumed, query) == every_answer(engine, query)
+        for members, end_time in buckets[half:]:
+            for side in (engine, resumed):
+                side.ingest_bucket(members, end_time)
+            assert standing_answers(resumed) == standing_answers(engine)
+            assert every_answer(resumed, query) == every_answer(engine, query)
 
 
 @pytest.mark.parametrize("name", ["local", "service", "sharded", "sharded-pipe"])

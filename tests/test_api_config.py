@@ -12,7 +12,6 @@ from repro.api import (
     BACKEND_ALIASES,
     EngineConfig,
     InferenceConfig,
-    ServiceConfig,
     StreamConfig,
     canonical_backend_name,
 )
@@ -45,7 +44,6 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.backend == "local"
         assert config.cluster is None
-        assert config.service == ServiceConfig()
         assert config.inference is None
         assert not config.is_sharded
 
@@ -82,7 +80,6 @@ class TestEngineConfig:
                 transport="pipe",
                 candidate_budget=64,
             ),
-            service=ServiceConfig(incremental=False),
             inference=InferenceConfig(alpha=0.05, sparsity_threshold=0.05),
         )
         payload = config.to_dict()
@@ -243,27 +240,42 @@ class TestEngineConfig:
             backend="service",
             processor=ProcessorConfig(window_length=7200, bucket_length=600),
             cluster=ClusterConfig(num_shards=2, transport="pipe"),
-            service=ServiceConfig(incremental=False),
             ha=HAConfig(checkpoint_every=4),
             streams=StreamConfig(allowed_lateness=2),
         )
-        # What it writes back drops exactly the ten retired keys.
+        # What it writes back drops exactly the eleven retired keys.
         written = loaded.to_dict()
-        del manifest["ha"]["full_every"]
-        del manifest["service"]["max_workers"], manifest["cluster"]["partitioner"]
+        del manifest["ha"]["full_every"], manifest["service"]
+        del manifest["cluster"]["partitioner"]
         del manifest["cluster"]["budget_scale"], manifest["kernels"]
         for section in ("processor", "streams"):
             del manifest[section]["window_policy"], manifest[section]["session_gap"]
         del manifest["streams"]["source"]
         assert written == manifest
-        assert ServiceConfig.from_dict({"max_workers": 4}) == ServiceConfig()
-        with pytest.raises(TypeError):
-            ServiceConfig(max_workers=4)  # type: ignore[call-arg]
         # The chain cadence never changed an answer: any value loads.
         for full_every in (1, 100):
             assert EngineConfig.from_dict({"ha": {"full_every": full_every}}).ha == HAConfig()
         with pytest.raises(TypeError):
             HAConfig(full_every=8)  # type: ignore[call-arg]
+
+    def test_retired_service_section(self):
+        """``service`` held the naive switch and the evaluator pool's size.
+        A manifest carrying it loads, at any value of either, to the same
+        config as without it; any other key is refused, naming it."""
+        bare = EngineConfig(backend="service")
+        assert "service" not in bare.to_dict()
+        assert not hasattr(bare, "service")
+        for section in (
+            {"incremental": False, "max_workers": 2},
+            {"incremental": True},
+            {"max_workers": 8},
+            {},
+        ):
+            assert EngineConfig.from_dict({**bare.to_dict(), "service": section}) == bare
+        with pytest.raises(ValueError, match="unknown service keys: bogus"):
+            EngineConfig.from_dict({"service": {"bogus": 1}})
+        with pytest.raises(ValueError, match="unknown service keys: bogus"):
+            EngineConfig.from_dict({"service": {"incremental": False, "bogus": 1}})
 
     def test_retired_transports_cannot_be_constructed(self):
         for retired in ("shm", "thread"):
@@ -307,7 +319,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "payload, named",
         [
-            ({"service": {"incremental": "false"}}, "service.incremental"),
+            ({"service": ["incremental"]}, "service"),
             ({"ha": {"auto_restart": "no"}}, "ha.auto_restart"),
             ({"cluster": {"num_shards": 2.9}}, "cluster.num_shards"),
             ({"processor": {"window_length": True}}, "processor.window_length"),
@@ -316,8 +328,9 @@ class TestValidation:
         ],
     )
     def test_values_are_checked_against_the_field_type(self, payload, named):
-        """No silent coercion at the boundary: ``"false"`` is not a bool,
-        2.9 is not a shard count, ``True`` is not a length."""
+        """No silent coercion at the boundary: a list is not a section,
+        ``"no"`` is not a bool, 2.9 is not a shard count, ``True`` is not a
+        length."""
         with pytest.raises(ValueError, match=named.replace(".", r"\.")):
             EngineConfig.from_dict(payload)
 
@@ -330,9 +343,9 @@ class TestValidation:
         assert type(loaded.processor.default_epsilon) is float
 
 
-def parse(extra, service=False):
+def parse(extra):
     parser = argparse.ArgumentParser()
-    EngineConfig.add_arguments(parser, service=service)
+    EngineConfig.add_arguments(parser)
     return parser.parse_args(extra)
 
 
@@ -380,18 +393,15 @@ class TestFromArgs:
                 parse(["--backend", "cluster", *retired])
 
     def test_service_mode_wraps_any_backend(self):
-        config = EngineConfig.from_args(
-            parse(["--naive"], service=True), service=True
-        )
+        config = EngineConfig.from_args(parse([]), service=True)
         assert config.backend == "service"
         assert config.cluster is None
-        assert config.service == ServiceConfig(incremental=False)
         with pytest.raises(SystemExit):  # retired with the evaluator pool
-            parse(["--workers", "2"], service=True)
+            parse(["--workers", "2"])
+        with pytest.raises(SystemExit):  # retired with the naive mode
+            parse(["--naive"])
 
-        sharded = EngineConfig.from_args(
-            parse(["--backend", "cluster"], service=True), service=True
-        )
+        sharded = EngineConfig.from_args(parse(["--backend", "cluster"]), service=True)
         assert sharded.backend == "service"
         assert sharded.cluster is not None
 
@@ -405,7 +415,7 @@ class TestFromArgs:
     def test_flag_defaults_are_pinned(self, service):
         """The flags derive their defaults from the dataclasses and the
         flag table; this literal is what they must keep deriving."""
-        config = EngineConfig.from_args(parse([], service=service), service=service)
+        config = EngineConfig.from_args(parse([]), service=service)
         assert config == EngineConfig(
             backend="service" if service else "local",
             processor=ProcessorConfig(
@@ -417,16 +427,13 @@ class TestFromArgs:
                 archive_windows=8,
             ),
             cluster=None,
-            service=ServiceConfig(incremental=True),
             inference=InferenceConfig(
                 alpha=0.05, iterations=30, method="expectation", sparsity_threshold=0.05
             ),
             ha=None,
             streams=StreamConfig(allowed_lateness=0),
         )
-        sharded = EngineConfig.from_args(
-            parse(["--backend", "cluster"], service=service), service=service
-        )
+        sharded = EngineConfig.from_args(parse(["--backend", "cluster"]), service=service)
         assert sharded.cluster == ClusterConfig(
             num_shards=4, transport="serial",
             candidate_budget=None,
@@ -561,7 +568,6 @@ engine_configs = st.builds(
             candidate_budget=_optional(st.integers(1, 10**4)),
         )
     ),
-    service=st.builds(ServiceConfig, incremental=st.booleans()),
     inference=_optional(
         st.builds(
             InferenceConfig,

@@ -228,7 +228,7 @@ class TestFacadeSurface:
     def test_service_stats_are_the_substrate_stats_plus_the_serving_keys(
         self, tiny_dataset, cluster, substrate_keys
     ):
-        serving = {"standing_queries", "evaluations", "reused", "incremental", "sharded"}
+        serving = {"standing_queries", "evaluations", "reused", "sharded"}
         elements = tiny_dataset.stream.elements[:40]
         service = EngineConfig(backend="service", cluster=cluster)
         plain = EngineConfig(

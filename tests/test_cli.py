@@ -136,7 +136,7 @@ class TestServeCommand:
         assert args.profile == "tiny"
         assert args.queries == 100
         assert args.algorithm == "mttd"
-        assert not args.naive
+        assert not hasattr(args, "naive")
         assert args.ttl_buckets is None
 
     def test_serve_rejects_unknown_algorithm(self):
@@ -159,18 +159,12 @@ class TestServeCommand:
         assert "snapshot cache" not in output
         assert "q00000" in output  # sample standing results are printed
 
-    def test_serve_naive_mode(self, capsys):
-        exit_code = main(
-            [
-                "serve", "--profile", "tiny", "--queries", "5", "--k", "3",
-                "--window-hours", "3", "--bucket-minutes", "30", "--eta", "1.0",
-                "--naive", "--seed", "3",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "naive maintenance" in output
-        assert "re-eval ratio 1.000" in output
+    def test_naive_flag_is_refused(self, capsys):
+        """The naive maintenance mode is gone: argparse refuses its flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--profile", "tiny", "--queries", "5", "--naive"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --naive" in capsys.readouterr().err
 
 
 class TestServerCommand:

@@ -22,7 +22,7 @@ from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
-from repro.core.stream import SocialStream
+from repro.core.stream import SocialStream, replay_stream
 from repro.ha.rebalance import repartition_state
 from tests.conftest import PAPER_SCORING, build_processor, build_service_engine, same_state
 from tests.oracle import Oracle
@@ -274,7 +274,7 @@ class TestServiceEngineClusterBackend:
         with build_service_engine(single_processor) as engine:
             for query in queries:
                 engine.register(query, algorithm="mttd", epsilon=0.1)
-            engine.serve_stream(tiny_dataset.stream)
+            replay_stream(tiny_dataset.stream, TINY_CONFIG.bucket_length, engine.ingest_bucket)
             single_results = {
                 qid: (set(r.result.element_ids), r.result.score)
                 for qid, r in engine.results().items()
@@ -289,7 +289,7 @@ class TestServiceEngineClusterBackend:
         with coordinator, build_service_engine(coordinator) as engine:
             for query in queries:
                 engine.register(query, algorithm="mttd", epsilon=0.1)
-            engine.serve_stream(tiny_dataset.stream)
+            replay_stream(tiny_dataset.stream, TINY_CONFIG.bucket_length, engine.ingest_bucket)
             cluster_results = {
                 qid: (set(r.result.element_ids), r.result.score)
                 for qid, r in engine.results().items()

@@ -1,4 +1,4 @@
-"""Unit tests of the bucket write-ahead log (repro.ha.wal)."""
+"""Unit tests of the in-memory bucket write-ahead log (repro.ha.wal)."""
 
 from __future__ import annotations
 
@@ -66,62 +66,6 @@ class TestBucketWAL:
         wal.append(bucket(3, size=1), end_time=4)
         assert wal.stats() == {"entries": 2, "elements": 4, "last_seq": 1}
 
-    def test_file_backed_log_survives_reopen(self, tmp_path):
-        path = tmp_path / "bucket.wal"
-        first = BucketWAL(path)
-        first.append(bucket(0), end_time=2)
-        first.append(bucket(2), end_time=4)
-        first.close()
-
-        reopened = BucketWAL(path)
-        assert len(reopened) == 2
-        assert reopened.last_seq == 1
-        assert [e.element_id for e in reopened.entries_since(0)[0].elements] == [2, 3]
-        # Appends continue the persisted numbering.
-        assert reopened.append(bucket(4), end_time=6) == 2
-        reopened.close()
-
-    def test_file_backed_log_tolerates_torn_tail(self, tmp_path):
-        path = tmp_path / "bucket.wal"
-        wal = BucketWAL(path)
-        wal.append(bucket(0), end_time=2)
-        wal.append(bucket(2), end_time=4)
-        wal.close()
-        # Chop the file mid-record: the intact prefix must still load.
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 7])
-        reopened = BucketWAL(path)
-        assert len(reopened) == 1
-        assert reopened.entries_since(-1)[0].seq == 0
-        reopened.close()
-
-    @pytest.mark.parametrize("cut", range(10, 119, 12))
-    def test_appends_after_a_torn_tail_survive_the_next_reopen(self, tmp_path, cut):
-        """The torn record is cut off on reload, so entries appended after
-        it follow the last intact one instead of the torn bytes."""
-        path = tmp_path / "bucket.wal"
-        wal = BucketWAL(path)
-        for start in range(0, 6, 2):
-            wal.append(bucket(start), end_time=start + 2)
-        wal.close()
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - cut])
-        reopened = BucketWAL(path)
-        assert reopened.last_seq == 1
-        assert reopened.append(bucket(6), end_time=8) == 2
-        assert reopened.append(bucket(8), end_time=10) == 3
-        reopened.close()
-        again = BucketWAL(path)
-        assert [entry.seq for entry in again.entries_since(-1)] == [0, 1, 2, 3]
-        assert [e.element_id for e in again.entries_since(2)[0].elements] == [8, 9]
-        again.close()
-
-    def test_truncate_clears_file(self, tmp_path):
-        path = tmp_path / "bucket.wal"
-        wal = BucketWAL(path)
-        wal.append(bucket(0), end_time=2)
-        wal.truncate()
-        wal.close()
-        reopened = BucketWAL(path)
-        assert len(reopened) == 0
-        reopened.close()
+    def test_the_log_is_memory_only(self):
+        with pytest.raises(TypeError):
+            BucketWAL("bucket.wal")  # type: ignore[call-arg]

@@ -1,9 +1,8 @@
 """WebSocket push channel of the serving tier.
 
 The contract under test: a subscriber receives a delta within the same
-ingest call whenever the incremental scheduler re-evaluated its standing
-query — and receives *nothing* for a bucket the scheduler proved
-irrelevant.  The orthogonal two-topic model makes "irrelevant" exact: a
+ingest call whenever the serving engine re-evaluated its standing query —
+and receives *nothing* for a bucket whose dirty topics miss the query's.  The orthogonal two-topic model makes "irrelevant" exact: a
 pure topic-1 bucket can never touch a pure topic-0 query.
 """
 

@@ -12,14 +12,12 @@ from repro.core.algorithms import ALGORITHM_REGISTRY
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import ScoringConfig
-from repro.core.stream import SocialStream
+from repro.core.element import SocialElement
 from repro.datasets.profiles import get_profile
 from repro.datasets.synthetic import SyntheticStreamGenerator
-from repro.service import (
-    IncrementalScheduler,
-    QueryRegistry,
-    ServiceEngine,
-)
+from repro.service import ServiceEngine
+from repro.topics.model import MatrixTopicModel
+from repro.topics.vocabulary import Vocabulary
 from tests.conftest import (
     PAPER_SCORING,
     PAPER_WINDOW_LENGTH,
@@ -87,52 +85,100 @@ class TestSnapshotCache:
             assert engine.processor.snapshot_builds == 3
 
 
-class TestIncrementalScheduler:
-    def _registry(self) -> QueryRegistry:
-        registry = QueryRegistry()
-        registry.register(make_query(1.0, 0.0), query_id="on-0")
-        registry.register(make_query(0.0, 1.0), query_id="on-1")
-        return registry
+#: Topics of the orthogonal world below: topic ``t`` owns two words of its own.
+ORTHOGONAL_TOPICS = 4
 
-    def test_only_affected_queries_planned(self):
-        scheduler = IncrementalScheduler(self._registry(), num_topics=8)
-        plan = scheduler.plan([1], active_elements=100)
-        assert plan.query_ids == ("on-1",)
-        assert not plan.full
-        assert plan.reason == "incremental"
+
+def orthogonal_engine() -> ServiceEngine:
+    """A service engine whose buckets dirty exactly the topics they name.
+
+    Every word lives on one topic and an element carries a one-hot topic
+    distribution without references, so it enters the ranked list of its
+    own topic only; the window outlives every test, so nothing expires.
+    """
+    words = [f"t{topic}w{i}" for topic in range(ORTHOGONAL_TOPICS) for i in range(2)]
+    matrix = np.zeros((ORTHOGONAL_TOPICS, len(words)))
+    for topic in range(ORTHOGONAL_TOPICS):
+        matrix[topic, 2 * topic : 2 * topic + 2] = (0.6, 0.4)
+    model = MatrixTopicModel(Vocabulary(words), matrix, normalize=False)
+    config = ProcessorConfig(
+        window_length=1000, bucket_length=1, scoring=ScoringConfig(eta=1.0)
+    )
+    return build_service_engine(build_processor(model, config))
+
+
+def on_topics(end_time: int, *topics: int):
+    """One bucket holding one element on each of ``topics``."""
+    return [
+        SocialElement(
+            element_id=100 * end_time + topic,
+            timestamp=end_time,
+            tokens=(f"t{topic}w0", f"t{topic}w1"),
+            references=(),
+            topic_distribution=np.eye(ORTHOGONAL_TOPICS)[topic],
+        )
+        for topic in topics
+    ]
+
+
+def on_topic(topic: int) -> KSIRQuery:
+    return KSIRQuery(k=2, vector=np.eye(ORTHOGONAL_TOPICS)[topic])
+
+
+class TestReevaluationRule:
+    """A bucket re-evaluates exactly the queries its dirty topics reach,
+    plus the registered ones never evaluated yet."""
+
+    def test_a_mostly_dirty_bucket_spares_the_other_queries(self):
+        with orthogonal_engine() as engine:
+            for topic in range(ORTHOGONAL_TOPICS):
+                engine.register(on_topic(topic), query_id=f"on-{topic}")
+            engine.ingest_bucket(on_topics(1, 0, 1, 2, 3), end_time=1)
+            update = engine.ingest_bucket(on_topics(2, 0, 1, 2), end_time=2)
+            untouched = engine.result("on-3")
+            assert untouched.evaluated_at_bucket == 1
+            assert untouched.staleness_buckets == 1
+            for topic in range(3):
+                assert engine.result(f"on-{topic}").evaluated_at_bucket == 2
+            assert engine.metrics.evaluations == 4 + 3
+            assert engine.metrics.reused == 1
+            assert update.dirty_topics == (0, 1, 2)  # 75 % of the topics
+            assert sorted(update.updated) == ["on-0", "on-1", "on-2"]
+
+    def test_only_affected_queries_reevaluated(self):
+        with orthogonal_engine() as engine:
+            engine.register(on_topic(0), query_id="on-0")
+            engine.register(on_topic(1), query_id="on-1")
+            first = engine.ingest_bucket(on_topics(1, 0, 1), end_time=1)
+            assert sorted(first.updated) == ["on-0", "on-1"]
+            update = engine.ingest_bucket(on_topics(2, 1), end_time=2)
+            assert update.dirty_topics == (1,)
+            assert list(update.updated) == ["on-1"]
+            assert engine.result("on-0").evaluated_at_bucket == 1
 
     def test_pending_queries_always_included(self):
-        scheduler = IncrementalScheduler(self._registry(), num_topics=8)
-        plan = scheduler.plan([], pending_ids=("on-0",), active_elements=100)
-        assert plan.query_ids == ("on-0",)
+        with orthogonal_engine() as engine:
+            engine.ingest_bucket(on_topics(1, 0), end_time=1)
+            engine.register(on_topic(0), query_id="on-0")
+            update = engine.ingest_bucket(on_topics(2, 1), end_time=2)
+            assert update.dirty_topics == (1,)
+            assert list(update.updated) == ["on-0"]
 
     def test_pending_ids_no_longer_registered_are_dropped(self):
-        scheduler = IncrementalScheduler(self._registry(), num_topics=8)
-        plan = scheduler.plan([], pending_ids=("gone",), active_elements=100)
-        assert plan.query_ids == ()
+        with orthogonal_engine() as engine:
+            engine.register(on_topic(0), query_id="gone")
+            assert engine.unregister("gone")
+            update = engine.ingest_bucket(on_topics(1, 0), end_time=1)
+            assert update.updated == {}
+            assert engine.result("gone") is None
+            assert engine.metrics.evaluations == 0
 
-    def test_expiry_churn_falls_back_to_full(self):
-        scheduler = IncrementalScheduler(
-            self._registry(), num_topics=8, expiry_churn_fraction=0.5
-        )
-        plan = scheduler.plan([], expired_elements=60, active_elements=100)
-        assert plan.full
-        assert plan.reason == "expiry-churn"
-        assert plan.query_ids == ("on-0", "on-1")
-
-    def test_dirty_fraction_falls_back_to_full(self):
-        scheduler = IncrementalScheduler(
-            self._registry(), num_topics=4, dirty_fraction_fallback=0.75
-        )
-        plan = scheduler.plan([0, 1, 2], active_elements=100)
-        assert plan.full
-        assert plan.reason == "dirty-fraction"
-
-    def test_empty_registry_plans_nothing(self):
-        scheduler = IncrementalScheduler(QueryRegistry(), num_topics=8)
-        plan = scheduler.plan([0, 1], expired_elements=100, active_elements=1)
-        assert plan.query_ids == ()
-        assert not plan.full
+    def test_empty_registry_evaluates_nothing(self):
+        with orthogonal_engine() as engine:
+            update = engine.ingest_bucket(on_topics(1, 0, 1, 2, 3), end_time=1)
+            assert update.dirty_topics == (0, 1, 2, 3)
+            assert update.updated == {}
+            assert engine.metrics.opportunities == 0
 
 
 class TestServiceEngineBasics:
@@ -140,19 +186,6 @@ class TestServiceEngineBasics:
         with paper_engine() as engine:
             with pytest.raises(ValueError):
                 engine.register(make_query(0.2, 0.3, 0.5))
-
-    def test_externally_populated_registry_is_adopted(self):
-        registry = QueryRegistry()
-        registry.register(make_query(0.5, 0.5), query_id="external", algorithm="celf")
-        config = ProcessorConfig(
-            window_length=PAPER_WINDOW_LENGTH, bucket_length=1, scoring=PAPER_SCORING
-        )
-        processor = build_processor(build_paper_topic_model(), config)
-        with build_service_engine(processor, registry=registry) as engine:
-            engine.ingest_bucket([build_paper_elements()[0]], end_time=1)
-            result = engine.result("external")
-            assert result is not None
-            assert result.result.algorithm == "celf"
 
     def test_register_with_unknown_algorithm_leaves_no_orphan(self):
         with paper_engine() as engine:
@@ -245,27 +278,30 @@ class TestServiceEngineBasics:
             engine.ingest_bucket([], end_time=1)
         engine.close()  # idempotent
 
-    def test_naive_mode_reevaluates_everything(self):
-        with paper_engine(incremental=False) as engine:
-            engine.register(make_query(1.0, 0.0))
-            engine.register(make_query(0.0, 1.0))
-            replay_paper(engine)
-            metrics = engine.metrics
-            assert metrics.reeval_ratio == 1.0
-            assert metrics.evaluations == metrics.opportunities == 16
-
-    def test_serve_stream_equivalent_to_manual_buckets(self):
+    def test_answers_equal_a_twin_processors_queries(self):
+        """After every bucket, each standing answer is what an ad-hoc query
+        on a twin processor gave at the bucket the answer was computed."""
+        queries = {"sports": make_query(1.0, 0.0), "soccer": make_query(0.0, 1.0)}
+        twin = paper_engine().processor
         with paper_engine() as engine:
-            engine.register(make_query(0.5, 0.5), query_id="q")
-            engine.serve_stream(SocialStream(build_paper_elements()))
-            manual = paper_engine()
-            manual.register(make_query(0.5, 0.5), query_id="q")
-            replay_paper(manual)
-            assert (
-                engine.result("q").result.element_ids
-                == manual.result("q").result.element_ids
-            )
-            manual.close()
+            for query_id, query in queries.items():
+                engine.register(query, query_id=query_id)
+            by_id = {element.element_id: element for element in build_paper_elements()}
+            history = {}
+            for time in range(1, 9):
+                bucket = [by_id[time]] if time in by_id else []
+                engine.ingest_bucket(bucket, end_time=time)
+                twin.process_bucket(bucket, time)
+                history[time] = {
+                    query_id: twin.query(query) for query_id, query in queries.items()
+                }
+                for query_id, standing in engine.results().items():
+                    adhoc = history[standing.evaluated_at_bucket][query_id]
+                    assert standing.result.element_ids == adhoc.element_ids
+                    assert standing.result.score == adhoc.score
+            metrics = engine.metrics
+            assert metrics.opportunities == 16
+            assert metrics.evaluations <= metrics.opportunities
 
     def test_report_mentions_key_metrics(self):
         with paper_engine() as engine:
@@ -289,45 +325,51 @@ class TestStandingQueryIsAQuery:
     #: One registry name per registered algorithm class (aliases collapse).
     ALGORITHMS = sorted({cls: name for name, cls in ALGORITHM_REGISTRY.items()}.values())
 
-    def _replay(self, tiny_dataset, substrate, fields):
+    def _replay(self, tiny_dataset, substrate, twin, fields):
+        """Serve on ``substrate``; after every bucket, hold each standing
+        answer to the ad-hoc query ``twin`` (fed the same buckets) answered
+        at the bucket the standing answer was computed."""
         query = tiny_dataset.make_query(k=4, topic=1)
-        buckets = 0
-        # Naive maintenance: every standing query is fresh after every bucket.
-        with build_service_engine(substrate, incremental=False) as service:
+        history = {}
+        with build_service_engine(substrate) as service:
             for algorithm in self.ALGORITHMS:
                 service.register(query, query_id=algorithm, algorithm=algorithm)
             for bucket in tiny_dataset.stream.buckets(self.CONFIG.bucket_length):
                 service.ingest_bucket(bucket.elements, bucket.end_time)
-                buckets += 1
+                twin.process_bucket(bucket.elements, bucket.end_time)
+                history[twin.buckets_processed] = {
+                    algorithm: twin.query(query, algorithm=algorithm)
+                    for algorithm in self.ALGORITHMS
+                }
                 for algorithm in self.ALGORITHMS:
-                    standing = service.result(algorithm).result
-                    adhoc = substrate.query(query, algorithm=algorithm)
+                    standing = service.result(algorithm)
+                    adhoc = history[standing.evaluated_at_bucket][algorithm]
                     for name in fields:
-                        assert getattr(standing, name) == getattr(adhoc, name), (
-                            buckets, algorithm, name,
+                        assert getattr(standing.result, name) == getattr(adhoc, name), (
+                            twin.buckets_processed, algorithm, name,
                         )
-        assert buckets >= 8
+        assert len(history) >= 8
 
     def test_local_answers_equal_adhoc_answers(self, tiny_dataset):
         assert len(self.ALGORITHMS) == 6
         self._replay(
             tiny_dataset,
             build_processor(tiny_dataset.topic_model, self.CONFIG),
+            build_processor(tiny_dataset.topic_model, self.CONFIG),
             ("element_ids", "score", "algorithm", "evaluated_elements",
              "active_elements", "extras"),
         )
 
     def test_sharded_answers_equal_adhoc_answers(self, tiny_dataset):
-        with ClusterCoordinator(
-            tiny_dataset.topic_model,
-            self.CONFIG,
-            cluster=ClusterConfig(num_shards=3, transport="serial"),
-        ) as coordinator:
-            self._replay(tiny_dataset, coordinator, ("element_ids", "score"))
+        cluster = ClusterConfig(num_shards=3, transport="serial")
+        model = tiny_dataset.topic_model
+        with ClusterCoordinator(model, self.CONFIG, cluster=cluster) as coordinator:
+            with ClusterCoordinator(model, self.CONFIG, cluster=cluster) as twin:
+                self._replay(tiny_dataset, coordinator, twin, ("element_ids", "score"))
 
 
 class TestIncrementalMaintenance:
-    """Incremental vs naive maintenance on a many-topic synthetic stream."""
+    """The re-evaluation rule on a many-topic synthetic stream."""
 
     PROFILE = replace(
         get_profile("tiny"),
@@ -348,30 +390,32 @@ class TestIncrementalMaintenance:
     def dataset(self):
         return SyntheticStreamGenerator(self.PROFILE, seed=5).generate()
 
-    def _serve(self, dataset, incremental: bool) -> ServiceEngine:
+    def _engine(self, dataset) -> ServiceEngine:
         processor = build_processor(dataset.topic_model, self.CONFIG)
-        engine = build_service_engine(processor, incremental=incremental)
+        engine = build_service_engine(processor)
         for i in range(self.NUM_QUERIES):
             engine.register(
                 dataset.make_query(k=3, topic=i % self.PROFILE.num_topics),
                 query_id=f"monitor-{i:03d}",
             )
-        engine.serve_stream(dataset.stream)
-        engine.close()
+        return engine
+
+    def _serve(self, dataset) -> ServiceEngine:
+        with self._engine(dataset) as engine:
+            for bucket in dataset.stream.buckets(self.CONFIG.bucket_length):
+                engine.ingest_bucket(bucket.elements, bucket.end_time)
         return engine
 
     def test_incremental_reevaluates_strictly_fewer_pairs(self, dataset):
-        incremental = self._serve(dataset, incremental=True)
-        naive = self._serve(dataset, incremental=False)
-
-        assert len(incremental.registry) == self.NUM_QUERIES
-        assert incremental.metrics.opportunities == naive.metrics.opportunities
-        assert incremental.metrics.evaluations < naive.metrics.evaluations
-        assert incremental.metrics.reeval_ratio < 1.0
-        assert naive.metrics.reeval_ratio == 1.0
+        engine = self._serve(dataset)
+        assert len(engine.registry) == self.NUM_QUERIES
+        metrics = engine.metrics
+        assert metrics.opportunities == self.NUM_QUERIES * metrics.buckets
+        assert metrics.evaluations < metrics.opportunities
+        assert metrics.reeval_ratio < 1.0
 
     def test_skipped_queries_carry_staleness_metadata(self, dataset):
-        engine = self._serve(dataset, incremental=True)
+        engine = self._serve(dataset)
         results = engine.results()
         assert len(results) == self.NUM_QUERIES
         staleness = [result.staleness_buckets for result in results.values()]
@@ -386,32 +430,25 @@ class TestIncrementalMaintenance:
     def test_stale_results_match_their_evaluation_bucket(self, dataset):
         """A served-stale answer equals what a fresh run at its bucket gave.
 
-        Replays the same stream with a naive engine and checks that each
-        stale incremental answer matches the naive answer of the bucket it
-        was evaluated at — i.e. staleness metadata is truthful.
+        Feeds a twin processor the same buckets and answers every standing
+        query ad hoc on it after each one; after every bucket, each standing
+        answer must equal the twin's answer at the bucket it was evaluated
+        at — i.e. staleness metadata is truthful.
         """
-        incremental = self._serve(dataset, incremental=True)
-
-        processor = build_processor(dataset.topic_model, self.CONFIG)
-        with build_service_engine(processor, incremental=False) as naive:
-            for i in range(self.NUM_QUERIES):
-                naive.register(
-                    dataset.make_query(k=3, topic=i % self.PROFILE.num_topics),
-                    query_id=f"monitor-{i:03d}",
-                )
+        twin = build_processor(dataset.topic_model, self.CONFIG)
+        stale = 0
+        with self._engine(dataset) as engine:
+            queries = {standing.query_id: standing.query for standing in engine.registry}
             history = {}
             for bucket in dataset.stream.buckets(self.CONFIG.bucket_length):
-                naive.ingest_bucket(bucket.elements, bucket.end_time)
-                history[naive.processor.buckets_processed] = {
-                    query_id: result.result.element_ids
-                    for query_id, result in naive.results().items()
+                engine.ingest_bucket(bucket.elements, bucket.end_time)
+                twin.process_bucket(bucket.elements, bucket.end_time)
+                history[twin.buckets_processed] = {
+                    query_id: twin.query(query) for query_id, query in queries.items()
                 }
-
-        checked = 0
-        for query_id, standing_result in incremental.results().items():
-            if standing_result.staleness_buckets == 0:
-                continue
-            reference = history[standing_result.evaluated_at_bucket][query_id]
-            assert standing_result.result.element_ids == reference
-            checked += 1
-        assert checked > 0
+                for query_id, standing in engine.results().items():
+                    reference = history[standing.evaluated_at_bucket][query_id]
+                    assert standing.result.element_ids == reference.element_ids
+                    assert standing.result.score == reference.score
+                    stale += not standing.fresh
+        assert stale > 0

@@ -32,7 +32,6 @@ class TestToDict:
             buckets=4,
             evaluations=6,
             reused=2,
-            full_reevals=1,
             expired_queries=1,
         )
         metrics.eval_latency.add_ms(2.0)

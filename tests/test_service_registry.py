@@ -73,16 +73,17 @@ class TestQueryRegistry:
         assert registry.unregister(standing.query_id)
         assert not registry.unregister(standing.query_id)
         assert len(registry) == 0
-        assert registry.queries_on_topic(0) == frozenset()
+        assert registry.affected_by([0]) == set()
 
     def test_topic_inverted_index(self):
         registry = QueryRegistry()
         a = registry.register(make_query(1.0, 0.0, 0.0))
         b = registry.register(make_query(0.0, 1.0, 1.0))
         c = registry.register(make_query(1.0, 0.0, 1.0))
-        assert registry.queries_on_topic(0) == {a.query_id, c.query_id}
-        assert registry.queries_on_topic(1) == {b.query_id}
-        assert registry.queries_on_topic(2) == {b.query_id, c.query_id}
+        assert registry.affected_by([0]) == {a.query_id, c.query_id}
+        assert registry.affected_by([1]) == {b.query_id}
+        assert registry.affected_by([2]) == {b.query_id, c.query_id}
+        assert registry.affected_by([3]) == set()
 
     def test_affected_by_unions_dirty_topics(self):
         registry = QueryRegistry()

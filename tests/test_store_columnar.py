@@ -474,9 +474,10 @@ class TestColumnarBackendEquivalence:
         assert columnar.window.validate()
 
     def test_store_epochs_drive_the_scheduler(self, tmp_path):
-        """The plan reads the one dirty set: the ranked lists' drained one.
-        Per bucket it equals what draining the oracle's yields, and a set
-        saved undrained reaches the first plan after a load."""
+        """A bucket's update reads the one dirty set: the ranked lists'
+        drained one.  Per bucket it equals what draining the oracle's
+        yields, and a set saved undrained reaches the first update after a
+        load."""
         model, elements = build_reference_stream(11, 24, 3, 10)
         buckets = bucketise(elements, 2)
         half = len(buckets) // 2
@@ -487,9 +488,9 @@ class TestColumnarBackendEquivalence:
             engine.register(query, query_id="standing")
             service = engine.service_engine
             for members, end_time in buckets[:half]:
-                plan = service.ingest_bucket(members, end_time)
+                update = service.ingest_bucket(members, end_time)
                 oracle.process_bucket(members, end_time)
-                assert plan.dirty_topics == oracle.ranked_lists.take_dirty_topics()
+                assert update.dirty_topics == oracle.ranked_lists.take_dirty_topics()
             # One bucket reaches the processor behind the service's back, so
             # the checkpoint carries a dirty set nobody drained.
             members, end_time = buckets[half]
@@ -501,10 +502,10 @@ class TestColumnarBackendEquivalence:
         with KSIREngine.load(tmp_path / "checkpoint") as engine:
             service = engine.service_engine
             for members, end_time in buckets[half + 1:]:
-                plan = service.ingest_bucket(members, end_time)
+                update = service.ingest_bucket(members, end_time)
                 oracle.process_bucket(members, end_time)
                 carried.update(oracle.ranked_lists.take_dirty_topics())
-                assert plan.dirty_topics == tuple(sorted(carried))
+                assert update.dirty_topics == tuple(sorted(carried))
                 carried.clear()
 
 
