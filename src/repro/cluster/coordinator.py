@@ -35,6 +35,7 @@ stream on both paths.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -49,6 +50,7 @@ from repro.core.scoring import (
     ElementProfile,
     KSIRObjective,
     ScoringContext,
+    TermsMemo,
     topic_distributions,
 )
 from repro.core.stream import SocialStream, replay_stream
@@ -168,6 +170,10 @@ class ClusterCoordinator:
         # the shards, ``_synced`` is its value at the last applied sync.
         self._lock = threading.Lock()
         self._changes = 0
+        # Every standing query's compiled-terms memo handed to query(): its
+        # entries are compiled from the replica, so they leave with the
+        # records they were compiled from.
+        self._term_memos: "weakref.WeakSet[TermsMemo]" = weakref.WeakSet()
         self._forget_replica()
 
         self._fanout: TransportBackend = _transport(self._cluster.transport)(self)
@@ -297,6 +303,7 @@ class ClusterCoordinator:
         k: Optional[int] = None,
         algorithm: Union[str, KSIRAlgorithm, None] = None,
         epsilon: Optional[float] = None,
+        terms: Optional[TermsMemo] = None,
     ) -> QueryResult:
         """Answer a k-SIR query over the coordinator's replica.
 
@@ -306,12 +313,16 @@ class ClusterCoordinator:
         algorithm runs over it.  Scores are exact because the replica holds,
         per element and topic, the scoring record its home shard compiled
         from the element's profile and complete follower set.  Queries from
-        several threads run one at a time.
+        several threads run one at a time.  ``terms`` is a standing query's
+        compiled-terms memo: the coordinator remembers it (weakly) and keeps
+        it exact from sync to sync.
         """
         self._require_open()
         ksir_query = KSIRQuery.coerce(query, k)
         solver = self._config.resolve_algorithm(algorithm, epsilon)
         with self._lock:
+            if terms is not None:
+                self._term_memos.add(terms)
             watch = StopWatch()
             watch.start()
             self._sync()
@@ -320,7 +331,7 @@ class ClusterCoordinator:
                 time=self._current_time,
             )
             outcome = solver.select(
-                KSIRObjective(context, ksir_query.vector),
+                KSIRObjective(context, ksir_query.vector, terms),
                 ksir_query.k,
                 index=self._index if solver.requires_index else None,
             )
@@ -342,18 +353,30 @@ class ClusterCoordinator:
     def _sync(self) -> None:
         """Bring the replica up to the shards (lock held); a no-op until
         something is done to them.  Replies are folded in, and their
-        generations kept, only once every shard has answered."""
+        generations kept, only once every shard has answered.  The ids
+        whose records a reply replaced or removed leave every standing
+        query's compiled-terms memo with them."""
         changes = self._changes
         if self._synced == changes:
             return
         replies = self._fanout.sync(self._generations)
-        merge_candidate_pools(replies, self._records, self._index, self.num_shards)
+        stale = merge_candidate_pools(replies, self._records, self._index, self.num_shards)
+        for memo in self._term_memos:
+            for element_id in stale:
+                memo.pop(element_id, None)
         self._generations = [reply.generation for reply in replies]
         self._synced = changes
 
     def _forget_replica(self) -> None:
-        """Start the replica over: the next sync is a full dump of every shard."""
+        """Start the replica over: the next sync is a full dump of every shard.
+
+        Every compiled-terms memo is cleared here, not at that sync: with no
+        records left, the full replies replace nothing, so the sync would
+        drop no entry.
+        """
         with self._lock:
+            for memo in self._term_memos:
+                memo.clear()
             self._records: Records = {}
             self._index = RankedListIndex(self._model.num_topics, self._config.scoring)
             self._generations: List[Optional[int]] = [None] * self.num_shards

@@ -16,7 +16,7 @@ coordinator.  Shards' shares are disjoint: a record comes from its home.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,11 +106,13 @@ def merge_candidate_pools(
     records: Records,
     index: RankedListIndex,
     num_shards: int,
-) -> None:
+) -> List[int]:
     """Fold one sync's replies (one per shard, in shard order) into the
     replica: a delta's changed and gone ids leave it, a full reply's shard
     loses its whole share, then the new records and their ``δ_i`` go in — a
-    re-post that dropped a topic leaves no tuple behind."""
+    re-post that dropped a topic leaves no tuple behind.  Returns the ids
+    that left (the stale ones, whether or not a new record replaced them)."""
+    dropped: List[int] = []
     for shard_id, reply in enumerate(replies):
         if reply.full:
             stale = [
@@ -122,8 +124,10 @@ def merge_candidate_pools(
         index.bulk_update(removes=stale)
         for element_id in stale:
             records.pop(element_id, None)
+        dropped.extend(stale)
         records.update(reply.records)
         index.load(
             (element_id, activity, {topic: record[0] for topic, record in held.items()})
             for element_id, (activity, held) in reply.records.items()
         )
+    return dropped

@@ -14,6 +14,7 @@ The :class:`KSIRProcessor` ties everything together:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -30,6 +31,7 @@ from repro.core.scoring import (
     ProfileBuilder,
     ScoringConfig,
     ScoringContext,
+    TermsMemo,
 )
 from repro.core.stream import SocialStream, replay_stream
 from repro.kernels import delta_topic_sums
@@ -148,6 +150,9 @@ class KSIRProcessor:
         # buckets: process_bucket drops exactly the entries a bucket makes
         # stale (see ScoringContext.follower_edges).
         self._edge_memo: EdgeMemo = {}
+        # Every standing query's compiled-terms memo handed to query(), kept
+        # exact by the same drops (a term is the profile plus those edges).
+        self._term_memos: "weakref.WeakSet[TermsMemo]" = weakref.WeakSet()
 
     # -- metadata -----------------------------------------------------------------
 
@@ -261,7 +266,10 @@ class KSIRProcessor:
         re-post) and of every element that leaves ``A_t`` is dropped,
         whoever owns the element — a shard scores its foreign replicas from
         the same memo.  The snapshot of the previous window stops sharing
-        the memo first, so it stays frozen.
+        the memo first, so it stays frozen.  Those ids' entries leave every
+        :class:`TermsMemo` a standing query handed to :meth:`query` too: a
+        compiled term is the profile plus these edges, so the drop set is
+        the same.
         Returns that enumeration, ids possibly repeated: every element
         whose scoring record the bucket may have changed (what a shard's
         next sync ships).
@@ -358,6 +366,9 @@ class KSIRProcessor:
                 )
             for element_id in changed:
                 edge_memo.pop(element_id, None)
+            for memo in self._term_memos:
+                for element_id in changed:
+                    memo.pop(element_id, None)
             self._buckets_processed += 1
         return changed
 
@@ -456,9 +467,11 @@ class KSIRProcessor:
         self._snapshot_cache = (self._buckets_processed, context)
         return context
 
-    def objective(self, query_vector: np.ndarray) -> KSIRObjective:
+    def objective(
+        self, query_vector: np.ndarray, terms: Optional[TermsMemo] = None
+    ) -> KSIRObjective:
         """A k-SIR objective bound to the current window and ``query_vector``."""
-        return KSIRObjective(self.snapshot(), query_vector)
+        return KSIRObjective(self.snapshot(), query_vector, terms)
 
     def query(
         self,
@@ -466,16 +479,21 @@ class KSIRProcessor:
         k: Optional[int] = None,
         algorithm: Union[str, KSIRAlgorithm, None] = None,
         epsilon: Optional[float] = None,
+        terms: Optional[TermsMemo] = None,
     ) -> QueryResult:
         """Answer a k-SIR query against the current window.
 
         ``query`` may be a :class:`KSIRQuery` or a raw query vector (in which
         case ``k`` must be given).  ``algorithm`` is an algorithm instance or
         a registry name ("mttd", "mtts", "celf", "sieve", "topk", "greedy").
+        ``terms`` is a standing query's compiled-terms memo: the processor
+        remembers it (weakly) and keeps it exact from bucket to bucket.
         """
         ksir_query = KSIRQuery.coerce(query, k)
         solver = self._config.resolve_algorithm(algorithm, epsilon)
-        objective = self.objective(ksir_query.vector)
+        if terms is not None:
+            self._term_memos.add(terms)
+        objective = self.objective(ksir_query.vector, terms)
 
         watch = StopWatch()
         watch.start()
@@ -534,6 +552,8 @@ class KSIRProcessor:
         self._index.restore_state(state["ranked_lists"])
         self._snapshot_cache = None
         self._edge_memo = {}
+        for memo in self._term_memos:
+            memo.clear()
         # Registered in A_t order: snapshot() iterates the map as it stands.
         active = list(self._window.active_elements())
         self._profiles = {}

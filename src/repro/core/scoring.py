@@ -50,6 +50,20 @@ _EMPTY: Mapping[int, Any] = MappingProxyType({})  # shared, so read-only
 NO_EDGES: Edges = ((), (), 0.0)
 
 
+class TermsMemo(Dict[int, Terms]):
+    """One standing query's compiled terms, ``element id → Terms``, carried
+    from one evaluation of the query to the next (``KSIRObjective(terms=)``).
+
+    Hashed by identity: the backend that answers the query remembers the
+    memo in a ``weakref.WeakSet`` and drops the entries a change to its
+    records makes stale, so every entry stays what a fresh compilation of
+    the current window gives.  A memo belongs to one query vector on one
+    backend.
+    """
+
+    __hash__ = object.__hash__  # type: ignore[assignment]
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     """Parameters of the representativeness objective.
@@ -600,9 +614,20 @@ class KSIRObjective:
     outlives the query and the snapshot), and every evaluation afterwards —
     :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`add` — is a loop
     over those terms and the selection state only.
+
+    ``terms``: a standing query's :class:`TermsMemo`, kept exact by the
+    backend between evaluations.  A compilation reads its entry there
+    first and fills it otherwise, so an element the previous evaluation
+    already compiled costs one lookup.  :attr:`evaluated_elements` still
+    counts the elements *this* evaluation touched, memo hits included.
     """
 
-    def __init__(self, context: ObjectiveContext, query_vector: np.ndarray) -> None:
+    def __init__(
+        self,
+        context: ObjectiveContext,
+        query_vector: np.ndarray,
+        terms: Optional[TermsMemo] = None,
+    ) -> None:
         vector = np.asarray(query_vector, dtype=float)
         if vector.ndim != 1:
             raise ValueError("query_vector must be one-dimensional")
@@ -619,6 +644,7 @@ class KSIRObjective:
         self._influence_weight = context.config.influence_weight
         # element id -> compiled terms; its keys are the evaluated elements.
         self._compiled: Dict[int, Terms] = {}
+        self._carried = terms
         self._evaluation_calls = 0
 
     # -- metadata --------------------------------------------------------------------
@@ -690,9 +716,18 @@ class KSIRObjective:
         """The element's terms, compiled on first use (KeyError when inactive)."""
         terms = self._compiled.get(element_id)
         if terms is None:
-            terms = self._compiled[element_id] = self._context.compile_terms(
-                element_id, self._query_topics
-            )
+            carried = self._carried
+            if carried is None:
+                terms = self._compiled[element_id] = self._context.compile_terms(
+                    element_id, self._query_topics
+                )
+            else:
+                terms = carried.get(element_id)
+                if terms is None:
+                    terms = carried[element_id] = self._context.compile_terms(
+                        element_id, self._query_topics
+                    )
+                self._compiled[element_id] = terms
         return terms
 
     def _gain(self, terms: Terms, state: ObjectiveState, commit: bool) -> float:

@@ -20,6 +20,11 @@ Driving it is a two-step loop:
 2. :meth:`result` / :meth:`results` read the per-query result cache, with
    staleness metadata saying how many buckets ago each answer was computed.
 
+Each standing query carries a :class:`~repro.core.scoring.TermsMemo` from
+one evaluation to the next: the terms its evaluations compiled, which the
+backend keeps exact as buckets change the window, so a re-evaluation
+compiles only what changed or what it had not touched before.
+
 :meth:`report` renders the service metrics (p50/p99 latency, pairs/sec,
 result-cache hit rate, re-eval ratio).
 """
@@ -34,6 +39,7 @@ from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor
 from repro.core.query import KSIRQuery, QueryResult
+from repro.core.scoring import TermsMemo
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
 
@@ -134,7 +140,13 @@ UpdateListener = Callable[[ServiceUpdate], None]
 
 
 class ServiceEngine:
-    """Maintains many standing k-SIR queries over one shared sliding window."""
+    """Maintains many standing k-SIR queries over one shared sliding window.
+
+    Per standing query it holds the cached result, the resolved solver and
+    the compiled-terms memo it hands the backend on every evaluation.  A
+    memo belongs to one query vector on one backend: unregistering, TTL
+    expiry and :meth:`restore_state` drop it with the query.
+    """
 
     def __init__(self, backend: Union[KSIRProcessor, ClusterCoordinator]) -> None:
         self._backend = backend
@@ -143,6 +155,8 @@ class ServiceEngine:
         # Solver instances resolved once per standing query (algorithms are
         # stateless across select() calls) by register and restore_state.
         self._solvers: Dict[str, KSIRAlgorithm] = {}
+        # Each standing query's compiled terms, carried across buckets.
+        self._terms: Dict[str, TermsMemo] = {}
         # Registered queries not evaluated yet: always a subset of the registry.
         self._pending: Set[str] = set()
         self._metrics = ServiceMetrics()
@@ -200,16 +214,22 @@ class ServiceEngine:
             at_bucket=self._backend.buckets_processed,
         )
         self._solvers[standing.query_id] = solver
+        self._terms[standing.query_id] = TermsMemo()
         self._pending.add(standing.query_id)
         return standing
 
     def unregister(self, query_id: str) -> bool:
-        """Drop a standing query and its cached result."""
+        """Drop a standing query, its cached result and its compiled terms."""
         removed = self._registry.unregister(query_id)
+        self._forget(query_id)
+        return removed
+
+    def _forget(self, query_id: str) -> None:
+        """Drop what the engine holds for one query id."""
         self._results.pop(query_id, None)
         self._solvers.pop(query_id, None)
+        self._terms.pop(query_id, None)
         self._pending.discard(query_id)
-        return removed
 
     # -- update listeners --------------------------------------------------------------
 
@@ -243,9 +263,7 @@ class ServiceEngine:
         bucket = self._backend.buckets_processed
         expired_ids: List[str] = []
         for standing in self._registry.prune_expired(bucket):
-            self._results.pop(standing.query_id, None)
-            self._solvers.pop(standing.query_id, None)
-            self._pending.discard(standing.query_id)
+            self._forget(standing.query_id)
             self._metrics.expired_queries += 1
             expired_ids.append(standing.query_id)
 
@@ -330,11 +348,13 @@ class ServiceEngine:
             self._pending.discard(query_id)
 
     def _evaluate(self, standing: StandingQuery) -> QueryResult:
-        """One standing evaluation: the backend's ad-hoc query, timed by it."""
+        """One standing evaluation: the backend's ad-hoc query, timed by it,
+        reading and filling the query's carried compiled terms."""
         result = self._backend.query(
             standing.query,
             algorithm=self._solvers[standing.query_id],
             epsilon=standing.epsilon,
+            terms=self._terms[standing.query_id],
         )
         self._metrics.eval_latency.add(result.elapsed_ms / 1000.0)
         return result
@@ -378,6 +398,7 @@ class ServiceEngine:
             )
             for standing in self._registry
         }
+        self._terms = {standing.query_id: TermsMemo() for standing in self._registry}
         self._pending = {
             query_id
             for query_id in map(str, state["pending"])

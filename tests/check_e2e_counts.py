@@ -5,9 +5,12 @@
 
 ``e2e_counts.json`` holds, for the workloads whose queries run in process,
 how many MTTS / MTTD queries and snapshot reads the pass makes and which
-share of the active elements those queries evaluate (``core.eval_ratio``).
-They depend on the inputs and on what the query path evaluates, never on
-the clock, so a change that makes MTTS or MTTD look at different elements
+share of the active elements those queries evaluate (``core.eval_ratio``);
+for ``serve_text``, how many MTTS / MTTD queries its server child runs and
+which share of the standing queries each bucket re-evaluates
+(``service.reeval_ratio``).  They depend on the inputs and on what the
+query path evaluates, never on the clock, so a change that makes MTTS or
+MTTD look at different elements, or the service re-evaluate other queries,
 fails here without anything being timed.  ``core.eval_ratio`` follows from
 float comparisons inside the algorithms, so the check runs where the counts
 were recorded — CI's perf-smoke job pins that interpreter and NumPy major —
@@ -25,13 +28,22 @@ from pathlib import Path
 import numpy as np
 
 RECORDED = Path(__file__).with_name("e2e_counts.json")
-WORKLOADS = ("query_mixed", "ingest_vec")
 COUNTS = (
     "core.eval_ratio",
     "core.query_mtts_calls",
     "core.query_mttd_calls",
     "core.snapshot_calls",
 )
+#: The counts held per workload.
+WORKLOADS = {
+    "query_mixed": COUNTS,
+    "ingest_vec": COUNTS,
+    "serve_text": (
+        "service.reeval_ratio",
+        "core.query_mtts_calls",
+        "core.query_mttd_calls",
+    ),
+}
 
 
 def float_environment() -> str:
@@ -45,9 +57,9 @@ def read_counts(report: dict) -> dict:
         raise SystemExit("the counts are recorded for a --smoke report of seed 2019")
     return {
         workload: {
-            name: report["workloads"][workload]["per_layer"][name] for name in COUNTS
+            name: report["workloads"][workload]["per_layer"][name] for name in names
         }
-        for workload in WORKLOADS
+        for workload, names in WORKLOADS.items()
     }
 
 

@@ -13,7 +13,10 @@ Two layers:
   processor, on the home-filtered processors of a serial cluster, and
   across save → load → continue.  The same walk holds the window-resident
   follower-edge memo to its definition: whatever bucket an entry was
-  compiled in, it equals what a cold context compiles from the live maps.
+  compiled in, it equals what a cold context compiles from the live maps;
+* a sibling walk does the same for the compiled terms standing queries
+  carry across buckets, on a service engine over a processor and over two
+  shards, through backend rewinds and shard restarts as well.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.cluster import ClusterConfig, ClusterCoordinator, MergedCandidateContext
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
 from repro.core.query import KSIRQuery
 from repro.core.scoring import KSIRObjective, ProfileBuilder, ScoringContext
+from repro.service import ServiceEngine
 from tests.conftest import (
     PAPER_SCORING,
     PAPER_WINDOW_LENGTH,
@@ -282,3 +286,103 @@ class TestProductionEqualsOracle:
                 coordinator.process_bucket(elements, end_time)
                 for processor, oracle in pairs:
                     assert_matches_oracle(processor, oracle, query)
+
+
+def assert_terms_are_the_definition(service, cold_context):
+    """Every standing query's carried compiled terms against
+    ``cold_context(vector)``, a context over copies of the backend's live
+    maps: each entry ``==`` the cold compilation on the query's topics, and
+    no entry for an element the backend does not hold."""
+    for query_id, memo in service._terms.items():
+        vector = service.registry.get(query_id).query.vector
+        topics = tuple((t, float(w)) for t, w in enumerate(vector) if w > 0.0)
+        cold = cold_context(vector)
+        for element_id, terms in memo.items():
+            assert element_id in cold, (query_id, element_id)
+            assert terms == cold.compile_terms(element_id, topics), (query_id, element_id)
+
+
+class TestStandingTermsEqualTheirDefinition:
+    """The compiled terms a standing query carries from one evaluation to
+    the next stay what a cold compilation of the current window gives,
+    after every bucket — re-posts, archive re-activation and expiry from
+    the drawn streams, plus a rewind of the backend to an earlier state
+    behind the engine's back and, on shards, a shard restart with its gap
+    replayed — and the standing answers stay the backend's fresh ones."""
+
+    @given(
+        buckets=BUCKETS,
+        seed=st.integers(0, 10_000),
+        window_length=st.integers(2, 6),
+        archive_windows=st.integers(1, 2),
+        sharded=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_after_every_bucket(self, buckets, seed, window_length, archive_windows, sharded):
+        model, stream = materialise(buckets, seed)
+        config = ProcessorConfig(
+            window_length=window_length,
+            bucket_length=1,
+            scoring=PAPER_SCORING,
+            archive_windows=archive_windows,
+        )
+        if sharded:
+            cluster = ClusterConfig(num_shards=2, transport="serial")
+            backend = ClusterCoordinator(model, config, cluster=cluster)
+        else:
+            backend = build_processor(model, config)
+        service = ServiceEngine(backend)
+        rng = np.random.default_rng(seed)
+        for algorithm in ALGORITHMS:
+            vector = np.zeros(3)
+            support = rng.choice(3, size=int(rng.integers(1, 4)), replace=False)
+            vector[support] = 0.1 + rng.dirichlet(np.ones(len(support)))
+            service.register(KSIRQuery(k=3, vector=vector), query_id=algorithm, algorithm=algorithm)
+        states = []
+        try:
+            for position, (elements, end_time) in enumerate(stream):
+                states.append(backend.state_dict())
+                update = service.ingest_bucket(elements, end_time)
+                for query_id, standing in update.updated.items():
+                    fresh = backend.query(
+                        service.registry.get(query_id).query, algorithm=query_id
+                    )
+                    assert standing.result.element_ids == fresh.element_ids
+                    assert standing.result.score == fresh.score
+                    assert standing.result.evaluated_elements == fresh.evaluated_elements
+                    # The memo holds at least what this evaluation compiled.
+                    assert len(service._terms[query_id]) >= fresh.evaluated_elements
+                self.check(service, backend, sharded)
+                if position % 4 == 2:
+                    # Rewind the backend two buckets, under the engine.
+                    backend.restore_state(states[-2])
+                    self.check(service, backend, sharded)
+                elif sharded and position % 4 == 3:
+                    # Restart shard 1 from two buckets back, replay its gap.
+                    backend.restore_shard(1, states[-2])
+                    for gap_elements, gap_end in stream[position - 1 : position + 1]:
+                        backend.replay_bucket_to_shard(1, gap_elements, gap_end)
+                    self.check(service, backend, sharded)
+        finally:
+            if sharded:
+                backend.close()
+
+    @staticmethod
+    def check(service, backend, sharded):
+        scoring = backend.config.scoring
+        if sharded:
+            # A coordinator compiles from its replica, which (and whose
+            # memos) follows the shards at the next sync; a query syncs too.
+            backend.active_count
+            records = dict(backend._records)
+
+            def cold_context(vector):
+                return MergedCandidateContext(records, vector, scoring)
+        else:
+            cold = ScoringContext(
+                dict(backend.profiles), backend.window.followers_snapshot(), scoring
+            )
+
+            def cold_context(vector):
+                return cold
+        assert_terms_are_the_definition(service, cold_context)

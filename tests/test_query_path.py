@@ -10,7 +10,9 @@ an answer, so every comparison below is ``==`` on floats:
 * against the call-by-call references in :mod:`tests.oracle`, on random
   contexts and indexes drawn to hit the awkward cases;
 * against a recorded run of the parent commit (``recorded_answers.json``) —
-  six algorithms after every bucket, three execution backends;
+  six algorithms after every bucket, four execution backends (the standing
+  queries' also over two shards, where they carry their compiled terms
+  from one sync to the next);
 * on the raw-token path: a stream the engine infers bucket by bucket against
   the same stream pre-inferred by the per-document reference;
 * plus the contract of the window-resident memo (its entries are held to
@@ -440,6 +442,11 @@ def answers_digest(kind, backend, seed):
 
     if backend == "service":
         config = EngineConfig(backend="service", processor=processor)
+    elif backend == "service-sharded":
+        config = EngineConfig(
+            backend="service", processor=processor,
+            cluster=ClusterConfig(num_shards=2),
+        )
     elif backend == "sharded":
         config = EngineConfig(
             backend="sharded", processor=processor,
@@ -447,14 +454,15 @@ def answers_digest(kind, backend, seed):
         )
     else:
         config = EngineConfig(processor=processor)
+    standing = backend.startswith("service")
     with KSIREngine(model, config) as engine:
-        if backend == "service":
+        if standing:
             for algorithm in ALGORITHMS:
                 engine.register(queries[0], algorithm=algorithm, query_id=algorithm)
         for position, (members, end_time) in enumerate(bucketise(elements, 4)):
             engine.ingest_bucket(members, end_time)
             for algorithm in ALGORITHMS:
-                if backend == "service":
+                if standing:
                     note(engine.results()[algorithm].result)
                 else:
                     note(engine.query(queries[position], algorithm=algorithm))
@@ -472,6 +480,17 @@ def test_answers_equal_the_recorded_parent_run(kind, backend):
         )
     digests = [answers_digest(kind, backend, seed) for seed in SEEDS]
     assert digests == recorded[f"{kind}/{backend}"].split()
+
+
+def test_standing_answers_over_shards_equal_the_recorded_parent_run():
+    """Standing queries on a service engine over two serial shards.  No
+    re-posting row: it would freeze the open re-post divergence of the
+    sharded path (ROADMAP item 1)."""
+    recorded = json.loads(RECORDED.read_text())
+    if recorded["float_environment"] != float_environment():
+        pytest.skip(f"recorded under {recorded['float_environment']!r}")
+    digests = [answers_digest("plain", "service-sharded", seed) for seed in SEEDS]
+    assert digests == recorded["plain/service-sharded"].split()
 
 
 def test_smoke_count_check_names_what_moved():
@@ -799,4 +818,7 @@ if __name__ == "__main__":
             record[f"{kind}/{backend}"] = " ".join(
                 answers_digest(kind, backend, seed) for seed in SEEDS
             )
+    record["plain/service-sharded"] = " ".join(
+        answers_digest("plain", "service-sharded", seed) for seed in SEEDS
+    )
     RECORDED.write_text(json.dumps(record, indent=1) + "\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -366,6 +367,74 @@ class TestStandingQueryIsAQuery:
         with ClusterCoordinator(model, self.CONFIG, cluster=cluster) as coordinator:
             with ClusterCoordinator(model, self.CONFIG, cluster=cluster) as twin:
                 self._replay(tiny_dataset, coordinator, twin, ("element_ids", "score"))
+
+
+class TestCarriedTerms:
+    """Each standing query carries its compiled terms across buckets; the
+    carry never shows in an answer or in its evaluation count."""
+
+    CONFIG = ProcessorConfig(
+        window_length=3 * 3600,
+        bucket_length=900,
+        scoring=ScoringConfig(lambda_weight=0.5, eta=1.0),
+    )
+    ALGORITHMS = ("mttd", "mtts", "celf")
+
+    def test_reregistered_query_answers_from_fresh_terms(self, tiny_dataset):
+        """Unregister, then register the same ids with another vector on
+        the same topics: every later answer is a twin's fresh query, field
+        for field — old terms would carry the old weights ``x_i``."""
+        model = tiny_dataset.topic_model
+        first, second = np.zeros(model.num_topics), np.zeros(model.num_topics)
+        first[:2], second[:2] = (0.7, 0.3), (0.2, 0.8)
+        queries = {algorithm: KSIRQuery(k=4, vector=first) for algorithm in self.ALGORITHMS}
+        buckets = list(tiny_dataset.stream.buckets(self.CONFIG.bucket_length))
+        twin = build_processor(model, self.CONFIG)
+        carried = compared = 0
+        with build_service_engine(build_processor(model, self.CONFIG)) as service:
+            for algorithm, query in queries.items():
+                service.register(query, query_id=algorithm, algorithm=algorithm)
+            for position, bucket in enumerate(buckets):
+                if position == len(buckets) // 2:
+                    for algorithm in self.ALGORITHMS:
+                        assert service.unregister(algorithm)
+                        queries[algorithm] = KSIRQuery(k=4, vector=second)
+                        service.register(
+                            queries[algorithm], query_id=algorithm, algorithm=algorithm
+                        )
+                update = service.ingest_bucket(bucket.elements, bucket.end_time)
+                twin.process_bucket(bucket.elements, bucket.end_time)
+                for query_id, standing in update.updated.items():
+                    fresh = twin.query(queries[query_id], algorithm=query_id)
+                    for name in ("element_ids", "score", "evaluated_elements", "extras"):
+                        assert getattr(standing.result, name) == getattr(fresh, name), (
+                            position, query_id, name,
+                        )
+                    compared += 1
+                    # The count is this evaluation's, not the memo's size.
+                    carried += len(service._terms[query_id]) > fresh.evaluated_elements
+        assert len(buckets) >= 10 and compared >= len(buckets)
+        assert carried
+
+    def test_unregister_expiry_and_restore_drop_the_terms(self):
+        by_id = {element.element_id: element for element in build_paper_elements()}
+        with paper_engine() as engine:
+            engine.register(make_query(0.5, 0.5), query_id="short", ttl_buckets=3)
+            engine.register(make_query(0.5, 0.5), query_id="gone")
+            engine.register(make_query(1.0, 0.0), query_id="kept")
+            for time in (1, 2, 3):
+                engine.ingest_bucket([by_id[time]], end_time=time)
+            memos = {query_id: weakref.ref(memo) for query_id, memo in engine._terms.items()}
+            assert all(memo() for memo in memos.values())  # filled, and alive
+            assert len(engine.processor._term_memos) == 3
+            engine.unregister("gone")
+            engine.ingest_bucket([by_id[4]], end_time=4)  # "short" expires
+            assert set(engine._terms) == {"kept"}
+            # Held weakly by the processor: nothing else keeps them alive.
+            assert memos["gone"]() is None and memos["short"]() is None
+            assert len(engine.processor._term_memos) == 1
+            engine.restore_state(engine.state_dict())
+            assert memos["kept"]() is None and engine._terms == {"kept": {}}
 
 
 class TestIncrementalMaintenance:
