@@ -5,9 +5,9 @@
 #   docker run -p 8000:8000 repro-ksir-server --profile twitter-small --preload
 #
 # Arguments after the image name are passed straight to `repro-ksir server`,
-# so any CLI flag (profile, checkpoint restore, store path, engine tuning)
-# works unchanged.  Mount a volume on /data to persist the runtime telemetry
-# store and checkpoints across container restarts.
+# so any CLI flag (profile, checkpoint restore, engine tuning) works
+# unchanged.  Mount a volume on /data to keep checkpoints across container
+# restarts; request telemetry is counted in the process and starts from zero.
 
 FROM python:3.12-slim AS runtime
 
@@ -23,7 +23,7 @@ COPY pyproject.toml README.md ./
 COPY src ./src
 RUN pip install .
 
-# Telemetry store + checkpoint volume.
+# Checkpoint volume.
 RUN mkdir -p /data
 VOLUME ["/data"]
 
@@ -36,6 +36,5 @@ HEALTHCHECK --interval=30s --timeout=5s --start-period=10s --retries=3 \
     CMD ["python", "-c", \
          "import urllib.request; urllib.request.urlopen('http://127.0.0.1:8000/healthz', timeout=4)"]
 
-ENTRYPOINT ["repro-ksir", "server", "--host", "0.0.0.0", "--port", "8000", \
-            "--store-path", "/data/runtime.db"]
+ENTRYPOINT ["repro-ksir", "server", "--host", "0.0.0.0", "--port", "8000"]
 CMD ["--profile", "tiny"]

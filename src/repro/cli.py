@@ -131,9 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay the profile's stream before serving")
     server.add_argument("--checkpoint", type=Path, default=None,
                         help="restore the engine from a checkpoint directory")
-    server.add_argument("--store-path", type=Path, default=None,
-                        help="SQLite file persisting runtime telemetry across "
-                             "restarts (default: in-memory)")
     server.add_argument("--http-workers", type=int, default=8,
                         help="request worker threads of the serving tier")
     server.add_argument("--seed", type=int, default=2019)
@@ -352,7 +349,6 @@ def build_server_app(args: argparse.Namespace):
     The serving tier is imported lazily: the core CLI works without it.
     """
     from repro.server.app import create_app
-    from repro.server.runtime_store import RuntimeStore
 
     # Standing queries and pushes are the product of this tier.
     config = _engine_config(args, service=True)
@@ -368,13 +364,7 @@ def build_server_app(args: argparse.Namespace):
             engine.process_stream(stream)
             replayed = args.stream if args.stream is not None else f"profile {args.profile!r}"
             _print(f"replayed {engine.elements_processed} elements of {replayed}")
-
-    try:
-        store = RuntimeStore(args.store_path) if args.store_path is not None else None
-    except BaseException:
-        engine.close()  # it may own shard processes
-        raise
-    return create_app(engine, store=store, max_workers=args.http_workers)
+    return create_app(engine, max_workers=args.http_workers)
 
 
 def run_server(args: argparse.Namespace) -> int:
@@ -384,9 +374,7 @@ def run_server(args: argparse.Namespace) -> int:
     try:
         run(app, host=args.host, port=args.port)
     finally:
-        store = app.store
         app.close()
-        store.close()
     return 0
 
 

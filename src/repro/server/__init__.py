@@ -3,8 +3,8 @@
 The serving tier turns the library into a deployable network service: a
 standard **ASGI** application (:func:`create_app`) exposing standing-query
 CRUD, on-demand top-k queries, batched stream ingest, engine
-checkpoint/restore, Prometheus ``/metrics`` and a persistent ``/telemetry``
-surface, plus a WebSocket channel (``/ws/queries/{id}``) that pushes a
+checkpoint/restore, Prometheus ``/metrics`` and a JSON ``/telemetry``
+document, plus a WebSocket channel (``/ws/queries/{id}``) that pushes a
 result delta whenever a bucket re-evaluates a standing query because it
 dirtied one of the query's topics — pushes ride the ranked lists'
 dirty-topic set through
@@ -30,13 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only
     from repro.server.app import KSIRServer, create_app
     from repro.server.asgi import ServerHandle, serve
     from repro.server.hub import PushHub
-    from repro.server.runtime_store import RuntimeStore
     from repro.server.testing import TestClient
 
 __all__: Tuple[str, ...] = (
     "KSIRServer",
     "PushHub",
-    "RuntimeStore",
     "ServerHandle",
     "TestClient",
     "create_app",
@@ -49,7 +47,6 @@ _EXPORTS = {
     "ServerHandle": ("repro.server.asgi", "ServerHandle"),
     "serve": ("repro.server.asgi", "serve"),
     "PushHub": ("repro.server.hub", "PushHub"),
-    "RuntimeStore": ("repro.server.runtime_store", "RuntimeStore"),
     "TestClient": ("repro.server.testing", "TestClient"),
 }
 

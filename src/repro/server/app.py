@@ -23,7 +23,7 @@ Surface
 ``POST``          ``/checkpoint/save``                    persist engine state
 ``POST``          ``/checkpoint/load``                    restore + hot-swap
 ``GET``           ``/metrics``                            Prometheus text format
-``GET``           ``/telemetry``                          runtime-store JSON
+``GET``           ``/telemetry``                          the same state as JSON
 ``WS``            ``/ws/queries/{id}``                    push channel
 ================  ======================================  =====================
 
@@ -62,8 +62,7 @@ from repro.api.engine import KSIREngine
 from repro.core.query import KSIRQuery
 from repro.server import json_codec as codec
 from repro.server.hub import PushHub
-from repro.server.metrics import render_prometheus
-from repro.server.runtime_store import RuntimeStore
+from repro.server.metrics import HttpTelemetry, render_prometheus
 from repro.service.engine import ServiceEngine
 
 #: ASGI protocol aliases (PEP 484-friendly, no external types).
@@ -155,7 +154,6 @@ class KSIRServer:
     def __init__(
         self,
         engine: KSIREngine,
-        store: Optional[RuntimeStore] = None,
         max_workers: int = 8,
         push_queue_size: int = 256,
         supervisor: Optional[Any] = None,
@@ -166,8 +164,7 @@ class KSIRServer:
                 'engine with EngineConfig(backend="service")'
             )
         self._engine = engine
-        self._store = store if store is not None else RuntimeStore()
-        self._owns_store = store is None
+        self._telemetry = HttpTelemetry()
         self._hub = PushHub(queue_size=push_queue_size)
         self._engine_lock = threading.Lock()
         self._executor = ThreadPoolExecutor(
@@ -187,9 +184,9 @@ class KSIRServer:
         return self._engine
 
     @property
-    def store(self) -> RuntimeStore:
-        """The runtime-telemetry store."""
-        return self._store
+    def telemetry(self) -> HttpTelemetry:
+        """The request counters and latency histograms of this process."""
+        return self._telemetry
 
     @property
     def hub(self) -> PushHub:
@@ -212,15 +209,11 @@ class KSIRServer:
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor, the store and the engine (idempotent)."""
+        """Shut down the executor and the engine (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        if self._owns_store:
-            self._store.close()
-        else:
-            self._store.flush()
         self._engine.close()
 
     # -- ASGI entry point --------------------------------------------------------------
@@ -276,8 +269,8 @@ class KSIRServer:
                 response = Response.error(str(error), 400)
             except RuntimeError as error:
                 response = Response.error(str(error), 409)
-            self._store.observe_latency(label, (loop.time() - started) * 1000.0)
-        self._store.increment("http_requests", f"{label}|{response.status}")
+            self._telemetry.observe_latency(label, (loop.time() - started) * 1000.0)
+        self._telemetry.increment("http_requests", f"{label}|{response.status}")
         await _send_response(send, response)
 
     def _match(
@@ -328,14 +321,11 @@ class KSIRServer:
                 "error": f"no standing query {query_id!r}",
             })
             await send({"type": "websocket.close", "code": WS_CLOSE_UNKNOWN_QUERY})
-            self._store.increment("ws_rejects")
+            self._telemetry.increment("ws_rejects")
             return
 
         loop = asyncio.get_running_loop()
         subscription = self._hub.subscribe(query_id, loop)
-        session_id = self._store.ws_session_opened(query_id)
-        self._store.increment("ws_connects")
-        delivered = 0
         try:
             await _send_json(send, {
                 "type": "snapshot",
@@ -361,7 +351,6 @@ class KSIRServer:
                     if getter in done:
                         payload = getter.result()
                         await _send_json(send, payload)
-                        delivered += 1
                         if payload.get("type") in ("expired", "unregistered"):
                             await send({"type": "websocket.close", "code": 1000})
                             break
@@ -373,8 +362,6 @@ class KSIRServer:
             pass
         finally:
             self._hub.unsubscribe(subscription)
-            self._store.increment("ws_pushes", by=delivered)
-            self._store.ws_session_closed(session_id, delivered)
 
     # -- lifespan ----------------------------------------------------------------------
 
@@ -385,7 +372,6 @@ class KSIRServer:
             if kind == "lifespan.startup":
                 await send({"type": "lifespan.startup.complete"})
             elif kind == "lifespan.shutdown":
-                self._store.flush()
                 await send({"type": "lifespan.shutdown.complete"})
                 return
 
@@ -568,9 +554,7 @@ async def _ingest_bucket(server: KSIRServer, request: Request) -> Response:
             "expired": sorted(update.expired),
         }
 
-    summary = await server._run(ingest)
-    server.store.increment("elements_ingested", by=int(summary["ingested"]))
-    return Response.json(summary)
+    return Response.json(await server._run(ingest))
 
 
 async def _ingest_events(server: KSIRServer, request: Request) -> Response:
@@ -589,9 +573,7 @@ async def _ingest_events(server: KSIRServer, request: Request) -> Response:
             "streams": metrics.to_dict(),
         }
 
-    summary = await server._run(ingest)
-    server.store.increment("elements_ingested", by=int(summary["accepted"]))
-    return Response.json(summary)
+    return Response.json(await server._run(ingest))
 
 
 async def _checkpoint_save(server: KSIRServer, request: Request) -> Response:
@@ -647,11 +629,7 @@ async def _metrics(server: KSIRServer, request: Request) -> Response:
         partial(_engine_view, server)
     )
     text = render_prometheus(
-        server.store,
-        stats,
-        service_metrics,
-        server.hub.subscriber_count(),
-        stream_metrics,
+        server.telemetry, server.hub, stats, service_metrics, stream_metrics
     )
     return Response.text(text, content_type="text/plain; version=0.0.4; charset=utf-8")
 
@@ -667,9 +645,11 @@ async def _telemetry(server: KSIRServer, request: Request) -> Response:
         "streams": stream_metrics,
         "push": {
             "subscribers": server.hub.subscriber_count(),
+            "sessions": server.hub.sessions,
             "pushes": server.hub.pushes,
+            "dropped": server.hub.dropped,
         },
-        "runtime": server.store.snapshot(),
+        "runtime": server.telemetry.snapshot(),
         "supervisor": None if supervisor is None else supervisor.status(),
     })
 
@@ -696,15 +676,12 @@ _ROUTES: Tuple[Route, ...] = (
 
 def create_app(
     engine: KSIREngine,
-    store: Optional[RuntimeStore] = None,
     max_workers: int = 8,
     push_queue_size: int = 256,
     supervisor: Optional[Any] = None,
 ) -> KSIRServer:
     """Build the ASGI application over an engine (the public constructor).
 
-    ``store`` defaults to an ephemeral in-memory runtime store; pass a
-    file-backed :class:`RuntimeStore` so telemetry survives restarts.
     ``supervisor`` attaches a :class:`repro.ha.ClusterSupervisor` whose
     shard health gates ``/readyz`` and is exported under ``/telemetry``.
     The returned object is both the application state and the ASGI
@@ -712,7 +689,6 @@ def create_app(
     """
     return KSIRServer(
         engine,
-        store=store,
         max_workers=max_workers,
         push_queue_size=push_queue_size,
         supervisor=supervisor,

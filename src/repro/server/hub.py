@@ -12,7 +12,7 @@ subscription therefore carries the event loop of its WebSocket session and
 messages cross the boundary with ``loop.call_soon_threadsafe`` into a
 bounded per-session queue.  A session that cannot keep up loses oldest
 messages first (push channels advertise the *latest* answer; history is
-the REST surface's job) and the drop is counted.
+the REST surface's job), and the hub counts the drop (:attr:`PushHub.dropped`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.service.engine import ServiceUpdate, StandingResult
 
@@ -36,8 +36,8 @@ class Subscription:
     query_id: str
     queue: "asyncio.Queue[Dict[str, object]]"
     loop: asyncio.AbstractEventLoop
-    delivered: int = 0
-    dropped: int = 0
+    #: Called once per message the full queue drops.
+    on_drop: Callable[[], None]
 
     def deliver(self, message: Dict[str, object]) -> None:
         """Enqueue from any thread, dropping the oldest message when full."""
@@ -46,12 +46,11 @@ class Subscription:
             while True:
                 try:
                     self.queue.put_nowait(message)
-                    self.delivered += 1
                     return
                 except asyncio.QueueFull:
                     try:
                         self.queue.get_nowait()
-                        self.dropped += 1
+                        self.on_drop()
                     except asyncio.QueueEmpty:  # pragma: no cover - race window
                         pass
 
@@ -77,12 +76,26 @@ class PushHub:
         self._lock = threading.Lock()
         self._channels: Dict[str, _QueryChannel] = {}
         self._pushes = 0
+        self._sessions = 0
+        self._dropped = 0
 
     @property
     def pushes(self) -> int:
         """Messages fanned out so far (one per subscription per update)."""
         with self._lock:
             return self._pushes
+
+    @property
+    def sessions(self) -> int:
+        """Subscriptions opened so far."""
+        with self._lock:
+            return self._sessions
+
+    @property
+    def dropped(self) -> int:
+        """Messages full queues dropped so far, live and closed sessions alike."""
+        with self._lock:
+            return self._dropped
 
     def subscriber_count(self, query_id: Optional[str] = None) -> int:
         """Active subscriptions, for one query or in total."""
@@ -102,8 +115,10 @@ class PushHub:
             query_id=query_id,
             queue=asyncio.Queue(maxsize=self._queue_size),
             loop=loop,
+            on_drop=self._count_drop,
         )
         with self._lock:
+            self._sessions += 1
             self._channels.setdefault(query_id, _QueryChannel()).subscriptions.add(
                 subscription
             )
@@ -173,6 +188,10 @@ class PushHub:
                 channel.last_score = None
 
     # -- internals ---------------------------------------------------------------------
+
+    def _count_drop(self) -> None:
+        with self._lock:
+            self._dropped += 1
 
     def _delta_message_locked(
         self,

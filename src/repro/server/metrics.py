@@ -1,17 +1,129 @@
-"""Prometheus text-format rendering of the serving tier's telemetry.
+"""The serving tier's telemetry: in-process counts and their Prometheus text.
+
+:class:`HttpTelemetry` holds what the HTTP layer counts — requests per
+endpoint and status, per-endpoint latency histograms, refused WebSocket
+sessions — for the life of the process.  The counts start from zero at
+every start, which Prometheus' ``rate()`` and ``increase()`` expect of a
+counter.  Everything else ``/metrics`` exports is read from its owner at
+scrape time: the push hub, the engine, the serving engine and the
+event-time ingestor.
 
 Exposition format 0.0.4: ``# HELP``/``# TYPE`` headers, histogram buckets
-with *cumulative* counts per ``le`` bound (the store keeps per-bucket
-counts, so the renderer cumulates), and every engine/service counter the
-runtime exposes flattened into ``ksir_*`` gauges.  No client library — the
-format is a few lines of text and this tier keeps zero hard dependencies.
+with *cumulative* counts per ``le`` bound (the histograms keep per-bucket
+counts, so the renderer cumulates), and every engine/service counter
+flattened into ``ksir_*`` gauges.  No client library — the format is a few
+lines of text and this tier keeps zero hard dependencies.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import threading
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.server.runtime_store import LATENCY_BUCKETS_MS, RuntimeStore
+from repro.server.hub import PushHub
+
+#: Histogram bucket upper bounds in milliseconds (log-spaced; +Inf implied).
+LATENCY_BUCKETS_MS: Tuple[float, ...] = (
+    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 10000.0,
+)
+
+#: The Prometheus ``le`` label of every bucket, ``+Inf`` last.
+_LE_LABELS: Tuple[str, ...] = tuple(f"{bound:g}" for bound in LATENCY_BUCKETS_MS) + (
+    "+Inf",
+)
+
+
+@dataclass
+class _Histogram:
+    """One endpoint's latencies: a count per bucket (zeros included)."""
+
+    counts: List[int] = field(default_factory=lambda: [0] * len(_LE_LABELS))
+    total_ms: float = 0.0
+
+
+class HttpTelemetry:
+    """Request counters and per-endpoint latency histograms of one process.
+
+    One lock guards every read and write: the ASGI app writes from its
+    event loop, and a reader may sit on any thread.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counters: Dict[str, Dict[str, int]] = {}
+        self._latency: Dict[str, _Histogram] = {}
+
+    def increment(self, name: str, label: str = "", by: int = 1) -> None:
+        """Add ``by`` to the counter ``name{label}``."""
+        with self._lock:
+            labelled = self._counters.setdefault(name, {})
+            labelled[label] = labelled.get(label, 0) + by
+
+    def observe_latency(self, endpoint: str, milliseconds: float) -> None:
+        """Record one request latency into the endpoint's histogram."""
+        value = float(milliseconds)
+        bucket = bisect_left(LATENCY_BUCKETS_MS, value)  # first bound >= value
+        with self._lock:
+            histogram = self._latency.get(endpoint)
+            if histogram is None:
+                histogram = self._latency[endpoint] = _Histogram()
+            histogram.counts[bucket] += 1
+            histogram.total_ms += value
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """``{counter name: {label: value}}``."""
+        with self._lock:
+            return {
+                name: dict(sorted(labelled.items()))
+                for name, labelled in sorted(self._counters.items())
+            }
+
+    def histograms(self) -> Dict[str, Dict[str, Any]]:
+        """Per-endpoint latency histograms with totals and estimated percentiles."""
+        with self._lock:
+            copies = {
+                endpoint: (list(histogram.counts), histogram.total_ms)
+                for endpoint, histogram in sorted(self._latency.items())
+            }
+        result: Dict[str, Dict[str, Any]] = {}
+        for endpoint, (counts, total_ms) in copies.items():
+            count = sum(counts)  # >= 1: a histogram exists once observed
+            result[endpoint] = {
+                "buckets": dict(zip(_LE_LABELS, counts)),
+                "total_ms": total_ms,
+                "count": count,
+                "mean_ms": total_ms / count,
+                "p50_ms": _estimate_percentile(counts, 0.50),
+                "p95_ms": _estimate_percentile(counts, 0.95),
+            }
+        return result
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The ``runtime`` section of ``/telemetry``."""
+        return {"counters": self.counters(), "latency": self.histograms()}
+
+
+def _estimate_percentile(counts: Sequence[int], fraction: float) -> float:
+    """Percentile estimate from per-bucket counts (at least one observation).
+
+    Prometheus' ``histogram_quantile``: linear interpolation inside the
+    bucket that holds the rank, from that bucket's lower bound (0 for the
+    first); a rank in the +Inf bucket reports the highest finite bound.
+    Every bucket has a count, empty ones too, so the lower bound is the
+    previous bound, never the previous *observed* one.
+    """
+    rank = fraction * sum(counts)
+    cumulative = 0
+    lower = 0.0
+    for upper, count in zip(LATENCY_BUCKETS_MS, counts):
+        # cumulative < rank here, so a bucket that reaches it is non-empty.
+        if cumulative + count >= rank:
+            return lower + (upper - lower) * (rank - cumulative) / count
+        cumulative += count
+        lower = upper
+    return lower
 
 
 def _escape_label(value: str) -> str:
@@ -37,21 +149,21 @@ def _emit_numeric(
 
 
 def render_prometheus(
-    store: RuntimeStore,
+    telemetry: HttpTelemetry,
+    hub: PushHub,
     engine_stats: Mapping[str, Any],
     service_metrics: Mapping[str, Any],
-    ws_subscribers: int,
     stream_metrics: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """The ``/metrics`` document."""
     lines: List[str] = []
 
-    counters = store.counters()
+    counters = telemetry.counters()
     lines.append(
         "# HELP ksir_http_requests_total Requests served, by endpoint and status."
     )
     lines.append("# TYPE ksir_http_requests_total counter")
-    for label, value in sorted(counters.get("http_requests", {}).items()):
+    for label, value in counters.get("http_requests", {}).items():
         endpoint, _, status = label.partition("|")
         lines.append(
             "ksir_http_requests_total"
@@ -64,14 +176,11 @@ def render_prometheus(
         "per endpoint."
     )
     lines.append("# TYPE ksir_http_request_duration_ms histogram")
-    bounds: Tuple[float, ...] = LATENCY_BUCKETS_MS + (float("inf"),)
-    for endpoint, histogram in sorted(store.histograms().items()):
-        buckets: Dict[str, int] = dict(histogram["buckets"])  # type: ignore[arg-type]
+    for endpoint, histogram in telemetry.histograms().items():
         tag = _escape_label(endpoint)
         cumulative = 0
-        for bound in bounds:
-            label = "+Inf" if bound == float("inf") else f"{bound:g}"
-            cumulative += int(buckets.get(label, 0))
+        for label, count in histogram["buckets"].items():
+            cumulative += count
             lines.append(
                 "ksir_http_request_duration_ms_bucket"
                 f'{{endpoint="{tag}",le="{label}"}} {cumulative}'
@@ -85,26 +194,28 @@ def render_prometheus(
             f'{histogram["count"]}'
         )
 
-    ws = store.ws_stats()
-    lines.append(
-        "# HELP ksir_ws_sessions_total WebSocket sessions opened "
-        "(all restarts)."
-    )
+    lines.append("# HELP ksir_ws_sessions_total WebSocket sessions opened.")
     lines.append("# TYPE ksir_ws_sessions_total counter")
-    lines.append(f"ksir_ws_sessions_total {ws['sessions_total']}")
+    lines.append(f"ksir_ws_sessions_total {hub.sessions}")
     lines.append("# HELP ksir_ws_pushes_total Deltas pushed to subscribers.")
     lines.append("# TYPE ksir_ws_pushes_total counter")
-    lines.append(f"ksir_ws_pushes_total {ws['pushes_total']}")
+    lines.append(f"ksir_ws_pushes_total {hub.pushes}")
+    lines.append(
+        "# HELP ksir_ws_dropped_total Pushes a full subscriber queue dropped "
+        "(oldest first)."
+    )
+    lines.append("# TYPE ksir_ws_dropped_total counter")
+    lines.append(f"ksir_ws_dropped_total {hub.dropped}")
     lines.append("# HELP ksir_ws_subscribers Live WebSocket subscriptions.")
     lines.append("# TYPE ksir_ws_subscribers gauge")
-    lines.append(f"ksir_ws_subscribers {ws_subscribers}")
+    lines.append(f"ksir_ws_subscribers {hub.subscriber_count()}")
 
-    for name, labelled in sorted(counters.items()):
+    for name, labelled in counters.items():
         if name == "http_requests":
             continue
         metric = f"ksir_runtime_{_sanitise(name)}_total"
         lines.append(f"# TYPE {metric} counter")
-        for label, value in sorted(labelled.items()):
+        for label, value in labelled.items():
             if label:
                 lines.append(
                     f'{metric}{{label="{_escape_label(label)}"}} {value}'

@@ -84,3 +84,22 @@ def test_transport_names_and_candidate_budget():
     assert ClusterConfig(num_shards=2, candidate_budget=19_200).candidate_budget == 19_200
     with pytest.raises(ValueError):
         ClusterConfig(candidate_budget=0)
+
+
+def test_server_child_surface():
+    """``server_child.py`` builds its app with ``create_app(engine)``, serves
+    it with ``repro.server.serve``, listens on the serving engine and reads
+    the hub's push count and the ranked lists' size."""
+    from repro.server import create_app, serve
+
+    assert callable(serve)
+    config = EngineConfig(backend="service", processor=PROCESSOR)
+    app = create_app(_ingested(config))
+    try:
+        engine = app.engine
+        assert isinstance(app.hub.pushes, int)
+        engine.service_engine.add_update_listener(lambda update: None)
+        ranked = engine.service_engine.processor.ranked_lists.total_tuples()
+        assert ranked == engine.stats()["ranked_tuples"] > 0
+    finally:
+        app.close()

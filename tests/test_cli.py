@@ -168,9 +168,9 @@ class TestServeCommand:
 
 
 class TestServerCommand:
-    def test_runs_the_bundled_server_and_closes_the_app(self, tmp_path, monkeypatch, capsys):
+    def test_runs_the_bundled_server_and_closes_the_app(self, monkeypatch, capsys):
         """``repro-ksir server`` hands its app to :func:`repro.server.asgi.run`
-        with ``--host`` / ``--port``, then closes the app and its store."""
+        with ``--host`` / ``--port``, then closes the app."""
         import repro.server.asgi
 
         served = []
@@ -178,42 +178,23 @@ class TestServerCommand:
             repro.server.asgi, "run",
             lambda app, host, port: served.append((app, host, port)),
         )
-        store_path = tmp_path / "runtime.db"
         exit_code = main(
-            ["server", "--profile", "tiny", "--host", "0.0.0.0", "--port", "8123",
-             "--store-path", str(store_path)]
+            ["server", "--profile", "tiny", "--host", "0.0.0.0", "--port", "8123"]
         )
         assert exit_code == 0
         [(app, host, port)] = served
         assert (host, port) == ("0.0.0.0", 8123)
-        assert app.store.path == str(store_path)
-        assert app._closed and app.store._closed
+        assert app._closed
 
-    def test_a_store_that_fails_to_open_closes_the_engine(self, tmp_path, monkeypatch):
-        """``--store-path`` naming a file that is no SQLite database raises
-        after the engine was built; the engine (and any shard processes it
-        owns) is closed before the error propagates."""
-        import sqlite3
-
-        from repro.api import KSIREngine
-        from repro.cli import build_server_app
-
-        closed = []
-        original_close = KSIREngine.close
-
-        def close(engine):
-            closed.append(engine)
-            original_close(engine)
-
-        monkeypatch.setattr(KSIREngine, "close", close)
-        not_a_database = tmp_path / "telemetry.db"
-        not_a_database.write_bytes(b"this is not an SQLite file" * 64)
-        args = build_parser().parse_args(
-            ["server", "--profile", "tiny", "--store-path", str(not_a_database)]
-        )
-        with pytest.raises(sqlite3.DatabaseError):
-            build_server_app(args)
-        assert len(closed) == 1
+    def test_store_path_flag_is_refused(self, capsys):
+        """Telemetry is counted in the process: argparse refuses the flag
+        that named a file to keep it in."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["server", "--profile", "tiny", "--store-path", "runtime.db"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --store-path" in capsys.readouterr().err
 
 
 class TestBenchCommands:

@@ -15,7 +15,6 @@ from server_harness import element, ingest_payload, make_engine
 
 from repro.api import EngineConfig, KSIREngine
 from repro.server.app import KSIRServer, create_app
-from repro.server.runtime_store import RuntimeStore
 from repro.server.testing import TestClient
 from repro.topics.model import MatrixTopicModel
 from repro.topics.vocabulary import Vocabulary
@@ -307,8 +306,8 @@ def _out_of_range_requests(value: object):
 
 
 class TestOutOfRangeIntegers:
-    """Integer fields are finite and within int64, the store's column type:
-    ``inf`` used to escape as ``OverflowError`` (an uncounted 500), and a
+    """Integer fields are finite and within int64, the width of the
+    engine's timestamps and element ids: ``inf`` used to escape as ``OverflowError`` (an uncounted 500), and a
     ``2**70`` timestamp was accepted and later sealed buckets toward it."""
 
     @pytest.mark.parametrize("value", [float("inf"), 2**70], ids=["inf", "2**70"])
@@ -321,7 +320,7 @@ class TestOutOfRangeIntegers:
                 response = client.post(route, body)
                 assert response.status == 422, (route, response.body)
                 assert field in response.json()["error"]
-                counted = app.store.counters()["http_requests"]
+                counted = app.telemetry.counters()["http_requests"]
                 assert counted[f"POST {route}|422"] >= 1
             assert client.get("/health").json()["standing_queries"] == 0
             assert client.get("/stats").json()["stats"]["buckets_processed"] == 0
@@ -418,6 +417,7 @@ class TestMetricsAndTelemetry:
         ]
         counts = [int(line.rsplit(" ", 1)[1]) for line in rows]
         assert counts == sorted(counts)
+        assert len(rows) == 13  # 12 bounds plus +Inf, empty buckets included
         assert rows[-1].split("le=")[1].startswith('"+Inf"')
         count_line = next(
             line for line in text.splitlines()
@@ -426,6 +426,22 @@ class TestMetricsAndTelemetry:
             )
         )
         assert counts[-1] == int(count_line.rsplit(" ", 1)[1])
+        assert 'ksir_http_request_duration_ms_sum{endpoint="GET /health"}' in text
+
+        # The WebSocket counters are the hub's; the counters that repeated
+        # other ones, or only made sense across restarts, are gone.
+        values = dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if line.startswith("ksir_ws_")
+        )
+        assert values == {
+            "ksir_ws_sessions_total": "0",
+            "ksir_ws_pushes_total": "0",
+            "ksir_ws_dropped_total": "0",
+            "ksir_ws_subscribers": "0",
+        }
+        for gone in ("elements_ingested", "ws_pushes", "ws_connects", "restarts"):
+            assert f"ksir_runtime_{gone}" not in text
 
     def test_telemetry_document(self, client: TestClient) -> None:
         client.get("/health")
@@ -440,15 +456,23 @@ class TestMetricsAndTelemetry:
             "runtime",
             "supervisor",
         }
-        assert payload["push"]["subscribers"] == 0
+        assert payload["push"] == {
+            "subscribers": 0, "sessions": 0, "pushes": 0, "dropped": 0,
+        }
         assert payload["supervisor"] is None  # no supervised cluster attached
-        assert "GET /health" in payload["runtime"]["latency"]
+        assert set(payload["runtime"]) == {"counters", "latency"}
+        assert payload["runtime"]["counters"]["http_requests"] == {
+            "GET /health|200": 1
+        }
+        assert set(payload["runtime"]["latency"]["GET /health"]) == {
+            "buckets", "total_ms", "count", "mean_ms", "p50_ms", "p95_ms",
+        }
 
     def test_latency_recorded_per_endpoint(self, app: KSIRServer) -> None:
         with TestClient(app) as client:
             client.get("/health")
             client.get("/health")
-        histograms = app.store.histograms()
+        histograms = app.telemetry.histograms()
         assert histograms["GET /health"]["count"] == 2
 
 
@@ -464,12 +488,3 @@ class TestConstruction:
                 create_app(engine)
         finally:
             engine.close()
-
-    def test_external_store_survives_close(self, tmp_path) -> None:
-        store = RuntimeStore(tmp_path / "runtime.db")
-        application = create_app(make_engine(), store=store)
-        application.close()
-        # The app flushed but did not close the externally owned store.
-        store.increment("still_open")
-        assert store.counters()["still_open"][""] == 1
-        store.close()

@@ -8,6 +8,8 @@ pure topic-1 bucket can never touch a pure topic-0 query.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from server_harness import element, ingest_payload, make_engine
 
@@ -136,7 +138,35 @@ class TestSessionLifecycle:
                 ws.receive_json()
                 client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
                 ws.receive_json(timeout=10)
-        stats = app.store.ws_stats()
-        assert stats["sessions_total"] == 1
-        assert stats["sessions_closed"] == 1
-        assert stats["pushes_total"] >= 1
+        assert app.hub.sessions == 1
+        assert app.hub.subscriber_count() == 0  # the session closed
+        assert app.hub.pushes >= 1
+        assert app.hub.dropped == 0
+
+    def test_slow_consumer_drops_are_counted(self) -> None:
+        """A subscriber that never reads, behind a one-message queue, keeps
+        only the latest of three deltas: the hub counts the two it dropped,
+        and ``/metrics`` and ``/telemetry`` report that count."""
+        application = create_app(make_engine(), push_queue_size=1)
+        never_run = asyncio.new_event_loop()
+        try:
+            with TestClient(application) as client:
+                client.post(
+                    "/queries", {"vector": [1.0, 0.0], "k": 1, "query_id": "qa"}
+                )
+                subscription = application.hub.subscribe("qa", never_run)
+                for step in (1, 2, 3):
+                    client.post(
+                        "/ingest/bucket", ingest_payload(step, element(step, step, 0))
+                    )
+                # Run the three queued puts, and nothing that would read.
+                never_run.run_until_complete(asyncio.sleep(0))
+                dropped = application.hub.dropped
+                assert dropped >= 2
+                assert subscription.queue.qsize() == 1
+                assert client.get("/telemetry").json()["push"]["dropped"] == dropped
+                metrics = client.get("/metrics").body.decode()
+                assert f"ksir_ws_dropped_total {dropped}" in metrics
+        finally:
+            never_run.close()
+            application.close()
