@@ -35,7 +35,6 @@ stream on both paths.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -44,13 +43,13 @@ import numpy as np
 from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import ProcessorConfig
-from repro.core.query import KSIRQuery, QueryResult
+from repro.core.query import KSIRQuery, QueryResult, require_query_topics
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import (
     ElementProfile,
     KSIRObjective,
     ScoringContext,
-    TermsMemo,
+    TermMemo,
     topic_distributions,
 )
 from repro.core.stream import SocialStream, replay_stream
@@ -170,10 +169,9 @@ class ClusterCoordinator:
         # the shards, ``_synced`` is its value at the last applied sync.
         self._lock = threading.Lock()
         self._changes = 0
-        # Every standing query's compiled-terms memo handed to query(): its
-        # entries are compiled from the replica, so they leave with the
-        # records they were compiled from.
-        self._term_memos: "weakref.WeakSet[TermsMemo]" = weakref.WeakSet()
+        # ``element id → terms`` compiled from the replica, shared by every
+        # query; it follows the records (see _sync and _forget_replica).
+        self._term_memo: TermMemo = {}
         self._forget_replica()
 
         self._fanout: TransportBackend = _transport(self._cluster.transport)(self)
@@ -303,7 +301,6 @@ class ClusterCoordinator:
         k: Optional[int] = None,
         algorithm: Union[str, KSIRAlgorithm, None] = None,
         epsilon: Optional[float] = None,
-        terms: Optional[TermsMemo] = None,
     ) -> QueryResult:
         """Answer a k-SIR query over the coordinator's replica.
 
@@ -313,25 +310,23 @@ class ClusterCoordinator:
         algorithm runs over it.  Scores are exact because the replica holds,
         per element and topic, the scoring record its home shard compiled
         from the element's profile and complete follower set.  Queries from
-        several threads run one at a time.  ``terms`` is a standing query's
-        compiled-terms memo: the coordinator remembers it (weakly) and keeps
-        it exact from sync to sync.
+        several threads run one at a time.  A query vector must have one
+        entry per topic of the model.
         """
         self._require_open()
         ksir_query = KSIRQuery.coerce(query, k)
+        require_query_topics(ksir_query, self._model.num_topics)
         solver = self._config.resolve_algorithm(algorithm, epsilon)
         with self._lock:
-            if terms is not None:
-                self._term_memos.add(terms)
             watch = StopWatch()
             watch.start()
             self._sync()
             context = MergedCandidateContext(
                 self._records, ksir_query.vector, self._config.scoring,
-                time=self._current_time,
+                time=self._current_time, compiled=self._term_memo,
             )
             outcome = solver.select(
-                KSIRObjective(context, ksir_query.vector, terms),
+                KSIRObjective(context, ksir_query.vector),
                 ksir_query.k,
                 index=self._index if solver.requires_index else None,
             )
@@ -354,29 +349,28 @@ class ClusterCoordinator:
         """Bring the replica up to the shards (lock held); a no-op until
         something is done to them.  Replies are folded in, and their
         generations kept, only once every shard has answered.  The ids
-        whose records a reply replaced or removed leave every standing
-        query's compiled-terms memo with them."""
+        whose records a reply replaced or removed leave the term memo with
+        them: every entry stays what the replica compiles to."""
         changes = self._changes
         if self._synced == changes:
             return
         replies = self._fanout.sync(self._generations)
         stale = merge_candidate_pools(replies, self._records, self._index, self.num_shards)
-        for memo in self._term_memos:
-            for element_id in stale:
-                memo.pop(element_id, None)
+        term_memo = self._term_memo
+        for element_id in stale:
+            term_memo.pop(element_id, None)
         self._generations = [reply.generation for reply in replies]
         self._synced = changes
 
     def _forget_replica(self) -> None:
         """Start the replica over: the next sync is a full dump of every shard.
 
-        Every compiled-terms memo is cleared here, not at that sync: with no
-        records left, the full replies replace nothing, so the sync would
-        drop no entry.
+        The term memo is cleared here, not at that sync: with no records
+        left, the full replies carry no stale id, so the sync would drop no
+        entry.
         """
         with self._lock:
-            for memo in self._term_memos:
-                memo.clear()
+            self._term_memo.clear()
             self._records: Records = {}
             self._index = RankedListIndex(self._model.num_topics, self._config.scoring)
             self._generations: List[Optional[int]] = [None] * self.num_shards

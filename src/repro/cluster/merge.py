@@ -11,7 +11,8 @@ is one query's :class:`~repro.core.scoring.ObjectiveContext` over the
 records: it compiles terms from ``R_i(e)``, ``σ_i(·, e)`` and the follower
 edges the home shard compiled (it sees every follower of its elements), so
 gains equal the single node's without a profile or follower reaching the
-coordinator.  Shards' shares are disjoint: a record comes from its home.
+coordinator; it compiles into the coordinator's term memo, which every
+query shares.  Shards' shares are disjoint: a record comes from its home.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.ranked_list import RankedListIndex
-from repro.core.scoring import ScoringConfig, Terms
+from repro.core.scoring import ScoringConfig, TermMemo, Terms
 from repro.cluster.partition import shard_of
 from repro.cluster.worker import Record, ShardDelta
 
@@ -36,7 +37,9 @@ class MergedCandidateContext:
     enumerate, is the elements holding a positive-weight query topic, in
     ascending id order: no sync history changes it.  It is no window
     snapshot — no profiles, no follower view.  The records are the
-    coordinator's, read under its lock.
+    coordinator's, read under its lock; so is ``compiled``, the
+    coordinator's term memo, whose every entry is what these records
+    compile to (a context built on its own owns an empty one).
     """
 
     def __init__(
@@ -45,8 +48,10 @@ class MergedCandidateContext:
         query_vector: np.ndarray,
         config: ScoringConfig,
         time: Optional[int] = None,
+        compiled: Optional[TermMemo] = None,
     ) -> None:
         self._records = records
+        self._term_memo: TermMemo = {} if compiled is None else compiled
         self._topics = frozenset(
             topic for topic, weight in enumerate(query_vector) if weight > 0.0
         )
@@ -82,23 +87,21 @@ class MergedCandidateContext:
         record = self._records.get(element_id)
         return record is not None and not self._topics.isdisjoint(record[1])
 
-    def compile_terms(
-        self, element_id: int, query_topics: Sequence[Tuple[int, float]]
-    ) -> Terms:
-        """:meth:`ScoringContext.compile_terms` over the replicated floats."""
-        held = self._records[element_id][1]
+    def terms(self, element_id: int) -> Terms:
+        """:meth:`ScoringContext.terms` over the replica."""
+        terms = self._term_memo.get(element_id)
+        if terms is None:
+            terms = self._term_memo[element_id] = self.compile_terms(element_id)
+        return terms
+
+    def compile_terms(self, element_id: int) -> Terms:
+        """:meth:`ScoringContext.compile_terms` over the replicated floats:
+        one term per topic the record holds (its home profile's, ascending)."""
         lambda_weight, influence_weight = self._weights
-        compiled = []
-        for topic, weight in query_topics:
-            record = held.get(topic)
-            if record is not None:
-                _, semantic, words, edges = record
-                compiled.append((
-                    topic, weight,
-                    lambda_weight * semantic + influence_weight * edges[2],
-                    semantic, words, edges,
-                ))
-        return tuple(compiled)
+        return tuple(
+            (topic, lambda_weight * semantic + influence_weight * edges[2], semantic, words, edges)
+            for topic, (_, semantic, words, edges) in self._records[element_id][1].items()
+        )
 
 
 def merge_candidate_pools(

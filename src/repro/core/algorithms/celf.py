@@ -7,16 +7,21 @@ marginal gain (initially its singleton score); at every step the element with
 the largest bound is popped, its true marginal gain w.r.t. the current
 selection is recomputed, and it is either selected (if it is still the best)
 or pushed back with the refreshed bound.
+
+The heap is a plain :mod:`heapq` list of ``(−bound, push number, id)``: an
+element is in it at most once, so no entry is ever stale, and the push
+number breaks ties between equal bounds first-in first-out.
 """
 
 from __future__ import annotations
 
+import itertools
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import KSIRObjective
-from repro.utils.lazy_heap import LazyMaxHeap
 
 
 class CELF(KSIRAlgorithm):
@@ -32,14 +37,17 @@ class CELF(KSIRAlgorithm):
         index: Optional[RankedListIndex],
     ) -> SelectionOutcome:
         state = objective.new_state()
-        heap = LazyMaxHeap()
-        for element_id in objective.context.active_ids:
-            heap.push(element_id, objective.singleton_score(element_id))
+        heap = [
+            (-objective.singleton_score(element_id), position, element_id)
+            for position, element_id in enumerate(objective.context.active_ids)
+        ]
+        heapify(heap)
+        pushes = itertools.count(len(heap))
 
         reevaluations = 0
-        while len(state.selected) < k and len(heap) > 0:
-            element_id, cached_gain = heap.pop()
-            if cached_gain <= 0.0:
+        while len(state.selected) < k and heap:
+            neg_gain, _, element_id = heappop(heap)
+            if -neg_gain <= 0.0:
                 # Monotone objective: nothing left can improve the score.
                 break
             if not state.selected:
@@ -48,11 +56,10 @@ class CELF(KSIRAlgorithm):
                 continue
             gain = objective.marginal_gain(element_id, state)
             reevaluations += 1
-            current_best = heap.max_priority()
-            if current_best is None or gain >= current_best:
+            if not heap or gain >= -heap[0][0]:
                 objective.add(element_id, state)
             else:
-                heap.push(element_id, gain)
+                heappush(heap, (-gain, next(pushes), element_id))
         return SelectionOutcome(
             element_ids=tuple(state.selected),
             value=state.value,

@@ -14,17 +14,27 @@ the buffered element with the largest cached gain, recomputes its true
 marginal gain and admits it when the gain is at least ``τ``.  The run stops
 when ``S`` reaches ``k`` elements or ``τ`` drops below the termination
 threshold ``τ' = ε · f(S, x) / k``.
+
+The buffer is a plain :mod:`heapq` list of ``(−Δ_e, push number, id)``: an
+element is in it at most once (retrieval visits each element once, and a
+popped element is pushed back only after it left), so no entry is ever
+stale, and the push number breaks ties between equal bounds first-in
+first-out.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from heapq import heappop, heappush
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
 from repro.core.ranked_list import RankedListIndex, RankedListTraversal
 from repro.core.scoring import KSIRObjective
-from repro.utils.lazy_heap import LazyMaxHeap
 from repro.utils.validation import require_in_range
+
+#: ``(−cached gain, push number, element id)`` entries of a heapq list.
+Buffer = List[Tuple[float, int, int]]
 
 
 class MTTD(KSIRAlgorithm):
@@ -53,7 +63,8 @@ class MTTD(KSIRAlgorithm):
     def _retrieve(
         traversal: RankedListTraversal,
         objective: KSIRObjective,
-        buffer: LazyMaxHeap,
+        buffer: Buffer,
+        pushes: Iterator[int],
         tau: float,
     ) -> int:
         """Pull every element whose score may reach ``tau`` into the buffer.
@@ -68,7 +79,7 @@ class MTTD(KSIRAlgorithm):
             if score > 0.0:
                 # Zero-score elements can never clear a positive threshold;
                 # keeping them out of the buffer guarantees termination.
-                buffer.push(element_id, score)
+                heappush(buffer, (-score, next(pushes), element_id))
         return count
 
     # -- main loop ---------------------------------------------------------------------
@@ -81,7 +92,8 @@ class MTTD(KSIRAlgorithm):
     ) -> SelectionOutcome:
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
-        buffer = LazyMaxHeap()
+        buffer: Buffer = []
+        pushes = itertools.count()
         state = objective.new_state()
 
         tau = traversal.upper_bound()
@@ -91,15 +103,12 @@ class MTTD(KSIRAlgorithm):
 
         while tau >= termination and tau > 0.0:
             rounds += 1
-            retrieved += self._retrieve(traversal, objective, buffer, tau)
+            retrieved += self._retrieve(traversal, objective, buffer, pushes, tau)
 
             # Evaluation phase: keep admitting buffered elements while some
             # cached gain still reaches the round threshold.
-            while len(buffer) > 0:
-                element_id, cached_gain = buffer.peek()
-                if cached_gain < tau:
-                    break
-                buffer.pop()
+            while buffer and -buffer[0][0] >= tau:
+                element_id = heappop(buffer)[2]
                 gain = objective.marginal_gain(element_id, state)
                 if gain >= tau:
                     objective.add(element_id, state)
@@ -109,11 +118,11 @@ class MTTD(KSIRAlgorithm):
                     # Keep it around with the refreshed (smaller) bound; it may
                     # clear a later, lower threshold.  Zero gains are dropped —
                     # they can never clear a positive threshold.
-                    buffer.push(element_id, gain)
+                    heappush(buffer, (-gain, next(pushes), element_id))
 
             termination = state.value * self.epsilon / k
             tau *= 1.0 - self.epsilon
-            if traversal.exhausted() and len(buffer) == 0:
+            if traversal.exhausted() and not buffer:
                 break
 
         return self._outcome(objective, state, rounds, retrieved, buffer)
@@ -124,7 +133,7 @@ class MTTD(KSIRAlgorithm):
         state,
         rounds: int,
         retrieved: int,
-        buffer: LazyMaxHeap,
+        buffer: Buffer,
     ) -> SelectionOutcome:
         return SelectionOutcome(
             element_ids=tuple(state.selected),

@@ -13,7 +13,9 @@ MTTS combines two ideas:
    unfilled candidate.
 
 The returned candidate with the maximum score is a ``(1/2 − ε)``-approximate
-answer, and every active element is compiled at most once.
+answer, and every active element is compiled at most once per change: its
+terms come from the backend's term memo, which every query shares and a
+bucket drops only where it changed the element's record.
 
 The objective is submodular, so ``Δ(e | S) ≤ Δ(e | T)`` for ``T ⊆ S``: once
 a candidate ``T`` rejects ``e``, every candidate holding ``T`` whose

@@ -14,7 +14,6 @@ The :class:`KSIRProcessor` ties everything together:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from repro.core.algorithms import KSIRAlgorithm, resolve_algorithm
 from repro.core.element import SocialElement
-from repro.core.query import KSIRQuery, QueryResult
+from repro.core.query import KSIRQuery, QueryResult, require_query_topics
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import (
     EdgeMemo,
@@ -31,7 +30,7 @@ from repro.core.scoring import (
     ProfileBuilder,
     ScoringConfig,
     ScoringContext,
-    TermsMemo,
+    TermMemo,
 )
 from repro.core.stream import SocialStream, replay_stream
 from repro.kernels import delta_topic_sums
@@ -146,13 +145,12 @@ class KSIRProcessor:
         self._snapshot_cache: Optional[Tuple[int, ScoringContext]] = None
         self._snapshot_builds = 0
         # Compiled follower edges of active elements that have in-window
-        # followers, filled by the snapshots' queries and kept across
-        # buckets: process_bucket drops exactly the entries a bucket makes
-        # stale (see ScoringContext.follower_edges).
+        # followers, and every queried element's compiled terms, filled by
+        # the snapshots' queries and kept across buckets: process_bucket
+        # drops exactly the entries a bucket makes stale (a term is the
+        # profile plus those edges; see ScoringContext.terms).
         self._edge_memo: EdgeMemo = {}
-        # Every standing query's compiled-terms memo handed to query(), kept
-        # exact by the same drops (a term is the profile plus those edges).
-        self._term_memos: "weakref.WeakSet[TermsMemo]" = weakref.WeakSet()
+        self._term_memo: TermMemo = {}
 
     # -- metadata -----------------------------------------------------------------
 
@@ -260,16 +258,14 @@ class KSIRProcessor:
         because a parent's last refresh in a bucket already sees every
         follower the bucket added, and activity times combine via ``max``.
 
-        The same enumeration keeps the follower-edge memo exact: the entry
-        of every element the bucket posts, of every parent it touches (new
-        follower, re-posted follower, follower lost to expiry or to a
-        re-post) and of every element that leaves ``A_t`` is dropped,
-        whoever owns the element — a shard scores its foreign replicas from
-        the same memo.  The snapshot of the previous window stops sharing
-        the memo first, so it stays frozen.  Those ids' entries leave every
-        :class:`TermsMemo` a standing query handed to :meth:`query` too: a
-        compiled term is the profile plus these edges, so the drop set is
-        the same.
+        The same enumeration keeps the follower-edge and term memos exact:
+        the entries of every element the bucket posts, of every parent it
+        touches (new follower, re-posted follower, follower lost to expiry
+        or to a re-post) and of every element that leaves ``A_t`` are
+        dropped, whoever owns the element — a shard scores its foreign
+        replicas from the same memos.  A compiled term is the profile plus
+        those edges, so one drop set serves both.  The snapshot of the
+        previous window stops sharing the memos first, so it stays frozen.
         Returns that enumeration, ids possibly repeated: every element
         whose scoring record the bucket may have changed (what a shard's
         next sync ships).
@@ -278,14 +274,14 @@ class KSIRProcessor:
             prepared = self._inferencer.with_topics(elements)
             profiles = self._builder.build_many(prepared)
 
-            # Only the current snapshot shares the memo; an older one let go
-            # of it a bucket ago and keeps whatever it compiled since.
+            # Only the current snapshot shares the memos; an older one let go
+            # of them a bucket ago and keeps whatever it compiled since.
             cached = self._snapshot_cache
             if cached is not None and cached[0] == self._buckets_processed:
                 cached[1].unshare_edges()
             home_filter = self._home_filter
             profile_map = self._profiles
-            edge_memo = self._edge_memo
+            edge_memo, term_memo = self._edge_memo, self._term_memo
             changed: List[int] = []
             inserts = []
             touched: Dict[int, int] = {}
@@ -366,9 +362,7 @@ class KSIRProcessor:
                 )
             for element_id in changed:
                 edge_memo.pop(element_id, None)
-            for memo in self._term_memos:
-                for element_id in changed:
-                    memo.pop(element_id, None)
+                term_memo.pop(element_id, None)
             self._buckets_processed += 1
         return changed
 
@@ -439,11 +433,11 @@ class KSIRProcessor:
         Both inputs are state Algorithm 1 already maintains per bucket — the
         profile map and the window's sparse follower view — so a fresh
         context is one copy of each; nothing is re-derived from the window.
-        The follower-edge memo is not copied but shared: its entries are
-        exact for the current window (:meth:`process_bucket` dropped the
-        others), the context's queries fill in what is missing, and the next
-        bucket takes the memo away from the context before it changes
-        anything.
+        The follower-edge and term memos are not copied but shared: their
+        entries are exact for the current window (:meth:`process_bucket`
+        dropped the others), every query on the context fills in what is
+        missing, and the next bucket takes the memos away from the context
+        before it changes anything.
         Profiles are registered where the window activates their elements,
         so the map, and with it ``context.active_ids`` (which the batch
         algorithms enumerate), iterates in ``window.active_ids()`` order.
@@ -462,16 +456,15 @@ class KSIRProcessor:
             time=self._window.current_time,
             frozen=True,
             edges=self._edge_memo,
+            compiled=self._term_memo,
         )
         self._snapshot_builds += 1
         self._snapshot_cache = (self._buckets_processed, context)
         return context
 
-    def objective(
-        self, query_vector: np.ndarray, terms: Optional[TermsMemo] = None
-    ) -> KSIRObjective:
+    def objective(self, query_vector: np.ndarray) -> KSIRObjective:
         """A k-SIR objective bound to the current window and ``query_vector``."""
-        return KSIRObjective(self.snapshot(), query_vector, terms)
+        return KSIRObjective(self.snapshot(), query_vector)
 
     def query(
         self,
@@ -479,21 +472,18 @@ class KSIRProcessor:
         k: Optional[int] = None,
         algorithm: Union[str, KSIRAlgorithm, None] = None,
         epsilon: Optional[float] = None,
-        terms: Optional[TermsMemo] = None,
     ) -> QueryResult:
         """Answer a k-SIR query against the current window.
 
         ``query`` may be a :class:`KSIRQuery` or a raw query vector (in which
         case ``k`` must be given).  ``algorithm`` is an algorithm instance or
         a registry name ("mttd", "mtts", "celf", "sieve", "topk", "greedy").
-        ``terms`` is a standing query's compiled-terms memo: the processor
-        remembers it (weakly) and keeps it exact from bucket to bucket.
+        A query vector must have one entry per topic of the model.
         """
         ksir_query = KSIRQuery.coerce(query, k)
+        require_query_topics(ksir_query, self._model.num_topics)
         solver = self._config.resolve_algorithm(algorithm, epsilon)
-        if terms is not None:
-            self._term_memos.add(terms)
-        objective = self.objective(ksir_query.vector, terms)
+        objective = self.objective(ksir_query.vector)
 
         watch = StopWatch()
         watch.start()
@@ -551,9 +541,7 @@ class KSIRProcessor:
         self._window.restore_state(state["window"])
         self._index.restore_state(state["ranked_lists"])
         self._snapshot_cache = None
-        self._edge_memo = {}
-        for memo in self._term_memos:
-            memo.clear()
+        self._edge_memo, self._term_memo = {}, {}
         # Registered in A_t order: snapshot() iterates the map as it stands.
         active = list(self._window.active_elements())
         self._profiles = {}

@@ -105,6 +105,16 @@ class KSIRQuery:
         )
 
 
+def require_query_topics(query: KSIRQuery, num_topics: int) -> None:
+    """Reject a query whose vector does not hold one entry per topic of a
+    ``num_topics``-topic model (``ValueError``), whatever the algorithm."""
+    if query.num_topics != num_topics:
+        raise ValueError(
+            f"query vector has {query.num_topics} topics, the processor's "
+            f"model has {num_topics}"
+        )
+
+
 @dataclass
 class QueryResult:
     """The outcome of processing one k-SIR query with one algorithm.

@@ -16,8 +16,13 @@ exposes an :class:`ObjectiveState` carrying the word-coverage and
 influence-coverage bookkeeping needed to compute
 ``Δ(e | S) = f(S ∪ {e}, x) − f(S, x)`` in time proportional to the element's
 own words and followers (``O(l·d)`` in the paper's analysis) instead of
-re-evaluating the whole set.  The from-scratch evaluators it is checked
-against live with the reference model (``tests/oracle.py``).
+re-evaluating the whole set.  What an element contributes on each of its
+topics (``δ_i(e)``, ``R_i(e)``, ``σ_i(·, e)`` and its follower edges) does
+not depend on the query, so it is compiled once into :data:`Terms` and kept
+in one memo per backend that every query reads (:meth:`ScoringContext.terms`);
+the query weight ``x_i`` joins only inside an evaluation.  The from-scratch
+evaluators it is checked against live with the reference model
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -43,25 +48,15 @@ Edges = Tuple[Tuple[int, ...], Tuple[float, ...], float]
 #: ``element id → {topic: Edges}`` for elements that have in-window
 #: followers; see :meth:`ScoringContext.follower_edges`.
 EdgeMemo = Dict[int, Dict[int, Edges]]
-#: A compiled element, one term per query topic:
-#: ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), follower side)``.
-Terms = Tuple[Tuple[int, float, float, float, Mapping[int, float], Edges], ...]
+#: A compiled element, one term per topic of its profile, ascending:
+#: ``(topic, δ_i(e), R_i(e), σ_i(·, e), follower side)``.  The query weight
+#: ``x_i`` is not part of it, so one compilation serves every query vector.
+Terms = Tuple[Tuple[int, float, float, Mapping[int, float], Edges], ...]
+#: ``element id → Terms``: a backend's compiled elements, shared by every
+#: query; see :meth:`ScoringContext.terms`.
+TermMemo = Dict[int, Terms]
 _EMPTY: Mapping[int, Any] = MappingProxyType({})  # shared, so read-only
 NO_EDGES: Edges = ((), (), 0.0)
-
-
-class TermsMemo(Dict[int, Terms]):
-    """One standing query's compiled terms, ``element id → Terms``, carried
-    from one evaluation of the query to the next (``KSIRObjective(terms=)``).
-
-    Hashed by identity: the backend that answers the query remembers the
-    memo in a ``weakref.WeakSet`` and drops the entries a change to its
-    records makes stale, so every entry stays what a fresh compilation of
-    the current window gives.  A memo belongs to one query vector on one
-    backend.
-    """
-
-    __hash__ = object.__hash__  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -399,21 +394,23 @@ class ScoringContext:
     """A frozen snapshot of the active window, shared by every query on it.
 
     Holds the element profiles and the in-window follower view at query time
-    ``t``; the objective reads everything from here
-    (:meth:`compile_terms`), so queries never mutate the live window.
+    ``t``; the objective reads everything from here (:meth:`terms`), so
+    queries never mutate the live window.
 
     What depends only on the window is compiled once per *change*, not per
-    snapshot: :meth:`follower_edges` memoises, for elements that have
-    in-window followers, the per-topic edges ``p_i(e ⇝ follower)`` and their
-    sum.  The memo fills lazily, holds nothing for follower-less elements and
-    never touches the profile and follower maps.  A context built on its own
-    owns its memo; the processor's snapshot is handed the processor's
-    (``edges=``), whose entries outlive the snapshot and are dropped where a
-    bucket changes what they were compiled from
-    (:meth:`KSIRProcessor.process_bucket`).  Before the window changes the
-    processor calls :meth:`unshare_edges`, so a snapshot somebody still holds
-    keeps answering from its own frozen maps.  Filling is idempotent —
-    threads that compile one element concurrently store equal entries.
+    snapshot or per query, into two memos: :meth:`follower_edges` keeps, for
+    elements that have in-window followers, the per-topic edges
+    ``p_i(e ⇝ follower)`` and their sum; :meth:`terms` keeps every element's
+    compiled terms, which hold no query weight and so serve every query
+    vector.  Both fill lazily and never touch the profile and follower maps.
+    A context built on its own owns its memos; the processor's snapshot is
+    handed the processor's (``edges=``, ``compiled=``), whose entries outlive
+    the snapshot and are dropped where a bucket changes what they were
+    compiled from (:meth:`KSIRProcessor.process_bucket`).  Before the window
+    changes the processor calls :meth:`unshare_edges`, so a snapshot
+    somebody still holds keeps answering from its own frozen maps.  Filling
+    is idempotent — threads that compile one element concurrently store
+    equal entries.
     """
 
     def __init__(
@@ -425,6 +422,7 @@ class ScoringContext:
         *,
         frozen: bool = False,
         edges: Optional[EdgeMemo] = None,
+        compiled: Optional[TermMemo] = None,
     ) -> None:
         # ``frozen``: the caller hands over dicts nothing else will mutate
         # (followers already ``id → tuple``), so they are kept, not copied.
@@ -435,9 +433,10 @@ class ScoringContext:
         self._config = config
         self._weights = (config.lambda_weight, config.influence_weight)
         self._time = time
-        # ``edges``: a memo whose every entry equals what these maps compile
-        # to, kept so by its owner until :meth:`unshare_edges`.
+        # ``edges`` / ``compiled``: memos whose every entry equals what these
+        # maps compile to, kept so by their owner until :meth:`unshare_edges`.
         self._edge_memo: EdgeMemo = {} if edges is None else edges
+        self._term_memo: TermMemo = {} if compiled is None else compiled
 
     # -- accessors ---------------------------------------------------------------
 
@@ -506,37 +505,43 @@ class ScoringContext:
             self._edge_memo[element_id] = compiled
         return compiled
 
-    def compile_terms(
-        self, element_id: int, query_topics: Sequence[Tuple[int, float]]
-    ) -> Terms:
-        """One term ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), follower side)``
-        per ``(topic, x_i)`` of ``query_topics`` the element holds (KeyError
-        when inactive)."""
+    def terms(self, element_id: int) -> Terms:
+        """The element's compiled terms, from the memo or compiled into it
+        (KeyError when inactive)."""
+        terms = self._term_memo.get(element_id)
+        if terms is None:
+            terms = self._term_memo[element_id] = self.compile_terms(element_id)
+        return terms
+
+    def compile_terms(self, element_id: int) -> Terms:
+        """One term ``(topic, δ_i(e), R_i(e), σ_i(·, e), follower side)`` per
+        topic of positive probability in the element's profile, in its
+        (ascending) order, compiled from the maps without reading the term
+        memo (KeyError when inactive)."""
         profile = self._profiles[element_id]
         followed = self.follower_edges(element_id)
-        probabilities = profile.topic_probabilities
         semantic_scores, words = profile.semantic_scores, profile.word_weights
         lambda_weight, influence_weight = self._weights
         compiled = []
-        for topic, weight in query_topics:
-            if probabilities.get(topic, 0.0) > 0.0:
+        for topic, probability in profile.topic_probabilities.items():
+            if probability > 0.0:
                 semantic = semantic_scores.get(topic, 0.0)
                 edges = followed.get(topic, NO_EDGES)
                 compiled.append((
-                    topic, weight,
-                    lambda_weight * semantic + influence_weight * edges[2],
+                    topic, lambda_weight * semantic + influence_weight * edges[2],
                     semantic, words.get(topic, _EMPTY), edges,
                 ))
         return tuple(compiled)
 
     def unshare_edges(self) -> None:
-        """Stop reading (and filling) the memo this context was handed.
+        """Stop reading (and filling) the memos this context was handed.
 
-        Called by the memo's owner when the window is about to change: from
-        here on the context compiles from its own frozen maps into a memo of
+        Called by the memos' owner when the window is about to change: from
+        here on the context compiles from its own frozen maps into memos of
         its own.
         """
         self._edge_memo = {}
+        self._term_memo = {}
 
 
 @dataclass
@@ -594,9 +599,7 @@ class ObjectiveContext(Protocol):
     @property
     def active_count(self) -> int: ...
     def __contains__(self, element_id: int) -> bool: ...
-    def compile_terms(
-        self, element_id: int, query_topics: Sequence[Tuple[int, float]]
-    ) -> Terms: ...
+    def terms(self, element_id: int) -> Terms: ...
 
 
 class KSIRObjective:
@@ -607,27 +610,21 @@ class KSIRObjective:
     exact set value.  Evaluations of distinct elements are counted so the
     experiment harness can reproduce Figure 10 (ratio of evaluated elements).
 
-    An element is *compiled* by the context on its first evaluation into one
-    term ``(topic, x_i, δ_i(e), R_i(e), σ_i(·, e), (followers, edges, Σ
-    edges))`` per query topic it has (:meth:`ScoringContext.compile_terms`,
-    once per query; the follower side comes from the context's memo, which
-    outlives the query and the snapshot), and every evaluation afterwards —
-    :meth:`singleton_score`, :meth:`marginal_gain`, :meth:`add` — is a loop
-    over those terms and the selection state only.
-
-    ``terms``: a standing query's :class:`TermsMemo`, kept exact by the
-    backend between evaluations.  A compilation reads its entry there
-    first and fills it otherwise, so an element the previous evaluation
-    already compiled costs one lookup.  :attr:`evaluated_elements` still
-    counts the elements *this* evaluation touched, memo hits included.
+    An element's terms ``(topic, δ_i(e), R_i(e), σ_i(·, e), (followers,
+    edges, Σ edges))``, one per topic it holds, come from the context's
+    term memo (:meth:`ScoringContext.terms`), which the backend shares with
+    every query and keeps exact across buckets; the objective reads it
+    through the context on every first touch, never binding the dict
+    itself.  Every evaluation — :meth:`singleton_score`,
+    :meth:`marginal_gain`, :meth:`add` — is a loop over those terms, the
+    query weight ``x_i`` looked up per topic, and the selection state only;
+    a term whose weight is ``0.0`` is skipped, so each evaluation runs the
+    same float operations over the query's topics in ascending order.
+    :attr:`evaluated_elements` counts the elements *this* objective
+    touched, memo hits included.
     """
 
-    def __init__(
-        self,
-        context: ObjectiveContext,
-        query_vector: np.ndarray,
-        terms: Optional[TermsMemo] = None,
-    ) -> None:
+    def __init__(self, context: ObjectiveContext, query_vector: np.ndarray) -> None:
         vector = np.asarray(query_vector, dtype=float)
         if vector.ndim != 1:
             raise ValueError("query_vector must be one-dimensional")
@@ -637,14 +634,12 @@ class KSIRObjective:
             raise ValueError("query_vector entries must be non-negative")
         self._context = context
         self._vector = vector
-        self._query_topics: Tuple[Tuple[int, float], ...] = tuple(
-            (topic, float(weight)) for topic, weight in enumerate(vector) if weight > 0.0
-        )
+        # x_i by topic: the weight of every term the context compiles.
+        self._topic_weights: List[float] = vector.tolist()
         self._lambda_weight = context.config.lambda_weight
         self._influence_weight = context.config.influence_weight
-        # element id -> compiled terms; its keys are the evaluated elements.
-        self._compiled: Dict[int, Terms] = {}
-        self._carried = terms
+        # element id -> terms; its keys are the evaluated elements.
+        self._touched: Dict[int, Terms] = {}
         self._evaluation_calls = 0
 
     # -- metadata --------------------------------------------------------------------
@@ -660,14 +655,9 @@ class KSIRObjective:
         return self._vector
 
     @property
-    def query_topics(self) -> Tuple[Tuple[int, float], ...]:
-        """The non-zero ``(topic, weight)`` entries of the query vector."""
-        return self._query_topics
-
-    @property
     def evaluated_elements(self) -> int:
         """Number of *distinct* elements whose score has been evaluated."""
-        return len(self._compiled)
+        return len(self._touched)
 
     @property
     def evaluation_calls(self) -> int:
@@ -679,9 +669,12 @@ class KSIRObjective:
     def singleton_score(self, element_id: int) -> float:
         """``δ(e, x) = f({e}, x)``."""
         self._evaluation_calls += 1
+        topic_weights = self._topic_weights
         total = 0.0
         for term in self._terms(element_id):
-            total += term[1] * term[2]  # x_i · δ_i(e)
+            weight = topic_weights[term[0]]
+            if weight:
+                total += weight * term[1]  # x_i · δ_i(e)
         return total
 
     def new_state(self) -> ObjectiveState:
@@ -713,28 +706,22 @@ class KSIRObjective:
     # -- internals ------------------------------------------------------------------------
 
     def _terms(self, element_id: int) -> Terms:
-        """The element's terms, compiled on first use (KeyError when inactive)."""
-        terms = self._compiled.get(element_id)
+        """The element's terms, read through the context on first use
+        (KeyError when inactive)."""
+        terms = self._touched.get(element_id)
         if terms is None:
-            carried = self._carried
-            if carried is None:
-                terms = self._compiled[element_id] = self._context.compile_terms(
-                    element_id, self._query_topics
-                )
-            else:
-                terms = carried.get(element_id)
-                if terms is None:
-                    terms = carried[element_id] = self._context.compile_terms(
-                        element_id, self._query_topics
-                    )
-                self._compiled[element_id] = terms
+            terms = self._touched[element_id] = self._context.terms(element_id)
         return terms
 
     def _gain(self, terms: Terms, state: ObjectiveState, commit: bool) -> float:
         lambda_weight, influence_weight = self._lambda_weight, self._influence_weight
+        topic_weights = self._topic_weights
         covered_words = state.covered_words
         total = 0.0
-        for topic, weight, _delta, semantic, words, (follower_ids, edges, influence) in terms:
+        for topic, _delta, semantic, words, (follower_ids, edges, influence) in terms:
+            weight = topic_weights[topic]
+            if not weight:
+                continue
             covered = covered_words.get(topic)
             if covered is None:
                 semantic_gain = semantic

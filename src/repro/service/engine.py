@@ -20,10 +20,9 @@ Driving it is a two-step loop:
 2. :meth:`result` / :meth:`results` read the per-query result cache, with
    staleness metadata saying how many buckets ago each answer was computed.
 
-Each standing query carries a :class:`~repro.core.scoring.TermsMemo` from
-one evaluation to the next: the terms its evaluations compiled, which the
-backend keeps exact as buckets change the window, so a re-evaluation
-compiles only what changed or what it had not touched before.
+A standing evaluation compiles through the backend's one term memo,
+shared with every ad-hoc query and kept exact as buckets change the window,
+so a re-evaluation compiles only what changed or what no query touched yet.
 
 :meth:`report` renders the service metrics (p50/p99 latency, pairs/sec,
 result-cache hit rate, re-eval ratio).
@@ -38,8 +37,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.core.algorithms import KSIRAlgorithm
 from repro.core.element import SocialElement
 from repro.core.processor import KSIRProcessor
-from repro.core.query import KSIRQuery, QueryResult
-from repro.core.scoring import TermsMemo
+from repro.core.query import KSIRQuery, QueryResult, require_query_topics
 from repro.service.metrics import ServiceMetrics
 from repro.service.registry import QueryRegistry, StandingQuery
 
@@ -155,8 +153,6 @@ class ServiceEngine:
         # Solver instances resolved once per standing query (algorithms are
         # stateless across select() calls) by register and restore_state.
         self._solvers: Dict[str, KSIRAlgorithm] = {}
-        # Each standing query's compiled terms, carried across buckets.
-        self._terms: Dict[str, TermsMemo] = {}
         # Registered queries not evaluated yet: always a subset of the registry.
         self._pending: Set[str] = set()
         self._metrics = ServiceMetrics()
@@ -196,11 +192,7 @@ class ServiceEngine:
         ttl_buckets: Optional[int] = None,
     ) -> StandingQuery:
         """Register a standing query; it is first evaluated on the next bucket."""
-        if query.num_topics != self._backend.topic_model.num_topics:
-            raise ValueError(
-                f"query vector has {query.num_topics} topics, the processor's "
-                f"model has {self._backend.topic_model.num_topics}"
-            )
+        require_query_topics(query, self._backend.topic_model.num_topics)
         # Resolve the solver before touching the registry, so an unknown
         # algorithm name fails the registration without leaving an orphan
         # standing query behind.
@@ -214,12 +206,11 @@ class ServiceEngine:
             at_bucket=self._backend.buckets_processed,
         )
         self._solvers[standing.query_id] = solver
-        self._terms[standing.query_id] = TermsMemo()
         self._pending.add(standing.query_id)
         return standing
 
     def unregister(self, query_id: str) -> bool:
-        """Drop a standing query, its cached result and its compiled terms."""
+        """Drop a standing query and its cached result."""
         removed = self._registry.unregister(query_id)
         self._forget(query_id)
         return removed
@@ -228,7 +219,6 @@ class ServiceEngine:
         """Drop what the engine holds for one query id."""
         self._results.pop(query_id, None)
         self._solvers.pop(query_id, None)
-        self._terms.pop(query_id, None)
         self._pending.discard(query_id)
 
     # -- update listeners --------------------------------------------------------------
@@ -348,13 +338,11 @@ class ServiceEngine:
             self._pending.discard(query_id)
 
     def _evaluate(self, standing: StandingQuery) -> QueryResult:
-        """One standing evaluation: the backend's ad-hoc query, timed by it,
-        reading and filling the query's carried compiled terms."""
+        """One standing evaluation: the backend's ad-hoc query, timed by it."""
         result = self._backend.query(
             standing.query,
             algorithm=self._solvers[standing.query_id],
             epsilon=standing.epsilon,
-            terms=self._terms[standing.query_id],
         )
         self._metrics.eval_latency.add(result.elapsed_ms / 1000.0)
         return result
@@ -398,7 +386,6 @@ class ServiceEngine:
             )
             for standing in self._registry
         }
-        self._terms = {standing.query_id: TermsMemo() for standing in self._registry}
         self._pending = {
             query_id
             for query_id in map(str, state["pending"])

@@ -8,15 +8,12 @@ The helpers in this package are deliberately small and dependency-free:
   experiment harness to report per-query and per-update CPU time.
 * :mod:`repro.utils.sorted_list` — the bisect-backed descending sorted list
   that backs each per-topic ranked list.
-* :mod:`repro.utils.lazy_heap` — a lazy max-heap with stale-entry
-  invalidation (used by CELF and MTTD's candidate buffer).
 * :mod:`repro.utils.validation` — argument validation helpers shared by the
   public API.
 * :mod:`repro.utils.config` — the dict round-trip every frozen config
   dataclass derives from its fields.
 """
 
-from repro.utils.lazy_heap import LazyMaxHeap
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
@@ -29,7 +26,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "DescendingSortedList",
-    "LazyMaxHeap",
     "StopWatch",
     "TimingStats",
     "derive_seed",

@@ -19,12 +19,16 @@ The second half is the reference of the *query* path: ``f(S, x)`` and its
 parts computed from scratch out of a window snapshot (Eq. 1-4), then the
 objective, the ranked-list traversal and MTTS written out call by call,
 importing nothing of production's compiled forms
-(``tests/test_query_path.py``).  The last part is topic inference one
-document at a time (``tests/test_topics_inference.py``).
+(``tests/test_query_path.py``).  Then topic inference one document at a
+time (``tests/test_topics_inference.py``).  The last part is MTTD's and
+CELF's selection over the lazy max-heap they used before their plain
+:mod:`heapq` lists (``tests/test_core_algorithms.py``).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
@@ -593,3 +597,121 @@ def reference_infer(
         truncated[best] = 1.0
         return truncated
     return truncated / total
+
+
+# ---------------------------------------------------------------------------
+# MTTD and CELF over a lazy max-heap, as they ran before their plain heapq
+# lists (``tests/test_core_algorithms.py`` holds the two to each other)
+# ---------------------------------------------------------------------------
+
+
+class LazyMaxHeap:
+    """Max-heap over hashable keys with updatable (lazily removed) priorities:
+    negated priorities and a push counter in a :mod:`heapq` list, entries
+    whose priority no longer matches skipped."""
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._priority: Dict[int, float] = {}
+        self._counter = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._priority)
+
+    def push(self, key: int, priority: float) -> None:
+        self._priority[key] = float(priority)
+        heapq.heappush(self._heap, (-float(priority), next(self._counter), key))
+
+    def peek(self) -> Tuple[int, float]:
+        self._drop_stale()
+        neg_priority, _count, key = self._heap[0]
+        return key, -neg_priority
+
+    def pop(self) -> Tuple[int, float]:
+        self._drop_stale()
+        neg_priority, _count, key = heapq.heappop(self._heap)
+        del self._priority[key]
+        return key, -neg_priority
+
+    def max_priority(self) -> Optional[float]:
+        if not self._priority:
+            return None
+        return self.peek()[1]
+
+    def _drop_stale(self) -> None:
+        while self._heap:
+            neg_priority, _count, key = self._heap[0]
+            current = self._priority.get(key)
+            if current is not None and current == -neg_priority:
+                return
+            heapq.heappop(self._heap)
+
+
+def reference_mttd(objective, k: int, index: RankedListIndex, epsilon: float):
+    """MTTD's selection with its buffer a :class:`LazyMaxHeap`:
+    ``(element_ids, value, evaluated_elements, extras)``."""
+    traversal = index.traversal(objective.query_vector)
+    buffer = LazyMaxHeap()
+    state = objective.new_state()
+
+    def outcome():
+        return (tuple(state.selected), state.value, objective.evaluated_elements, {
+            "rounds": float(rounds),
+            "retrieved": float(retrieved),
+            "buffered": float(len(buffer)),
+        })
+
+    tau = traversal.upper_bound()
+    termination = 0.0
+    rounds = 0
+    retrieved = 0
+    while tau >= termination and tau > 0.0:
+        rounds += 1
+        while (element_id := traversal.next_id(tau)) is not None:
+            score = objective.singleton_score(element_id)
+            retrieved += 1
+            if score > 0.0:
+                buffer.push(element_id, score)
+        while len(buffer) > 0:
+            element_id, cached_gain = buffer.peek()
+            if cached_gain < tau:
+                break
+            buffer.pop()
+            gain = objective.marginal_gain(element_id, state)
+            if gain >= tau:
+                objective.add(element_id, state)
+                if len(state.selected) >= k:
+                    return outcome()
+            elif gain > 0.0:
+                buffer.push(element_id, gain)
+        termination = state.value * epsilon / k
+        tau *= 1.0 - epsilon
+        if traversal.exhausted() and len(buffer) == 0:
+            break
+    return outcome()
+
+
+def reference_celf(objective, k: int):
+    """CELF's selection with its heap a :class:`LazyMaxHeap`:
+    ``(element_ids, value, evaluated_elements, extras)``."""
+    state = objective.new_state()
+    heap = LazyMaxHeap()
+    for element_id in objective.context.active_ids:
+        heap.push(element_id, objective.singleton_score(element_id))
+    reevaluations = 0
+    while len(state.selected) < k and len(heap) > 0:
+        element_id, cached_gain = heap.pop()
+        if cached_gain <= 0.0:
+            break
+        if not state.selected:
+            objective.add(element_id, state)
+            continue
+        gain = objective.marginal_gain(element_id, state)
+        reevaluations += 1
+        current_best = heap.max_priority()
+        if current_best is None or gain >= current_best:
+            objective.add(element_id, state)
+        else:
+            heap.push(element_id, gain)
+    return (tuple(state.selected), state.value, objective.evaluated_elements,
+            {"lazy_reevaluations": float(reevaluations)})

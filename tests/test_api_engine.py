@@ -298,3 +298,34 @@ class TestFacadeSurface:
                 b.followers_of(element_id)
             )
         sharded.close()
+
+
+class TestQueryVectorLength:
+    """Every algorithm on every backend refuses a query vector that does not
+    hold one weight per topic, before it reads a ranked list or a term."""
+
+    BACKENDS = {
+        "local": {},
+        "service": {"backend": "service"},
+        "sharded": {
+            "backend": "sharded",
+            "cluster": ClusterConfig(num_shards=2, transport="serial"),
+        },
+    }
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_a_wrong_length_is_a_value_error(self, backend):
+        model, elements = build_stream(4, 20, 5, 10)
+        config = small_processor_config(20)
+        with KSIREngine(
+            model, EngineConfig(processor=config, **self.BACKENDS[backend])
+        ) as engine:
+            ingest(engine, elements, config.bucket_length)
+            assert engine.query(np.full(5, 0.2), k=3, algorithm="celf").element_ids
+            for algorithm in ("mttd", "mtts", "celf", "sieve", "topk", "greedy"):
+                for length in (3, 60):
+                    with pytest.raises(
+                        ValueError,
+                        match=f"query vector has {length} topics, the processor's model has 5",
+                    ):
+                        engine.query(np.full(length, 0.5), k=3, algorithm=algorithm)

@@ -239,17 +239,16 @@ def assert_mirrors_one_node(coordinator, single):
         dict(single.profiles), single.window.followers_snapshot(), single.config.scoring
     )
     merged = MergedCandidateContext(records, np.ones(num_topics), single.config.scoring)
-    every_topic = tuple((topic, 1.0) for topic in range(num_topics))
     followed = 0
     for element_id, (activity, _) in records.items():
-        ours = merged.compile_terms(element_id, every_topic)
-        theirs = cold.compile_terms(element_id, every_topic)
+        ours = merged.compile_terms(element_id)
+        theirs = cold.compile_terms(element_id)
         assert ours == theirs, element_id
-        assert [list(term[4].items()) for term in ours] == [
-            list(term[4].items()) for term in theirs
+        assert [list(term[3].items()) for term in ours] == [
+            list(term[3].items()) for term in theirs
         ]
         assert activity == single.ranked_lists.last_activity(element_id)
-        followed += any(term[5][0] for term in ours)
+        followed += any(term[4][0] for term in ours)
     for topic in range(num_topics):
         assert index.items(topic) == single.ranked_lists.items(topic), topic
     return followed
@@ -448,7 +447,7 @@ class TestTheMirrorContract:
         assert [element_id in only for element_id in (4, 7, 9, 5)] == [True, True, False, False]
         window_api = {
             name for name in dir(ScoringContext) if not name.startswith("_")
-        } - {"config", "time", "active_ids", "active_count", "compile_terms"}
+        } - {"config", "time", "active_ids", "active_count", "terms", "compile_terms"}
         assert window_api >= {"profile", "followers_of", "follower_edges"}
         window_api |= {"semantic_score", "influence_score", "singleton_score", "score"}
         assert [name for name in window_api if hasattr(merged, name)] == []

@@ -10,9 +10,12 @@ and their approximation guarantees are verified empirically.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithms import (
     ALGORITHM_REGISTRY,
@@ -24,10 +27,12 @@ from repro.core.algorithms import (
     TopKRepresentative,
     make_algorithm,
 )
-from repro.core.scoring import KSIRObjective
+from repro.core.ranked_list import RankedListIndex
+from repro.core.scoring import KSIRObjective, ScoringContext
 from tests import oracle
 from tests.conftest import build_paper_context
 from tests.test_core_ranked_list import build_paper_index
+from tests.test_query_path import NUM_TOPICS, QUERY_VECTORS, SCORING, profiles
 
 ALL_ALGORITHMS = [
     GreedySelection(),
@@ -224,3 +229,57 @@ class TestSyntheticCrossCheck:
         celf_result = prepared.query(query, algorithm="celf")
         mtts_result = prepared.query(query, algorithm="mtts")
         assert mtts_result.evaluated_elements <= celf_result.evaluated_elements
+
+
+@st.composite
+def tied_instances(draw):
+    """A window whose later ids copy earlier elements (profile and
+    followers), so their singleton scores and gains tie exactly, with the
+    ranked lists of its stored ``δ_i(e)``."""
+    count = draw(st.integers(1, 6))
+    profile_map = {eid: draw(profiles(eid)) for eid in range(count)}
+    followers = {
+        eid: tuple(draw(st.lists(st.integers(0, 13), max_size=4, unique=True)))
+        for eid in range(count)
+    }
+    for eid, source in enumerate(draw(st.lists(st.integers(0, count - 1), max_size=6)), count):
+        profile_map[eid] = replace(profile_map[source], element_id=eid)
+        followers[eid] = followers[source]
+    context = ScoringContext(profile_map, followers, SCORING, time=1)
+    index = RankedListIndex(NUM_TOPICS, SCORING)
+    index.load(
+        (eid, 1, {topic: delta for topic, delta, *_ in context.compile_terms(eid)})
+        for eid in draw(st.permutations(list(profile_map)))
+    )
+    return context, index
+
+
+class TestPlainHeapsEqualTheLazyHeap:
+    """MTTD's buffer and CELF's heap are plain ``heapq`` lists; on windows
+    full of exact ties they select, score, count and report what the
+    lazy-max-heap bodies (``tests/oracle.py``) did."""
+
+    @given(
+        instance=tied_instances(),
+        vector=QUERY_VECTORS,
+        k=st.integers(1, 6),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3, 0.6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mttd(self, instance, vector, k, epsilon):
+        context, index = instance
+        ours = MTTD(epsilon).select(KSIRObjective(context, vector), k, index=index)
+        theirs = oracle.reference_mttd(KSIRObjective(context, vector), k, index, epsilon)
+        assert (
+            ours.element_ids, ours.value, ours.evaluated_elements, ours.extras
+        ) == theirs
+
+    @given(instance=tied_instances(), vector=QUERY_VECTORS, k=st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_celf(self, instance, vector, k):
+        context, _ = instance
+        ours = CELF().select(KSIRObjective(context, vector), k)
+        theirs = oracle.reference_celf(KSIRObjective(context, vector), k)
+        assert (
+            ours.element_ids, ours.value, ours.evaluated_elements, ours.extras
+        ) == theirs

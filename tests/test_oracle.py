@@ -12,10 +12,11 @@ Two layers:
   re-activation and expiry — on the local
   processor, on the home-filtered processors of a serial cluster, and
   across save → load → continue.  The same walk holds the window-resident
-  follower-edge memo to its definition: whatever bucket an entry was
-  compiled in, it equals what a cold context compiles from the live maps;
-* a sibling walk does the same for the compiled terms standing queries
-  carry across buckets, on a service engine over a processor and over two
+  follower-edge and term memos to their definition: whatever bucket an
+  entry was compiled in, it equals what a cold context compiles from the
+  live maps;
+* a sibling walk does the same for the one term memo every standing and
+  ad-hoc query shares, on a service engine over a processor and over two
   shards, through backend rewinds and shard restarts as well.
 """
 
@@ -197,11 +198,11 @@ def assert_matches_oracle(processor, oracle, query):
 
 
 def assert_memo_is_the_definition(processor, vector):
-    """The processor's follower-edge memo against a cold context over copies
-    of the live maps: every entry (compiled by this bucket's queries or by
-    any earlier one's) ``==`` the cold compilation, no entry for an inactive
-    or follower-less id, and evaluations through the warm snapshot ``==`` the
-    call-by-call reference."""
+    """The processor's follower-edge and term memos against a cold context
+    over copies of the live maps: every entry (compiled by this bucket's
+    queries or by any earlier one's) ``==`` the cold compilation, no entry
+    for an inactive (or, for edges, follower-less) id, and evaluations
+    through the warm snapshot ``==`` the call-by-call reference."""
     cold = ScoringContext(
         dict(processor._profiles),
         processor.window.followers_snapshot(),
@@ -211,6 +212,7 @@ def assert_memo_is_the_definition(processor, vector):
     for element_id, compiled in memo.items():
         assert element_id in cold and cold.followers_of(element_id)
         assert compiled == cold.follower_edges(element_id)
+    assert_terms_are_the_definition(processor._term_memo, cold, cold)
     ours = KSIRObjective(processor.snapshot(), vector)
     theirs = ReferenceObjective(cold, vector)
     our_state, their_state = ours.new_state(), theirs.new_state()
@@ -221,8 +223,9 @@ def assert_memo_is_the_definition(processor, vector):
         if position % 2 == 0:
             assert ours.add(element_id, our_state) == theirs.add(element_id, their_state)
     assert our_state == their_state
-    # Every followed element went through the memo just now.
+    # Every element went through the memos just now.
     assert set(memo) == {e for e in cold.active_ids if cold.followers_of(e)}
+    assert set(processor._term_memo) == set(cold.active_ids)
 
 
 class TestProductionEqualsOracle:
@@ -288,27 +291,23 @@ class TestProductionEqualsOracle:
                     assert_matches_oracle(processor, oracle, query)
 
 
-def assert_terms_are_the_definition(service, cold_context):
-    """Every standing query's carried compiled terms against
-    ``cold_context(vector)``, a context over copies of the backend's live
-    maps: each entry ``==`` the cold compilation on the query's topics, and
-    no entry for an element the backend does not hold."""
-    for query_id, memo in service._terms.items():
-        vector = service.registry.get(query_id).query.vector
-        topics = tuple((t, float(w)) for t, w in enumerate(vector) if w > 0.0)
-        cold = cold_context(vector)
-        for element_id, terms in memo.items():
-            assert element_id in cold, (query_id, element_id)
-            assert terms == cold.compile_terms(element_id, topics), (query_id, element_id)
+def assert_terms_are_the_definition(memo, cold, held):
+    """A backend's term memo against ``cold``, a context over copies of the
+    backend's live maps: each entry ``==`` the cold compilation, and no
+    entry for an element ``held`` (the backend's ids) does not hold."""
+    for element_id, terms in memo.items():
+        assert element_id in held, element_id
+        assert terms == cold.compile_terms(element_id), element_id
 
 
 class TestStandingTermsEqualTheirDefinition:
-    """The compiled terms a standing query carries from one evaluation to
-    the next stay what a cold compilation of the current window gives,
-    after every bucket — re-posts, archive re-activation and expiry from
-    the drawn streams, plus a rewind of the backend to an earlier state
-    behind the engine's back and, on shards, a shard restart with its gap
-    replayed — and the standing answers stay the backend's fresh ones."""
+    """The one term memo a backend shares between its standing and ad-hoc
+    queries stays what a cold compilation of the current window gives,
+    after every bucket and every ad-hoc query between buckets — re-posts,
+    archive re-activation and expiry from the drawn streams, plus a rewind
+    of the backend to an earlier state behind the engine's back and, on
+    shards, a shard restart with its gap replayed — and the standing
+    answers stay the backend's fresh ones."""
 
     @given(
         buckets=BUCKETS,
@@ -333,11 +332,15 @@ class TestStandingTermsEqualTheirDefinition:
             backend = build_processor(model, config)
         service = ServiceEngine(backend)
         rng = np.random.default_rng(seed)
-        for algorithm in ALGORITHMS:
-            vector = np.zeros(3)
+
+        def vector():
+            drawn = np.zeros(3)
             support = rng.choice(3, size=int(rng.integers(1, 4)), replace=False)
-            vector[support] = 0.1 + rng.dirichlet(np.ones(len(support)))
-            service.register(KSIRQuery(k=3, vector=vector), query_id=algorithm, algorithm=algorithm)
+            drawn[support] = 0.1 + rng.dirichlet(np.ones(len(support)))
+            return drawn
+
+        for algorithm in ALGORITHMS:
+            service.register(KSIRQuery(k=3, vector=vector()), query_id=algorithm, algorithm=algorithm)
         states = []
         try:
             for position, (elements, end_time) in enumerate(stream):
@@ -351,38 +354,37 @@ class TestStandingTermsEqualTheirDefinition:
                     assert standing.result.score == fresh.score
                     assert standing.result.evaluated_elements == fresh.evaluated_elements
                     # The memo holds at least what this evaluation compiled.
-                    assert len(service._terms[query_id]) >= fresh.evaluated_elements
-                self.check(service, backend, sharded)
+                    assert len(backend._term_memo) >= fresh.evaluated_elements
+                self.check(backend, sharded)
+                # An ad-hoc query between buckets fills the same memo.
+                backend.query(vector(), k=2, algorithm=ALGORITHMS[position % len(ALGORITHMS)])
+                self.check(backend, sharded)
                 if position % 4 == 2:
                     # Rewind the backend two buckets, under the engine.
                     backend.restore_state(states[-2])
-                    self.check(service, backend, sharded)
+                    self.check(backend, sharded)
                 elif sharded and position % 4 == 3:
                     # Restart shard 1 from two buckets back, replay its gap.
                     backend.restore_shard(1, states[-2])
                     for gap_elements, gap_end in stream[position - 1 : position + 1]:
                         backend.replay_bucket_to_shard(1, gap_elements, gap_end)
-                    self.check(service, backend, sharded)
+                    self.check(backend, sharded)
         finally:
             if sharded:
                 backend.close()
 
     @staticmethod
-    def check(service, backend, sharded):
+    def check(backend, sharded):
         scoring = backend.config.scoring
         if sharded:
-            # A coordinator compiles from its replica, which (and whose
-            # memos) follows the shards at the next sync; a query syncs too.
+            # A coordinator compiles from its replica, which (and whose memo)
+            # follows the shards at the next sync; a query syncs too.
             backend.active_count
             records = dict(backend._records)
-
-            def cold_context(vector):
-                return MergedCandidateContext(records, vector, scoring)
+            cold = MergedCandidateContext(records, np.ones(3), scoring)
+            assert_terms_are_the_definition(backend._term_memo, cold, records)
         else:
             cold = ScoringContext(
                 dict(backend.profiles), backend.window.followers_snapshot(), scoring
             )
-
-            def cold_context(vector):
-                return cold
-        assert_terms_are_the_definition(service, cold_context)
+            assert_terms_are_the_definition(backend._term_memo, cold, cold)

@@ -614,9 +614,13 @@ def cold_copy(context):
 
 
 def everything_it_answers(context):
-    """Compiled edges, singleton scores and two index-free selections."""
+    """Compiled edges and terms, singleton scores and two index-free
+    selections."""
     vectors = (np.array([0.5, 0.3, 0.2]), np.array([0.0, 1.0, 0.0]))
-    answers = [{e: dict(context.follower_edges(e)) for e in context.active_ids}]
+    answers = [
+        {e: dict(context.follower_edges(e)) for e in context.active_ids},
+        {e: context.terms(e) for e in context.active_ids},
+    ]
     for vector in vectors:
         objective = KSIRObjective(context, vector)
         answers.append([objective.singleton_score(e) for e in context.active_ids])
@@ -635,8 +639,10 @@ class TestFollowerEdgeMemo:
             processor.query(KSIRQuery(k=4, vector=rng.dirichlet(np.ones(3))), algorithm=algorithm)
 
     def test_a_held_snapshot_answers_as_a_cold_copy_of_itself(self):
-        """Three further buckets (and their queries) change the memo under a
-        snapshot somebody kept; it answers from its own frozen maps."""
+        """Three further buckets (and their queries) change the memos under a
+        snapshot somebody kept; it answers from its own frozen maps.  So
+        does an objective built before a bucket and first asked after it,
+        about exactly the elements that bucket changed."""
         model, elements = build_reference_stream(6, 60, 3, 8)
         config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
         processor = build_processor(model, config)
@@ -646,17 +652,37 @@ class TestFollowerEdgeMemo:
             self.exercise(processor)
         held = processor.snapshot()
         assert held._edge_memo is processor._edge_memo and held._edge_memo
+        assert held._term_memo is processor._term_memo and held._term_memo
         expected = everything_it_answers(cold_copy(held))
         assert everything_it_answers(held) == expected
+        vector = np.array([0.5, 0.3, 0.2])
+        compared = 0
         for members, end_time in buckets[-3:]:
-            processor.process_bucket(members, end_time)
+            before = processor.objective(vector)  # nothing evaluated yet
+            reference = KSIRObjective(cold_copy(before.context), vector)
+            changed = processor.process_bucket(members, end_time)
             assert held._edge_memo is not processor._edge_memo
+            assert held._term_memo is not processor._term_memo
             assert everything_it_answers(held) == expected  # compiles what it lost
             self.exercise(processor)
             assert processor.snapshot() is not held
             assert everything_it_answers(held) == expected
+            # The live memo now holds the next window's terms of the
+            # elements this bucket changed; the early objective never reads them.
+            ours, theirs = before.new_state(), reference.new_state()
+            for position, element_id in enumerate(sorted(set(changed))):
+                if element_id not in reference.context:
+                    continue
+                compared += element_id in processor._term_memo
+                assert before.singleton_score(element_id) == reference.singleton_score(element_id)
+                assert before.marginal_gain(element_id, ours) == reference.marginal_gain(
+                    element_id, theirs
+                )
+                if position % 2 == 0:
+                    assert before.add(element_id, ours) == reference.add(element_id, theirs)
             # ... and nothing the stale snapshot compiled reached the live memo.
             assert_memo_is_the_definition(processor, np.ones(3) / 3)
+        assert compared
 
     def test_edges_are_the_positive_profiled_products(self):
         processor = small_window(4)
@@ -786,7 +812,9 @@ class TestFollowerEdgeMemo:
         def worker():
             try:
                 for _ in range(20):
-                    context._edge_memo.clear()  # force every thread to refill
+                    # Force every thread to refill both memos.
+                    context._edge_memo.clear()
+                    context._term_memo.clear()
                     objective = KSIRObjective(context, np.ones(3))
                     for element_id in context.active_ids:
                         if objective.singleton_score(element_id) != scores[element_id]:

@@ -488,3 +488,16 @@ class TestConstruction:
                 create_app(engine)
         finally:
             engine.close()
+
+
+@pytest.mark.parametrize("algorithm", ["mttd", "mtts", "celf", "sieve", "topk", "greedy"])
+@pytest.mark.parametrize("length", [3, 60])
+def test_a_query_vector_of_the_wrong_length_is_a_400(
+    client: TestClient, algorithm, length
+) -> None:
+    client.post("/ingest/bucket", ingest_payload(1, element(1, 1, 0)))
+    response = client.post(
+        "/query", {"vector": [0.5] * length, "k": 3, "algorithm": algorithm}
+    )
+    assert response.status == 400
+    assert f"query vector has {length} topics" in response.json()["error"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -370,8 +369,9 @@ class TestStandingQueryIsAQuery:
 
 
 class TestCarriedTerms:
-    """Each standing query carries its compiled terms across buckets; the
-    carry never shows in an answer or in its evaluation count."""
+    """Standing and ad-hoc queries share the backend's one term memo across
+    buckets; the sharing never shows in an answer or in its evaluation
+    count."""
 
     CONFIG = ProcessorConfig(
         window_length=3 * 3600,
@@ -383,7 +383,8 @@ class TestCarriedTerms:
     def test_reregistered_query_answers_from_fresh_terms(self, tiny_dataset):
         """Unregister, then register the same ids with another vector on
         the same topics: every later answer is a twin's fresh query, field
-        for field — old terms would carry the old weights ``x_i``."""
+        for field — a term that carried a weight ``x_i`` would carry the
+        old one."""
         model = tiny_dataset.topic_model
         first, second = np.zeros(model.num_topics), np.zeros(model.num_topics)
         first[:2], second[:2] = (0.7, 0.3), (0.2, 0.8)
@@ -392,6 +393,7 @@ class TestCarriedTerms:
         twin = build_processor(model, self.CONFIG)
         carried = compared = 0
         with build_service_engine(build_processor(model, self.CONFIG)) as service:
+            memo = service.processor._term_memo
             for algorithm, query in queries.items():
                 service.register(query, query_id=algorithm, algorithm=algorithm)
             for position, bucket in enumerate(buckets):
@@ -412,29 +414,32 @@ class TestCarriedTerms:
                         )
                     compared += 1
                     # The count is this evaluation's, not the memo's size.
-                    carried += len(service._terms[query_id]) > fresh.evaluated_elements
+                    carried += len(memo) > fresh.evaluated_elements
         assert len(buckets) >= 10 and compared >= len(buckets)
         assert carried
 
-    def test_unregister_expiry_and_restore_drop_the_terms(self):
+    def test_the_terms_outlive_their_queries_until_a_restore(self):
+        """Terms hold no query weight, so unregistering or expiring a query
+        leaves them for the next query on any vector; a restore empties the
+        memo."""
         by_id = {element.element_id: element for element in build_paper_elements()}
         with paper_engine() as engine:
             engine.register(make_query(0.5, 0.5), query_id="short", ttl_buckets=3)
-            engine.register(make_query(0.5, 0.5), query_id="gone")
-            engine.register(make_query(1.0, 0.0), query_id="kept")
+            engine.register(make_query(1.0, 0.0), query_id="gone")
             for time in (1, 2, 3):
                 engine.ingest_bucket([by_id[time]], end_time=time)
-            memos = {query_id: weakref.ref(memo) for query_id, memo in engine._terms.items()}
-            assert all(memo() for memo in memos.values())  # filled, and alive
-            assert len(engine.processor._term_memos) == 3
+            processor = engine.processor
+            assert processor._term_memo
             engine.unregister("gone")
             engine.ingest_bucket([by_id[4]], end_time=4)  # "short" expires
-            assert set(engine._terms) == {"kept"}
-            # Held weakly by the processor: nothing else keeps them alive.
-            assert memos["gone"]() is None and memos["short"]() is None
-            assert len(engine.processor._term_memos) == 1
+            assert len(engine.registry) == 0
+            kept = dict(processor._term_memo)
+            assert kept  # nothing re-evaluated bucket 4, elements 1-3 stay
+            answer = processor.query(make_query(0.0, 1.0), algorithm="celf")
+            assert all(processor._term_memo[e] is kept[e] for e in kept)
+            assert answer.evaluated_elements == processor.active_count
             engine.restore_state(engine.state_dict())
-            assert memos["kept"]() is None and engine._terms == {"kept": {}}
+            assert processor._term_memo == {}
 
 
 class TestIncrementalMaintenance:
