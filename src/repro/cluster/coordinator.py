@@ -60,7 +60,7 @@ from repro.cluster.worker import ShardDelta, ShardStats, ShardWorker
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 from repro.utils.timing import StopWatch
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_forward, require_positive
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -262,8 +262,13 @@ class ClusterCoordinator:
         return prepared
 
     def process_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
-        """Route one bucket to the shards and advance every shard window."""
+        """Route one bucket to the shards and advance every shard window.
+
+        An ``end_time`` before the cluster's current time raises
+        ``ValueError`` before any shard sees the bucket.
+        """
         self._require_open()
+        require_forward(self._current_time, end_time)
         prepared = self.prepare_elements(elements)
         try:
             self._fanout.ingest(self._planner.route_bucket(prepared), end_time)
@@ -397,9 +402,9 @@ class ClusterCoordinator:
         for worker in workers:
             processor = worker.processor
             window = processor.window
-            # The shard's sparse follower view (absent id = no follower)
-            # instead of one adjacency call per element.
-            shard_followers = window.followers_snapshot()
+            # The shard's live sparse follower view (absent id = no
+            # follower), read here into this context's own map.
+            shard_followers = window.follower_view()
             for element_id in window.active_ids():
                 if not processor.is_home(element_id):
                     continue

@@ -14,6 +14,7 @@ The :class:`KSIRProcessor` ties everything together:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -38,7 +39,7 @@ from repro.store import ColumnarWindow, ElementStore
 from repro.topics.inference import TopicInferencer
 from repro.topics.model import TopicModel
 from repro.utils.timing import StopWatch, TimingStats
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_forward, require_positive
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,10 @@ class KSIRProcessor:
         self._elements_processed = 0
         self._buckets_processed = 0
         self._ingest_timer = TimingStats(name="bucket-ingest")
-        # Scoring snapshot memoised per ingested bucket: (buckets_processed
-        # at build time, context).  Repeated queries against an unchanged
-        # window share one frozen context instead of rebuilding it per call.
-        self._snapshot_cache: Optional[Tuple[int, ScoringContext]] = None
+        # The scoring snapshot of the current window, built on the first
+        # query after a bucket or restore and shared by every later one until
+        # the window changes (_release_snapshot drops it).
+        self._snapshot: Optional[ScoringContext] = None
         self._snapshot_builds = 0
         # Compiled follower edges of active elements that have in-window
         # followers, and every queried element's compiled terms, filled by
@@ -264,21 +265,22 @@ class KSIRProcessor:
         or to a re-post) and of every element that leaves ``A_t`` are
         dropped, whoever owns the element — a shard scores its foreign
         replicas from the same memos.  A compiled term is the profile plus
-        those edges, so one drop set serves both.  The snapshot of the
-        previous window stops sharing the memos first, so it stays frozen.
+        those edges, so one drop set serves both.  Before the first change
+        the processor lets go of the previous window's snapshot, which
+        detaches if somebody still holds it, so it stays frozen.
         Returns that enumeration, ids possibly repeated: every element
         whose scoring record the bucket may have changed (what a shard's
         next sync ships).
+
+        An ``end_time`` before the window's current time raises
+        ``ValueError`` before anything changes.
         """
+        require_forward(self._window.current_time, end_time)
         with self._ingest_timer.measure():
             prepared = self._inferencer.with_topics(elements)
             profiles = self._builder.build_many(prepared)
 
-            # Only the current snapshot shares the memos; an older one let go
-            # of them a bucket ago and keeps whatever it compiled since.
-            cached = self._snapshot_cache
-            if cached is not None and cached[0] == self._buckets_processed:
-                cached[1].unshare_edges()
+            self._release_snapshot()
             home_filter = self._home_filter
             profile_map = self._profiles
             edge_memo, term_memo = self._edge_memo, self._term_memo
@@ -418,6 +420,18 @@ class KSIRProcessor:
             entries.append((parent_id, scores, touched[parent_id]))
         return entries
 
+    def _release_snapshot(self) -> None:
+        """Drop the processor's reference to its snapshot before the window
+        changes; a snapshot somebody else still holds detaches (copies the
+        profile map and the follower view it reads), any other is simply
+        gone.  A snapshot nobody holds costs nothing here."""
+        if self._snapshot is not None:
+            held = weakref.ref(self._snapshot)
+            self._snapshot = None
+            context = held()
+            if context is not None:
+                context.detach()
+
     def take_dirty_topics(self) -> Tuple[int, ...]:
         """Drain the topics whose ranked lists changed since the last drain."""
         return self._index.take_dirty_topics()
@@ -427,17 +441,21 @@ class KSIRProcessor:
     def snapshot(self) -> ScoringContext:
         """A frozen scoring snapshot of the current active window.
 
-        Memoised on :attr:`buckets_processed`: until the next bucket is
-        ingested, every query shares one context (immutable by contract).
+        Memoised per window: until the next bucket or restore, every query
+        shares one context (immutable by contract), built on the first
+        call.
 
         Both inputs are state Algorithm 1 already maintains per bucket — the
-        profile map and the window's sparse follower view — so a fresh
-        context is one copy of each; nothing is re-derived from the window.
-        The follower-edge and term memos are not copied but shared: their
-        entries are exact for the current window (:meth:`process_bucket`
-        dropped the others), every query on the context fills in what is
-        missing, and the next bucket takes the memos away from the context
-        before it changes anything.
+        profile map and the window's sparse follower view — and the context
+        reads them live: building one copies nothing and re-derives nothing
+        from the window.  The follower-edge and term memos are shared too:
+        their entries are exact for the current window (:meth:`process_bucket`
+        dropped the others) and every query on the context fills in what is
+        missing.  Before the window changes, :meth:`process_bucket` and
+        :meth:`restore_state` drop the processor's reference; if somebody
+        else still holds the context it detaches then, copying the two maps
+        once, so a held snapshot stays frozen.  Ingest and queries must not
+        overlap (the engine's callers serialise them).
         Profiles are registered where the window activates their elements,
         so the map, and with it ``context.active_ids`` (which the batch
         algorithms enumerate), iterates in ``window.active_ids()`` order.
@@ -446,20 +464,18 @@ class KSIRProcessor:
         a shard reads its snapshot for profiles and follower edges, never
         for ``active_ids``.
         """
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == self._buckets_processed:
-            return cached[1]
-        context = ScoringContext(
-            profiles=self._profiles.copy(),
-            followers=self._window.followers_snapshot(),
-            config=self._config.scoring,
-            time=self._window.current_time,
-            frozen=True,
-            edges=self._edge_memo,
-            compiled=self._term_memo,
-        )
-        self._snapshot_builds += 1
-        self._snapshot_cache = (self._buckets_processed, context)
+        context = self._snapshot
+        if context is None:
+            context = self._snapshot = ScoringContext(
+                profiles=self._profiles,
+                followers=self._window.follower_view(),
+                config=self._config.scoring,
+                time=self._window.current_time,
+                frozen=True,
+                edges=self._edge_memo,
+                compiled=self._term_memo,
+            )
+            self._snapshot_builds += 1
         return context
 
     def objective(self, query_vector: np.ndarray) -> KSIRObjective:
@@ -534,13 +550,15 @@ class KSIRProcessor:
         The processor must have been constructed with an equivalent
         configuration and topic model (the checkpoint layer persists both
         alongside the state).  Home filters are intentionally *not* part of
-        the state: a sharded restore re-installs them at construction.
+        the state: a sharded restore re-installs them at construction.  A
+        snapshot of the replaced window that somebody still holds detaches
+        first, so it keeps answering for that window.
         """
+        self._release_snapshot()
         self._elements_processed = int(state["elements_processed"])
         self._buckets_processed = int(state["buckets_processed"])
         self._window.restore_state(state["window"])
         self._index.restore_state(state["ranked_lists"])
-        self._snapshot_cache = None
         self._edge_memo, self._term_memo = {}, {}
         # Registered in A_t order: snapshot() iterates the map as it stands.
         active = list(self._window.active_elements())

@@ -391,7 +391,7 @@ class ProfileBuilder:
 
 
 class ScoringContext:
-    """A frozen snapshot of the active window, shared by every query on it.
+    """A scoring snapshot of the active window, shared by every query on it.
 
     Holds the element profiles and the in-window follower view at query time
     ``t``; the objective reads everything from here (:meth:`terms`), so
@@ -403,14 +403,16 @@ class ScoringContext:
     ``p_i(e ⇝ follower)`` and their sum; :meth:`terms` keeps every element's
     compiled terms, which hold no query weight and so serve every query
     vector.  Both fill lazily and never touch the profile and follower maps.
-    A context built on its own owns its memos; the processor's snapshot is
-    handed the processor's (``edges=``, ``compiled=``), whose entries outlive
-    the snapshot and are dropped where a bucket changes what they were
-    compiled from (:meth:`KSIRProcessor.process_bucket`).  Before the window
-    changes the processor calls :meth:`unshare_edges`, so a snapshot
-    somebody still holds keeps answering from its own frozen maps.  Filling
-    is idempotent — threads that compile one element concurrently store
-    equal entries.
+    A context built on its own copies its maps and owns its memos.  The
+    processor's snapshot is handed the processor's live profile map, the
+    store's follower view and the processor's memos (``frozen=True``,
+    ``edges=``, ``compiled=``); those memo entries outlive the snapshot and
+    are dropped where a bucket changes what they were compiled from
+    (:meth:`KSIRProcessor.process_bucket`).  Before the window changes the
+    processor calls :meth:`detach` on the snapshot if somebody still holds
+    it, so that snapshot keeps answering from copies of the maps as they
+    were.  Filling is idempotent — threads that compile one element
+    concurrently store equal entries.
     """
 
     def __init__(
@@ -424,8 +426,9 @@ class ScoringContext:
         edges: Optional[EdgeMemo] = None,
         compiled: Optional[TermMemo] = None,
     ) -> None:
-        # ``frozen``: the caller hands over dicts nothing else will mutate
-        # (followers already ``id → tuple``), so they are kept, not copied.
+        # ``frozen``: the caller hands over dicts (followers already
+        # ``id → tuple``) that nothing mutates while the context reads them,
+        # or whose owner calls :meth:`detach` first; they are kept, not copied.
         self._profiles = profiles if frozen else dict(profiles)
         self._followers = followers if frozen else {
             key: tuple(value) for key, value in followers.items()
@@ -434,7 +437,7 @@ class ScoringContext:
         self._weights = (config.lambda_weight, config.influence_weight)
         self._time = time
         # ``edges`` / ``compiled``: memos whose every entry equals what these
-        # maps compile to, kept so by their owner until :meth:`unshare_edges`.
+        # maps compile to, kept so by their owner until :meth:`detach`.
         self._edge_memo: EdgeMemo = {} if edges is None else edges
         self._term_memo: TermMemo = {} if compiled is None else compiled
 
@@ -533,13 +536,16 @@ class ScoringContext:
                 ))
         return tuple(compiled)
 
-    def unshare_edges(self) -> None:
-        """Stop reading (and filling) the memos this context was handed.
+    def detach(self) -> None:
+        """Stop reading the maps and memos this context was handed.
 
-        Called by the memos' owner when the window is about to change: from
-        here on the context compiles from its own frozen maps into memos of
-        its own.
+        Called by their owner when the window is about to change and
+        somebody still holds the context: it keeps copies of the profile
+        map and the follower view as they stand, and from here on compiles
+        from those into memos of its own.
         """
+        self._profiles = dict(self._profiles)
+        self._followers = dict(self._followers)
         self._edge_memo = {}
         self._term_memo = {}
 

@@ -53,6 +53,7 @@ from repro.core.query import QueryResult
 from repro.ha.config import HAConfig
 from repro.ha.rebalance import repartition_state
 from repro.ha.wal import BucketWAL
+from repro.utils.validation import require_forward
 
 #: The symlink in ``checkpoint_dir`` naming the newest checkpoint.
 LATEST = "latest"
@@ -168,9 +169,14 @@ class ClusterSupervisor:
     # -- ingest with write-ahead logging ----------------------------------------------
 
     def ingest_bucket(self, elements: Sequence[SocialElement], end_time: int) -> None:
-        """Log one bucket, ingest it, and heal any shard that dies doing so."""
+        """Log one bucket, ingest it, and heal any shard that dies doing so.
+
+        A bucket that would move the window backwards raises ``ValueError``
+        before it is logged, so no recovery replays it.
+        """
         with self._lock:
             coordinator = self.coordinator
+            require_forward(coordinator.current_time, end_time)
             prepared = coordinator.prepare_elements(elements)
             seq = self._wal.append(prepared, end_time)
             try:

@@ -73,7 +73,7 @@ class ElementStore:
         self._followers: List[Set[int]] = [set() for _ in range(capacity)]
         # The same adjacency by element id, for scoring snapshots: entries
         # only for parents with ≥ 1 follower, refreshed lazily from the rows
-        # whose follower set changed since the last followers_snapshot().
+        # whose follower set changed since the last follower_view().
         self._follower_view: Dict[int, Tuple[int, ...]] = {}
         self._dirty_parent_rows: Set[int] = set()
         self._row_of: Dict[int, int] = {}
@@ -442,13 +442,14 @@ class ElementStore:
         flat = [element_id for segment in segments for element_id in segment]
         return indptr, np.asarray(flat, dtype=np.int64)
 
-    def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+    def follower_view(self) -> Dict[int, Tuple[int, ...]]:
         """``I_t(e)`` by element id, for every element with ≥ 1 follower.
 
         Follower ids ascend; an absent id has no in-window follower.  Only
         the rows whose adjacency changed since the previous call are
-        re-read; the returned dict is a copy (of immutable tuples), so it
-        stays frozen while the store keeps mutating.
+        re-read.  The dict returned is the store's own view, not a copy: it
+        changes in place as the store mutates (here, in :meth:`release` and
+        in :meth:`clear`), so a caller that must keep this state copies it.
         """
         view = self._follower_view
         if self._dirty_parent_rows:
@@ -466,7 +467,7 @@ class ElementStore:
                 else:  # also a freed row (id -1), which never has an entry
                     view.pop(parent, None)
                 start = stop
-        return view.copy()
+        return view
 
     # -- vectorised scans ---------------------------------------------------------
 

@@ -44,6 +44,7 @@ from repro.store.codec import (
     encode_id_array,
 )
 from repro.store.store import ElementStore
+from repro.utils.validation import require_forward
 
 
 class ColumnarWindow:
@@ -250,10 +251,7 @@ class ColumnarWindow:
 
     def advance_to(self, time: int) -> Tuple[int, ...]:
         """Advance the window to ``time``; returns the expired element ids."""
-        if self._current_time is not None and time < self._current_time:
-            raise ValueError(
-                f"cannot move the window backwards (from {self._current_time} to {time})"
-            )
+        require_forward(self._current_time, time)
         self._current_time = int(time)
         window_start = self.window_start
         assert window_start is not None
@@ -348,11 +346,12 @@ class ColumnarWindow:
             return ()
         return self._store.follower_ids(row)
 
-    def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+    def follower_view(self) -> Dict[int, Tuple[int, ...]]:
         """``I_t(e)`` of every element with ≥ 1 in-window follower: the
-        store's maintained view, at the cost of refreshing the rows the last
-        buckets touched plus one dict copy — not a pass over the window."""
-        return self._store.followers_snapshot()
+        store's maintained view itself (not a copy), at the cost of
+        refreshing the rows the last buckets touched — not a pass over the
+        window.  It keeps changing with the window; copy it to keep it."""
+        return self._store.follower_view()
 
     def follower_count(self, element_id: int) -> int:
         """``|I_t(e)|`` without materialising the tuple."""

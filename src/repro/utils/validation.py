@@ -52,3 +52,10 @@ def require_in_range(
             raise ValueError(f"{name} must be <= {high}, got {value!r}")
         if not high_inclusive and not value < high:
             raise ValueError(f"{name} must be < {high}, got {value!r}")
+
+
+def require_forward(current: Optional[int], time: int) -> None:
+    """Raise ``ValueError`` when ``time`` would move a window that stands at
+    ``current`` (None before its first bucket) backwards."""
+    if current is not None and time < current:
+        raise ValueError(f"cannot move the window backwards (from {current} to {time})")

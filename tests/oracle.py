@@ -157,7 +157,7 @@ class OracleWindow:
     def followers_of(self, element_id: int) -> Tuple[int, ...]:
         return tuple(sorted(self._followers.get(element_id, ())))
 
-    def followers_snapshot(self) -> Dict[int, Tuple[int, ...]]:
+    def follower_view(self) -> Dict[int, Tuple[int, ...]]:
         return {e: self.followers_of(e) for e, f in self._followers.items() if f}
 
     def last_activity(self, element_id: int) -> int:
@@ -250,7 +250,7 @@ class Oracle:
     def snapshot(self) -> ScoringContext:
         """The scoring context of the current window, built from scratch."""
         return ScoringContext(
-            self.profiles, self.window.followers_snapshot(), self.scoring,
+            self.profiles, self.window.follower_view(), self.scoring,
             time=self.window.current_time,
         )
 

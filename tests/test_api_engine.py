@@ -329,3 +329,55 @@ class TestQueryVectorLength:
                         match=f"query vector has {length} topics, the processor's model has 5",
                     ):
                         engine.query(np.full(length, 0.5), k=3, algorithm=algorithm)
+
+
+class TestARefusedBucket:
+    """A bucket that ends before the window's current time is refused with
+    ``ValueError`` before anything changes: afterwards the engine is, in
+    every count and answer, the engine that never got that bucket."""
+
+    BACKENDS = TestQueryVectorLength.BACKENDS
+
+    @staticmethod
+    def observed(engine, num_topics):
+        stats = engine.stats()
+        del stats["kernels"]  # process-wide counters
+        answers = [
+            (r.element_ids, r.score, r.evaluated_elements)
+            for r in (
+                engine.query(random_query(seed, num_topics, 4), algorithm=algorithm)
+                for seed in range(4)
+                for algorithm in ("mtts", "mttd", "celf")
+            )
+        ]
+        if engine.service_engine is not None:
+            answers.append({
+                query_id: (r.result.element_ids, r.result.score)
+                for query_id, r in engine.results().items()
+            })
+        return stats, engine.active_count, answers
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_it_leaves_the_engine_as_if_never_sent(self, backend):
+        model, elements = build_stream(31, 96, 3, 8)
+        processor = ProcessorConfig(
+            window_length=16, bucket_length=4, scoring=ScoringConfig(lambda_weight=0.5, eta=1.0)
+        )
+        config = EngineConfig(processor=processor, **self.BACKENDS[backend])
+        buckets = [(elements[i : i + 4], elements[i + 3].timestamp) for i in range(0, 96, 4)]
+        with KSIREngine(model, config) as engine, KSIREngine(model, config) as twin:
+            if backend == "service":
+                for position in range(3):
+                    for target in (engine, twin):
+                        target.register(random_query(50 + position, 3, 3), query_id=f"q{position}")
+            for members, end_time in buckets[:10]:
+                engine.ingest_bucket(members, end_time)
+                twin.ingest_bucket(members, end_time)
+            assert self.observed(engine, 3) == self.observed(twin, 3)
+            with pytest.raises(ValueError, match="cannot move the window backwards"):
+                engine.ingest_bucket(buckets[10][0], buckets[2][1])
+            assert self.observed(engine, 3) == self.observed(twin, 3)
+            for members, end_time in buckets[11:14]:
+                engine.ingest_bucket(members, end_time)
+                twin.ingest_bucket(members, end_time)
+                assert self.observed(engine, 3) == self.observed(twin, 3)

@@ -236,7 +236,7 @@ def assert_mirrors_one_node(coordinator, single):
     records, index = coordinator._records, coordinator._index
     assert sorted(records) == sorted(single.window.active_ids())
     cold = ScoringContext(
-        dict(single.profiles), single.window.followers_snapshot(), single.config.scoring
+        dict(single.profiles), single.window.follower_view(), single.config.scoring
     )
     merged = MergedCandidateContext(records, np.ones(num_topics), single.config.scoring)
     followed = 0

@@ -151,6 +151,28 @@ class TestKillAndRecover:
         finally:
             reference.close()
 
+    def test_a_refused_bucket_is_never_logged_or_replayed(self):
+        """A bucket ending before the window's time is refused before the
+        WAL append, so the recovery that follows does not replay it."""
+        model, elements = build_stream(seed=23)
+        buckets = buckets_of(elements)
+        query = random_query(23)
+        reference = reference_run(model, buckets)
+        try:
+            supervisor = ClusterSupervisor(KSIREngine(model, sharded_config()))
+            with supervisor:
+                for position, (members, end_time) in enumerate(buckets):
+                    if position == 8:
+                        with pytest.raises(ValueError, match="backwards"):
+                            supervisor.ingest_bucket(members, buckets[2][1])
+                        assert len(supervisor.wal) == 8
+                        kill_worker(supervisor.coordinator, 1)
+                    supervisor.ingest_bucket(members, end_time)
+                assert_matches_reference(supervisor, reference, query)
+                assert supervisor.status()["recoveries"] == 1
+        finally:
+            reference.close()
+
     def test_heartbeat_detects_and_restarts_dead_worker(self):
         model, elements = build_stream(seed=13)
         buckets = buckets_of(elements)

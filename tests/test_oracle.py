@@ -59,7 +59,7 @@ class TestOracleAgainstThePaper:
         # Example 3.1: W_8 = {e5..e8}; A_8 adds the referenced e1, e2, e3.
         assert set(window.window_ids()) == {5, 6, 7, 8}
         assert set(window.active_ids()) == {1, 2, 3, 5, 6, 7, 8}
-        assert window.followers_snapshot() == {1: (5,), 2: (7, 8), 3: (6, 8), 6: (8,)}
+        assert window.follower_view() == {1: (5,), 2: (7, 8), 3: (6, 8), 6: (8,)}
         # Figure 5: the ranked-list tuples δ_i(e) at t = 8.
         figure5 = (
             {3: 0.65, 6: 0.48, 8: 0.17, 2: 0.10, 7: 0.06, 1: 0.06, 5: 0.05},
@@ -177,7 +177,7 @@ def assert_matches_oracle(processor, oracle, query):
     window, reference = processor.window, oracle.window
     assert window.active_ids() == reference.active_ids()
     assert sorted(window.window_ids()) == sorted(reference.window_ids())
-    assert window.followers_snapshot() == reference.followers_snapshot()
+    assert window.follower_view() == reference.follower_view()
     for element_id in reference.active_ids():
         assert window.last_activity(element_id) == reference.last_activity(element_id)
     assert_ranked_lists_equal(processor.ranked_lists, oracle.ranked_lists)
@@ -205,7 +205,7 @@ def assert_memo_is_the_definition(processor, vector):
     through the warm snapshot ``==`` the call-by-call reference."""
     cold = ScoringContext(
         dict(processor._profiles),
-        processor.window.followers_snapshot(),
+        processor.window.follower_view(),
         processor.config.scoring,
     )
     memo = processor._edge_memo
@@ -385,6 +385,6 @@ class TestStandingTermsEqualTheirDefinition:
             assert_terms_are_the_definition(backend._term_memo, cold, records)
         else:
             cold = ScoringContext(
-                dict(backend.profiles), backend.window.followers_snapshot(), scoring
+                dict(backend.profiles), backend.window.follower_view(), scoring
             )
             assert_terms_are_the_definition(backend._term_memo, cold, cold)

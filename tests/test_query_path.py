@@ -557,7 +557,7 @@ def observed_after_every_bucket(model, elements, backend):
                 observed.append((
                     window.active_ids(),
                     sorted(window.window_ids()),
-                    window.followers_snapshot(),
+                    dict(window.follower_view()),
                     [index.items(topic) for topic in range(index.num_topics)],
                     index.take_dirty_topics(),
                 ))
@@ -642,14 +642,17 @@ class TestFollowerEdgeMemo:
         """Three further buckets (and their queries) change the memos under a
         snapshot somebody kept; it answers from its own frozen maps.  So
         does an objective built before a bucket and first asked after it,
-        about exactly the elements that bucket changed."""
+        about exactly the elements that bucket changed, and so do both
+        snapshots after a restore of an older checkpoint."""
         model, elements = build_reference_stream(6, 60, 3, 8)
         config = ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING)
         processor = build_processor(model, config)
         buckets = bucketise(elements, 4)
-        for members, end_time in buckets[:-3]:
+        for position, (members, end_time) in enumerate(buckets[:-3]):
             processor.process_bucket(members, end_time)
             self.exercise(processor)
+            if position == 5:
+                older = processor.state_dict()
         held = processor.snapshot()
         assert held._edge_memo is processor._edge_memo and held._edge_memo
         assert held._term_memo is processor._term_memo and held._term_memo
@@ -683,6 +686,14 @@ class TestFollowerEdgeMemo:
             # ... and nothing the stale snapshot compiled reached the live memo.
             assert_memo_is_the_definition(processor, np.ones(3) / 3)
         assert compared
+        last = processor.snapshot()
+        assert last._term_memo is processor._term_memo and last._term_memo
+        last_expected = everything_it_answers(cold_copy(last))
+        processor.restore_state(older)
+        self.exercise(processor)
+        assert everything_it_answers(last) == last_expected
+        assert everything_it_answers(held) == expected
+        assert_memo_is_the_definition(processor, np.ones(3) / 3)
 
     def test_edges_are_the_positive_profiled_products(self):
         processor = small_window(4)

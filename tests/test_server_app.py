@@ -259,6 +259,31 @@ class TestIngestAndQuery:
             == 422
         )
 
+    def test_a_bucket_ending_before_the_window_is_400(self, client: TestClient) -> None:
+        """Refused before anything changes: the next query answers as a
+        server that never got the bucket."""
+        buckets = [ingest_payload(t, element(t, t, t % 2)) for t in range(1, 5)]
+        late = ingest_payload(
+            2, {**element(9, 2, 0), "references": [4]}, element(10, 2, 0)
+        )
+        twin_app = create_app(make_engine())
+        try:
+            with TestClient(twin_app) as twin:
+                for payload in buckets:
+                    assert client.post("/ingest/bucket", payload).status == 200
+                    assert twin.post("/ingest/bucket", payload).status == 200
+                response = client.post("/ingest/bucket", late)
+                assert response.status == 400
+                assert "backwards" in response.json()["error"]
+                query = {"vector": [1.0, 0.0], "k": 3}
+                ours = client.post("/query", query).json()["result"]
+                theirs = twin.post("/query", query).json()["result"]
+                assert ours["element_ids"] == theirs["element_ids"]
+                assert ours["score"] == theirs["score"]
+                assert client.get("/stats").json() == twin.get("/stats").json()
+        finally:
+            twin_app.close()
+
     def test_infinite_reference_is_client_error(self, client: TestClient) -> None:
         event = {**element(1, 1, 0), "references": [float("inf")]}
         assert client.post("/ingest", {"events": [event]}).status == 422

@@ -155,7 +155,7 @@ def assert_windows_equal(columnar: ColumnarWindow, oracle: OracleWindow):
         assert columnar.in_window(element_id) == oracle.in_window(element_id)
     # Every element with ≥ 1 in-window follower → ascending follower ids;
     # absent means none.
-    assert columnar.followers_snapshot() == oracle.followers_snapshot()
+    assert columnar.follower_view() == oracle.follower_view()
     assert columnar.validate()
 
 

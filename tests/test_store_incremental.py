@@ -3,9 +3,9 @@
 Two pieces of window state are maintained incrementally and must equal
 their from-scratch definitions after *every* operation:
 
-* the store's sparse follower view behind ``followers_snapshot()`` — equal
-  to a rebuild over ``live_rows()``, and every dict it handed out earlier
-  stays frozen;
+* the store's sparse follower view behind ``follower_view()`` — equal
+  to a rebuild over ``live_rows()``, and handed out as the one dict the
+  store keeps current (a caller that must keep a state copies it);
 * the horizon-trimmed archive (a ``(timestamp, id)`` heap popped up to the
   cutoff) — equal, entry for entry and in order, to a full scan of the
   archive after every ``advance_to``.
@@ -93,19 +93,17 @@ class TestFollowerView:
     def test_view_equals_rebuild_after_every_step(self, ops):
         store = ElementStore(1, initial_capacity=2)
         window = ColumnarWindow(4, archive_windows=2, store=store)
-        handed_out = []
+        live = window.follower_view()
 
         def check(_kind, _payload):
-            snapshot = window.followers_snapshot()
-            assert snapshot == rebuilt_view(store)
+            view = window.follower_view()
+            assert view is live
+            assert view == rebuilt_view(store)
             assert all(
                 followers and list(followers) == sorted(followers)
-                for followers in snapshot.values()
+                for followers in view.values()
             )
-            assert set(snapshot) <= set(window.active_ids())
-            for earlier, frozen_copy in handed_out:
-                assert earlier == frozen_copy
-            handed_out.append((snapshot, dict(snapshot)))
+            assert set(view) <= set(window.active_ids())
             assert window.validate()
 
         drive(window, ops, check)
@@ -123,9 +121,9 @@ class TestFollowerView:
             ("advance", 1),
         ]
         drive(window, ops, lambda kind, payload: None)
-        assert window.followers_snapshot() == rebuilt_view(store) == {7: (8,)}
+        assert window.follower_view() == rebuilt_view(store) == {7: (8,)}
         store.clear()
-        assert store.followers_snapshot() == {}
+        assert store.follower_view() == {}
 
 
 WINDOW_LENGTH = 3
