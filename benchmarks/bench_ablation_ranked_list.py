@@ -1,4 +1,4 @@
-"""Ablation — bisect-backed ranked-list maintenance vs naive re-sorting.
+"""Ablation — sort-on-read ranked lists vs re-sorting on every change.
 
 Thin wrapper over the ``ablation_ranked_list`` spec in the :mod:`repro.bench` registry.
 Run as a script (``python benchmarks/bench_ablation_ranked_list.py [--tier tiny|full] [--seed N]

@@ -286,7 +286,7 @@ def _ablation_ranked_list_check(result: Any, tier: str) -> None:
 register(
     BenchSpec(
         "ablation_ranked_list",
-        "ablation: bisect-backed ranked lists vs naive re-sorting",
+        "ablation: sort-on-read ranked lists vs re-sorting on every change",
         _ablation_ranked_list_run,
         {
             "tiny": {"dataset": "twitter-small", "operations": 3_000},

@@ -12,6 +12,13 @@ processor drives three kinds of updates:
   changed, so its tuples are re-scored and repositioned.
 * **expire** — an element left the active set; its tuples are removed.
 
+A list is a score map (:class:`~repro.utils.sorted_list.DescendingSortedList`):
+maintenance only writes scores, and the first read after a change sorts the
+list, so the order is paid for by the queries that read it — a query sorts
+the lists of its own topics at most once per change, and a list nobody reads
+(every list of a shard worker, which serves scores and activity times only)
+is never sorted.
+
 Query algorithms traverse the lists in descending score order through
 :class:`RankedListTraversal`, which merges the per-topic cursors (weighted by
 the query vector) and implements the paper's rule that once an element has
@@ -255,15 +262,14 @@ class RankedListIndex:
         scores the caller already computed (the processor derives them in
         one matrix operation over the store's profile rows); ``removes``
         are expired element ids.  Removals are applied first, then the
-        insert/refresh scores are grouped **per topic** and loaded into
-        each ranked list with one :meth:`DescendingSortedList.bulk_insert`
-        merge instead of one bisect-insertion per tuple.  When the same
+        insert and refresh scores are written into the lists' score maps,
+        one O(1) write per tuple; no list is sorted here (the first
+        traversal after the change sorts the lists it reads).  When the same
         element appears as both an insert and a refresh, the refresh score
         wins (matching the per-element insert-then-refresh outcome).
         A re-post replaces its previous versions — the stored one and any
         earlier in ``inserts``: its tuples on the topics the last version no
-        longer has leave those lists (and the bucket's grouped scores), as
-        :meth:`insert` does for one re-post.
+        longer has leave those lists, as :meth:`insert` does for one re-post.
         Activity times combine via ``max`` with any stored value, which is
         what the per-element discipline converges to over a bucket.
 
@@ -275,54 +281,52 @@ class RankedListIndex:
         watch = StopWatch()
         watch.start()
 
-        topics_of = self._topics_of
-        if removes:
-            removals: Dict[int, List[int]] = defaultdict(list)
-            for element_id in removes:
-                self._last_activity.pop(element_id, None)
-                for topic in _topics(topics_of.pop(element_id, 0)):
-                    removals[topic].append(element_id)
-            for topic, element_ids in removals.items():
-                self._lists[topic].bulk_discard(element_ids)
-            self._dirty_topics.update(removals)
+        lists, topics_of, last_activity = self._lists, self._topics_of, self._last_activity
+        # The topics this call writes, as a mask: they turn dirty.
+        touched = 0
+        for element_id in removes:
+            last_activity.pop(element_id, None)
+            held = topics_of.pop(element_id, 0)
+            for topic in _topics(held):
+                lists[topic].discard(element_id)
+            touched |= held
 
         lambda_weight = self._config.lambda_weight
-        last_activity = self._last_activity
         # re-posted element id -> its last version in ``inserts``
         reposted: Dict[int, ElementProfile] = {}
-        # topic -> {element_id: score}; later stores supersede earlier
-        # ones per element, matching the per-element apply order.
-        per_topic: Dict[int, Dict[int, float]] = defaultdict(dict)
+        # Later writes supersede earlier ones per element, matching the
+        # per-element apply order.
         for profile, activity_time in inserts:
             element_id = profile.element_id
             time = profile.timestamp if activity_time is None else activity_time
             previous = last_activity.get(element_id)
             last_activity[element_id] = time if previous is None else max(previous, time)
             for topic, semantic in profile.semantic_scores.items():
-                per_topic[topic][element_id] = lambda_weight * semantic
+                lists[topic].insert(element_id, lambda_weight * semantic)
+            mask = _mask(profile.semantic_scores)
+            touched |= mask
             held = topics_of.get(element_id)
             if held is None:
-                topics_of[element_id] = _mask(profile.semantic_scores)
+                topics_of[element_id] = mask
             else:
-                topics_of[element_id] = held | _mask(profile.semantic_scores)
+                topics_of[element_id] = held | mask
                 reposted[element_id] = profile
-        for element_id, scores, activity_time in scored_refreshes:
-            time = activity_time
+        for element_id, scores, time in scored_refreshes:
             previous = last_activity.get(element_id)
             last_activity[element_id] = time if previous is None else max(previous, time)
             for topic, score in scores.items():
-                per_topic[topic][element_id] = score
-            topics_of[element_id] = topics_of.get(element_id, 0) | _mask(scores)
+                lists[topic].insert(element_id, score)
+            mask = _mask(scores)
+            touched |= mask
+            topics_of[element_id] = topics_of.get(element_id, 0) | mask
 
         for element_id, profile in reposted.items():
             dropped = topics_of[element_id] & ~_mask(profile.topic_probabilities)
             for topic in _topics(dropped):
-                per_topic[topic].pop(element_id, None)
-                self._lists[topic].discard(element_id)
+                lists[topic].discard(element_id)
             topics_of[element_id] &= ~dropped
-        for topic, entries in per_topic.items():
-            self._lists[topic].bulk_insert(entries.items())
-        self._dirty_topics.update(per_topic)
+            touched |= dropped
+        self._dirty_topics.update(_topics(touched))
 
         self._update_timer.add_many(
             watch.stop(), len(inserts) + len(removes) + len(scored_refreshes)
@@ -337,9 +341,8 @@ class RankedListIndex:
         would only risk drift.  An entry replaces the element's activity
         time and its tuples on the topics it names.  The tuples are grouped
         per topic and each list takes them in one
-        :meth:`DescendingSortedList.bulk_insert`, which orders them by
-        ``(−score, id)`` exactly as one insertion per tuple would.  Loading
-        is not stream maintenance: the update timer records nothing.
+        :meth:`DescendingSortedList.bulk_insert`.  Loading is not stream
+        maintenance: the update timer records nothing.
         """
         last_activity, topics_of = self._last_activity, self._topics_of
         per_topic: Dict[int, List[Tuple[int, float]]] = defaultdict(list)
@@ -438,8 +441,13 @@ class RankedListTraversal:
     Cursor invariant: between calls every unexhausted list's cursor rests on
     a tuple whose element has not been retrieved, and its ``x_i · δ_i`` is
     cached; a retrieval moves only the lists whose front is the retrieved
-    element.  Exhausted lists leave the merge.  The index must not change
-    while a traversal is in use.
+    element.  Exhausted lists leave the merge.
+
+    Construction reads each query topic's order, sorting the lists changed
+    since their last read.  Traversals may be built and used from several
+    threads at once: a sort publishes new lists and never touches one a
+    live traversal iterates, and two threads sorting the same list publish
+    equal ones.  The index must not change while a traversal is in use.
     """
 
     def __init__(self, index: RankedListIndex, query_vector: np.ndarray) -> None:
@@ -457,7 +465,7 @@ class RankedListTraversal:
         # Parallel columns over the lists still in the merge, in topic order:
         # an iterator just past the front, the query weight, and the front's
         # element id and ``x_i · δ_i``.
-        self._iterators = [iter(index._lists[topic].entries()) for topic in self._topics]
+        self._iterators = [zip(*index._lists[topic].columns()) for topic in self._topics]
         self._weights = [float(vector[topic]) for topic in self._topics]
         self._front_ids = [0] * len(self._topics)
         self._front_values = [0.0] * len(self._topics)

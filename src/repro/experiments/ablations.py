@@ -1,9 +1,9 @@
 """Ablation studies for the design choices called out in DESIGN.md §6.
 
-* :func:`ranked_list_ablation` — the bisect-backed sorted ranked list vs a
-  naive "re-sort the whole list on every change" maintenance strategy.
-  The paper's Algorithm 1 assumes an order-maintaining structure; this
-  ablation quantifies what that structure buys during stream ingestion.
+* :func:`ranked_list_ablation` — the sort-on-read ranked list (score writes,
+  one sort at the first read after a change) vs a naive "re-sort the whole
+  list on every change" strategy, over a trace that reads the order once
+  per element, as a query after each arrival would.
 * :func:`lazy_buffer_ablation` — MTTD's lazy max-heap candidate buffer vs a
   naive variant that rescans the whole buffer to find the best cached gain
   at every step.  Both return identical selections (the selection rule is
@@ -84,7 +84,7 @@ class _ResortRankedList:
 
 
 def _replay_maintenance(structure_factory, operations: Sequence[Tuple[str, int, float]]) -> float:
-    """Replay a recorded insert/update/remove trace and return elapsed seconds."""
+    """Replay a recorded insert/update/remove/read trace and return elapsed seconds."""
     structure = structure_factory()
     start = time.perf_counter()
     for action, key, score in operations:
@@ -92,6 +92,8 @@ def _replay_maintenance(structure_factory, operations: Sequence[Tuple[str, int, 
             structure.insert(key, score)
         elif action == "update":
             structure.update(key, score)
+        elif action == "read":
+            structure.items()
         else:
             structure.discard(key)
     return time.perf_counter() - start
@@ -102,11 +104,11 @@ def ranked_list_ablation(
     seed: int = DEFAULT_EFFICIENCY_CONFIG.seed,
     max_operations: int = 20000,
 ) -> AblationResult:
-    """Compare sorted-list maintenance against naive re-sorting.
+    """Compare the sort-on-read list against re-sorting on every change.
 
     The operation trace is derived from the dataset's stream: one insert per
-    element/topic pair, one update per reference, one removal per expiry,
-    replayed against both structures.
+    element, one update per reference, one removal per expiry, then one read
+    of the whole order, replayed against both structures.
     """
     dataset = load_dataset(dataset_name, seed=seed)
     operations: List[Tuple[str, int, float]] = []
@@ -125,13 +127,14 @@ def ranked_list_ablation(
             victim = next(iter(alive))
             del alive[victim]
             operations.append(("remove", victim, 0.0))
+        operations.append(("read", element.element_id, 0.0))
 
     naive_seconds = _replay_maintenance(_ResortRankedList, operations)
     sorted_seconds = _replay_maintenance(DescendingSortedList, operations)
     return AblationResult(
         name=f"ranked-list maintenance ({dataset_name}, {len(operations)} ops)",
         baseline_label="naive-resort",
-        variant_label="bisect-sorted-list",
+        variant_label="sort-on-read",
         baseline_value=naive_seconds * 1000.0,
         variant_value=sorted_seconds * 1000.0,
         unit="ms",

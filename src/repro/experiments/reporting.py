@@ -7,7 +7,7 @@ output is directly readable and can be pasted into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 Cell = Union[str, Number]
@@ -84,14 +84,17 @@ def render_figure(
     x_values: Sequence[Number],
     panels: Mapping[str, Mapping[str, Sequence[Number]]],
     precision: int = 4,
+    panel_axes: Optional[Mapping[str, Tuple[str, Sequence[Number]]]] = None,
 ) -> str:
-    """Render a multi-panel figure (one panel per dataset, as in the paper)."""
+    """Render a multi-panel figure (one panel per dataset, as in the paper);
+    a panel named in ``panel_axes`` uses its own ``(x_label, x_values)``."""
     blocks = [figure_title]
     for panel_name in sorted(panels):
+        label, values = (panel_axes or {}).get(panel_name, (x_label, x_values))
         blocks.append(
             render_series(
-                x_label,
-                x_values,
+                label,
+                values,
                 panels[panel_name],
                 title=f"[{panel_name}]",
                 precision=precision,

@@ -5,8 +5,8 @@ kernel                  hot path it backs
 ======================  ==============================================
 ``delta_topic_sums``    touched-parent δ-recompute (gather + segmented
                         reduce over the store's ``P[rows, z]`` matrix)
-``ranked_merge``        ``DescendingSortedList.bulk_insert`` /
-                        ``RankedListIndex.bulk_update`` merge order
+``ranked_merge``        the first read of a changed ranked list
+                        (``DescendingSortedList.columns`` order)
 ``window_scan``         window-expiry mask + free-row recycling scan
 ``positive_counts``     per-topic candidate counting in the profile
                         builder (thresholded segmented reduce)

@@ -37,7 +37,8 @@ def ranked_merge(
     """Sort order of ranked-list entries: score descending, key ascending.
 
     Returns the permutation ``order`` such that
-    ``zip(scores[order], keys[order])`` is the merged ranked list.  The
+    ``zip(scores[order], keys[order])`` is the ranked list in read order
+    (it runs at the first read of a list after a change).  The
     ascending-key tie-break is the library-wide determinism contract of
     :class:`~repro.utils.sorted_list.DescendingSortedList`.
     """

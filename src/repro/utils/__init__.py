@@ -6,8 +6,8 @@ The helpers in this package are deliberately small and dependency-free:
   is reproducible end to end.
 * :mod:`repro.utils.timing` — wall-clock accumulators used by the
   experiment harness to report per-query and per-update CPU time.
-* :mod:`repro.utils.sorted_list` — the bisect-backed descending sorted list
-  that backs each per-topic ranked list.
+* :mod:`repro.utils.sorted_list` — the score map, sorted at its first read
+  after a change, that backs each per-topic ranked list.
 * :mod:`repro.utils.validation` — argument validation helpers shared by the
   public API.
 * :mod:`repro.utils.config` — the dict round-trip every frozen config

@@ -1,53 +1,60 @@
-"""A descending sorted list keyed by score, used by the per-topic ranked lists.
+"""A score map that reads in descending score order, used by the ranked lists.
 
 The ranked list of Algorithm 1 in the paper needs four operations:
 
 * insert a ``(key, score)`` entry,
 * change the score of an existing key (when an element gains a reference),
 * delete an entry (when an element expires from the active window),
-* traverse entries in descending score order while supporting concurrent
-  inserts at positions *before* the cursor (the query algorithms only ever
-  traverse a frozen snapshot, so the cursor lives in
-  :class:`repro.core.ranked_list.RankedListCursor`; here we only provide the
-  ordered container).
+* traverse entries in descending score order (the query algorithms walk a
+  frozen list through :class:`repro.core.ranked_list.RankedListTraversal`;
+  here we only provide the order).
 
-A bisect-backed parallel-array implementation is simple, cache friendly and —
-for the window sizes a single machine handles — faster in practice than a
-balanced tree written in pure Python.  Ties are broken by key so iteration
-order is deterministic.
+Stream maintenance writes far more often than queries read, and a query
+reads only the few lists of its topics, so the order is not maintained on
+write.  The only state a write changes is the ``key → score`` map, at O(1),
+and it marks the list unsorted.  The first read after a write sorts the map
+once — score descending, ties by ascending key — and caches that order as
+two parallel lists (negated scores and keys) until the next write.  A list
+that nobody reads is never sorted.
+
+Reads may run at the same time (a server answers queries on one shared
+snapshot): a rebuild builds new lists and publishes them before it clears
+the unsorted mark, and never changes a published list, so a concurrent
+reader sees either the old order of the same map or the new one, and two
+threads rebuilding at once publish equal lists.  Writes must not overlap
+reads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels import ranked_merge
 
+#: The cached order: negated scores and keys, ascending by ``(-score, key)``.
+Columns = Tuple[List[float], List[Hashable]]
+
 
 class DescendingSortedList:
-    """A mapping from keys to scores, iterable in descending score order.
-
-    Internally entries are stored ascending by ``(-score, key)`` so plain
-    ``bisect`` keeps them ordered; iteration yields the highest scores first.
-    """
+    """A mapping from keys to scores, iterable in descending score order."""
 
     def __init__(self) -> None:
-        # Sorted ascending by (-score, key).
-        self._entries: List[Tuple[float, Hashable]] = []
         self._scores: Dict[Hashable, float] = {}
+        self._columns: Columns = ([], [])
+        self._sorted = True
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._scores)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._scores
 
     def __iter__(self) -> Iterator[Tuple[Hashable, float]]:
         """Yield ``(key, score)`` pairs in descending score order."""
-        for neg_score, key in self._entries:
+        negated, keys = self.columns()
+        for neg_score, key in zip(negated, keys):
             yield key, -neg_score
 
     def score(self, key: Hashable) -> float:
@@ -60,149 +67,86 @@ class DescendingSortedList:
 
     def insert(self, key: Hashable, score: float) -> None:
         """Insert ``key`` with ``score``; replaces any previous entry."""
-        if key in self._scores:
-            self._remove_entry(key, self._scores[key])
-        insort(self._entries, (-float(score), key))
         self._scores[key] = float(score)
+        self._sorted = False
 
-    def update(self, key: Hashable, score: float) -> None:
-        """Change the score of an existing key (inserting when absent)."""
-        self.insert(key, score)
+    update = insert
 
     def bulk_insert(self, items: Iterable[Tuple[Hashable, float]]) -> None:
-        """Insert many ``(key, score)`` pairs at once (last score wins per key).
-
-        Replaces any previous entries of the given keys.  For batches that
-        are large relative to the list this stages the new entries, drops the
-        superseded ones in a single filtering pass and merges two sorted runs
-        — ``O(n + m log m)`` instead of ``m`` bisect-insertions at ``O(n)``
-        each.  Small batches fall back to plain :meth:`insert`.
-        """
-        staged: Dict[Hashable, float] = {key: float(score) for key, score in items}
-        if not staged:
-            return
-        if len(staged) < 8 or len(staged) * 4 < len(self._entries):
-            for key, score in staged.items():
-                self.insert(key, score)
-            return
-        superseded = {key for key in staged if key in self._scores}
-        if superseded:
-            self._entries = [
-                entry for entry in self._entries if entry[1] not in superseded
-            ]
-        entries = self._entries
-        entries.extend((-score, key) for key, score in staged.items())
-        order = None
-        if all(type(key) is int for _neg, key in entries):
-            # Element-id hot path: the merge order comes from the
-            # ``ranked_merge`` kernel (score descending, key ascending).
-            # The original tuples are re-indexed by the returned
-            # permutation, so key objects are preserved.
-            try:
-                keys = np.fromiter(
-                    (key for _neg, key in entries),
-                    dtype=np.int64,
-                    count=len(entries),
-                )
-            except OverflowError:
-                keys = None
-            if keys is not None:
-                neg_scores = np.fromiter(
-                    (neg for neg, _key in entries),
-                    dtype=np.float64,
-                    count=len(entries),
-                )
-                order = ranked_merge(-neg_scores, keys)
-        if order is not None:
-            self._entries = [entries[index] for index in order.tolist()]
-        else:
-            # Timsort merges the existing sorted run and the appended batch
-            # at C speed, which beats a Python-level two-way merge.
-            entries.sort()
-        self._scores.update(staged)
-
-    def bulk_discard(self, keys: Iterable[Hashable]) -> List[Hashable]:
-        """Remove every present key of ``keys``; returns the ones removed.
-
-        Duplicates in ``keys`` are tolerated (removed once).
-        """
-        present = list(dict.fromkeys(key for key in keys if key in self._scores))
-        if not present:
-            return present
-        if len(present) < 8 or len(present) * 16 < len(self._entries):
-            for key in present:
-                self.remove(key)
-            return present
-        drop = set(present)
-        self._entries = [entry for entry in self._entries if entry[1] not in drop]
-        for key in present:
-            del self._scores[key]
-        return present
+        """Insert many ``(key, score)`` pairs at once (last score wins per key)."""
+        self._scores.update((key, float(score)) for key, score in items)
+        self._sorted = False
 
     def remove(self, key: Hashable) -> None:
         """Remove ``key``; raises ``KeyError`` when absent."""
-        score = self._scores.pop(key)
-        self._remove_entry_raw(key, score)
+        del self._scores[key]
+        self._sorted = False
 
     def discard(self, key: Hashable) -> None:
         """Remove ``key`` when present, do nothing otherwise."""
         if key in self._scores:
             self.remove(key)
 
+    def clear(self) -> None:
+        """Remove every entry."""
+        self._scores.clear()
+        self._sorted = False
+
+    # -- reads: the first one after a write sorts ------------------------------
+
+    def columns(self) -> Columns:
+        """The order as ``(negated scores, keys)``, ascending by
+        ``(-score, key)``; read-only, valid until the list is next written."""
+        if self._sorted:
+            return self._columns
+        columns = self._sort()
+        self._columns = columns
+        self._sorted = True
+        return columns
+
+    def _sort(self) -> Columns:
+        scores = self._scores
+        keys = list(scores)
+        values = np.fromiter(scores.values(), dtype=np.float64, count=len(keys))
+        ids = None
+        if all(type(key) is int for key in keys):
+            try:
+                ids = np.array(keys, dtype=np.int64)
+            except OverflowError:
+                pass
+        if ids is not None:
+            # Element-id hot path: score descending, id ascending.
+            order = ranked_merge(values, ids)
+            return (-values[order]).tolist(), ids[order].tolist()
+        ordered = sorted((-score, key) for key, score in scores.items())
+        return [neg for neg, _key in ordered], [key for _neg, key in ordered]
+
     def peek(self) -> Tuple[Hashable, float]:
         """Return the ``(key, score)`` pair with the maximum score."""
-        if not self._entries:
+        if not self._scores:
             raise IndexError("peek from an empty DescendingSortedList")
-        neg_score, key = self._entries[0]
-        return key, -neg_score
+        return self.at(0)
 
     def at(self, rank: int) -> Tuple[Hashable, float]:
         """Return the ``(key, score)`` pair at descending rank ``rank``."""
-        neg_score, key = self._entries[rank]
-        return key, -neg_score
-
-    def entries(self) -> List[Tuple[float, Hashable]]:
-        """The internal ``(-score, key)`` list, ascending, for read-only
-        cursors; valid until the list is next mutated."""
-        return self._entries
+        negated, keys = self.columns()
+        return keys[rank], -negated[rank]
 
     def keys(self) -> List[Hashable]:
         """All keys in descending score order."""
-        return [key for _neg, key in self._entries]
+        return list(self.columns()[1])
 
     def items(self) -> List[Tuple[Hashable, float]]:
         """All ``(key, score)`` pairs in descending score order."""
-        return [(key, -neg) for neg, key in self._entries]
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._entries.clear()
-        self._scores.clear()
-
-    # -- internal helpers -------------------------------------------------
-
-    def _remove_entry(self, key: Hashable, score: float) -> None:
-        del self._scores[key]
-        self._remove_entry_raw(key, score)
-
-    def _remove_entry_raw(self, key: Hashable, score: float) -> None:
-        probe = (-float(score), key)
-        idx = bisect_left(self._entries, probe)
-        # The probe is unique because keys are unique within the list.
-        if idx < len(self._entries) and self._entries[idx] == probe:
-            del self._entries[idx]
-            return
-        raise KeyError(f"entry for key {key!r} with score {score!r} not found")
+        return list(self)
 
     def validate(self) -> bool:
-        """Check internal invariants (used by tests); returns True if OK."""
-        if len(self._entries) != len(self._scores):
+        """Check that the order holds exactly the map, sorted (used by tests)."""
+        negated, keys = self.columns()
+        if len(keys) != len(self._scores) or len(negated) != len(keys):
             return False
-        previous = None
-        for neg_score, key in self._entries:
-            if self._scores.get(key) != -neg_score:
-                return False
-            if previous is not None and (neg_score, key) < previous:
-                return False
-            previous = (neg_score, key)
-        return True
+        entries = list(zip(negated, keys))
+        scores = self._scores
+        if any(key not in scores or scores[key] != -neg for neg, key in entries):
+            return False
+        return all(entries[i] < entries[i + 1] for i in range(len(entries) - 1))

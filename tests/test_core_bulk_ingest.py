@@ -62,22 +62,6 @@ class TestSortedListBulk:
         ranked.bulk_insert([])
         assert ranked.items() == [(1, 1.0)]
 
-    def test_bulk_discard(self):
-        rng = random.Random(13)
-        reference = DescendingSortedList()
-        bulk = DescendingSortedList()
-        for key in range(50):
-            score = rng.uniform(0.0, 5.0)
-            reference.insert(key, score)
-            bulk.insert(key, score)
-        victims = [3, 7, 7, 99, 12] + list(range(20, 45))
-        for key in victims:
-            reference.discard(key)
-        removed = bulk.bulk_discard(victims)
-        assert bulk.items() == reference.items()
-        assert set(removed) == ({3, 7, 12} | set(range(20, 45)))
-        assert bulk.validate()
-
 
 # ---------------------------------------------------------------------------
 # ProfileBuilder.build_many

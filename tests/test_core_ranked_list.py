@@ -7,9 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import EngineConfig, KSIREngine
+from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.core.processor import ProcessorConfig
 from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import ProfileBuilder
-from tests.conftest import PAPER_SCORING, build_paper_elements, build_paper_topic_model
+from repro.kernels import kernel_stats
+from tests.conftest import (
+    PAPER_SCORING,
+    build_paper_elements,
+    build_paper_topic_model,
+    build_processor,
+    build_reference_stream,
+)
+from tests.test_cluster_equivalence import mirrored_streams
+from tests.test_store_columnar import bucketise
 
 
 def build_paper_index(until_time: int = 8) -> RankedListIndex:
@@ -203,7 +215,7 @@ class TestLoad:
         restored.restore_state(index.state_dict())
         assert restored.validate()
         for topic in range(3):
-            assert restored._lists[topic].entries() == index._lists[topic].entries()
+            assert restored._lists[topic].columns() == index._lists[topic].columns()
         assert restored._topics_of == index._topics_of
         assert restored._last_activity == index._last_activity
         assert restored.peek_dirty_topics() == index.peek_dirty_topics()
@@ -340,3 +352,81 @@ class TestDirtyTopicTracking:
         index.take_dirty_topics()
         index.clear()
         assert index.take_dirty_topics() == tuple(sorted(profiles[1].topics))
+
+
+def rebuilt(index):
+    """A fresh index ``load()``ed from ``index``'s stored scores."""
+    fresh = RankedListIndex(index.num_topics, index.config)
+    fresh.load(
+        (element_id, activity, index.scores_of(element_id))
+        for element_id, activity in index._last_activity.items()
+    )
+    return fresh
+
+
+def merge_calls():
+    return kernel_stats()["per_kernel"]["ranked_merge"]["calls"]
+
+
+class TestSortOnRead:
+    """Maintenance writes scores; the first traversal after a change sorts
+    the lists it reads, and reads the order a fresh index would."""
+
+    @staticmethod
+    def _query_vectors(num_topics):
+        """One topic at a time, then all of them: each list is read every
+        few buckets, so reads find lists with several buckets of changes."""
+        vectors = [np.eye(num_topics)[topic] for topic in range(num_topics)]
+        return vectors + [np.full(num_topics, 1.0 / num_topics)]
+
+    @staticmethod
+    def _assert_reads_like_a_rebuild(index, vector):
+        fresh = rebuilt(index)
+        assert list(index.traversal(vector)) == list(fresh.traversal(vector))
+        assert index.validate()
+
+    @pytest.mark.parametrize("backend", ["local", "serial"])
+    def test_a_traversal_equals_one_over_a_rebuilt_index(self, backend):
+        checked = 0
+        for model, config, buckets in mirrored_streams():
+            vectors = self._query_vectors(model.num_topics)
+            if backend == "local":
+                processor = build_processor(model, config)
+                for position, (members, end_time) in enumerate(buckets):
+                    processor.process_bucket(members, end_time)
+                    vector = vectors[position % len(vectors)]
+                    self._assert_reads_like_a_rebuild(processor.ranked_lists, vector)
+                    checked += 1
+                continue
+            cluster_config = ClusterConfig(num_shards=2, transport="serial")
+            with ClusterCoordinator(model, config, cluster_config) as cluster:
+                for position, (members, end_time) in enumerate(buckets):
+                    cluster.process_bucket(members, end_time)
+                    cluster.active_count  # syncs the replica without reading it
+                    vector = vectors[position % len(vectors)]
+                    self._assert_reads_like_a_rebuild(cluster._index, vector)
+                    checked += 1
+        assert checked == 30
+
+    def test_shard_workers_never_sort(self):
+        model, elements = build_reference_stream(4, 96, 4, 10)
+        buckets = bucketise(elements, 4)
+        assert len(buckets) == 24
+        config = EngineConfig(
+            backend="sharded",
+            processor=ProcessorConfig(window_length=12, bucket_length=4, scoring=PAPER_SCORING),
+            cluster=ClusterConfig(num_shards=2, transport="serial"),
+        )
+        with KSIREngine(model, config) as engine:
+            before = merge_calls()
+            for members, end_time in buckets:
+                engine.ingest_bucket(members, end_time)
+            assert merge_calls() == before
+            # A query sorts the coordinator's replica lists it reads, and no
+            # list of a shard.
+            engine.query(np.full(model.num_topics, 0.25), k=3)
+            assert merge_calls() > before
+            for worker in engine.coordinator.workers:
+                for ranked in worker.processor.ranked_lists._lists:
+                    assert ranked._columns == ([], [])
+

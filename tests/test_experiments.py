@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,26 @@ class TestFigures:
         assert "tiny vs z" in figure.panels
         assert "tiny vs T" in figure.panels
         assert all(value >= 0.0 for value in figure.panels["tiny vs z"]["update"])
+
+    def test_figure14_axes_are_the_swept_z_and_t(self):
+        """Each panel is printed against what it swept, also when the two
+        sweeps differ in length."""
+        config = replace(
+            TINY_EFFICIENCY,
+            sweeps=replace(TINY_EFFICIENCY.sweeps, num_topics=(4, 6, 8), window_hours=(2, 3)),
+        )
+        figure = figure14_update_time(config)
+        assert figure.x_label == "z" and figure.x_values == [4.0, 6.0, 8.0]
+        assert figure.panel_axes == {"tiny vs T": ("T (hours)", [2.0, 3.0])}
+        assert len(figure.panels["tiny vs z"]["update"]) == 3
+        assert len(figure.panels["tiny vs T"]["update"]) == 2
+        headers = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in figure.render().splitlines()
+            if line.startswith("| ") and not line.startswith("| update")
+        ]
+        assert headers == [["T (hours)", "2.0000", "3.0000"], ["z", "4.0000", "6.0000", "8.0000"]]
+        assert "score writes" in figure.notes["update"]
 
 
 class TestAblations:

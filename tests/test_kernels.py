@@ -121,9 +121,11 @@ class TestProfiling:
             wrapped = getattr(kernels, name)
             assert wrapped.__wrapped__ is getattr(numpy_impl, name)
 
-    def test_ingest_calls_every_kernel(self):
+    def test_ingest_and_one_query_call_every_kernel(self):
         """The four call sites go through the timers (the end-to-end
-        benchmark reads them on ``ingest_vec``)."""
+        benchmark reads them on ``ingest_vec``).  Ingest calls three;
+        ``ranked_merge`` runs at the first read of a changed ranked list,
+        which the query is."""
         from repro.api import EngineConfig, KSIREngine
         from repro.core.processor import ProcessorConfig
         from repro.topics.model import MatrixTopicModel
@@ -139,6 +141,8 @@ class TestProfiling:
         config = EngineConfig(processor=ProcessorConfig(window_length=20, bucket_length=5))
         with KSIREngine(model, config) as engine:
             engine.process_stream(stream)
+            assert calls_since(before)["ranked_merge"] == 0
+            engine.query(np.full(model.num_topics, 0.25), k=2, algorithm="mttd")
         assert all(calls_since(before).values()), calls_since(before)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 from unittest import mock
 
@@ -14,7 +16,7 @@ from repro.kernels import numpy_impl
 from repro.utils import sorted_list
 from repro.utils.sorted_list import DescendingSortedList
 
-#: The ``ranked_merge`` that ``bulk_insert`` runs, under the two kernel-mode
+#: The ``ranked_merge`` that the first read after a change runs, under the two kernel-mode
 #: names a manifest may still carry (both load as the one NumPy path):
 #: ``auto`` is the timed wrapper the call site imports, ``numpy`` the bare
 #: :mod:`repro.kernels.numpy_impl` body.  Running every property under both
@@ -25,7 +27,7 @@ KERNEL_MODES = list(RANKED_MERGES)
 
 @contextmanager
 def merging_with(mode):
-    """Run ``bulk_insert``'s merge order through the ``mode`` entry point."""
+    """Run the sort of a read through the ``mode`` entry point."""
     with mock.patch.object(sorted_list, "ranked_merge", RANKED_MERGES[mode]):
         yield
 
@@ -179,9 +181,9 @@ class TestPropertyBased:
 class TestBulkInsertProperty:
     """Satellite property: bulk_insert ≡ repeated insert, ties included.
 
-    The large-batch branch of ``bulk_insert`` delegates its merge order
-    to the ``ranked_merge`` kernel, so the property is checked through
-    both of its entry points: the timed wrapper and the NumPy body.
+    The first read after ``bulk_insert`` sorts through the ``ranked_merge``
+    kernel, so the property is checked through both of its entry points:
+    the timed wrapper and the NumPy body.
     """
 
     @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
@@ -215,9 +217,9 @@ class TestBulkInsertProperty:
             for key, score in batch:
                 reference.insert(key, score)
             bulk.bulk_insert(batch)
-        assert bulk.items() == reference.items()
-        assert bulk.keys() == reference.keys()
-        assert bulk.validate() and reference.validate()
+            assert bulk.items() == reference.items()
+            assert bulk.keys() == reference.keys()
+            assert bulk.validate() and reference.validate()
 
 
 class TestBulkInsertTieBreak:
@@ -225,34 +227,34 @@ class TestBulkInsertTieBreak:
 
     @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
     def test_large_batch_ties_resolve_by_key(self, kernel_mode):
-        # 32 staged entries against an empty list takes the kernel-merge
-        # branch (int keys → ranked_merge permutation), and every score
-        # collides with exactly one other key.
+        # Int keys sort through the ranked_merge permutation, and every
+        # score collides with exactly one other key.
         batch = [(key, float(key % 16)) for key in range(32)]
+        expected = sorted(batch, key=lambda item: (-item[1], item[0]))
         with merging_with(kernel_mode):
             ranked = DescendingSortedList()
             ranked.bulk_insert(batch)
-        expected = sorted(batch, key=lambda item: (-item[1], item[0]))
-        assert ranked.items() == expected
-        assert ranked.validate()
+            assert ranked.items() == expected
+            assert ranked.validate()
 
     @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
     def test_all_scores_equal(self, kernel_mode):
         with merging_with(kernel_mode):
             ranked = DescendingSortedList()
             ranked.bulk_insert((key, 1.0) for key in (9, 3, 27, 0, 14, 5, 21, 8, 2))
-        assert ranked.keys() == [0, 2, 3, 5, 8, 9, 14, 21, 27]
+            assert ranked.keys() == [0, 2, 3, 5, 8, 9, 14, 21, 27]
 
     @pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
     def test_signed_zero_scores_tie(self, kernel_mode):
-        """-0.0 and 0.0 compare equal, so the key decides — both paths."""
+        """-0.0 and 0.0 compare equal, so the key decides, and each
+        score reads back with its own sign."""
         batch = [(3, -0.0), (1, 0.0), (2, -0.0), (0, 0.0)] + [
             (key, 1.0) for key in range(4, 16)
         ]
         with merging_with(kernel_mode):
             ranked = DescendingSortedList()
             ranked.bulk_insert(batch)
-        assert ranked.keys()[-4:] == [0, 1, 2, 3]
+            assert repr(ranked.items()[-4:]) == repr([(0, 0.0), (1, 0.0), (2, -0.0), (3, -0.0)])
 
     def test_non_int_keys_fall_back_to_python_sort(self):
         batch = [(f"k{index:02d}", float(index % 4)) for index in range(24)]
@@ -261,8 +263,8 @@ class TestBulkInsertTieBreak:
         assert ranked.items() == sorted(batch, key=lambda item: (-item[1], item[0]))
 
     def test_oversized_int_keys_fall_back_to_python_sort(self):
-        # Keys beyond int64 overflow np.fromiter; bulk_insert must fall
-        # back to the pure-Python merge and still honour the tie-break.
+        # Keys beyond int64 overflow the NumPy id column; the sort must
+        # fall back to Python's and still honour the tie-break.
         huge = 2**70
         batch = [(huge + index, float(index % 3)) for index in range(16)]
         ranked = DescendingSortedList()
@@ -278,3 +280,175 @@ class TestBulkInsertTieBreak:
             [(7, 2.0), (1, 2.0)] + [(key, 0.5) for key in range(20, 34)]
         )
         assert ranked.keys()[:4] == [1, 4, 7, 10]
+
+
+def expected_order(reference):
+    """The ``(-score, key)`` order of a plain dict, as ``(key, score)`` pairs."""
+    return [(key, -neg) for neg, key in sorted((-score, key) for key, score in reference.items())]
+
+
+def sort_on_read_operations(keys):
+    """Interleavings of every write and every read of the list over ``keys``,
+    with few distinct scores (ties and ±0.0 are common).  An operation is
+    ``(action, key, score, batch, read)``; each action uses what it needs."""
+    scores = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])
+    actions = ["insert", "update", "remove", "discard", "bulk", "clear"] + ["read"] * 4
+    reads = ["items", "keys", "iter", "peek", "at", "columns", "validate"]
+    return st.lists(
+        st.tuples(
+            st.sampled_from(actions),
+            keys,
+            scores,
+            st.lists(st.tuples(keys, scores), max_size=8),
+            st.sampled_from(reads),
+        ),
+        min_size=4,
+        max_size=60,
+    )
+
+
+class TestSortOnRead:
+    """Writes only change the score map; every read sees the order of the
+    map as it is, whatever was written and read before it."""
+
+    @staticmethod
+    def _replay(operations):
+        ranked = DescendingSortedList()
+        reference = {}
+        for action, key, score, batch, read in operations:
+            if action in ("insert", "update"):
+                getattr(ranked, action)(key, score)
+                reference[key] = score
+            elif action == "remove":
+                if key in reference:
+                    ranked.remove(key)
+                    del reference[key]
+                else:
+                    with pytest.raises(KeyError):
+                        ranked.remove(key)
+            elif action == "discard":
+                ranked.discard(key)
+                reference.pop(key, None)
+            elif action == "bulk":
+                ranked.bulk_insert(batch)
+                reference.update(batch)
+            elif action == "clear":
+                ranked.clear()
+                reference.clear()
+            else:
+                TestSortOnRead._check_read(ranked, reference, read)
+        for read in ("items", "validate"):
+            TestSortOnRead._check_read(ranked, reference, read)
+
+    @staticmethod
+    def _check_read(ranked, reference, read):
+        expected = expected_order(reference)
+        assert len(ranked) == len(reference)
+        if read == "items":
+            # repr: every score reads back bit for bit, the sign of a zero too.
+            assert repr(ranked.items()) == repr(expected)
+        elif read == "keys":
+            assert ranked.keys() == [key for key, _score in expected]
+        elif read == "iter":
+            assert repr(list(ranked)) == repr(expected)
+        elif read == "peek":
+            if expected:
+                assert repr(ranked.peek()) == repr(expected[0])
+            else:
+                with pytest.raises(IndexError):
+                    ranked.peek()
+        elif read == "at":
+            for rank in range(len(expected)):
+                assert repr(ranked.at(rank)) == repr(expected[rank])
+        elif read == "columns":
+            negated, keys = ranked.columns()
+            assert keys == [key for key, _score in expected]
+            assert repr(negated) == repr([-score for _key, score in expected])
+        else:
+            assert ranked.validate()
+
+    @given(operations=sort_on_read_operations(st.integers(min_value=0, max_value=5)))
+    @settings(max_examples=150, deadline=None)
+    def test_int_keys_read_the_order_of_the_map(self, operations):
+        self._replay(operations)
+
+    @given(
+        operations=sort_on_read_operations(
+            st.sampled_from(["a", "b", "c", "d", "e", "f"])
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_str_keys_read_the_order_of_the_map(self, operations):
+        """Non-int keys take the plain ``sorted()`` path."""
+        self._replay(operations)
+
+    def test_a_write_after_a_read_is_seen_by_the_next_read(self):
+        ranked = DescendingSortedList()
+        for key in range(5):
+            ranked.insert(key, float(key))
+        assert ranked.keys() == [4, 3, 2, 1, 0]
+        ranked.remove(4)
+        assert ranked.keys() == [3, 2, 1, 0]
+        ranked.update(0, 9.0)
+        assert ranked.keys() == [0, 3, 2, 1]
+        ranked.discard(3)
+        ranked.bulk_insert([(7, 1.0), (2, -1.0)])
+        assert ranked.items() == [(0, 9.0), (1, 1.0), (7, 1.0), (2, -1.0)]
+        ranked.clear()
+        assert ranked.items() == []
+
+    def test_writes_do_not_sort(self):
+        with mock.patch.object(sorted_list, "ranked_merge") as merge:
+            ranked = DescendingSortedList()
+            for key in range(50):
+                ranked.insert(key, float(key % 7))
+            ranked.update(3, 1.0)
+            ranked.remove(4)
+            ranked.discard(5)
+            ranked.bulk_insert([(60, 2.0)])
+            assert len(ranked) == 49 and ranked.score(3) == 1.0 and 5 not in ranked
+        merge.assert_not_called()
+
+    def test_a_read_sorts_once_per_change(self):
+        with mock.patch.object(
+            sorted_list, "ranked_merge", wraps=numpy_impl.ranked_merge
+        ) as merge:
+            ranked = DescendingSortedList()
+            ranked.bulk_insert((key, float(key % 3)) for key in range(20))
+            first = ranked.columns()
+            assert ranked.items() and ranked.keys() and ranked.peek() and ranked.validate()
+            assert ranked.columns() is first
+            assert merge.call_count == 1
+            ranked.insert(3, 0.25)
+            assert ranked.columns() is not first
+            assert merge.call_count == 2
+
+    def test_concurrent_first_reads_see_one_order(self):
+        """Six threads take the first read after each change at once; every
+        one sees the order of the map as it is now."""
+        ranked = DescendingSortedList()
+        rounds, readers = 25, 6
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(rounds):
+                for key in range(3000):
+                    ranked.insert(key, float((key * 7919 + round_index * 104729) % 97))
+                expected = expected_order({key: ranked.score(key) for key in range(3000)})
+                barrier = threading.Barrier(readers, timeout=30)
+                seen = [None] * readers
+
+                def read(slot):
+                    barrier.wait()
+                    negated, keys = ranked.columns()
+                    seen[slot] = list(zip(keys, (-neg for neg in negated)))
+
+                threads = [threading.Thread(target=read, args=(slot,)) for slot in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert all(columns == expected for columns in seen), round_index
+        finally:
+            sys.setswitchinterval(previous)
