@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api import EngineConfig, KSIREngine
-from repro.bench.spec import TIERS
 from repro.core.algorithms import ALGORITHM_REGISTRY
 from repro.core.stream import SocialStream
 from repro.datasets.loaders import load_stream_jsonl, save_stream_jsonl
@@ -42,6 +41,7 @@ from repro.datasets.profiles import profile_names
 from repro.datasets.synthetic import SyntheticDataset, SyntheticStreamGenerator
 from repro.evaluation.workload import WorkloadGenerator
 from repro.experiments import tables as table_experiments
+from repro.experiments.paper import TIERS
 from repro.topics.model import MatrixTopicModel, TopicModel
 
 
@@ -379,25 +379,35 @@ def run_server(args: argparse.Namespace) -> int:
 
 
 def run_bench(args: argparse.Namespace) -> int:
-    from repro.bench import iter_specs, run_spec
+    from repro.experiments.paper import ARTEFACTS, run_artefact
 
     if args.bench_command == "list":
-        specs = iter_specs()
-        for spec in specs:
-            _print(f"{spec.name:<24} {spec.description}")
-        _print(f"{len(specs)} benchmark(s) registered")
+        for name in sorted(ARTEFACTS):
+            _print(f"{name:<24} {ARTEFACTS[name][0]}")
+        _print(f"{len(ARTEFACTS)} benchmark(s) registered")
         return 0
 
     if args.bench_command == "run":
+        unknown = [name for name in args.names if name not in ARTEFACTS]
+        if unknown:
+            raise UsageError(
+                f"unknown benchmark(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(ARTEFACTS))}"
+            )
         failures = 0
-        for spec in iter_specs(args.names):
-            report = run_spec(spec, tier=args.tier, seed=args.seed)
-            path = report.save(args.output_dir)
-            _print(report.artefact)
-            _print(report.summary())
-            _print(f"[saved to {path}]")
-            if not report.checks_passed:
-                _print(f"CHECK FAILED ({spec.name}): {report.check_error}")
+        for name in args.names or sorted(ARTEFACTS):
+            report, rendered = run_artefact(
+                name, ARTEFACTS[name], args.tier, args.seed, args.output_dir
+            )
+            passed = report["checks_passed"]
+            _print(rendered)
+            _print(
+                f"{name} [{args.tier}] seed={args.seed} {report['elapsed_s']:.1f}s "
+                f"checks={'ok' if passed else 'FAILED'}"
+            )
+            _print(f"[saved to {args.output_dir / f'BENCH_{name}.json'}]")
+            if not passed:
+                _print(f"CHECK FAILED ({name}): {report['check_error']}")
                 failures += 1
         return 1 if failures else 0
 

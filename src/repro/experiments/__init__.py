@@ -8,67 +8,12 @@
 * :mod:`repro.experiments.tables` — Table 3 (dataset statistics), Table 5
   (simulated user study) and Table 6 (quantitative coverage / influence).
 * :mod:`repro.experiments.figures` — Figures 7–14 (efficiency and
-  scalability sweeps) plus the ablation studies listed in DESIGN.md.
+  scalability sweeps).
+* :mod:`repro.experiments.ablations` — the ranked-list and MTTD
+  candidate-buffer ablations.
 * :mod:`repro.experiments.reporting` — plain-text rendering of tables and
-  figure series, used by the benchmark harness to print the same rows the
-  paper reports.
+  figure series, printing the same rows the paper reports.
+* :mod:`repro.experiments.paper` — the table of all thirteen artefacts
+  (name → description, run, shape check, tier parameters) behind
+  ``repro-ksir bench``, and the runner that writes their reports.
 """
-
-from repro.experiments.config import (
-    DEFAULT_EFFECTIVENESS_CONFIG,
-    DEFAULT_EFFICIENCY_CONFIG,
-    EffectivenessConfig,
-    EfficiencyConfig,
-    SweepValues,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    figure7_time_vs_epsilon,
-    figure8_score_vs_epsilon,
-    figure9_time_vs_k,
-    figure10_evaluation_ratio,
-    figure11_score_vs_k,
-    figure12_time_vs_topics,
-    figure13_time_vs_window,
-    figure14_update_time,
-)
-from repro.experiments.reporting import render_figure, render_table
-from repro.experiments.runner import (
-    EffectivenessExperiment,
-    EfficiencyExperiment,
-    load_dataset,
-    prepare_processor,
-)
-from repro.experiments.tables import (
-    TableResult,
-    dataset_statistics_table,
-    quantitative_table,
-    user_study_table,
-)
-
-__all__ = [
-    "DEFAULT_EFFECTIVENESS_CONFIG",
-    "DEFAULT_EFFICIENCY_CONFIG",
-    "EffectivenessConfig",
-    "EffectivenessExperiment",
-    "EfficiencyConfig",
-    "EfficiencyExperiment",
-    "FigureResult",
-    "SweepValues",
-    "TableResult",
-    "dataset_statistics_table",
-    "figure7_time_vs_epsilon",
-    "figure8_score_vs_epsilon",
-    "figure9_time_vs_k",
-    "figure10_evaluation_ratio",
-    "figure11_score_vs_k",
-    "figure12_time_vs_topics",
-    "figure13_time_vs_window",
-    "figure14_update_time",
-    "load_dataset",
-    "prepare_processor",
-    "quantitative_table",
-    "render_figure",
-    "render_table",
-    "user_study_table",
-]

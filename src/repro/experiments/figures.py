@@ -4,9 +4,10 @@ Each ``figureN_*`` function reproduces one figure of Section 5.3: it sweeps
 the figure's x-axis parameter over every dataset, runs the relevant
 algorithms on a shared query workload, and returns a :class:`FigureResult`
 whose panels hold one series per algorithm — exactly the series the paper
-plots.  Absolute milliseconds differ from the paper's Java/Xeon testbed;
-the reported *shape* (orderings, speed-up factors, monotone trends) is what
-EXPERIMENTS.md compares.
+plots.  A time point is the median of its queries' times, a score or ratio
+point their mean.  Absolute milliseconds differ from the paper's Java/Xeon
+testbed; the reported *shape* (orderings, speed-up factors, monotone
+trends) is what the checks in :mod:`repro.experiments.paper` assert.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def figure7_time_vs_epsilon(
         for epsilon in epsilons:
             runs = experiment.run(INDEXED_METHODS, workload, epsilon=epsilon, k=config.k)
             for method in INDEXED_METHODS:
-                panel[method].append(runs[method].mean_time_ms)
+                panel[method].append(runs[method].median_time_ms)
         figure.panels[dataset_name] = panel
     return figure
 
@@ -172,7 +173,7 @@ def figure9_time_vs_k(
         config,
         num_queries,
         EFFICIENCY_METHODS,
-        "mean_time_ms",
+        "median_time_ms",
         "Figure 9 — query time (ms) vs k",
     )
 
@@ -231,7 +232,7 @@ def figure12_time_vs_topics(
             workload = experiment.make_workload(queries_per_point, config.k)
             runs = experiment.run(methods, workload, epsilon=config.epsilon, k=config.k)
             for method in methods:
-                panel[method].append(runs[method].mean_time_ms)
+                panel[method].append(runs[method].median_time_ms)
         figure.panels[dataset_name] = panel
     return figure
 
@@ -259,7 +260,7 @@ def figure13_time_vs_window(
             workload = experiment.make_workload(queries_per_point, config.k)
             runs = experiment.run(methods, workload, epsilon=config.epsilon, k=config.k)
             for method in methods:
-                panel[method].append(runs[method].mean_time_ms)
+                panel[method].append(runs[method].median_time_ms)
         figure.panels[dataset_name] = panel
     return figure
 

@@ -6,8 +6,8 @@ workload, and loops that run algorithms or baselines over the workload.
 This module provides them once:
 
 * :func:`load_dataset` / :func:`prepare_processor` — memoised builders so
-  repeated benchmark rounds (pytest-benchmark re-runs the same callable) do
-  not regenerate streams or replay buckets.
+  the artefacts that sweep the same dataset and window do not regenerate
+  streams or replay buckets.
 * :class:`EfficiencyExperiment` — runs k-SIR algorithms over a workload and
   collects per-query :class:`repro.core.query.QueryResult` statistics
   (query time, score, evaluated-element ratio).
@@ -99,11 +99,11 @@ class EfficiencyRun:
     results: List[QueryResult] = field(default_factory=list)
 
     @property
-    def mean_time_ms(self) -> float:
-        """Average query time in milliseconds."""
+    def median_time_ms(self) -> float:
+        """Median query time in milliseconds (one slow query barely moves it)."""
         if not self.results:
             return 0.0
-        return float(np.mean([result.elapsed_ms for result in self.results]))
+        return float(np.median([result.elapsed_ms for result in self.results]))
 
     @property
     def mean_score(self) -> float:

@@ -1,88 +1,59 @@
-"""Tests of the ``repro.bench`` subsystem.
+"""Tests of the paper's artefact table, :mod:`repro.experiments.paper`.
 
-Covers :class:`BenchSpec` registration and validation, runner execution
-with a synthetic (dataset-free) spec, and the ``BENCH_<name>.json`` +
-rendered-artefact round trip of a real paper spec.
+Covers the table's contents, :func:`run_artefact` on a synthetic
+(dataset-free) entry, the ``BENCH_<name>.json`` + rendered-artefact files of
+a real paper artefact, and which shape checks bind at which tier.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.bench import (
-    BenchReport,
-    BenchSpec,
-    Outcome,
-    get_spec,
-    iter_specs,
-    run_spec,
-    spec_names,
-)
-from repro.bench.spec import register, unregister
+from repro.experiments.ablations import AblationResult
+from repro.experiments.paper import ARTEFACTS, TIERS, run_artefact
+
+#: The keys of every ``BENCH_<name>.json``, in the order they are written.
+REPORT_KEYS = [
+    "benchmark", "tier", "seed", "params", "environment", "created_unix",
+    "elapsed_s", "checks_passed", "check_error",
+]
 
 
-def _trivial_spec(name: str, check=lambda value, tier: None) -> BenchSpec:
-    """A dataset-free spec: ``run`` echoes its tier parameters."""
+def _trivial_entry(check=lambda value, tier: None):
+    """A dataset-free entry: ``run`` echoes its tier parameters."""
 
     def run(params, seed):
-        return Outcome(
-            artefact=f"artefact of {params['label']}", value=(params["label"], seed)
-        )
+        return f"artefact of {params['label']}", (params["label"], seed)
 
-    return BenchSpec(
-        name=name,
-        description="synthetic test spec",
-        run=run,
-        tiers={"tiny": {"label": "small"}, "full": {"label": "large"}},
-        check=check,
+    return (
+        "synthetic test entry",
+        run,
+        check,
+        {"tiny": {"label": "small"}, "full": {"label": "large"}},
     )
 
 
 # ---------------------------------------------------------------------------
-# Spec registration and validation
+# The table
 # ---------------------------------------------------------------------------
 
 
-class TestSpecRegistry:
-    def test_register_and_lookup(self):
-        spec = _trivial_spec("synthetic_lookup")
-        register(spec)
-        try:
-            assert get_spec("synthetic_lookup") is spec
-            assert "synthetic_lookup" in spec_names()
-            assert spec in iter_specs()
-            assert iter_specs(["synthetic_lookup"]) == (spec,)
-        finally:
-            unregister("synthetic_lookup")
-
-    def test_duplicate_registration_rejected(self):
-        spec = _trivial_spec("synthetic_dup")
-        register(spec)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register(_trivial_spec("synthetic_dup"))
-        finally:
-            unregister("synthetic_dup")
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="no_such_benchmark"):
-            get_spec("no_such_benchmark")
-
-    def test_missing_tier_rejected(self):
-        with pytest.raises(ValueError, match="missing tier"):
-            BenchSpec(name="bad", description="", run=lambda p, s: Outcome("", None),
-                      tiers={"tiny": {}}, check=lambda value, tier: None)
-
-    def test_builtin_suite_is_registered(self):
+class TestArtefactTable:
+    def test_table_holds_the_thirteen_artefacts(self):
         # Exactly the paper's evaluation: Figures 7-14, Tables 3/5/6 and the
         # two ablations.  Speed is the end-to-end benchmark's business.
-        assert set(spec_names()) == {
+        assert set(ARTEFACTS) == {
             "fig7_epsilon_time", "fig8_epsilon_score", "fig9_k_time",
             "fig10_eval_ratio", "fig11_k_score", "fig12_topics_time",
             "fig13_window_time", "fig14_update_time",
             "table3_datasets", "table5_user_study", "table6_quantitative",
             "ablation_ranked_list", "ablation_lazy_buffer",
         }
+        for name, (description, run, check, tiers) in ARTEFACTS.items():
+            assert description and callable(run) and callable(check), name
+            assert set(tiers) == set(TIERS), name
 
 
 # ---------------------------------------------------------------------------
@@ -93,60 +64,63 @@ class TestSpecRegistry:
 class TestRunner:
     def test_run_spec_produces_valid_report(self, tmp_path):
         seen = []
-        spec = _trivial_spec(
-            "synthetic_run", check=lambda value, tier: seen.append((value, tier))
-        )
-        report = run_spec(spec, tier="full", seed=7)
-        assert report.benchmark == "synthetic_run"
-        assert report.tier == "full"
-        assert report.seed == 7
-        assert report.params == {"label": "large"}
-        assert report.checks_passed and report.check_error is None
-        assert report.elapsed_s >= 0.0
-        assert "kernels" not in report.environment
+        entry = _trivial_entry(check=lambda value, tier: seen.append((value, tier)))
+        report, rendered = run_artefact("synthetic_run", entry, "full", 7, tmp_path)
+        assert report["benchmark"] == "synthetic_run"
+        assert report["tier"] == "full"
+        assert report["seed"] == 7
+        assert report["params"] == {"label": "large"}
+        assert report["checks_passed"] and report["check_error"] is None
+        assert report["elapsed_s"] >= 0.0
+        assert "kernels" not in report["environment"]
         # the check saw the unserialised value and the tier it ran at.
         assert seen == [(("large", 7), "full")]
         # the rendered artefact is persisted next to the JSON report.
-        assert report.artefact == "artefact of large"
-        path = report.save(tmp_path)
-        assert path.name == "BENCH_synthetic_run.json"
+        assert rendered == "artefact of large"
+        assert json.loads((tmp_path / "BENCH_synthetic_run.json").read_text()) == report
         assert (tmp_path / "synthetic_run.txt").read_text() == "artefact of large\n"
 
-    def test_failing_check_marks_report(self):
+    def test_failing_check_marks_report(self, tmp_path):
         def check(value, tier):
             raise AssertionError("synthetic failure")
 
-        report = run_spec(_trivial_spec("synthetic_fail", check=check), tier="tiny")
-        assert not report.checks_passed
-        assert "synthetic failure" in (report.check_error or "")
-        # the failure is persisted in the JSON form too.
-        data = report.to_dict()
+        report, _ = run_artefact("synthetic_fail", _trivial_entry(check), "tiny", 2019, tmp_path)
+        assert not report["checks_passed"]
+        assert "synthetic failure" in (report["check_error"] or "")
+        # the failure is persisted in the JSON form, and the artefact is
+        # still written.
+        data = json.loads((tmp_path / "BENCH_synthetic_fail.json").read_text())
         assert data["checks_passed"] is False
         assert data["check_error"] == "synthetic failure"
+        assert (tmp_path / "synthetic_fail.txt").read_text() == "artefact of small\n"
 
 
 # ---------------------------------------------------------------------------
-# Report round trip
+# Report files of a real artefact
 # ---------------------------------------------------------------------------
 
 
 class TestReportSchema:
     def test_json_round_trip_preserves_everything(self, tmp_path):
-        report = run_spec(get_spec("fig10_eval_ratio"), tier="tiny", seed=7)
-        assert report.checks_passed, report.check_error
-        assert report.params == {"datasets": ["twitter-small"], "queries": 2}
-        path = report.save(tmp_path)
-        loaded = BenchReport.load(path)
-        assert loaded == report
-        assert loaded.to_dict() == report.to_dict()
-        assert "artefact" not in loaded.to_dict()
-        rendered = (tmp_path / "fig10_eval_ratio.txt").read_text()
-        assert rendered.startswith("Figure 10") and "twitter-small" in rendered
+        name = "fig10_eval_ratio"
+        report, rendered = run_artefact(name, ARTEFACTS[name], "tiny", 7, tmp_path)
+        assert report["checks_passed"], report["check_error"]
+        assert report["params"] == {"datasets": ["twitter-small"], "queries": 2}
+        data = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+        assert list(data) == REPORT_KEYS
+        assert data == report
+        text = (tmp_path / f"{name}.txt").read_text()
+        assert text == rendered + "\n"
+        assert text.startswith("Figure 10") and "twitter-small" in text
 
 
 # ---------------------------------------------------------------------------
 # Which shape checks bind at which tier
 # ---------------------------------------------------------------------------
+
+
+def _check(name):
+    return ARTEFACTS[name][2]
 
 
 class TestShapeCheckTiers:
@@ -157,10 +131,31 @@ class TestShapeCheckTiers:
         class SlowerWithEpsilon:
             panels = {"d": {"mtts": [1.0, 2.0]}}
 
-        for tier in ("tiny", "full"):
+        for tier in TIERS:
             with pytest.raises(AssertionError, match="pruning ineffective"):
-                get_spec("fig10_eval_ratio").check(NoPruning, tier)
+                _check("fig10_eval_ratio")(NoPruning, tier)
         # A two-query sweep times noise: Figure 7's shape is a full-tier claim.
-        get_spec("fig7_epsilon_time").check(SlowerWithEpsilon, "tiny")
+        _check("fig7_epsilon_time")(SlowerWithEpsilon, "tiny")
         with pytest.raises(AssertionError, match="did not drop"):
-            get_spec("fig7_epsilon_time").check(SlowerWithEpsilon, "full")
+            _check("fig7_epsilon_time")(SlowerWithEpsilon, "full")
+
+    def test_buffer_ablation_selections_bind_at_both_tiers_and_its_time_at_full(self):
+        def ablation(heap_ids, heap_ms):
+            return AblationResult(
+                name="buffer", baseline_label="linear-scan-buffer",
+                variant_label="heap-buffer", baseline_value=1.0,
+                variant_value=heap_ms, unit="ms/query",
+                selections={"linear-scan-buffer": [(1, 2), (3,)],
+                            "heap-buffer": heap_ids},
+            )
+
+        check = _check("ablation_lazy_buffer")
+        for tier in TIERS:
+            check(ablation([(1, 2), (3,)], 1.0), tier)
+            with pytest.raises(AssertionError, match="1 of 2 queries"):
+                check(ablation([(2, 1), (3,)], 1.0), tier)
+            with pytest.raises(AssertionError, match="different ids"):
+                check(ablation([(1, 2)], 1.0), tier)
+        check(ablation([(1, 2), (3,)], 9.0), "tiny")
+        with pytest.raises(AssertionError, match="dramatically slower"):
+            check(ablation([(1, 2), (3,)], 9.0), "full")
