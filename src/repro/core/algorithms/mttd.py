@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
-from repro.core.ranked_list import RankedListIndex, RankedListTraversal
+from repro.core.ranked_list import RankedListIndex
 from repro.core.scoring import KSIRObjective
 from repro.utils.validation import require_in_range
 
@@ -57,31 +57,6 @@ class MTTD(KSIRAlgorithm):
     def __repr__(self) -> str:
         return f"MTTD(epsilon={self.epsilon})"
 
-    # -- helpers --------------------------------------------------------------------
-
-    @staticmethod
-    def _retrieve(
-        traversal: RankedListTraversal,
-        objective: KSIRObjective,
-        buffer: Buffer,
-        pushes: Iterator[int],
-        tau: float,
-    ) -> int:
-        """Pull every element whose score may reach ``tau`` into the buffer.
-
-        Returns the number of elements retrieved.  Buffer priorities are the
-        cached gain upper bounds ``Δ_e`` (initially the singleton score).
-        """
-        count = 0
-        while (element_id := traversal.next_id(tau)) is not None:
-            score = objective.singleton_score(element_id)
-            count += 1
-            if score > 0.0:
-                # Zero-score elements can never clear a positive threshold;
-                # keeping them out of the buffer guarantees termination.
-                heappush(buffer, (-score, next(pushes), element_id))
-        return count
-
     # -- main loop ---------------------------------------------------------------------
 
     def _select(
@@ -92,18 +67,28 @@ class MTTD(KSIRAlgorithm):
     ) -> SelectionOutcome:
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
+        order, bounds = traversal.order, traversal.bounds
         buffer: Buffer = []
         pushes = itertools.count()
         state = objective.new_state()
 
-        tau = traversal.upper_bound()
+        tau = bounds[0]
         termination = 0.0
         rounds = 0
         retrieved = 0
 
         while tau >= termination and tau > 0.0:
             rounds += 1
-            retrieved += self._retrieve(traversal, objective, buffer, pushes, tau)
+            # Retrieval phase: every element whose score may reach τ enters
+            # the buffer, its cached gain bound Δ_e the singleton score.
+            while retrieved < len(order) and not bounds[retrieved] < tau:
+                element_id = order[retrieved]
+                retrieved += 1
+                score = objective.singleton_score(element_id)
+                if score > 0.0:
+                    # Zero-score elements can never clear a positive
+                    # threshold; keeping them out guarantees termination.
+                    heappush(buffer, (-score, next(pushes), element_id))
 
             # Evaluation phase: keep admitting buffered elements while some
             # cached gain still reaches the round threshold.
@@ -122,7 +107,7 @@ class MTTD(KSIRAlgorithm):
 
             termination = state.value * self.epsilon / k
             tau *= 1.0 - self.epsilon
-            if traversal.exhausted() and not buffer:
+            if retrieved == len(order) and not buffer:
                 break
 
         return self._outcome(objective, state, rounds, retrieved, buffer)

@@ -116,7 +116,9 @@ class MTTS(KSIRAlgorithm):
         threshold = 0.0  # TH: minimum admission threshold of an unfilled candidate
         retrieved = 0
 
-        while (element_id := traversal.next_id(threshold)) is not None:
+        for element_id, bound in zip(traversal.order, traversal.bounds):
+            if bound < threshold:
+                break  # UB(x) < TH: no unevaluated element can be admitted
             bit = 1 << retrieved
             retrieved += 1
             score = objective.singleton_score(element_id)

@@ -38,11 +38,7 @@ class TopKRepresentative(KSIRAlgorithm):
         # Min-heap of (score, element_id) keeping the best k seen so far.
         best: List[Tuple[float, int]] = []
         retrieved = 0
-        while True:
-            item = traversal.pop()
-            if item is None:
-                break
-            element_id, _stored = item
+        while (element_id := traversal.next_id()) is not None:
             retrieved += 1
             score = objective.singleton_score(element_id)
             if len(best) < k:

@@ -20,9 +20,11 @@ the lists of its own topics at most once per change, and a list nobody reads
 is never sorted.
 
 Query algorithms traverse the lists in descending score order through
-:class:`RankedListTraversal`, which merges the per-topic cursors (weighted by
-the query vector) and implements the paper's rule that once an element has
-been retrieved from one list its tuples in the other lists are skipped.
+:class:`RankedListTraversal`: the merge of the query topics' lists (weighted
+by the query vector) under the paper's rule that once an element has been
+retrieved from one list its tuples in the other lists are skipped.  The
+whole merge is planned once per query in NumPy — the retrieval order and
+``UB(x)`` before every step — so the algorithms walk two Python lists.
 
 The index additionally records which topics had tuples inserted, re-scored
 or removed since the last drain (:meth:`RankedListIndex.take_dirty_topics`).
@@ -35,7 +37,7 @@ The set is bounded by the number of topics, so consumers that never drain it
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -426,28 +428,37 @@ class RankedListIndex:
 class RankedListTraversal:
     """Merged descending traversal of the ranked lists for one query.
 
-    Exposes the two operations of Section 4.1 — ``first``/``next`` per list —
-    through a combined interface:
+    The two operations of Section 4.1 — ``first``/``next`` per list, merged
+    by ``x_i · δ_i`` with the retrieved elements skipped in every other
+    list — are computed once, at construction, as a plan of two lists:
 
-    * :meth:`upper_bound` — ``UB(x) = Σ_i x_i · δ_i(e^(i))`` where ``e^(i)``
-      is the current unvisited front of list ``i`` (0 contribution for
-      exhausted lists);
-    * :meth:`next_id` — retrieve the element maximising ``x_i · δ_i(e^(i))``
-      and mark it visited in every list, optionally only while ``UB(x)``
-      reaches a bound (one pass over the fronts for both);
-    * :meth:`pop` — the same retrieval, returned as ``(element_id, δ(e, x))``
-      with ``δ(e, x)`` assembled from the stored topic-wise scores.
+    * :attr:`order` — the element ids in retrieval order: each element
+      once, at its first entry in the merge;
+    * :attr:`bounds` — ``bounds[r]`` is ``UB(x) = Σ_i x_i · δ_i(e^(i))``
+      before step ``r``, where ``e^(i)`` is list ``i``'s first entry not
+      yet retrieved (0 contribution for exhausted lists); it has one more
+      entry than :attr:`order`, ``UB(x)`` once everything is retrieved.
 
-    Cursor invariant: between calls every unexhausted list's cursor rests on
-    a tuple whose element has not been retrieved, and its ``x_i · δ_i`` is
-    cached; a retrieval moves only the lists whose front is the retrieved
-    element.  Exhausted lists leave the merge.
+    MTTS and MTTD iterate the plan directly; :meth:`next_id`,
+    :meth:`upper_bound` and :meth:`exhausted` walk it with a cursor.
+
+    The plan, for lists ``0..d−1`` in topic order: the lists' read orders
+    are concatenated with their values ``x_i · δ_i``, and one stable sort
+    by ``−x_i · δ_i`` orders the entries by ``(−x_i · δ_i, list position,
+    rank in list)`` — the merge's choice at every step, ties to the first
+    list.  An element's first entry there is its retrieval step.  List
+    ``i``'s front before step ``r`` is its first entry whose element's
+    step is ``≥ r``, read off the prefix max of its entries' steps (entry
+    ``j`` is the front for the steps after ``max(steps[:j])`` up to
+    ``max(steps[:j + 1])``).  ``UB(x)`` adds the fronts' values list by list
+    in topic order, the float additions a front-by-front loop makes, and
+    an exhausted list adds nothing.  A one-topic query's plan is its list.
 
     Construction reads each query topic's order, sorting the lists changed
     since their last read.  Traversals may be built and used from several
-    threads at once: a sort publishes new lists and never touches one a
-    live traversal iterates, and two threads sorting the same list publish
-    equal ones.  The index must not change while a traversal is in use.
+    threads at once: a sort publishes new arrays and never touches ones a
+    plan was built from, and two threads sorting the same list publish
+    equal ones.  The index must not change while a traversal is built.
     """
 
     def __init__(self, index: RankedListIndex, query_vector: np.ndarray) -> None:
@@ -456,53 +467,34 @@ class RankedListTraversal:
             raise ValueError(
                 f"query vector has shape {vector.shape}, expected ({index.num_topics},)"
             )
-        self._index = index
-        self._vector = vector
-        self._topics: List[int] = [
-            topic for topic, weight in enumerate(vector) if weight > 0.0
-        ]
-        self._visited: Set[int] = set()
-        # Parallel columns over the lists still in the merge, in topic order:
-        # an iterator just past the front, the query weight, and the front's
-        # element id and ``x_i · δ_i``.
-        self._iterators = [zip(*index._lists[topic].columns()) for topic in self._topics]
-        self._weights = [float(vector[topic]) for topic in self._topics]
-        self._front_ids = [0] * len(self._topics)
-        self._front_values = [0.0] * len(self._topics)
-        for position in reversed(range(len(self._topics))):
-            self._advance(position)
-
-    def _advance(self, position: int) -> None:
-        """Rest one list on its next unretrieved tuple, or drop it when spent."""
-        visited = self._visited
-        for negated_score, element_id in self._iterators[position]:
-            if element_id not in visited:
-                self._front_ids[position] = element_id
-                self._front_values[position] = self._weights[position] * -negated_score
-                return
-        for column in (self._iterators, self._weights, self._front_ids, self._front_values):
-            del column[position]
+        ids: List[np.ndarray] = []
+        values: List[np.ndarray] = []
+        for topic, weight in enumerate(vector.tolist()):
+            if weight > 0.0:
+                scores, keys = index._lists[topic].columns()
+                if len(keys):
+                    ids.append(keys)
+                    values.append(weight * scores)
+        self.order, self.bounds = _plan(ids, values)
+        self._step = 0
 
     @property
     def retrieved_count(self) -> int:
         """Number of elements retrieved so far."""
-        return len(self._visited)
+        return self._step
 
     @property
     def visited(self) -> Set[int]:
         """The ids retrieved so far (shared-visited rule of Section 4.1)."""
-        return set(self._visited)
+        return set(self.order[: self._step])
 
     def upper_bound(self) -> float:
         """``UB(x)``: an upper bound on ``δ(e, x)`` of any unretrieved element."""
-        total = 0.0
-        for value in self._front_values:
-            total += value
-        return total
+        return self.bounds[self._step]
 
     def exhausted(self) -> bool:
         """Whether every list has been fully traversed."""
-        return not self._front_values
+        return self._step == len(self.order)
 
     def next_id(self, bound: Optional[float] = None) -> Optional[int]:
         """Retrieve the next element id in descending ``x_i · δ_i`` order.
@@ -510,45 +502,47 @@ class RankedListTraversal:
         ``None`` when every list is exhausted or — with ``bound`` — when
         ``UB(x) < bound``, in which case nothing is retrieved.
         """
-        total, best, best_value = 0.0, -1, -1.0
-        for position, value in enumerate(self._front_values):
-            total += value
-            if value > best_value:
-                best_value = value
-                best = position
-        if best < 0 or (bound is not None and total < bound):
+        step = self._step
+        if step == len(self.order) or (bound is not None and self.bounds[step] < bound):
             return None
-        front_ids = self._front_ids
-        element_id = front_ids[best]
-        self._visited.add(element_id)
-        # Last list first, so a spent list's removal keeps the positions ahead.
-        for position in reversed(range(len(front_ids))):
-            if front_ids[position] == element_id:
-                self._advance(position)
-        return element_id
+        self._step = step + 1
+        return self.order[step]
 
-    def pop(self) -> Optional[Tuple[int, float]]:
-        """Retrieve the next element as ``(element_id, δ(e, x))``.
 
-        ``None`` when every list is exhausted.
-        """
-        element_id = self.next_id()
-        if element_id is None:
-            return None
-        return element_id, self.stored_score(element_id)
+def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Tuple[List[int], List[float]]:
+    """The retrieval order and ``UB(x)`` before every step of the merge of
+    the lists ``ids`` (each in read order) valued ``values`` (``x_i · δ_i``)."""
+    if len(ids) == 1:
+        return ids[0].tolist(), values[0].tolist() + [0.0]
+    if not ids:
+        return [], [0.0]
+    merged_ids = np.concatenate(ids)
+    # Stable: equal values keep the concatenation's (list position, rank).
+    entries = np.argsort(-np.concatenate(values), kind="stable")
+    merged = merged_ids[entries]
+    # Group the merge's entries by element: an element's first entry is the
+    # smallest merge position in its group, and the first entries in merge
+    # order are the retrieval order.
+    by_id = np.argsort(merged)
+    grouped = merged[by_id]
+    new_group = np.empty(len(grouped), dtype=bool)
+    new_group[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=new_group[1:])
+    first = np.minimum.reduceat(by_id, np.flatnonzero(new_group))
+    count = len(first)
+    step_of = np.empty(count, dtype=np.intp)
+    step_of[np.argsort(first)] = np.arange(count)
+    # The retrieval step of every list entry, in concatenation order.
+    steps = np.empty(len(merged_ids), dtype=np.intp)
+    steps[entries[by_id]] = step_of[np.cumsum(new_group) - 1]
 
-    def stored_score(self, element_id: int) -> float:
-        """``δ(e, x)`` assembled from the stored topic-wise scores."""
-        total = 0.0
-        for topic in self._topics:
-            score = self._index._lists[topic].get(element_id)
-            if score is not None:
-                total += float(self._vector[topic]) * score
-        return total
-
-    def __iter__(self) -> Iterator[Tuple[int, float]]:
-        while True:
-            item = self.pop()
-            if item is None:
-                return
-            yield item
+    # With ``reached`` the prefix max of a list's entry steps, entry j is
+    # its front for the steps after ``reached[j − 1]`` up to ``reached[j]``;
+    # after ``reached[-1]`` the list is exhausted and adds nothing.
+    bounds = np.zeros(count + 1)
+    start = 0
+    for list_values in values:
+        reached = np.maximum.accumulate(steps[start : start + len(list_values)])
+        bounds[: reached[-1] + 1] += np.repeat(list_values, np.diff(reached, prepend=-1))
+        start += len(list_values)
+    return merged[np.sort(first)].tolist(), bounds.tolist()

@@ -28,7 +28,6 @@ evaluators it is checked against live with the reference model
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
@@ -287,7 +286,7 @@ class ProfileBuilder:
         for element in elements:
             word_ids: List[int] = []
             word_offset_list.append(offset)
-            for word, frequency in Counter(element.tokens).items():
+            for word, frequency in element.word_frequencies.items():
                 word_id = word_id_cache.get(word)
                 if word_id is None:
                     word_id = vocabulary.get_id(word)

@@ -171,11 +171,7 @@ class _ScanBufferMTTD(KSIRAlgorithm):
         tau = traversal.upper_bound()
         termination = 0.0
         while tau >= termination and tau > 0.0:
-            while traversal.upper_bound() >= tau:
-                item = traversal.pop()
-                if item is None:
-                    break
-                element_id, _stored = item
+            while (element_id := traversal.next_id(tau)) is not None:
                 score = objective.singleton_score(element_id)
                 if score > 0.0:
                     buffer[element_id] = score

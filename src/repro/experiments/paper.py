@@ -14,10 +14,13 @@ Tier conventions:
 
 * ``tiny`` — CI-sized: one dataset, few queries, seconds per artefact.
   The untimed shape checks (scores, evaluation ratios, table rankings,
-  the buffer ablation's selections) bind here too; shapes read off
-  wall-clock times do not, since a two-query sweep times noise.
+  the buffer ablation's selections) bind here too, and so do two timed
+  ones: Fig. 14's 5 ms ceiling on the per-element update time and the
+  ranked-list ablation's sort-on-read ≤ 1.5× the naive re-sort.  The
+  other shapes read off wall-clock times (Fig. 7/9/12/13, the buffer
+  ablation's timing) do not, since a two-query sweep times noise.
 * ``full`` — the paper-sized sweeps over all three datasets, with every
-  shape assertion.
+  shape assertion (the ranked-list ablation's bound tightens to 1×).
 
 :func:`run_artefact` regenerates one tier of an entry, runs its check and
 writes ``BENCH_<name>.json`` plus the rendered ``<name>.txt``; a failing

@@ -5,23 +5,24 @@ The ranked list of Algorithm 1 in the paper needs four operations:
 * insert a ``(key, score)`` entry,
 * change the score of an existing key (when an element gains a reference),
 * delete an entry (when an element expires from the active window),
-* traverse entries in descending score order (the query algorithms walk a
-  frozen list through :class:`repro.core.ranked_list.RankedListTraversal`;
-  here we only provide the order).
+* traverse entries in descending score order (a query merges the orders of
+  its topics' lists into one plan in
+  :class:`repro.core.ranked_list.RankedListTraversal`; here we only provide
+  each list's order).
 
 Stream maintenance writes far more often than queries read, and a query
 reads only the few lists of its topics, so the order is not maintained on
 write.  The only state a write changes is the ``key → score`` map, at O(1),
 and it marks the list unsorted.  The first read after a write sorts the map
 once — score descending, ties by ascending key — and caches that order as
-two parallel lists (negated scores and keys) until the next write.  A list
-that nobody reads is never sorted.
+two parallel read-only NumPy arrays (scores and keys) until the next write.
+A list that nobody reads is never sorted.
 
 Reads may run at the same time (a server answers queries on one shared
-snapshot): a rebuild builds new lists and publishes them before it clears
-the unsorted mark, and never changes a published list, so a concurrent
+snapshot): a rebuild builds new arrays and publishes them before it clears
+the unsorted mark, and never changes a published array, so a concurrent
 reader sees either the old order of the same map or the new one, and two
-threads rebuilding at once publish equal lists.  Writes must not overlap
+threads rebuilding at once publish equal arrays.  Writes must not overlap
 reads.
 """
 
@@ -30,11 +31,23 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.kernels import ranked_merge
 
-#: The cached order: negated scores and keys, ascending by ``(-score, key)``.
-Columns = Tuple[List[float], List[Hashable]]
+#: The cached order: scores and keys, ascending by ``(-score, key)``; the keys
+#: are ``int64`` when every key is an ``int`` that fits, ``object`` otherwise.
+Columns = Tuple[npt.NDArray[np.float64], npt.NDArray[np.generic]]
+
+
+def _frozen(columns: Columns) -> Columns:
+    """``columns``, made read-only: readers share them."""
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+_EMPTY = _frozen((np.empty(0), np.empty(0, dtype=np.int64)))
 
 
 class DescendingSortedList:
@@ -42,7 +55,7 @@ class DescendingSortedList:
 
     def __init__(self) -> None:
         self._scores: Dict[Hashable, float] = {}
-        self._columns: Columns = ([], [])
+        self._columns = _EMPTY
         self._sorted = True
 
     def __len__(self) -> int:
@@ -52,10 +65,9 @@ class DescendingSortedList:
         return key in self._scores
 
     def __iter__(self) -> Iterator[Tuple[Hashable, float]]:
-        """Yield ``(key, score)`` pairs in descending score order."""
-        negated, keys = self.columns()
-        for neg_score, key in zip(negated, keys):
-            yield key, -neg_score
+        """Iterate ``(key, score)`` pairs in descending score order."""
+        scores, keys = self.columns()
+        return zip(keys.tolist(), scores.tolist())
 
     def score(self, key: Hashable) -> float:
         """Return the score stored for ``key`` (KeyError when absent)."""
@@ -95,11 +107,11 @@ class DescendingSortedList:
     # -- reads: the first one after a write sorts ------------------------------
 
     def columns(self) -> Columns:
-        """The order as ``(negated scores, keys)``, ascending by
+        """The order as ``(scores, keys)`` arrays, ascending by
         ``(-score, key)``; read-only, valid until the list is next written."""
         if self._sorted:
             return self._columns
-        columns = self._sort()
+        columns = _frozen(self._sort())
         self._columns = columns
         self._sorted = True
         return columns
@@ -108,18 +120,21 @@ class DescendingSortedList:
         scores = self._scores
         keys = list(scores)
         values = np.fromiter(scores.values(), dtype=np.float64, count=len(keys))
-        ids = None
         if all(type(key) is int for key in keys):
             try:
                 ids = np.array(keys, dtype=np.int64)
             except OverflowError:
                 pass
-        if ids is not None:
-            # Element-id hot path: score descending, id ascending.
-            order = ranked_merge(values, ids)
-            return (-values[order]).tolist(), ids[order].tolist()
-        ordered = sorted((-score, key) for key, score in scores.items())
-        return [neg for neg, _key in ordered], [key for _neg, key in ordered]
+            else:
+                # Element-id hot path: score descending, id ascending.
+                order = ranked_merge(values, ids)
+                return values[order], ids[order]
+        ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        # Filled one by one: a tuple key must stay one object, not a row.
+        objects = np.empty(len(ordered), dtype=object)
+        for rank, (key, _score) in enumerate(ordered):
+            objects[rank] = key
+        return np.array([score for _key, score in ordered], dtype=np.float64), objects
 
     def peek(self) -> Tuple[Hashable, float]:
         """Return the ``(key, score)`` pair with the maximum score."""
@@ -129,12 +144,12 @@ class DescendingSortedList:
 
     def at(self, rank: int) -> Tuple[Hashable, float]:
         """Return the ``(key, score)`` pair at descending rank ``rank``."""
-        negated, keys = self.columns()
-        return keys[rank], -negated[rank]
+        scores, keys = self.columns()
+        return keys.item(rank), scores.item(rank)
 
     def keys(self) -> List[Hashable]:
         """All keys in descending score order."""
-        return list(self.columns()[1])
+        return self.columns()[1].tolist()
 
     def items(self) -> List[Tuple[Hashable, float]]:
         """All ``(key, score)`` pairs in descending score order."""
@@ -142,10 +157,10 @@ class DescendingSortedList:
 
     def validate(self) -> bool:
         """Check that the order holds exactly the map, sorted (used by tests)."""
-        negated, keys = self.columns()
-        if len(keys) != len(self._scores) or len(negated) != len(keys):
+        values, keys = self.columns()
+        if len(keys) != len(self._scores) or len(values) != len(keys):
             return False
-        entries = list(zip(negated, keys))
+        entries = list(zip((-values).tolist(), keys.tolist()))
         scores = self._scores
         if any(key not in scores or scores[key] != -neg for neg, key in entries):
             return False

@@ -215,7 +215,7 @@ class TestLoad:
         restored.restore_state(index.state_dict())
         assert restored.validate()
         for topic in range(3):
-            assert restored._lists[topic].columns() == index._lists[topic].columns()
+            assert restored._lists[topic].items() == index._lists[topic].items()
         assert restored._topics_of == index._topics_of
         assert restored._last_activity == index._last_activity
         assert restored.peek_dirty_topics() == index.peek_dirty_topics()
@@ -239,67 +239,70 @@ class TestTraversal:
             index.traversal(np.array([0.5, 0.3, 0.2]))
 
     def test_pop_order_follows_weighted_scores(self):
-        """With x = (0.5, 0.5) the first pops match the MTTS walkthrough."""
+        """With x = (0.5, 0.5) the first retrievals match the MTTS walkthrough."""
         index = build_paper_index()
         traversal = index.traversal(np.array([0.5, 0.5]))
-        first = traversal.pop()
-        second = traversal.pop()
-        assert first[0] == 3  # x1·δ1(e3) = 0.33 beats x2·δ2(e1) = 0.28
-        assert second[0] == 1
+        assert traversal.next_id() == 3  # x1·δ1(e3) = 0.33 beats x2·δ2(e1) = 0.28
+        assert traversal.next_id() == 1
         assert traversal.retrieved_count == 2
-
-    def test_stored_score_combines_topics(self):
-        index = build_paper_index()
-        traversal = index.traversal(np.array([0.5, 0.5]))
-        expected = 0.5 * index.score(0, 3) + 0.5 * index.score(1, 3)
-        assert traversal.stored_score(3) == pytest.approx(expected)
+        assert traversal.order[:2] == [3, 1]
 
     def test_upper_bound_decreases_monotonically(self):
         index = build_paper_index()
         traversal = index.traversal(np.array([0.5, 0.5]))
         bounds = [traversal.upper_bound()]
-        while True:
-            item = traversal.pop()
-            if item is None:
-                break
+        while traversal.next_id() is not None:
             bounds.append(traversal.upper_bound())
-        assert all(later <= earlier + 1e-9 for earlier, later in zip(bounds, bounds[1:]))
+        assert bounds == traversal.bounds
+        assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
 
     def test_upper_bound_dominates_future_scores(self):
         index = build_paper_index()
-        traversal = index.traversal(np.array([0.3, 0.7]))
+        vector = np.array([0.3, 0.7])
+        traversal = index.traversal(vector)
         while True:
             bound = traversal.upper_bound()
-            item = traversal.pop()
-            if item is None:
+            element_id = traversal.next_id()
+            if element_id is None:
                 break
-            _eid, score = item
-            assert score <= bound + 1e-9
+            assert weighted_score(index, element_id, vector) <= bound + 1e-9
 
     def test_each_element_retrieved_once(self):
         index = build_paper_index()
         traversal = index.traversal(np.array([0.5, 0.5]))
-        popped = [eid for eid, _ in traversal]
+        popped = drain(traversal)
         assert len(popped) == len(set(popped))
         assert set(popped) == {1, 2, 3, 5, 6, 7, 8}
 
     def test_single_topic_query_only_touches_that_list(self):
         index = build_paper_index()
         traversal = index.traversal(np.array([1.0, 0.0]))
-        popped = [eid for eid, _ in traversal]
-        # Only elements present on topic 1's list are retrieved, best first.
+        popped = drain(traversal)
+        # Only elements on topic 1's list are retrieved, in its order.
         assert popped[0] == 3
-        assert set(popped) == {eid for eid, _ in index.items(0)}
+        assert popped == [eid for eid, _ in index.items(0)]
 
     def test_exhausted(self):
         index = build_paper_index()
         traversal = index.traversal(np.array([0.5, 0.5]))
         assert not traversal.exhausted()
-        for _ in traversal:
-            pass
+        drain(traversal)
         assert traversal.exhausted()
-        assert traversal.pop() is None
+        assert traversal.next_id() is None
         assert traversal.upper_bound() == 0.0
+
+
+def drain(traversal):
+    """Every id the traversal still retrieves, in order."""
+    retrieved = []
+    while (element_id := traversal.next_id()) is not None:
+        retrieved.append(element_id)
+    return retrieved
+
+
+def weighted_score(index, element_id, vector):
+    """``δ(e, x)`` assembled from the index's stored topic-wise scores."""
+    return sum(float(vector[topic]) * score for topic, score in index.scores_of(element_id).items())
 
 
 class TestDirtyTopicTracking:
@@ -382,7 +385,8 @@ class TestSortOnRead:
     @staticmethod
     def _assert_reads_like_a_rebuild(index, vector):
         fresh = rebuilt(index)
-        assert list(index.traversal(vector)) == list(fresh.traversal(vector))
+        ours, theirs = index.traversal(vector), fresh.traversal(vector)
+        assert (ours.order, ours.bounds) == (theirs.order, theirs.bounds)
         assert index.validate()
 
     @pytest.mark.parametrize("backend", ["local", "serial"])
@@ -428,5 +432,5 @@ class TestSortOnRead:
             assert merge_calls() > before
             for worker in engine.coordinator.workers:
                 for ranked in worker.processor.ranked_lists._lists:
-                    assert ranked._columns == ([], [])
+                    assert [len(column) for column in ranked._columns] == [0, 0]
 

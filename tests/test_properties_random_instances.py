@@ -170,10 +170,13 @@ class TestRandomInstances:
         traversal = index.traversal(vector)
         while True:
             bound = traversal.upper_bound()
-            item = traversal.pop()
-            if item is None:
+            element_id = traversal.next_id()
+            if element_id is None:
                 break
-            element_id, stored = item
+            stored = sum(
+                float(vector[topic]) * score
+                for topic, score in index.scores_of(element_id).items()
+            )
             assert stored <= bound + 1e-9
             # Stored scores equal the true singleton scores after the refresh.
             assert stored == pytest.approx(oracle.singleton_score(context, element_id, vector), abs=1e-9)

@@ -3,7 +3,7 @@
 Production compiles an element once per query (:class:`KSIRObjective`),
 memoises follower edges once per change (:meth:`ScoringContext.follower_edges`,
 filling a memo the processor owns and invalidates bucket by bucket),
-keeps the traversal's fronts cached (:class:`RankedListTraversal`) and sweeps
+plans a query's whole traversal at once (:class:`RankedListTraversal`) and sweeps
 MTTS's open candidates by bisection.  None of that may change a single bit of
 an answer, so every comparison below is ``==`` on floats:
 
@@ -111,14 +111,19 @@ QUERY_VECTORS = st.lists(
 ).map(np.array)
 
 
+#: List scores: ties, and ulp neighbours (0.1 and 0.75 each with the next
+#: double up) that a 0.2 query weight maps to one ``x_i · δ_i`` — equal
+#: weighted values of different scores in one list; across lists 0.5 · 0.5
+#: = 1.0 · 0.25 and 0.2 · 0.5 = 1.0 · 0.1 do the same.
+LIST_SCORES = [0.0, 0.1, 0.1, 0.25, 0.5, 0.75, math.nextafter(0.1, 1.0), math.nextafter(0.75, 1.0)]
+
+
 @st.composite
 def indexes(draw):
     """Ranked lists with tied scores and ids present on several lists."""
     index = RankedListIndex(NUM_TOPICS, SCORING)
     scores = st.dictionaries(
-        st.integers(0, NUM_TOPICS - 1),
-        st.sampled_from([0.0, 0.1, 0.1, 0.25, 0.5, 0.75]),
-        min_size=1,
+        st.integers(0, NUM_TOPICS - 1), st.sampled_from(LIST_SCORES), min_size=1
     )
     index.load(
         (element_id, 1, draw(scores)) for element_id in range(draw(st.integers(0, 10)))
@@ -218,11 +223,32 @@ class TestSubsetBoundIsSound:
         assert not small < large * _MARGIN
 
 
+def reference_plan(index, vector):
+    """The reference's retrieval order and ``UB(x)`` before every step."""
+    reference = ReferenceTraversal(index, vector)
+    order, bounds = [], [reference.upper_bound()]
+    while (element_id := reference.pop()) is not None:
+        order.append(element_id)
+        bounds.append(reference.upper_bound())
+    return order, bounds
+
+
+def assert_plan_is_the_reference(index, vector):
+    traversal = index.traversal(vector)
+    order, bounds = reference_plan(index, vector)
+    assert traversal.order == order
+    assert traversal.bounds == bounds
+    assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
+
+
 class TestTraversalEqualsReference:
     @given(index=indexes(), vector=QUERY_VECTORS, bounds=st.lists(
         st.sampled_from([None, 0.0, 0.05, 0.2, 0.6]), min_size=12, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_same_ids_and_upper_bounds(self, index, vector, bounds):
+        """Step by step, and as a whole plan: every id and every ``UB(x)``
+        ``==`` the reference's, and the bounds never increase."""
+        assert_plan_is_the_reference(index, vector)
         ours, theirs = index.traversal(vector), ReferenceTraversal(index, vector)
         for bound in bounds:
             upper = theirs.upper_bound()
@@ -231,27 +257,52 @@ class TestTraversalEqualsReference:
             if bound is not None and upper < bound:
                 assert ours.next_id(bound) is None  # and nothing is retrieved
                 continue
-            expected = theirs.pop()
-            if bound is None:
-                item = ours.pop()
-                retrieved = None if item is None else item[0]
-                if item is not None:
-                    assert item[1] == ours.stored_score(retrieved)
-            else:
-                retrieved = ours.next_id(bound)
-            assert retrieved == expected
+            assert ours.next_id(bound) == theirs.pop()
             assert ours.visited == theirs.visited
             assert ours.retrieved_count == len(theirs.visited)
+
+    def test_equal_weighted_values_of_different_scores(self):
+        """``x·δ₁ == x·δ₂`` with ``δ₁ ≠ δ₂``: in one list the higher score
+        comes first whatever the ids; across lists the lower topic does."""
+        index = RankedListIndex(NUM_TOPICS, SCORING)
+        index.load([
+            (1, 1, {0: math.nextafter(0.1, 1.0)}),  # 0.2 · δ equal to element 0's
+            (0, 1, {0: 0.1}),
+            (5, 1, {1: 0.5}),  # 0.5 · 0.5 == 1.0 · 0.25
+            (3, 1, {2: 0.25}),
+            (4, 1, {1: 0.2}),  # 0.5 · 0.2 == 1.0 · 0.1
+            (6, 1, {0: 0.1, 2: 0.1}),
+            (2, 1, {3: 0.1}),
+        ])
+        vector = np.array([0.2, 0.5, 1.0, 1.0])
+        assert 0.2 * math.nextafter(0.1, 1.0) == 0.2 * 0.1
+        assert index.traversal(vector).order == [5, 3, 4, 6, 2, 1, 0]
+        assert_plan_is_the_reference(index, vector)
+
+    @given(seed=st.integers(0, 2**32 - 1), topics=st.integers(9, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_a_large_index_with_every_topic_weighted(self, seed, topics):
+        """≥ 300 elements on 9–12 lists, every topic weighted: long fronts,
+        many lists exhausting at different steps, and ``UB(x)`` sums of as
+        many terms as there are lists."""
+        rng = np.random.default_rng(seed)
+        index = RankedListIndex(topics, SCORING)
+        index.load(
+            (element_id, 1, {
+                int(topic): float(rng.choice(LIST_SCORES + [0.3, 0.35, 0.7]))
+                for topic in rng.choice(topics, size=rng.integers(1, 4), replace=False)
+            })
+            for element_id in rng.permutation(300 + int(rng.integers(0, 100))).tolist()
+        )
+        vector = rng.choice([0.2, 0.3, 0.5, 0.7, 1.0], size=topics)
+        assert_plan_is_the_reference(index, vector)
 
     @given(index=indexes(), vector=QUERY_VECTORS, budget=st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
     def test_top_candidates_is_the_pop_order(self, index, vector, budget):
         """The first ``budget`` ids ``next_id()`` retrieves, unbounded, are
         the reference's pop order, and so is the drained rest."""
-        reference = ReferenceTraversal(index, vector)
-        expected = []
-        while (element_id := reference.pop()) is not None:
-            expected.append(element_id)
+        expected, _bounds = reference_plan(index, vector)
         traversal = index.traversal(vector)
         retrieved = [traversal.next_id() for _ in range(budget)]
         while (element_id := traversal.next_id()) is not None:

@@ -142,4 +142,4 @@ class TestTakeDirtyTopicsAfterClear:
         index.clear()
         traversal = index.traversal(np.array([0.5, 0.5]))
         assert traversal.exhausted()
-        assert traversal.pop() is None
+        assert traversal.next_id() is None

@@ -361,9 +361,10 @@ class TestSortOnRead:
             for rank in range(len(expected)):
                 assert repr(ranked.at(rank)) == repr(expected[rank])
         elif read == "columns":
-            negated, keys = ranked.columns()
-            assert keys == [key for key, _score in expected]
-            assert repr(negated) == repr([-score for _key, score in expected])
+            scores, keys = ranked.columns()
+            assert keys.tolist() == [key for key, _score in expected]
+            assert repr(scores.tolist()) == repr([score for _key, score in expected])
+            assert not scores.flags.writeable and not keys.flags.writeable
         else:
             assert ranked.validate()
 
@@ -440,8 +441,8 @@ class TestSortOnRead:
 
                 def read(slot):
                     barrier.wait()
-                    negated, keys = ranked.columns()
-                    seen[slot] = list(zip(keys, (-neg for neg in negated)))
+                    scores, keys = ranked.columns()
+                    seen[slot] = list(zip(keys.tolist(), scores.tolist()))
 
                 threads = [threading.Thread(target=read, args=(slot,)) for slot in range(readers)]
                 for thread in threads:
