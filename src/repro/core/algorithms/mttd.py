@@ -15,6 +15,11 @@ marginal gain and admits it when the gain is at least ``τ``.  The run stops
 when ``S`` reaches ``k`` elements or ``τ`` drops below the termination
 threshold ``τ' = ε · f(S, x) / k``.
 
+Each retrieved element's cached gain starts as its singleton ``δ(e, x)``,
+read from the traversal plan (:attr:`RankedListTraversal.singles`) rather
+than computed by the objective, so an element the buffer never pops is
+never compiled; every retrieved element counts as evaluated.
+
 The buffer is a plain :mod:`heapq` list of ``(−Δ_e, push number, id)``: an
 element is in it at most once (retrieval visits each element once, and a
 popped element is pushed back only after it left), so no entry is ever
@@ -30,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.algorithms.base import KSIRAlgorithm, SelectionOutcome
 from repro.core.ranked_list import RankedListIndex
-from repro.core.scoring import KSIRObjective
+from repro.core.scoring import KSIRObjective, ObjectiveState
 from repro.utils.validation import require_in_range
 
 #: ``(−cached gain, push number, element id)`` entries of a heapq list.
@@ -67,7 +72,7 @@ class MTTD(KSIRAlgorithm):
     ) -> SelectionOutcome:
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
-        order, bounds = traversal.order, traversal.bounds
+        order, bounds, singles = traversal.order, traversal.bounds, traversal.singles
         buffer: Buffer = []
         pushes = itertools.count()
         state = objective.new_state()
@@ -82,13 +87,12 @@ class MTTD(KSIRAlgorithm):
             # Retrieval phase: every element whose score may reach τ enters
             # the buffer, its cached gain bound Δ_e the singleton score.
             while retrieved < len(order) and not bounds[retrieved] < tau:
-                element_id = order[retrieved]
-                retrieved += 1
-                score = objective.singleton_score(element_id)
+                score = singles[retrieved]
                 if score > 0.0:
                     # Zero-score elements can never clear a positive
                     # threshold; keeping them out guarantees termination.
-                    heappush(buffer, (-score, next(pushes), element_id))
+                    heappush(buffer, (-score, next(pushes), order[retrieved]))
+                retrieved += 1
 
             # Evaluation phase: keep admitting buffered elements while some
             # cached gain still reaches the round threshold.
@@ -98,7 +102,7 @@ class MTTD(KSIRAlgorithm):
                 if gain >= tau:
                     objective.add(element_id, state)
                     if len(state.selected) >= k:
-                        return self._outcome(objective, state, rounds, retrieved, buffer)
+                        return self._outcome(state, rounds, retrieved, buffer)
                 elif gain > 0.0:
                     # Keep it around with the refreshed (smaller) bound; it may
                     # clear a later, lower threshold.  Zero gains are dropped —
@@ -110,12 +114,11 @@ class MTTD(KSIRAlgorithm):
             if retrieved == len(order) and not buffer:
                 break
 
-        return self._outcome(objective, state, rounds, retrieved, buffer)
+        return self._outcome(state, rounds, retrieved, buffer)
 
     def _outcome(
         self,
-        objective: KSIRObjective,
-        state,
+        state: ObjectiveState,
         rounds: int,
         retrieved: int,
         buffer: Buffer,
@@ -123,7 +126,7 @@ class MTTD(KSIRAlgorithm):
         return SelectionOutcome(
             element_ids=tuple(state.selected),
             value=state.value,
-            evaluated_elements=objective.evaluated_elements,
+            evaluated_elements=retrieved,
             extras={
                 "rounds": float(rounds),
                 "retrieved": float(retrieved),

@@ -13,9 +13,15 @@ MTTS combines two ideas:
    unfilled candidate.
 
 The returned candidate with the maximum score is a ``(1/2 − ε)``-approximate
-answer, and every active element is compiled at most once per change: its
-terms come from the backend's term memo, which every query shares and a
-bucket drops only where it changed the element's record.
+answer.  Each retrieved element's singleton ``δ(e, x)`` comes with the
+traversal plan (:attr:`RankedListTraversal.singles`, the ranked-list keys
+weighted and added in topic order), so an element that scores below ``TH``
+and does not raise ``δ_max`` — it can neither enter a candidate nor move
+the grid — is passed over without touching the objective.  The others are
+compiled at most once per change: their terms come from the backend's term
+memo, which every query shares and a bucket drops only where it changed the
+element's record.  Every retrieved element counts as evaluated (its
+singleton is), so ``evaluated_elements`` is the retrieved count.
 
 The objective is submodular, so ``Δ(e | S) ≤ Δ(e | T)`` for ``T ⊆ S``: once
 a candidate ``T`` rejects ``e``, every candidate holding ``T`` whose
@@ -116,12 +122,13 @@ class MTTS(KSIRAlgorithm):
         threshold = 0.0  # TH: minimum admission threshold of an unfilled candidate
         retrieved = 0
 
-        for element_id, bound in zip(traversal.order, traversal.bounds):
+        for element_id, bound, score in zip(traversal.order, traversal.bounds, traversal.singles):
             if bound < threshold:
                 break  # UB(x) < TH: no unevaluated element can be admitted
             bit = 1 << retrieved
             retrieved += 1
-            score = objective.singleton_score(element_id)
+            if score < threshold and score <= delta_max:
+                continue  # enters no candidate and leaves the grid as it is
 
             if score > delta_max:
                 delta_max = score
@@ -170,7 +177,7 @@ class MTTS(KSIRAlgorithm):
         return SelectionOutcome(
             element_ids=tuple(best_state.selected),
             value=best_state.value,
-            evaluated_elements=objective.evaluated_elements,
+            evaluated_elements=retrieved,
             extras={
                 "candidates": float(len(candidates)),
                 "retrieved": float(retrieved),

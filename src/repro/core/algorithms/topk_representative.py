@@ -8,7 +8,9 @@ fast but ignores word/influence overlaps, so its result quality degrades as
 The implementation is the textbook threshold algorithm: traverse the ranked
 lists in descending merged order, maintain the best ``k`` singleton scores
 seen so far, and stop as soon as the k-th best score is at least the upper
-bound of any unseen element.
+bound of any unseen element.  The singletons come with the traversal plan
+(:attr:`RankedListTraversal.singles`); only the final set value is
+computed by the objective.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ class TopKRepresentative(KSIRAlgorithm):
     ) -> SelectionOutcome:
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
+        singles = traversal.singles
         # Min-heap of (score, element_id) keeping the best k seen so far.
         best: List[Tuple[float, int]] = []
         retrieved = 0
         while (element_id := traversal.next_id()) is not None:
+            score = singles[retrieved]
             retrieved += 1
-            score = objective.singleton_score(element_id)
             if len(best) < k:
                 heapq.heappush(best, (score, element_id))
             elif score > best[0][0]:
@@ -53,6 +56,6 @@ class TopKRepresentative(KSIRAlgorithm):
         return SelectionOutcome(
             element_ids=tuple(selected),
             value=value,
-            evaluated_elements=objective.evaluated_elements,
+            evaluated_elements=retrieved,
             extras={"retrieved": float(retrieved)},
         )

@@ -391,9 +391,10 @@ class KSIRProcessor:
         For every touched parent, the per-topic follower-probability sums
         ``Σ_{e ∈ I_t(parent)} p_i(e)`` come out of the ``delta_topic_sums``
         kernel — one gather + segmented reduce over the store's
-        ``P[rows, z]`` matrix; the sparse per-topic score maps are then
-        assembled in the profile's topic order, so scores agree with per-follower accumulation within float
-        re-association noise (≤ 1e-9 on realistic windows).  Returns
+        ``P[rows, z]`` matrix, each parent's followers in ascending id order
+        (:meth:`ElementStore.followers_concat`), so a shard and a single
+        node store the same bits for one follower set; the sparse per-topic
+        score maps are then assembled in the profile's topic order.  Returns
         ``(element_id, topic → δ_i(e), activity_time)`` triples for
         :meth:`RankedListIndex.bulk_update`'s ``scored_refreshes``.
         """

@@ -3,14 +3,18 @@
 For every topic ``θ_i`` the index keeps a list of tuples ``⟨δ_i(e), t_e⟩`` for
 the active elements with ``p_i(e) > 0``, sorted in descending order of the
 topic-wise representativeness score ``δ_i(e) = f_i({e})``.  The stream
-processor drives three kinds of updates:
+processor applies a bucket's three kinds of updates in one
+:meth:`RankedListIndex.bulk_update`:
 
-* **insert** — a new element arrives; its tuples are inserted into the lists
+* **insert** — a new element arrives; its tuples are written to the lists
   of its topics with ``δ_i(e) = λ·R_i(e)`` (no followers observed yet); a
   re-post replaces the tuples of its previous version.
-* **refresh** — an active element gains a follower; its influence component
-  changed, so its tuples are re-scored and repositioned.
+* **refresh** — an active element's follower set changed; its tuples take
+  the scores the processor recomputed over the store's profile rows.
 * **expire** — an element left the active set; its tuples are removed.
+
+The per-element bodies of these updates (Algorithm 1 written out) live in
+the test suite's oracle, the reference the bulk path is held to.
 
 A list is a score map (:class:`~repro.utils.sorted_list.DescendingSortedList`):
 maintenance only writes scores, and the first read after a change sorts the
@@ -23,8 +27,10 @@ Query algorithms traverse the lists in descending score order through
 :class:`RankedListTraversal`: the merge of the query topics' lists (weighted
 by the query vector) under the paper's rule that once an element has been
 retrieved from one list its tuples in the other lists are skipped.  The
-whole merge is planned once per query in NumPy — the retrieval order and
-``UB(x)`` before every step — so the algorithms walk two Python lists.
+whole merge is planned once per query in NumPy — the retrieval order,
+``UB(x)`` before every step and each retrieved element's singleton
+``δ(e, x)`` — so the algorithms walk three Python lists and never ask the
+objective for a singleton.
 
 The index additionally records which topics had tuples inserted, re-scored
 or removed since the last drain (:meth:`RankedListIndex.take_dirty_topics`).
@@ -166,88 +172,7 @@ class RankedListIndex:
         self._dirty_topics.clear()
         return dirty
 
-    # -- scoring helper -------------------------------------------------------------
-
-    def _singleton_topic_score(
-        self,
-        profile: ElementProfile,
-        topic: int,
-        follower_probabilities: Sequence[float],
-    ) -> float:
-        probability = profile.topic_probability(topic)
-        semantic = profile.semantic_score(topic)
-        influence = probability * float(sum(follower_probabilities))
-        return (
-            self._config.lambda_weight * semantic
-            + self._config.influence_weight * influence
-        )
-
-    def _rescore(
-        self,
-        profile: ElementProfile,
-        followers: Mapping[int, ElementProfile],
-    ) -> Dict[int, float]:
-        """Compute ``δ_i(e)`` for every topic of the element."""
-        scores: Dict[int, float] = {}
-        for topic in profile.topics:
-            follower_probabilities = [
-                follower.topic_probability(topic) for follower in followers.values()
-            ]
-            scores[topic] = self._singleton_topic_score(
-                profile, topic, follower_probabilities
-            )
-        return scores
-
     # -- maintenance ---------------------------------------------------------------------
-
-    def insert(self, profile: ElementProfile, activity_time: Optional[int] = None) -> None:
-        """Insert a new element's tuples (no followers observed yet).
-
-        A re-post replaces its previous version: tuples on topics the new
-        profile no longer has are retired.
-        """
-        with self._update_timer.measure():
-            element_id = profile.element_id
-            time = profile.timestamp if activity_time is None else activity_time
-            held = _mask(profile.topic_probabilities)
-            retired = _topics(self._topics_of.get(element_id, 0) & ~held)
-            for topic in retired:
-                self._lists[topic].remove(element_id)
-            self._topics_of[element_id] = held
-            self._last_activity[element_id] = time
-            for topic in profile.topics:
-                score = self._config.lambda_weight * profile.semantic_score(topic)
-                self._lists[topic].insert(element_id, score)
-            self._dirty_topics.update(retired + list(profile.topics))
-
-    def refresh(
-        self,
-        profile: ElementProfile,
-        followers: Mapping[int, ElementProfile],
-        activity_time: int,
-    ) -> None:
-        """Re-score an element after its in-window follower set changed."""
-        with self._update_timer.measure():
-            self._last_activity[profile.element_id] = max(
-                self._last_activity.get(profile.element_id, profile.timestamp),
-                activity_time,
-            )
-            scores = self._rescore(profile, followers)
-            for topic, score in scores.items():
-                self._lists[topic].update(profile.element_id, score)
-            self._topics_of[profile.element_id] = (
-                self._topics_of.get(profile.element_id, 0) | _mask(scores)
-            )
-            self._dirty_topics.update(scores)
-
-    def remove(self, element_id: int) -> None:
-        """Remove every tuple of an expired element."""
-        with self._update_timer.measure():
-            self._last_activity.pop(element_id, None)
-            touched = _topics(self._topics_of.pop(element_id, 0))
-            for topic in touched:
-                self._lists[topic].remove(element_id)
-            self._dirty_topics.update(touched)
 
     def bulk_update(
         self,
@@ -258,11 +183,11 @@ class RankedListIndex:
         """Apply a bucket's worth of maintenance in one grouped pass.
 
         ``inserts`` are ``(profile, activity_time)`` pairs of newly arrived
-        elements (scored with no followers, like :meth:`insert`);
+        elements (scored with no followers: ``λ·R_i(e)``);
         ``scored_refreshes`` are ``(element_id, topic → δ_i(e),
-        activity_time)`` triples standing for a :meth:`refresh` whose
-        scores the caller already computed (the processor derives them in
-        one matrix operation over the store's profile rows); ``removes``
+        activity_time)`` triples of re-scored elements whose scores the
+        caller already computed (the processor derives them in one matrix
+        operation over the store's profile rows); ``removes``
         are expired element ids.  Removals are applied first, then the
         insert and refresh scores are written into the lists' score maps,
         one O(1) write per tuple; no list is sorted here (the first
@@ -271,14 +196,14 @@ class RankedListIndex:
         wins (matching the per-element insert-then-refresh outcome).
         A re-post replaces its previous versions — the stored one and any
         earlier in ``inserts``: its tuples on the topics the last version no
-        longer has leave those lists, as :meth:`insert` does for one re-post.
+        longer has leave those lists.
         Activity times combine via ``max`` with any stored value, which is
         what the per-element discipline converges to over a bucket.
 
         The update timer keeps its per-element meaning (Figure 14): the
         bucket-level span is split evenly across the applied operations, so
-        its count grows by one per insert/refresh/remove, exactly as many
-        as the per-element methods would record, and its mean is per element.
+        its count grows by one per insert/refresh/remove, one per element
+        maintained, and its mean is per element.
         """
         watch = StopWatch()
         watch.start()
@@ -430,17 +355,26 @@ class RankedListTraversal:
 
     The two operations of Section 4.1 — ``first``/``next`` per list, merged
     by ``x_i · δ_i`` with the retrieved elements skipped in every other
-    list — are computed once, at construction, as a plan of two lists:
+    list — are computed once, at construction, as a plan of three lists:
 
     * :attr:`order` — the element ids in retrieval order: each element
       once, at its first entry in the merge;
     * :attr:`bounds` — ``bounds[r]`` is ``UB(x) = Σ_i x_i · δ_i(e^(i))``
       before step ``r``, where ``e^(i)`` is list ``i``'s first entry not
       yet retrieved (0 contribution for exhausted lists); it has one more
-      entry than :attr:`order`, ``UB(x)`` once everything is retrieved.
+      entry than :attr:`order`, ``UB(x)`` once everything is retrieved;
+    * :attr:`singles` — ``singles[r]`` is ``δ(e, x) = Σ_i x_i · δ_i(e)`` of
+      the element retrieved at step ``r``, its stored keys weighted and
+      added list by list in topic order from ``0.0`` — the float operations
+      of :meth:`KSIRObjective.singleton_score
+      <repro.core.scoring.KSIRObjective.singleton_score>` over the keys.
+      Every term of ``singles[r]`` is at most the same list's term of
+      ``bounds[r]`` (the list's front, or the element itself), so
+      ``singles[r] <= bounds[r]`` holds in floats, not only in reals.
 
     MTTS and MTTD iterate the plan directly; :meth:`next_id`,
-    :meth:`upper_bound` and :meth:`exhausted` walk it with a cursor.
+    :meth:`upper_bound` and :meth:`exhausted` walk it with a cursor, whose
+    last retrieved element's singleton is ``singles[retrieved_count − 1]``.
 
     The plan, for lists ``0..d−1`` in topic order: the lists' read orders
     are concatenated with their values ``x_i · δ_i``, and one stable sort
@@ -452,7 +386,9 @@ class RankedListTraversal:
     ``j`` is the front for the steps after ``max(steps[:j])`` up to
     ``max(steps[:j + 1])``).  ``UB(x)`` adds the fronts' values list by list
     in topic order, the float additions a front-by-front loop makes, and
-    an exhausted list adds nothing.  A one-topic query's plan is its list.
+    an exhausted list adds nothing.  The singles add every list's values
+    at their elements' steps, list by list in topic order.  A one-topic
+    query's plan is its list.
 
     Construction reads each query topic's order, sorting the lists changed
     since their last read.  Traversals may be built and used from several
@@ -475,7 +411,7 @@ class RankedListTraversal:
                 if len(keys):
                     ids.append(keys)
                     values.append(weight * scores)
-        self.order, self.bounds = _plan(ids, values)
+        self.order, self.bounds, self.singles = _plan(ids, values)
         self._step = 0
 
     @property
@@ -509,13 +445,17 @@ class RankedListTraversal:
         return self.order[step]
 
 
-def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Tuple[List[int], List[float]]:
-    """The retrieval order and ``UB(x)`` before every step of the merge of
-    the lists ``ids`` (each in read order) valued ``values`` (``x_i · δ_i``)."""
+def _plan(
+    ids: List[np.ndarray], values: List[np.ndarray]
+) -> Tuple[List[int], List[float], List[float]]:
+    """The retrieval order, ``UB(x)`` before every step and the singleton of
+    every step of the merge of the lists ``ids`` (each in read order) valued
+    ``values`` (``x_i · δ_i``)."""
     if len(ids) == 1:
-        return ids[0].tolist(), values[0].tolist() + [0.0]
+        singles = values[0].tolist()
+        return ids[0].tolist(), singles + [0.0], singles
     if not ids:
-        return [], [0.0]
+        return [], [0.0], []
     merged_ids = np.concatenate(ids)
     # Stable: equal values keep the concatenation's (list position, rank).
     entries = np.argsort(-np.concatenate(values), kind="stable")
@@ -538,11 +478,15 @@ def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Tuple[List[int], L
 
     # With ``reached`` the prefix max of a list's entry steps, entry j is
     # its front for the steps after ``reached[j − 1]`` up to ``reached[j]``;
-    # after ``reached[-1]`` the list is exhausted and adds nothing.
+    # after ``reached[-1]`` the list is exhausted and adds nothing.  A list
+    # holds an element once, so its values land on distinct singles.
     bounds = np.zeros(count + 1)
+    singles = np.zeros(count)
     start = 0
     for list_values in values:
-        reached = np.maximum.accumulate(steps[start : start + len(list_values)])
+        list_steps = steps[start : start + len(list_values)]
+        reached = np.maximum.accumulate(list_steps)
         bounds[: reached[-1] + 1] += np.repeat(list_values, np.diff(reached, prepend=-1))
+        singles[list_steps] += list_values
         start += len(list_values)
-    return merged[np.sort(first)].tolist(), bounds.tolist()
+    return merged[np.sort(first)].tolist(), bounds.tolist(), singles.tolist()

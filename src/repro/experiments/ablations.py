@@ -166,13 +166,14 @@ class _ScanBufferMTTD(KSIRAlgorithm):
     ) -> SelectionOutcome:
         assert index is not None
         traversal = index.traversal(objective.query_vector)
+        singles = traversal.singles
         buffer: Dict[int, float] = {}
         state = objective.new_state()
         tau = traversal.upper_bound()
         termination = 0.0
         while tau >= termination and tau > 0.0:
             while (element_id := traversal.next_id(tau)) is not None:
-                score = objective.singleton_score(element_id)
+                score = singles[traversal.retrieved_count - 1]
                 if score > 0.0:
                     buffer[element_id] = score
             while buffer:
@@ -187,7 +188,7 @@ class _ScanBufferMTTD(KSIRAlgorithm):
                     if len(state.selected) >= k:
                         return SelectionOutcome(
                             tuple(state.selected), state.value,
-                            evaluated_elements=objective.evaluated_elements,
+                            evaluated_elements=traversal.retrieved_count,
                         )
                 elif gain > 0.0:
                     buffer[element_id] = gain
@@ -197,7 +198,7 @@ class _ScanBufferMTTD(KSIRAlgorithm):
                 break
         return SelectionOutcome(
             tuple(state.selected), state.value,
-            evaluated_elements=objective.evaluated_elements,
+            evaluated_elements=traversal.retrieved_count,
         )
 
 

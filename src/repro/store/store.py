@@ -405,9 +405,13 @@ class ElementStore:
     ) -> Tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
         """Concatenated follower rows of ``rows`` plus per-row counts.
 
-        The CSR-style primitive behind batched re-scoring and array-slice
-        export: ``indices`` holds every follower row, segment ``j`` covering
-        ``indices[counts[:j].sum() : counts[:j+1].sum()]``.
+        The CSR-style primitive behind batched re-scoring: ``indices`` holds
+        every follower row, segment ``j`` covering
+        ``indices[counts[:j].sum() : counts[:j+1].sum()]``, each segment
+        ascending by follower *element id*.  Summing a segment adds floats
+        in that order, so every store holding one follower set — a single
+        node's, a shard's — sums it to the same bits whatever its rows or
+        its set's iteration order.
         """
         counts = np.empty(rows.shape[0], dtype=np.intp)
         chunks: List[List[int]] = []
@@ -421,6 +425,9 @@ class ElementStore:
         else:
             flat = []
         indices = np.asarray(flat, dtype=np.intp)
+        if indices.size:
+            segments = np.repeat(np.arange(counts.shape[0]), counts)
+            indices = indices[np.lexsort((self._element_ids[indices], segments))]
         return indices, counts
 
     def followers_csr(

@@ -6,11 +6,13 @@ follower sets ``I_t(e)``, and the per-topic ranked lists of ``δ_i(e)``.
 It is deliberately slow and plain — no arrays, no bulk paths, no
 checkpoints, no timers, a full-scan archive — and shares with production
 only the value types (``SocialElement``, ``KSIRQuery``),
-the per-element primitives (``ProfileBuilder.build``,
-``RankedListIndex.insert / refresh / remove``), ``ScoringContext`` /
-``KSIRObjective`` and the solvers.  A re-post is a new version of its
-element by definition: ``insert`` replaces every tuple of the previous one,
-so nothing stays on the list of a topic the new version dropped.  The one
+``ProfileBuilder.build``, ``RankedListIndex``'s lists (maintained one
+element at a time by :class:`ReferenceRankedListIndex`, whose ``insert /
+refresh / remove`` are the per-element bodies production's bulk update
+replaced), ``ScoringContext`` / ``KSIRObjective`` and the solvers.  A
+re-post is a new version of its element by definition: ``insert`` replaces
+every tuple of the previous one, so nothing stays on the list of a topic
+the new version dropped.  The one
 place it looks past the current element: a parent re-activated from the
 archive receives its tuples when the bucket closes, so an archived version
 the same bucket re-posts never touches (or marks dirty) a list.
@@ -30,14 +32,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.algorithms import resolve_algorithm
 from repro.core.element import SocialElement
 from repro.core.query import KSIRQuery
-from repro.core.ranked_list import RankedListIndex
+from repro.core.ranked_list import RankedListIndex, _mask, _topics
 from repro.core.scoring import (
     ElementProfile,
     KSIRObjective,
@@ -164,6 +166,95 @@ class OracleWindow:
         return self._last_activity[element_id]
 
 
+class ReferenceRankedListIndex(RankedListIndex):
+    """The ranked lists maintained one element at a time (Algorithm 1).
+
+    ``insert`` / ``refresh`` / ``remove`` are the per-element bodies that
+    :meth:`RankedListIndex.bulk_update` replaced, scoring ``δ_i(e)`` from
+    profiles with ``p · float(sum(…))``; everything else — the lists, the
+    traversal, checkpoints — is production's.
+    """
+
+    def _singleton_topic_score(
+        self,
+        profile: ElementProfile,
+        topic: int,
+        follower_probabilities: Sequence[float],
+    ) -> float:
+        probability = profile.topic_probability(topic)
+        semantic = profile.semantic_score(topic)
+        influence = probability * float(sum(follower_probabilities))
+        return (
+            self._config.lambda_weight * semantic
+            + self._config.influence_weight * influence
+        )
+
+    def _rescore(
+        self,
+        profile: ElementProfile,
+        followers: Mapping[int, ElementProfile],
+    ) -> Dict[int, float]:
+        """Compute ``δ_i(e)`` for every topic of the element."""
+        scores: Dict[int, float] = {}
+        for topic in profile.topics:
+            follower_probabilities = [
+                follower.topic_probability(topic) for follower in followers.values()
+            ]
+            scores[topic] = self._singleton_topic_score(
+                profile, topic, follower_probabilities
+            )
+        return scores
+
+    def insert(self, profile: ElementProfile, activity_time: Optional[int] = None) -> None:
+        """Insert a new element's tuples (no followers observed yet).
+
+        A re-post replaces its previous version: tuples on topics the new
+        profile no longer has are retired.
+        """
+        with self._update_timer.measure():
+            element_id = profile.element_id
+            time = profile.timestamp if activity_time is None else activity_time
+            held = _mask(profile.topic_probabilities)
+            retired = _topics(self._topics_of.get(element_id, 0) & ~held)
+            for topic in retired:
+                self._lists[topic].remove(element_id)
+            self._topics_of[element_id] = held
+            self._last_activity[element_id] = time
+            for topic in profile.topics:
+                score = self._config.lambda_weight * profile.semantic_score(topic)
+                self._lists[topic].insert(element_id, score)
+            self._dirty_topics.update(retired + list(profile.topics))
+
+    def refresh(
+        self,
+        profile: ElementProfile,
+        followers: Mapping[int, ElementProfile],
+        activity_time: int,
+    ) -> None:
+        """Re-score an element after its in-window follower set changed."""
+        with self._update_timer.measure():
+            self._last_activity[profile.element_id] = max(
+                self._last_activity.get(profile.element_id, profile.timestamp),
+                activity_time,
+            )
+            scores = self._rescore(profile, followers)
+            for topic, score in scores.items():
+                self._lists[topic].update(profile.element_id, score)
+            self._topics_of[profile.element_id] = (
+                self._topics_of.get(profile.element_id, 0) | _mask(scores)
+            )
+            self._dirty_topics.update(scores)
+
+    def remove(self, element_id: int) -> None:
+        """Remove every tuple of an expired element."""
+        with self._update_timer.measure():
+            self._last_activity.pop(element_id, None)
+            touched = _topics(self._topics_of.pop(element_id, 0))
+            for topic in touched:
+                self._lists[topic].remove(element_id)
+            self._dirty_topics.update(touched)
+
+
 class Oracle:
     """Algorithm 1, one element at a time, over an :class:`OracleWindow`."""
 
@@ -177,7 +268,7 @@ class Oracle:
     ) -> None:
         self.scoring = scoring
         self.window = OracleWindow(window_length, archive_windows)
-        self.ranked_lists = RankedListIndex(topic_model.num_topics, scoring)
+        self.ranked_lists = ReferenceRankedListIndex(topic_model.num_topics, scoring)
         self.profiles: Dict[int, ElementProfile] = {}
         self._builder = ProfileBuilder(topic_model, scoring)
         self._is_home = home_filter or (lambda element_id: True)
@@ -506,10 +597,22 @@ class ReferenceTraversal:
         return best_element
 
 
-def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
-    """Algorithm 2, every candidate visited for every retrieved element.
+def reference_single(index: RankedListIndex, element_id: int, query_vector) -> float:
+    """``δ(e, x)`` from the element's stored keys: ``Σ x_i · δ_i(e)`` over the
+    topics of positive weight, added in topic order from ``0.0``."""
+    total = 0.0
+    for topic, weight in enumerate(np.asarray(query_vector, dtype=float).tolist()):
+        if weight > 0.0 and element_id in index._lists[topic]:
+            total += weight * index.score(topic, element_id)
+    return total
 
-    Returns ``(selected ids, value, evaluated elements, extras)``.
+
+def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
+    """Algorithm 2, every candidate visited for every retrieved element, the
+    singleton of each retrieved element read from the ranked-list keys.
+
+    Returns ``(selected ids, value, evaluated elements, extras)``; every
+    retrieved element counts as evaluated.
     """
     traversal = ReferenceTraversal(index, objective.query_vector)
     base = 1.0 + epsilon
@@ -521,7 +624,7 @@ def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
         if element_id is None:
             break
         retrieved += 1
-        score = objective.singleton_score(element_id)
+        score = reference_single(index, element_id, objective.query_vector)
         if score > delta_max:
             delta_max = score
             low = math.ceil(math.log(delta_max, base) - 1e-12)
@@ -549,7 +652,7 @@ def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
     if best is None:
         best = objective.new_state()
     extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
-    return tuple(best.selected), best.value, objective.evaluated_elements, extras
+    return tuple(best.selected), best.value, retrieved, extras
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +751,15 @@ class LazyMaxHeap:
 
 
 def reference_mttd(objective, k: int, index: RankedListIndex, epsilon: float):
-    """MTTD's selection with its buffer a :class:`LazyMaxHeap`:
-    ``(element_ids, value, evaluated_elements, extras)``."""
+    """MTTD's selection with its buffer a :class:`LazyMaxHeap`, singletons
+    from the ranked-list keys: ``(element_ids, value, evaluated_elements,
+    extras)``."""
     traversal = index.traversal(objective.query_vector)
     buffer = LazyMaxHeap()
     state = objective.new_state()
 
     def outcome():
-        return (tuple(state.selected), state.value, objective.evaluated_elements, {
+        return (tuple(state.selected), state.value, retrieved, {
             "rounds": float(rounds),
             "retrieved": float(retrieved),
             "buffered": float(len(buffer)),
@@ -668,7 +772,7 @@ def reference_mttd(objective, k: int, index: RankedListIndex, epsilon: float):
     while tau >= termination and tau > 0.0:
         rounds += 1
         while (element_id := traversal.next_id(tau)) is not None:
-            score = objective.singleton_score(element_id)
+            score = reference_single(index, element_id, objective.query_vector)
             retrieved += 1
             if score > 0.0:
                 buffer.push(element_id, score)

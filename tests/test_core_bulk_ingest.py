@@ -20,7 +20,7 @@ from repro.core.scoring import ProfileBuilder, ScoringConfig
 from repro.datasets.synthetic import SyntheticStreamGenerator
 from repro.utils.sorted_list import DescendingSortedList
 from tests.conftest import build_processor
-from tests.oracle import Oracle
+from tests.oracle import Oracle, ReferenceRankedListIndex
 from tests.test_store_columnar import assert_ranked_lists_equal
 
 
@@ -135,7 +135,7 @@ class TestBulkUpdate:
         profiles = _profiles_for(tiny_dataset, 80)
         config = ScoringConfig(lambda_weight=0.5, eta=1.0)
         topics = tiny_dataset.topic_model.num_topics
-        reference = RankedListIndex(topics, config)
+        reference = ReferenceRankedListIndex(topics, config)
         bulk = RankedListIndex(topics, config)
         for profile in profiles:
             reference.insert(profile, activity_time=profile.timestamp)
@@ -151,11 +151,11 @@ class TestBulkUpdate:
         config = ScoringConfig(lambda_weight=0.5, eta=1.0)
         topics = tiny_dataset.topic_model.num_topics
         rng = random.Random(5)
-        reference = RankedListIndex(topics, config)
+        reference = ReferenceRankedListIndex(topics, config)
         bulk = RankedListIndex(topics, config)
         for profile in profiles:
             reference.insert(profile, activity_time=profile.timestamp)
-            bulk.insert(profile, activity_time=profile.timestamp)
+        bulk.bulk_update(inserts=[(p, p.timestamp) for p in profiles])
         refreshes = []
         for profile in rng.sample(profiles, 30):
             followers = {
@@ -187,11 +187,11 @@ class TestBulkUpdate:
         profiles = _profiles_for(tiny_dataset, 60)
         config = ScoringConfig(lambda_weight=0.5, eta=1.0)
         topics = tiny_dataset.topic_model.num_topics
-        reference = RankedListIndex(topics, config)
+        reference = ReferenceRankedListIndex(topics, config)
         bulk = RankedListIndex(topics, config)
         for profile in profiles:
             reference.insert(profile, activity_time=profile.timestamp)
-            bulk.insert(profile, activity_time=profile.timestamp)
+        bulk.bulk_update(inserts=[(p, p.timestamp) for p in profiles])
         victims = [profile.element_id for profile in profiles[::3]]
         for element_id in victims:
             reference.remove(element_id)
@@ -208,7 +208,7 @@ class TestBulkUpdate:
         followers = {profiles[1].element_id: profiles[1]}
         config = ScoringConfig(lambda_weight=0.5, eta=1.0)
         topics = tiny_dataset.topic_model.num_topics
-        reference = RankedListIndex(topics, config)
+        reference = ReferenceRankedListIndex(topics, config)
         reference.insert(target, activity_time=target.timestamp)
         reference.refresh(target, followers, activity_time=target.timestamp + 5)
         bulk = RankedListIndex(topics, config)

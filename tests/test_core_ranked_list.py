@@ -20,6 +20,7 @@ from tests.conftest import (
     build_processor,
     build_reference_stream,
 )
+from tests.oracle import ReferenceRankedListIndex
 from tests.test_cluster_equivalence import mirrored_streams
 from tests.test_store_columnar import bucketise
 
@@ -28,12 +29,12 @@ def build_paper_index(until_time: int = 8) -> RankedListIndex:
     """Build the ranked lists by replaying the paper example up to a time.
 
     This mirrors Algorithm 1 directly (insert + refresh on reference +
-    remove on expiry) without going through the full processor, so the
-    index logic is tested in isolation.
+    remove on expiry, the oracle's per-element bodies) without going
+    through the full processor, so the index logic is tested in isolation.
     """
     model = build_paper_topic_model()
     builder = ProfileBuilder(model, PAPER_SCORING)
-    index = RankedListIndex(model.num_topics, PAPER_SCORING)
+    index = ReferenceRankedListIndex(model.num_topics, PAPER_SCORING)
     elements = {e.element_id: e for e in build_paper_elements()}
     profiles = {eid: builder.build(element) for eid, element in elements.items()}
     window_length = 4
@@ -69,7 +70,7 @@ class TestRankedListMaintenance:
         element = build_paper_elements()[2]  # e3
         profile = builder.build(element)
         index = RankedListIndex(2, PAPER_SCORING)
-        index.insert(profile)
+        index.bulk_update(inserts=[(profile, profile.timestamp)])
         # Before any reference arrives δ_1(e3) = λ·R_1(e3) ≈ 0.378.
         assert index.score(0, 3) == pytest.approx(0.378, abs=0.01)
         assert index.last_activity(3) == element.timestamp
@@ -96,7 +97,7 @@ class TestRankedListMaintenance:
 
     def test_remove_clears_every_list(self):
         index = build_paper_index(until_time=8)
-        index.remove(8)
+        index.bulk_update(removes=[8])
         assert 8 not in index
         assert all(8 != eid for eid, _ in index.items(0))
         assert all(8 != eid for eid, _ in index.items(1))
@@ -135,9 +136,9 @@ class TestRepostDropsATopic:
 
     def test_insert_retires_the_dropped_topics(self):
         index = RankedListIndex(3, PAPER_SCORING)
-        index.insert(self.version([0, 1]))
+        index.bulk_update(inserts=[(self.version([0, 1]), 1)])
         index.take_dirty_topics()
-        index.insert(self.version([1, 2]))
+        index.bulk_update(inserts=[(self.version([1, 2]), 1)])
         assert index.scores_of(7).keys() == {1, 2}
         assert index.take_dirty_topics() == (0, 1, 2)
         assert index.validate()
@@ -169,12 +170,12 @@ class TestRepostDropsATopic:
     def test_the_topic_record_follows_every_maintenance_path(self):
         """``validate`` compares the element → topics record with the lists."""
         index = RankedListIndex(3, PAPER_SCORING)
-        index.insert(self.version([0, 1]))
-        index.refresh(self.version([0, 1]), {}, 2)
+        index.bulk_update(inserts=[(self.version([0, 1]), 1)])
+        index.bulk_update(scored_refreshes=[(7, {0: 0.1, 1: 0.1}, 2)])
         index.load([(8, 2, {2: 0.5})])
         assert index.validate()
         state = index.state_dict()
-        index.remove(7)
+        index.bulk_update(removes=[7])
         assert index.validate() and index.scores_of(7) == {}
         index.restore_state(state)
         assert index.validate() and index.scores_of(7).keys() == {0, 1}
@@ -314,7 +315,7 @@ class TestDirtyTopicTracking:
     def test_insert_marks_element_topics_dirty(self):
         model, profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.insert(profiles[4])  # e4 is pure topic 1 (p_2 = 0)
+        index.bulk_update(inserts=[(profiles[4], 4)])  # e4 is pure topic 1 (p_2 = 0)
         assert index.peek_dirty_topics() == (0,)
         assert index.take_dirty_topics() == (0,)
         assert index.dirty_topic_count == 0
@@ -322,36 +323,37 @@ class TestDirtyTopicTracking:
     def test_take_drains_the_set(self):
         model, profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.insert(profiles[1])
+        index.bulk_update(inserts=[(profiles[1], 1)])
         index.take_dirty_topics()
         assert index.take_dirty_topics() == ()
 
     def test_refresh_marks_rescored_topics(self):
         model, profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.insert(profiles[3])
+        index.bulk_update(inserts=[(profiles[3], 3)])
         index.take_dirty_topics()
-        index.refresh(profiles[3], {4: profiles[4]}, activity_time=4)
+        rescored = {topic: 0.5 for topic in profiles[3].topics}
+        index.bulk_update(scored_refreshes=[(3, rescored, 4)])
         assert index.take_dirty_topics() == tuple(sorted(profiles[3].topics))
 
     def test_remove_marks_only_lists_holding_the_element(self):
         model, profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.insert(profiles[4])  # only on topic 0's list
+        index.bulk_update(inserts=[(profiles[4], 4)])  # only on topic 0's list
         index.take_dirty_topics()
-        index.remove(4)
+        index.bulk_update(removes=[4])
         assert index.take_dirty_topics() == (0,)
 
     def test_remove_of_absent_element_marks_nothing(self):
         model, _profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.remove(99)
+        index.bulk_update(removes=[99])
         assert index.take_dirty_topics() == ()
 
     def test_clear_marks_every_held_topic(self):
         model, profiles = self._profiles()
         index = RankedListIndex(model.num_topics, PAPER_SCORING)
-        index.insert(profiles[1])
+        index.bulk_update(inserts=[(profiles[1], 1)])
         index.take_dirty_topics()
         index.clear()
         assert index.take_dirty_topics() == tuple(sorted(profiles[1].topics))

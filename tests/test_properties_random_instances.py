@@ -71,7 +71,7 @@ def build_instance(
     profiles = {e.element_id: builder.build(e) for e in elements}
     context = ScoringContext(profiles, followers, config, time=num_elements)
 
-    index = RankedListIndex(num_topics, config)
+    index = oracle.ReferenceRankedListIndex(num_topics, config)
     for element in elements:
         index.insert(profiles[element.element_id])
         follower_profiles = {fid: profiles[fid] for fid in followers[element.element_id]}

@@ -56,6 +56,7 @@ from tests.oracle import (
     influence_probability,
     reference_infer,
     reference_mtts,
+    reference_single,
 )
 from tests.test_oracle import assert_memo_is_the_definition
 from tests.test_store_columnar import bucketise
@@ -234,11 +235,16 @@ def reference_plan(index, vector):
 
 
 def assert_plan_is_the_reference(index, vector):
+    """Order, bounds and singles ``==`` the reference's; the bounds never
+    increase and no single exceeds the bound before its step, with no slack."""
     traversal = index.traversal(vector)
     order, bounds = reference_plan(index, vector)
     assert traversal.order == order
     assert traversal.bounds == bounds
     assert all(later <= earlier for earlier, later in zip(bounds, bounds[1:]))
+    singles = [reference_single(index, element_id, vector) for element_id in order]
+    assert traversal.singles == singles
+    assert all(single <= bound for single, bound in zip(singles, bounds))
 
 
 class TestTraversalEqualsReference:
@@ -296,6 +302,28 @@ class TestTraversalEqualsReference:
         )
         vector = rng.choice([0.2, 0.3, 0.5, 0.7, 1.0], size=topics)
         assert_plan_is_the_reference(index, vector)
+
+    @pytest.mark.parametrize("weighted", [1, 3, 12, 50])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_singles_add_the_keys_in_topic_order(self, weighted, seed):
+        """``δ(e, x)`` of every step is ``Σ x_i · δ_i(e)`` added in topic
+        order from ``0.0`` over 50 lists, elements holding up to 40 topics:
+        sums long enough that an addition order of its own — reversed, or
+        ``np.add.reduceat``'s — shows in the last bits."""
+        rng = np.random.default_rng(seed)
+        index = RankedListIndex(50, SCORING)
+        index.load(
+            (element_id, 1, {
+                int(topic): float(rng.uniform(0.0, 1.0))
+                for topic in rng.choice(50, size=rng.integers(1, 41), replace=False)
+            })
+            for element_id in rng.permutation(200).tolist()
+        )
+        vector = np.zeros(50)
+        vector[rng.choice(50, size=weighted, replace=False)] = rng.uniform(0.05, 1.0, weighted)
+        assert_plan_is_the_reference(index, vector)
+        assert len(index.traversal(vector).singles) > 0
 
     @given(index=indexes(), vector=QUERY_VECTORS, budget=st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
@@ -417,8 +445,7 @@ class TestMTTSEqualsReference:
         profile_map[6] = ElementProfile(6, 1, {0: 0.5}, {0: {3: 0.45}}, {0: 0.45}, ())
         context = ScoringContext(profile_map, {}, SCORING, time=1)
         index = RankedListIndex(1, SCORING)
-        for profile in profile_map.values():
-            index.insert(profile)
+        index.bulk_update(inserts=[(profile, 1) for profile in profile_map.values()])
         vector = np.array([1.0])
         for k in (1, 2, 3):
             ours, theirs = KSIRObjective(context, vector), ReferenceObjective(context, vector)

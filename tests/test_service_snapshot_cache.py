@@ -86,7 +86,7 @@ class TestTakeDirtyTopicsAfterClear:
         config, profiles = profiled
         index = RankedListIndex(2, config)
         for profile in profiles:
-            index.insert(profile)
+            index.bulk_update(inserts=[(profile, profile.timestamp)])
         populated = {
             topic for topic in range(index.num_topics) if index.list_size(topic) > 0
         }
@@ -105,20 +105,20 @@ class TestTakeDirtyTopicsAfterClear:
     def test_drain_is_destructive_and_rebuildable(self, profiled):
         config, profiles = profiled
         index = RankedListIndex(2, config)
-        index.insert(profiles[0])
+        index.bulk_update(inserts=[(profiles[0], profiles[0].timestamp)])
         first = index.take_dirty_topics()
         assert first == tuple(sorted(profiles[0].topics))
         assert index.take_dirty_topics() == ()
         index.clear()
         index.take_dirty_topics()
         # Rebuilding after clear() dirties the re-inserted topics again.
-        index.insert(profiles[1])
+        index.bulk_update(inserts=[(profiles[1], profiles[1].timestamp)])
         assert index.take_dirty_topics() == tuple(sorted(profiles[1].topics))
 
     def test_peek_does_not_drain(self, profiled):
         config, profiles = profiled
         index = RankedListIndex(2, config)
-        index.insert(profiles[0])
+        index.bulk_update(inserts=[(profiles[0], profiles[0].timestamp)])
         index.clear()
         peeked = index.peek_dirty_topics()
         assert peeked == index.peek_dirty_topics()
@@ -127,18 +127,18 @@ class TestTakeDirtyTopicsAfterClear:
     def test_remove_after_clear_is_clean(self, profiled):
         config, profiles = profiled
         index = RankedListIndex(2, config)
-        index.insert(profiles[0])
+        index.bulk_update(inserts=[(profiles[0], profiles[0].timestamp)])
         index.clear()
         index.take_dirty_topics()
         # The element is gone; removing it again must not re-dirty topics.
-        index.remove(profiles[0].element_id)
+        index.bulk_update(removes=[profiles[0].element_id])
         assert index.take_dirty_topics() == ()
 
     def test_traversal_after_clear_is_exhausted(self, profiled):
         config, profiles = profiled
         index = RankedListIndex(2, config)
         for profile in profiles:
-            index.insert(profile)
+            index.bulk_update(inserts=[(profile, profile.timestamp)])
         index.clear()
         traversal = index.traversal(np.array([0.5, 0.5]))
         assert traversal.exhausted()

@@ -107,6 +107,20 @@ class TestElementStore:
         assert indptr.tolist() == [0, 3, 4, 4]
         assert follower_ids.tolist() == [2, 3, 4, 4]
 
+    def test_followers_concat_segments_ascend_by_id(self):
+        """Each parent's follower rows come in ascending follower id order,
+        whatever rows the ids sit on: the re-scoring sums a segment in this
+        order, and a shard's store holds the same followers on other rows."""
+        store = ElementStore(num_topics=2)
+        rows = {eid: store.acquire(eid, 1) for eid in (40, 30, 20, 10, 1, 2)}
+        for follower in (10, 40, 20, 30):
+            store.add_follower(rows[1], rows[follower])
+        for follower in (30, 10):
+            store.add_follower(rows[2], rows[follower])
+        indices, counts = store.followers_concat(store.rows_of([2, 1, 40]))
+        assert counts.tolist() == [2, 4, 0]
+        assert store.ids_at(indices).tolist() == [10, 30, 10, 20, 30, 40]
+
     def test_profile_matrix_rows(self):
         store = ElementStore(num_topics=4)
         row = store.acquire(7, 1)
