@@ -35,6 +35,13 @@ loop's sum, which may differ by a few ulps — more when ``R_i(e)`` came from
 a compensated ``sum()``.  A rejection therefore settles another only below
 ``ϕ/2k · (1 − 1e-9)``, a margin that can make a skip only rarer, never
 change an admission.
+
+The walk goes from the highest admission threshold down, and a lower
+candidate usually holds a higher one's members, so a rejection mostly
+settles a run of the positions right below it.  That run is skipped in one
+tight loop; every other position checks every rejection so far, and the
+positions settled are exactly the ones a check of every rejection at every
+position settles.
 """
 
 from __future__ import annotations
@@ -95,29 +102,34 @@ class MTTS(KSIRAlgorithm):
     ) -> SelectionOutcome:
         """Algorithm 2 over the merged traversal.
 
-        ``candidates`` maps grid exponent ``j`` to ``S_ϕ`` and ``masks``
-        maps it to ``S_ϕ``'s members (bit ``r`` for the ``r``-th retrieved
-        element; a new candidate's is 0); both are rebuilt only when
-        ``δ_max`` grows.  The sweep runs over the *open* (unfilled)
-        candidates, kept ascending in ``ϕ`` beside their admission
-        thresholds ``ϕ / 2k``: the candidates an element may enter are the
-        prefix whose threshold is at most ``δ(e, x)``, found by bisection
-        and walked from the highest threshold down.  Each candidate that
-        rejects ``e`` leaves ``(members, gain)`` behind; a later candidate
-        whose members include an entry's and whose threshold · ``_MARGIN``
-        exceeds its gain rejects ``e`` without evaluating it.  A candidate
-        that fills leaves the open list, whose first threshold is ``TH``.
-        Equal-valued candidates tie to the first in ``candidates``' order.
+        ``candidates`` maps grid exponent ``j`` to ``S_ϕ``.  The sweep runs
+        over the *open* (unfilled) candidates, kept ascending in ``ϕ`` as
+        five aligned lists rebuilt only when ``δ_max`` grows: ``open_js``,
+        the states, the admission thresholds ``ϕ / 2k``, the thresholds ·
+        ``_MARGIN`` and the members (bit ``r`` for the ``r``-th retrieved
+        element; a new candidate's is 0).  The candidates an element may
+        enter are the prefix whose threshold is at most ``δ(e, x)``, found
+        by bisection and walked from the highest threshold down.  Each
+        candidate that rejects ``e`` leaves ``(members, gain)`` behind; a
+        later candidate whose members include an entry's and whose margin
+        exceeds its gain rejects ``e`` without evaluating it.  Right after
+        a rejection the run of lower positions that the new entry settles
+        is skipped in one tight loop; every other position scans all the
+        entries, so exactly the positions a full scan settles are settled.
+        A candidate that fills leaves the open lists, whose first threshold
+        is ``TH``.  Equal-valued candidates tie to the first in
+        ``candidates``' order.
         """
         assert index is not None  # guaranteed by KSIRAlgorithm.select
         traversal = index.traversal(objective.query_vector)
         base = 1.0 + self.epsilon
 
         candidates: Dict[int, ObjectiveState] = {}
-        masks: Dict[int, int] = {}
         open_js: List[int] = []
-        open_states: List[ObjectiveState] = []
-        open_thresholds: List[float] = []
+        states: List[ObjectiveState] = []
+        thresholds: List[float] = []
+        margins: List[float] = []
+        masks: List[int] = []
         delta_max = 0.0
         threshold = 0.0  # TH: minimum admission threshold of an unfilled candidate
         retrieved = 0
@@ -136,36 +148,48 @@ class MTTS(KSIRAlgorithm):
                 candidates = {j: s for j, s in candidates.items() if j in valid}
                 for j in valid:
                     candidates.setdefault(j, objective.new_state())
-                masks = {j: masks.get(j, 0) for j in candidates}
+                members_of = dict(zip(open_js, masks))
                 open_js = sorted(j for j, s in candidates.items() if len(s.selected) < k)
-                open_states = [candidates[j] for j in open_js]
-                open_thresholds = [base**j / (2.0 * k) for j in open_js]
+                states = [candidates[j] for j in open_js]
+                thresholds = [base**j / (2.0 * k) for j in open_js]
+                margins = [admission * _MARGIN for admission in thresholds]
+                masks = [members_of.get(j, 0) for j in open_js]
 
             # (members, gain) of each candidate that rejected this element;
             # walked downwards, so deletions keep the positions still to come.
             rejected: List[Tuple[int, float]] = []
-            for position in reversed(range(bisect_right(open_thresholds, score))):
-                j, admission = open_js[position], open_thresholds[position]
-                members = masks[j]
-                bound = admission * _MARGIN
+            position = bisect_right(thresholds, score)
+            while position:
+                position -= 1
+                members, margin = masks[position], margins[position]
                 for mask, gain in rejected:
-                    if gain < bound and mask & members == mask:
+                    if gain < margin and mask & members == mask:
                         break  # Δ(e | S_j) ≤ Δ(e | T) < ϕ/2k for T ⊆ S_j
                 else:
-                    state = open_states[position]
+                    state = states[position]
                     gain = objective.marginal_gain(element_id, state)
-                    if gain < admission:
-                        rejected.append((members, gain))
+                    if gain >= thresholds[position]:
+                        objective.add(element_id, state)
+                        if len(state.selected) >= k:
+                            del open_js[position], states[position], thresholds[position]
+                            del margins[position], masks[position]
+                        else:
+                            masks[position] = members | bit
                         continue
-                    objective.add(element_id, state)
-                    masks[j] = members | bit
-                    if len(state.selected) >= k:
-                        del open_js[position], open_states[position], open_thresholds[position]
+                    rejected.append((members, gain))
+                    # The run below that holds these members and whose
+                    # margin exceeds the gain is settled by this rejection.
+                    while (
+                        position
+                        and gain < margins[position - 1]
+                        and masks[position - 1] & members == members
+                    ):
+                        position -= 1
 
             # When every candidate is full no further element can be admitted.
-            if candidates and not open_states:
+            if candidates and not states:
                 break
-            threshold = open_thresholds[0] if open_states else 0.0
+            threshold = thresholds[0] if states else 0.0
 
         best_state: Optional[ObjectiveState] = None
         for state in candidates.values():

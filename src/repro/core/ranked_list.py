@@ -29,7 +29,7 @@ by the query vector) under the paper's rule that once an element has been
 retrieved from one list its tuples in the other lists are skipped.  The
 whole merge is planned once per query in NumPy — the retrieval order,
 ``UB(x)`` before every step and each retrieved element's singleton
-``δ(e, x)`` — so the algorithms walk three Python lists and never ask the
+``δ(e, x)`` — as three NumPy arrays, so the algorithms never ask the
 objective for a singleton.
 
 The index additionally records which topics had tuples inserted, re-scored
@@ -43,6 +43,7 @@ The set is bounded by the number of topics, so consumers that never drain it
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -55,6 +56,10 @@ from repro.store.codec import (
 )
 from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
+
+#: A traversal plan: the retrieval order (ids), ``UB(x)`` before every step
+#: (one entry more) and the singleton of every step, as NumPy arrays.
+Plan = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _mask(topics: Iterable[int]) -> int:
@@ -355,7 +360,8 @@ class RankedListTraversal:
 
     The two operations of Section 4.1 — ``first``/``next`` per list, merged
     by ``x_i · δ_i`` with the retrieved elements skipped in every other
-    list — are computed once, at construction, as a plan of three lists:
+    list — are computed once, at construction, as a :attr:`plan` of three
+    NumPy arrays, each also read as a Python list (converted on first use):
 
     * :attr:`order` — the element ids in retrieval order: each element
       once, at its first entry in the merge;
@@ -371,8 +377,12 @@ class RankedListTraversal:
       Every term of ``singles[r]`` is at most the same list's term of
       ``bounds[r]`` (the list's front, or the element itself), so
       ``singles[r] <= bounds[r]`` holds in floats, not only in reals.
+      ``bounds`` never increases: each list's front value does not, and
+      the fronts are added in one order.
 
-    MTTS and MTTD iterate the plan directly; :meth:`next_id`,
+    MTTS zips the three lists; MTTD reads the arrays only (one bisection
+    of ``bounds`` per round, one sort of ``singles`` per query);
+    :meth:`next_id`,
     :meth:`upper_bound` and :meth:`exhausted` walk it with a cursor, whose
     last retrieved element's singleton is ``singles[retrieved_count − 1]``.
 
@@ -411,8 +421,23 @@ class RankedListTraversal:
                 if len(keys):
                     ids.append(keys)
                     values.append(weight * scores)
-        self.order, self.bounds, self.singles = _plan(ids, values)
+        self.plan = _plan(ids, values)
         self._step = 0
+
+    @cached_property
+    def order(self) -> List[int]:
+        """The element ids in retrieval order."""
+        return self.plan[0].tolist()
+
+    @cached_property
+    def bounds(self) -> List[float]:
+        """``UB(x)`` before every step, and once everything is retrieved."""
+        return self.plan[1].tolist()
+
+    @cached_property
+    def singles(self) -> List[float]:
+        """``δ(e, x)`` of the element retrieved at every step."""
+        return self.plan[2].tolist()
 
     @property
     def retrieved_count(self) -> int:
@@ -445,17 +470,14 @@ class RankedListTraversal:
         return self.order[step]
 
 
-def _plan(
-    ids: List[np.ndarray], values: List[np.ndarray]
-) -> Tuple[List[int], List[float], List[float]]:
+def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Plan:
     """The retrieval order, ``UB(x)`` before every step and the singleton of
     every step of the merge of the lists ``ids`` (each in read order) valued
     ``values`` (``x_i · δ_i``)."""
     if len(ids) == 1:
-        singles = values[0].tolist()
-        return ids[0].tolist(), singles + [0.0], singles
+        return ids[0], np.append(values[0], 0.0), values[0]
     if not ids:
-        return [], [0.0], []
+        return np.empty(0, dtype=np.int64), np.zeros(1), np.empty(0)
     merged_ids = np.concatenate(ids)
     # Stable: equal values keep the concatenation's (list position, rank).
     entries = np.argsort(-np.concatenate(values), kind="stable")
@@ -489,4 +511,4 @@ def _plan(
         bounds[: reached[-1] + 1] += np.repeat(list_values, np.diff(reached, prepend=-1))
         singles[list_steps] += list_values
         start += len(list_values)
-    return merged[np.sort(first)].tolist(), bounds.tolist(), singles.tolist()
+    return merged[np.sort(first)], bounds, singles

@@ -689,7 +689,11 @@ class KSIRObjective:
     def marginal_gain(self, element_id: int, state: ObjectiveState) -> float:
         """``Δ(e | S) = f(S ∪ {e}, x) − f(S, x)`` without mutating ``state``."""
         self._evaluation_calls += 1
-        return self._gain(self._terms(element_id), state, commit=False)
+        # :meth:`_terms`, written out: the query's hottest call.
+        terms = self._touched.get(element_id)
+        if terms is None:
+            terms = self._touched[element_id] = self._context.terms(element_id)
+        return self._gain(terms, state, commit=False)
 
     def add(self, element_id: int, state: ObjectiveState) -> float:
         """Add the element to the state and return its marginal gain."""

@@ -18,6 +18,12 @@ once — score descending, ties by ascending key — and caches that order as
 two parallel read-only NumPy arrays (scores and keys) until the next write.
 A list that nobody reads is never sorted.
 
+Element ids are ``int``: a write records whether its key is one, so the
+sort reads the keys with one ``np.fromiter`` into ``int64`` and never
+checks them one by one.  Any other key — a float, a bool (both of which
+``fromiter`` would silently truncate), a tuple, an ``int`` beyond int64 —
+sorts with ``sorted()`` into an ``object`` key column.
+
 Reads may run at the same time (a server answers queries on one shared
 snapshot): a rebuild builds new arrays and publishes them before it clears
 the unsorted mark, and never changes a published array, so a concurrent
@@ -36,7 +42,8 @@ import numpy.typing as npt
 from repro.kernels import ranked_merge
 
 #: The cached order: scores and keys, ascending by ``(-score, key)``; the keys
-#: are ``int64`` when every key is an ``int`` that fits, ``object`` otherwise.
+#: are ``int64`` when every key written since the last clear is an ``int`` and
+#: every key fits, ``object`` otherwise.
 Columns = Tuple[npt.NDArray[np.float64], npt.NDArray[np.generic]]
 
 
@@ -57,6 +64,9 @@ class DescendingSortedList:
         self._scores: Dict[Hashable, float] = {}
         self._columns = _EMPTY
         self._sorted = True
+        # Whether every key written since the last clear is an ``int``: a
+        # list that held another key sorts on the object path until cleared.
+        self._int_keys = True
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -81,12 +91,18 @@ class DescendingSortedList:
         """Insert ``key`` with ``score``; replaces any previous entry."""
         self._scores[key] = float(score)
         self._sorted = False
+        if type(key) is not int:
+            self._int_keys = False
 
     update = insert
 
     def bulk_insert(self, items: Iterable[Tuple[Hashable, float]]) -> None:
         """Insert many ``(key, score)`` pairs at once (last score wins per key)."""
-        self._scores.update((key, float(score)) for key, score in items)
+        scores = self._scores
+        for key, score in items:
+            scores[key] = float(score)
+            if type(key) is not int:
+                self._int_keys = False
         self._sorted = False
 
     def remove(self, key: Hashable) -> None:
@@ -103,6 +119,7 @@ class DescendingSortedList:
         """Remove every entry."""
         self._scores.clear()
         self._sorted = False
+        self._int_keys = True
 
     # -- reads: the first one after a write sorts ------------------------------
 
@@ -118,11 +135,13 @@ class DescendingSortedList:
 
     def _sort(self) -> Columns:
         scores = self._scores
-        keys = list(scores)
-        values = np.fromiter(scores.values(), dtype=np.float64, count=len(keys))
-        if all(type(key) is int for key in keys):
+        count = len(scores)
+        values = np.fromiter(scores.values(), dtype=np.float64, count=count)
+        if self._int_keys:
+            # ``fromiter`` would truncate a float or a bool key silently;
+            # the write-time flag, not the conversion, rules them out.
             try:
-                ids = np.array(keys, dtype=np.int64)
+                ids = np.fromiter(scores, dtype=np.int64, count=count)
             except OverflowError:
                 pass
             else:

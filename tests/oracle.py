@@ -21,7 +21,8 @@ The second half is the reference of the *query* path: ``f(S, x)`` and its
 parts computed from scratch out of a window snapshot (Eq. 1-4), then the
 objective, the ranked-list traversal and MTTS written out call by call,
 importing nothing of production's compiled forms
-(``tests/test_query_path.py``).  Then topic inference one document at a
+(``tests/test_query_path.py``), and MTTS's subset-bound walk as it ran
+before it settled runs of candidates at once.  Then topic inference one document at a
 time (``tests/test_topics_inference.py``).  The last part is MTTD's and
 CELF's selection over the lazy max-heap they used before their plain
 :mod:`heapq` lists (``tests/test_core_algorithms.py``).
@@ -32,11 +33,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Mapping, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.algorithms import resolve_algorithm
+from repro.core.algorithms.mtts import _MARGIN as MTTS_MARGIN
 from repro.core.element import SocialElement
 from repro.core.query import KSIRQuery
 from repro.core.ranked_list import RankedListIndex, _mask, _topics
@@ -653,6 +656,85 @@ def reference_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
         best = objective.new_state()
     extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
     return tuple(best.selected), best.value, retrieved, extras
+
+
+def subset_bound_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
+    """MTTS's walk as it ran before it settled runs of candidates at once:
+    every position still to be walked scans every rejection so far.  The
+    loop is the production body of that version, verbatim.
+
+    Returns ``(selected ids, value, evaluated elements, extras)``.
+    """
+    traversal = index.traversal(objective.query_vector)
+    base = 1.0 + epsilon
+
+    def grid_range(delta_max: float) -> range:
+        low = math.ceil(math.log(delta_max, base) - 1e-12)
+        high = math.floor(math.log(2.0 * k * delta_max, base) + 1e-12)
+        return range(low, high + 1)
+
+    candidates: Dict[int, ObjectiveState] = {}
+    masks: Dict[int, int] = {}
+    open_js: List[int] = []
+    open_states: List[ObjectiveState] = []
+    open_thresholds: List[float] = []
+    delta_max = 0.0
+    threshold = 0.0  # TH: minimum admission threshold of an unfilled candidate
+    retrieved = 0
+
+    for element_id, bound, score in zip(traversal.order, traversal.bounds, traversal.singles):
+        if bound < threshold:
+            break  # UB(x) < TH: no unevaluated element can be admitted
+        bit = 1 << retrieved
+        retrieved += 1
+        if score < threshold and score <= delta_max:
+            continue  # enters no candidate and leaves the grid as it is
+
+        if score > delta_max:
+            delta_max = score
+            valid = set(grid_range(delta_max))
+            candidates = {j: s for j, s in candidates.items() if j in valid}
+            for j in valid:
+                candidates.setdefault(j, objective.new_state())
+            masks = {j: masks.get(j, 0) for j in candidates}
+            open_js = sorted(j for j, s in candidates.items() if len(s.selected) < k)
+            open_states = [candidates[j] for j in open_js]
+            open_thresholds = [base**j / (2.0 * k) for j in open_js]
+
+        # (members, gain) of each candidate that rejected this element;
+        # walked downwards, so deletions keep the positions still to come.
+        rejected: List[Tuple[int, float]] = []
+        for position in reversed(range(bisect_right(open_thresholds, score))):
+            j, admission = open_js[position], open_thresholds[position]
+            members = masks[j]
+            bound = admission * MTTS_MARGIN
+            for mask, gain in rejected:
+                if gain < bound and mask & members == mask:
+                    break  # Δ(e | S_j) ≤ Δ(e | T) < ϕ/2k for T ⊆ S_j
+            else:
+                state = open_states[position]
+                gain = objective.marginal_gain(element_id, state)
+                if gain < admission:
+                    rejected.append((members, gain))
+                    continue
+                objective.add(element_id, state)
+                masks[j] = members | bit
+                if len(state.selected) >= k:
+                    del open_js[position], open_states[position], open_thresholds[position]
+
+        # When every candidate is full no further element can be admitted.
+        if candidates and not open_states:
+            break
+        threshold = open_thresholds[0] if open_states else 0.0
+
+    best_state: Optional[ObjectiveState] = None
+    for state in candidates.values():
+        if best_state is None or state.value > best_state.value:
+            best_state = state
+    if best_state is None:
+        best_state = objective.new_state()
+    extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
+    return tuple(best_state.selected), best_state.value, retrieved, extras
 
 
 # ---------------------------------------------------------------------------

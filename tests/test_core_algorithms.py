@@ -28,11 +28,17 @@ from repro.core.algorithms import (
     make_algorithm,
 )
 from repro.core.ranked_list import RankedListIndex
-from repro.core.scoring import KSIRObjective, ScoringContext
+from repro.core.scoring import ElementProfile, KSIRObjective, ScoringContext
 from tests import oracle
 from tests.conftest import build_paper_context
 from tests.test_core_ranked_list import build_paper_index
-from tests.test_query_path import NUM_TOPICS, QUERY_VECTORS, SCORING, profiles
+from tests.test_query_path import (
+    NUM_TOPICS,
+    QUERY_VECTORS,
+    SCORING,
+    profiles,
+    stream_window,
+)
 
 ALL_ALGORITHMS = [
     GreedySelection(),
@@ -254,6 +260,18 @@ def tied_instances(draw):
     return context, index
 
 
+def assert_mttd_is_the_lazy_heap(context, index, vector, k, epsilon):
+    """MTTD selects, scores, reports and counts its gains exactly as the
+    lazy-max-heap body does; returns the selected ids."""
+    ours_objective = KSIRObjective(context, vector)
+    ours = MTTD(epsilon).select(ours_objective, k, index=index)
+    theirs_objective = KSIRObjective(context, vector)
+    theirs = oracle.reference_mttd(theirs_objective, k, index, epsilon)
+    assert (ours.element_ids, ours.value, ours.evaluated_elements, ours.extras) == theirs
+    assert ours_objective.evaluation_calls == theirs_objective.evaluation_calls
+    return ours.element_ids
+
+
 class TestPlainHeapsEqualTheLazyHeap:
     """MTTD's buffer and CELF's heap are plain ``heapq`` lists; on windows
     full of exact ties they select, score, count and report what the
@@ -268,11 +286,50 @@ class TestPlainHeapsEqualTheLazyHeap:
     @settings(max_examples=300, deadline=None)
     def test_mttd(self, instance, vector, k, epsilon):
         context, index = instance
-        ours = MTTD(epsilon).select(KSIRObjective(context, vector), k, index=index)
-        theirs = oracle.reference_mttd(KSIRObjective(context, vector), k, index, epsilon)
-        assert (
-            ours.element_ids, ours.value, ours.evaluated_elements, ours.extras
-        ) == theirs
+        assert_mttd_is_the_lazy_heap(context, index, vector, k, epsilon)
+
+    @given(
+        seed=st.integers(0, 200),
+        k=st.integers(1, 12),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3, 0.6]),
+        topics=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mttd_on_stream_windows(self, seed, k, epsilon, topics):
+        processor = stream_window(seed)
+        vector = np.zeros(3)
+        vector[topics] = np.random.default_rng(seed).uniform(0.2, 1.0, len(topics))
+        assert_mttd_is_the_lazy_heap(
+            processor.snapshot(), processor.ranked_lists, vector, k, epsilon
+        )
+
+    def test_a_fresh_entry_waits_behind_equal_re_pushes(self):
+        """Binary-fraction word weights and no followers make gains exact.
+        ``a`` covers words 1 and 2; ``b`` and ``c`` tie on their singles and,
+        once ``a`` is in, both fall to ``λ/4`` and are re-pushed in round 2.
+        ``d``'s single is ``λ/4`` too, and its bound is exactly round 3's
+        ``τ = λ/4``, so it is retrieved in round 3 (with an equal bound
+        counting as reachable), after both re-pushes: it pops after them."""
+        a, b, c, d = 1, 2, 3, 4
+        words = {
+            a: {1: 0.5, 2: 0.5},
+            b: {1: 0.5, 3: 0.25},
+            c: {2: 0.5, 4: 0.25},
+            d: {5: 0.25},
+        }
+        profile_map = {
+            eid: ElementProfile(eid, 1, {0: 1.0}, {0: sigma}, {0: sum(sigma.values())}, ())
+            for eid, sigma in words.items()
+        }
+        context = ScoringContext(profile_map, {}, SCORING, time=1)
+        index = RankedListIndex(1, SCORING)
+        index.bulk_update(inserts=[(profile, 1) for profile in profile_map.values()])
+        vector = np.array([1.0])
+        assert assert_mttd_is_the_lazy_heap(context, index, vector, 4, 0.5) == (a, b, c, d)
+        for k in (1, 2, 3):
+            assert_mttd_is_the_lazy_heap(context, index, vector, k, 0.5)
+        outcome = MTTD(0.5).select(KSIRObjective(context, vector), 3, index=index)
+        assert outcome.extras == {"rounds": 3.0, "retrieved": 4.0, "buffered": 1.0}
 
     @given(instance=tied_instances(), vector=QUERY_VECTORS, k=st.integers(1, 6))
     @settings(max_examples=300, deadline=None)

@@ -57,6 +57,7 @@ from tests.oracle import (
     reference_infer,
     reference_mtts,
     reference_single,
+    subset_bound_mtts,
 )
 from tests.test_oracle import assert_memo_is_the_definition
 from tests.test_store_columnar import bucketise
@@ -349,6 +350,17 @@ def small_window(seed, reposts=False):
     return processor
 
 
+def stream_window(seed):
+    """A processor mid-stream over 80 arrivals, a window of 40."""
+    model, elements = build_reference_stream(seed, 80, 3, 8)
+    processor = build_processor(
+        model, ProcessorConfig(window_length=40, bucket_length=4, scoring=PAPER_SCORING)
+    )
+    for members, end_time in bucketise(elements, 4):
+        processor.process_bucket(members, end_time)
+    return processor
+
+
 class RecordingStates:
     """Wraps an objective's ``new_state`` to keep every state it hands out."""
 
@@ -397,6 +409,38 @@ class TestMTTSEqualsReference:
         # Gains a smaller candidate's rejection settles are never computed.
         assert ours.evaluation_calls <= theirs.evaluation_calls
 
+    @given(
+        seed=st.integers(0, 200),
+        k=st.integers(1, 25),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3]),
+        topics=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+        equal_weights=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_runs_settle_what_every_rejection_settles(
+        self, seed, k, epsilon, topics, equal_weights
+    ):
+        """Settling a run of positions at once computes exactly the gains,
+        in the same candidates, that checking every rejection at every
+        position computes (``tests/oracle.py::subset_bound_mtts``)."""
+        processor = stream_window(seed)
+        rng = np.random.default_rng(seed)
+        vector = np.zeros(3)
+        vector[topics] = 1.0 if equal_weights else rng.uniform(0.2, 1.0, len(topics))
+        context, index = processor.snapshot(), processor.ranked_lists
+
+        ours, theirs = KSIRObjective(context, vector), KSIRObjective(context, vector)
+        our_states, their_states = RecordingStates(ours), RecordingStates(theirs)
+        outcome = MTTS(epsilon).select(ours, k, index=index)
+        ids, value, evaluated, extras = subset_bound_mtts(theirs, index, k, epsilon)
+
+        assert [s.selected for s in our_states.states] == [
+            s.selected for s in their_states.states
+        ]
+        assert (outcome.element_ids, outcome.value) == (ids, value)
+        assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
+        assert ours.evaluation_calls == theirs.evaluation_calls
+
     def test_the_subset_bound_settles_half_the_gains(self):
         """Over windows of 40 elements at k = 10, ε = 0.1, MTTS computes at
         most half of the marginal gains full evaluation computes."""
@@ -414,13 +458,7 @@ class TestMTTSEqualsReference:
 
         computed = reference = 0
         for seed in range(30):
-            model, elements = build_reference_stream(seed, 80, 3, 8)
-            processor = build_processor(
-                model,
-                ProcessorConfig(window_length=40, bucket_length=4, scoring=PAPER_SCORING),
-            )
-            for members, end_time in bucketise(elements, 4):
-                processor.process_bucket(members, end_time)
+            processor = stream_window(seed)
             context, index = processor.snapshot(), processor.ranked_lists
             rng = np.random.default_rng(seed)
             for vector in (np.ones(3), rng.dirichlet(np.full(3, 0.6))):

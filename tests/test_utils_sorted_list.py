@@ -7,6 +7,7 @@ import threading
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,47 @@ class TestBulkInsertTieBreak:
         ranked.bulk_insert(batch)
         assert ranked.items() == sorted(batch, key=lambda item: (-item[1], item[0]))
         assert ranked.validate()
+
+    @pytest.mark.parametrize(
+        "other",
+        [2.5, 7.0, True, False, (3, 1), 2**63, -(2**63) - 1],
+        ids=["float", "whole-float", "true", "false", "tuple", "int64-max+1", "int64-min-1"],
+    )
+    @pytest.mark.parametrize("write", ["insert", "bulk_insert"])
+    def test_keys_other_than_int_sort_as_python_does(self, other, write):
+        """A float or bool key is never truncated into the int64 column (a
+        ``fromiter`` would make ``2.5`` a 2 and ``True`` a 1), a tuple stays
+        one key and an int beyond int64 is not wrapped: each such list sorts
+        with ``sorted()`` into an object key column, among int keys too."""
+        comparable = not isinstance(other, tuple)
+        batch = [(other, 1.0)] + ([(2, 1.0), (3, 1.0), (5, 4.0)] if comparable else [])
+        ranked = DescendingSortedList()
+        if write == "insert":
+            for key, score in batch:
+                ranked.insert(key, score)
+        else:
+            ranked.bulk_insert(batch)
+        scores, keys = ranked.columns()
+        assert keys.dtype == object
+        assert ranked.items() == sorted(batch, key=lambda item: (-item[1], item[0]))
+        assert [type(key) for key in ranked.keys()] == [
+            type(key) for key, _ in sorted(batch, key=lambda item: (-item[1], item[0]))
+        ]
+        assert ranked.validate()
+
+    def test_int_keys_take_the_int64_column_again_after_a_clear(self):
+        ranked = DescendingSortedList()
+        ranked.insert(2.5, 1.0)
+        ranked.insert(2, 1.0)
+        ranked.remove(2.5)
+        # The list held a float key since its last clear: the object path.
+        assert ranked.columns()[1].dtype == object
+        assert ranked.items() == [(2, 1.0)]
+        ranked.clear()
+        ranked.bulk_insert([(5, 1.0), (4, 1.0), (9, 3.0)])
+        scores, keys = ranked.columns()
+        assert keys.dtype == np.int64
+        assert ranked.items() == [(9, 3.0), (4, 1.0), (5, 1.0)]
 
     def test_merge_with_existing_entries_preserves_tie_order(self):
         ranked = DescendingSortedList()
