@@ -89,7 +89,7 @@ class MTTD(KSIRAlgorithm):
         index: Optional[RankedListIndex],
     ) -> SelectionOutcome:
         assert index is not None  # guaranteed by KSIRAlgorithm.select
-        order, bounds, singles = index.traversal(objective.query_vector).plan
+        order, bounds, singles, _held = index.traversal(objective.query_vector).plan
         count = len(order)
         descending = -bounds  # ascending: UB(x) ≥ τ is a prefix
         # Fresh entries: the steps of the positive singles by (−single, step).

@@ -28,9 +28,9 @@ Query algorithms traverse the lists in descending score order through
 by the query vector) under the paper's rule that once an element has been
 retrieved from one list its tuples in the other lists are skipped.  The
 whole merge is planned once per query in NumPy — the retrieval order,
-``UB(x)`` before every step and each retrieved element's singleton
-``δ(e, x)`` — as three NumPy arrays, so the algorithms never ask the
-objective for a singleton.
+``UB(x)`` before every step, each retrieved element's singleton
+``δ(e, x)`` and the query lists that hold it — as four NumPy arrays, so
+the algorithms never ask the objective for a singleton.
 
 The index additionally records which topics had tuples inserted, re-scored
 or removed since the last drain (:meth:`RankedListIndex.take_dirty_topics`).
@@ -58,8 +58,10 @@ from repro.utils.sorted_list import DescendingSortedList
 from repro.utils.timing import StopWatch, TimingStats
 
 #: A traversal plan: the retrieval order (ids), ``UB(x)`` before every step
-#: (one entry more) and the singleton of every step, as NumPy arrays.
-Plan = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: (one entry more), the singleton of every step and, for a merge of several
+#: lists, the lists that hold every step's element (bit ``j`` for the plan's
+#: ``j``-th list), as NumPy arrays; a one-list plan has ``None`` there.
+Plan = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def _mask(topics: Iterable[int]) -> int:
@@ -360,7 +362,7 @@ class RankedListTraversal:
 
     The two operations of Section 4.1 — ``first``/``next`` per list, merged
     by ``x_i · δ_i`` with the retrieved elements skipped in every other
-    list — are computed once, at construction, as a :attr:`plan` of three
+    list — are computed once, at construction, as a :attr:`plan` of four
     NumPy arrays, each also read as a Python list (converted on first use):
 
     * :attr:`order` — the element ids in retrieval order: each element
@@ -378,10 +380,17 @@ class RankedListTraversal:
       ``bounds[r]`` (the list's front, or the element itself), so
       ``singles[r] <= bounds[r]`` holds in floats, not only in reals.
       ``bounds`` never increases: each list's front value does not, and
-      the fronts are added in one order.
+      the fronts are added in one order;
+    * :attr:`held` — ``held[r]`` has bit ``j`` set when the plan's ``j``-th
+      list (the query's weighted topics with a non-empty list, ascending)
+      holds the element retrieved at step ``r``.  A one-list plan stores
+      nothing here (``plan[3]`` is ``None``) and reads ``1`` at every step.
+      The processor lists an element on every topic of its profile, so
+      an element's gain on the query reads only the coverage left on the
+      lists ``held`` names (what MTTS's subset bound rests on).
 
-    MTTS zips the three lists; MTTD reads the arrays only (one bisection
-    of ``bounds`` per round, one sort of ``singles`` per query);
+    MTTS zips the four lists; MTTD reads the first three arrays only (one
+    bisection of ``bounds`` per round, one sort of ``singles`` per query);
     :meth:`next_id`,
     :meth:`upper_bound` and :meth:`exhausted` walk it with a cursor, whose
     last retrieved element's singleton is ``singles[retrieved_count − 1]``.
@@ -397,8 +406,9 @@ class RankedListTraversal:
     ``max(steps[:j + 1])``).  ``UB(x)`` adds the fronts' values list by list
     in topic order, the float additions a front-by-front loop makes, and
     an exhausted list adds nothing.  The singles add every list's values
-    at their elements' steps, list by list in topic order.  A one-topic
-    query's plan is its list.
+    at their elements' steps, list by list in topic order, and ``held``
+    ORs list ``j``'s bit in at the same steps.  A one-topic query's plan
+    is its list.
 
     Construction reads each query topic's order, sorting the lists changed
     since their last read.  Traversals may be built and used from several
@@ -439,6 +449,12 @@ class RankedListTraversal:
         """``δ(e, x)`` of the element retrieved at every step."""
         return self.plan[2].tolist()
 
+    @cached_property
+    def held(self) -> List[int]:
+        """The plan's lists holding the element of every step, as bitmasks."""
+        held = self.plan[3]
+        return [1] * len(self.plan[0]) if held is None else held.tolist()
+
     @property
     def retrieved_count(self) -> int:
         """Number of elements retrieved so far."""
@@ -471,13 +487,13 @@ class RankedListTraversal:
 
 
 def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Plan:
-    """The retrieval order, ``UB(x)`` before every step and the singleton of
-    every step of the merge of the lists ``ids`` (each in read order) valued
-    ``values`` (``x_i · δ_i``)."""
+    """The retrieval order, ``UB(x)`` before every step, the singleton of
+    every step and the lists holding every step's element, of the merge of
+    the lists ``ids`` (each in read order) valued ``values`` (``x_i · δ_i``)."""
     if len(ids) == 1:
-        return ids[0], np.append(values[0], 0.0), values[0]
+        return ids[0], np.append(values[0], 0.0), values[0], None
     if not ids:
-        return np.empty(0, dtype=np.int64), np.zeros(1), np.empty(0)
+        return np.empty(0, dtype=np.int64), np.zeros(1), np.empty(0), None
     merged_ids = np.concatenate(ids)
     # Stable: equal values keep the concatenation's (list position, rank).
     entries = np.argsort(-np.concatenate(values), kind="stable")
@@ -501,14 +517,17 @@ def _plan(ids: List[np.ndarray], values: List[np.ndarray]) -> Plan:
     # With ``reached`` the prefix max of a list's entry steps, entry j is
     # its front for the steps after ``reached[j − 1]`` up to ``reached[j]``;
     # after ``reached[-1]`` the list is exhausted and adds nothing.  A list
-    # holds an element once, so its values land on distinct singles.
+    # holds an element once, so its values land on distinct singles and its
+    # bit on distinct steps.  Past 62 lists a bit needs a Python int.
     bounds = np.zeros(count + 1)
     singles = np.zeros(count)
+    held = np.zeros(count, dtype=np.int64 if len(ids) < 63 else object)
     start = 0
-    for list_values in values:
+    for bit, list_values in enumerate(values):
         list_steps = steps[start : start + len(list_values)]
         reached = np.maximum.accumulate(list_steps)
         bounds[: reached[-1] + 1] += np.repeat(list_values, np.diff(reached, prepend=-1))
         singles[list_steps] += list_values
+        held[list_steps] |= 1 << bit
         start += len(list_values)
-    return merged[np.sort(first)], bounds, singles
+    return merged[np.sort(first)], bounds, singles, held

@@ -21,9 +21,10 @@ The second half is the reference of the *query* path: ``f(S, x)`` and its
 parts computed from scratch out of a window snapshot (Eq. 1-4), then the
 objective, the ranked-list traversal and MTTS written out call by call,
 importing nothing of production's compiled forms
-(``tests/test_query_path.py``), and MTTS's subset-bound walk as it ran
-before it settled runs of candidates at once.  Then topic inference one document at a
-time (``tests/test_topics_inference.py``).  The last part is MTTD's and
+(``tests/test_query_path.py``), MTTS's subset-bound walk as it ran
+before it settled runs of candidates at once, and its per-topic bound
+written out over each candidate's ``selected`` list.  Then topic
+inference one document at a time (``tests/test_topics_inference.py``).  The last part is MTTD's and
 CELF's selection over the lazy max-heap they used before their plain
 :mod:`heapq` lists (``tests/test_core_algorithms.py``).
 """
@@ -735,6 +736,81 @@ def subset_bound_mtts(objective, index: RankedListIndex, k: int, epsilon: float)
         best_state = objective.new_state()
     extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
     return tuple(best_state.selected), best_state.value, retrieved, extras
+
+
+def topic_bound_mtts(objective, index: RankedListIndex, k: int, epsilon: float):
+    """Algorithm 2 with the per-topic subset bound written out, no masks.
+
+    A retrieved element ``e`` walks the unfilled candidates from the highest
+    admission threshold down.  At each one it checks every rejection so
+    far: a candidate ``T`` that rejected ``e`` with gain ``g`` settles
+    ``S`` when ``g < ϕ_S/2k · (1 − 1e-9)`` and ``T``'s members on ``e``'s
+    query lists are among ``S``'s.  A candidate's members on ``e``'s lists
+    are read off its ``selected`` list, keeping the members that some
+    weighted topic's ranked list holds together with ``e``.
+
+    Returns ``(selected ids, value, evaluated elements, extras)``.
+    """
+    vector = objective.query_vector
+    query_topics = [topic for topic, weight in enumerate(vector.tolist()) if weight > 0.0]
+
+    def lists_of(element_id: int) -> Set[int]:
+        return {topic for topic in query_topics if element_id in index._lists[topic]}
+
+    traversal = ReferenceTraversal(index, vector)
+    base = 1.0 + epsilon
+    candidates: Dict[int, ObjectiveState] = {}
+    delta_max = threshold = 0.0
+    retrieved = 0
+    while traversal.upper_bound() >= threshold:
+        element_id = traversal.pop()
+        if element_id is None:
+            break
+        retrieved += 1
+        score = reference_single(index, element_id, vector)
+        if score < threshold and score <= delta_max:
+            continue
+        if score > delta_max:
+            delta_max = score
+            low = math.ceil(math.log(delta_max, base) - 1e-12)
+            high = math.floor(math.log(2.0 * k * delta_max, base) + 1e-12)
+            valid = set(range(low, high + 1))
+            candidates = {j: s for j, s in candidates.items() if j in valid}
+            for j in valid:
+                candidates.setdefault(j, objective.new_state())
+
+        held = lists_of(element_id)
+        rejected: List[Tuple[Set[int], float]] = []
+        for j in sorted(candidates, reverse=True):
+            state, admission = candidates[j], base**j / (2.0 * k)
+            if score < admission or len(state.selected) >= k:
+                continue
+            members = {m for m in state.selected if lists_of(m) & held}
+            if any(
+                gain < admission * MTTS_MARGIN and theirs <= members
+                for theirs, gain in rejected
+            ):
+                continue
+            gain = objective.marginal_gain(element_id, state)
+            if gain >= admission:
+                objective.add(element_id, state)
+            else:
+                rejected.append((members, gain))
+
+        unfilled = [
+            base**j / (2.0 * k) for j, s in candidates.items() if len(s.selected) < k
+        ]
+        if candidates and not unfilled:
+            break
+        threshold = min(unfilled) if unfilled else 0.0
+    best = None
+    for state in candidates.values():
+        if best is None or state.value > best.value:
+            best = state
+    if best is None:
+        best = objective.new_state()
+    extras = {"candidates": float(len(candidates)), "retrieved": float(retrieved)}
+    return tuple(best.selected), best.value, retrieved, extras
 
 
 # ---------------------------------------------------------------------------

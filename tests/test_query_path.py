@@ -58,6 +58,7 @@ from tests.oracle import (
     reference_mtts,
     reference_single,
     subset_bound_mtts,
+    topic_bound_mtts,
 )
 from tests.test_oracle import assert_memo_is_the_definition
 from tests.test_store_columnar import bucketise
@@ -224,6 +225,62 @@ class TestSubsetBoundIsSound:
         assert small < large  # the computed gains are not monotone here
         assert not small < large * _MARGIN
 
+    @pytest.mark.parametrize("total", [sum, math.fsum], ids=["sum", "fsum"])
+    @given(data=st.data(), vector=QUERY_VECTORS)
+    @settings(max_examples=300, deadline=None)
+    def test_members_on_other_topics_leave_the_bound_alone(self, total, data, vector):
+        """``T``'s members on ``e``'s query topics are among ``S``'s, but
+        ``T`` also holds members ``S`` lacks, on other topics only: ``Δ(e |
+        T)`` still bounds ``Δ(e | S)`` below the margin."""
+        context = data.draw(contexts(total))
+        order = data.draw(st.permutations(context.active_ids))
+        element_id, members = order[-1], order[:-1]
+
+        def query_topics(eid):
+            return {t for t, p in context.profile(eid).topic_probabilities.items()
+                    if p > 0.0 and vector[t] > 0.0}
+
+        topics = query_topics(element_id)
+        objective = KSIRObjective(context, vector)
+        rejecter, superset = objective.new_state(), objective.new_state()
+        for member in members:
+            shares = bool(query_topics(member) & topics)
+            in_superset = data.draw(st.booleans())
+            # On e's topics T may hold only S's members; elsewhere anything.
+            in_rejecter = data.draw(st.booleans()) and (in_superset or not shares)
+            if in_superset:
+                objective.add(member, superset)
+            if in_rejecter:
+                objective.add(member, rejecter)
+
+        small = objective.marginal_gain(element_id, rejecter)
+        large = objective.marginal_gain(element_id, superset)
+        for threshold in (small, large, small * 2.0, large * 0.5):
+            if small < threshold * _MARGIN:
+                assert large < threshold
+
+    def test_the_margin_covers_a_stored_sum_beside_an_off_topic_member(self):
+        """The compensated case with an off-topic member: ``T`` holds only a
+        member on topic 1, so ``Δ(e | T)`` reads ``e``'s stored ``fsum`` on
+        topic 0, which ``T`` does not cover; ``S`` covers topic 0 with other
+        words, so ``Δ(e | S)`` adds the same σ's in order, one ulp above."""
+        sigmas = {0: 0.2, 1: 0.35, 2: 0.05}
+        profile_map = {
+            0: ElementProfile(0, 1, {0: 0.5}, {0: sigmas}, {0: math.fsum(sigmas.values())}, ()),
+            1: ElementProfile(1, 1, {0: 0.5}, {0: {3: 0.1}}, {0: 0.1}, ()),
+            2: ElementProfile(2, 1, {1: 0.5}, {1: {0: 0.3}}, {1: 0.3}, ()),
+        }
+        context = ScoringContext(profile_map, {}, SCORING, time=1)
+        objective = KSIRObjective(context, np.array([1.0, 0.5, 0.0, 0.0]))
+        rejecter, superset = objective.new_state(), objective.new_state()
+        objective.add(2, rejecter)  # a member S lacks, on a topic e does not hold
+        objective.add(1, superset)
+        small = objective.marginal_gain(0, rejecter)
+        large = objective.marginal_gain(0, superset)
+        assert small == objective.marginal_gain(0, objective.new_state())
+        assert small < large
+        assert not small < large * _MARGIN
+
 
 def reference_plan(index, vector):
     """The reference's retrieval order and ``UB(x)`` before every step."""
@@ -235,9 +292,24 @@ def reference_plan(index, vector):
     return order, bounds
 
 
+def reference_held(index, vector, order):
+    """For every retrieved id, the query lists whose ids include it: bit
+    ``j`` for the ``j``-th weighted topic with a non-empty list."""
+    lists = [
+        {element_id for element_id, _score in index.items(topic)}
+        for topic, weight in enumerate(np.asarray(vector, dtype=float).tolist())
+        if weight > 0.0 and index.list_size(topic)
+    ]
+    return [
+        sum(1 << j for j, ids in enumerate(lists) if element_id in ids)
+        for element_id in order
+    ]
+
+
 def assert_plan_is_the_reference(index, vector):
-    """Order, bounds and singles ``==`` the reference's; the bounds never
-    increase and no single exceeds the bound before its step, with no slack."""
+    """Order, bounds, singles and held lists ``==`` the reference's; the
+    bounds never increase and no single exceeds the bound before its step,
+    with no slack."""
     traversal = index.traversal(vector)
     order, bounds = reference_plan(index, vector)
     assert traversal.order == order
@@ -246,6 +318,7 @@ def assert_plan_is_the_reference(index, vector):
     singles = [reference_single(index, element_id, vector) for element_id in order]
     assert traversal.singles == singles
     assert all(single <= bound for single, bound in zip(singles, bounds))
+    assert traversal.held == reference_held(index, vector, order)
 
 
 class TestTraversalEqualsReference:
@@ -326,6 +399,25 @@ class TestTraversalEqualsReference:
         assert_plan_is_the_reference(index, vector)
         assert len(index.traversal(vector).singles) > 0
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_held_lists_past_62_lists(self, seed):
+        """A merge of 70 lists: an element's held lists need more bits
+        than an ``int64`` has, and still name exactly its lists."""
+        rng = np.random.default_rng(seed)
+        index = RankedListIndex(80, SCORING)
+        index.load(
+            (element_id, 1, {
+                int(topic): float(rng.uniform(0.0, 1.0))
+                for topic in rng.choice(80, size=rng.integers(1, 41), replace=False)
+            })
+            for element_id in rng.permutation(150).tolist()
+        )
+        vector = np.zeros(80)
+        vector[rng.choice(80, size=70, replace=False)] = rng.uniform(0.05, 1.0, 70)
+        assert_plan_is_the_reference(index, vector)
+        assert max(index.traversal(vector).held).bit_length() > 63
+
     @given(index=indexes(), vector=QUERY_VECTORS, budget=st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
     def test_top_candidates_is_the_pop_order(self, index, vector, budget):
@@ -350,11 +442,16 @@ def small_window(seed, reposts=False):
     return processor
 
 
-def stream_window(seed):
+#: The paper's scoring with topics below 0.2 dropped: elements on fewer of
+#: the three topics, so candidates hold members off an element's topics.
+SPARSE_SCORING = ScoringConfig(lambda_weight=0.5, eta=2.0, topic_threshold=0.2)
+
+
+def stream_window(seed, scoring=PAPER_SCORING):
     """A processor mid-stream over 80 arrivals, a window of 40."""
     model, elements = build_reference_stream(seed, 80, 3, 8)
     processor = build_processor(
-        model, ProcessorConfig(window_length=40, bucket_length=4, scoring=PAPER_SCORING)
+        model, ProcessorConfig(window_length=40, bucket_length=4, scoring=scoring)
     )
     for members, end_time in bucketise(elements, 4):
         processor.process_bucket(members, end_time)
@@ -420,9 +517,10 @@ class TestMTTSEqualsReference:
     def test_runs_settle_what_every_rejection_settles(
         self, seed, k, epsilon, topics, equal_weights
     ):
-        """Settling a run of positions at once computes exactly the gains,
-        in the same candidates, that checking every rejection at every
-        position computes (``tests/oracle.py::subset_bound_mtts``)."""
+        """The per-topic bound selects what the whole-candidate bound
+        (``tests/oracle.py::subset_bound_mtts``) selects, computing at
+        most its gains: a candidate's members off the element's query
+        topics no longer keep it from being settled."""
         processor = stream_window(seed)
         rng = np.random.default_rng(seed)
         vector = np.zeros(3)
@@ -439,7 +537,65 @@ class TestMTTSEqualsReference:
         ]
         assert (outcome.element_ids, outcome.value) == (ids, value)
         assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
+        assert ours.evaluation_calls <= theirs.evaluation_calls
+
+    @given(
+        seed=st.integers(0, 200),
+        k=st.integers(1, 25),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3]),
+        topics=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+        equal_weights=st.booleans(),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_runs_settle_what_the_per_topic_bound_settles(
+        self, seed, k, epsilon, topics, equal_weights, sparse
+    ):
+        """Member masks per query list, ORed per element, and settled runs
+        compute exactly the gains, in the same candidates, that checking
+        every rejection at every position against the members read off each
+        candidate's ``selected`` list computes
+        (``tests/oracle.py::topic_bound_mtts``)."""
+        processor = stream_window(seed, SPARSE_SCORING if sparse else PAPER_SCORING)
+        rng = np.random.default_rng(seed)
+        vector = np.zeros(3)
+        vector[topics] = 1.0 if equal_weights else rng.uniform(0.2, 1.0, len(topics))
+        context, index = processor.snapshot(), processor.ranked_lists
+
+        ours, theirs = KSIRObjective(context, vector), KSIRObjective(context, vector)
+        our_states, their_states = RecordingStates(ours), RecordingStates(theirs)
+        outcome = MTTS(epsilon).select(ours, k, index=index)
+        ids, value, evaluated, extras = topic_bound_mtts(theirs, index, k, epsilon)
+
+        assert [s.selected for s in our_states.states] == [
+            s.selected for s in their_states.states
+        ]
+        assert (outcome.element_ids, outcome.value) == (ids, value)
+        assert (outcome.evaluated_elements, outcome.extras) == (evaluated, extras)
         assert ours.evaluation_calls == theirs.evaluation_calls
+
+    def test_the_per_topic_bound_settles_more_on_several_topics(self):
+        """Summed over sparse windows, multi-topic queries compute strictly
+        fewer gains than under the whole-candidate bound; one-topic queries,
+        where every member holds the element's one list, exactly as many."""
+        calls = {1: [0, 0], 2: [0, 0], 3: [0, 0]}
+        for seed in range(12):
+            processor = stream_window(seed, SPARSE_SCORING)
+            context, index = processor.snapshot(), processor.ranked_lists
+            rng = np.random.default_rng(seed)
+            for topics in ([int(rng.integers(0, 3))], [0, 2], [0, 1, 2]):
+                vector = np.zeros(3)
+                vector[topics] = rng.uniform(0.2, 1.0, len(topics))
+                for k in (10, 25):
+                    ours, theirs = KSIRObjective(context, vector), KSIRObjective(context, vector)
+                    outcome = MTTS(0.1).select(ours, k, index=index)
+                    ids, value, _, _ = subset_bound_mtts(theirs, index, k, 0.1)
+                    assert (outcome.element_ids, outcome.value) == (ids, value)
+                    calls[len(topics)][0] += ours.evaluation_calls
+                    calls[len(topics)][1] += theirs.evaluation_calls
+        assert calls[1][0] == calls[1][1]
+        assert calls[2][0] < calls[2][1]
+        assert calls[3][0] < calls[3][1]
 
     def test_the_subset_bound_settles_half_the_gains(self):
         """Over windows of 40 elements at k = 10, ε = 0.1, MTTS computes at
